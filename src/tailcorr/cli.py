@@ -283,34 +283,29 @@ def _shape_from(section: _Section) -> RadialFunction:
     return shape
 
 
+#: Model class tag -> (model type, {config key: section parser}).  The keys
+#: are read in this order after ``class`` and ``dim``.
+_MODEL_SCHEMAS = {
+    "M2r": (M2rModel, {"shape": _shape_from}),
+    "M3b": (M3bModel, {"radius": _distribution_from}),
+    "MPS": (MPSModel, {"mixing": _distribution_from}),
+    "BR": (BRModel, {"variogram": _variogram_from}),
+    "VBR": (VBRModel, {"variogram": _variogram_from,
+                       "scale_mixing": _distribution_from}),
+    "EG": (EGModel, {"correlation": _correlation_from}),
+    "EBG": (EBGModel, {"correlation": _correlation_from}),
+}
+
+
 def model_from_doc(data: object) -> TcfModel:
     """Build a model from a parsed config document (strict keys)."""
     root = _Section(data, "")
-    cls = root.take_str("class", choices=(
-        "M2r", "M3b", "MPS", "BR", "VBR", "EG", "EBG"))
+    model_type, parsers = _MODEL_SCHEMAS[
+        root.take_str("class", choices=tuple(_MODEL_SCHEMAS))]
     dim = root.take_int("dim")
-    if cls == "M2r":
-        model = M2rModel(dim=dim, shape=_shape_from(root.take_section("shape")))
-    elif cls == "M3b":
-        model = M3bModel(dim=dim,
-                         radius=_distribution_from(root.take_section("radius")))
-    elif cls == "MPS":
-        model = MPSModel(dim=dim,
-                         mixing=_distribution_from(root.take_section("mixing")))
-    elif cls == "BR":
-        model = BRModel(dim=dim,
-                        variogram=_variogram_from(root.take_section("variogram")))
-    elif cls == "VBR":
-        model = VBRModel(
-            dim=dim,
-            variogram=_variogram_from(root.take_section("variogram")),
-            scale_mixing=_distribution_from(root.take_section("scale_mixing")))
-    elif cls == "EG":
-        model = EGModel(dim=dim, correlation=_correlation_from(
-            root.take_section("correlation")))
-    else:
-        model = EBGModel(dim=dim, correlation=_correlation_from(
-            root.take_section("correlation")))
+    parts = {key: parse(root.take_section(key))
+             for key, parse in parsers.items()}
+    model = model_type(dim=dim, **parts)
     root.close()
     return model
 
@@ -650,9 +645,6 @@ def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
 @click.option("--margins", type=click.Choice(["frechet", "gumbel"]),
               default="frechet", show_default=True,
               help="marginal scale of the written values")
-@click.option("--pad", type=float, default=0.0, show_default=True,
-              help="window pad (accepted for config compatibility; the "
-                   "exact sampler is invariant under it)")
 @click.option("--max-storms", type=click.IntRange(min=1), default=10_000,
               show_default=True, help="per-realization storm budget")
 @click.option("--quiet", is_flag=True, help="suppress progress messages")
@@ -660,7 +652,7 @@ def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
               help="write CSV here instead of stdout")
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True, help="simulation seed")
-def cmd_simulate(config, grid_spec, n_realizations, margins, pad, max_storms,
+def cmd_simulate(config, grid_spec, n_realizations, margins, max_storms,
                  seed, out, quiet):
     """Simulate exact max-stable fields -> CSV, one row per site."""
     try:
@@ -668,24 +660,32 @@ def cmd_simulate(config, grid_spec, n_realizations, margins, pad, max_storms,
         grid = _parse_sim_grid(grid_spec)
         sim_config = SimConfig(
             model=model, grid=grid, n_realizations=n_realizations, seed=seed,
-            window_pad=pad,
             truncation=Truncation(poisson_points_max=max_storms))
-        sites = grid.sites()
-        rows = []
-        for index, realization in enumerate(simulate(sim_config)):
-            field = transform_margins(realization, margins)
-            for site, value in zip(sites, field.values.ravel()):
-                rows.append((index, *(float(c) for c in site), float(value)))
+        fields = [transform_margins(realization, margins)
+                  for realization in simulate(sim_config)]
     except TailcorrError as exc:
         raise _fail(exc)
+    _emit(_fields_csv(fields, grid, margins, seed=seed,
+                      fingerprint=fingerprint), out)
+    _say(quiet, f"simulate: {n_realizations} realizations on "
+                f"{'x'.join(str(s) for s in grid.shape)} sites")
+
+
+def _fields_csv(fields, grid: GridSpec, margins: str, *, seed,
+                fingerprint) -> str:
+    """Fields as CSV, one row per site, under the '# grid' line that
+    :func:`_read_fields_csv` needs to rebuild them."""
+    sites = grid.sites()
+    rows = [(index, *(float(c) for c in site), float(value))
+            for index, field in enumerate(fields)
+            for site, value in zip(sites, field.values.ravel())]
     shape = "x".join(str(s) for s in grid.shape)
-    origin = ",".join(f"{c:g}" for c in grid.origin)
+    origin = ",".join(f"{c:.17g}" for c in grid.origin)
     coords = tuple(f"x{a}" for a in range(grid.dim))
     meta = (f"grid shape={shape} spacing={grid.spacing:.17g} origin={origin} "
             f"margins={margins}",)
-    _emit(_render_csv(("realization", *coords, "value"), rows, seed=seed,
-                      fingerprint=fingerprint, extra=meta), out)
-    _say(quiet, f"simulate: {n_realizations} realizations on {shape} sites")
+    return _render_csv(("realization", *coords, "value"), rows, seed=seed,
+                       fingerprint=fingerprint, extra=meta)
 
 
 def _read_fields_csv(path: str) -> list[GridField]:
@@ -751,10 +751,23 @@ def _suite_write(out_dir: Path, name: str, columns, rows, seed,
         encoding="utf-8", newline="\n")
 
 
-def _simulate_and_estimate(model, lags, *, n, seed, grid):
-    fields = list(simulate(SimConfig(model=model, grid=grid,
-                                     n_realizations=n, seed=seed)))
-    return fields, estimate_chi(fields, lags)
+def _simulation_loop(out_dir: Path, models, lags, *, n, seed, fingerprint):
+    """Simulate each model on 9 sites, write its fields and chi-hat CSVs,
+    and return the summary rows of the chi-hat checks."""
+    grid = GridSpec(dim=1, shape=(9,), spacing=0.5)
+    summary = []
+    for name, model in models.items():
+        fields = list(simulate(SimConfig(model=model, grid=grid,
+                                         n_realizations=n, seed=seed)))
+        _emit(_fields_csv(fields, grid, "frechet", seed=seed,
+                          fingerprint=fingerprint),
+              str(out_dir / f"fields_{name}.csv"))
+        rows, worst = _chi_hat_rows(model, estimate_chi(fields, lags))
+        _suite_write(out_dir, f"chi_hat_{name}.csv",
+                     ("lag", "chi_hat", "std_err", "n", "chi", "deviation",
+                      "threshold", "status"), rows, seed, fingerprint)
+        summary.append((f"chi_hat_{name}", worst, 0.0))
+    return summary
 
 
 def _chi_hat_rows(model, estimates):
@@ -768,15 +781,6 @@ def _chi_hat_rows(model, estimates):
                      threshold, "pass" if gap <= threshold else "fail"))
         worst = max(worst, gap - threshold)
     return rows, worst
-
-
-def _fields_rows(fields, grid):
-    sites = grid.sites()
-    rows = []
-    for index, field in enumerate(fields):
-        for site, value in zip(sites, field.values.ravel()):
-            rows.append((index, *(float(c) for c in site), float(value)))
-    return rows
 
 
 def _reproduce_erfc_sqrt(out_dir: Path, seed: int, n: int):
@@ -832,21 +836,11 @@ def _reproduce_erfc_sqrt(out_dir: Path, seed: int, n: int):
                  rows, seed, fingerprint)
     summary.append(("mps_laplace", worst, 1e-6))
 
-    grid = GridSpec(dim=1, shape=(9,), spacing=0.5)
-    lags = [0.5, 1.0, 1.5, 2.0]
-    models = dict(erfc_sqrt_models_1d())
-    models["BR"] = BRModel(dim=1, variogram=fbm_variogram(8.0, 1.0))
-    for name in ("BR", "M2r", "M3b"):
-        fields, estimates = _simulate_and_estimate(
-            models[name], lags, n=n, seed=seed, grid=grid)
-        _suite_write(out_dir, f"fields_{name}.csv",
-                     ("realization", "x0", "value"),
-                     _fields_rows(fields, grid), seed, fingerprint)
-        rows, worst = _chi_hat_rows(models[name], estimates)
-        _suite_write(out_dir, f"chi_hat_{name}.csv",
-                     ("lag", "chi_hat", "std_err", "n", "chi", "deviation",
-                      "threshold", "status"), rows, seed, fingerprint)
-        summary.append((f"chi_hat_{name}", worst, 0.0))
+    one_d = erfc_sqrt_models_1d()
+    models = {"BR": BRModel(dim=1, variogram=fbm_variogram(8.0, 1.0)),
+              "M2r": one_d["M2r"], "M3b": one_d["M3b"]}
+    summary += _simulation_loop(out_dir, models, [0.5, 1.0, 1.5, 2.0], n=n,
+                                seed=seed, fingerprint=fingerprint)
     return summary, fingerprint
 
 
@@ -887,19 +881,9 @@ def _reproduce_bounded_gauss(out_dir: Path, seed: int, n: int):
                  rows, seed, fingerprint)
     summary.append(("tcf_agreement", worst, 1e-12))
 
-    grid = GridSpec(dim=1, shape=(9,), spacing=0.5)
-    lags = [0.5, 1.0, 2.0]
-    for name in ("EG", "EBG", "BR"):
-        fields, estimates = _simulate_and_estimate(
-            models[name], lags, n=n, seed=seed, grid=grid)
-        _suite_write(out_dir, f"fields_{name}.csv",
-                     ("realization", "x0", "value"),
-                     _fields_rows(fields, grid), seed, fingerprint)
-        rows, worst = _chi_hat_rows(models[name], estimates)
-        _suite_write(out_dir, f"chi_hat_{name}.csv",
-                     ("lag", "chi_hat", "std_err", "n", "chi", "deviation",
-                      "threshold", "status"), rows, seed, fingerprint)
-        summary.append((f"chi_hat_{name}", worst, 0.0))
+    summary += _simulation_loop(
+        out_dir, {name: models[name] for name in ("EG", "EBG", "BR")},
+        [0.5, 1.0, 2.0], n=n, seed=seed, fingerprint=fingerprint)
     return summary, fingerprint
 
 

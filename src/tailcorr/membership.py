@@ -42,11 +42,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as _fft
 
 from .errors import DomainError, KinkError
 from .numerics import num_derivative, quadrature
-from .radial import RadialFunction
+from .radial import RadialFunction, radial_from_callable
 
 __all__ = [
     "Verdict",
@@ -350,9 +350,8 @@ def _neg_deriv_sqrt(phi: RadialFunction) -> RadialFunction:
             u = math.sqrt(t)
             return -float(phi.deriv2(u)) / (2.0 * u)
 
-    return RadialFunction(
-        name=f"-d/dr[{phi.name}](sqrt t)",
-        func=g,
+    return radial_from_callable(
+        f"-d/dr[{phi.name}](sqrt t)", g,
         deriv1=g1,
         kinks=tuple(sorted(k * k for k in phi.kinks)),
         support_bound=(phi.support_bound ** 2
@@ -476,9 +475,7 @@ def _random_configuration(rng: np.random.Generator, index: int,
 def _gram_eigmin(chi: RadialFunction, sites: np.ndarray) -> float:
     diff = sites[:, None, :] - sites[None, :, :]
     dist = np.sqrt((diff ** 2).sum(-1))
-    flat = chi(dist.ravel())
-    gram = np.asarray(flat, dtype=float).reshape(dist.shape)
-    return float(np.linalg.eigvalsh(gram)[0])
+    return float(np.linalg.eigvalsh(chi(dist))[0])
 
 
 def spectral_density(chi: RadialFunction, d: int, omega: float, *,
@@ -545,14 +542,19 @@ def _lattice_rayleigh(chi: RadialFunction, d: int, omega: float, h: float,
         window = window - m ** 2 / (2.0 * sigt ** 2)
     v = np.cos(omega * mesh[0]) * np.exp(window)
     rev = v[tuple(slice(None, None, -1) for _ in range(d))]
-    corr = fftconvolve(v, rev, mode="full")
+    # Full linear convolution of v with its reversal, zero-padded to fast
+    # real-FFT lengths and cropped back.
+    full = [2 * n - 1 for n in v.shape]
+    fshape = [_fft.next_fast_len(n, True) for n in full]
+    corr = _fft.irfftn(_fft.rfftn(v, fshape) * _fft.rfftn(rev, fshape),
+                       fshape)[tuple(slice(n) for n in full)]
     offs = [(np.arange(2 * n - 1) - (n - 1)) * h for n in n_axis]
     omesh = np.meshgrid(*offs, indexing="ij")
     dist = np.sqrt(sum(m ** 2 for m in omesh))
     bound = chi.support_bound
     mask = dist <= bound
     kernel = np.zeros_like(dist)
-    kernel[mask] = np.asarray(chi(dist[mask].ravel())).reshape(-1)
+    kernel[mask] = chi(dist[mask])
     q = float(np.sum(kernel * corr))
     return q / float(np.sum(v * v))
 

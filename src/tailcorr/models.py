@@ -243,14 +243,12 @@ class M2rModel:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
         grid = np.logspace(-3, 2, 40)
-        vals = [self.shape.func(float(u)) for u in grid]
-        if any(v < -1e-12 for v in vals):
+        vals = self.shape(grid)
+        if np.any(vals < -1e-12):
             raise ModelError(f"shape {self.shape.name!r} takes negative values")
-        scale = max(abs(v) for v in vals) + 1e-300
-        for lo, hi in zip(vals, vals[1:]):
-            if hi > lo + 1e-9 * scale:
-                raise ModelError(
-                    f"shape {self.shape.name!r} is not non-increasing")
+        scale = np.max(np.abs(vals)) + 1e-300
+        if np.any(vals[1:] > vals[:-1] + 1e-9 * scale):
+            raise ModelError(f"shape {self.shape.name!r} is not non-increasing")
         total = overlap_integral(self.shape, self.dim, 0.0, tol=1e-9)
         if abs(total.value - 1.0) > self.normalization_tol:
             raise ModelError(
@@ -536,8 +534,7 @@ def parametric_tcf(family: str, nu: float, t, *, beta: float = 1.0):
     elif family == "whittle_matern":
         if nu <= 0:
             raise DomainError(f"whittle_matern needs nu > 0, got {nu!r}")
-        wm = whittle_matern(nu)
-        out = np.array([wm.func(float(v)) for v in tv])
+        out = whittle_matern(nu)(tv)
     elif family == "cauchy":
         if not 0 < nu <= 2:
             raise DomainError(f"cauchy needs nu in (0,2], got {nu!r}")

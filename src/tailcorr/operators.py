@@ -530,9 +530,8 @@ def phi_d_radial(d: int) -> RadialFunction:
         raise DomainError(f"d must be >= 1, got {d!r}")
     if d == 1:
         return tent()
-    return RadialFunction(
-        name=f"phi_{d}",
-        func=lambda r: phi_d(r, d),
+    return radial_from_callable(
+        f"phi_{d}", lambda r: phi_d(r, d),
         deriv1=lambda r: -phi_d_neg_deriv_sqrt(r * r, d),
         kinks=(1.0,),
         family="tent_turning_bands",
@@ -555,9 +554,8 @@ def chi_d_radial(d: int = 3) -> RadialFunction:
             return 0.0
         return -chi_d_neg_deriv_sqrt(r * r, d)
 
-    return RadialFunction(
-        name=f"chi_{d}",
-        func=lambda r: chi_d(r, d),
+    return radial_from_callable(
+        f"chi_{d}", lambda r: chi_d(r, d),
         deriv1=deriv1,
         kinks=(0.5, 1.0),
         support_bound=1.0,

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .distributions import Distribution1D
 from .models import (
     BRModel,
@@ -34,7 +36,6 @@ from .models import (
 from .radial import (
     Correlation,
     RadialFunction,
-    correlation_from_callable,
     bounded_variogram,
     erfc_sqrt,
     exponential_correlation,
@@ -78,13 +79,14 @@ def erfc_sqrt_shape(dim: int = 3) -> RadialFunction:
         c = math.pi**1.5 * 2.0**2.5
         return RadialFunction(
             name="erfc_sqrt_shape_3d",
-            func=lambda u: (1.0 + 4.0 * u) * math.exp(-2.0 * u) / (c * u**2.5),
+            func=lambda u: ((1.0 + 4.0 * u) * np.exp(-2.0 * u)
+                            / (c * np.power(u, 2.5))),
             zero_exponent=-2.5,
         )
     if dim == 1:
         return RadialFunction(
             name="erfc_sqrt_shape_1d",
-            func=lambda u: math.exp(-2.0 * u) / math.sqrt(2.0 * math.pi * u),
+            func=lambda u: np.exp(-2.0 * u) / np.sqrt(2.0 * math.pi * u),
             zero_exponent=-0.5,
         )
     raise ValueError(f"shape available for dim 1 and 3 only, got {dim!r}")
@@ -186,18 +188,16 @@ def bounded_gauss_correlations() -> tuple[Correlation, Correlation]:
     """Correlations (rho_EG, rho_EBG) matched so that the extremal Gaussian
     and extremal binary Gaussian processes share the suite's TCF."""
 
-    def rho_eg(t: float) -> float:
-        e = float(erf(0.45 * math.sqrt(-math.expm1(-abs(t)))))
+    def rho_eg(t):
+        e = erf(0.45 * np.sqrt(-np.expm1(-np.abs(t))))
         return 1.0 - 2.0 * e * e
 
-    def rho_ebg(t: float) -> float:
-        e = float(erf(0.45 * math.sqrt(-math.expm1(-abs(t)))))
-        return math.cos(math.pi * e)
+    def rho_ebg(t):
+        e = erf(0.45 * np.sqrt(-np.expm1(-np.abs(t))))
+        return np.cos(math.pi * e)
 
-    return (
-        correlation_from_callable("bounded_gauss_rho_eg", rho_eg),
-        correlation_from_callable("bounded_gauss_rho_ebg", rho_ebg),
-    )
+    return (Correlation("bounded_gauss_rho_eg", rho_eg),
+            Correlation("bounded_gauss_rho_ebg", rho_ebg))
 
 
 def bounded_gauss_models(dim: int = 1) -> dict[str, TcfModel]:

@@ -13,6 +13,8 @@ radial functions.  The wrapper records what plain callables cannot express:
 
 :class:`Variogram` and :class:`Correlation` are the analogous wrappers for
 the Gaussian-process model classes.
+Each wrapper's ``func`` takes a float or a whole array of distances; the
+``*_from_callable`` helpers lift a callable that only takes floats.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special as _special
 
-from .errors import DomainError, KinkError
-from .numerics import bessel_k, erfc, kappa_d, num_derivative
+from .errors import DomainError, KinkError, TailcorrError
+from .numerics import kappa_d, num_derivative
 
 __all__ = [
     "RadialFunction",
@@ -50,6 +53,42 @@ __all__ = [
 _KINK_EPS = 1e-12
 
 
+def _lift(func: Callable[[float], float]) -> Callable:
+    """Lift a scalar-only callable to floats and arrays, element by element."""
+
+    def lifted(x):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim == 0:
+            return float(func(float(arr)))
+        return np.array([float(func(float(v))) for v in arr.ravel()]
+                        ).reshape(arr.shape)
+
+    return lifted
+
+
+def _probe(func: Callable, points, what: str, helper: str) -> np.ndarray:
+    """``func`` on a small array; rejects a callable that only takes floats."""
+    arr = np.array(points, dtype=float)
+    try:
+        values = np.asarray(func(arr), dtype=float)
+    except TailcorrError:
+        raise
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.shape != arr.shape:
+        raise DomainError(f"{what} must take arrays of distances; wrap a "
+                          f"scalar callable with {helper}")
+    return values
+
+
+def _evaluate(func: Callable, x):
+    """``func`` at a float (float out) or an array (same-shape array out)."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return float(func(float(arr)))
+    return np.asarray(func(arr), dtype=float)
+
+
 @dataclass(frozen=True)
 class RadialFunction:
     """A function of radius r >= 0 with differentiation metadata.
@@ -60,7 +99,7 @@ class RadialFunction:
     """
 
     name: str
-    func: Callable[[float], float]
+    func: Callable
     deriv1: Callable[[float], float] | None = None
     deriv2: Callable[[float], float] | None = None
     deriv3: Callable[[float], float] | None = None
@@ -77,20 +116,18 @@ class RadialFunction:
         if self.support_bound is not None and self.support_bound <= 0:
             raise DomainError(
                 f"support_bound must be positive, got {self.support_bound!r}")
-        for probe in (0.73, 1.37):
-            v = float(self.func(probe))
+        probes = (0.73, 1.37)
+        values = _probe(self.func, probes, f"radial function {self.name!r}",
+                        "radial_from_callable")
+        for probe, v in zip(probes, values):
             if not math.isfinite(v):
                 raise DomainError(
                     f"radial function {self.name!r} is not finite at r={probe}")
 
     def __call__(self, r):
-        arr = np.asarray(r, dtype=float)
-        if np.any(arr < 0):
+        if np.any(np.asarray(r, dtype=float) < 0):
             raise DomainError(f"radius must be >= 0, got {r!r}")
-        if arr.ndim == 0:
-            return float(self.func(float(arr)))
-        return np.array([float(self.func(float(v))) for v in arr.ravel()]
-                        ).reshape(arr.shape)
+        return _evaluate(self.func, r)
 
     @property
     def has_compact_support(self) -> bool:
@@ -123,8 +160,8 @@ class RadialFunction:
 
 def radial_from_callable(name: str, func: Callable[[float], float],
                          **meta) -> RadialFunction:
-    """Wrap a plain callable as a RadialFunction; meta fields pass through."""
-    return RadialFunction(name=name, func=func, **meta)
+    """Wrap a scalar callable as a RadialFunction; meta fields pass through."""
+    return RadialFunction(name=name, func=_lift(func), **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +173,7 @@ def tent() -> RadialFunction:
     """The tent function max(0, 1 - r): continuous, convex, compact support."""
     return RadialFunction(
         name="tent",
-        func=lambda r: max(0.0, 1.0 - r),
+        func=lambda r: np.maximum(0.0, 1.0 - r),
         deriv1=lambda r: -1.0 if r < 1.0 else 0.0,
         deriv2=lambda r: 0.0,
         deriv3=lambda r: 0.0,
@@ -154,7 +191,7 @@ def exponential_decay(scale: float = 1.0) -> RadialFunction:
     s = float(scale)
     return RadialFunction(
         name=f"exp(-r/{s:g})" if s != 1.0 else "exp(-r)",
-        func=lambda r: math.exp(-r / s),
+        func=lambda r: np.exp(-r / s),
         deriv1=lambda r: -math.exp(-r / s) / s,
         deriv2=lambda r: math.exp(-r / s) / s**2,
         deriv3=lambda r: -math.exp(-r / s) / s**3,
@@ -176,7 +213,7 @@ def erfc_sqrt() -> RadialFunction:
 
     return RadialFunction(
         name="erfc(sqrt(r))",
-        func=lambda r: float(erfc(sq(r))),
+        func=lambda r: _special.erfc(np.sqrt(r)),
         deriv1=lambda r: -math.exp(-r) / sq(math.pi * r),
         deriv2=lambda r: math.exp(-r) * (2.0 * r + 1.0) / (2.0 * sq(math.pi) * r**1.5),
         deriv3=lambda r: -math.exp(-r) * (4.0 * r * (r + 1.0) + 3.0)
@@ -197,7 +234,7 @@ def powered_erfc(nu: float) -> RadialFunction:
     c = 2.0 / math.sqrt(math.pi)
     return RadialFunction(
         name=f"erfc(r^{n:g})",
-        func=lambda r: float(erfc(r**n)),
+        func=lambda r: _special.erfc(np.power(r, n)),
         deriv1=lambda r: -c * n * r ** (n - 1.0) * math.exp(-(r ** (2.0 * n))),
         family="powered_erfc",
         param=n,
@@ -214,7 +251,7 @@ def powered_exponential(nu: float) -> RadialFunction:
     n = float(nu)
     return RadialFunction(
         name=f"exp(-r^{n:g})",
-        func=lambda r: math.exp(-(r**n)),
+        func=lambda r: np.exp(-np.power(r, n)),
         deriv1=lambda r: -n * r ** (n - 1.0) * math.exp(-(r**n)),
         family="powered_exponential",
         param=n,
@@ -232,12 +269,11 @@ def whittle_matern(nu: float) -> RadialFunction:
     n = float(nu)
     const = 2.0 ** (1.0 - n) / math.gamma(n)
 
-    def f(r: float) -> float:
-        if r <= 0.0:
-            return 1.0
-        if r > 705.0:  # K_nu underflows; value is 0 to double precision
-            return 0.0
-        return const * r**n * float(bessel_k(n, r))
+    def f(r):
+        with np.errstate(invalid="ignore"):  # 0 * K_nu(0) = 0 * inf
+            body = const * np.power(r, n) * _special.kv(n, r)
+        # K_nu underflows beyond 705; the value is 0 to double precision.
+        return np.where(r <= 0.0, 1.0, np.where(r > 705.0, 0.0, body))[()]
 
     return RadialFunction(
         name=f"whittle_matern(nu={n:g})",
@@ -260,7 +296,7 @@ def generalized_cauchy(nu: float, beta: float = 1.0) -> RadialFunction:
     n, b = float(nu), float(beta)
     return RadialFunction(
         name=f"cauchy(nu={n:g}, beta={b:g})",
-        func=lambda r: (1.0 + r**n) ** (-b),
+        func=lambda r: np.power(1.0 + np.power(r, n), -b),
         deriv1=lambda r: -b * n * r ** (n - 1.0) * (1.0 + r**n) ** (-b - 1.0),
         family="cauchy",
         param=n,
@@ -275,7 +311,7 @@ def truncated_power(nu: float) -> RadialFunction:
     n = float(nu)
     return RadialFunction(
         name=f"truncated_power(nu={n:g})",
-        func=lambda r: max(0.0, 1.0 - r) ** n,
+        func=lambda r: np.power(np.maximum(0.0, 1.0 - r), n),
         deriv1=lambda r: -n * (1.0 - r) ** (n - 1.0) if r < 1.0 else 0.0,
         kinks=(1.0,),
         support_bound=1.0,
@@ -296,7 +332,7 @@ def ball_indicator(d: int, radius: float = 1.0) -> RadialFunction:
     rad = float(radius)
     return RadialFunction(
         name=f"ball_indicator(d={d}, radius={rad:g})",
-        func=lambda r: height if r <= rad else 0.0,
+        func=lambda r: height * (r <= rad),
         kinks=(rad,),
         support_bound=rad,
         family="ball_indicator",
@@ -315,26 +351,24 @@ class Correlation:
     """A stationary correlation function of distance: rho(0)=1, |rho| <= 1."""
 
     name: str
-    func: Callable[[float], float]
+    func: Callable
     tag: str = "user"
     scale: float | None = None
 
     def __post_init__(self) -> None:
-        if abs(float(self.func(0.0)) - 1.0) > 1e-12:
+        probes = (0.0, 0.31, 1.7, 23.0)
+        values = _probe(self.func, probes, f"correlation {self.name!r}",
+                        "correlation_from_callable")
+        if abs(values[0] - 1.0) > 1e-12:
             raise DomainError(
                 f"correlation {self.name!r} must equal 1 at distance 0")
-        for probe in (0.31, 1.7, 23.0):
-            v = float(self.func(probe))
+        for probe, v in zip(probes[1:], values[1:]):
             if not (-1.0 - 1e-12 <= v <= 1.0 + 1e-12):
                 raise DomainError(
                     f"correlation {self.name!r} leaves [-1,1] at distance {probe}")
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return float(self.func(float(arr)))
-        return np.array([float(self.func(float(v))) for v in arr.ravel()]
-                        ).reshape(arr.shape)
+        return _evaluate(self.func, t)
 
 
 def exponential_correlation(scale: float = 1.0) -> Correlation:
@@ -344,7 +378,7 @@ def exponential_correlation(scale: float = 1.0) -> Correlation:
     s = float(scale)
     return Correlation(
         name=f"exp(-t/{s:g})" if s != 1.0 else "exp(-t)",
-        func=lambda t: math.exp(-abs(t) / s),
+        func=lambda t: np.exp(-np.abs(t) / s),
         tag="exponential",
         scale=s,
     )
@@ -352,7 +386,8 @@ def exponential_correlation(scale: float = 1.0) -> Correlation:
 
 def correlation_from_callable(name: str, func: Callable[[float], float]
                               ) -> Correlation:
-    return Correlation(name=name, func=func, tag="user")
+    """Wrap a scalar callable as a Correlation."""
+    return Correlation(name=name, func=_lift(func), tag="user")
 
 
 @dataclass(frozen=True)
@@ -364,7 +399,7 @@ class Variogram:
     """
 
     name: str
-    func: Callable[[float], float]
+    func: Callable
     tag: str = "user"
     scale: float | None = None
     alpha: float | None = None
@@ -372,10 +407,13 @@ class Variogram:
     correlation: Correlation | None = None
 
     def __post_init__(self) -> None:
-        if abs(float(self.func(0.0))) > 1e-12:
+        probes = (0.0, 0.31, 1.7, 23.0)
+        values = _probe(self.func, probes, f"variogram {self.name!r}",
+                        "variogram_from_callable")
+        if abs(values[0]) > 1e-12:
             raise DomainError(f"variogram {self.name!r} must vanish at 0")
-        for probe in (0.31, 1.7, 23.0):
-            if float(self.func(probe)) < -1e-12:
+        for probe, v in zip(probes[1:], values[1:]):
+            if v < -1e-12:
                 raise DomainError(
                     f"variogram {self.name!r} is negative at distance {probe}")
         if self.tag == "fbm":
@@ -393,11 +431,7 @@ class Variogram:
                 raise DomainError("bounded variogram needs a correlation")
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return float(self.func(float(arr)))
-        return np.array([float(self.func(float(v))) for v in arr.ravel()]
-                        ).reshape(arr.shape)
+        return _evaluate(self.func, t)
 
 
 def fbm_variogram(scale: float, alpha: float) -> Variogram:
@@ -405,7 +439,7 @@ def fbm_variogram(scale: float, alpha: float) -> Variogram:
     s, a = float(scale), float(alpha)
     return Variogram(
         name=f"{s:g}*t^{a:g}",
-        func=lambda t: s * abs(t) ** a,
+        func=lambda t: s * np.power(np.abs(t), a),
         tag="fbm",
         scale=s,
         alpha=a,
@@ -417,7 +451,7 @@ def bounded_variogram(lam: float, correlation: Correlation) -> Variogram:
     lamf = float(lam)
     return Variogram(
         name=f"{lamf:g}*(1-{correlation.name})",
-        func=lambda t: lamf * (1.0 - float(correlation.func(abs(t)))),
+        func=lambda t: lamf * (1.0 - correlation.func(np.abs(t))),
         tag="bounded",
         lam=lamf,
         correlation=correlation,
@@ -426,4 +460,5 @@ def bounded_variogram(lam: float, correlation: Correlation) -> Variogram:
 
 def variogram_from_callable(name: str, func: Callable[[float], float]
                             ) -> Variogram:
-    return Variogram(name=name, func=func, tag="user")
+    """Wrap a scalar callable as a Variogram."""
+    return Variogram(name=name, func=_lift(func), tag="user")

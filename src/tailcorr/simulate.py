@@ -187,14 +187,10 @@ class Truncation:
     examined per realization; the exact enumeration needs about two per
     site on average, so the default is a pure safety valve against
     mis-normalized user models, and exceeding it raises rather than
-    silently emitting a biased field.  ``stop_when_dominated`` names the
-    exact stopping rule (enumeration at a site ends once the next storm
-    value falls below the running maximum); the rule is what makes the
-    algorithm exact, so disabling it is rejected.
+    silently emitting a biased field.
     """
 
     poisson_points_max: int = 10_000
-    stop_when_dominated: bool = True
 
     def __post_init__(self) -> None:
         if int(self.poisson_points_max) < 1:
@@ -202,27 +198,16 @@ class Truncation:
                 f"poisson_points_max must be >= 1, got {self.poisson_points_max!r}")
         object.__setattr__(self, "poisson_points_max",
                            int(self.poisson_points_max))
-        if self.stop_when_dominated is not True:
-            raise DomainError(
-                "stop_when_dominated=False is not supported: the domination "
-                "stop is what terminates the exact storm enumeration")
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Full description of one simulation run.
-
-    ``window_pad`` is accepted for interface stability but has no effect:
-    the extremal-function enumeration draws each storm conditionally on
-    hitting a grid site, so no storm-center window (padded or otherwise)
-    exists to extend, and estimates are exactly invariant under it.
-    """
+    """Full description of one simulation run."""
 
     model: TcfModel
     grid: GridSpec
     n_realizations: int
     seed: int
-    window_pad: float = 0.0
     truncation: Truncation = field(default_factory=Truncation)
 
     def __post_init__(self) -> None:
@@ -234,10 +219,6 @@ class SimConfig:
         if seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", seed)
-        pad = float(self.window_pad)
-        if not math.isfinite(pad) or pad < 0:
-            raise DomainError(f"window_pad must be >= 0, got {self.window_pad!r}")
-        object.__setattr__(self, "window_pad", pad)
         if not isinstance(self.grid, GridSpec):
             raise DomainError("grid must be a GridSpec")
         if not isinstance(self.truncation, Truncation):
@@ -412,7 +393,7 @@ def _profile_sampler(model: TcfModel, sites: np.ndarray,
             rho = offset(rng)
             center = pts[k] + rho * _unit_vector(rng, model.dim)
             dists = np.linalg.norm(pts - center, axis=1)
-            return np.asarray(shape(dists)) / float(shape.func(rho))
+            return shape(dists) / shape.func(rho)
 
         return draw_m2r
 
@@ -459,7 +440,7 @@ def _profile_sampler(model: TcfModel, sites: np.ndarray,
         dist = _pairwise_distances(sites)
 
         if isinstance(model, (BRModel, VBRModel)):
-            gamma = np.asarray(model.variogram(dist))
+            gamma = model.variogram(dist)
             sig2 = gamma[0]  # variance anchored at the first site
             cov = 0.5 * (sig2[:, None] + sig2[None, :] - gamma)
             factor = _gaussian_factor(cov)
@@ -485,7 +466,7 @@ def _profile_sampler(model: TcfModel, sites: np.ndarray,
 
             return draw_vbr
 
-        corr = np.asarray(model.correlation(dist))
+        corr = model.correlation(dist)
         np.fill_diagonal(corr, 1.0)
         factor = _gaussian_factor(corr)
 

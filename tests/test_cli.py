@@ -8,11 +8,16 @@ mathematics (which has its own test modules).
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tailcorr
 from tailcorr import (
     BRModel,
     GridSpec,
@@ -21,7 +26,7 @@ from tailcorr import (
     simulate,
     tcf,
 )
-from tailcorr.cli import main, resolve_function
+from tailcorr.cli import _read_fields_csv, main, resolve_function
 from tailcorr.errors import ConfigError
 from tailcorr.presets import bounded_gauss_correlations
 from tailcorr.radial import fbm_variogram
@@ -331,6 +336,16 @@ class TestSimulateEstimate:
         assert "origin=1.5" in meta
         assert "margins=frechet" in meta
 
+    def test_origin_round_trips_at_full_precision(self, runner, br_config,
+                                                  tmp_path):
+        out = tmp_path / "fields.csv"
+        res = runner.invoke(main, ["simulate", br_config, "--grid",
+                                   "3@0.5@0.123456789", "--n", "1",
+                                   "--out", str(out), "--quiet"])
+        assert res.exit_code == 0
+        (field,) = _read_fields_csv(str(out))
+        assert field.origin == (0.123456789,)
+
     def test_same_seed_same_bytes(self, runner, br_config, tmp_path):
         digests = []
         for name in ("a.csv", "b.csv"):
@@ -414,6 +429,30 @@ class TestReproduce:
         res = runner.invoke(main, ["reproduce", "other", "--out-dir",
                                    str(tmp_path / "x")])
         assert res.exit_code != 0
+
+    def test_estimate_reads_reproduced_fields(self, runner, tmp_path):
+        """The fields CSVs of reproduce carry the grid header, so estimate
+        reads them back to the suite's own chi-hat rows."""
+        out_dir = tmp_path / "erfc"
+        res = runner.invoke(main, ["reproduce", "erfc-sqrt", "--out-dir",
+                                   str(out_dir), "--n", "100", "--quiet"])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["estimate", str(out_dir / "fields_BR.csv"),
+                                   "--lags", "0.5,1.0,1.5,2.0", "--quiet"])
+        assert res.exit_code == 0, res.output
+        suite_rows = csv_rows((out_dir / "chi_hat_BR.csv").read_text())
+        assert [row[:4] for row in csv_rows(res.stdout)] == \
+            [row[:4] for row in suite_rows]
+
+
+class TestColdImport:
+    def test_import_does_not_load_scipy_signal(self):
+        src = str(Path(tailcorr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, tailcorr; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestGridSpecs:

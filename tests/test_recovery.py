@@ -12,7 +12,6 @@ from tailcorr.models import M2rModel, M3bModel, tcf
 from tailcorr.numerics import kappa_d, quadrature
 from tailcorr.presets import erfc_sqrt_chi, erfc_sqrt_shape
 from tailcorr.radial import (
-    RadialFunction,
     exponential_decay,
     radial_from_callable,
     tent,
@@ -243,8 +242,8 @@ class TestFandH:
         # 1/r0, so H(s) jumps from 0 to 1 there.
         r0 = 2.0
         height = 1.0 / (kappa_d(3) * r0**3)
-        f = RadialFunction(
-            name="ball", func=lambda u: height if u < r0 else 0.0,
+        f = radial_from_callable(
+            "ball", lambda u: height if u < r0 else 0.0,
             deriv1=lambda u: 0.0, kinks=(r0,), support_bound=r0)
         assert H_from_f(f, 3, 1.0 / r0 * 0.99) == pytest.approx(0.0, abs=1e-12)
         assert H_from_f(f, 3, 1.0 / r0) == pytest.approx(1.0, abs=1e-9)

@@ -142,19 +142,9 @@ class TestConfigValidation:
                       grid=GridSpec(dim=1, shape=(2,)), n_realizations=1,
                       seed=-1)
 
-    def test_negative_pad_rejected(self):
-        with pytest.raises(DomainError, match="window_pad"):
-            SimConfig(model=BRModel(dim=1, variogram=fbm_variogram(8.0, 1.0)),
-                      grid=GridSpec(dim=1, shape=(2,)), n_realizations=1,
-                      seed=0, window_pad=-0.5)
-
     def test_truncation_budget_validated(self):
         with pytest.raises(DomainError, match="poisson_points_max"):
             Truncation(poisson_points_max=0)
-
-    def test_domination_stop_cannot_be_disabled(self):
-        with pytest.raises(DomainError, match="domination"):
-            Truncation(stop_when_dominated=False)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +183,6 @@ class TestEngineBasics:
         b = collect(SimConfig(model=brown_resnick_8t(), grid=grid,
                               n_realizations=2, seed=1))
         assert not np.allclose(a, b)
-
-    def test_window_pad_has_no_effect(self):
-        grid = GridSpec(dim=1, shape=(5,), spacing=0.5)
-        models = erfc_sqrt_models_1d()
-        for model in (models["M3b"], models["M2r"]):
-            base = SimConfig(model=model, grid=grid, n_realizations=4, seed=9)
-            padded = SimConfig(model=model, grid=grid, n_realizations=4,
-                               seed=9, window_pad=7.0)
-            assert np.array_equal(collect(base), collect(padded))
 
     def test_two_dimensional_grid(self):
         model = EGModel(dim=2, correlation=exponential_correlation(2.0))
