@@ -30,10 +30,12 @@ inputs, and uses comma separators, '.' decimals, and LF line endings.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 from pathlib import Path
+from typing import get_type_hints
 
 import click
 import numpy as np
@@ -43,17 +45,7 @@ from . import __version__
 from .distributions import Distribution1D, exponential_dist, point_mass
 from .errors import ConfigError, TailcorrError
 from .membership import classify
-from .models import (
-    BRModel,
-    EBGModel,
-    EGModel,
-    M2rModel,
-    M3bModel,
-    MPSModel,
-    TcfModel,
-    VBRModel,
-    tcf,
-)
+from .models import BRModel, MPSModel, TcfModel, tcf
 from .numerics import erfc
 from .operators import (
     TurningBandsSpec,
@@ -76,7 +68,9 @@ from .presets import (
     erfc_sqrt_shape,
 )
 from .radial import (
+    Correlation,
     RadialFunction,
+    Variogram,
     ball_indicator,
     correlation_from_callable,
     erfc_sqrt,
@@ -94,10 +88,10 @@ from .radial import (
 )
 from .recovery import RecoveryInput, recover_radius_density, recover_shape
 from .simulate import (
+    _SIMULABLE,
     GridField,
     GridSpec,
     SimConfig,
-    Truncation,
     estimate_chi,
     simulate,
     transform_margins,
@@ -283,28 +277,32 @@ def _shape_from(section: _Section) -> RadialFunction:
     return shape
 
 
-#: Model class tag -> (model type, {config key: section parser}).  The keys
-#: are read in this order after ``class`` and ``dim``.
-_MODEL_SCHEMAS = {
-    "M2r": (M2rModel, {"shape": _shape_from}),
-    "M3b": (M3bModel, {"radius": _distribution_from}),
-    "MPS": (MPSModel, {"mixing": _distribution_from}),
-    "BR": (BRModel, {"variogram": _variogram_from}),
-    "VBR": (VBRModel, {"variogram": _variogram_from,
-                       "scale_mixing": _distribution_from}),
-    "EG": (EGModel, {"correlation": _correlation_from}),
-    "EBG": (EBGModel, {"correlation": _correlation_from}),
+#: Config field type -> the parser of its section.
+_FIELD_PARSERS = {
+    RadialFunction: _shape_from,
+    Distribution1D: _distribution_from,
+    Variogram: _variogram_from,
+    Correlation: _correlation_from,
 }
+
+
+def _config_fields(model_type) -> dict:
+    """Config key -> section parser: the required fields of the model type
+    other than ``dim``, in declaration order."""
+    hints = get_type_hints(model_type)
+    return {f.name: _FIELD_PARSERS[hints[f.name]]
+            for f in dataclasses.fields(model_type)
+            if f.name != "dim" and f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING}
 
 
 def model_from_doc(data: object) -> TcfModel:
     """Build a model from a parsed config document (strict keys)."""
     root = _Section(data, "")
-    model_type, parsers = _MODEL_SCHEMAS[
-        root.take_str("class", choices=tuple(_MODEL_SCHEMAS))]
+    model_type = _SIMULABLE[root.take_str("class", choices=tuple(_SIMULABLE))]
     dim = root.take_int("dim")
     parts = {key: parse(root.take_section(key))
-             for key, parse in parsers.items()}
+             for key, parse in _config_fields(model_type).items()}
     model = model_type(dim=dim, **parts)
     root.close()
     return model
@@ -645,22 +643,19 @@ def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
 @click.option("--margins", type=click.Choice(["frechet", "gumbel"]),
               default="frechet", show_default=True,
               help="marginal scale of the written values")
-@click.option("--max-storms", type=click.IntRange(min=1), default=10_000,
-              show_default=True, help="per-realization storm budget")
 @click.option("--quiet", is_flag=True, help="suppress progress messages")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="write CSV here instead of stdout")
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True, help="simulation seed")
-def cmd_simulate(config, grid_spec, n_realizations, margins, max_storms,
-                 seed, out, quiet):
+def cmd_simulate(config, grid_spec, n_realizations, margins, seed, out,
+                 quiet):
     """Simulate exact max-stable fields -> CSV, one row per site."""
     try:
         model, fingerprint = load_model(config)
         grid = _parse_sim_grid(grid_spec)
-        sim_config = SimConfig(
-            model=model, grid=grid, n_realizations=n_realizations, seed=seed,
-            truncation=Truncation(poisson_points_max=max_storms))
+        sim_config = SimConfig(model=model, grid=grid,
+                               n_realizations=n_realizations, seed=seed)
         fields = [transform_margins(realization, margins)
                   for realization in simulate(sim_config)]
     except TailcorrError as exc:

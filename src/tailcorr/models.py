@@ -32,6 +32,12 @@ z . t/|t| >= |t|/2, so by symmetry
 
 where cap_d(u, c) is the surface measure of the spherical cap
 {|z| = u, z_1 > c u}; an incomplete Beta function in closed form.
+
+Each model class is declared in one place, its dataclass: the TCF is its
+``_tcf`` method, and a class that can be simulated also carries
+``_profile_sampler``, the size-biased storm profile law used by
+:func:`tailcorr.simulate.simulate`.  The command line reads a class's
+config keys from its required dataclass fields.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 from scipy import special as _special
 
 from .distributions import Distribution1D, from_pdf
-from .errors import DomainError, ModelError
+from .errors import DomainError, ModelError, SimulationError
 from .numerics import (
     SpecialFnResult,
     beta_d,
@@ -182,6 +188,202 @@ def overlap_integral(f: RadialFunction, d: int, t: float, *,
     return SpecialFnResult(2.0 * res.value, 2.0 * res.abs_error_estimate)
 
 
+def _monte_carlo(n: int, draw: Callable[[], tuple[float, float]],
+                 ) -> SpecialFnResult:
+    """Mean of ``n`` draws of (value, error estimate).
+
+    The reported error is the standard error of the mean (the single error
+    estimate when ``n`` is 1) plus the mean of the per-draw estimates.
+    """
+    vals = np.empty(n)
+    errs = np.empty(n)
+    for i in range(n):
+        vals[i], errs[i] = draw()
+    se = (float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1
+          else float(errs[0]))
+    return SpecialFnResult(float(np.mean(vals)), se + float(np.mean(errs)))
+
+
+# ---------------------------------------------------------------------------
+# Sampling helpers for the size-biased profile samplers
+# ---------------------------------------------------------------------------
+
+#: Site cap for the dense-covariance Gaussian classes (BR/VBR/EG/EBG).
+_GAUSSIAN_SITE_CAP = 2_000
+
+#: ``draw(k, rng) -> ratios``: a storm profile divided by its value at
+#: site ``k``, drawn from the profile law size-biased by that value.
+_ProfileDraw = Callable[[int, np.random.Generator], np.ndarray]
+
+
+def _law_sampler(dist: Distribution1D) -> Callable[[np.random.Generator], float]:
+    """One-at-a-time sampler for a distribution, fast in the storm loop.
+
+    Laws with a native sampler, an analytic quantile, or purely atomic
+    support sample exactly; continuous laws given only by a density fall
+    back to a dense tabulated inverse cdf built once (about 1e-6 relative
+    quantile error, far below every estimator tolerance).
+    """
+    if dist.sampler is not None or dist.quantile is not None:
+        def draw(rng: np.random.Generator) -> float:
+            return float(dist.sample(rng, 1)[0])
+        return draw
+    if dist.is_purely_atomic:
+        points = np.array([a for a, _ in dist.atoms])
+        weights = np.array([w for _, w in dist.atoms])
+        weights = weights / weights.sum()
+        def draw_atomic(rng: np.random.Generator) -> float:
+            return float(rng.choice(points, p=weights))
+        return draw_atomic
+    if dist.pdf is None:
+        raise SimulationError(
+            f"law {dist.name!r} has neither sampler, quantile, atoms nor pdf")
+    return _tabulated_inverse_cdf(dist)
+
+
+def _tabulated_inverse_cdf(dist: Distribution1D, n_nodes: int = 1024,
+                           tail_mass: float = 1e-10,
+                           ) -> Callable[[np.random.Generator], float]:
+    lo, hi = dist.support
+    if math.isinf(hi):
+        # The density may be unnormalized (it is renormalized below), so
+        # bracket the support where doubling it stops adding relative mass.
+        hi = max(2.0 * max(lo, 0.0), lo + 1.0)
+        mass = quadrature(dist.pdf, lo, hi, 1e-11,
+                          singular_exponent_a=dist.pdf_singular_exponent,
+                          points=[p for p in dist.pdf_points if lo < p < hi],
+                          ).value
+        for _ in range(200):
+            nxt = lo + 2.0 * (hi - lo)
+            gain = quadrature(dist.pdf, hi, nxt, 1e-11).value
+            if mass > 0 and gain <= tail_mass * mass:
+                break
+            hi, mass = nxt, mass + gain
+        else:
+            raise SimulationError(
+                f"law {dist.name!r}: upper tail does not vanish numerically")
+    atom_points = np.array([a for a, _ in dist.atoms]) if dist.atoms else None
+    atom_weights = (np.array([w for _, w in dist.atoms])
+                    if dist.atoms else None)
+    atom_mass = float(atom_weights.sum()) if atom_weights is not None else 0.0
+
+    # Nodes concentrate geometrically toward the lower endpoint, where the
+    # density may carry a declared algebraic singularity.
+    x = lo + (hi - lo) * np.concatenate(
+        [[0.0], np.geomspace(1e-10, 1.0, n_nodes)])
+    hints = set(p for p in dist.pdf_points if lo < p < hi)
+    if hints:
+        x = np.unique(np.concatenate([x, sorted(hints)]))
+    seg = np.empty(len(x) - 1)
+    for i in range(len(seg)):
+        exponent = dist.pdf_singular_exponent if i == 0 else 0.0
+        seg[i] = quadrature(dist.pdf, x[i], x[i + 1], 1e-11,
+                            singular_exponent_a=exponent).value
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    total = cum[-1]
+    if total <= 0:
+        raise SimulationError(f"law {dist.name!r}: density integrates to zero")
+    cum /= total
+
+    def draw(rng: np.random.Generator) -> float:
+        if atom_mass > 0 and rng.uniform() < atom_mass:
+            return float(rng.choice(atom_points, p=atom_weights / atom_mass))
+        return float(np.interp(rng.uniform(), cum, x))
+
+    return draw
+
+
+def _radial_offset_sampler(shape: RadialFunction, dim: int,
+                           ) -> Callable[[np.random.Generator], float]:
+    """Sampler for the storm-center offset radius of a unit-mass shape.
+
+    The center of a storm conditioned to contribute at a site lies at
+    radial offset ``rho`` with density proportional to
+    ``rho^(dim-1) * shape(rho)``; the normalizer is the shape's unit
+    integral over R^dim.
+    """
+    exponent = (dim - 1) + shape.zero_exponent
+    bound = shape.support_bound if shape.support_bound is not None else math.inf
+    halo = Distribution1D(
+        name=f"offset[{shape.name}]",
+        pdf=lambda rho: float(rho ** (dim - 1) * shape.func(rho)),
+        support=(0.0, bound),
+        pdf_singular_exponent=exponent,
+        pdf_points=shape.kinks,
+    )
+    return _tabulated_inverse_cdf(halo)
+
+
+def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    v = rng.standard_normal(dim)
+    n = float(np.linalg.norm(v))
+    while n == 0.0:  # pragma: no cover - probability zero
+        v = rng.standard_normal(dim)
+        n = float(np.linalg.norm(v))
+    return v / n
+
+
+def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
+    """Factor ``A`` with ``A A^T = cov`` via symmetric eigendecomposition.
+
+    Tolerates the tiny negative eigenvalues of valid but singular inputs
+    (clipped to zero); genuinely indefinite matrices raise with the
+    minimum eigenvalue attached.
+    """
+    sym = 0.5 * (cov + cov.T)
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    floor = -1e-8 * max(1.0, float(eigvals[-1]))
+    if eigvals[0] < floor:
+        raise SimulationError(
+            "covariance is not positive semidefinite",
+            min_eigenvalue=float(eigvals[0]))
+    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+
+
+def _embed_sites(sites: np.ndarray, model_dim: int, model_name: str,
+                 ) -> np.ndarray:
+    m, g = sites.shape
+    if model_dim < g:
+        raise DomainError(
+            f"{model_name} lives in dimension {model_dim} and cannot host a "
+            f"{g}-dimensional grid")
+    out = np.zeros((m, model_dim))
+    out[:, :g] = sites
+    return out
+
+
+def _pairwise_distances(sites: np.ndarray) -> np.ndarray:
+    diff = sites[:, None, :] - sites[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def _gaussian_distances(model: TcfModel, sites: np.ndarray) -> np.ndarray:
+    """Pairwise site distances for the dense Gaussian factorization of a
+    BR, VBR, EG or EBG model, after the site cap and dimension checks."""
+    if sites.shape[0] > _GAUSSIAN_SITE_CAP:
+        raise DomainError(
+            f"Gaussian-class grids are capped at {_GAUSSIAN_SITE_CAP} "
+            f"sites for dense factorization, got {sites.shape[0]}")
+    name = f"a {type(model).__name__.removesuffix('Model')} model"
+    return _pairwise_distances(_embed_sites(sites, model.dim, name))
+
+
+def _variogram_covariance(model: BRModel | VBRModel, sites: np.ndarray):
+    """Covariance of the driving Gaussian process of a Brown-Resnick class
+    anchored at the first site, its factor, and half its variances."""
+    gamma = model.variogram(_gaussian_distances(model, sites))
+    sig2 = gamma[0]  # variance anchored at the first site
+    cov = 0.5 * (sig2[:, None] + sig2[None, :] - gamma)
+    return cov, _gaussian_factor(cov), 0.5 * sig2
+
+
+def _correlation_factor(model: EGModel | EBGModel, sites: np.ndarray):
+    """Correlation matrix of an extremal Gaussian class and its factor."""
+    corr = model.correlation(_gaussian_distances(model, sites))
+    np.fill_diagonal(corr, 1.0)
+    return corr, _gaussian_factor(corr)
+
+
 # ---------------------------------------------------------------------------
 # Model classes
 # ---------------------------------------------------------------------------
@@ -227,6 +429,16 @@ class M3rModel:
         if self.n_samples < 1:
             raise ModelError(f"n_samples must be >= 1, got {self.n_samples!r}")
 
+    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        rng = np.random.default_rng(seed)
+
+        def draw() -> tuple[float, float]:
+            res = overlap_integral(self.ensemble.sample(rng), self.dim, t,
+                                   tol=max(tol, 1e-8))
+            return res.value, res.abs_error_estimate
+
+        return _monte_carlo(self.n_samples, draw)
+
 
 @dataclass(frozen=True)
 class M2rModel:
@@ -255,6 +467,24 @@ class M2rModel:
                 f"shape {self.shape.name!r} integrates to {total.value!r} over "
                 f"R^{self.dim}, expected 1 within {self.normalization_tol:g}")
 
+    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        return overlap_integral(self.shape, self.dim, t, tol=tol)
+
+    def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
+        # Storm center at radial offset rho with density proportional to
+        # rho^(d-1) f(rho), uniform direction; profile ratio f(.)/f(rho).
+        pts = _embed_sites(sites, self.dim, "an M2r model")
+        shape, dim = self.shape, self.dim
+        offset = _radial_offset_sampler(shape, dim)
+
+        def draw_m2r(k: int, rng: np.random.Generator) -> np.ndarray:
+            rho = offset(rng)
+            center = pts[k] + rho * _unit_vector(rng, dim)
+            dists = np.linalg.norm(pts - center, axis=1)
+            return shape(dists) / shape.func(rho)
+
+        return draw_m2r
+
 
 @dataclass(frozen=True)
 class M3bModel:
@@ -266,6 +496,30 @@ class M3bModel:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
         _check_mixing(self.radius, "radius law")
+
+    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        if t == 0.0:
+            return SpecialFnResult(1.0, 0.0)
+        d = self.dim
+        hint = [0.5 * t] if self.radius.support[0] < 0.5 * t else []
+        return self.radius.expect(
+            lambda r: _h_d_scalar(min(t / (2.0 * r), 1.0), d) if r > 0 else 0.0,
+            tol=tol, points=hint)
+
+    def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
+        # Radius from the model law unchanged, center uniform in the ball
+        # around the site; profile ratio is the covering indicator.
+        pts = _embed_sites(sites, self.dim, "an M3b model")
+        dim = self.dim
+        radius = _law_sampler(self.radius)
+
+        def draw_m3b(k: int, rng: np.random.Generator) -> np.ndarray:
+            r = radius(rng)
+            w = r * rng.uniform() ** (1.0 / dim)
+            center = pts[k] + w * _unit_vector(rng, dim)
+            return (np.linalg.norm(pts - center, axis=1) <= r).astype(float)
+
+        return draw_m3b
 
 
 @dataclass(frozen=True)
@@ -280,6 +534,31 @@ class MPSModel:
         _check_dim(self.dim)
         _check_mixing(self.mixing, "mixing law")
 
+    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        c = laplace_factor(self.dim) * t
+        return self.mixing.expect(lambda s: math.exp(-c * s), tol=tol)
+
+    def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
+        # Intensity beta from the mixing law unchanged, cell length
+        # Gamma(2,1)/beta (the size-biased exponential cell) covering the
+        # site uniformly; profile ratio is the covering indicator.
+        if self.dim != 1:
+            raise DomainError(
+                "Poisson-storm simulation is supported in dimension 1 only "
+                f"(model has dim {self.dim})")
+        if sites.shape[1] != 1:
+            raise DomainError("a Poisson-storm model requires a 1-D grid")
+        x = sites[:, 0]
+        mixing = _law_sampler(self.mixing)
+
+        def draw_mps(k: int, rng: np.random.Generator) -> np.ndarray:
+            beta = mixing(rng)
+            length = rng.gamma(2.0) / beta
+            left = x[k] - rng.uniform(0.0, length)
+            return ((x >= left) & (x <= left + length)).astype(float)
+
+        return draw_mps
+
 
 @dataclass(frozen=True)
 class BRModel:
@@ -290,6 +569,24 @@ class BRModel:
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
+
+    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        g = float(self.variogram(t))
+        return SpecialFnResult(float(erfc(math.sqrt(g / 8.0))), 0.0)
+
+    def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
+        # V = exp(W - sigma^2/2); size-biasing is the exponential tilt, a
+        # mean shift by the covariance column of the conditioning site.
+        cov, factor, half = _variogram_covariance(self, sites)
+        m = sites.shape[0]
+
+        def draw_br(k: int, rng: np.random.Generator) -> np.ndarray:
+            w = factor @ rng.standard_normal(m)
+            log_ratio = (w - w[k]) + (cov[:, k] - cov[k, k]) \
+                - (half - half[k])
+            return np.exp(log_ratio)
+
+        return draw_br
 
 
 @dataclass(frozen=True)
@@ -305,6 +602,27 @@ class VBRModel:
         _check_dim(self.dim)
         _check_mixing(self.scale_mixing, "scale mixing law")
 
+    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        arg = math.sqrt(float(self.variogram(t)) / 8.0)
+        return self.scale_mixing.expect(
+            lambda s: float(erfc(s * arg)), tol=tol)
+
+    def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
+        # Scale S from the mixing law unchanged, mean shift S^2 times the
+        # covariance column of the conditioning site.
+        cov, factor, half = _variogram_covariance(self, sites)
+        m = sites.shape[0]
+        scale = _law_sampler(self.scale_mixing)
+
+        def draw_vbr(k: int, rng: np.random.Generator) -> np.ndarray:
+            s = scale(rng)
+            w = factor @ rng.standard_normal(m)
+            log_ratio = s * (w - w[k]) + s * s * (
+                (cov[:, k] - cov[k, k]) - (half - half[k]))
+            return np.exp(log_ratio)
+
+        return draw_vbr
+
 
 @dataclass(frozen=True)
 class EGModel:
@@ -316,6 +634,26 @@ class EGModel:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
 
+    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        rho = float(self.correlation(t))
+        return SpecialFnResult(1.0 - math.sqrt(max(0.0, 1.0 - rho) / 2.0), 0.0)
+
+    def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
+        # The value at the site is Rayleigh, the rest follows by exact
+        # Gaussian conditioning; profile ratio (Z)+ / z*.
+        corr, factor = _correlation_factor(self, sites)
+        m = sites.shape[0]
+
+        def draw_eg(k: int, rng: np.random.Generator) -> np.ndarray:
+            z_star = rng.rayleigh()
+            y = factor @ rng.standard_normal(m)
+            z = y + (z_star - y[k]) * corr[:, k]
+            out = np.maximum(z, 0.0) / z_star
+            out[k] = 1.0
+            return out
+
+        return draw_eg
+
 
 @dataclass(frozen=True)
 class EBGModel:
@@ -326,6 +664,27 @@ class EBGModel:
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
+
+    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        rho = float(self.correlation(t))
+        rho = min(1.0, max(-1.0, rho))
+        return SpecialFnResult(math.asin(rho) / math.pi + 0.5, 0.0)
+
+    def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
+        # The value at the site is half-normal, the rest follows by exact
+        # Gaussian conditioning; profile ratio is the positivity indicator.
+        corr, factor = _correlation_factor(self, sites)
+        m = sites.shape[0]
+
+        def draw_ebg(k: int, rng: np.random.Generator) -> np.ndarray:
+            z_star = abs(rng.standard_normal())
+            y = factor @ rng.standard_normal(m)
+            z = y + (z_star - y[k]) * corr[:, k]
+            out = (z > 0.0).astype(float)
+            out[k] = 1.0
+            return out
+
+        return draw_ebg
 
 
 @dataclass(frozen=True)
@@ -343,6 +702,10 @@ class ParametricModel:
             raise ModelError(
                 f"unknown family {self.family!r}; choose from "
                 f"{sorted(PARAMETRIC_FAMILIES)}")
+
+    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        return SpecialFnResult(
+            parametric_tcf(self.family, self.nu, t, beta=self.beta), 0.0)
 
 
 @dataclass(frozen=True)
@@ -364,16 +727,14 @@ class ErfcMixtureModel:
         _check_dim(self.dim)
         _check_mixing(self.mixing, "mixing law")
 
+    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        return self.mixing.expect(lambda s: float(erfc(s * t)), tol=tol)
+
 
 TcfModel = Union[
     M3rModel, M2rModel, M3bModel, MPSModel, BRModel, VBRModel,
     EGModel, EBGModel, ParametricModel, ErfcMixtureModel,
 ]
-
-
-def model_class(model: TcfModel) -> str:
-    """Short class tag of a model instance (``"M2r"``, ``"BR"``, ...)."""
-    return type(model).__name__.removesuffix("Model")
 
 
 # ---------------------------------------------------------------------------
@@ -392,61 +753,9 @@ def tcf_result(model: TcfModel, t: float, *, tol: float = 1e-9,
     tf = float(t)
     if tf < 0:
         raise DomainError(f"t must be >= 0, got {t!r}")
-
-    if isinstance(model, M2rModel):
-        return overlap_integral(model.shape, model.dim, tf, tol=tol)
-
-    if isinstance(model, M3rModel):
-        rng = np.random.default_rng(seed)
-        vals = np.empty(model.n_samples)
-        errs = np.empty(model.n_samples)
-        for i in range(model.n_samples):
-            shape = model.ensemble.sample(rng)
-            res = overlap_integral(shape, model.dim, tf, tol=max(tol, 1e-8))
-            vals[i], errs[i] = res.value, res.abs_error_estimate
-        se = (float(np.std(vals, ddof=1)) / math.sqrt(model.n_samples)
-              if model.n_samples > 1 else float(errs[0]))
-        return SpecialFnResult(float(np.mean(vals)), se + float(np.mean(errs)))
-
-    if isinstance(model, M3bModel):
-        if tf == 0.0:
-            return SpecialFnResult(1.0, 0.0)
-        d = model.dim
-        hint = [0.5 * tf] if model.radius.support[0] < 0.5 * tf else []
-        return model.radius.expect(
-            lambda r: _h_d_scalar(min(tf / (2.0 * r), 1.0), d) if r > 0 else 0.0,
-            tol=tol, points=hint)
-
-    if isinstance(model, MPSModel):
-        c = laplace_factor(model.dim) * tf
-        return model.mixing.expect(lambda s: math.exp(-c * s), tol=tol)
-
-    if isinstance(model, BRModel):
-        g = float(model.variogram(tf))
-        return SpecialFnResult(float(erfc(math.sqrt(g / 8.0))), 0.0)
-
-    if isinstance(model, VBRModel):
-        arg = math.sqrt(float(model.variogram(tf)) / 8.0)
-        return model.scale_mixing.expect(
-            lambda s: float(erfc(s * arg)), tol=tol)
-
-    if isinstance(model, EGModel):
-        rho = float(model.correlation(tf))
-        return SpecialFnResult(1.0 - math.sqrt(max(0.0, 1.0 - rho) / 2.0), 0.0)
-
-    if isinstance(model, EBGModel):
-        rho = float(model.correlation(tf))
-        rho = min(1.0, max(-1.0, rho))
-        return SpecialFnResult(math.asin(rho) / math.pi + 0.5, 0.0)
-
-    if isinstance(model, ParametricModel):
-        return SpecialFnResult(
-            parametric_tcf(model.family, model.nu, tf, beta=model.beta), 0.0)
-
-    if isinstance(model, ErfcMixtureModel):
-        return model.mixing.expect(lambda s: float(erfc(s * tf)), tol=tol)
-
-    raise ModelError(f"unknown model type {type(model).__name__}")
+    if not hasattr(model, "_tcf"):
+        raise ModelError(f"unknown model type {type(model).__name__}")
+    return model._tcf(tf, tol, seed)
 
 
 def tcf(model: TcfModel, t, *, tol: float = 1e-9, seed: int = 0):

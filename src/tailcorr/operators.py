@@ -42,7 +42,7 @@ import numpy as np
 
 from .distributions import Distribution1D
 from .errors import DomainError, KinkError, TailcorrError
-from .models import M3bModel, h_d, overlap_integral, tcf_result
+from .models import M3bModel, _monte_carlo, h_d, overlap_integral, tcf_result
 from .numerics import (
     SpecialFnResult,
     beta_d,
@@ -602,18 +602,16 @@ def overlap_factor(model, t: float, *, tol: float = 1e-9,
                           tol=tol)
     if isinstance(model, EnsembleOverlap):
         rng = np.random.default_rng(seed)
-        vals = np.empty(model.n_samples)
-        errs = np.empty(model.n_samples)
-        for i in range(model.n_samples):
+
+        def draw() -> tuple[float, float]:
             profile = model.sample(rng)
             num = overlap_integral(profile, model.dim, tf, tol=max(tol, 1e-8))
             den = overlap_integral(profile, model.dim, 0.0, tol=max(tol, 1e-8))
-            vals[i] = num.value / den.value
-            errs[i] = (num.abs_error_estimate + den.abs_error_estimate) \
-                / den.value
-        se = (float(np.std(vals, ddof=1)) / math.sqrt(model.n_samples)
-              if model.n_samples > 1 else float(errs[0]))
-        return SpecialFnResult(float(np.mean(vals)), se + float(np.mean(errs)))
+            return (num.value / den.value,
+                    (num.abs_error_estimate + den.abs_error_estimate)
+                    / den.value)
+
+        return _monte_carlo(model.n_samples, draw)
     raise DomainError(f"unknown overlap model {type(model).__name__}")
 
 

@@ -272,8 +272,11 @@ def whittle_matern(nu: float) -> RadialFunction:
     def f(r):
         with np.errstate(invalid="ignore"):  # 0 * K_nu(0) = 0 * inf
             body = const * np.power(r, n) * _special.kv(n, r)
-        # K_nu underflows beyond 705; the value is 0 to double precision.
-        return np.where(r <= 0.0, 1.0, np.where(r > 705.0, 0.0, body))[()]
+        # Near 0 (r = 0 included) K_nu overflows and the product is
+        # 0 * inf or inf, where the limit is 1; K_nu underflows beyond 705,
+        # where the value is 0 to double precision.
+        near_zero = (r < 1.0) & ~np.isfinite(body)
+        return np.where(near_zero, 1.0, np.where(r > 705.0, 0.0, body))[()]
 
     return RadialFunction(
         name=f"whittle_matern(nu={n:g})",

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -26,10 +27,16 @@ from tailcorr import (
     simulate,
     tcf,
 )
-from tailcorr.cli import _read_fields_csv, main, resolve_function
-from tailcorr.errors import ConfigError
+from tailcorr.cli import (
+    _config_fields,
+    _read_fields_csv,
+    main,
+    resolve_function,
+)
+from tailcorr.errors import ConfigError, DomainError
+from tailcorr.models import M3rModel, ShapeEnsemble, TcfModel
 from tailcorr.presets import bounded_gauss_correlations
-from tailcorr.radial import fbm_variogram
+from tailcorr.radial import fbm_variogram, tent
 
 BR_YAML = """\
 class: BR
@@ -179,6 +186,49 @@ class TestConfigStrictness:
         assert res.exit_code == 0, res.output
         value = float(csv_rows(res.stdout)[0][1])
         assert 0.0 <= value <= 1.0
+
+
+class TestModelDeclarations:
+    """Each model class states its TCF, sampler and config keys once, on
+    its dataclass; the command line, the simulator and ``tcf`` read them
+    from there."""
+
+    SIMULABLE = {"M2r", "M3b", "MPS", "BR", "VBR", "EG", "EBG"}
+
+    def test_classes_with_a_sampler(self):
+        with_sampler = {cls.__name__.removesuffix("Model")
+                        for cls in get_args(TcfModel)
+                        if hasattr(cls, "_profile_sampler")}
+        assert with_sampler == self.SIMULABLE
+
+    def test_every_config_field_has_a_parser(self):
+        for model_type in get_args(TcfModel):
+            if hasattr(model_type, "_profile_sampler"):
+                assert _config_fields(model_type)
+
+    def test_every_model_type_has_a_tcf(self):
+        for model_type in get_args(TcfModel):
+            assert callable(getattr(model_type, "_tcf", None)), model_type
+
+    def test_cli_parses_exactly_the_simulable_classes(self, runner,
+                                                      tmp_path):
+        path = tmp_path / "m3r.yaml"
+        path.write_text("class: M3r\ndim: 1\n")
+        res = runner.invoke(main, ["eval", str(path), "--lags", "1"])
+        assert res.exit_code != 0
+        listed = res.output.split("expected one of ")[1].split(";")[0]
+        assert set(listed.split(", ")) == self.SIMULABLE
+
+    def test_not_supported_message_lists_the_simulable_classes(self):
+        ensemble = ShapeEnsemble(name="const", sample=lambda rng: tent())
+        config = SimConfig(model=M3rModel(dim=1, ensemble=ensemble),
+                           grid=GridSpec(dim=1, shape=(2,)),
+                           n_realizations=1, seed=0)
+        with pytest.raises(DomainError, match="not supported") as err:
+            simulate(config)
+        listed = str(err.value).split("supported classes: ")[1].split(", ")
+        assert len(listed) == len(set(listed))
+        assert set(listed) == self.SIMULABLE
 
 
 class TestFunctionSpecs:

@@ -43,6 +43,7 @@ FUNCTIONS = {
     "powered_exponential_1.5": (lambda: powered_exponential(1.5), True),
     "whittle_matern_0.5": (lambda: whittle_matern(0.5), True),
     "whittle_matern_1.5": (lambda: whittle_matern(1.5), True),
+    "whittle_matern_2.5": (lambda: whittle_matern(2.5), True),
     "cauchy_0.5": (lambda: generalized_cauchy(0.5), True),
     "cauchy_1.5_2": (lambda: generalized_cauchy(1.5, 2.0), True),
     "truncated_power_1.5": (lambda: truncated_power(1.5), True),
@@ -65,10 +66,14 @@ FUNCTIONS = {
 }
 
 
+#: Radii so small that r^nu underflows or K_nu overflows.
+TINY = [1e-300, 1e-200, 1e-100]
+
+
 def distances(with_zero: bool) -> np.ndarray:
-    """Log-spaced distances with kinks, support ends and the far tail
-    (beyond the Whittle-Matern underflow cut at 705) mixed in."""
-    xs = np.concatenate([np.geomspace(1e-3, 50.0, 1193),
+    """Log-spaced distances with kinks, support ends, tiny radii and the
+    far tail (beyond the Whittle-Matern underflow cut at 705) mixed in."""
+    xs = np.concatenate([TINY, np.geomspace(1e-3, 50.0, 1193),
                          [0.5, 0.7, 1.0, 2.0, 704.9, 800.0]])
     return np.concatenate([[0.0], xs]) if with_zero else xs
 
@@ -78,6 +83,8 @@ def bits(values) -> np.ndarray:
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+# The singular erfc-sqrt shape of d = 3 is inf at radius 1e-300.
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 class TestArrayContract:
     def build(self, name):
         factory, with_zero = FUNCTIONS[name]
@@ -99,6 +106,14 @@ class TestArrayContract:
         assert got.shape == grid.shape
         want = [[f(float(x)) for x in row] for row in grid]
         assert np.array_equal(bits(got), bits(want))
+
+    def test_tiny_radii_reach_the_value_at_zero(self, name):
+        factory, with_zero = FUNCTIONS[name]
+        f = factory()
+        got = f(np.array(TINY))
+        assert not np.any(np.isnan(got))
+        if with_zero:
+            assert np.allclose(got, f(0.0), rtol=1e-12, atol=1e-12)
 
     def test_float_in_float_out(self, name):
         f, _ = self.build(name)

@@ -2,6 +2,7 @@
 empirical extremal-coefficient estimator, closing the loop against the
 closed-form TCFs of every simulatable class."""
 
+import importlib
 import math
 import warnings
 
@@ -39,7 +40,6 @@ from tailcorr.simulate import (
     GridSpec,
     LagEstimate,
     SimConfig,
-    Truncation,
     estimate_chi,
     simulate,
     transform_margins,
@@ -142,10 +142,6 @@ class TestConfigValidation:
                       grid=GridSpec(dim=1, shape=(2,)), n_realizations=1,
                       seed=-1)
 
-    def test_truncation_budget_validated(self):
-        with pytest.raises(DomainError, match="poisson_points_max"):
-            Truncation(poisson_points_max=0)
-
 
 # ---------------------------------------------------------------------------
 # Engine basics: determinism, margins tagging, unsupported configurations
@@ -229,12 +225,30 @@ class TestEngineBasics:
         assert err.value.min_eigenvalue is not None
         assert err.value.min_eigenvalue < -1e-3
 
-    def test_storm_budget_guard(self):
+    def test_storm_budget_guard(self, monkeypatch):
+        # ``tailcorr.simulate`` the attribute is the function; the module
+        # holding the per-site budget comes from the import system.
+        engine = importlib.import_module("tailcorr.simulate")
+        monkeypatch.setattr(engine, "_STORMS_PER_SITE", 0)
         cfg = SimConfig(model=brown_resnick_8t(),
                         grid=GridSpec(dim=1, shape=(8,)), n_realizations=1,
-                        seed=0, truncation=Truncation(poisson_points_max=2))
-        with pytest.raises(SimulationError, match="budget"):
+                        seed=0)
+        with pytest.raises(SimulationError) as err:
             list(simulate(cfg))
+        message = str(err.value)
+        assert "storm budget exhausted at site 0" in message
+        assert "0 candidates examined" in message
+        assert "budget of 0 per site for 8 sites" in message
+        assert "normalization" not in message
+
+    def test_budget_scales_with_site_count(self):
+        """Exact enumeration examines about one storm candidate per site,
+        so a valid model on more than 10,000 sites must finish."""
+        cfg = SimConfig(model=M3bModel(dim=1, radius=point_mass(0.5)),
+                        grid=GridSpec(dim=1, shape=(12_000,), spacing=0.1),
+                        n_realizations=1, seed=0)
+        (field,) = simulate(cfg)
+        assert np.all(field.values > 0)
 
 
 # ---------------------------------------------------------------------------
