@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -45,7 +46,7 @@ from . import __version__
 from .distributions import Distribution1D, exponential_dist, point_mass
 from .errors import ConfigError, TailcorrError
 from .membership import classify
-from .models import BRModel, MPSModel, TcfModel, tcf
+from .models import _FAMILIES, BRModel, MPSModel, TcfModel, tcf
 from .numerics import erfc
 from .operators import (
     TurningBandsSpec,
@@ -78,13 +79,8 @@ from .radial import (
     exponential_decay,
     fbm_variogram,
     bounded_variogram,
-    generalized_cauchy,
-    powered_erfc,
-    powered_exponential,
     radial_from_callable,
     tent,
-    truncated_power,
-    whittle_matern,
 )
 from .recovery import RecoveryInput, recover_radius_density, recover_shape
 from .simulate import (
@@ -329,47 +325,61 @@ def load_model(path: str) -> tuple[TcfModel, str]:
 # Function specs, grids, lag lists
 # ---------------------------------------------------------------------------
 
+# Function spec head -> (constructor, parsers of its ':'-separated
+# parameters, how many of them are required).  The parametric families
+# appear under the names of their constructors.
+_FUNCTION_SPECS = {
+    "erfc_sqrt": (erfc_sqrt, (), 0),
+    "exp": (exponential_decay, (float,), 0),
+    "tent": (tent, (), 0),
+    **{family.constructor.__name__:
+       (family.constructor, (float,) * (1 + family.takes_beta),
+        1 + family.takes_beta)
+       for family in _FAMILIES.values()},
+    "phi_d": (phi_d_radial, (int,), 1),
+    "chi_d": (chi_d_radial, (int,), 1),
+}
+
+
+def _spec_usage(head: str, constructor, parsers, required: int) -> str:
+    names = [f":{name.upper()}" for name
+             in inspect.signature(constructor).parameters][:len(parsers)]
+    return (head + "".join(names[:required])
+            + "".join(f"[{name}]" for name in names[required:]))
+
+
 _FUNCTION_SPEC_HELP = (
     "named function, optionally with ':'-separated parameters -- "
-    "erfc_sqrt | powered_erfc:NU | exp[:SCALE] | tent | truncated_power:NU | "
-    "powered_exponential:NU | whittle_matern:NU | generalized_cauchy:NU:BETA "
-    "| phi_d:D | chi_d:D -- or @CONFIG.yaml for a model-backed TCF"
-)
+    + " | ".join(_spec_usage(head, *entry)
+                 for head, entry in _FUNCTION_SPECS.items())
+    + " -- or @CONFIG.yaml for a model-backed TCF")
+
+
+def _resolve(spec: str, tol: float) -> tuple[RadialFunction, str]:
+    """A function spec's radial function and the key its CSV fingerprint
+    digests: the parsed config for an ``@`` spec, the spec otherwise."""
+    if spec.startswith("@"):
+        model, fingerprint = load_model(spec[1:])
+        return radial_from_callable(
+            f"tcf[{spec[1:]}]", lambda t: tcf(model, float(t), tol=tol)
+        ), "@" + fingerprint
+    head, *args = spec.split(":")
+    entry = _FUNCTION_SPECS.get(head)
+    if entry is None or not entry[2] <= len(args) <= len(entry[1]):
+        raise ConfigError(
+            f"unknown function spec {spec!r}; expected {_FUNCTION_SPEC_HELP}")
+    constructor, parsers, _ = entry
+    try:
+        return constructor(*(parse(arg) for parse, arg
+                             in zip(parsers, args))), spec
+    except ValueError as exc:
+        raise ConfigError(f"bad parameter in function spec {spec!r}: {exc}"
+                          ) from exc
 
 
 def resolve_function(spec: str, *, tol: float = 1e-9) -> RadialFunction:
     """Resolve a CLI function spec to a radial function."""
-    if spec.startswith("@"):
-        model, _ = load_model(spec[1:])
-        return radial_from_callable(
-            f"tcf[{spec[1:]}]", lambda t: tcf(model, float(t), tol=tol))
-    head, *args = spec.split(":")
-    try:
-        if head == "erfc_sqrt" and not args:
-            return erfc_sqrt()
-        if head == "tent" and not args:
-            return tent()
-        if head == "exp" and len(args) <= 1:
-            return exponential_decay(float(args[0]) if args else 1.0)
-        if head == "powered_erfc" and len(args) == 1:
-            return powered_erfc(float(args[0]))
-        if head == "powered_exponential" and len(args) == 1:
-            return powered_exponential(float(args[0]))
-        if head == "truncated_power" and len(args) == 1:
-            return truncated_power(float(args[0]))
-        if head == "whittle_matern" and len(args) == 1:
-            return whittle_matern(float(args[0]))
-        if head == "generalized_cauchy" and len(args) == 2:
-            return generalized_cauchy(float(args[0]), float(args[1]))
-        if head == "phi_d" and len(args) == 1:
-            return phi_d_radial(int(args[0]))
-        if head == "chi_d" and len(args) == 1:
-            return chi_d_radial(int(args[0]))
-    except ValueError as exc:
-        raise ConfigError(f"bad parameter in function spec {spec!r}: {exc}"
-                          ) from exc
-    raise ConfigError(
-        f"unknown function spec {spec!r}; expected {_FUNCTION_SPEC_HELP}")
+    return _resolve(spec, tol)[0]
 
 
 def _parse_grid(spec: str | None) -> np.ndarray:
@@ -530,7 +540,7 @@ def cmd_eval(config, lags_spec, seed, out, tol, grid_spec, quiet):
 def cmd_recover(function_spec, target, dim, seed, out, tol, grid_spec, quiet):
     """Invert a TCF into its moving-maxima density -> CSV."""
     try:
-        chi = resolve_function(function_spec, tol=tol)
+        chi, key = _resolve(function_spec, tol)
         inp = RecoveryInput(chi=chi, dim=dim)
         grid = _parse_grid(grid_spec)
         rows = []
@@ -548,7 +558,7 @@ def cmd_recover(function_spec, target, dim, seed, out, tol, grid_spec, quiet):
         raise _fail(exc)
     column = "f" if target == "shape" else "k"
     _emit(_render_csv(("x", column), rows, seed=seed,
-                      fingerprint=_fingerprint([function_spec, target, dim])),
+                      fingerprint=_fingerprint([key, target, dim])),
           out)
     _say(quiet, f"recover: {target} of {chi.name} in d={dim}")
 
@@ -564,7 +574,7 @@ def cmd_transform(function_spec, map_name, lam, seed, out, tol, grid_spec,
                   quiet):
     """Apply a correlation transform to function values -> CSV."""
     try:
-        f = resolve_function(function_spec, tol=tol)
+        f, key = _resolve(function_spec, tol)
         grid = _parse_grid(grid_spec)
         rows = []
         for t in grid:
@@ -579,7 +589,7 @@ def cmd_transform(function_spec, map_name, lam, seed, out, tol, grid_spec,
     except TailcorrError as exc:
         raise _fail(exc)
     _emit(_render_csv(("t", "value", "transformed"), rows, seed=seed,
-                      fingerprint=_fingerprint([function_spec, map_name, lam])),
+                      fingerprint=_fingerprint([key, map_name, lam])),
           out)
     _say(quiet, f"transform: {map_name}_{lam:g} of {f.name}")
 
@@ -592,7 +602,7 @@ def cmd_transform(function_spec, map_name, lam, seed, out, tol, grid_spec,
 def cmd_tb(function_spec, k, d, seed, out, tol, grid_spec, quiet):
     """Turning-bands projection of a radial function -> CSV."""
     try:
-        f = resolve_function(function_spec, tol=tol)
+        f, key = _resolve(function_spec, tol)
         spec = TurningBandsSpec(k=k, d=d)
         grid = _parse_grid(grid_spec)
         rows = [(float(r), turning_bands(f, spec, float(r), tol=tol))
@@ -600,7 +610,7 @@ def cmd_tb(function_spec, k, d, seed, out, tol, grid_spec, quiet):
     except TailcorrError as exc:
         raise _fail(exc)
     _emit(_render_csv(("r", f"tb_{k}_{d}"), rows, seed=seed,
-                      fingerprint=_fingerprint([function_spec, k, d])), out)
+                      fingerprint=_fingerprint([key, k, d])), out)
     _say(quiet, f"tb: tb_{k}^{d} of {f.name}")
 
 
@@ -615,7 +625,7 @@ def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
               quiet):
     """Run the membership batteries on a function -> report (+ CSV)."""
     try:
-        chi = resolve_function(function_spec, tol=tol)
+        chi, key = _resolve(function_spec, tol)
         grid = (None if grid_spec is None
                 else [float(g) for g in _parse_grid(grid_spec)])
         report = classify(chi, dim, seed=seed, grid=grid, max_order=max_order)
@@ -627,7 +637,7 @@ def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
                 for name, verdict in sorted(report.verdicts.items())]
         _emit(_render_csv(("test", "status", "witness", "tolerance"), rows,
                           seed=seed,
-                          fingerprint=_fingerprint([function_spec, dim])),
+                          fingerprint=_fingerprint([key, dim])),
               out)
     if not quiet:
         click.echo(report.summary())
@@ -723,6 +733,7 @@ def _read_fields_csv(path: str) -> list[GridField]:
 def cmd_estimate(fields_csv, lags_spec, seed, out, tol, grid_spec, quiet):
     """Estimate the TCF from simulated fields -> CSV."""
     try:
+        digest = hashlib.sha256(Path(fields_csv).read_bytes()).hexdigest()
         fields = _read_fields_csv(fields_csv)
         fields = [transform_margins(f, "frechet") for f in fields]
         estimates = estimate_chi(fields, _parse_lags(lags_spec))
@@ -730,7 +741,7 @@ def cmd_estimate(fields_csv, lags_spec, seed, out, tol, grid_spec, quiet):
         raise _fail(exc)
     rows = [(est.lag, est.chi_hat, est.std_err, est.n) for est in estimates]
     _emit(_render_csv(("lag", "chi_hat", "std_err", "n"), rows, seed=seed,
-                      fingerprint=_fingerprint([fields_csv, lags_spec])), out)
+                      fingerprint=_fingerprint([digest, lags_spec])), out)
     _say(quiet, f"estimate: {len(rows)} lags from {len(fields)} fields")
 
 

@@ -45,7 +45,8 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import DomainError, KinkError
-from .numerics import num_derivative, quadrature
+from .models import parametric_bounds
+from .numerics import _worst_midpoint_gap, num_derivative, quadrature
 from .radial import RadialFunction, radial_from_callable
 
 __all__ = [
@@ -159,17 +160,9 @@ def _eval_nudged(f: Callable[[float], float], x: float) -> float:
 def _midpoint_convexity(f: Callable[[float], float], xs: Sequence[float],
                         tol: float) -> Verdict:
     """Convexity on a grid by the midpoint inequality, with witness triple."""
-    vals = [_eval_nudged(f, x) for x in xs]
-    worst_gap, worst = -math.inf, None
-    for i in range(len(xs) - 1):
-        a, b = xs[i], xs[i + 1]
-        mid = 0.5 * (a + b)
-        fm = _eval_nudged(f, mid)
-        gap = fm - 0.5 * (vals[i] + vals[i + 1])
-        if gap > worst_gap:
-            worst_gap, worst = gap, (a, mid, b, gap)
-    if worst_gap > tol:
-        return _failed(worst, "midpoint convexity violated")
+    gap, a, mid, b = _worst_midpoint_gap(lambda x: _eval_nudged(f, x), xs)
+    if gap > tol:
+        return _failed((a, mid, b, gap), "midpoint convexity violated")
     return _passed()
 
 
@@ -672,13 +665,14 @@ def classify(chi: RadialFunction, d: int, *, seed: int = 0, grid=None,
 
     if chi.family == "powered_erfc" and chi.param is not None:
         alpha = float(chi.param)
-        if 0.0 < alpha <= 1.0:
+        bounds = parametric_bounds("powered_erfc")
+        if bounds.tcf_range.contains(alpha):
             verdicts["br_family_rule"] = _passed()
         else:
             verdicts["br_family_rule"] = _failed(
                 alpha, "erfc(t^alpha) lies in the Brown-Resnick class "
                 "exactly for alpha in (0, 1]")
-        if 0.0 < alpha <= 0.5:
+        if bounds.cm_range.contains(alpha):
             verdicts["mps_family_rule"] = _passed()
         else:
             verdicts["mps_family_rule"] = _failed(

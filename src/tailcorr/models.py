@@ -43,7 +43,7 @@ config keys from its required dataclass fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -58,7 +58,16 @@ from .numerics import (
     kappa_d,
     quadrature,
 )
-from .radial import Correlation, RadialFunction, Variogram, whittle_matern
+from .radial import (
+    Correlation,
+    RadialFunction,
+    Variogram,
+    generalized_cauchy,
+    powered_erfc,
+    powered_exponential,
+    truncated_power,
+    whittle_matern,
+)
 
 __all__ = [
     "h_d",
@@ -689,12 +698,14 @@ class EBGModel:
 
 @dataclass(frozen=True)
 class ParametricModel:
-    """A member of one of the named parametric families of radial functions."""
+    """A member of one of the named parametric families of radial functions;
+    a parameter outside the family's domain is rejected at construction."""
 
     dim: int
     family: str
     nu: float
     beta: float = 1.0
+    _function: RadialFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
@@ -702,10 +713,11 @@ class ParametricModel:
             raise ModelError(
                 f"unknown family {self.family!r}; choose from "
                 f"{sorted(PARAMETRIC_FAMILIES)}")
+        object.__setattr__(self, "_function",
+                           _FAMILIES[self.family].function(self.nu, self.beta))
 
     def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        return SpecialFnResult(
-            parametric_tcf(self.family, self.nu, t, beta=self.beta), 0.0)
+        return SpecialFnResult(self._function(t), 0.0)
 
 
 @dataclass(frozen=True)
@@ -782,17 +794,9 @@ class ParamInterval:
     hi_open: bool = False
 
     def contains(self, v: float) -> bool:
-        if self.lo_open:
-            if v <= self.lo:
-                return False
-        elif v < self.lo:
-            return False
-        if self.hi_open:
-            if v >= self.hi:
-                return False
-        elif v > self.hi:
-            return False
-        return True
+        above = v > self.lo if self.lo_open else v >= self.lo
+        below = v < self.hi if self.hi_open else v <= self.hi
+        return above and below
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
@@ -807,8 +811,9 @@ class ParametricBounds:
 
     ``cf_range``: nu for which the function is a valid correlation function
     (positive definite in the stated dimension); ``tcf_range``: nu for which
-    it is a valid tail correlation function.  ``tcf_sharp`` records whether
-    the TCF bound is known to be sharp.
+    it is a valid tail correlation function; ``cm_range``: nu for which it
+    is completely monotone (``None``: for no nu).  ``tcf_sharp`` records
+    whether the TCF bound is known to be sharp.
     """
 
     family: str
@@ -817,88 +822,83 @@ class ParametricBounds:
     tcf_range: ParamInterval
     tcf_sharp: bool
     note: str = ""
+    cm_range: ParamInterval | None = None
 
 
-PARAMETRIC_FAMILIES = (
-    "powered_exponential",
-    "whittle_matern",
-    "cauchy",
-    "powered_erfc",
-    "truncated_power",
-)
+def _dimension_free(cf: ParamInterval, tcf: ParamInterval,
+                    cm: ParamInterval | None):
+    """Bounds that hold in every dimension and are sharp."""
+    return lambda family, d: ParametricBounds(family, None, cf, tcf, True,
+                                              cm_range=cm)
+
+
+def _truncated_power_bounds(family: str, d: int | None) -> ParametricBounds:
+    """(1 - r)_+^nu: the TCF bound nu >= floor(d/2) + 1 is sharp for odd d;
+    for even d it is valid but its sharpness is unknown."""
+    if d is None or not isinstance(d, (int, np.integer)) or d < 1:
+        raise DomainError(
+            "truncated_power bounds are dimension-dependent; pass d >= 1")
+    sharp = d % 2 == 1
+    return ParametricBounds(
+        family, int(d),
+        ParamInterval((d + 1) / 2.0, math.inf, lo_open=False, hi_open=True),
+        ParamInterval(float(d // 2 + 1), math.inf, lo_open=False,
+                      hi_open=True),
+        sharp, "" if sharp else "bound valid for even d, sharpness unknown")
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A parametric family: its radial constructor and the bounds of nu."""
+
+    constructor: Callable[..., RadialFunction]
+    bounds: Callable[[str, int | None], ParametricBounds]
+    takes_beta: bool = False
+
+    def function(self, nu: float, beta: float) -> RadialFunction:
+        if self.takes_beta:
+            return self.constructor(nu, beta)
+        return self.constructor(nu)
+
+
+# Each family: its constructor and its ranges of nu for a valid correlation
+# function, a valid TCF and complete monotonicity.
+_FAMILIES = {
+    "powered_exponential": _Family(powered_exponential, _dimension_free(
+        ParamInterval(0, 2), ParamInterval(0, 1), ParamInterval(0, 1))),
+    "whittle_matern": _Family(whittle_matern, _dimension_free(
+        ParamInterval(0, math.inf, hi_open=True), ParamInterval(0, 0.5),
+        ParamInterval(0, 0.5))),
+    "cauchy": _Family(generalized_cauchy, _dimension_free(
+        ParamInterval(0, 2), ParamInterval(0, 1), ParamInterval(0, 1)),
+        takes_beta=True),
+    "powered_erfc": _Family(powered_erfc, _dimension_free(
+        ParamInterval(0, 1), ParamInterval(0, 1), ParamInterval(0, 0.5))),
+    "truncated_power": _Family(truncated_power, _truncated_power_bounds),
+}
+
+PARAMETRIC_FAMILIES = tuple(_FAMILIES)
+
+
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise DomainError(
+            f"unknown family {name!r}; choose from {sorted(PARAMETRIC_FAMILIES)}")
+    return _FAMILIES[name]
 
 
 def parametric_tcf(family: str, nu: float, t, *, beta: float = 1.0):
     """Evaluate the named parametric family at parameter nu (and beta for
     the Cauchy family).  Scalar or array t."""
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    tv = np.atleast_1d(arr).astype(float)
-    if np.any(tv < 0):
+    if np.any(np.asarray(t, dtype=float) < 0):
         raise DomainError(f"t must be >= 0, got {t!r}")
-    if family == "powered_exponential":
-        if not 0 < nu <= 2:
-            raise DomainError(f"powered_exponential needs nu in (0,2], got {nu!r}")
-        out = np.exp(-(tv**nu))
-    elif family == "whittle_matern":
-        if nu <= 0:
-            raise DomainError(f"whittle_matern needs nu > 0, got {nu!r}")
-        out = whittle_matern(nu)(tv)
-    elif family == "cauchy":
-        if not 0 < nu <= 2:
-            raise DomainError(f"cauchy needs nu in (0,2], got {nu!r}")
-        if beta <= 0:
-            raise DomainError(f"cauchy needs beta > 0, got {beta!r}")
-        out = (1.0 + tv**nu) ** (-beta)
-    elif family == "powered_erfc":
-        if nu <= 0:
-            raise DomainError(f"powered_erfc needs nu > 0, got {nu!r}")
-        out = np.asarray(erfc(tv**nu))
-    elif family == "truncated_power":
-        if nu <= 0:
-            raise DomainError(f"truncated_power needs nu > 0, got {nu!r}")
-        out = np.maximum(0.0, 1.0 - tv) ** nu
-    else:
-        raise DomainError(
-            f"unknown family {family!r}; choose from {sorted(PARAMETRIC_FAMILIES)}")
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return _family(family).function(nu, beta)(t)
 
 
 def parametric_bounds(family: str, d: int | None = None) -> ParametricBounds:
-    """Sharp validity bounds of the family parameter.
-
-    The truncated-power family is dimension-dependent and requires ``d``;
-    its TCF bound nu >= floor(d/2) + 1 is sharp for odd d, while for even d
-    the bound is valid but sharpness is unknown.
-    """
-    inf = math.inf
-    if family == "powered_exponential":
-        return ParametricBounds(family, None, ParamInterval(0, 2),
-                                ParamInterval(0, 1), True)
-    if family == "whittle_matern":
-        return ParametricBounds(family, None, ParamInterval(0, inf, hi_open=True),
-                                ParamInterval(0, 0.5), True)
-    if family == "cauchy":
-        return ParametricBounds(family, None, ParamInterval(0, 2),
-                                ParamInterval(0, 1), True)
-    if family == "powered_erfc":
-        return ParametricBounds(family, None, ParamInterval(0, 1),
-                                ParamInterval(0, 1), True)
-    if family == "truncated_power":
-        if d is None or not isinstance(d, (int, np.integer)) or d < 1:
-            raise DomainError(
-                "truncated_power bounds are dimension-dependent; pass d >= 1")
-        cf_lo = (d + 1) / 2.0
-        tcf_lo = float(d // 2 + 1)
-        sharp = d % 2 == 1
-        return ParametricBounds(
-            family, int(d),
-            ParamInterval(cf_lo, inf, lo_open=False, hi_open=True),
-            ParamInterval(tcf_lo, inf, lo_open=False, hi_open=True),
-            sharp,
-            "" if sharp else "bound valid for even d, sharpness unknown")
-    raise DomainError(
-        f"unknown family {family!r}; choose from {sorted(PARAMETRIC_FAMILIES)}")
+    """Sharp validity bounds of the family parameter; the truncated-power
+    family is dimension-dependent and requires ``d``."""
+    return _family(family).bounds(family, d)
 
 
 def classify_parameters(family: str, nu: float, d: int | None = None) -> str:

@@ -327,6 +327,20 @@ _STENCILS = {
 }
 
 
+def _worst_midpoint_gap(f: Callable[[float], float], xs: Sequence[float]
+                        ) -> tuple[float, float, float, float]:
+    """Largest gap ``f((a+b)/2) - (f(a)+f(b))/2`` over consecutive points
+    a < b of an increasing grid, as (gap, a, mid, b); one f call per point."""
+    vals = [f(x) for x in xs]
+    worst = (-math.inf, xs[0], xs[0], xs[0])
+    for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
+        mid = 0.5 * (a + b)
+        gap = f(mid) - 0.5 * (fa + fb)
+        if gap > worst[0]:
+            worst = (gap, a, mid, b)
+    return worst
+
+
 def num_derivative(
     f: Callable[[float], float],
     x: float,

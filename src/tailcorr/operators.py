@@ -45,6 +45,7 @@ from .errors import DomainError, KinkError, TailcorrError
 from .models import M3bModel, _monte_carlo, h_d, overlap_integral, tcf_result
 from .numerics import (
     SpecialFnResult,
+    _worst_midpoint_gap,
     beta_d,
     erf_inv,
     erfc,
@@ -536,7 +537,6 @@ def phi_d_radial(d: int) -> RadialFunction:
         kinks=(1.0,),
         family="tent_turning_bands",
         param=float(d),
-        completely_monotone=False,
     )
 
 
@@ -561,7 +561,6 @@ def chi_d_radial(d: int = 3) -> RadialFunction:
         support_bound=1.0,
         family="tent_turning_bands_product",
         param=float(d),
-        completely_monotone=False,
     )
 
 
@@ -678,13 +677,8 @@ def midpoint_convexity_violation(f: Callable[[float], float],
     xs = sorted(float(g) for g in grid)
     if len(xs) < 2:
         raise DomainError("grid needs at least two points")
-    worst, where = -math.inf, xs[0]
-    for a, b in zip(xs, xs[1:]):
-        mid = 0.5 * (a + b)
-        gap = f(mid) - 0.5 * (f(a) + f(b))
-        if gap > worst:
-            worst, where = gap, mid
-    return worst, where
+    gap, _, mid, _ = _worst_midpoint_gap(f, xs)
+    return gap, mid
 
 
 def implied_br_variogram(r: float) -> float:
@@ -779,7 +773,7 @@ def erf_square_complement_radial() -> RadialFunction:
     """The same function packaged with its derivative for membership tests."""
     return radial_from_callable(
         "erf_square_complement", erf_square_complement,
-        deriv1=erf_square_complement_deriv1, completely_monotone=True)
+        deriv1=erf_square_complement_deriv1)
 
 
 __all__.append("erf_square_complement_radial")

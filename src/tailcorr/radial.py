@@ -108,7 +108,6 @@ class RadialFunction:
     zero_exponent: float = 0.0
     family: str | None = None
     param: float | None = None
-    completely_monotone: bool | None = None
 
     def __post_init__(self) -> None:
         if list(self.kinks) != sorted(self.kinks):
@@ -180,7 +179,6 @@ def tent() -> RadialFunction:
         kinks=(1.0,),
         support_bound=1.0,
         family="tent",
-        completely_monotone=False,
     )
 
 
@@ -197,12 +195,11 @@ def exponential_decay(scale: float = 1.0) -> RadialFunction:
         deriv3=lambda r: -math.exp(-r / s) / s**3,
         family="exponential",
         param=s,
-        completely_monotone=True,
     )
 
 
 def erfc_sqrt() -> RadialFunction:
-    """erfc(sqrt(r)); completely monotone, smooth on (0, inf).
+    """erfc(sqrt(r)); smooth on (0, inf).
 
     Analytic derivatives:
         d/dr   = -e^{-r} / sqrt(pi r)
@@ -220,12 +217,11 @@ def erfc_sqrt() -> RadialFunction:
         / (4.0 * sq(math.pi) * r**2.5),
         family="powered_erfc",
         param=0.5,
-        completely_monotone=True,
     )
 
 
 def powered_erfc(nu: float) -> RadialFunction:
-    """erfc(r^nu) for nu > 0; completely monotone iff nu <= 1/2."""
+    """erfc(r^nu) for nu > 0."""
     if nu <= 0:
         raise DomainError(f"nu must be positive, got {nu!r}")
     if nu == 0.5:
@@ -238,12 +234,11 @@ def powered_erfc(nu: float) -> RadialFunction:
         deriv1=lambda r: -c * n * r ** (n - 1.0) * math.exp(-(r ** (2.0 * n))),
         family="powered_erfc",
         param=n,
-        completely_monotone=n <= 0.5,
     )
 
 
 def powered_exponential(nu: float) -> RadialFunction:
-    """exp(-r^nu) for nu in (0, 2]; completely monotone iff nu <= 1."""
+    """exp(-r^nu) for nu in (0, 2]."""
     if not 0 < nu <= 2:
         raise DomainError(f"nu must be in (0, 2], got {nu!r}")
     if nu == 1.0:
@@ -255,15 +250,11 @@ def powered_exponential(nu: float) -> RadialFunction:
         deriv1=lambda r: -n * r ** (n - 1.0) * math.exp(-(r**n)),
         family="powered_exponential",
         param=n,
-        completely_monotone=n <= 1.0,
     )
 
 
 def whittle_matern(nu: float) -> RadialFunction:
-    """2^{1-nu} Gamma(nu)^{-1} r^nu K_nu(r); equals 1 at r=0.
-
-    Completely monotone iff nu <= 1/2.
-    """
+    """2^{1-nu} Gamma(nu)^{-1} r^nu K_nu(r); equals 1 at r=0."""
     if nu <= 0:
         raise DomainError(f"nu must be positive, got {nu!r}")
     n = float(nu)
@@ -283,15 +274,11 @@ def whittle_matern(nu: float) -> RadialFunction:
         func=f,
         family="whittle_matern",
         param=n,
-        completely_monotone=n <= 0.5,
     )
 
 
 def generalized_cauchy(nu: float, beta: float = 1.0) -> RadialFunction:
-    """(1 + r^nu)^{-beta} for nu in (0, 2], beta > 0.
-
-    Completely monotone iff nu <= 1.
-    """
+    """(1 + r^nu)^{-beta} for nu in (0, 2], beta > 0."""
     if not 0 < nu <= 2:
         raise DomainError(f"nu must be in (0, 2], got {nu!r}")
     if beta <= 0:
@@ -303,7 +290,6 @@ def generalized_cauchy(nu: float, beta: float = 1.0) -> RadialFunction:
         deriv1=lambda r: -b * n * r ** (n - 1.0) * (1.0 + r**n) ** (-b - 1.0),
         family="cauchy",
         param=n,
-        completely_monotone=n <= 1.0,
     )
 
 
@@ -320,7 +306,6 @@ def truncated_power(nu: float) -> RadialFunction:
         support_bound=1.0,
         family="truncated_power",
         param=n,
-        completely_monotone=False,
     )
 
 
@@ -340,7 +325,6 @@ def ball_indicator(d: int, radius: float = 1.0) -> RadialFunction:
         support_bound=rad,
         family="ball_indicator",
         param=rad,
-        completely_monotone=False,
     )
 
 

@@ -439,6 +439,78 @@ class TestSimulateEstimate:
         assert res.exit_code != 0
 
 
+class TestContentFingerprints:
+    """A CSV fingerprint digests what the command read, not the path it
+    read it from."""
+
+    @staticmethod
+    def _fingerprint(text):
+        return csv_header(text).split("fingerprint=")[1]
+
+    def _simulate(self, runner, config, out, seed):
+        res = runner.invoke(main, ["simulate", config, "--grid", "4@0.5",
+                                   "--n", "100", "--seed", str(seed),
+                                   "--out", str(out), "--quiet"])
+        assert res.exit_code == 0, res.output
+
+    def _estimate(self, runner, path, lags="0.5,1.0"):
+        res = runner.invoke(main, ["estimate", str(path), "--lags", lags,
+                                   "--quiet"])
+        assert res.exit_code == 0, res.output
+        return self._fingerprint(res.stdout)
+
+    def test_estimate_same_bytes_at_two_paths(self, runner, br_config,
+                                              tmp_path):
+        first, second = tmp_path / "a.csv", tmp_path / "sub" / "b.csv"
+        self._simulate(runner, br_config, first, seed=1)
+        second.parent.mkdir()
+        second.write_bytes(first.read_bytes())
+        assert self._estimate(runner, first) == self._estimate(runner, second)
+
+    def test_estimate_different_fields_at_one_path(self, runner, br_config,
+                                                   tmp_path):
+        path = tmp_path / "fields.csv"
+        digests = []
+        for seed in (1, 2):
+            self._simulate(runner, br_config, path, seed=seed)
+            digests.append(self._estimate(runner, path))
+        assert digests[0] != digests[1]
+        assert self._estimate(runner, path, "0.5") != digests[1]
+
+    @pytest.mark.parametrize("command", [
+        ["transform", "--map", "R"],
+        ["tb", "--k", "1", "--d", "3"],
+        ["recover", "--target", "shape", "--d", "1"],
+    ])
+    def test_config_spec_digests_the_parsed_config(self, runner, tmp_path,
+                                                   command):
+        def fingerprint(path):
+            res = runner.invoke(main, [command[0], "@" + str(path),
+                                       *command[1:], "--grid", "0.5:2:3",
+                                       "--quiet"])
+            assert res.exit_code == 0, res.output
+            return self._fingerprint(res.stdout)
+
+        first, moved = tmp_path / "a.yaml", tmp_path / "b.yaml"
+        first.write_text(BR_YAML)
+        moved.write_text("# the same model, keys in another order\n"
+                         "variogram: {alpha: 1.0, scale: 8.0, type: fbm}\n"
+                         "dim: 1\nclass: BR\n")
+        same = fingerprint(first)
+        assert fingerprint(moved) == same
+        first.write_text(BR_YAML.replace("8.0", "4.0"))
+        assert fingerprint(first) != same
+
+    def test_named_spec_fingerprint_unchanged(self, runner):
+        """Named specs still digest the spec text."""
+        res = runner.invoke(main, ["transform", "exp", "--map", "R",
+                                   "--grid", "0.5:2:3", "--quiet"])
+        assert res.exit_code == 0
+        blob = '["exp", "R", 1.0]'.encode()
+        assert (self._fingerprint(res.stdout)
+                == hashlib.sha256(blob).hexdigest()[:12])
+
+
 class TestReproduce:
     @pytest.mark.parametrize("suite,expected", [
         ("erfc-sqrt", {"chi.csv", "shape_recovery.csv",

@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from tailcorr import DomainError, ModelError, erfc
 from tailcorr.distributions import exponential_dist, point_mass
+from tailcorr.cli import resolve_function
+from tailcorr.membership import classify
 from tailcorr.models import (
+    _FAMILIES,
+    PARAMETRIC_FAMILIES,
     BRModel,
     EBGModel,
     EGModel,
@@ -47,6 +51,7 @@ from tailcorr.radial import (
     correlation_from_callable,
     exponential_correlation,
     fbm_variogram,
+    powered_erfc,
     radial_from_callable,
     tent,
     variogram_from_callable,
@@ -328,6 +333,120 @@ class TestParametricFamilies:
         assert classify_parameters("whittle_matern", 1.0) == "valid_cf_not_tcf"
         assert classify_parameters("truncated_power", 1.5, 3) == "invalid_as_cf"
         assert classify_parameters("truncated_power", 2.0, 3) == "valid_tcf"
+
+
+class TestFamilyTable:
+    """Every entry of the family table is reachable from each surface that
+    reads it: evaluation, bounds, the model class and the CLI specs."""
+
+    GRID = np.concatenate([[0.0, 1e-300], np.geomspace(1e-8, 800.0, 401),
+                           np.linspace(0.0, 3.0, 61)])
+
+    @staticmethod
+    def _params(family):
+        nu = 2.5 if family == "truncated_power" else 0.5
+        return nu, 1.5
+
+    def test_families_are_the_table(self):
+        assert PARAMETRIC_FAMILIES == (
+            "powered_exponential", "whittle_matern", "cauchy",
+            "powered_erfc", "truncated_power")
+        assert PARAMETRIC_FAMILIES == tuple(_FAMILIES)
+
+    @pytest.mark.parametrize("family", PARAMETRIC_FAMILIES)
+    def test_parametric_tcf_is_the_constructor(self, family):
+        nu, beta = self._params(family)
+        f = _FAMILIES[family].function(nu, beta)
+        values = parametric_tcf(family, nu, self.GRID, beta=beta)
+        assert values.tobytes() == f(self.GRID).tobytes()
+        scalars = [parametric_tcf(family, nu, float(t), beta=beta)
+                   for t in self.GRID[::37]]
+        assert scalars == [f(float(t)) for t in self.GRID[::37]]
+        assert all(type(v) is float for v in scalars)
+
+    @pytest.mark.parametrize("family", PARAMETRIC_FAMILIES)
+    def test_bounds_answer(self, family):
+        dims = range(1, 5) if family == "truncated_power" else (None, 1, 3)
+        for d in dims:
+            b = parametric_bounds(family, d)
+            assert b.family == family
+            nu = b.tcf_range.hi if math.isfinite(b.tcf_range.hi) \
+                else b.tcf_range.lo
+            assert classify_parameters(family, nu, d) == "valid_tcf"
+
+    @pytest.mark.parametrize("family", PARAMETRIC_FAMILIES)
+    def test_cli_spec_resolves_to_the_family(self, family):
+        nu, beta = self._params(family)
+        entry = _FAMILIES[family]
+        args = f":{nu}:{beta}" if entry.takes_beta else f":{nu}"
+        f = resolve_function(entry.constructor.__name__ + args)
+        assert (f(self.GRID).tobytes()
+                == parametric_tcf(family, nu, self.GRID, beta=beta).tobytes())
+
+    @pytest.mark.parametrize("family,cm", [
+        ("powered_exponential", (0.0, 1.0)),
+        ("whittle_matern", (0.0, 0.5)),
+        ("cauchy", (0.0, 1.0)),
+        ("powered_erfc", (0.0, 0.5)),
+    ])
+    def test_completely_monotone_ranges(self, family, cm):
+        b = parametric_bounds(family)
+        assert (b.cm_range.lo, b.cm_range.hi) == cm
+        assert b.cm_range.lo_open and not b.cm_range.hi_open
+
+    def test_truncated_power_is_never_completely_monotone(self):
+        for d in range(1, 5):
+            assert parametric_bounds("truncated_power", d).cm_range is None
+
+    @pytest.mark.parametrize("family", PARAMETRIC_FAMILIES)
+    def test_nan_is_outside_every_range(self, family):
+        d = 3 if family == "truncated_power" else None
+        assert classify_parameters(family, math.nan, d) == "invalid_as_cf"
+
+    @pytest.mark.parametrize("family,nu,beta", [
+        ("powered_exponential", 3.0, 1.0),
+        ("powered_exponential", 0.0, 1.0),
+        ("whittle_matern", -1.0, 1.0),
+        ("cauchy", 1.0, -1.0),
+        ("cauchy", 2.5, 1.0),
+        ("powered_erfc", 0.0, 1.0),
+        ("truncated_power", -0.5, 1.0),
+    ])
+    def test_model_rejects_bad_parameter_at_construction(self, family, nu,
+                                                         beta):
+        with pytest.raises(DomainError):
+            ParametricModel(dim=1, family=family, nu=nu, beta=beta)
+
+    def test_model_tcf_is_the_family_function(self):
+        model = ParametricModel(dim=2, family="cauchy", nu=0.7, beta=2.0)
+        for t in (0.0, 0.3, 4.0):
+            assert tcf(model, t) == parametric_tcf("cauchy", 0.7, t, beta=2.0)
+        assert model == ParametricModel(dim=2, family="cauchy", nu=0.7,
+                                        beta=2.0)
+
+
+class TestPoweredErfcRules:
+    """classify's closed-form rules for erfc(t^alpha) at the edges of the
+    family's TCF range (0, 1] and CM range (0, 1/2]."""
+
+    @pytest.mark.parametrize("alpha,br,mps", [
+        (0.5, "pass", "pass"),
+        (0.5001, "pass", "fail"),
+        (1.0, "pass", "fail"),
+        (1.0001, "fail", "fail"),
+    ])
+    def test_boundaries(self, alpha, br, mps):
+        report = classify(powered_erfc(alpha), 1,
+                          grid=np.geomspace(0.01, 20.0, 12))
+        verdicts = report.verdicts
+        assert verdicts["br_family_rule"].status == br
+        assert verdicts["mps_family_rule"].status == mps
+        bounds = parametric_bounds("powered_erfc")
+        assert (br == "pass") == bounds.tcf_range.contains(alpha)
+        assert (mps == "pass") == bounds.cm_range.contains(alpha)
+        for name in ("br_family_rule", "mps_family_rule"):
+            if verdicts[name].failed:
+                assert verdicts[name].witness == alpha
 
 
 class TestErfcMixtureCatalog:

@@ -411,6 +411,18 @@ class TestGneitingC:
             lambda t: t * t, np.linspace(0.0, 2.0, 11))
         assert violation <= 0.0
 
+    def test_midpoint_helper_evaluates_each_point_once(self):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return abs(t - 1.05)
+
+        grid = np.linspace(0.0, 2.0, 11)
+        violation, _ = midpoint_convexity_violation(f, grid[::-1])
+        assert len(seen) == len(set(seen)) == 2 * len(grid) - 1
+        assert violation <= 1e-15
+
     def test_domain_guards(self):
         with pytest.raises(DomainError):
             gneiting_c(0.5, 1)
@@ -474,7 +486,6 @@ class TestErfSquareComplement:
 
     def test_radial_wrapper(self):
         rad = erf_square_complement_radial()
-        assert rad.completely_monotone
         assert rad(0.7) == erf_square_complement(0.7)
 
     def test_domain_guard(self):
