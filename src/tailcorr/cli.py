@@ -46,8 +46,7 @@ from . import __version__
 from .distributions import Distribution1D, exponential_dist, point_mass
 from .errors import ConfigError, TailcorrError
 from .membership import classify
-from .models import _FAMILIES, BRModel, MPSModel, TcfModel, tcf
-from .numerics import erfc
+from .models import _FAMILIES, TcfModel, tcf
 from .operators import (
     TurningBandsSpec,
     chi_d_radial,
@@ -58,12 +57,8 @@ from .operators import (
     turning_bands,
 )
 from .presets import (
-    bounded_gauss_chi,
+    REPRODUCTION_SUITES,
     bounded_gauss_correlations,
-    bounded_gauss_lambda,
-    bounded_gauss_models,
-    erfc_sqrt_diameter_density,
-    erfc_sqrt_models_1d,
     erfc_sqrt_mps_mixing,
     erfc_sqrt_radius_law,
     erfc_sqrt_shape,
@@ -461,7 +456,7 @@ def _render_csv(columns, rows, *, seed, fingerprint, extra=()) -> str:
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
@@ -478,20 +473,24 @@ def _say(quiet: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _common(fn):
+def _output(fn):
     fn = click.option("--quiet", is_flag=True,
                       help="suppress progress messages")(fn)
-    fn = click.option("--grid", "grid_spec", default=None, metavar="LO:HI:N",
-                      help="evaluation grid lo:hi:n[:log|lin] "
-                           "(default 1e-3:1e2:200:log)")(fn)
-    fn = click.option("--tol", type=float, default=1e-9, show_default=True,
-                      help="numerical tolerance passed to the backend")(fn)
     fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
                       help="write CSV here instead of stdout")(fn)
     fn = click.option("--seed", type=click.IntRange(min=0), default=0,
                       show_default=True, help="seed recorded in the header "
                       "and used by stochastic backends")(fn)
     return fn
+
+
+def _common(fn):
+    fn = click.option("--grid", "grid_spec", default=None, metavar="LO:HI:N",
+                      help="evaluation grid lo:hi:n[:log|lin] "
+                           "(default 1e-3:1e2:200:log)")(fn)
+    fn = click.option("--tol", type=float, default=1e-9, show_default=True,
+                      help="numerical tolerance passed to the backend")(fn)
+    return _output(fn)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -653,11 +652,7 @@ def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
 @click.option("--margins", type=click.Choice(["frechet", "gumbel"]),
               default="frechet", show_default=True,
               help="marginal scale of the written values")
-@click.option("--quiet", is_flag=True, help="suppress progress messages")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="write CSV here instead of stdout")
-@click.option("--seed", type=click.IntRange(min=0), default=0,
-              show_default=True, help="simulation seed")
+@_output
 def cmd_simulate(config, grid_spec, n_realizations, margins, seed, out,
                  quiet):
     """Simulate exact max-stable fields -> CSV, one row per site."""
@@ -729,8 +724,8 @@ def _read_fields_csv(path: str) -> list[GridField]:
 @click.argument("fields_csv", type=click.Path(exists=True, dir_okay=False))
 @click.option("--lags", "lags_spec", required=True, metavar="SPEC",
               help="lag set 'start:stop:step' (stop inclusive) or 'a,b,c'")
-@_common
-def cmd_estimate(fields_csv, lags_spec, seed, out, tol, grid_spec, quiet):
+@_output
+def cmd_estimate(fields_csv, lags_spec, seed, out, quiet):
     """Estimate the TCF from simulated fields -> CSV."""
     try:
         digest = hashlib.sha256(Path(fields_csv).read_bytes()).hexdigest()
@@ -750,152 +745,10 @@ def cmd_estimate(fields_csv, lags_spec, seed, out, tol, grid_spec, quiet):
 # ---------------------------------------------------------------------------
 
 
-def _suite_write(out_dir: Path, name: str, columns, rows, seed,
-                 fingerprint) -> None:
-    (out_dir / name).write_text(
-        _render_csv(columns, rows, seed=seed, fingerprint=fingerprint),
-        encoding="utf-8", newline="\n")
-
-
-def _simulation_loop(out_dir: Path, models, lags, *, n, seed, fingerprint):
-    """Simulate each model on 9 sites, write its fields and chi-hat CSVs,
-    and return the summary rows of the chi-hat checks."""
-    grid = GridSpec(dim=1, shape=(9,), spacing=0.5)
-    summary = []
-    for name, model in models.items():
-        fields = list(simulate(SimConfig(model=model, grid=grid,
-                                         n_realizations=n, seed=seed)))
-        _emit(_fields_csv(fields, grid, "frechet", seed=seed,
-                          fingerprint=fingerprint),
-              str(out_dir / f"fields_{name}.csv"))
-        rows, worst = _chi_hat_rows(model, estimate_chi(fields, lags))
-        _suite_write(out_dir, f"chi_hat_{name}.csv",
-                     ("lag", "chi_hat", "std_err", "n", "chi", "deviation",
-                      "threshold", "status"), rows, seed, fingerprint)
-        summary.append((f"chi_hat_{name}", worst, 0.0))
-    return summary
-
-
-def _chi_hat_rows(model, estimates):
-    rows = []
-    worst = -math.inf
-    for est in estimates:
-        true = tcf(model, est.lag)
-        threshold = max(0.02, 3.0 * est.std_err)
-        gap = abs(est.chi_hat - true)
-        rows.append((est.lag, est.chi_hat, est.std_err, est.n, true, gap,
-                     threshold, "pass" if gap <= threshold else "fail"))
-        worst = max(worst, gap - threshold)
-    return rows, worst
-
-
-def _reproduce_erfc_sqrt(out_dir: Path, seed: int, n: int):
-    """chi(t) = erfc(sqrt t): recovery closed forms, storm Laplace check,
-    and the simulation loop for BR / M2r / M3b."""
-    fingerprint = _fingerprint(["erfc-sqrt", seed, n])
-    summary = []
-
-    ts = np.geomspace(1e-3, 1e2, 200)
-    _suite_write(out_dir, "chi.csv", ("t", "chi"),
-                 [(float(t), float(erfc(math.sqrt(t)))) for t in ts],
-                 seed, fingerprint)
-
-    chi = erfc_sqrt()
-    inp = RecoveryInput(chi=chi, dim=3)
-    shape_closed = erfc_sqrt_shape(3)
-    xs = np.geomspace(1e-2, 1e1, 100)
-    rows, worst = [], 0.0
-    for u in xs:
-        got = recover_shape(inp, float(u))
-        want = float(shape_closed(float(u)))
-        rel = abs(got - want) / abs(want)
-        worst = max(worst, rel)
-        rows.append((float(u), got, want, rel))
-    _suite_write(out_dir, "shape_recovery.csv",
-                 ("u", "recovered", "closed_form", "rel_deviation"),
-                 rows, seed, fingerprint)
-    summary.append(("shape_recovery", worst, 1e-6))
-
-    diameter_closed = erfc_sqrt_diameter_density(3)
-    rows, worst = [], 0.0
-    for s in xs:
-        got = recover_radius_density(inp, float(s))
-        want = float(diameter_closed(float(s)))
-        rel = abs(got - want) / abs(want)
-        worst = max(worst, rel)
-        rows.append((float(s), got, want, rel))
-    _suite_write(out_dir, "radius_recovery.csv",
-                 ("s", "recovered", "closed_form", "rel_deviation"),
-                 rows, seed, fingerprint)
-    summary.append(("radius_recovery", worst, 1e-6))
-
-    storm = MPSModel(dim=2, mixing=erfc_sqrt_mps_mixing())
-    rows, worst = [], 0.0
-    for t in np.linspace(0.05, 5.0, 60):
-        got = tcf(storm, float(t), tol=1e-10)
-        want = float(erfc(math.sqrt(t)))
-        gap = abs(got - want)
-        worst = max(worst, gap)
-        rows.append((float(t), got, want, gap))
-    _suite_write(out_dir, "mps_laplace.csv",
-                 ("t", "laplace_transform", "erfc_sqrt", "deviation"),
-                 rows, seed, fingerprint)
-    summary.append(("mps_laplace", worst, 1e-6))
-
-    one_d = erfc_sqrt_models_1d()
-    models = {"BR": BRModel(dim=1, variogram=fbm_variogram(8.0, 1.0)),
-              "M2r": one_d["M2r"], "M3b": one_d["M3b"]}
-    summary += _simulation_loop(out_dir, models, [0.5, 1.0, 1.5, 2.0], n=n,
-                                seed=seed, fingerprint=fingerprint)
-    return summary, fingerprint
-
-
-def _reproduce_bounded_gauss(out_dir: Path, seed: int, n: int):
-    """chi(t) = erfc(0.45 sqrt(1 - e^{-t})): transform identities and the
-    simulation loop for EG / EBG / BR."""
-    fingerprint = _fingerprint(["bounded-gauss", seed, n])
-    summary = []
-    lam = bounded_gauss_lambda()
-    rho_eg, rho_ebg = bounded_gauss_correlations()
-    target = bounded_gauss_chi()
-
-    ts = np.geomspace(1e-3, 1e2, 200)
-    for name, transform, closed in (("rho_eg", transform_S, rho_eg),
-                                    ("rho_ebg", transform_T, rho_ebg)):
-        rows, worst = [], 0.0
-        for t in ts:
-            got = transform(lam, math.exp(-float(t)))
-            want = float(closed(float(t)))
-            gap = abs(got - want)
-            worst = max(worst, gap)
-            rows.append((float(t), got, want, gap))
-        _suite_write(out_dir, f"{name}.csv",
-                     ("t", "transformed", "closed_form", "deviation"),
-                     rows, seed, fingerprint)
-        summary.append((name, worst, 1e-12))
-
-    models = bounded_gauss_models(dim=1)
-    rows, worst = [], 0.0
-    for t in ts:
-        want = target(float(t))
-        values = [tcf(models[name], float(t)) for name in ("BR", "EG", "EBG")]
-        gap = max(abs(v - want) for v in values)
-        worst = max(worst, gap)
-        rows.append((float(t), *values, want, gap))
-    _suite_write(out_dir, "tcf_agreement.csv",
-                 ("t", "chi_br", "chi_eg", "chi_ebg", "target", "deviation"),
-                 rows, seed, fingerprint)
-    summary.append(("tcf_agreement", worst, 1e-12))
-
-    summary += _simulation_loop(
-        out_dir, {name: models[name] for name in ("EG", "EBG", "BR")},
-        [0.5, 1.0, 2.0], n=n, seed=seed, fingerprint=fingerprint)
-    return summary, fingerprint
-
-
 @main.command("reproduce")
-@click.argument("suite", type=click.Choice(["erfc-sqrt", "bounded-gauss"]))
-@click.option("--out-dir", type=click.Path(file_okay=False), required=True,
+@click.argument("suite", type=click.Choice(tuple(REPRODUCTION_SUITES)))
+@click.option("--out-dir", "directory", required=True,
+              type=click.Path(file_okay=False, path_type=Path),
               help="directory for the generated artifacts")
 @click.option("--n", "n_realizations", type=click.IntRange(min=100),
               default=10_000, show_default=True,
@@ -903,39 +756,46 @@ def _reproduce_bounded_gauss(out_dir: Path, seed: int, n: int):
 @click.option("--quiet", is_flag=True, help="suppress progress messages")
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True, help="simulation seed")
-def cmd_reproduce(suite, out_dir, n_realizations, seed, quiet):
+def cmd_reproduce(suite, directory, n_realizations, seed, quiet):
     """Run a verification suite and write its data artifacts.
 
     Exits nonzero when any deviation exceeds its shipped threshold; the
-    chi_hat checks use max(0.02, 3 std errs) per lag and report a summary
-    margin (deviation minus threshold, negative when passing).
+    chi_hat checks have a threshold per lag and report a summary margin
+    (deviation minus threshold, negative when passing).
     """
-    directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
+    fingerprint = _fingerprint([suite, seed, n_realizations])
+
+    def write(name: str, columns, rows) -> None:
+        _emit(_render_csv(columns, rows, seed=seed, fingerprint=fingerprint),
+              directory / name)
+
+    summary = []
     try:
-        if suite == "erfc-sqrt":
-            summary, fingerprint = _reproduce_erfc_sqrt(
-                directory, seed, n_realizations)
-        else:
-            summary, fingerprint = _reproduce_bounded_gauss(
-                directory, seed, n_realizations)
+        spec = REPRODUCTION_SUITES[suite]()
+        for name, check in spec.checks.items():
+            rows, worst = check.run()
+            write(f"{name}.csv", check.columns, rows)
+            if check.threshold is not None:
+                summary.append((name, worst, check.threshold))
+        for name, model in spec.simulated.items():
+            fields = list(simulate(SimConfig(model=model, grid=spec.grid,
+                                             n_realizations=n_realizations,
+                                             seed=seed)))
+            _emit(_fields_csv(fields, spec.grid, "frechet", seed=seed,
+                              fingerprint=fingerprint),
+                  directory / f"fields_{name}.csv")
+            rows, worst = spec.chi_hat(model, estimate_chi(fields, spec.lags))
+            write(f"chi_hat_{name}.csv", spec.chi_hat_columns, rows)
+            summary.append((f"chi_hat_{name}", worst, 0.0))
     except TailcorrError as exc:
         raise _fail(exc)
-    rows = []
-    failures = []
-    for check, worst, threshold in summary:
-        if threshold > 0:
-            status = "pass" if worst <= threshold else "fail"
-            rows.append((check, worst, threshold, status))
-        else:
-            # chi_hat rows carry per-lag thresholds; 'worst' is the margin.
-            status = "pass" if worst <= 0 else "fail"
-            rows.append((check, worst, 0.0, status))
-        if status == "fail":
-            failures.append(f"{check}: deviation {worst:g}")
-    _suite_write(directory, "summary.csv",
-                 ("check", "max_deviation", "threshold", "status"), rows,
-                 seed, fingerprint)
+    rows = [(check, worst, threshold, "pass" if worst <= threshold else "fail")
+            for check, worst, threshold in summary]
+    failures = [f"{check}: deviation {worst:g}"
+                for check, worst, _, status in rows if status == "fail"]
+    write("summary.csv", ("check", "max_deviation", "threshold", "status"),
+          rows)
     _say(quiet, f"reproduce: {suite} -> {directory} "
                 f"({len(rows)} checks, {len(failures)} failed)")
     if failures:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -647,21 +648,24 @@ def classify(chi: RadialFunction, d: int, *, seed: int = 0, grid=None,
     if abs(float(chi(0.0)) - 1.0) > 1e-9:
         raise DomainError(
             f"classification requires chi(0) = 1, got {float(chi(0.0))!r}")
-    verdicts: dict[str, Verdict] = {}
-    tolerances = {"T1_MMMr": 1e-9, "completely_monotone": 1e-9,
-                  "triangle": 1e-12, "positive_definite": 1e-9}
-    verdicts["T1_MMMr"] = test_T1_MMMr(chi, grid=xs)
-    verdicts["completely_monotone"] = test_completely_monotone(
-        chi, max_order, grid=xs)
-    verdicts["triangle"] = test_triangle(chi)
-    verdicts["positive_definite"] = test_positive_definite(chi, d, seed=seed)
-    verdicts["Tinfty_MMMr"] = test_Tinfty_MMMr(chi, max_order, grid=xs)
+    # Each battery with the tolerance it runs at and reports.
+    batteries = {
+        "T1_MMMr": (1e-9, partial(test_T1_MMMr, chi, grid=xs)),
+        "completely_monotone": (1e-9, partial(test_completely_monotone, chi,
+                                              max_order, grid=xs)),
+        "triangle": (1e-12, partial(test_triangle, chi)),
+        "positive_definite": (1e-9, partial(test_positive_definite, chi, d,
+                                            seed=seed)),
+        "Tinfty_MMMr": (1e-9, partial(test_Tinfty_MMMr, chi, max_order,
+                                      grid=xs)),
+    }
     if d >= 3:
-        verdicts["H3_condition"] = test_H3_condition(chi, grid=xs)
-        tolerances["H3_condition"] = 1e-9
+        batteries["H3_condition"] = (1e-9, partial(test_H3_condition, chi,
+                                                   grid=xs))
     if d == 2:
-        verdicts["H2_condition"] = test_H2_condition(chi)
-        tolerances["H2_condition"] = 1e-7
+        batteries["H2_condition"] = (1e-7, partial(test_H2_condition, chi))
+    tolerances = {name: tol for name, (tol, _) in batteries.items()}
+    verdicts = {name: run(tol=tol) for name, (tol, run) in batteries.items()}
 
     if chi.family == "powered_erfc" and chi.param is not None:
         alpha = float(chi.param)

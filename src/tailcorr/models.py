@@ -858,6 +858,9 @@ class _Family:
     def function(self, nu: float, beta: float) -> RadialFunction:
         if self.takes_beta:
             return self.constructor(nu, beta)
+        if beta != 1.0:  # NaN included
+            raise DomainError(f"the {self.constructor.__name__} family takes "
+                              f"no beta; got beta={beta!r}")
         return self.constructor(nu)
 
 

@@ -12,14 +12,16 @@ not identify the process class:
   Gaussian process with matched correlations — all with
   chi(t) = erfc(0.45 sqrt(1 - e^{-|t|})).  (0.45 = sqrt(1.62/8).)
 
-The closed forms below are mutually consistent by construction; the test
-suite re-derives the shape and radius laws independently through the
-inversion formulas and checks every pairing numerically.
+The closed forms below are mutually consistent by construction.
+:func:`erfc_sqrt_suite` and :func:`bounded_gauss_suite` declare the checks
+of every pairing, which ``tailcorr reproduce`` and the acceptance gate run.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +34,9 @@ from .models import (
     M3bModel,
     MPSModel,
     TcfModel,
+    tcf,
 )
+from .operators import transform_S, transform_T
 from .radial import (
     Correlation,
     RadialFunction,
@@ -42,6 +46,8 @@ from .radial import (
     fbm_variogram,
 )
 from .numerics import erf, erfc
+from .recovery import RecoveryInput, recover_radius_density, recover_shape
+from .simulate import GridSpec
 
 __all__ = [
     "erfc_sqrt_chi",
@@ -51,11 +57,74 @@ __all__ = [
     "erfc_sqrt_mps_mixing",
     "erfc_sqrt_models",
     "erfc_sqrt_models_1d",
+    "erfc_sqrt_suite",
     "bounded_gauss_chi",
     "bounded_gauss_lambda",
     "bounded_gauss_correlations",
     "bounded_gauss_models",
+    "bounded_gauss_suite",
+    "Check",
+    "Suite",
+    "REPRODUCTION_SUITES",
 ]
+
+
+@dataclass(frozen=True)
+class Check:
+    """``computed`` (one value or a tuple) against ``closed_form`` at each
+    point; without ``computed``, a table of the closed form only."""
+
+    columns: tuple[str, ...]
+    points: np.ndarray
+    closed_form: Callable[[float], float]
+    computed: Callable[[float], float | tuple[float, ...]] | None = None
+    relative: bool = False
+    threshold: float | None = None
+
+    def run(self) -> tuple[list[tuple], float]:
+        """The artifact rows (point, computed..., closed form, deviation)
+        and the worst deviation."""
+        rows, worst = [], 0.0
+        for x in (float(p) for p in self.points):
+            want = float(self.closed_form(x))
+            if self.computed is None:
+                rows.append((x, want))
+                continue
+            got = self.computed(x)
+            got = got if isinstance(got, tuple) else (got,)
+            gap = max(abs(v - want) for v in got)
+            if self.relative:
+                gap /= abs(want)
+            worst = max(worst, gap)
+            rows.append((x, *got, want, gap))
+        return rows, worst
+
+
+@dataclass(frozen=True)
+class Suite:
+    """Checks by artifact name, and the models simulated at ``lags``."""
+
+    checks: dict[str, Check]
+    simulated: dict[str, TcfModel]
+    lags: tuple[float, ...]
+
+    grid = GridSpec(dim=1, shape=(9,), spacing=0.5)
+    chi_hat_columns = ("lag", "chi_hat", "std_err", "n", "chi", "deviation",
+                       "threshold", "status")
+
+    @staticmethod
+    def chi_hat(model: TcfModel, estimates) -> tuple[list[tuple], float]:
+        """Chi-hat rows and the worst margin (deviation minus threshold): a
+        lag passes when |chi_hat - chi| <= max(0.02, 3 std errs)."""
+        rows, worst = [], -math.inf
+        for est in estimates:
+            true = tcf(model, est.lag)
+            threshold = max(0.02, 3.0 * est.std_err)
+            gap = abs(est.chi_hat - true)
+            rows.append((est.lag, est.chi_hat, est.std_err, est.n, true, gap,
+                         threshold, "pass" if gap <= threshold else "fail"))
+            worst = max(worst, gap - threshold)
+        return rows, worst
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +238,36 @@ def erfc_sqrt_models_1d() -> dict[str, TcfModel]:
     }
 
 
+def erfc_sqrt_suite() -> Suite:
+    """The erfc-sqrt checks: the TCF, its d=3 inversion, the d=2 storm
+    Laplace identity, and the d=1 simulation loop for BR / M2r / M3b."""
+    chi = erfc_sqrt_chi()
+    inp = RecoveryInput(chi=chi, dim=3)
+    storm = MPSModel(dim=2, mixing=erfc_sqrt_mps_mixing())
+    xs = np.geomspace(1e-2, 1e1, 100)
+    return Suite(
+        checks={
+            "chi": Check(("t", "chi"), np.geomspace(1e-3, 1e2, 200), chi),
+            "shape_recovery": Check(
+                ("u", "recovered", "closed_form", "rel_deviation"), xs,
+                erfc_sqrt_shape(3), lambda u: recover_shape(inp, u),
+                relative=True, threshold=1e-6),
+            "radius_recovery": Check(
+                ("s", "recovered", "closed_form", "rel_deviation"), xs,
+                erfc_sqrt_diameter_density(3),
+                lambda s: recover_radius_density(inp, s),
+                relative=True, threshold=1e-6),
+            "mps_laplace": Check(
+                ("t", "laplace_transform", "erfc_sqrt", "deviation"),
+                np.linspace(0.05, 5.0, 60), chi,
+                lambda t: tcf(storm, t, tol=1e-10), threshold=1e-6),
+        },
+        simulated={"BR": BRModel(dim=1, variogram=fbm_variogram(8.0, 1.0)),
+                   **erfc_sqrt_models_1d()},
+        lags=(0.5, 1.0, 1.5, 2.0),
+    )
+
+
 # ---------------------------------------------------------------------------
 # bounded-gauss suite: chi(t) = erfc(0.45 sqrt(1 - e^{-t}))
 # ---------------------------------------------------------------------------
@@ -209,3 +308,36 @@ def bounded_gauss_models(dim: int = 1) -> dict[str, TcfModel]:
         "EG": EGModel(dim=dim, correlation=rho_eg),
         "EBG": EBGModel(dim=dim, correlation=rho_ebg),
     }
+
+
+def bounded_gauss_suite() -> Suite:
+    """The bounded-gauss checks: the S/T transform identities, the
+    three-way TCF agreement, and the d=1 simulation loop for EG / EBG / BR."""
+    lam = bounded_gauss_lambda()
+    rho_eg, rho_ebg = bounded_gauss_correlations()
+    models = bounded_gauss_models(dim=1)
+    ts = np.geomspace(1e-3, 1e2, 200)
+    columns = ("t", "transformed", "closed_form", "deviation")
+    return Suite(
+        checks={
+            "rho_eg": Check(columns, ts, rho_eg,
+                            lambda t: transform_S(lam, math.exp(-t)),
+                            threshold=1e-12),
+            "rho_ebg": Check(columns, ts, rho_ebg,
+                             lambda t: transform_T(lam, math.exp(-t)),
+                             threshold=1e-12),
+            "tcf_agreement": Check(
+                ("t", "chi_br", "chi_eg", "chi_ebg", "target", "deviation"),
+                ts, bounded_gauss_chi(),
+                lambda t: tuple(tcf(models[name], t)
+                                for name in ("BR", "EG", "EBG")),
+                threshold=1e-12),
+        },
+        simulated={name: models[name] for name in ("EG", "EBG", "BR")},
+        lags=(0.5, 1.0, 2.0),
+    )
+
+
+#: Suite name -> the function that builds it.
+REPRODUCTION_SUITES = {"erfc-sqrt": erfc_sqrt_suite,
+                       "bounded-gauss": bounded_gauss_suite}

@@ -348,6 +348,17 @@ class TestCheck:
         statuses = {row[1] for row in csv_rows(text)}
         assert statuses == {"pass"}
 
+    def test_csv_reports_the_tolerance_each_battery_ran_at(self, runner,
+                                                           tmp_path):
+        out = tmp_path / "verdicts.csv"
+        res = runner.invoke(main, ["check", "erfc_sqrt", "--d", "3",
+                                   "--out", str(out), "--quiet"])
+        assert res.exit_code == 0
+        tolerances = {row[0]: float(row[3])
+                      for row in csv_rows(out.read_text())}
+        assert tolerances["Tinfty_MMMr"] == 1e-9
+        assert tolerances["triangle"] == 1e-12
+
 
 class TestSimulateEstimate:
     def test_round_trip_matches_library(self, runner, br_config, tmp_path):
@@ -425,6 +436,17 @@ class TestSimulateEstimate:
             estimates[margins] = float(csv_rows(res.stdout)[0][1])
         assert estimates["gumbel"] == pytest.approx(estimates["frechet"],
                                                     abs=1e-9)
+
+    @pytest.mark.parametrize("option", [["--tol", "123"], ["--grid", "1:2:3"]])
+    def test_estimate_rejects_options_it_does_not_read(self, runner, br_config,
+                                                       tmp_path, option):
+        fields_csv = tmp_path / "fields.csv"
+        runner.invoke(main, ["simulate", br_config, "--grid", "5@0.5",
+                             "--n", "100", "--out", str(fields_csv)])
+        res = runner.invoke(main, ["estimate", str(fields_csv), "--lags",
+                                   "0.5,1", *option])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
 
     def test_estimate_rejects_headerless_csv(self, runner, tmp_path):
         path = tmp_path / "naked.csv"

@@ -345,7 +345,7 @@ class TestFamilyTable:
     @staticmethod
     def _params(family):
         nu = 2.5 if family == "truncated_power" else 0.5
-        return nu, 1.5
+        return nu, 1.5 if _FAMILIES[family].takes_beta else 1.0
 
     def test_families_are_the_table(self):
         assert PARAMETRIC_FAMILIES == (
@@ -416,6 +416,13 @@ class TestFamilyTable:
                                                          beta):
         with pytest.raises(DomainError):
             ParametricModel(dim=1, family=family, nu=nu, beta=beta)
+
+    def test_beta_rejected_on_families_without_one(self):
+        with pytest.raises(DomainError, match="powered_exponential"):
+            ParametricModel(dim=1, family="powered_exponential", nu=1.0,
+                            beta=-5.0)
+        with pytest.raises(DomainError, match="whittle_matern"):
+            parametric_tcf("whittle_matern", 0.5, 1.0, beta=math.nan)
 
     def test_model_tcf_is_the_family_function(self):
         model = ParametricModel(dim=2, family="cauchy", nu=0.7, beta=2.0)
