@@ -278,12 +278,13 @@ _FIELD_PARSERS = {
 
 
 def _config_fields(model_type) -> dict:
-    """Config key -> section parser: the required fields of the model type
-    other than ``dim``, in declaration order."""
+    """Config key -> section parser: the required init fields of the model
+    type other than ``dim``, in declaration order."""
     hints = get_type_hints(model_type)
     return {f.name: _FIELD_PARSERS[hints[f.name]]
             for f in dataclasses.fields(model_type)
-            if f.name != "dim" and f.default is dataclasses.MISSING
+            if f.init and f.name != "dim"
+            and f.default is dataclasses.MISSING
             and f.default_factory is dataclasses.MISSING}
 
 
@@ -524,8 +525,8 @@ def cmd_eval(config, lags_spec, seed, out, tol, grid_spec, quiet):
         except TailcorrError as exc:
             click.echo(f"eval: chi({t:g}) failed: {exc}", err=True)
             rows.append((t, float("nan")))
-    _emit(_render_csv(("t", "chi"), rows, seed=seed, fingerprint=fingerprint),
-          out)
+    _emit(_render_csv(("t", "chi"), rows, seed=seed, fingerprint=fingerprint,
+                      extra=(f"tol={tol!r}",)), out)
     _say(quiet, f"eval: {len(rows)} lags, model {fingerprint}")
 
 
@@ -557,8 +558,8 @@ def cmd_recover(function_spec, target, dim, seed, out, tol, grid_spec, quiet):
         raise _fail(exc)
     column = "f" if target == "shape" else "k"
     _emit(_render_csv(("x", column), rows, seed=seed,
-                      fingerprint=_fingerprint([key, target, dim])),
-          out)
+                      fingerprint=_fingerprint([key, target, dim]),
+                      extra=(f"tol={tol!r}",)), out)
     _say(quiet, f"recover: {target} of {chi.name} in d={dim}")
 
 
@@ -588,8 +589,8 @@ def cmd_transform(function_spec, map_name, lam, seed, out, tol, grid_spec,
     except TailcorrError as exc:
         raise _fail(exc)
     _emit(_render_csv(("t", "value", "transformed"), rows, seed=seed,
-                      fingerprint=_fingerprint([key, map_name, lam])),
-          out)
+                      fingerprint=_fingerprint([key, map_name, lam]),
+                      extra=(f"tol={tol!r}",)), out)
     _say(quiet, f"transform: {map_name}_{lam:g} of {f.name}")
 
 
@@ -609,7 +610,8 @@ def cmd_tb(function_spec, k, d, seed, out, tol, grid_spec, quiet):
     except TailcorrError as exc:
         raise _fail(exc)
     _emit(_render_csv(("r", f"tb_{k}_{d}"), rows, seed=seed,
-                      fingerprint=_fingerprint([key, k, d])), out)
+                      fingerprint=_fingerprint([key, k, d]),
+                      extra=(f"tol={tol!r}",)), out)
     _say(quiet, f"tb: tb_{k}^{d} of {f.name}")
 
 
@@ -635,9 +637,8 @@ def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
                  report.tolerances.get(name, float("nan")))
                 for name, verdict in sorted(report.verdicts.items())]
         _emit(_render_csv(("test", "status", "witness", "tolerance"), rows,
-                          seed=seed,
-                          fingerprint=_fingerprint([key, dim])),
-              out)
+                          seed=seed, fingerprint=_fingerprint([key, dim]),
+                          extra=(f"tol={tol!r}",)), out)
     if not quiet:
         click.echo(report.summary())
 

@@ -47,7 +47,12 @@ from scipy import fft as _fft
 
 from .errors import DomainError, KinkError
 from .models import parametric_bounds
-from .numerics import _worst_midpoint_gap, num_derivative, quadrature
+from .numerics import (
+    _STENCILS,
+    _worst_midpoint_gap,
+    num_derivative,
+    quadrature,
+)
 from .radial import RadialFunction, radial_from_callable
 
 __all__ = [
@@ -196,7 +201,9 @@ def test_T1_MMMr(chi: RadialFunction, *, grid=None, tol: float = 1e-9
 # ---------------------------------------------------------------------------
 
 _MAX_CM_ORDER = 8
-_STENCIL_REACH = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 3, 7: 4, 8: 4}
+#: Largest |offset| of each derivative order's stencil.
+_STENCIL_REACH = {order: int(max(abs(o) for o in offsets))
+                  for order, (offsets, _, _) in _STENCILS.items()}
 
 
 def _safe_num_deriv(f: RadialFunction, x: float, order: int):

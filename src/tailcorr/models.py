@@ -225,104 +225,6 @@ _GAUSSIAN_SITE_CAP = 2_000
 _ProfileDraw = Callable[[int, np.random.Generator], np.ndarray]
 
 
-def _law_sampler(dist: Distribution1D) -> Callable[[np.random.Generator], float]:
-    """One-at-a-time sampler for a distribution, fast in the storm loop.
-
-    Laws with a native sampler, an analytic quantile, or purely atomic
-    support sample exactly; continuous laws given only by a density fall
-    back to a dense tabulated inverse cdf built once (about 1e-6 relative
-    quantile error, far below every estimator tolerance).
-    """
-    if dist.sampler is not None or dist.quantile is not None:
-        def draw(rng: np.random.Generator) -> float:
-            return float(dist.sample(rng, 1)[0])
-        return draw
-    if dist.is_purely_atomic:
-        points = np.array([a for a, _ in dist.atoms])
-        weights = np.array([w for _, w in dist.atoms])
-        weights = weights / weights.sum()
-        def draw_atomic(rng: np.random.Generator) -> float:
-            return float(rng.choice(points, p=weights))
-        return draw_atomic
-    if dist.pdf is None:
-        raise SimulationError(
-            f"law {dist.name!r} has neither sampler, quantile, atoms nor pdf")
-    return _tabulated_inverse_cdf(dist)
-
-
-def _tabulated_inverse_cdf(dist: Distribution1D, n_nodes: int = 1024,
-                           tail_mass: float = 1e-10,
-                           ) -> Callable[[np.random.Generator], float]:
-    lo, hi = dist.support
-    if math.isinf(hi):
-        # The density may be unnormalized (it is renormalized below), so
-        # bracket the support where doubling it stops adding relative mass.
-        hi = max(2.0 * max(lo, 0.0), lo + 1.0)
-        mass = quadrature(dist.pdf, lo, hi, 1e-11,
-                          singular_exponent_a=dist.pdf_singular_exponent,
-                          points=[p for p in dist.pdf_points if lo < p < hi],
-                          ).value
-        for _ in range(200):
-            nxt = lo + 2.0 * (hi - lo)
-            gain = quadrature(dist.pdf, hi, nxt, 1e-11).value
-            if mass > 0 and gain <= tail_mass * mass:
-                break
-            hi, mass = nxt, mass + gain
-        else:
-            raise SimulationError(
-                f"law {dist.name!r}: upper tail does not vanish numerically")
-    atom_points = np.array([a for a, _ in dist.atoms]) if dist.atoms else None
-    atom_weights = (np.array([w for _, w in dist.atoms])
-                    if dist.atoms else None)
-    atom_mass = float(atom_weights.sum()) if atom_weights is not None else 0.0
-
-    # Nodes concentrate geometrically toward the lower endpoint, where the
-    # density may carry a declared algebraic singularity.
-    x = lo + (hi - lo) * np.concatenate(
-        [[0.0], np.geomspace(1e-10, 1.0, n_nodes)])
-    hints = set(p for p in dist.pdf_points if lo < p < hi)
-    if hints:
-        x = np.unique(np.concatenate([x, sorted(hints)]))
-    seg = np.empty(len(x) - 1)
-    for i in range(len(seg)):
-        exponent = dist.pdf_singular_exponent if i == 0 else 0.0
-        seg[i] = quadrature(dist.pdf, x[i], x[i + 1], 1e-11,
-                            singular_exponent_a=exponent).value
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total <= 0:
-        raise SimulationError(f"law {dist.name!r}: density integrates to zero")
-    cum /= total
-
-    def draw(rng: np.random.Generator) -> float:
-        if atom_mass > 0 and rng.uniform() < atom_mass:
-            return float(rng.choice(atom_points, p=atom_weights / atom_mass))
-        return float(np.interp(rng.uniform(), cum, x))
-
-    return draw
-
-
-def _radial_offset_sampler(shape: RadialFunction, dim: int,
-                           ) -> Callable[[np.random.Generator], float]:
-    """Sampler for the storm-center offset radius of a unit-mass shape.
-
-    The center of a storm conditioned to contribute at a site lies at
-    radial offset ``rho`` with density proportional to
-    ``rho^(dim-1) * shape(rho)``; the normalizer is the shape's unit
-    integral over R^dim.
-    """
-    exponent = (dim - 1) + shape.zero_exponent
-    bound = shape.support_bound if shape.support_bound is not None else math.inf
-    halo = Distribution1D(
-        name=f"offset[{shape.name}]",
-        pdf=lambda rho: float(rho ** (dim - 1) * shape.func(rho)),
-        support=(0.0, bound),
-        pdf_singular_exponent=exponent,
-        pdf_points=shape.kinks,
-    )
-    return _tabulated_inverse_cdf(halo)
-
-
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim)
     n = float(np.linalg.norm(v))
@@ -460,6 +362,7 @@ class M2rModel:
     dim: int
     shape: RadialFunction
     normalization_tol: float = 1e-6
+    _offset: Distribution1D = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
@@ -475,19 +378,31 @@ class M2rModel:
             raise ModelError(
                 f"shape {self.shape.name!r} integrates to {total.value!r} over "
                 f"R^{self.dim}, expected 1 within {self.normalization_tol:g}")
+        # The center of a storm that contributes at a site lies at radial
+        # offset rho with density proportional to rho^(d-1) f(rho); the
+        # normalizer is the shape's unit integral over R^d.
+        shape, dim = self.shape, self.dim
+        bound = (shape.support_bound if shape.support_bound is not None
+                 else math.inf)
+        object.__setattr__(self, "_offset", Distribution1D(
+            name=f"offset[{shape.name}]",
+            pdf=lambda rho: float(rho ** (dim - 1) * shape.func(rho)),
+            support=(0.0, bound),
+            pdf_singular_exponent=(dim - 1) + shape.zero_exponent,
+            pdf_points=shape.kinks,
+        ))
 
     def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
         return overlap_integral(self.shape, self.dim, t, tol=tol)
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
-        # Storm center at radial offset rho with density proportional to
-        # rho^(d-1) f(rho), uniform direction; profile ratio f(.)/f(rho).
+        # Storm center at a radial offset rho drawn from the offset law,
+        # uniform direction; profile ratio f(.)/f(rho).
         pts = _embed_sites(sites, self.dim, "an M2r model")
-        shape, dim = self.shape, self.dim
-        offset = _radial_offset_sampler(shape, dim)
+        shape, dim, offset = self.shape, self.dim, self._offset
 
         def draw_m2r(k: int, rng: np.random.Generator) -> np.ndarray:
-            rho = offset(rng)
+            rho = offset.sample(rng, 1)[0]
             center = pts[k] + rho * _unit_vector(rng, dim)
             dists = np.linalg.norm(pts - center, axis=1)
             return shape(dists) / shape.func(rho)
@@ -520,10 +435,10 @@ class M3bModel:
         # around the site; profile ratio is the covering indicator.
         pts = _embed_sites(sites, self.dim, "an M3b model")
         dim = self.dim
-        radius = _law_sampler(self.radius)
+        radius = self.radius
 
         def draw_m3b(k: int, rng: np.random.Generator) -> np.ndarray:
-            r = radius(rng)
+            r = radius.sample(rng, 1)[0]
             w = r * rng.uniform() ** (1.0 / dim)
             center = pts[k] + w * _unit_vector(rng, dim)
             return (np.linalg.norm(pts - center, axis=1) <= r).astype(float)
@@ -558,10 +473,10 @@ class MPSModel:
         if sites.shape[1] != 1:
             raise DomainError("a Poisson-storm model requires a 1-D grid")
         x = sites[:, 0]
-        mixing = _law_sampler(self.mixing)
+        mixing = self.mixing
 
         def draw_mps(k: int, rng: np.random.Generator) -> np.ndarray:
-            beta = mixing(rng)
+            beta = mixing.sample(rng, 1)[0]
             length = rng.gamma(2.0) / beta
             left = x[k] - rng.uniform(0.0, length)
             return ((x >= left) & (x <= left + length)).astype(float)
@@ -621,10 +536,10 @@ class VBRModel:
         # covariance column of the conditioning site.
         cov, factor, half = _variogram_covariance(self, sites)
         m = sites.shape[0]
-        scale = _law_sampler(self.scale_mixing)
+        scale = self.scale_mixing
 
         def draw_vbr(k: int, rng: np.random.Generator) -> np.ndarray:
-            s = scale(rng)
+            s = scale.sample(rng, 1)[0]
             w = factor @ rng.standard_normal(m)
             log_ratio = s * (w - w[k]) + s * s * (
                 (cov[:, k] - cov[k, k]) - (half - half[k]))

@@ -163,25 +163,26 @@ def bessel_k(nu, x):
 # ---------------------------------------------------------------------------
 
 
+#: Subinterval budget of one adaptive QUADPACK pass.
+_QUAD_LIMIT = 200
+
+
 def _desingularize_left(f: Callable[[float], float], a: float, alpha: float
-                        ) -> tuple[Callable[[float], float], Callable[[float], float]]:
+                        ) -> Callable[[float], float]:
     """Variable change removing an algebraic singularity (x-a)^alpha at a.
 
     With p = 1/(1+alpha), the substitution x = a + y^p turns
     f(x) ~ (x-a)^alpha into y^{p(1+alpha)-1} = y^0 near y=0.
-    Returns (g, x_of_y) with g(y) = f(a + y^p) * p * y^{p-1}.
+    Returns g with g(y) = f(a + y^p) * p * y^{p-1}.
     """
     p = 1.0 / (1.0 + alpha)
-
-    def x_of_y(y: float) -> float:
-        return a + y ** p
 
     def g(y: float) -> float:
         if y <= 0.0:
             return 0.0
         return f(a + y ** p) * p * y ** (p - 1.0)
 
-    return g, x_of_y
+    return g
 
 
 def quadrature(
@@ -193,7 +194,6 @@ def quadrature(
     singular_exponent_a: float = 0.0,
     singular_exponent_b: float = 0.0,
     points: Sequence[float] = (),
-    limit: int = 200,
 ) -> SpecialFnResult:
     """Integrate ``f`` over (a, b) adaptively (Gauss-Kronrod core).
 
@@ -258,33 +258,32 @@ def quadrature(
                 # tail is best left to the infinite-interval transform.
                 c = pts[0] if pts else a + 1.0
                 head = quadrature(f, a, c, tol / 2,
-                                  singular_exponent_a=singular_exponent_a,
-                                  limit=limit)
+                                  singular_exponent_a=singular_exponent_a)
                 tail = quadrature(f, c, b, tol / 2,
-                                  points=[p for p in pts if p > c],
-                                  limit=limit)
+                                  points=[p for p in pts if p > c])
                 return SpecialFnResult(
                     head.value + tail.value,
                     head.abs_error_estimate + tail.abs_error_estimate)
-            g, _ = _desingularize_left(f, a, singular_exponent_a)
+            g = _desingularize_left(f, a, singular_exponent_a)
             p = 1.0 / (1.0 + singular_exponent_a)
             upper = (b - a) ** (1.0 / p)
             inner_pts = [(q - a) ** (1.0 / p) for q in pts]
-            return quadrature(g, 0.0, upper, tol, points=inner_pts, limit=limit)
+            return quadrature(g, 0.0, upper, tol, points=inner_pts)
         # singularity at finite b only: mirror the interval
         g = lambda y: f(b - y)  # noqa: E731 - tiny adapter
         mirrored = [b - q for q in pts]
         return quadrature(g, 0.0, b - a, tol,
                           singular_exponent_a=singular_exponent_b,
-                          points=mirrored, limit=limit)
+                          points=mirrored)
 
-    kwargs: dict = {"epsabs": tol, "epsrel": tol, "limit": limit, "full_output": 1}
+    kwargs: dict = {"epsabs": tol, "epsrel": tol, "limit": _QUAD_LIMIT,
+                    "full_output": 1}
     if pts and math.isfinite(b):
         kwargs["points"] = pts
     elif pts:
         # QUADPACK does not accept breakpoints on infinite intervals: split.
-        head = quadrature(f, a, pts[-1], tol / 2, points=pts[:-1], limit=limit)
-        tail = quadrature(f, pts[-1], b, tol / 2, limit=limit)
+        head = quadrature(f, a, pts[-1], tol / 2, points=pts[:-1])
+        tail = quadrature(f, pts[-1], b, tol / 2)
         return SpecialFnResult(head.value + tail.value,
                                head.abs_error_estimate + tail.abs_error_estimate)
 

@@ -339,8 +339,6 @@ class Correlation:
 
     name: str
     func: Callable
-    tag: str = "user"
-    scale: float | None = None
 
     def __post_init__(self) -> None:
         probes = (0.0, 0.31, 1.7, 23.0)
@@ -366,32 +364,21 @@ def exponential_correlation(scale: float = 1.0) -> Correlation:
     return Correlation(
         name=f"exp(-t/{s:g})" if s != 1.0 else "exp(-t)",
         func=lambda t: np.exp(-np.abs(t) / s),
-        tag="exponential",
-        scale=s,
     )
 
 
 def correlation_from_callable(name: str, func: Callable[[float], float]
                               ) -> Correlation:
     """Wrap a scalar callable as a Correlation."""
-    return Correlation(name=name, func=_lift(func), tag="user")
+    return Correlation(name=name, func=_lift(func))
 
 
 @dataclass(frozen=True)
 class Variogram:
-    """A variogram gamma(t) >= 0 with gamma(0) = 0, as a function of distance.
-
-    ``fbm`` variograms are scale * t^alpha (fractional-Brownian type);
-    ``bounded`` variograms are lam * (1 - rho(t)) for a correlation rho.
-    """
+    """A variogram of distance: gamma(t) >= 0 with gamma(0) = 0."""
 
     name: str
     func: Callable
-    tag: str = "user"
-    scale: float | None = None
-    alpha: float | None = None
-    lam: float | None = None
-    correlation: Correlation | None = None
 
     def __post_init__(self) -> None:
         probes = (0.0, 0.31, 1.7, 23.0)
@@ -403,19 +390,6 @@ class Variogram:
             if v < -1e-12:
                 raise DomainError(
                     f"variogram {self.name!r} is negative at distance {probe}")
-        if self.tag == "fbm":
-            if self.alpha is None or not 0 < self.alpha <= 2:
-                raise DomainError(
-                    f"fbm variogram needs alpha in (0,2], got {self.alpha!r}")
-            if self.scale is None or self.scale <= 0:
-                raise DomainError(
-                    f"fbm variogram needs a positive scale, got {self.scale!r}")
-        if self.tag == "bounded":
-            if self.lam is None or self.lam <= 0:
-                raise DomainError(
-                    f"bounded variogram needs lam > 0, got {self.lam!r}")
-            if self.correlation is None:
-                raise DomainError("bounded variogram needs a correlation")
 
     def __call__(self, t):
         return _evaluate(self.func, t)
@@ -424,28 +398,28 @@ class Variogram:
 def fbm_variogram(scale: float, alpha: float) -> Variogram:
     """gamma(t) = scale * |t|^alpha, alpha in (0, 2]."""
     s, a = float(scale), float(alpha)
+    if not 0 < a <= 2:
+        raise DomainError(f"fbm variogram needs alpha in (0,2], got {a!r}")
+    if not s > 0:
+        raise DomainError(f"fbm variogram needs a positive scale, got {s!r}")
     return Variogram(
         name=f"{s:g}*t^{a:g}",
         func=lambda t: s * np.power(np.abs(t), a),
-        tag="fbm",
-        scale=s,
-        alpha=a,
     )
 
 
 def bounded_variogram(lam: float, correlation: Correlation) -> Variogram:
     """gamma(t) = lam * (1 - rho(t)) for a correlation rho."""
     lamf = float(lam)
+    if not lamf > 0:
+        raise DomainError(f"bounded variogram needs lam > 0, got {lamf!r}")
     return Variogram(
         name=f"{lamf:g}*(1-{correlation.name})",
         func=lambda t: lamf * (1.0 - correlation.func(np.abs(t))),
-        tag="bounded",
-        lam=lamf,
-        correlation=correlation,
     )
 
 
 def variogram_from_callable(name: str, func: Callable[[float], float]
                             ) -> Variogram:
     """Wrap a scalar callable as a Variogram."""
-    return Variogram(name=name, func=_lift(func), tag="user")
+    return Variogram(name=name, func=_lift(func))

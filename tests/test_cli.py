@@ -344,7 +344,8 @@ class TestCheck:
                                    "--out", str(out), "--quiet"])
         assert res.exit_code == 0
         text = out.read_text()
-        assert text.splitlines()[1] == "test,status,witness,tolerance"
+        assert text.splitlines()[1:3] == ["# tol=1e-09",
+                                          "test,status,witness,tolerance"]
         statuses = {row[1] for row in csv_rows(text)}
         assert statuses == {"pass"}
 
@@ -531,6 +532,33 @@ class TestContentFingerprints:
         blob = '["exp", "R", 1.0]'.encode()
         assert (self._fingerprint(res.stdout)
                 == hashlib.sha256(blob).hexdigest()[:12])
+
+
+class TestToleranceHeader:
+    """Outputs computed at different tolerances never share a header."""
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "{config}", "--lags", "0.5,1.0"],
+        ["recover", "erfc_sqrt", "--target", "shape", "--d", "2"],
+        ["transform", "exp", "--map", "S", "--lam", "1.62"],
+        ["tb", "tent", "--k", "1", "--d", "3"],
+        ["check", "tent", "--d", "1", "--max-order", "2", "--out", "{out}"],
+    ], ids=["eval", "recover", "transform", "tb", "check"])
+    def test_tol_line_under_the_header(self, runner, br_config, tmp_path,
+                                       command):
+        def header(*tol):
+            out = tmp_path / "check.csv"
+            args = [a.format(config=br_config, out=out) for a in command]
+            res = runner.invoke(main, [*args, "--grid", "0.5:2:3", *tol,
+                                       "--quiet"])
+            assert res.exit_code == 0, res.output
+            text = out.read_text() if "--out" in args else res.stdout
+            return text.splitlines()[:2]
+
+        default, loose = header(), header("--tol", "1e-3")
+        assert default[1] == "# tol=1e-09"
+        assert loose[1] == "# tol=0.001"
+        assert default[0] == loose[0]
 
 
 class TestReproduce:

@@ -1,0 +1,138 @@
+"""Tests for ``Distribution1D.sample``, the one code path that turns a law
+into draws: one case per branch (the law's own sampler, its quantile
+function, its atoms, a tabulated inverse cdf of its density, bisection on
+its cdf), a goodness-of-fit test of the density branch, and the table
+being built once per law rather than once per simulation."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from tailcorr import GridSpec, M3bModel, SimConfig, simulate
+from tailcorr.distributions import (
+    Distribution1D,
+    exponential_dist,
+    from_cdf,
+    from_pdf,
+)
+from tailcorr.errors import DomainError, SimulationError
+
+N = 4000
+
+
+def rng(seed=11):
+    return np.random.default_rng(seed)
+
+
+def counted_exponential_pdf():
+    """An Exp(1) density that counts its calls."""
+    calls = [0]
+
+    def pdf(x):
+        calls[0] += 1
+        return math.exp(-x) if x > 0 else 0.0
+
+    return pdf, calls
+
+
+def test_own_sampler_is_used():
+    law = exponential_dist(2.0)
+    assert np.array_equal(law.sample(rng(), 5),
+                          rng().exponential(0.5, size=5))
+
+
+def test_own_sampler_shape_is_checked():
+    law = Distribution1D(name="bad", cdf=lambda s: 1.0,
+                         sampler=lambda g, n: np.zeros(n + 1))
+    with pytest.raises(DomainError, match=r"returned shape \(4,\)"):
+        law.sample(rng(), 3)
+
+
+def test_quantile_at_uniform_levels():
+    law = from_cdf("exp", lambda s: -math.expm1(-s) if s > 0 else 0.0,
+                   quantile=lambda q: -math.log1p(-q))
+    levels = rng().uniform(1e-12, 1.0 - 1e-12, size=7)
+    assert np.array_equal(law.sample(rng(), 7), -np.log1p(-levels))
+
+
+def test_purely_atomic_law_draws_its_atoms():
+    law = Distribution1D(name="atoms", atoms=((0.5, 0.25), (2.0, 0.75)))
+    draws = law.sample(rng(), N)
+    assert set(np.unique(draws)) == {0.5, 2.0}
+    share = np.mean(draws == 0.5)
+    assert abs(share - 0.25) <= 4.0 * math.sqrt(0.25 * 0.75 / N)
+
+
+def test_density_branch_fits_the_cdf():
+    law = from_pdf("exp", lambda x: math.exp(-x) if x > 0 else 0.0)
+    draws = law.sample(rng(), N)
+    assert draws.shape == (N,) and np.all(draws >= 0.0)
+    result = stats.kstest(draws, lambda x: -np.expm1(-np.maximum(x, 0.0)))
+    assert result.pvalue > 1e-3
+
+
+def test_density_with_a_singular_endpoint_fits_the_cdf():
+    # Gamma(1/2) density x^(-1/2) e^(-x) / sqrt(pi), declared singular at 0.
+    law = from_pdf("gamma_half",
+                   lambda x: math.exp(-x) / math.sqrt(math.pi * x),
+                   singular_exponent=-0.5)
+    result = stats.kstest(law.sample(rng(), N), stats.gamma(0.5).cdf)
+    assert result.pvalue > 1e-3
+
+
+def test_density_plus_atoms():
+    mass = 0.3
+    law = Distribution1D(
+        name="mixed",
+        cdf=lambda s: ((1.0 - mass) * -math.expm1(-s) if s > 0 else 0.0)
+        + (mass if s >= 2.0 else 0.0),
+        pdf=lambda x: (1.0 - mass) * math.exp(-x) if x > 0 else 0.0,
+        atoms=((2.0, mass),),
+    )
+    draws = law.sample(rng(), N)
+    at_atom = draws == 2.0
+    assert abs(np.mean(at_atom) - mass) <= 4.0 * math.sqrt(
+        mass * (1.0 - mass) / N)
+    result = stats.kstest(draws[~at_atom], lambda x: -np.expm1(-x))
+    assert result.pvalue > 1e-3
+
+
+def test_cdf_only_law_inverts_by_bisection():
+    law = from_cdf("exp", lambda s: -math.expm1(-s) if s > 0 else 0.0)
+    levels = rng().uniform(1e-12, 1.0 - 1e-12, size=5)
+    np.testing.assert_allclose(law.sample(rng(), 5), -np.log1p(-levels),
+                               rtol=1e-12)
+
+
+def test_table_is_built_once_per_law():
+    pdf, calls = counted_exponential_pdf()
+    law = from_pdf("counted", pdf)
+    law.sample(rng(), 10)
+    assert calls[0] > 0
+    calls[0] = 0
+    law.sample(rng(1), 10)
+    law.sample(rng(2), 1)
+    assert calls[0] == 0
+
+
+def test_second_simulation_makes_no_density_calls():
+    pdf, calls = counted_exponential_pdf()
+    model = M3bModel(dim=1, radius=from_pdf("counted", pdf))
+    grid = GridSpec(dim=1, shape=(4,), spacing=0.5)
+
+    def run(seed):
+        return [f.values for f in simulate(SimConfig(
+            model=model, grid=grid, n_realizations=5, seed=seed))]
+
+    run(1)
+    calls[0] = 0
+    run(2)
+    assert calls[0] == 0
+
+
+def test_density_without_mass_raises():
+    law = from_pdf("zero", lambda x: 0.0, support=(0.0, 1.0))
+    with pytest.raises(SimulationError, match="density integrates to zero"):
+        law.sample(rng(), 1)

@@ -157,3 +157,31 @@ class TestScalarCallables:
         want = [[f.func(float(x)) for x in row] for row in grid]
         assert np.array_equal(bits(got), bits(want))
         assert type(f.func(0.5)) is float
+
+
+class TestVariogramParameters:
+    """The variogram constructors reject parameters outside their domain,
+    NaN included."""
+
+    @pytest.mark.parametrize("scale, alpha, match", [
+        (8.0, 3.0, "alpha in"),
+        (8.0, 0.0, "alpha in"),
+        (8.0, -1.0, "alpha in"),
+        (8.0, math.nan, "alpha in"),
+        (0.0, 1.0, "positive scale"),
+        (-2.0, 1.0, "positive scale"),
+        (math.nan, 1.0, "positive scale"),
+    ])
+    def test_fbm_rejects(self, scale, alpha, match):
+        with pytest.raises(DomainError, match=match):
+            fbm_variogram(scale, alpha)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.62, math.nan])
+    def test_bounded_rejects(self, lam):
+        with pytest.raises(DomainError, match="lam > 0"):
+            bounded_variogram(lam, exponential_correlation())
+
+    def test_domain_edges_accepted(self):
+        assert fbm_variogram(1e-300, 2.0)(1.0) == 1e-300
+        assert fbm_variogram(8.0, 1e-9)(0.0) == 0.0
+        assert bounded_variogram(1e-9, exponential_correlation())(0.0) == 0.0
