@@ -16,13 +16,20 @@ from typing import get_args
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 
 import tailcorr
 from tailcorr import (
     BRModel,
+    EBGModel,
+    EGModel,
     GridSpec,
+    M2rModel,
+    M3bModel,
+    MPSModel,
     SimConfig,
+    VBRModel,
     estimate_chi,
     simulate,
     tcf,
@@ -31,12 +38,26 @@ from tailcorr.cli import (
     _config_fields,
     _read_fields_csv,
     main,
+    model_from_doc,
     resolve_function,
 )
+from tailcorr.distributions import Distribution1D, exponential_dist, point_mass
 from tailcorr.errors import ConfigError, DomainError
 from tailcorr.models import M3rModel, ShapeEnsemble, TcfModel
-from tailcorr.presets import bounded_gauss_correlations
-from tailcorr.radial import fbm_variogram, tent
+from tailcorr.presets import (
+    bounded_gauss_correlations,
+    erfc_sqrt_mps_mixing,
+    erfc_sqrt_radius_law,
+    erfc_sqrt_shape,
+)
+from tailcorr.radial import (
+    ball_indicator,
+    bounded_variogram,
+    correlation_from_callable,
+    exponential_correlation,
+    fbm_variogram,
+    tent,
+)
 
 BR_YAML = """\
 class: BR
@@ -186,6 +207,118 @@ class TestConfigStrictness:
         assert res.exit_code == 0, res.output
         value = float(csv_rows(res.stdout)[0][1])
         assert 0.0 <= value <= 1.0
+
+
+def _tabulated_law(points):
+    """The law of a ``tabulated`` section, built by hand."""
+    xs, fs = np.array(points, dtype=float).T
+    return Distribution1D(
+        name="tabulated_cdf",
+        cdf=lambda s: float(np.interp(s, xs, fs, left=0.0, right=1.0)),
+        support=(float(xs[0]), float(xs[-1])),
+        quantile=lambda q: float(np.interp(q, fs, xs)))
+
+
+def _gaussian(scale):
+    return correlation_from_callable(
+        "gaussian", lambda t: math.exp(-(t / scale) ** 2))
+
+
+class TestConfigSections:
+    """Every kind of config section builds what the library constructors
+    build: 5 laws, 4 correlations, 2 variograms and 3 shapes."""
+
+    LAGS = (0.0, 0.3, 0.7, 1.5)
+    TABLE = [[0.2, 0.0], [0.5, 0.4], [1.0, 1.0]]
+
+    @pytest.mark.parametrize("doc,build", [
+        # laws
+        ("class: M3b\ndim: 1\nradius: {type: point_mass, value: 0.4}\n",
+         lambda: M3bModel(dim=1, radius=point_mass(0.4))),
+        ("class: M3b\ndim: 1\nradius: {type: exponential, rate: 2.0}\n",
+         lambda: M3bModel(dim=1, radius=exponential_dist(2.0))),
+        ("class: M3b\ndim: 1\nradius: {type: exponential}\n",
+         lambda: M3bModel(dim=1, radius=exponential_dist(1.0))),
+        ("class: M3b\ndim: 3\nradius: {type: erfc_sqrt_radius}\n",
+         lambda: M3bModel(dim=3, radius=erfc_sqrt_radius_law(3))),
+        ("class: M3b\ndim: 1\nradius: {type: erfc_sqrt_radius, dim: 1}\n",
+         lambda: M3bModel(dim=1, radius=erfc_sqrt_radius_law(1))),
+        ("class: MPS\ndim: 2\nmixing: {type: erfc_sqrt_arctan}\n",
+         lambda: MPSModel(dim=2, mixing=erfc_sqrt_mps_mixing())),
+        # correlations
+        ("class: EG\ndim: 1\ncorrelation: {type: exponential, scale: 2.0}\n",
+         lambda: EGModel(dim=1, correlation=exponential_correlation(2.0))),
+        ("class: EG\ndim: 1\ncorrelation: {type: exponential}\n",
+         lambda: EGModel(dim=1, correlation=exponential_correlation(1.0))),
+        ("class: EBG\ndim: 1\ncorrelation: {type: gaussian, scale: 1.5}\n",
+         lambda: EBGModel(dim=1, correlation=_gaussian(1.5))),
+        ("class: EG\ndim: 1\ncorrelation: {type: gaussian}\n",
+         lambda: EGModel(dim=1, correlation=_gaussian(1.0))),
+        ("class: EG\ndim: 1\ncorrelation: {type: bounded_gauss_eg}\n",
+         lambda: EGModel(dim=1,
+                         correlation=bounded_gauss_correlations()[0])),
+        ("class: EBG\ndim: 1\ncorrelation: {type: bounded_gauss_ebg}\n",
+         lambda: EBGModel(dim=1,
+                          correlation=bounded_gauss_correlations()[1])),
+        # variograms
+        ("class: BR\ndim: 1\nvariogram: {type: fbm, scale: 8.0, alpha: 1.0}\n",
+         lambda: BRModel(dim=1, variogram=fbm_variogram(8.0, 1.0))),
+        ("class: VBR\ndim: 1\nvariogram: {type: bounded, lambda: 1.62,\n"
+         "  correlation: {type: gaussian, scale: 1.5}}\n"
+         "scale_mixing: {type: exponential, rate: 0.5}\n",
+         lambda: VBRModel(dim=1,
+                          variogram=bounded_variogram(1.62, _gaussian(1.5)),
+                          scale_mixing=exponential_dist(0.5))),
+        # shapes
+        ("class: M2r\ndim: 3\nshape: {name: erfc_sqrt}\n",
+         lambda: M2rModel(dim=3, shape=erfc_sqrt_shape(3))),
+        ("class: M2r\ndim: 1\nshape: {name: erfc_sqrt, dim: 1}\n",
+         lambda: M2rModel(dim=1, shape=erfc_sqrt_shape(1))),
+        ("class: M2r\ndim: 1\nshape: {name: tent}\n",
+         lambda: M2rModel(dim=1, shape=tent())),
+        ("class: M2r\ndim: 2\nshape: {name: ball, dim: 2, radius: 0.5}\n",
+         lambda: M2rModel(dim=2, shape=ball_indicator(2, 0.5))),
+        ("class: M2r\ndim: 1\nshape: {name: ball, dim: 1}\n",
+         lambda: M2rModel(dim=1, shape=ball_indicator(1))),
+    ])
+    def test_section_builds_the_library_model(self, doc, build):
+        parsed, built = model_from_doc(yaml.safe_load(doc)), build()
+        assert type(parsed) is type(built)
+        for t in self.LAGS:
+            assert tcf(parsed, t) == pytest.approx(tcf(built, t), rel=1e-12,
+                                                   abs=1e-15)
+
+    def test_tabulated_law_interpolates_its_cdf_points(self):
+        """A tabulated law has no density, so no TCF; its cdf, support and
+        draws are those of the interpolated table."""
+        doc = {"class": "M3b", "dim": 1,
+               "radius": {"type": "tabulated", "points": self.TABLE}}
+        parsed = model_from_doc(doc).radius
+        built = _tabulated_law(self.TABLE)
+        assert parsed.support == built.support == (0.2, 1.0)
+        for s in (0.0, 0.2, 0.35, 0.5, 0.75, 1.0, 2.0):
+            assert parsed.cdf_value(s) == built.cdf_value(s)
+        draws = [law.sample(np.random.default_rng(5), 64)
+                 for law in (parsed, built)]
+        assert np.array_equal(*draws)
+
+    @pytest.mark.parametrize("points,message", [
+        ([["a", 0.0], [1.0, 1.0]], "number pairs"),
+        ([[0.5, 1.0]], "at least two"),
+        ([[0.2, 0.0, 1.0], [1.0, 1.0, 1.0]], "at least two"),
+        ([[1.0, 0.0], [0.5, 1.0]], "increasing x"),
+        ([[0.2, 0.5], [1.0, 0.3]], "non-decreasing F"),
+        ([[0.2, 0.0], [1.0, 0.9]], "rise to 1"),
+        ([[0.2, -0.1], [1.0, 1.0]], "rise to 1"),
+    ])
+    def test_cdf_points_rejection_names_its_address(self, points, message):
+        doc = {"class": "VBR", "dim": 1,
+               "variogram": {"type": "fbm", "scale": 2.0, "alpha": 1.0},
+               "scale_mixing": {"type": "tabulated", "points": points}}
+        with pytest.raises(ConfigError, match=message) as err:
+            model_from_doc(doc)
+        assert err.value.address == "scale_mixing.points"
+        assert str(err.value).startswith("scale_mixing.points: ")
 
 
 class TestModelDeclarations:
