@@ -24,8 +24,10 @@ Subcommands
 Model configuration documents are YAML (JSON parses too).  Parsing is
 strict: unknown keys are rejected with a dotted-path address so typos
 cannot silently misconfigure a run.  Every CSV starts with a comment
-header carrying the tool version, the seed, and a fingerprint of the
-inputs, and uses comma separators, '.' decimals, and LF line endings.
+header carrying the tool version, the seed (on the commands that draw
+random numbers: ``simulate``, ``check`` and ``reproduce``), and a
+fingerprint of the inputs, and uses comma separators, '.' decimals, and
+LF line endings.
 """
 
 from __future__ import annotations
@@ -48,12 +50,11 @@ from .errors import ConfigError, TailcorrError
 from .membership import classify
 from .models import _FAMILIES, TcfModel, tcf
 from .operators import (
+    TransformSpec,
     TurningBandsSpec,
+    apply_transform,
     chi_d_radial,
     phi_d_radial,
-    transform_R,
-    transform_S,
-    transform_T,
     turning_bands,
 )
 from .presets import (
@@ -98,6 +99,22 @@ __all__ = ["main", "model_from_doc", "load_model", "resolve_function"]
 
 _REQUIRED = object()
 
+#: Scalar kind -> the document types it accepts and the noun its error uses.
+_SCALARS = {
+    str: ((str,), "a string"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    list: ((list,), "a list"),
+}
+
+
+def _checked(value: object, kind: type, address: str):
+    """``value`` as the scalar ``kind``; booleans are never numbers."""
+    accepted, noun = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"expected {noun}, got {value!r}", address=address)
+    return kind(value)
+
 
 class _Section:
     """A mapping inside a config document with strict key consumption.
@@ -116,55 +133,31 @@ class _Section:
     def _addr(self, key: str) -> str:
         return f"{self._address}.{key}" if self._address else key
 
-    def _get(self, key: str, default):
+    def take(self, key: str, kind, default=_REQUIRED):
+        """The value under ``key`` parsed as ``kind``: a scalar kind of
+        :data:`_SCALARS`, a field type of :data:`_SECTIONS` (a nested
+        section), or a parser ``kind(value, address)``."""
+        address = self._addr(key)
         if key not in self._data:
-            if default is not _REQUIRED:
-                return default
-            raise ConfigError("missing required key", address=self._addr(key))
+            if default is _REQUIRED:
+                raise ConfigError("missing required key", address=address)
+            return default
         self._taken.add(key)
-        return self._data[key]
+        value = self._data[key]
+        if kind in _SECTIONS:
+            return _build(kind, _Section(value, address))
+        if kind in _SCALARS:
+            return _checked(value, kind, address)
+        return kind(value, address)
 
-    def take_str(self, key: str, *, choices: tuple[str, ...] | None = None,
-                 default=None) -> str:
-        value = self._get(key, _REQUIRED if default is None else default)
-        if value is default and key not in self._taken:
-            return value
-        if not isinstance(value, str):
-            raise ConfigError(f"expected a string, got {value!r}",
-                              address=self._addr(key))
-        if choices is not None and value not in choices:
+    def take_choice(self, key: str, choices: dict):
+        """The entry of ``choices`` named by the string under ``key``."""
+        name = self.take(key, str)
+        if name not in choices:
             raise ConfigError(
-                f"expected one of {', '.join(choices)}; got {value!r}",
+                f"expected one of {', '.join(choices)}; got {name!r}",
                 address=self._addr(key))
-        return value
-
-    def take_float(self, key: str, *, default=_REQUIRED) -> float:
-        value = self._get(key, default)
-        if value is default and key not in self._taken:
-            return value
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"expected a number, got {value!r}",
-                              address=self._addr(key))
-        return float(value)
-
-    def take_int(self, key: str, *, default=_REQUIRED) -> int:
-        value = self._get(key, default)
-        if value is default and key not in self._taken:
-            return value
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"expected an integer, got {value!r}",
-                              address=self._addr(key))
-        return int(value)
-
-    def take_section(self, key: str) -> "_Section":
-        return _Section(self._get(key, _REQUIRED), self._addr(key))
-
-    def take_list(self, key: str) -> tuple[list, str]:
-        value = self._get(key, _REQUIRED)
-        if not isinstance(value, list):
-            raise ConfigError(f"expected a list, got {value!r}",
-                              address=self._addr(key))
-        return value, self._addr(key)
+        return choices[name]
 
     def close(self) -> None:
         unknown = sorted(set(self._data) - self._taken)
@@ -174,8 +167,10 @@ class _Section:
                 "unrecognized parameters)", address=self._addr(unknown[0]))
 
 
-def _tabulated_cdf_law(points: list, address: str) -> Distribution1D:
-    """A law given by tabulated cdf points [[x, F], ...], interpolated."""
+def _cdf_points(points: object, address: str) -> np.ndarray:
+    """Tabulated cdf points [[x, F], ...], checked: x increasing, F
+    non-decreasing up to 1."""
+    points = _checked(points, list, address)
     try:
         arr = np.array(points, dtype=float)
     except (TypeError, ValueError):
@@ -190,6 +185,12 @@ def _tabulated_cdf_law(points: list, address: str) -> Distribution1D:
                           "non-decreasing F", address=address)
     if abs(fs[-1] - 1.0) > 1e-9 or fs[0] < 0:
         raise ConfigError("cdf must rise to 1", address=address)
+    return arr
+
+
+def _tabulated_cdf_law(points: np.ndarray) -> Distribution1D:
+    """The law whose cdf interpolates the points linearly."""
+    xs, fs = points[:, 0], points[:, 1]
 
     def cdf(s: float) -> float:
         return float(np.interp(s, xs, fs, left=0.0, right=1.0))
@@ -205,83 +206,56 @@ def _tabulated_cdf_law(points: list, address: str) -> Distribution1D:
     )
 
 
-def _distribution_from(section: _Section) -> Distribution1D:
-    kind = section.take_str("type", choices=(
-        "point_mass", "exponential", "erfc_sqrt_radius", "erfc_sqrt_arctan",
-        "tabulated"))
-    if kind == "point_mass":
-        dist = point_mass(section.take_float("value"))
-    elif kind == "exponential":
-        dist = exponential_dist(section.take_float("rate", default=1.0))
-    elif kind == "erfc_sqrt_radius":
-        dist = erfc_sqrt_radius_law(section.take_int("dim", default=3))
-    elif kind == "erfc_sqrt_arctan":
-        dist = erfc_sqrt_mps_mixing()
-    else:
-        points, address = section.take_list("points")
-        dist = _tabulated_cdf_law(points, address)
-    section.close()
-    return dist
+def _gaussian_correlation(scale: float) -> Correlation:
+    return correlation_from_callable(
+        f"gaussian(scale={scale:g})",
+        lambda t: math.exp(-(t / scale) ** 2))
 
 
-def _correlation_from(section: _Section):
-    kind = section.take_str("type", choices=(
-        "exponential", "gaussian", "bounded_gauss_eg", "bounded_gauss_ebg"))
-    if kind == "exponential":
-        corr = exponential_correlation(section.take_float("scale", default=1.0))
-    elif kind == "gaussian":
-        scale = section.take_float("scale", default=1.0)
-        corr = correlation_from_callable(
-            f"gaussian(scale={scale:g})",
-            lambda t, s=scale: math.exp(-(t / s) ** 2))
-    elif kind == "bounded_gauss_eg":
-        corr = bounded_gauss_correlations()[0]
-    else:
-        corr = bounded_gauss_correlations()[1]
-    section.close()
-    return corr
-
-
-def _variogram_from(section: _Section):
-    kind = section.take_str("type", choices=("fbm", "bounded"))
-    if kind == "fbm":
-        vario = fbm_variogram(section.take_float("scale"),
-                              section.take_float("alpha"))
-    else:
-        lam = section.take_float("lambda")
-        corr = _correlation_from(section.take_section("correlation"))
-        vario = bounded_variogram(lam, corr)
-    section.close()
-    return vario
-
-
-def _shape_from(section: _Section) -> RadialFunction:
-    name = section.take_str("name", choices=("erfc_sqrt", "tent", "ball"))
-    if name == "erfc_sqrt":
-        shape = erfc_sqrt_shape(section.take_int("dim", default=3))
-    elif name == "tent":
-        shape = tent()
-    else:
-        shape = ball_indicator(section.take_int("dim"),
-                               section.take_float("radius", default=1.0))
-    section.close()
-    return shape
-
-
-#: Config field type -> the parser of its section.
-_FIELD_PARSERS = {
-    RadialFunction: _shape_from,
-    Distribution1D: _distribution_from,
-    Variogram: _variogram_from,
-    Correlation: _correlation_from,
+#: Config field type -> (the key that names its kind, kind -> (builder,
+#: its keys in argument order)).  A key is (name, kind[, default]); its
+#: kind is parsed by :meth:`_Section.take`.
+_SECTIONS = {
+    Distribution1D: ("type", {
+        "point_mass": (point_mass, [("value", float)]),
+        "exponential": (exponential_dist, [("rate", float, 1.0)]),
+        "erfc_sqrt_radius": (erfc_sqrt_radius_law, [("dim", int, 3)]),
+        "erfc_sqrt_arctan": (erfc_sqrt_mps_mixing, []),
+        "tabulated": (_tabulated_cdf_law, [("points", _cdf_points)]),
+    }),
+    Correlation: ("type", {
+        "exponential": (exponential_correlation, [("scale", float, 1.0)]),
+        "gaussian": (_gaussian_correlation, [("scale", float, 1.0)]),
+        "bounded_gauss_eg": (lambda: bounded_gauss_correlations()[0], []),
+        "bounded_gauss_ebg": (lambda: bounded_gauss_correlations()[1], []),
+    }),
+    Variogram: ("type", {
+        "fbm": (fbm_variogram, [("scale", float), ("alpha", float)]),
+        "bounded": (bounded_variogram,
+                    [("lambda", float), ("correlation", Correlation)]),
+    }),
+    RadialFunction: ("name", {
+        "erfc_sqrt": (erfc_sqrt_shape, [("dim", int, 3)]),
+        "tent": (tent, []),
+        "ball": (ball_indicator, [("dim", int), ("radius", float, 1.0)]),
+    }),
 }
 
 
+def _build(field_type, section: _Section):
+    """The value of a config section of the given field type."""
+    kind_key, kinds = _SECTIONS[field_type]
+    builder, keys = section.take_choice(kind_key, kinds)
+    value = builder(*(section.take(*key) for key in keys))
+    section.close()
+    return value
+
+
 def _config_fields(model_type) -> dict:
-    """Config key -> section parser: the required init fields of the model
+    """Config key -> field type: the required init fields of the model
     type other than ``dim``, in declaration order."""
     hints = get_type_hints(model_type)
-    return {f.name: _FIELD_PARSERS[hints[f.name]]
+    return {f.name: hints[f.name]
             for f in dataclasses.fields(model_type)
             if f.init and f.name != "dim"
             and f.default is dataclasses.MISSING
@@ -291,10 +265,10 @@ def _config_fields(model_type) -> dict:
 def model_from_doc(data: object) -> TcfModel:
     """Build a model from a parsed config document (strict keys)."""
     root = _Section(data, "")
-    model_type = _SIMULABLE[root.take_str("class", choices=tuple(_SIMULABLE))]
-    dim = root.take_int("dim")
-    parts = {key: parse(root.take_section(key))
-             for key, parse in _config_fields(model_type).items()}
+    model_type = root.take_choice("class", _SIMULABLE)
+    dim = root.take("dim", int)
+    parts = {key: root.take(key, field_type)
+             for key, field_type in _config_fields(model_type).items()}
     model = model_type(dim=dim, **parts)
     root.close()
     return model
@@ -450,8 +424,11 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _render_csv(columns, rows, *, seed, fingerprint, extra=()) -> str:
-    lines = [f"# tailcorr {__version__} seed={seed} fingerprint={fingerprint}"]
+def _render_csv(columns, rows, *, fingerprint, seed=None, extra=()) -> str:
+    """CSV text under its header; ``seed=`` is written when a seed was
+    drawn from."""
+    drawn = "" if seed is None else f" seed={seed}"
+    lines = [f"# tailcorr {__version__}{drawn} fingerprint={fingerprint}"]
     lines.extend(f"# {line}" for line in extra)
     lines.append(",".join(columns))
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
@@ -477,12 +454,9 @@ def _say(quiet: bool, message: str) -> None:
 def _output(fn):
     fn = click.option("--quiet", is_flag=True,
                       help="suppress progress messages")(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                      help="write CSV here instead of stdout")(fn)
-    fn = click.option("--seed", type=click.IntRange(min=0), default=0,
-                      show_default=True, help="seed recorded in the header "
-                      "and used by stochastic backends")(fn)
-    return fn
+    return click.option("--out", type=click.Path(dir_okay=False),
+                        default=None,
+                        help="write CSV here instead of stdout")(fn)
 
 
 def _common(fn):
@@ -490,42 +464,57 @@ def _common(fn):
                       help="evaluation grid lo:hi:n[:log|lin] "
                            "(default 1e-3:1e2:200:log)")(fn)
     fn = click.option("--tol", type=float, default=1e-9, show_default=True,
-                      help="numerical tolerance passed to the backend")(fn)
+                      help="numerical tolerance passed to the backend; for "
+                           "a FUNCTION, only an @CONFIG.yaml spec reads "
+                           "it")(fn)
     return _output(fn)
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+#: The option of the commands that draw random numbers.
+_seed = click.option("--seed", type=click.IntRange(min=0), default=0,
+                     show_default=True,
+                     help="seed of the random draws, recorded in the header")
+
+
+class _Group(click.Group):
+    """The command group; a library error ends a command with its message
+    and exit status 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except TailcorrError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Group,
+             context_settings={"help_option_names": ["-h", "--help"]})
 @click.version_option(version=__version__, prog_name="tailcorr")
 def main() -> None:
     """Tail correlation functions of stationary max-stable processes."""
-
-
-def _fail(exc: TailcorrError) -> "click.ClickException":
-    return click.ClickException(str(exc))
 
 
 @main.command("eval")
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
 @click.option("--lags", "lags_spec", default=None, metavar="SPEC",
               help="lag set 'start:stop:step' (stop inclusive) or 'a,b,c'; "
-                   "defaults to --grid")
+                   "instead of --grid")
 @_common
-def cmd_eval(config, lags_spec, seed, out, tol, grid_spec, quiet):
+def cmd_eval(config, lags_spec, out, tol, grid_spec, quiet):
     """Evaluate the TCF of a configured model -> CSV of (t, chi)."""
-    try:
-        model, fingerprint = load_model(config)
-        lags = (_parse_lags(lags_spec) if lags_spec is not None
-                else [float(t) for t in _parse_grid(grid_spec)])
-    except TailcorrError as exc:
-        raise _fail(exc)
+    if lags_spec is not None and grid_spec is not None:
+        raise click.UsageError("--lags and --grid exclude each other")
+    model, fingerprint = load_model(config)
+    lags = (_parse_lags(lags_spec) if lags_spec is not None
+            else [float(t) for t in _parse_grid(grid_spec)])
     rows = []
     for t in lags:
         try:
-            rows.append((t, tcf(model, t, tol=tol, seed=seed)))
+            rows.append((t, tcf(model, t, tol=tol)))
         except TailcorrError as exc:
             click.echo(f"eval: chi({t:g}) failed: {exc}", err=True)
             rows.append((t, float("nan")))
-    _emit(_render_csv(("t", "chi"), rows, seed=seed, fingerprint=fingerprint,
+    _emit(_render_csv(("t", "chi"), rows, fingerprint=fingerprint,
                       extra=(f"tol={tol!r}",)), out)
     _say(quiet, f"eval: {len(rows)} lags, model {fingerprint}")
 
@@ -537,27 +526,23 @@ def cmd_eval(config, lags_spec, seed, out, tol, grid_spec, quiet):
 @click.option("--d", "dim", type=click.IntRange(1, 3), default=3,
               show_default=True, help="ambient dimension of the inversion")
 @_common
-def cmd_recover(function_spec, target, dim, seed, out, tol, grid_spec, quiet):
+def cmd_recover(function_spec, target, dim, out, tol, grid_spec, quiet):
     """Invert a TCF into its moving-maxima density -> CSV."""
-    try:
-        chi, key = _resolve(function_spec, tol)
-        inp = RecoveryInput(chi=chi, dim=dim)
-        grid = _parse_grid(grid_spec)
-        rows = []
-        for x in grid:
-            if target == "shape":
-                rows.append((float(x), recover_shape(inp, float(x), tol=tol)))
-            else:
-                value = recover_radius_density(inp, float(x), tol=tol)
-                if not isinstance(value, float):
-                    raise ConfigError(
-                        "the diameter law has atoms; a density table cannot "
-                        "represent it")
-                rows.append((float(x), value))
-    except TailcorrError as exc:
-        raise _fail(exc)
+    chi, key = _resolve(function_spec, tol)
+    inp = RecoveryInput(chi=chi, dim=dim)
+    rows = []
+    for x in _parse_grid(grid_spec):
+        if target == "shape":
+            rows.append((float(x), recover_shape(inp, float(x), tol=tol)))
+        else:
+            value = recover_radius_density(inp, float(x), tol=tol)
+            if not isinstance(value, float):
+                raise ConfigError(
+                    "the diameter law has atoms; a density table cannot "
+                    "represent it")
+            rows.append((float(x), value))
     column = "f" if target == "shape" else "k"
-    _emit(_render_csv(("x", column), rows, seed=seed,
+    _emit(_render_csv(("x", column), rows,
                       fingerprint=_fingerprint([key, target, dim]),
                       extra=(f"tol={tol!r}",)), out)
     _say(quiet, f"recover: {target} of {chi.name} in d={dim}")
@@ -570,25 +555,16 @@ def cmd_recover(function_spec, target, dim, seed, out, tol, grid_spec, quiet):
 @click.option("--lam", type=float, default=1.0, show_default=True,
               help="lambda parameter of S/T")
 @_common
-def cmd_transform(function_spec, map_name, lam, seed, out, tol, grid_spec,
-                  quiet):
+def cmd_transform(function_spec, map_name, lam, out, tol, grid_spec, quiet):
     """Apply a correlation transform to function values -> CSV."""
-    try:
-        f, key = _resolve(function_spec, tol)
-        grid = _parse_grid(grid_spec)
-        rows = []
-        for t in grid:
-            x = float(f(float(t)))
-            if map_name == "R":
-                y = transform_R(x)
-            elif map_name == "S":
-                y = transform_S(lam, x)
-            else:
-                y = transform_T(lam, x)
-            rows.append((float(t), x, y))
-    except TailcorrError as exc:
-        raise _fail(exc)
-    _emit(_render_csv(("t", "value", "transformed"), rows, seed=seed,
+    f, key = _resolve(function_spec, tol)
+    grid = _parse_grid(grid_spec)
+    spec = TransformSpec(map_name, lam)
+    rows = []
+    for t in grid:
+        x = float(f(float(t)))
+        rows.append((float(t), x, apply_transform(spec, x)))
+    _emit(_render_csv(("t", "value", "transformed"), rows,
                       fingerprint=_fingerprint([key, map_name, lam]),
                       extra=(f"tol={tol!r}",)), out)
     _say(quiet, f"transform: {map_name}_{lam:g} of {f.name}")
@@ -599,17 +575,13 @@ def cmd_transform(function_spec, map_name, lam, seed, out, tol, grid_spec,
 @click.option("--k", type=int, required=True, help="target dimension")
 @click.option("--d", type=int, required=True, help="source dimension")
 @_common
-def cmd_tb(function_spec, k, d, seed, out, tol, grid_spec, quiet):
+def cmd_tb(function_spec, k, d, out, tol, grid_spec, quiet):
     """Turning-bands projection of a radial function -> CSV."""
-    try:
-        f, key = _resolve(function_spec, tol)
-        spec = TurningBandsSpec(k=k, d=d)
-        grid = _parse_grid(grid_spec)
-        rows = [(float(r), turning_bands(f, spec, float(r), tol=tol))
-                for r in grid]
-    except TailcorrError as exc:
-        raise _fail(exc)
-    _emit(_render_csv(("r", f"tb_{k}_{d}"), rows, seed=seed,
+    f, key = _resolve(function_spec, tol)
+    spec = TurningBandsSpec(k=k, d=d)
+    rows = [(float(r), turning_bands(f, spec, float(r), tol=tol))
+            for r in _parse_grid(grid_spec)]
+    _emit(_render_csv(("r", f"tb_{k}_{d}"), rows,
                       fingerprint=_fingerprint([key, k, d]),
                       extra=(f"tol={tol!r}",)), out)
     _say(quiet, f"tb: tb_{k}^{d} of {f.name}")
@@ -622,16 +594,14 @@ def cmd_tb(function_spec, k, d, seed, out, tol, grid_spec, quiet):
 @click.option("--max-order", type=click.IntRange(1, 8), default=6,
               show_default=True, help="highest derivative order probed")
 @_common
+@_seed
 def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
               quiet):
     """Run the membership batteries on a function -> report (+ CSV)."""
-    try:
-        chi, key = _resolve(function_spec, tol)
-        grid = (None if grid_spec is None
-                else [float(g) for g in _parse_grid(grid_spec)])
-        report = classify(chi, dim, seed=seed, grid=grid, max_order=max_order)
-    except TailcorrError as exc:
-        raise _fail(exc)
+    chi, key = _resolve(function_spec, tol)
+    grid = (None if grid_spec is None
+            else [float(g) for g in _parse_grid(grid_spec)])
+    report = classify(chi, dim, seed=seed, grid=grid, max_order=max_order)
     if out is not None:
         rows = [(name, verdict.status, repr(verdict.witness),
                  report.tolerances.get(name, float("nan")))
@@ -654,18 +624,16 @@ def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
               default="frechet", show_default=True,
               help="marginal scale of the written values")
 @_output
+@_seed
 def cmd_simulate(config, grid_spec, n_realizations, margins, seed, out,
                  quiet):
     """Simulate exact max-stable fields -> CSV, one row per site."""
-    try:
-        model, fingerprint = load_model(config)
-        grid = _parse_sim_grid(grid_spec)
-        sim_config = SimConfig(model=model, grid=grid,
-                               n_realizations=n_realizations, seed=seed)
-        fields = [transform_margins(realization, margins)
-                  for realization in simulate(sim_config)]
-    except TailcorrError as exc:
-        raise _fail(exc)
+    model, fingerprint = load_model(config)
+    grid = _parse_sim_grid(grid_spec)
+    sim_config = SimConfig(model=model, grid=grid,
+                           n_realizations=n_realizations, seed=seed)
+    fields = [transform_margins(realization, margins)
+              for realization in simulate(sim_config)]
     _emit(_fields_csv(fields, grid, margins, seed=seed,
                       fingerprint=fingerprint), out)
     _say(quiet, f"simulate: {n_realizations} realizations on "
@@ -726,17 +694,14 @@ def _read_fields_csv(path: str) -> list[GridField]:
 @click.option("--lags", "lags_spec", required=True, metavar="SPEC",
               help="lag set 'start:stop:step' (stop inclusive) or 'a,b,c'")
 @_output
-def cmd_estimate(fields_csv, lags_spec, seed, out, quiet):
+def cmd_estimate(fields_csv, lags_spec, out, quiet):
     """Estimate the TCF from simulated fields -> CSV."""
-    try:
-        digest = hashlib.sha256(Path(fields_csv).read_bytes()).hexdigest()
-        fields = _read_fields_csv(fields_csv)
-        fields = [transform_margins(f, "frechet") for f in fields]
-        estimates = estimate_chi(fields, _parse_lags(lags_spec))
-    except TailcorrError as exc:
-        raise _fail(exc)
+    digest = hashlib.sha256(Path(fields_csv).read_bytes()).hexdigest()
+    fields = [transform_margins(f, "frechet")
+              for f in _read_fields_csv(fields_csv)]
+    estimates = estimate_chi(fields, _parse_lags(lags_spec))
     rows = [(est.lag, est.chi_hat, est.std_err, est.n) for est in estimates]
-    _emit(_render_csv(("lag", "chi_hat", "std_err", "n"), rows, seed=seed,
+    _emit(_render_csv(("lag", "chi_hat", "std_err", "n"), rows,
                       fingerprint=_fingerprint([digest, lags_spec])), out)
     _say(quiet, f"estimate: {len(rows)} lags from {len(fields)} fields")
 
@@ -755,8 +720,7 @@ def cmd_estimate(fields_csv, lags_spec, seed, out, quiet):
               default=10_000, show_default=True,
               help="realizations per simulated model")
 @click.option("--quiet", is_flag=True, help="suppress progress messages")
-@click.option("--seed", type=click.IntRange(min=0), default=0,
-              show_default=True, help="simulation seed")
+@_seed
 def cmd_reproduce(suite, directory, n_realizations, seed, quiet):
     """Run a verification suite and write its data artifacts.
 
@@ -772,25 +736,22 @@ def cmd_reproduce(suite, directory, n_realizations, seed, quiet):
               directory / name)
 
     summary = []
-    try:
-        spec = REPRODUCTION_SUITES[suite]()
-        for name, check in spec.checks.items():
-            rows, worst = check.run()
-            write(f"{name}.csv", check.columns, rows)
-            if check.threshold is not None:
-                summary.append((name, worst, check.threshold))
-        for name, model in spec.simulated.items():
-            fields = list(simulate(SimConfig(model=model, grid=spec.grid,
-                                             n_realizations=n_realizations,
-                                             seed=seed)))
-            _emit(_fields_csv(fields, spec.grid, "frechet", seed=seed,
-                              fingerprint=fingerprint),
-                  directory / f"fields_{name}.csv")
-            rows, worst = spec.chi_hat(model, estimate_chi(fields, spec.lags))
-            write(f"chi_hat_{name}.csv", spec.chi_hat_columns, rows)
-            summary.append((f"chi_hat_{name}", worst, 0.0))
-    except TailcorrError as exc:
-        raise _fail(exc)
+    spec = REPRODUCTION_SUITES[suite]()
+    for name, check in spec.checks.items():
+        rows, worst = check.run()
+        write(f"{name}.csv", check.columns, rows)
+        if check.threshold is not None:
+            summary.append((name, worst, check.threshold))
+    for name, model in spec.simulated.items():
+        fields = list(simulate(SimConfig(model=model, grid=spec.grid,
+                                         n_realizations=n_realizations,
+                                         seed=seed)))
+        _emit(_fields_csv(fields, spec.grid, "frechet", seed=seed,
+                          fingerprint=fingerprint),
+              directory / f"fields_{name}.csv")
+        rows, worst = spec.chi_hat(model, estimate_chi(fields, spec.lags))
+        write(f"chi_hat_{name}.csv", spec.chi_hat_columns, rows)
+        summary.append((f"chi_hat_{name}", worst, 0.0))
     rows = [(check, worst, threshold, "pass" if worst <= threshold else "fail")
             for check, worst, threshold in summary]
     failures = [f"{check}: deviation {worst:g}"

@@ -35,6 +35,7 @@ from tailcorr import (
     tcf,
 )
 from tailcorr.cli import (
+    _SECTIONS,
     _config_fields,
     _read_fields_csv,
     main,
@@ -112,12 +113,24 @@ class TestEval:
                                                   abs=1e-14)
 
     def test_header_carries_version_seed_fingerprint(self, runner, br_config):
-        res = runner.invoke(main, ["eval", br_config, "--lags", "1",
-                                   "--seed", "7"])
+        """The header names the seed only where a seed was drawn from."""
+        res = runner.invoke(main, ["eval", br_config, "--lags", "1"])
+        header = csv_header(res.stdout)
+        assert header.startswith("# tailcorr ")
+        assert "seed=" not in header
+        assert "fingerprint=" in header
+        res = runner.invoke(main, ["simulate", br_config, "--grid", "2@0.5",
+                                   "--n", "1", "--seed", "7", "--quiet"])
         header = csv_header(res.stdout)
         assert header.startswith("# tailcorr ")
         assert " seed=7 " in header
         assert "fingerprint=" in header
+
+    def test_lags_and_grid_exclude_each_other(self, runner, br_config):
+        res = runner.invoke(main, ["eval", br_config, "--lags", "0.5",
+                                   "--grid", "1:2:3"])
+        assert res.exit_code == 2
+        assert "--lags" in res.output and "--grid" in res.output
 
     def test_failed_lag_becomes_nan_with_notice(self, runner, br_config):
         """A lag the model rejects yields NaN in its row and a notice on
@@ -333,6 +346,12 @@ class TestModelDeclarations:
                         for cls in get_args(TcfModel)
                         if hasattr(cls, "_profile_sampler")}
         assert with_sampler == self.SIMULABLE
+
+    def test_every_config_field_type_has_a_section(self):
+        for model_type in get_args(TcfModel):
+            if hasattr(model_type, "_profile_sampler"):
+                assert set(_config_fields(model_type).values()) <= set(
+                    _SECTIONS)
 
     def test_every_config_field_has_a_parser(self):
         for model_type in get_args(TcfModel):
@@ -595,6 +614,29 @@ class TestSimulateEstimate:
         assert res.exit_code != 0
 
 
+class TestSeedOption:
+    """``--seed`` exists only on the commands that draw random numbers."""
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "{config}", "--lags", "1"],
+        ["recover", "erfc_sqrt", "--target", "shape"],
+        ["transform", "exp", "--map", "R"],
+        ["tb", "tent", "--k", "1", "--d", "3"],
+        ["estimate", "{config}", "--lags", "1"],
+    ], ids=["eval", "recover", "transform", "tb", "estimate"])
+    def test_seedless_commands_reject_seed(self, runner, br_config, command):
+        args = [a.format(config=br_config) for a in command]
+        res = runner.invoke(main, [*args, "--seed", "5"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "reproduce"])
+    def test_seeded_commands_default_to_zero(self, command):
+        (option,) = [p for p in main.commands[command].params
+                     if p.name == "seed"]
+        assert option.default == 0
+
+
 class TestContentFingerprints:
     """A CSV fingerprint digests what the command read, not the path it
     read it from."""
@@ -671,7 +713,7 @@ class TestToleranceHeader:
     """Outputs computed at different tolerances never share a header."""
 
     @pytest.mark.parametrize("command", [
-        ["eval", "{config}", "--lags", "0.5,1.0"],
+        ["eval", "{config}"],
         ["recover", "erfc_sqrt", "--target", "shape", "--d", "2"],
         ["transform", "exp", "--map", "S", "--lam", "1.62"],
         ["tb", "tent", "--k", "1", "--d", "3"],
