@@ -454,20 +454,26 @@ def _say(quiet: bool, message: str) -> None:
 def _output(fn):
     fn = click.option("--quiet", is_flag=True,
                       help="suppress progress messages")(fn)
-    return click.option("--out", type=click.Path(dir_okay=False),
-                        default=None,
-                        help="write CSV here instead of stdout")(fn)
+    fn = click.option("--out", type=click.Path(dir_okay=False), default=None,
+                      help="write CSV here instead of stdout")(fn)
+    return fn
 
 
-def _common(fn):
-    fn = click.option("--grid", "grid_spec", default=None, metavar="LO:HI:N",
-                      help="evaluation grid lo:hi:n[:log|lin] "
-                           "(default 1e-3:1e2:200:log)")(fn)
-    fn = click.option("--tol", type=float, default=1e-9, show_default=True,
-                      help="numerical tolerance passed to the backend; for "
-                           "a FUNCTION, only an @CONFIG.yaml spec reads "
-                           "it")(fn)
-    return _output(fn)
+def _common(tol_help: str = "numerical tolerance passed to the backend"):
+    def decorate(fn):
+        fn = click.option("--grid", "grid_spec", default=None,
+                          metavar="LO:HI:N",
+                          help="evaluation grid lo:hi:n[:log|lin] "
+                               "(default 1e-3:1e2:200:log)")(fn)
+        fn = click.option("--tol", type=float, default=1e-9,
+                          show_default=True, help=tol_help)(fn)
+        return _output(fn)
+    return decorate
+
+
+#: ``--tol`` of the commands that pass it only to an ``@CONFIG.yaml`` TCF.
+_SPEC_TOL_HELP = ("numerical tolerance of the TCF of an @CONFIG.yaml "
+                  "FUNCTION; a named FUNCTION does not read it")
 
 
 #: The option of the commands that draw random numbers.
@@ -499,7 +505,7 @@ def main() -> None:
 @click.option("--lags", "lags_spec", default=None, metavar="SPEC",
               help="lag set 'start:stop:step' (stop inclusive) or 'a,b,c'; "
                    "instead of --grid")
-@_common
+@_common()
 def cmd_eval(config, lags_spec, out, tol, grid_spec, quiet):
     """Evaluate the TCF of a configured model -> CSV of (t, chi)."""
     if lags_spec is not None and grid_spec is not None:
@@ -525,7 +531,7 @@ def cmd_eval(config, lags_spec, out, tol, grid_spec, quiet):
               required=True, help="shape density f or diameter density k")
 @click.option("--d", "dim", type=click.IntRange(1, 3), default=3,
               show_default=True, help="ambient dimension of the inversion")
-@_common
+@_common()
 def cmd_recover(function_spec, target, dim, out, tol, grid_spec, quiet):
     """Invert a TCF into its moving-maxima density -> CSV."""
     chi, key = _resolve(function_spec, tol)
@@ -554,7 +560,7 @@ def cmd_recover(function_spec, target, dim, out, tol, grid_spec, quiet):
               required=True, help="correlation transform to apply pointwise")
 @click.option("--lam", type=float, default=1.0, show_default=True,
               help="lambda parameter of S/T")
-@_common
+@_common(_SPEC_TOL_HELP)
 def cmd_transform(function_spec, map_name, lam, out, tol, grid_spec, quiet):
     """Apply a correlation transform to function values -> CSV."""
     f, key = _resolve(function_spec, tol)
@@ -574,7 +580,7 @@ def cmd_transform(function_spec, map_name, lam, out, tol, grid_spec, quiet):
 @click.argument("function_spec", metavar="FUNCTION")
 @click.option("--k", type=int, required=True, help="target dimension")
 @click.option("--d", type=int, required=True, help="source dimension")
-@_common
+@_common()
 def cmd_tb(function_spec, k, d, out, tol, grid_spec, quiet):
     """Turning-bands projection of a radial function -> CSV."""
     f, key = _resolve(function_spec, tol)
@@ -593,7 +599,7 @@ def cmd_tb(function_spec, k, d, out, tol, grid_spec, quiet):
               show_default=True, help="ambient dimension for the batteries")
 @click.option("--max-order", type=click.IntRange(1, 8), default=6,
               show_default=True, help="highest derivative order probed")
-@_common
+@_common(_SPEC_TOL_HELP)
 @_seed
 def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
               quiet):

@@ -48,7 +48,6 @@ __all__ = [
     "RecoveryInput",
     "AtomicAnswer",
     "lambda_chi",
-    "lambda_chi_deriv",
     "recover_shape",
     "recover_radius_density",
     "recover_radius_law",
@@ -104,15 +103,6 @@ def lambda_chi(inp: RecoveryInput, t: float) -> float:
     if tf <= 0:
         raise DomainError(f"t must be > 0, got {t!r}")
     return tf * inp.chi.derivative(1.0 / tf, 2)
-
-
-def lambda_chi_deriv(inp: RecoveryInput, t: float) -> float:
-    """d/dt of lambda_chi: ``chi''(1/t) - chi'''(1/t) / t``."""
-    tf = float(t)
-    if tf <= 0:
-        raise DomainError(f"t must be > 0, got {t!r}")
-    r = 1.0 / tf
-    return inp.chi.derivative(r, 2) - inp.chi.derivative(r, 3) / tf
 
 
 def _beyond_support(inp: RecoveryInput, r: float) -> bool:

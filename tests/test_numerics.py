@@ -59,16 +59,25 @@ class TestErfFamily:
         assert erfc(erfc_inv(p)) == pytest.approx(p, rel=1e-10)
 
     def test_erfc_inv_extreme_argument_stays_finite(self):
-        # Arguments below ~1e-308 underflow the double-precision routine;
-        # the fallback must still return a finite, monotone result.
+        # Arguments below ~1e-308 are subnormal; the result must still be
+        # finite and monotone there.
         vals = [erfc_inv(p) for p in (1e-300, 1e-310, 1e-320)]
         assert all(math.isfinite(v) for v in vals)
         assert vals[0] < vals[1] < vals[2]
 
     def test_erfc_inv_matches_erfc_at_extreme(self):
-        x = 27.0  # erfc(27) ~ 1e-318, deep in the fallback region
+        x = 27.0  # erfc(27) ~ 1e-318, deep in the subnormal range
         p = float(np.exp(-x * x)) / (x * math.sqrt(math.pi))  # asymptotic erfc
         assert erfc_inv(p) == pytest.approx(x, rel=1e-3)
+
+    def test_erfc_inv_finite_at_the_smallest_subnormal(self):
+        # SciPy's erfcinv overflows only at 5e-324; the round trip is not
+        # testable there because erfc underflows to 0.
+        smallest = erfc_inv(5e-324)
+        assert math.isfinite(smallest)
+        assert smallest > erfc_inv(1e-323)
+        assert np.array_equal(erfc_inv(np.array([5e-324, 1e-323])),
+                              [smallest, erfc_inv(1e-323)])
 
     @pytest.mark.parametrize("p", [-1.0, 1.0, 1.5, -2.0])
     def test_erf_inv_domain(self, p):
