@@ -46,7 +46,7 @@ import yaml
 
 from . import __version__
 from .distributions import Distribution1D, exponential_dist, point_mass
-from .errors import ConfigError, TailcorrError
+from .errors import ConfigError, DomainError, TailcorrError
 from .membership import classify
 from .models import _FAMILIES, TcfModel, tcf
 from .operators import (
@@ -189,11 +189,17 @@ def _cdf_points(points: object, address: str) -> np.ndarray:
 
 
 def _tabulated_cdf_law(points: np.ndarray) -> Distribution1D:
-    """The law whose cdf interpolates the points linearly."""
+    """The law whose cdf interpolates the points linearly: a piecewise
+    constant density, plus an atom at the first x when its F is positive."""
     xs, fs = points[:, 0], points[:, 1]
+    slopes = np.diff(fs) / np.diff(xs)
 
     def cdf(s: float) -> float:
         return float(np.interp(s, xs, fs, left=0.0, right=1.0))
+
+    def pdf(s: float) -> float:
+        i = int(np.searchsorted(xs, s, side="right")) - 1
+        return float(slopes[i]) if 0 <= i < len(slopes) else 0.0
 
     def quantile(q: float) -> float:
         return float(np.interp(q, fs, xs))
@@ -201,8 +207,11 @@ def _tabulated_cdf_law(points: np.ndarray) -> Distribution1D:
     return Distribution1D(
         name="tabulated_cdf",
         cdf=cdf,
+        pdf=pdf,
+        atoms=((float(xs[0]), float(fs[0])),) if fs[0] > 0 else (),
         support=(float(xs[0]), float(xs[-1])),
         quantile=quantile,
+        pdf_points=tuple(float(x) for x in xs[1:-1]),
     )
 
 
@@ -243,10 +252,14 @@ _SECTIONS = {
 
 
 def _build(field_type, section: _Section):
-    """The value of a config section of the given field type."""
+    """The value of a config section of the given field type; a value the
+    builder rejects is an error at the section's address."""
     kind_key, kinds = _SECTIONS[field_type]
     builder, keys = section.take_choice(kind_key, kinds)
-    value = builder(*(section.take(*key) for key in keys))
+    try:
+        value = builder(*(section.take(*key) for key in keys))
+    except DomainError as exc:
+        raise ConfigError(str(exc), address=section._address) from exc
     section.close()
     return value
 

@@ -53,7 +53,7 @@ from .numerics import (
     num_derivative,
     quadrature,
 )
-from .radial import RadialFunction, radial_from_callable
+from .radial import RadialFunction, _lift, radial_from_callable
 
 __all__ = [
     "Verdict",
@@ -150,23 +150,16 @@ def _as_grid(grid) -> tuple[float, ...]:
     return xs
 
 
-def _eval_nudged(f: Callable[[float], float], x: float) -> float:
-    """Evaluate f at x, stepping off a declared kink if one is hit."""
-    try:
-        return float(f(x))
-    except KinkError:
-        return float(f(x * (1.0 + 1e-9) + 1e-15))
-
-
 # ---------------------------------------------------------------------------
 # Convexity-based class tests
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_convexity(f: Callable[[float], float], xs: Sequence[float],
-                        tol: float) -> Verdict:
-    """Convexity on a grid by the midpoint inequality, with witness triple."""
-    gap, a, mid, b = _worst_midpoint_gap(lambda x: _eval_nudged(f, x), xs)
+def _midpoint_convexity(f: Callable, xs: Sequence[float], tol: float
+                        ) -> Verdict:
+    """Convexity on a grid by the midpoint inequality, with witness triple;
+    ``f`` takes arrays."""
+    gap, a, mid, b = _worst_midpoint_gap(f, xs)
     if gap > tol:
         return _failed((a, mid, b, gap), "midpoint convexity violated")
     return _passed()
@@ -177,17 +170,20 @@ def test_T1_MMMr(chi: RadialFunction, *, grid=None, tol: float = 1e-9
     """Necessary conditions for the 1-D monotone-storm class: chi(0) = 1,
     0 <= chi <= 1, convex, and decaying to 0."""
     xs = _as_grid(grid)
-    if abs(float(chi(0.0)) - 1.0) > 1e-9:
-        return _failed((0.0, float(chi(0.0))), "chi(0) must equal 1")
-    for x in xs:
-        v = _eval_nudged(chi, x)
-        if v < -tol or v > 1.0 + 1e-9:
-            return _failed((x, v), "values must stay within [0, 1]")
+    values = chi(np.array((0.0,) + xs))
+    at_zero, values = float(values[0]), values[1:]
+    if abs(at_zero - 1.0) > 1e-9:
+        return _failed((0.0, at_zero), "chi(0) must equal 1")
+    outside = np.flatnonzero((values < -tol) | (values > 1.0 + 1e-9))
+    if outside.size:
+        i = int(outside[0])
+        return _failed((xs[i], float(values[i])),
+                       "values must stay within [0, 1]")
     convexity = _midpoint_convexity(chi, xs, tol)
     if convexity.failed:
         return convexity
     t_max = xs[-1]
-    tail = _eval_nudged(chi, t_max)
+    tail = float(values[-1])
     if tail > 0.1:
         return _failed((t_max, tail), "no decay to 0 at the grid end")
     if tail > 0.02:
@@ -239,17 +235,16 @@ class MomentMatrixWitness:
     eigmin: float
 
 
-def _moment_matrix_eigmin(f: Callable[[float], float], x0: float, h: float,
-                          n: int) -> float:
-    m = np.array([_eval_nudged(f, x0 + j * h) for j in range(2 * n + 2)])
+def _moment_matrix_eigmin(m: np.ndarray, n: int) -> float:
+    """Smaller of the least eigenvalues of the two Hankel matrices of the
+    2n + 2 values ``m``."""
     idx = np.arange(n + 1)
     h0 = m[idx[:, None] + idx[None, :]]
     h1 = m[idx[:, None] + idx[None, :] + 1]
     return float(min(np.linalg.eigvalsh(h0)[0], np.linalg.eigvalsh(h1)[0]))
 
 
-def _moment_matrix_stage(f: Callable[[float], float], tol: float
-                         ) -> Verdict | None:
+def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     """Hankel positive-semidefiniteness of f on arithmetic grids.
 
     If f is completely monotone, f(x0 + j h) = int y^j dnu(y) for a positive
@@ -262,8 +257,9 @@ def _moment_matrix_stage(f: Callable[[float], float], tol: float
     n = 14
     for x0 in np.geomspace(0.01, 5.0, 13):
         for h in np.geomspace(0.01, 2.0, 13):
-            scale = max(1.0, abs(_eval_nudged(f, float(x0))))
-            eigmin = _moment_matrix_eigmin(f, float(x0), float(h), n)
+            m = f(x0 + h * np.arange(2 * n + 2))
+            scale = max(1.0, abs(float(m[0])))
+            eigmin = _moment_matrix_eigmin(m, n)
             if eigmin < -max(tol, 1e-12 * scale):
                 return _failed(
                     MomentMatrixWitness(start=float(x0), spacing=float(h),
@@ -299,10 +295,10 @@ def test_completely_monotone(f: RadialFunction, max_order: int = 6, *,
         return _failed(f.support_bound,
                        "compact support excludes complete monotonicity")
     straddles: list[tuple[float, int, float, float]] = []
-    for x in xs:
-        v0 = _eval_nudged(f, x)
+    values = f(np.array(xs))
+    for x, v0 in zip(xs, values):
         if v0 < -tol:
-            return _failed((x, 0, v0), "negative value")
+            return _failed((x, 0, float(v0)), "negative value")
         for k in range(1, max_order + 1):
             sign = (-1.0) ** k
             if k <= 3 and (f.deriv1, f.deriv2, f.deriv3)[k - 1] is not None:
@@ -343,7 +339,11 @@ def _neg_deriv_sqrt(phi: RadialFunction) -> RadialFunction:
     def g(t: float) -> float:
         if t <= 0:
             raise DomainError(f"t must be > 0, got {t!r}")
-        return -phi.derivative(math.sqrt(t), 1)
+        try:
+            return -phi.derivative(math.sqrt(t), 1)
+        except KinkError:
+            # No two-sided derivative on a declared kink: step just off it.
+            return -phi.derivative(math.sqrt(t * (1.0 + 1e-9) + 1e-15), 1)
 
     g1 = None
     if phi.deriv2 is not None:
@@ -418,7 +418,7 @@ def test_H2_condition(phi: RadialFunction, *, grid=None, tol: float = 1e-7
                          singular_exponent_b=-0.5, points=sorted(pts))
         return t * res.value
 
-    return _midpoint_convexity(c, xs, tol)
+    return _midpoint_convexity(_lift(c), xs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +434,18 @@ def test_triangle(chi: RadialFunction, pairs=None, *, tol: float = 1e-12
         pairs = [(float(s), float(t)) for i, s in enumerate(sub)
                  for t in sub[i:]]
 
-    def eta(x: float) -> float:
-        return 1.0 - float(chi(abs(x)))
-
-    for s, t in pairs:
-        bound = eta(s) + eta(t) + tol
-        for lag in (s + t, abs(s - t)):
-            v = eta(lag)
-            if v > bound:
-                return _failed((s, t, lag, v, bound - tol),
-                               "triangle inequality violated")
+    pairs = list(pairs)
+    s, t = np.array(pairs, dtype=float).reshape(-1, 2).T
+    eta = 1.0 - chi(np.abs(np.stack([s, t, s + t, s - t])))
+    bound = eta[0] + eta[1] + tol
+    # Row-major order: pair by pair, the sum lag before the difference lag.
+    violated = np.flatnonzero((eta[2:] > bound).T)
+    if violated.size:
+        i, j = divmod(int(violated[0]), 2)
+        s_i, t_i = pairs[i]
+        return _failed((s_i, t_i, (s_i + t_i, abs(s_i - t_i))[j],
+                        float(eta[2 + j, i]), float(bound[i] - tol)),
+                       "triangle inequality violated")
     return _passed()
 
 
@@ -560,8 +562,7 @@ def _lattice_rayleigh(chi: RadialFunction, d: int, omega: float, h: float,
     return q / float(np.sum(v * v))
 
 
-def _spectral_probe(chi: RadialFunction, d: int, rng: np.random.Generator
-                    ) -> Verdict | None:
+def _spectral_probe(chi: RadialFunction, d: int) -> Verdict | None:
     """Stage-two PSD check for compactly supported inputs.
 
     Scans the spectral density; if it dips clearly negative, attempts to
@@ -636,7 +637,7 @@ def test_positive_definite(chi: RadialFunction, d: int,
             return _failed((index, sites, eigmin),
                            "Gram matrix has a negative eigenvalue")
     if chi.has_compact_support and d <= 3:
-        stage_two = _spectral_probe(chi, d, rng)
+        stage_two = _spectral_probe(chi, d)
         if stage_two is not None:
             return stage_two
     return _passed()

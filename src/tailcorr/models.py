@@ -197,22 +197,6 @@ def overlap_integral(f: RadialFunction, d: int, t: float, *,
     return SpecialFnResult(2.0 * res.value, 2.0 * res.abs_error_estimate)
 
 
-def _monte_carlo(n: int, draw: Callable[[], tuple[float, float]],
-                 ) -> SpecialFnResult:
-    """Mean of ``n`` draws of (value, error estimate).
-
-    The reported error is the standard error of the mean (the single error
-    estimate when ``n`` is 1) plus the mean of the per-draw estimates.
-    """
-    vals = np.empty(n)
-    errs = np.empty(n)
-    for i in range(n):
-        vals[i], errs[i] = draw()
-    se = (float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1
-          else float(errs[0]))
-    return SpecialFnResult(float(np.mean(vals)), se + float(np.mean(errs)))
-
-
 # ---------------------------------------------------------------------------
 # Sampling helpers for the size-biased profile samplers
 # ---------------------------------------------------------------------------
@@ -341,14 +325,20 @@ class M3rModel:
             raise ModelError(f"n_samples must be >= 1, got {self.n_samples!r}")
 
     def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
+        """Mean overlap integral over ``n_samples`` drawn shapes.  The error
+        is the standard error of the mean (the one quadrature estimate when
+        ``n_samples`` is 1) plus the mean quadrature estimate."""
         rng = np.random.default_rng(seed)
-
-        def draw() -> tuple[float, float]:
+        n = self.n_samples
+        vals = np.empty(n)
+        errs = np.empty(n)
+        for i in range(n):
             res = overlap_integral(self.ensemble.sample(rng), self.dim, t,
                                    tol=max(tol, 1e-8))
-            return res.value, res.abs_error_estimate
-
-        return _monte_carlo(self.n_samples, draw)
+            vals[i], errs[i] = res.value, res.abs_error_estimate
+        se = (float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1
+              else float(errs[0]))
+        return SpecialFnResult(float(np.mean(vals)), se + float(np.mean(errs)))
 
 
 @dataclass(frozen=True)

@@ -327,18 +327,25 @@ _STENCILS = {
 }
 
 
-def _worst_midpoint_gap(f: Callable[[float], float], xs: Sequence[float]
+def _worst_midpoint_gap(f: Callable, xs: Sequence[float]
                         ) -> tuple[float, float, float, float]:
     """Largest gap ``f((a+b)/2) - (f(a)+f(b))/2`` over consecutive points
-    a < b of an increasing grid, as (gap, a, mid, b); one f call per point."""
-    vals = [f(x) for x in xs]
-    worst = (-math.inf, xs[0], xs[0], xs[0])
-    for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
-        mid = 0.5 * (a + b)
-        gap = f(mid) - 0.5 * (fa + fb)
-        if gap > worst[0]:
-            worst = (gap, a, mid, b)
-    return worst
+    a < b of an increasing grid, as (gap, a, mid, b) in Python floats.
+
+    ``f`` takes arrays; it is called once on the grid and once on the
+    midpoints.  The first of equal gaps wins and NaN gaps are skipped; with
+    no comparable gap the result is ``(-inf, xs[0], xs[0], xs[0])``.
+    """
+    grid = np.asarray(xs, dtype=float)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    vals = f(grid)
+    gaps = f(mids) - 0.5 * (vals[:-1] + vals[1:])
+    ranked = np.where(np.isnan(gaps), -math.inf, gaps)
+    if not np.any(ranked > -math.inf):
+        return (-math.inf, float(grid[0]), float(grid[0]), float(grid[0]))
+    i = int(np.argmax(ranked))
+    return (float(gaps[i]), float(grid[i]), float(mids[i]),
+            float(grid[i + 1]))
 
 
 def num_derivative(

@@ -40,9 +40,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution1D
 from .errors import DomainError, KinkError, TailcorrError
-from .models import M3bModel, _monte_carlo, h_d, overlap_integral, tcf_result
+from .models import TcfModel, h_d, tcf_result
 from .numerics import (
     SpecialFnResult,
     _worst_midpoint_gap,
@@ -53,7 +52,7 @@ from .numerics import (
     num_derivative,
     quadrature,
 )
-from .radial import RadialFunction, radial_from_callable, tent
+from .radial import RadialFunction, _lift, radial_from_callable, tent
 
 __all__ = [
     "S_ADMISSIBLE_LIMIT",
@@ -76,9 +75,6 @@ __all__ = [
     "chi_d",
     "chi_d_neg_deriv_sqrt",
     "chi_d_radial",
-    "BallOverlap",
-    "EnsembleOverlap",
-    "overlap_factor",
     "multiply_overlap",
     "gneiting_c",
     "c_second_deriv_at_1",
@@ -327,7 +323,6 @@ def taylor_abs_monotone(map: str, lam: float = 1.0, alpha: float = 0.0,
         if map == "S":
             # S(x) = 2 f(x0 (1-x)) - 1.
             coeffs = [2.0 * c for c in f_shift]
-            coeffs[0] -= 1.0
             coeffs[0] = transform_S(lam_eff, 0.0)
             report_tail = 2.0 * tail
         else:
@@ -569,55 +564,16 @@ def chi_d_radial(d: int = 3) -> RadialFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallOverlap:
-    """Overlap factor of a random ball with radius law R: E[h_d(t/(2R))]."""
-
-    dim: int
-    radius: Distribution1D
-
-
-@dataclass(frozen=True)
-class EnsembleOverlap:
-    """Overlap factor of a random {0,1} radial profile, by Monte Carlo.
-
-    ``sample(rng)`` returns an indicator-type RadialFunction B; the factor
-    at lag t is ``E[int B(z) B(z-t) dz / int B(z) dz]``.
-    """
-
-    dim: int
-    sample: Callable[[np.random.Generator], RadialFunction]
-    n_samples: int = 200
-
-
-def overlap_factor(model, t: float, *, tol: float = 1e-9,
-                   seed: int = 0) -> SpecialFnResult:
-    """The autocorrelation-of-support factor at lag t, in [0, 1]."""
-    tf = float(t)
-    if tf < 0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
-    if isinstance(model, BallOverlap):
-        return tcf_result(M3bModel(dim=model.dim, radius=model.radius), tf,
-                          tol=tol)
-    if isinstance(model, EnsembleOverlap):
-        rng = np.random.default_rng(seed)
-
-        def draw() -> tuple[float, float]:
-            profile = model.sample(rng)
-            num = overlap_integral(profile, model.dim, tf, tol=max(tol, 1e-8))
-            den = overlap_integral(profile, model.dim, 0.0, tol=max(tol, 1e-8))
-            return (num.value / den.value,
-                    (num.abs_error_estimate + den.abs_error_estimate)
-                    / den.value)
-
-        return _monte_carlo(model.n_samples, draw)
-    raise DomainError(f"unknown overlap model {type(model).__name__}")
-
-
-def multiply_overlap(chi: RadialFunction, model, t: float, *,
+def multiply_overlap(chi: RadialFunction, model: TcfModel, t: float, *,
                      tol: float = 1e-9, seed: int = 0) -> SpecialFnResult:
-    """``overlap_factor(t) * chi(t)`` -- a TCF whenever chi is one."""
-    factor = overlap_factor(model, t, tol=tol, seed=seed)
+    """``chi(t)`` times the TCF of ``model`` at t -- a TCF whenever chi is
+    one, since a product of TCFs is a TCF.
+
+    The overlap factor of a random ball of radius law R in R^d is
+    ``M3bModel(dim=d, radius=R)``; that of a random normalized radial
+    profile is an :class:`~tailcorr.models.M3rModel` over its law.
+    """
+    factor = tcf_result(model, t, tol=tol, seed=seed)
     c = float(chi(float(t)))
     return SpecialFnResult(factor.value * c, factor.abs_error_estimate * abs(c))
 
@@ -677,7 +633,7 @@ def midpoint_convexity_violation(f: Callable[[float], float],
     xs = sorted(float(g) for g in grid)
     if len(xs) < 2:
         raise DomainError("grid needs at least two points")
-    gap, _, mid, _ = _worst_midpoint_gap(f, xs)
+    gap, _, mid, _ = _worst_midpoint_gap(_lift(f), xs)
     return gap, mid
 
 

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import Distribution1D
+from .errors import DomainError
 from .models import (
     BRModel,
     EBGModel,
@@ -158,7 +159,7 @@ def erfc_sqrt_shape(dim: int = 3) -> RadialFunction:
             func=lambda u: np.exp(-2.0 * u) / np.sqrt(2.0 * math.pi * u),
             zero_exponent=-0.5,
         )
-    raise ValueError(f"shape available for dim 1 and 3 only, got {dim!r}")
+    raise DomainError(f"shape available for dim 1 and 3 only, got {dim!r}")
 
 
 def erfc_sqrt_diameter_density(dim: int = 3):
@@ -173,7 +174,7 @@ def erfc_sqrt_diameter_density(dim: int = 3):
     if dim == 1:
         return lambda s: ((2.0 * s + 1.0) * math.exp(-s)
                           / (2.0 * math.sqrt(math.pi * s)))
-    raise ValueError(f"density available for dim 1 and 3 only, got {dim!r}")
+    raise DomainError(f"density available for dim 1 and 3 only, got {dim!r}")
 
 
 def erfc_sqrt_radius_law(dim: int = 3) -> Distribution1D:

@@ -187,6 +187,22 @@ class TestConfigStrictness:
         assert res.exit_code != 0
         assert "correlation" in res.output
 
+    @pytest.mark.parametrize("doc,message", [
+        ("class: M2r\ndim: 2\nshape: {name: erfc_sqrt, dim: 2}\n",
+         "shape: shape available for dim 1 and 3 only, got 2"),
+        ("class: M3b\ndim: 2\nradius: {type: erfc_sqrt_radius, dim: 2}\n",
+         "radius: density available for dim 1 and 3 only, got 2"),
+        ("class: BR\ndim: 1\nvariogram: {type: fbm, scale: 1.0, alpha: 3}\n",
+         "variogram: fbm variogram needs alpha"),
+    ])
+    def test_builder_rejection_names_the_section(self, runner, tmp_path, doc,
+                                                 message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(doc)
+        res = runner.invoke(main, ["eval", str(path), "--lags", "1"])
+        assert res.exit_code == 1
+        assert f"Error: {message}" in res.output
+
     def test_yaml_syntax_error_reports_position(self, runner, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("class: [unclosed\n")
@@ -302,8 +318,8 @@ class TestConfigSections:
                                                    abs=1e-15)
 
     def test_tabulated_law_interpolates_its_cdf_points(self):
-        """A tabulated law has no density, so no TCF; its cdf, support and
-        draws are those of the interpolated table."""
+        """A tabulated law's cdf, support and draws are those of the
+        interpolated table."""
         doc = {"class": "M3b", "dim": 1,
                "radius": {"type": "tabulated", "points": self.TABLE}}
         parsed = model_from_doc(doc).radius
@@ -314,6 +330,31 @@ class TestConfigSections:
         draws = [law.sample(np.random.default_rng(5), 64)
                  for law in (parsed, built)]
         assert np.array_equal(*draws)
+
+    @pytest.mark.parametrize("points", [
+        TABLE, [[0.2, 0.25], [0.5, 0.4], [1.0, 1.0]]])
+    def test_tabulated_law_has_a_tcf(self, runner, tmp_path, points):
+        """The interpolated cdf has a piecewise constant density (plus an
+        atom at the first x when its F is positive), so ``eval`` gives the
+        M3b d = 1 TCF E[(1 - t/2R)+] of the table."""
+        path = tmp_path / "model.yaml"
+        path.write_text(yaml.safe_dump({
+            "class": "M3b", "dim": 1,
+            "radius": {"type": "tabulated", "points": points}}))
+        res = runner.invoke(main, ["eval", str(path), "--lags", "0:2:0.25",
+                                   "--quiet"])
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        (x0, f0), *_ = points
+        for t, chi in csv_rows(res.stdout):
+            half = float(t) / 2.0
+            expected = f0 * max(0.0, 1.0 - half / x0)
+            for (a, fa), (b, fb) in zip(points, points[1:]):
+                lo = max(a, half)
+                if lo < b:
+                    expected += (fb - fa) / (b - a) * (
+                        b - lo - half * math.log(b / lo))
+            assert float(chi) == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("points,message", [
         ([["a", 0.0], [1.0, 1.0]], "number pairs"),

@@ -1,5 +1,6 @@
 """Tests for the necessary-condition membership batteries."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -232,6 +233,18 @@ class TestTriangle:
         assert verdict.witness[3] == pytest.approx(1.0)
         assert verdict.witness[4] == pytest.approx(0.25)
 
+    def test_first_violation_in_pair_order_sum_lag_first(self):
+        # eta = 1 on [0.1, 0.15) and [0.5, 0.6), else 0.
+        def chi(r):
+            return 0.0 if 0.1 <= r < 0.15 or 0.5 <= r < 0.6 else 1.0
+
+        bands = radial_from_callable("bands", chi)
+        # Pair 0 violates only at |s - t|, pair 1 at both lags.
+        verdict = test_triangle(bands, pairs=[(0.2, 0.09), (0.35, 0.2)])
+        assert verdict.witness == (0.2, 0.09, abs(0.2 - 0.09), 1.0, 0.0)
+        verdict = test_triangle(bands, pairs=[(0.35, 0.2)])
+        assert verdict.witness == (0.35, 0.2, 0.35 + 0.2, 1.0, 0.0)
+
 
 class TestPositiveDefinite:
     def test_erfc_sqrt_passes(self):
@@ -357,6 +370,54 @@ class TestConvexityConditions:
     @pytest.mark.parametrize("phi", [exponential_decay(), erfc_sqrt()])
     def test_smooth_members_pass_h2(self, phi):
         assert test_H2_condition(phi).passed
+
+
+class TestArrayEvaluation:
+    """The batteries hand a candidate whole grids; a kink on the grid is
+    stepped off by the -phi'(sqrt t) transform itself."""
+
+    @staticmethod
+    def counted(chi):
+        """``chi`` with a func that counts its float calls."""
+        calls = {"float": 0}
+
+        def func(r):
+            if np.ndim(r) == 0:
+                calls["float"] += 1
+            return chi.func(r)
+
+        return dataclasses.replace(chi, func=func), calls
+
+    @pytest.mark.parametrize("chi", [erfc_sqrt(), powered_erfc(0.8),
+                                     exponential_decay()])
+    @pytest.mark.parametrize("battery", [
+        test_T1_MMMr,
+        lambda chi: test_completely_monotone(chi, max_order=0),
+        test_triangle,
+    ], ids=["T1_MMMr", "completely_monotone", "triangle"])
+    def test_no_float_calls(self, chi, battery):
+        wrapped, calls = self.counted(chi)
+        battery(wrapped)
+        assert calls["float"] == 0
+
+    KINK_GRID = np.linspace(0.25, 4.0, 16)  # holds t = 1
+
+    def test_tinfty_on_a_grid_through_the_kink(self):
+        assert 1.0 in self.KINK_GRID
+        verdict = test_Tinfty_MMMr(phi_d_radial(3), grid=self.KINK_GRID)
+        assert verdict.failed
+        w = verdict.witness
+        assert (w.start, w.size) == (0.01, 15)
+        assert w.spacing == pytest.approx(0.03760603093086394, rel=1e-12)
+        assert w.eigmin == pytest.approx(-0.054984634972387855, rel=1e-9)
+
+    def test_h3_on_a_grid_through_the_kink(self):
+        assert test_H3_condition(phi_d_radial(3), grid=self.KINK_GRID).passed
+        verdict = test_H3_condition(phi_d_radial(2), grid=self.KINK_GRID)
+        assert verdict.failed
+        assert verdict.witness[:3] == (0.75, 0.875, 1.0)
+        assert verdict.witness[3] == pytest.approx(1.0065847307449971e-05,
+                                                   rel=1e-9)
 
 
 class TestClassify:

@@ -20,6 +20,7 @@ from tailcorr import (
     num_derivative,
     quadrature,
 )
+from tailcorr.numerics import _worst_midpoint_gap
 
 
 class TestErfFamily:
@@ -278,3 +279,51 @@ class TestNumDerivative:
     def test_bad_step(self):
         with pytest.raises(DomainError):
             num_derivative(lambda t: t, 0.0, 1, h=-0.1)
+
+
+class TestWorstMidpointGap:
+    """The convexity scan behind the membership batteries and
+    ``midpoint_convexity_violation``: two array calls of ``f``."""
+
+    XS = [0.0, 1.0, 2.0, 3.0]
+
+    @given(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=30,
+                    unique=True))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_scalar_loop(self, points):
+        xs = sorted(points)
+
+        def f(x):
+            # Nonconvex, with a NaN band; plain arithmetic rounds the same
+            # on floats and arrays.
+            return np.where((x > 4.0) & (x < 4.5), np.nan,
+                            x * (x - 3.0) * (x - 7.0))
+
+        worst = (-math.inf, xs[0], xs[0], xs[0])
+        for a, b in zip(xs, xs[1:]):
+            mid = 0.5 * (a + b)
+            gap = float(f(mid) - 0.5 * (f(a) + f(b)))
+            if gap > worst[0]:
+                worst = (gap, a, mid, b)
+        assert _worst_midpoint_gap(f, xs) == worst
+
+    def test_first_of_equal_gaps_wins(self):
+        # Every gap of x^2 on a unit grid is -1/4.
+        assert _worst_midpoint_gap(np.square, self.XS) == (-0.25, 0.0, 0.5,
+                                                           1.0)
+
+    def test_nan_gaps_are_skipped(self):
+        def f(x):
+            return np.where(x == 0.5, np.nan, np.square(x))
+
+        gap, a, mid, b = _worst_midpoint_gap(f, self.XS)
+        assert (gap, a, mid, b) == (-0.25, 1.0, 1.5, 2.0)
+        assert all(type(v) is float for v in (gap, a, mid, b))
+
+    def test_no_comparable_gap(self):
+        def f(x):
+            return np.full_like(x, np.nan)
+
+        assert _worst_midpoint_gap(f, self.XS) == (-math.inf, 0.0, 0.0, 0.0)
+        assert _worst_midpoint_gap(np.square, [2.0]) == (-math.inf, 2.0, 2.0,
+                                                         2.0)

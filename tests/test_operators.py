@@ -8,14 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailcorr.distributions import exponential_dist, point_mass
-from tailcorr.errors import DomainError, KinkError
-from tailcorr.models import BRModel, EGModel, h_d, tcf
+from tailcorr.errors import DomainError, KinkError, ModelError
+from tailcorr.models import (
+    BRModel,
+    EGModel,
+    M3bModel,
+    M3rModel,
+    ShapeEnsemble,
+    h_d,
+    tcf,
+    tcf_result,
+)
 from tailcorr.numerics import beta_d, erf_inv, num_derivative, quadrature
 from tailcorr.operators import (
     S_ADMISSIBLE_LIMIT,
     T_ADMISSIBLE_LIMIT,
-    BallOverlap,
-    EnsembleOverlap,
     TransformSpec,
     TurningBandsSpec,
     apply_transform,
@@ -31,7 +38,6 @@ from tailcorr.operators import (
     is_admissible,
     midpoint_convexity_violation,
     multiply_overlap,
-    overlap_factor,
     phi_d,
     phi_d_neg_deriv_sqrt,
     taylor_abs_monotone,
@@ -494,40 +500,45 @@ class TestErfSquareComplement:
 
 
 class TestOverlap:
+    """Overlap factors are model TCFs: a random ball is an M3b model, a
+    random normalized profile an M3r model."""
+
     def test_ball_mode_with_fixed_radius_half_is_hd(self):
-        model = BallOverlap(3, point_mass(0.5))
+        model = M3bModel(dim=3, radius=point_mass(0.5))
         for t in (0.2, 0.6, 0.9):
-            res = overlap_factor(model, t)
+            res = tcf_result(model, t)
             assert res.value == pytest.approx(h_d(t, 3), abs=1e-9)
 
     def test_ensemble_mode_fixed_ball_matches_hd(self):
-        model = EnsembleOverlap(3, lambda rng: ball_indicator(3, 0.5),
-                                n_samples=4)
-        res = overlap_factor(model, 0.4, seed=3)
+        model = M3rModel(3, ShapeEnsemble(
+            "ball(0.5)", lambda rng: ball_indicator(3, 0.5)), n_samples=4)
+        res = tcf_result(model, 0.4, seed=3)
         assert res.value == pytest.approx(h_d(0.4, 3), abs=1e-8)
 
-    def test_ensemble_mode_random_radius_against_quadrature(self):
+    @staticmethod
+    def random_ball(n_samples):
         def sampler(rng):
             return ball_indicator(3, float(rng.uniform(0.3, 1.0)))
 
-        mc = overlap_factor(EnsembleOverlap(3, sampler, n_samples=400), 0.5,
-                            seed=5)
+        return M3rModel(3, ShapeEnsemble("ball(U(0.3, 1))", sampler),
+                        n_samples=n_samples)
+
+    def test_ensemble_mode_random_radius_against_quadrature(self):
+        mc = tcf_result(self.random_ball(400), 0.5, seed=5)
         oracle = quadrature(lambda r: h_d(0.5 / (2 * r), 3) / 0.7, 0.3, 1.0,
                             tol=1e-12)
         assert abs(mc.value - oracle.value) <= 4.0 * mc.abs_error_estimate
 
     def test_ensemble_mode_is_seed_deterministic(self):
-        def sampler(rng):
-            return ball_indicator(3, float(rng.uniform(0.3, 1.0)))
-
-        model = EnsembleOverlap(3, sampler, n_samples=50)
-        a = overlap_factor(model, 0.5, seed=9)
-        b = overlap_factor(model, 0.5, seed=9)
+        model = self.random_ball(50)
+        a = tcf_result(model, 0.5, seed=9)
+        b = tcf_result(model, 0.5, seed=9)
         assert a.value == b.value
 
     def test_multiply_is_the_product(self):
         chi = radial_from_callable("exp", lambda t: math.exp(-t))
-        res = multiply_overlap(chi, BallOverlap(3, point_mass(0.5)), 0.4)
+        res = multiply_overlap(chi, M3bModel(dim=3, radius=point_mass(0.5)),
+                               0.4)
         assert res.value == pytest.approx(h_d(0.4, 3) * math.exp(-0.4),
                                           abs=1e-9)
 
@@ -535,7 +546,7 @@ class TestOverlap:
         # Multiplying a convex decreasing TCF by a ball overlap factor
         # keeps it convex and decreasing (hence a valid 1-D TCF).
         chi = radial_from_callable("exp", lambda t: math.exp(-t))
-        model = BallOverlap(1, exponential_dist(1.0))
+        model = M3bModel(dim=1, radius=exponential_dist(1.0))
         grid = np.linspace(0.0, 3.0, 61)
         vals = [multiply_overlap(chi, model, float(t)).value for t in grid]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -543,7 +554,9 @@ class TestOverlap:
                    for i in range(1, len(vals) - 1))
 
     def test_guards(self):
+        chi = radial_from_callable("exp", lambda t: math.exp(-t))
         with pytest.raises(DomainError):
-            overlap_factor(BallOverlap(3, point_mass(0.5)), -0.1)
-        with pytest.raises(DomainError):
-            overlap_factor(object(), 0.5)
+            multiply_overlap(chi, M3bModel(dim=3, radius=point_mass(0.5)),
+                             -0.1)
+        with pytest.raises(ModelError):
+            multiply_overlap(chi, object(), 0.5)
