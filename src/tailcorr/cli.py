@@ -197,9 +197,10 @@ def _tabulated_cdf_law(points: np.ndarray) -> Distribution1D:
     def cdf(s: float) -> float:
         return float(np.interp(s, xs, fs, left=0.0, right=1.0))
 
-    def pdf(s: float) -> float:
-        i = int(np.searchsorted(xs, s, side="right")) - 1
-        return float(slopes[i]) if 0 <= i < len(slopes) else 0.0
+    def pdf(s):
+        i = np.searchsorted(xs, s, side="right") - 1
+        inside = (i >= 0) & (i < len(slopes))
+        return np.where(inside, slopes[np.clip(i, 0, len(slopes) - 1)], 0.0)
 
     def quantile(q: float) -> float:
         return float(np.interp(q, fs, xs))

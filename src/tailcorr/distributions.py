@@ -11,8 +11,10 @@ separate:
 * ``atoms`` lists ``(location, mass)`` pairs,
 * ``cdf`` is the full right-continuous cdf including atoms.
 
-Expectations integrate the density part with :func:`~tailcorr.numerics.quadrature`
-and add the atom sum, so error estimates flow through.
+Expectations integrate the density part with the batched Gauss-Kronrod
+engine of :mod:`~tailcorr.numerics` and add the atom sum, so error estimates
+flow through.  A density may take floats only; it is then evaluated float by
+float.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, SimulationError
-from .numerics import SpecialFnResult, quadrature
+from .numerics import (
+    SpecialFnResult,
+    _array_callable,
+    _integrate,
+    _lift,
+    _once_per_node,
+)
 
 __all__ = [
     "Distribution1D",
@@ -57,7 +65,7 @@ class Distribution1D:
         Full right-continuous cdf (continuous part plus atoms).
     pdf:
         Density of the absolutely continuous part, or ``None`` if the law is
-        purely atomic.
+        purely atomic.  It may take floats only or whole arrays.
     atoms:
         ``(location, mass)`` pairs, sorted by location, masses > 0.
     support:
@@ -110,6 +118,25 @@ class Distribution1D:
     def is_purely_atomic(self) -> bool:
         return self.pdf is None and abs(self.atom_mass - 1.0) <= 1e-9
 
+    @cached_property
+    def _density(self) -> Callable:
+        """``pdf`` as a function of arrays: itself if it takes them, else its
+        per-float lift."""
+        lo, hi = self.support
+        probe = (lo + (hi - lo) * np.array([0.25, 0.75]) if math.isfinite(hi)
+                 else lo + np.array([0.5, 1.5]))
+        return _array_callable(self.pdf, probe)
+
+    def _density_mass(self, a, b, tol: float) -> np.ndarray:
+        """Mass of the density part on each (a_i, b_i), lower ends on or
+        above the support's lower endpoint."""
+        a = np.asarray(a, dtype=float)
+        return _integrate(
+            lambda x, k: self._density(x), a, b, tol,
+            singular_exponent_a=np.where(a == self.support[0],
+                                         self.pdf_singular_exponent, 0.0),
+            points=self.pdf_points)[0]
+
     def cdf_value(self, x: float) -> float:
         """Right-continuous cdf at ``x``."""
         if self.cdf is not None:
@@ -119,38 +146,56 @@ class Distribution1D:
             return 0.0
         total = sum(m for a, m in self.atoms if a <= x)
         if self.pdf is not None:
-            total += quadrature(self.pdf, lo, min(x, self.support[1]),
-                                tol=1e-10,
-                                singular_exponent_a=self.pdf_singular_exponent,
-                                points=self.pdf_points).value
+            total += float(self._density_mass(lo, min(x, self.support[1]),
+                                              1e-10)[0])
         return min(1.0, max(0.0, total))
+
+    def expectations(self, g: Callable, t, *, tol: float = 1e-9,
+                     points=()) -> tuple[np.ndarray, np.ndarray]:
+        """E[g(X, t_i)] for each entry t_i of ``t``, with absolute error
+        estimates, as two arrays of the shape of ``t``.
+
+        ``g`` takes arrays of x and of t of one shape.  The continuous part
+        is one batch of integrals against the density; atoms contribute
+        exactly.  ``points`` adds subdivision hints (in x) on top of the
+        distribution's own: one row shared by all t, or one row per t.
+        """
+        ts = np.asarray(t, dtype=float)
+        flat = ts.ravel()
+        value = np.zeros(flat.shape)
+        for a, m in self.atoms:
+            value = value + m * np.asarray(g(np.full(flat.shape, a), flat),
+                                           dtype=float)
+        err = np.zeros(flat.shape)
+        if 1.0 - self.atom_mass > 1e-12:
+            if self.pdf is None:
+                raise DomainError(
+                    f"distribution {self.name!r} has continuous mass but no "
+                    "density; cannot take expectations")
+            hints = np.asarray(points, dtype=float)
+            own = np.asarray(self.pdf_points, dtype=float)
+            if hints.ndim == 2:
+                own = np.broadcast_to(own, (hints.shape[0], own.size))
+            lo, hi = self.support
+            cont, err = _integrate(
+                lambda x, k: g(x, flat[k]) * _once_per_node(self._density, x),
+                np.full(flat.shape, lo), hi, tol,
+                singular_exponent_a=self.pdf_singular_exponent,
+                points=np.concatenate([own, hints], axis=-1))
+            value = value + cont
+        return value.reshape(ts.shape), err.reshape(ts.shape)
 
     def expect(self, g: Callable[[float], float], *, tol: float = 1e-9,
                points: Sequence[float] = ()) -> SpecialFnResult:
-        """E[g(X)] with an absolute error estimate.
-
-        The continuous part is integrated against ``pdf``; atoms contribute
-        exactly.  ``points`` adds subdivision hints (in x) on top of the
-        distribution's own.
-        """
-        value = sum(m * float(g(a)) for a, m in self.atoms)
-        err = 0.0
-        cont_mass = 1.0 - self.atom_mass
-        if cont_mass > 1e-12:
-            if self.pdf is None:
-                raise DomainError(
-                    f"distribution {self.name!r} has continuous mass but no density; "
-                    "cannot take expectations")
-            lo, hi = self.support
-            res = quadrature(lambda x: float(g(x)) * self.pdf(x), lo, hi, tol=tol,
-                             singular_exponent_a=self.pdf_singular_exponent,
-                             points=tuple(self.pdf_points) + tuple(points))
-            value += res.value
-            err += res.abs_error_estimate
-        return SpecialFnResult(value, err)
+        """E[g(X)] with an absolute error estimate, for a callable ``g`` of
+        one float (evaluated float by float)."""
+        lifted = _lift(g)
+        values, errors = self.expectations(
+            lambda x, _: lifted(x), 0.0, tol=tol, points=points)
+        return SpecialFnResult(float(values), float(errors))
 
     def mean(self, *, tol: float = 1e-9) -> float:
-        return self.expect(lambda x: x, tol=tol).value
+        return float(self.expectations(lambda x, _: x, 0.0, tol=tol)[0])
 
     def quantile_value(self, q: float) -> float:
         """Generalized inverse cdf: inf{x : cdf(x) >= q}."""
@@ -234,13 +279,10 @@ class Distribution1D:
             # bracket the support where doubling it stops adding relative
             # mass.
             hi = max(2.0 * max(lo, 0.0), lo + 1.0)
-            mass = quadrature(self.pdf, lo, hi, 1e-11,
-                              singular_exponent_a=self.pdf_singular_exponent,
-                              points=[p for p in self.pdf_points
-                                      if lo < p < hi]).value
+            mass = float(self._density_mass(lo, hi, 1e-11)[0])
             for _ in range(200):
                 nxt = lo + 2.0 * (hi - lo)
-                gain = quadrature(self.pdf, hi, nxt, 1e-11).value
+                gain = float(self._density_mass(hi, nxt, 1e-11)[0])
                 if mass > 0 and gain <= _TABLE_TAIL_MASS * mass:
                     break
                 hi, mass = nxt, mass + gain
@@ -255,11 +297,7 @@ class Distribution1D:
         hints = set(p for p in self.pdf_points if lo < p < hi)
         if hints:
             x = np.unique(np.concatenate([x, sorted(hints)]))
-        seg = np.empty(len(x) - 1)
-        for i in range(len(seg)):
-            exponent = self.pdf_singular_exponent if i == 0 else 0.0
-            seg[i] = quadrature(self.pdf, x[i], x[i + 1], 1e-11,
-                                singular_exponent_a=exponent).value
+        seg = self._density_mass(x[:-1], x[1:], 1e-11)
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         total = cum[-1]
         if total <= 0:
@@ -289,7 +327,8 @@ def exponential_dist(rate: float = 1.0, name: str | None = None) -> Distribution
     return Distribution1D(
         name=name or f"exponential(rate={r:g})",
         cdf=lambda s: -math.expm1(-r * s) if s > 0 else 0.0,
-        pdf=lambda s: r * math.exp(-r * s) if s > 0 else 0.0,
+        pdf=lambda s: np.where(s > 0, r * np.exp(-r * np.maximum(s, 0.0)),
+                               0.0),
         support=(0.0, math.inf),
         quantile=lambda q: -math.log1p(-q) / r,
         sampler=lambda rng, n: rng.exponential(1.0 / r, size=n),
@@ -306,13 +345,12 @@ def from_pdf(name: str, pdf: Callable[[float], float],
     def cdf(s: float) -> float:
         if s <= lo:
             return 0.0
-        return min(1.0, quadrature(pdf, lo, min(s, hi), tol=1e-10,
-                                   singular_exponent_a=singular_exponent,
-                                   points=points).value)
+        return min(1.0, float(law._density_mass(lo, min(s, hi), 1e-10)[0]))
 
-    return Distribution1D(name=name, cdf=cdf, pdf=pdf, support=support,
-                          pdf_singular_exponent=singular_exponent,
-                          pdf_points=tuple(points))
+    law = Distribution1D(name=name, cdf=cdf, pdf=pdf, support=support,
+                         pdf_singular_exponent=singular_exponent,
+                         pdf_points=tuple(points))
+    return law
 
 
 def scale_distribution(dist: Distribution1D, c: float,

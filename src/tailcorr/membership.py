@@ -49,11 +49,12 @@ from .errors import DomainError, KinkError
 from .models import parametric_bounds
 from .numerics import (
     _STENCILS,
+    _integrate,
+    _once_per_node,
+    _ridders,
     _worst_midpoint_gap,
-    num_derivative,
-    quadrature,
 )
-from .radial import RadialFunction, _lift, radial_from_callable
+from .radial import RadialFunction
 
 __all__ = [
     "Verdict",
@@ -136,7 +137,7 @@ class MembershipReport:
 
 
 #: Log-spaced default evaluation grid covering kink regions and tail decay.
-DEFAULT_GRID = tuple(np.geomspace(1e-3, 1e2, 200))
+DEFAULT_GRID = tuple(float(x) for x in np.geomspace(1e-3, 1e2, 200))
 
 
 def _as_grid(grid) -> tuple[float, ...]:
@@ -202,24 +203,26 @@ _STENCIL_REACH = {order: int(max(abs(o) for o in offsets))
                   for order, (offsets, _, _) in _STENCILS.items()}
 
 
-def _safe_num_deriv(f: RadialFunction, x: float, order: int):
-    """Numeric derivative whose stencil provably stays inside (0, inf).
+def _safe_num_derivs(f: RadialFunction, xs: np.ndarray, order: int):
+    """Numeric derivatives at every point of ``xs`` whose stencil provably
+    stays inside (0, inf), in one call of ``f.func``.
 
-    Returns None when no informative stencil fits (too close to 0 or to a
-    declared kink).
+    Returns (values, errors), NaN where no informative stencil fits (too
+    close to 0 or to a declared kink).
     """
     reach = _STENCIL_REACH[order]
     levels = 4
-    h_default = (2.2e-16) ** (1.0 / (order + 2)) * max(1.0, abs(x))
-    h_fit = 0.9 * x / (reach * 2.0 ** (levels - 1))
-    h = min(h_default, h_fit)
-    if h <= 0 or h < 1e-13 * max(1.0, x):
-        return None
-    try:
-        return num_derivative(f.func, x, order, h=h, levels=levels,
-                              kinks=f.kinks)
-    except KinkError:
-        return None
+    h = np.minimum((2.2e-16) ** (1.0 / (order + 2)) * np.maximum(1.0, xs),
+                   0.9 * xs / (reach * 2.0 ** (levels - 1)))
+    fits = (h > 0) & (h >= 1e-13 * np.maximum(1.0, xs))
+    for kink in f.kinks:
+        fits &= np.abs(xs - kink) > reach * h
+    values = np.full(xs.shape, np.nan)
+    errors = np.full(xs.shape, np.nan)
+    if fits.any():
+        values[fits], errors[fits] = _ridders(
+            f.func, xs[fits], order, h[fits], kinks=f.kinks, levels=levels)
+    return values, errors
 
 
 @dataclass(frozen=True)
@@ -295,13 +298,19 @@ def test_completely_monotone(f: RadialFunction, max_order: int = 6, *,
         return _failed(f.support_bound,
                        "compact support excludes complete monotonicity")
     straddles: list[tuple[float, int, float, float]] = []
-    values = f(np.array(xs))
-    for x, v0 in zip(xs, values):
+    grid = np.array(xs)
+    values = f(grid)
+    analytic = [k for k in range(1, min(max_order, 3) + 1)
+                if (f.deriv1, f.deriv2, f.deriv3)[k - 1] is not None]
+    # One call of f per numeric order, over the whole grid.
+    numeric = {k: _safe_num_derivs(f, grid, k)
+               for k in range(1, max_order + 1) if k not in analytic}
+    for i, (x, v0) in enumerate(zip(xs, values)):
         if v0 < -tol:
             return _failed((x, 0, float(v0)), "negative value")
         for k in range(1, max_order + 1):
             sign = (-1.0) ** k
-            if k <= 3 and (f.deriv1, f.deriv2, f.deriv3)[k - 1] is not None:
+            if k in analytic:
                 try:
                     val = sign * f.derivative(x, k)
                 except KinkError:
@@ -310,18 +319,15 @@ def test_completely_monotone(f: RadialFunction, max_order: int = 6, *,
                     return _failed((x, k, sign * val),
                                    f"order-{k} derivative has the wrong sign")
                 continue
-            res = _safe_num_deriv(f, x, k)
-            if res is None:
-                continue
-            err = res.abs_error_estimate
-            if err >= 0.5 * abs(res.value):
-                continue  # noise-dominated probe: no sign information
-            val = sign * res.value
+            value, err = (float(v[i]) for v in numeric[k])
+            if math.isnan(value) or err >= 0.5 * abs(value):
+                continue  # no stencil, or noise-dominated: no sign information
+            val = sign * value
             if val < -tol:
-                if abs(res.value) > 3.0 * err:
-                    return _failed((x, k, res.value),
+                if abs(value) > 3.0 * err:
+                    return _failed((x, k, value),
                                    f"order-{k} derivative has the wrong sign")
-                straddles.append((x, k, res.value, err))
+                straddles.append((x, k, value, err))
     stage_two = _moment_matrix_stage(f, tol)
     if stage_two is not None:
         return stage_two
@@ -333,17 +339,24 @@ def test_completely_monotone(f: RadialFunction, max_order: int = 6, *,
     return _passed()
 
 
+def _neg_deriv_off_kinks(phi: RadialFunction, r: np.ndarray,
+                         nudged: np.ndarray) -> np.ndarray:
+    """-phi'(r) on an array; an entry on a declared kink, where no two-sided
+    derivative exists, takes its ``nudged`` radius just off it."""
+    if phi.kinks:
+        r = np.where(phi._on_kink(r), nudged, r)
+    return -phi.derivative(r, 1)
+
+
 def _neg_deriv_sqrt(phi: RadialFunction) -> RadialFunction:
     """The function t -> -phi'(sqrt t), with kinks mapped to the t domain."""
 
-    def g(t: float) -> float:
-        if t <= 0:
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        if np.any(t <= 0):
             raise DomainError(f"t must be > 0, got {t!r}")
-        try:
-            return -phi.derivative(math.sqrt(t), 1)
-        except KinkError:
-            # No two-sided derivative on a declared kink: step just off it.
-            return -phi.derivative(math.sqrt(t * (1.0 + 1e-9) + 1e-15), 1)
+        return _neg_deriv_off_kinks(phi, np.sqrt(t),
+                                    np.sqrt(t * (1.0 + 1e-9) + 1e-15))
 
     g1 = None
     if phi.deriv2 is not None:
@@ -351,8 +364,9 @@ def _neg_deriv_sqrt(phi: RadialFunction) -> RadialFunction:
             u = math.sqrt(t)
             return -float(phi.deriv2(u)) / (2.0 * u)
 
-    return radial_from_callable(
-        f"-d/dr[{phi.name}](sqrt t)", g,
+    return RadialFunction(
+        name=f"-d/dr[{phi.name}](sqrt t)",
+        func=g,
         deriv1=g1,
         kinks=tuple(sorted(k * k for k in phi.kinks)),
         support_bound=(phi.support_bound ** 2
@@ -397,28 +411,34 @@ def test_H2_condition(phi: RadialFunction, *, grid=None, tol: float = 1e-7
         grid = np.geomspace(0.25, 4.0, 33)
     xs = _as_grid(grid)
 
-    def q(v: float) -> float:
-        try:
-            return -phi.derivative(1.0 / math.sqrt(v), 1)
-        except KinkError:
-            return -phi.derivative(1.0 / math.sqrt(v * (1.0 + 1e-9)), 1)
+    def c(ts):
+        # One batch of integrals over all t > 0; near w = 0 and w = 1 the
+        # integrand is a smooth function of sqrt(w), resp. sqrt(1 - w).
+        ts = np.asarray(ts, dtype=float)
+        flat = ts.ravel()
+        pos = flat > 0
+        tp = flat[pos]
+        hints = np.array([[1.0 / (t * k * k) for k in phi.kinks]
+                          for t in tp]).reshape(tp.size, len(phi.kinks))
 
-    def c(t: float) -> float:
-        if t <= 0:
-            return 0.0
-        pts = [1.0 / (t * k * k) for k in phi.kinks
-               if 0.0 < 1.0 / (t * k * k) < 1.0]
+        def integrand(w, k):
+            # A mapped node may round onto an end, where the weight is
+            # dropped.
+            v = tp[k] * w
+            inside = (w > 0.0) & (w < 1.0)
+            out = np.zeros(v.shape)
+            wi, vi = w[inside], v[inside]
+            out[inside] = np.sqrt(wi / (1.0 - wi)) * _neg_deriv_off_kinks(
+                phi, 1.0 / np.sqrt(vi), 1.0 / np.sqrt(vi * (1.0 + 1e-9)))
+            return out
 
-        def integrand(w: float) -> float:
-            if w <= 0.0 or w >= 1.0:
-                return 0.0
-            return math.sqrt(w / (1.0 - w)) * q(t * w)
+        out = np.zeros(flat.shape)
+        out[pos] = tp * _integrate(integrand, np.zeros(tp.shape), 1.0, 1e-10,
+                                   singular_exponent_a=-0.5,
+                                   singular_exponent_b=-0.5, points=hints)[0]
+        return out.reshape(ts.shape)
 
-        res = quadrature(integrand, 0.0, 1.0, tol=1e-10,
-                         singular_exponent_b=-0.5, points=sorted(pts))
-        return t * res.value
-
-    return _midpoint_convexity(_lift(c), xs, tol)
+    return _midpoint_convexity(c, xs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +501,30 @@ def _gram_eigmin(chi: RadialFunction, sites: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(chi(dist))[0])
 
 
+def _spectral_densities(chi: RadialFunction, d: int, omegas: np.ndarray,
+                        tol: float) -> np.ndarray:
+    """:func:`spectral_density` at every frequency of ``omegas``, one batch
+    of integrals over the compact support."""
+    bound = float(chi.support_bound)
+    if d == 1:
+        def integrand(r, k):
+            return _once_per_node(chi, r) * np.cos(omegas[k] * r)
+        scale = np.full(omegas.shape, 2.0)
+    elif d == 2:
+        from scipy.special import j0
+
+        def integrand(r, k):
+            return _once_per_node(chi, r) * j0(omegas[k] * r) * r
+        scale = np.full(omegas.shape, 2.0 * math.pi)
+    else:
+        def integrand(r, k):
+            return _once_per_node(chi, r) * np.sin(omegas[k] * r) * r
+        scale = 4.0 * math.pi / omegas
+    values = _integrate(integrand, np.zeros(omegas.shape), bound, tol,
+                        points=chi.kinks)[0]
+    return scale * values
+
+
 def spectral_density(chi: RadialFunction, d: int, omega: float, *,
                      tol: float = 1e-11) -> float:
     """d-dimensional Fourier transform of the radial function at |omega|.
@@ -496,24 +540,7 @@ def spectral_density(chi: RadialFunction, d: int, omega: float, *,
     w = float(omega)
     if w <= 0:
         raise DomainError(f"omega must be > 0, got {omega!r}")
-    bound = float(chi.support_bound)
-    pts = [k for k in chi.kinks if 0.0 < k < bound]
-    if d == 1:
-        def integrand(r: float) -> float:
-            return float(chi(r)) * math.cos(w * r)
-        scale = 2.0
-    elif d == 2:
-        from scipy.special import j0
-
-        def integrand(r: float) -> float:
-            return float(chi(r)) * float(j0(w * r)) * r
-        scale = 2.0 * math.pi
-    else:
-        def integrand(r: float) -> float:
-            return float(chi(r)) * math.sin(w * r) * r
-        scale = 4.0 * math.pi / w
-    res = quadrature(integrand, 0.0, bound, tol=tol, points=pts)
-    return scale * res.value
+    return float(_spectral_densities(chi, d, np.array([w]), tol)[0])
 
 
 @dataclass(frozen=True)
@@ -571,8 +598,10 @@ def _spectral_probe(chi: RadialFunction, d: int) -> Verdict | None:
     """
     bound = float(chi.support_bound)
     omegas = np.linspace(0.3, 60.0, 180) / bound
-    vals = np.array([spectral_density(chi, d, float(w)) for w in omegas])
-    f0 = spectral_density(chi, d, 1e-3 / bound)
+    # The scan and the reference value near 0 are one batch.
+    *vals, f0 = _spectral_densities(
+        chi, d, np.append(omegas, 1e-3 / bound), 1e-11)
+    vals = np.array(vals)
     threshold = -max(1e-6, 1e-5 * abs(f0))
     if vals.min() >= threshold:
         return None

@@ -34,7 +34,9 @@ where cap_d(u, c) is the surface measure of the spherical cap
 {|z| = u, z_1 > c u}; an incomplete Beta function in closed form.
 
 Each model class is declared in one place, its dataclass: the TCF is its
-``_tcf`` method, and a class that can be simulated also carries
+``_tcf`` method, which takes a 1-D array of lags and returns the values and
+their error estimates (the lags of a quadrature class are one batch of
+integrals), and a class that can be simulated also carries
 ``_profile_sampler``, the size-biased storm profile law used by
 :func:`tailcorr.simulate.simulate`.  The command line reads a class's
 config keys from its required dataclass fields.
@@ -53,10 +55,9 @@ from .distributions import Distribution1D, from_pdf
 from .errors import DomainError, ModelError, SimulationError
 from .numerics import (
     SpecialFnResult,
+    _integrate,
     beta_d,
-    erfc,
     kappa_d,
-    quadrature,
 )
 from .radial import (
     Correlation,
@@ -102,40 +103,36 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _h_d_scalar(t: float, d: int) -> float:
-    if t < 0:
-        raise DomainError(f"h_d requires t >= 0, got {t!r}")
-    if t >= 1.0:
-        return 0.0
-    if d == 1:
-        return 1.0 - t
-    if d == 2:
-        return (2.0 / math.pi) * (math.acos(t) - t * math.sqrt(1.0 - t * t))
-    if d == 3:
-        return 1.0 - 1.5 * t + 0.5 * t**3
-    if d == 4:
-        s = math.sqrt(1.0 - t * t)
-        return (1.0 - (2.0 / math.pi) * (math.asin(t) + t * s)
-                - (4.0 / (3.0 * math.pi)) * t * s**3)
-    if d == 5:
-        return 1.0 - 1.875 * t + 1.25 * t**3 - 0.375 * t**5
-    expo = (d - 1) / 2.0
-    res = quadrature(lambda v: (1.0 - v * v) ** expo, t, 1.0, tol=1e-12)
-    return d * beta_d(d) * res.value
-
-
 def h_d(t, d: int):
     """Normalized overlap of two d-dimensional balls of diameter 1 at distance t.
 
-    h_d(0) = 1, h_d(t) = 0 for t >= 1; closed form for d <= 5.
+    h_d(0) = 1, h_d(t) = 0 for t >= 1; closed form for d <= 5.  Scalar in,
+    float out; array in, ndarray out.
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise DomainError(f"dimension must be a positive integer, got {d!r}")
     arr = np.asarray(t, dtype=float)
-    if arr.ndim == 0:
-        return _h_d_scalar(float(arr), d)
-    return np.array([_h_d_scalar(float(v), d) for v in arr.ravel()]
-                    ).reshape(arr.shape)
+    if np.any(arr < 0):
+        raise DomainError(f"h_d requires t >= 0, got {t!r}")
+    s = np.minimum(arr, 1.0)
+    if d == 1:
+        v = 1.0 - s
+    elif d == 2:
+        v = (2.0 / math.pi) * (np.arccos(s) - s * np.sqrt(1.0 - s * s))
+    elif d == 3:
+        v = 1.0 - 1.5 * s + 0.5 * s**3
+    elif d == 4:
+        root = np.sqrt(1.0 - s * s)
+        v = (1.0 - (2.0 / math.pi) * (np.arcsin(s) + s * root)
+             - (4.0 / (3.0 * math.pi)) * s * root**3)
+    elif d == 5:
+        v = 1.0 - 1.875 * s + 1.25 * s**3 - 0.375 * s**5
+    else:
+        expo = (d - 1) / 2.0
+        v = d * beta_d(d) * _integrate(lambda w, k: (1.0 - w * w) ** expo,
+                                       s.ravel(), 1.0, 1e-12)[0].reshape(s.shape)
+    out = np.where(arr >= 1.0, 0.0, v)
+    return float(out) if arr.ndim == 0 else out
 
 
 def laplace_factor(d: int) -> float:
@@ -159,6 +156,40 @@ def _cap_constant(d: int) -> float:
             * float(_special.beta((d - 1) / 2.0, 0.5)))
 
 
+def _overlaps(f: RadialFunction, d: int, t: np.ndarray, tol: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`overlap_integral` at every lag of the 1-D array ``t`` in one
+    batch of integrals, as (values, abs_error_estimates)."""
+    half = 0.5 * t
+    upper = f.support_bound if f.support_bound is not None else math.inf
+    # The radial integrand at t = 0 behaves like u^(zero_exponent + d - 1).
+    sing = np.where(t == 0.0, min(0.0, f.zero_exponent + (d - 1)), 0.0)
+    if np.any(sing <= -1.0):
+        raise ModelError(
+            f"shape {f.name!r} is not integrable over R^{d} "
+            f"(radial integrand exponent {float(sing.min()):.3g} at 0)")
+    live = half < upper
+    lows = half[live]
+    if d == 1:
+        def integrand(u, k):
+            return f.func(u)
+    else:
+        cap_const = _cap_constant(d)
+        a_beta, b_beta = (d - 1) / 2.0, 0.5
+
+        def integrand(u, k):
+            c = lows[k] / u
+            return (f.func(u) * u ** (d - 1) * cap_const
+                    * _special.betainc(a_beta, b_beta, 1.0 - c * c))
+
+    values, errors = np.zeros(t.shape), np.zeros(t.shape)
+    if live.any():
+        values[live], errors[live] = _integrate(
+            integrand, lows, upper, tol, singular_exponent_a=sing[live],
+            points=f.kinks)
+    return 2.0 * values, 2.0 * errors
+
+
 def overlap_integral(f: RadialFunction, d: int, t: float, *,
                      tol: float = 1e-10) -> SpecialFnResult:
     """int_{R^d} min(f(|z|), f(|z - t e_1|)) dz for radial non-increasing f.
@@ -168,33 +199,8 @@ def overlap_integral(f: RadialFunction, d: int, t: float, *,
     """
     if t < 0:
         raise DomainError(f"t must be >= 0, got {t!r}")
-    half = 0.5 * t
-    upper = f.support_bound if f.support_bound is not None else math.inf
-    if half >= upper:
-        return SpecialFnResult(0.0, 0.0)
-    pts = [k for k in f.kinks if half < k < upper]
-
-    if d == 1:
-        integrand = f.func
-        sing = f.zero_exponent if t == 0.0 else 0.0
-    else:
-        cap_const = _cap_constant(d)
-        a_beta, b_beta = (d - 1) / 2.0, 0.5
-
-        def integrand(u: float) -> float:
-            c = half / u
-            frac = float(_special.betainc(a_beta, b_beta, 1.0 - c * c))
-            return f.func(u) * u ** (d - 1) * cap_const * frac
-
-        sing = f.zero_exponent + (d - 1) if t == 0.0 else 0.0
-    sing = min(0.0, sing)
-    if sing <= -1.0:
-        raise ModelError(
-            f"shape {f.name!r} is not integrable over R^{d} "
-            f"(radial integrand exponent {sing:.3g} at 0)")
-    res = quadrature(integrand, half, upper, tol=tol,
-                     singular_exponent_a=sing, points=pts)
-    return SpecialFnResult(2.0 * res.value, 2.0 * res.abs_error_estimate)
+    values, errors = _overlaps(f, d, np.array([float(t)]), tol)
+    return SpecialFnResult(float(values[0]), float(errors[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +330,20 @@ class M3rModel:
         if self.n_samples < 1:
             raise ModelError(f"n_samples must be >= 1, got {self.n_samples!r}")
 
-    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        """Mean overlap integral over ``n_samples`` drawn shapes.  The error
-        is the standard error of the mean (the one quadrature estimate when
-        ``n_samples`` is 1) plus the mean quadrature estimate."""
+    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+        """Mean overlap integral over ``n_samples`` drawn shapes, the same
+        draws at every lag.  The error is the standard error of the mean
+        (the one quadrature estimate when ``n_samples`` is 1) plus the mean
+        quadrature estimate."""
         rng = np.random.default_rng(seed)
         n = self.n_samples
-        vals = np.empty(n)
-        errs = np.empty(n)
-        for i in range(n):
-            res = overlap_integral(self.ensemble.sample(rng), self.dim, t,
-                                   tol=max(tol, 1e-8))
-            vals[i], errs[i] = res.value, res.abs_error_estimate
-        se = (float(np.std(vals, ddof=1)) / math.sqrt(n) if n > 1
-              else float(errs[0]))
-        return SpecialFnResult(float(np.mean(vals)), se + float(np.mean(errs)))
+        draws = [_overlaps(self.ensemble.sample(rng), self.dim, t,
+                           max(tol, 1e-8)) for _ in range(n)]
+        vals = np.array([v for v, _ in draws])
+        errs = np.array([e for _, e in draws])
+        se = (np.std(vals, axis=0, ddof=1) / math.sqrt(n) if n > 1
+              else errs[0])
+        return np.mean(vals, axis=0), se + np.mean(errs, axis=0)
 
 
 @dataclass(frozen=True)
@@ -376,14 +381,14 @@ class M2rModel:
                  else math.inf)
         object.__setattr__(self, "_offset", Distribution1D(
             name=f"offset[{shape.name}]",
-            pdf=lambda rho: float(rho ** (dim - 1) * shape.func(rho)),
+            pdf=lambda rho: rho ** (dim - 1) * shape.func(rho),
             support=(0.0, bound),
             pdf_singular_exponent=(dim - 1) + shape.zero_exponent,
             pdf_points=shape.kinks,
         ))
 
-    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        return overlap_integral(self.shape, self.dim, t, tol=tol)
+    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+        return _overlaps(self.shape, self.dim, t, tol)
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Storm center at a radial offset rho drawn from the offset law,
@@ -411,14 +416,16 @@ class M3bModel:
         _check_dim(self.dim)
         _check_mixing(self.radius, "radius law")
 
-    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        if t == 0.0:
-            return SpecialFnResult(1.0, 0.0)
+    def _tcf(self, t: np.ndarray, tol: float, seed: int):
         d = self.dim
-        hint = [0.5 * t] if self.radius.support[0] < 0.5 * t else []
-        return self.radius.expect(
-            lambda r: _h_d_scalar(min(t / (2.0 * r), 1.0), d) if r > 0 else 0.0,
-            tol=tol, points=hint)
+        values, errors = np.ones(t.shape), np.zeros(t.shape)
+        lag = t > 0.0
+        if lag.any():
+            # h_d(t / 2r) has a kink where the radius reaches t/2.
+            values[lag], errors[lag] = self.radius.expectations(
+                lambda r, s: h_d(np.minimum(s / (2.0 * r), 1.0), d), t[lag],
+                tol=tol, points=0.5 * t[lag, None])
+        return values, errors
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Radius from the model law unchanged, center uniform in the ball
@@ -448,9 +455,9 @@ class MPSModel:
         _check_dim(self.dim)
         _check_mixing(self.mixing, "mixing law")
 
-    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        c = laplace_factor(self.dim) * t
-        return self.mixing.expect(lambda s: math.exp(-c * s), tol=tol)
+    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+        return self.mixing.expectations(lambda s, c: np.exp(-c * s),
+                                        laplace_factor(self.dim) * t, tol=tol)
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Intensity beta from the mixing law unchanged, cell length
@@ -484,9 +491,9 @@ class BRModel:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
 
-    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        g = float(self.variogram(t))
-        return SpecialFnResult(float(erfc(math.sqrt(g / 8.0))), 0.0)
+    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+        return (_special.erfc(np.sqrt(self.variogram(t) / 8.0)),
+                np.zeros(t.shape))
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # V = exp(W - sigma^2/2); size-biasing is the exponential tilt, a
@@ -516,10 +523,10 @@ class VBRModel:
         _check_dim(self.dim)
         _check_mixing(self.scale_mixing, "scale mixing law")
 
-    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        arg = math.sqrt(float(self.variogram(t)) / 8.0)
-        return self.scale_mixing.expect(
-            lambda s: float(erfc(s * arg)), tol=tol)
+    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+        return self.scale_mixing.expectations(
+            lambda s, arg: _special.erfc(s * arg),
+            np.sqrt(self.variogram(t) / 8.0), tol=tol)
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Scale S from the mixing law unchanged, mean shift S^2 times the
@@ -548,9 +555,10 @@ class EGModel:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
 
-    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        rho = float(self.correlation(t))
-        return SpecialFnResult(1.0 - math.sqrt(max(0.0, 1.0 - rho) / 2.0), 0.0)
+    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+        rho = self.correlation(t)
+        return (1.0 - np.sqrt(np.maximum(0.0, 1.0 - rho) / 2.0),
+                np.zeros(t.shape))
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # The value at the site is Rayleigh, the rest follows by exact
@@ -579,10 +587,9 @@ class EBGModel:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
 
-    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        rho = float(self.correlation(t))
-        rho = min(1.0, max(-1.0, rho))
-        return SpecialFnResult(math.asin(rho) / math.pi + 0.5, 0.0)
+    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+        rho = np.clip(self.correlation(t), -1.0, 1.0)
+        return np.arcsin(rho) / math.pi + 0.5, np.zeros(t.shape)
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # The value at the site is half-normal, the rest follows by exact
@@ -621,8 +628,8 @@ class ParametricModel:
         object.__setattr__(self, "_function",
                            _FAMILIES[self.family].function(self.nu, self.beta))
 
-    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        return SpecialFnResult(self._function(t), 0.0)
+    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+        return self._function(t), np.zeros(t.shape)
 
 
 @dataclass(frozen=True)
@@ -644,8 +651,9 @@ class ErfcMixtureModel:
         _check_dim(self.dim)
         _check_mixing(self.mixing, "mixing law")
 
-    def _tcf(self, t: float, tol: float, seed: int) -> SpecialFnResult:
-        return self.mixing.expect(lambda s: float(erfc(s * t)), tol=tol)
+    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+        return self.mixing.expectations(lambda s, u: _special.erfc(s * u), t,
+                                        tol=tol)
 
 
 TcfModel = Union[
@@ -659,6 +667,18 @@ TcfModel = Union[
 # ---------------------------------------------------------------------------
 
 
+def _tcf_arrays(model: TcfModel, t: np.ndarray, tol: float, seed: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The model's TCF and its error estimate at each lag of the 1-D array
+    ``t``, in one batch."""
+    negative = t < 0
+    if negative.any():
+        raise DomainError(f"t must be >= 0, got {float(t[negative][0])!r}")
+    if not hasattr(model, "_tcf"):
+        raise ModelError(f"unknown model type {type(model).__name__}")
+    return model._tcf(t, tol, seed)
+
+
 def tcf_result(model: TcfModel, t: float, *, tol: float = 1e-9,
                seed: int = 0) -> SpecialFnResult:
     """chi(t) for the given model, with an absolute error estimate.
@@ -667,21 +687,16 @@ def tcf_result(model: TcfModel, t: float, *, tol: float = 1e-9,
     integration error; the Monte Carlo class (M3r) reports a standard error
     and takes the evaluation seed.
     """
-    tf = float(t)
-    if tf < 0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
-    if not hasattr(model, "_tcf"):
-        raise ModelError(f"unknown model type {type(model).__name__}")
-    return model._tcf(tf, tol, seed)
+    values, errors = _tcf_arrays(model, np.array([float(t)]), tol, seed)
+    return SpecialFnResult(float(values[0]), float(errors[0]))
 
 
 def tcf(model: TcfModel, t, *, tol: float = 1e-9, seed: int = 0):
-    """chi(t); scalar in, float out; array in, ndarray out."""
+    """chi(t); scalar in, float out; array in, ndarray out.  The lags of an
+    array are one batch of integrals."""
     arr = np.asarray(t, dtype=float)
-    if arr.ndim == 0:
-        return tcf_result(model, float(arr), tol=tol, seed=seed).value
-    return np.array([tcf_result(model, float(v), tol=tol, seed=seed).value
-                     for v in arr.ravel()]).reshape(arr.shape)
+    values = _tcf_arrays(model, arr.ravel(), tol, seed)[0]
+    return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +840,7 @@ def classify_parameters(family: str, nu: float, d: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _row2_density(nu: float) -> Callable[[float], float]:
+def _row2_density(nu: float) -> Callable:
     # Density of the mixing law whose erfc scale mixture is the
     # Whittle-Matern function with 0 < nu < 1/2:
     #   g(s) = C s^{-3} int_0^s x^{2 nu - 3} e^{-1/(4x^2)} (s^2-x^2)^{-nu-1/2} dx,
@@ -834,26 +849,32 @@ def _row2_density(nu: float) -> Callable[[float], float]:
     #   (2s)^{2-2nu} int_{1/(2s)}^inf w^{1-2nu} e^{-w^2} (1-(2sw)^{-2})^{-nu-1/2} dw,
     # a Gaussian-tail integral with an algebraic singularity at the left
     # endpoint, which adaptive quadrature handles after desingularization.
+    # The inner integrals of all requested s are one batch.
     c_nu = math.sqrt(math.pi) / (math.gamma(nu) * math.gamma(0.5 - nu))
     expo = -nu - 0.5
 
-    def g(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        w0 = 1.0 / (2.0 * s)
+    def g(s):
+        arr = np.asarray(s, dtype=float)
+        out = np.zeros(arr.shape)
+        pos = arr > 0.0
+        sp = arr[pos]
+        w0 = 1.0 / (2.0 * sp)
 
         # Integrate over the offset d = w - w0 so the singular factor
         # (1 - (w0/w)^2)^expo = (d (w + w0) / w^2)^expo is evaluated without
-        # cancellation as d -> 0.
-        def inner(d: float) -> float:
-            w = w0 + d
-            if d <= 0.0 or w * w > 745.0:
-                return 0.0
-            return w ** (1.0 - 2.0 * nu) * math.exp(-w * w) \
-                * (d * (w + w0) / (w * w)) ** expo
-        res = quadrature(inner, 0.0, math.inf, tol=1e-11,
-                         singular_exponent_a=expo)
-        return c_nu * s**-3 * (2.0 * s) ** (2.0 - 2.0 * nu) * res.value
+        # cancellation as d -> 0; beyond w^2 = 745 the Gaussian factor
+        # underflows.
+        def inner(d, k):
+            w = w0[k] + d
+            with np.errstate(over="ignore", invalid="ignore"):
+                body = (w ** (1.0 - 2.0 * nu) * np.exp(-w * w)
+                        * (d * (w + w0[k]) / (w * w)) ** expo)
+            return np.where(w * w > 745.0, 0.0, body)
+
+        inner_values = _integrate(inner, 0.0, math.inf, 1e-11,
+                                  singular_exponent_a=np.full(sp.shape, expo))[0]
+        out[pos] = c_nu * sp**-3 * (2.0 * sp) ** (2.0 - 2.0 * nu) * inner_values
+        return float(out) if arr.ndim == 0 else out
 
     return g
 
@@ -877,8 +898,7 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
         peak = math.sqrt(2.0 / 3.0) / a
         mixing = from_pdf(
             f"exp(-1/(({a:g})s)^2)",
-            lambda s: math.exp(-1.0 / (a * s) ** 2) * 2.0 / (a * a * s**3)
-            if s > 0 else 0.0,
+            lambda s: np.exp(-1.0 / (a * s) ** 2) * 2.0 / (a * a * s**3),
             points=[peak])
         closed = lambda t: math.exp(-2.0 * t / a)  # noqa: E731
     elif row == 2:
@@ -893,9 +913,8 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
         if a <= 0:
             raise DomainError(f"row 3 needs a > 0, got {param!r}")
         c = 2.0 * a / math.sqrt(math.pi)
-        mixing = from_pdf(
-            f"erf(({a:g})s)",
-            lambda s: c * math.exp(-((a * s) ** 2)) if s > 0 else c)
+        mixing = from_pdf(f"erf(({a:g})s)",
+                          lambda s: c * np.exp(-((a * s) ** 2)))
         closed = lambda t: 1.0 - (2.0 / math.pi) * math.atan(t / a)  # noqa: E731
     elif row == 4:
         a = float(param)
@@ -903,7 +922,7 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
             raise DomainError(f"row 4 needs a > 0, got {param!r}")
         mixing = from_pdf(
             f"1-exp(-(({a:g})s)^2)",
-            lambda s: 2.0 * a * a * s * math.exp(-((a * s) ** 2)) if s > 0 else 0.0)
+            lambda s: 2.0 * a * a * s * np.exp(-((a * s) ** 2)))
         closed = lambda t: (1.0 - (1.0 + (t / a) ** -2) ** -0.5 if t > 0  # noqa: E731
                             else 1.0)
     else:

@@ -12,6 +12,13 @@ This module is the shared numerical floor of the package:
 * ``num_derivative``: central finite differences with Richardson
   extrapolation and refusal near caller-declared kinks.
 
+Both rest on batched NumPy engines that the rest of the package calls
+directly.  ``_integrate`` applies QUADPACK's G10/K21 rule to a whole batch
+of integrals: each pass evaluates the integrand once, on every
+unconverged panel of every integral.  ``_ridders`` evaluates the whole
+step ladder of many abscissae in one call.  The public functions run
+them on a batch of one and call their argument float by float.
+
 All functions are pure and reentrant; there is no shared mutable state.
 Scalar arguments yield Python floats, array arguments yield ndarrays.
 """
@@ -23,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _special
 
 from .errors import DomainError, KinkError, QuadratureError
@@ -164,26 +170,284 @@ def bessel_k(nu, x):
 # ---------------------------------------------------------------------------
 
 
-#: Subinterval budget of one adaptive QUADPACK pass.
+def _lift(func: Callable[[float], float]) -> Callable:
+    """Lift a scalar-only callable to floats and arrays, element by element."""
+
+    def lifted(x):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim == 0:
+            return float(func(float(arr)))
+        return np.array([float(func(float(v))) for v in arr.ravel()]
+                        ).reshape(arr.shape)
+
+    return lifted
+
+
+def _array_callable(func: Callable, probe: Sequence[float]) -> Callable:
+    """``func`` itself if it maps an array of ``probe`` points to an array of
+    the same shape, else its per-float lift."""
+    arr = np.asarray(probe, dtype=float)
+    try:
+        with np.errstate(all="ignore"):
+            out = np.shape(func(arr))
+    except (TypeError, ValueError):
+        return _lift(func)
+    return func if out == arr.shape else _lift(func)
+
+
+def _once_per_node(func: Callable, x: np.ndarray) -> np.ndarray:
+    """``func`` on an array of abscissae, called once on their distinct
+    values: the integrals of a batch start from the same panels, so a
+    factor that depends on x alone repeats across them."""
+    distinct, where = np.unique(x, return_inverse=True)
+    return np.asarray(func(distinct), dtype=float)[where.ravel()].reshape(
+        x.shape)
+
+
+#: Panel budget of one integral.
 _QUAD_LIMIT = 200
 
+#: Most panels one integrand call evaluates (21 nodes each); a larger pass is
+#: evaluated in chunks, which bounds the integrand's temporaries.
+_CHUNK_PANELS = 2048
 
-def _desingularize_left(f: Callable[[float], float], a: float, alpha: float
-                        ) -> Callable[[float], float]:
-    """Variable change removing an algebraic singularity (x-a)^alpha at a.
+# The QUADPACK qk21 rule on [-1, 1]: 21 Kronrod nodes, of which the odd
+# positions carry the embedded 10-point Gauss rule.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208034640323, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_WGK_CENTER = 0.149445554002916905664936468389821
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_NODES = np.array([-x for x in _XGK] + [0.0] + list(_XGK[::-1]))
+_KRONROD = np.array(list(_WGK) + [_WGK_CENTER] + list(_WGK[::-1]))
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _WG
+_GAUSS[19:10:-2] = _WG
+_UFLOW = float(np.finfo(float).tiny)
 
-    With p = 1/(1+alpha), the substitution x = a + y^p turns
-    f(x) ~ (x-a)^alpha into y^{p(1+alpha)-1} = y^0 near y=0.
-    Returns g with g(y) = f(a + y^p) * p * y^{p-1}.
+
+def _row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # einsum sums each row alike wherever it sits in the batch, so a value
+    # does not depend on the other integrals of its batch.
+    return np.einsum("ij,j->i", values, weights)
+
+
+def _kronrod_panels(f: Callable, lo, hi, owner, maps
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The qk21 value and error estimate of each panel [lo, hi] of the
+    computational variable y, in one call of f.  ``maps`` is None when every
+    panel has x = y, else (origin, sign, power, infinite): x = origin +
+    sign * y^power, or x = origin + (1 - y) / y on an infinite panel."""
+    half = 0.5 * (hi - lo)
+    y = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    x, jac = y, None
+    with np.errstate(all="ignore"):
+        if maps is not None:
+            origin, sign, power, infinite = maps
+            x, jac = y.copy(), np.ones_like(y)
+            bent = np.flatnonzero(power != 1.0)
+            if bent.size:
+                yb, pb = y[bent], power[bent, None]
+                x[bent] = origin[bent, None] + sign[bent, None] * yb ** pb
+                jac[bent] = pb * yb ** (pb - 1.0)
+            far = np.flatnonzero(infinite)
+            if far.size:
+                yf = y[far]
+                x[far] = origin[far, None] + (1.0 - yf) / yf
+                jac[far] = 1.0 / (yf * yf)
+        fv = np.asarray(f(x, owner[:, None]), dtype=float)
+        fv = np.broadcast_to(fv, y.shape) if jac is None else fv * jac
+        resk = _row_dot(fv, _KRONROD)
+        scale = np.abs(half)
+        err = np.abs((resk - _row_dot(fv, _GAUSS)) * half)
+        resabs = _row_dot(np.abs(fv), _KRONROD) * scale
+        resasc = _row_dot(np.abs(fv - 0.5 * resk[:, None]), _KRONROD) * scale
+        # QUADPACK's grading of |K - G| and its round-off floor.
+        graded = np.where((resasc != 0.0) & (err != 0.0), resasc * np.minimum(
+            1.0, (200.0 * err / resasc) ** 1.5), err)
+        err = np.where(resabs > _UFLOW / (50.0 * _EPS),
+                       np.maximum(50.0 * _EPS * resabs, graded), graded)
+    return resk * half, err
+
+
+def _segments(a, b, alpha, beta, points):
+    """Initial panels of each integral: its interval cut at the hint points,
+    with the endpoint variable changes on the first and last piece.
+    Returns (lo, hi, owner, maps) as :func:`_kronrod_panels` takes them."""
+    pts = np.asarray(points, dtype=float)
+    cuts = []
+    if pts.size:
+        if pts.ndim > 2:
+            raise DomainError(f"points must be one row or one row per "
+                              f"integral, got shape {pts.shape}")
+        pts = pts.reshape(1, -1) if pts.ndim <= 1 else pts
+        inside = (pts > a[:, None]) & (pts < b[:, None])
+        cuts.append(np.where(inside, pts, np.nan))
+    singular_a, singular_b = alpha != 0.0, beta != 0.0
+    infinite_b = np.isinf(b)
+    if singular_a.any() or infinite_b.any():
+        # A piece carries at most one variable change: split an interval
+        # with two singular ends at its middle, and one reaching infinity
+        # after a unit head, so that the map of the tail, whose resolution
+        # near its origin is only absolute, stays away from the lower end.
+        bare = ~np.any(inside, axis=1) if pts.size else True
+        cuts.append(np.where(bare & singular_a & singular_b, 0.5 * (a + b),
+                             np.where(bare & infinite_b, a + 1.0,
+                                      np.nan))[:, None])
+    if cuts:
+        cut = np.sort(np.concatenate(cuts, axis=1), axis=1)
+        count = np.sum(~np.isnan(cut), axis=1)
+        lefts = np.concatenate([a[:, None], cut], axis=1)
+        rights = np.concatenate([np.where(np.isnan(cut), b[:, None], cut),
+                                 b[:, None]], axis=1)
+        col = np.arange(lefts.shape[1])
+        owner, col = np.nonzero((col <= count[:, None]) & (b > a)[:, None])
+        left, right = lefts[owner, col], rights[owner, col]
+        first, last = col == 0, col == count[owner]
+    else:
+        owner = np.flatnonzero(b > a)
+        left, right = a[owner], b[owner]
+        first = last = True
+    head = first & singular_a[owner]
+    tail = last & singular_b[owner]
+    infinite = last & infinite_b[owner]
+    bent = head | tail
+    if not (np.any(bent) or np.any(infinite)):
+        return left, right, owner, None
+    lo, hi = left.copy(), right.copy()
+    origin = np.where(tail, right, np.where(infinite | head, left, 0.0))
+    sign = np.where(tail, -1.0, 1.0)
+    # x = a + y^p with p = 1/(1 + alpha) turns (x - a)^alpha into y^0, and
+    # x = b - y^p does so at the upper end.
+    power = 1.0 / (1.0 + np.where(head, alpha[owner],
+                                  np.where(tail, beta[owner], 0.0)))
+    lo[bent] = 0.0
+    hi[bent] = (right[bent] - left[bent]) ** (1.0 / power[bent])
+    # x = c + (1 - y)/y maps y in (0, 1] onto [c, inf).
+    lo[infinite], hi[infinite] = 0.0, 1.0
+    return lo, hi, owner, (origin, sign, power, infinite)
+
+
+def _integrate(f: Callable, a, b, tol: float, *, singular_exponent_a=0.0,
+               singular_exponent_b=0.0, points=()
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of integrals of ``f`` over (a_i, b_i), adaptively.
+
+    ``f(x, k)`` takes an array of abscissae and a broadcastable integer
+    array ``k`` naming the integral each belongs to, and returns the
+    integrand there.  ``a``, ``b`` and the singular exponents broadcast to
+    one entry per integral; ``points`` is one row of hints shared by all
+    integrals or one row per integral (hints outside (a_i, b_i) and NaN are
+    ignored).  An exponent alpha declares behavior like (x - a)^alpha,
+    removed by the change x = a + y^(1/(1+alpha)).  Under alpha = -1/2 that
+    is x = a + y^2, which also smooths an integrand that is a smooth
+    function of sqrt(x - a), such as a square-root cusp.
+
+    Each pass evaluates ``f`` once, on every new panel of every integral
+    (G10/K21 rule, QUADPACK error estimate), then bisects, in each integral
+    whose error sum exceeds ``max(tol, tol*|value|)``, every panel whose
+    error is at least its share of that target; at most ``_QUAD_LIMIT``
+    panels per integral.  Returns (values, abs_error_estimates); raises
+    :class:`~tailcorr.errors.QuadratureError` naming the first integral
+    that did not converge.
     """
-    p = 1.0 / (1.0 + alpha)
+    # One integral per entry of the broadcast limits and exponents, and per
+    # row of a two-dimensional ``points``.
+    pts = np.asarray(points, dtype=float)
+    rows = np.zeros(pts.shape[:1] if pts.ndim == 2 else ())
+    a, b, alpha, beta, _ = (np.ravel(v) for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, singular_exponent_a,
+                                                singular_exponent_b)), rows))
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"lower limit must be finite, got "
+                          f"{a[~np.isfinite(a)][0]!r}")
+    if np.any(np.isnan(b)):
+        raise DomainError("upper limit must not be NaN")
+    if np.any(b < a):
+        i = int(np.argmax(b < a))
+        raise DomainError(f"upper limit {b[i]!r} below lower limit {a[i]!r}")
+    if tol <= 0 or not math.isfinite(tol):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    for name, exps in (("singular_exponent_a", alpha),
+                       ("singular_exponent_b", beta)):
+        bad = ~((exps > -1.0) & (exps <= 0.0))
+        if bad.any():
+            raise DomainError(f"{name} must lie in (-1, 0], got "
+                              f"{exps[bad][0]!r}")
+    if np.any((beta != 0.0) & np.isinf(b)):
+        raise DomainError("singular_exponent_b requires a finite upper limit")
 
-    def g(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        return f(a + y ** p) * p * y ** (p - 1.0)
-
-    return g
+    n = a.size
+    lo, hi, owner, maps = _segments(a, b, alpha, beta, pts)
+    value = np.zeros(lo.size)
+    error = np.zeros(lo.size)
+    fresh = np.arange(lo.size)
+    stuck = np.zeros(n, dtype=bool)
+    while True:
+        for start in range(0, fresh.size, _CHUNK_PANELS):
+            idx = fresh[start:start + _CHUNK_PANELS]
+            value[idx], error[idx] = _kronrod_panels(
+                f, lo[idx], hi[idx], owner[idx],
+                None if maps is None else tuple(m[idx] for m in maps))
+        total = np.bincount(owner, weights=value, minlength=n)
+        total_err = np.bincount(owner, weights=error, minlength=n)
+        target = tol * np.maximum(1.0, np.abs(total))
+        broken = ~np.isfinite(total + total_err)
+        open_ = (total_err > target) & ~broken & ~stuck
+        if not open_.any():
+            break
+        # Bisect every splittable panel of an open integral whose error is
+        # at least its share of the target; within the panel budget, the
+        # panels of largest error go first.
+        count = np.bincount(owner, minlength=n)
+        want = open_[owner] & (error * count[owner] >= target[owner]) & (
+            hi - lo > 100.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+        over = np.bincount(owner[want], minlength=n) > _QUAD_LIMIT - count
+        if over.any():
+            ranked = np.flatnonzero(want & over[owner])
+            ranked = ranked[np.lexsort((-error[ranked], owner[ranked]))]
+            who = owner[ranked]
+            first = np.searchsorted(who, who)
+            want[ranked[np.arange(who.size) - first
+                        >= _QUAD_LIMIT - count[who]]] = False
+        split = np.flatnonzero(want)
+        stuck |= open_ & (np.bincount(owner[split], minlength=n) == 0)
+        fresh = split
+        if not split.size:
+            continue
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate([lo, mid])
+        hi = np.concatenate([hi, hi[split]])
+        hi[split] = mid
+        owner = np.concatenate([owner, owner[split]])
+        if maps is not None:
+            maps = tuple(np.concatenate([m, m[split]]) for m in maps)
+        value = np.concatenate([value, np.zeros(split.size)])
+        error = np.concatenate([error, np.zeros(split.size)])
+        fresh = np.concatenate([split, np.arange(lo.size - split.size,
+                                                 lo.size)])
+    failed = broken | (total_err > target)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if broken[i]:
+            raise QuadratureError(
+                f"quadrature produced a non-finite value on ({a[i]}, {b[i]})",
+                value=float(total[i]), abs_error_estimate=float(total_err[i]))
+        raise QuadratureError(
+            f"quadrature did not converge on ({a[i]}, {b[i]}): "
+            f"value={float(total[i])!r}, error estimate {total_err[i]:.3e} "
+            f"exceeds tol {tol:.3e}",
+            value=float(total[i]), abs_error_estimate=float(total_err[i]))
+    return total, total_err
 
 
 def quadrature(
@@ -201,7 +465,7 @@ def quadrature(
     Parameters
     ----------
     f:
-        Integrand, evaluable on the open interval.
+        Integrand, a callable of one float, evaluable on the open interval.
     a, b:
         Limits; ``b`` may be ``math.inf``. ``a`` must be finite.
     tol:
@@ -220,87 +484,17 @@ def quadrature(
     Returns
     -------
     SpecialFnResult with the value and the scheme's absolute error estimate.
+
+    This is the batched engine on a batch of one integral, with ``f``
+    called float by float.
     """
-    if not math.isfinite(a):
-        raise DomainError(f"lower limit must be finite, got {a!r}")
-    if math.isnan(b):
-        raise DomainError("upper limit must not be NaN")
-    if b < a:
-        raise DomainError(f"upper limit {b!r} below lower limit {a!r}")
-    if tol <= 0 or not math.isfinite(tol):
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    for name, alpha in (("singular_exponent_a", singular_exponent_a),
-                        ("singular_exponent_b", singular_exponent_b)):
-        if not -1.0 < alpha <= 0.0:
-            raise DomainError(f"{name} must lie in (-1, 0], got {alpha!r}")
-    if singular_exponent_b != 0.0 and not math.isfinite(b):
-        raise DomainError("singular_exponent_b requires a finite upper limit")
-    if a == b:
-        return SpecialFnResult(0.0, 0.0)
-
-    pts = sorted(float(p) for p in points if a < p < b)
-
-    # Remove declared endpoint singularities by substitution, splitting the
-    # interval so each piece has at most one transformed endpoint.
-    if singular_exponent_a != 0.0 or singular_exponent_b != 0.0:
-        if singular_exponent_a != 0.0 and singular_exponent_b != 0.0:
-            mid = pts[len(pts) // 2] if pts else 0.5 * (a + b)
-            left = quadrature(f, a, mid, tol / 2,
-                              singular_exponent_a=singular_exponent_a,
-                              points=[p for p in pts if p < mid])
-            right = quadrature(f, mid, b, tol / 2,
-                               singular_exponent_b=singular_exponent_b,
-                               points=[p for p in pts if p > mid])
-            return SpecialFnResult(left.value + right.value,
-                                   left.abs_error_estimate + right.abs_error_estimate)
-        if singular_exponent_a != 0.0:
-            if math.isinf(b):
-                # Confine the variable change to a finite head; the smooth
-                # tail is best left to the infinite-interval transform.
-                c = pts[0] if pts else a + 1.0
-                head = quadrature(f, a, c, tol / 2,
-                                  singular_exponent_a=singular_exponent_a)
-                tail = quadrature(f, c, b, tol / 2,
-                                  points=[p for p in pts if p > c])
-                return SpecialFnResult(
-                    head.value + tail.value,
-                    head.abs_error_estimate + tail.abs_error_estimate)
-            g = _desingularize_left(f, a, singular_exponent_a)
-            p = 1.0 / (1.0 + singular_exponent_a)
-            upper = (b - a) ** (1.0 / p)
-            inner_pts = [(q - a) ** (1.0 / p) for q in pts]
-            return quadrature(g, 0.0, upper, tol, points=inner_pts)
-        # singularity at finite b only: mirror the interval
-        g = lambda y: f(b - y)  # noqa: E731 - tiny adapter
-        mirrored = [b - q for q in pts]
-        return quadrature(g, 0.0, b - a, tol,
-                          singular_exponent_a=singular_exponent_b,
-                          points=mirrored)
-
-    kwargs: dict = {"epsabs": tol, "epsrel": tol, "limit": _QUAD_LIMIT,
-                    "full_output": 1}
-    if pts and math.isfinite(b):
-        kwargs["points"] = pts
-    elif pts:
-        # QUADPACK does not accept breakpoints on infinite intervals: split.
-        head = quadrature(f, a, pts[-1], tol / 2, points=pts[:-1])
-        tail = quadrature(f, pts[-1], b, tol / 2)
-        return SpecialFnResult(head.value + tail.value,
-                               head.abs_error_estimate + tail.abs_error_estimate)
-
-    out = _integrate.quad(f, a, b, **kwargs)
-    value, abserr = float(out[0]), float(out[1])
-    ier_ok = len(out) < 4  # no message element means success
-    if not math.isfinite(value):
-        raise QuadratureError(
-            f"quadrature produced a non-finite value on ({a}, {b})",
-            value=value, abs_error_estimate=abserr)
-    if not ier_ok and abserr > tol * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"quadrature did not converge on ({a}, {b}): value={value!r}, "
-            f"error estimate {abserr:.3e} exceeds tol {tol:.3e}",
-            value=value, abs_error_estimate=abserr)
-    return SpecialFnResult(value, abserr)
+    lifted = _lift(f)
+    values, errors = _integrate(
+        lambda x, k: lifted(x), float(a), float(b), tol,
+        singular_exponent_a=singular_exponent_a,
+        singular_exponent_b=singular_exponent_b,
+        points=[float(p) for p in points])
+    return SpecialFnResult(float(values[0]), float(errors[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +542,125 @@ def _worst_midpoint_gap(f: Callable, xs: Sequence[float]
             float(grid[i + 1]))
 
 
+def _richardson(stencil: np.ndarray, con: np.ndarray, rungs: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Best entry and its error of the Richardson table over each row of
+    ``stencil`` (one rung per column, step ratio ``con``, ``rungs`` valid
+    columns), as Ridders' scheme picks it."""
+    n, depth = stencil.shape
+    # Table t[:, i, j] (i-th rung, j-th extrapolation), a column at a time
+    # over all rungs and abscissae.
+    table = np.full((n, depth, depth), np.nan)
+    table[:, :, 0] = stencil
+    fac = con * con
+    # Entries (i, j), 1 <= j <= i, in the order the table is filled.
+    i_idx, j_idx = np.array([(i, j) for i in range(1, depth)
+                             for j in range(1, i + 1)], dtype=int).T
+    rung = np.arange(1, depth)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in rung:
+            table[:, j:, j] = ((table[:, j:, j - 1] * fac[:, None]
+                                - table[:, j - 1:-1, j - 1])
+                               / (fac[:, None] - 1.0))
+            fac = fac * (con * con)
+        entry = table[:, i_idx, j_idx]
+        errt = np.maximum(np.abs(entry - table[:, i_idx, j_idx - 1]),
+                          np.abs(entry - table[:, i_idx - 1, j_idx - 1]))
+        # The running best error, which an entry replaces when it is no
+        # larger (NaN never does); after each rung i > 1, refinement stops
+        # once the new diagonal moved by twice the best error (round-off).
+        running = np.fmin.accumulate(np.concatenate(
+            [np.full((n, 1), math.inf), errt], axis=1), axis=1)
+        diag = np.abs(table[:, rung, rung] - table[:, rung - 1, rung - 1])
+        stop = (diag >= 2.0 * running[:, np.cumsum(rung)]) & (rung > 1)
+    halted = np.logical_or.accumulate(stop, axis=1)
+    live = (rungs[:, None] > rung) & np.concatenate(
+        [np.ones((n, 1), dtype=bool), ~halted[:, :-1]], axis=1)
+    taken = live[:, i_idx - 1] & (errt <= running[:, :-1])
+    last = taken.shape[1] - 1 - np.argmax(taken[:, ::-1], axis=1)
+    found = taken.any(axis=1)
+    rows = np.arange(n)
+    return (np.where(found, entry[rows, last], stencil[:, 0]),
+            np.where(found, errt[rows, last], math.inf))
+
+
+def _ridders(f: Callable, x: np.ndarray, order: int, h: np.ndarray, *,
+             kinks: Sequence[float] = (), levels: int = 5
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Ridders' scheme for the order-k derivative of an array ``f`` at each
+    abscissa of ``x``, with base steps ``h`` (same shape).
+
+    Each abscissa gets a ladder of steps descending from a large initial
+    step to h, with Richardson extrapolation across the ladder; the entry
+    with the smallest estimated error wins.  Starting large (rather than
+    halving below h) keeps round-off, which scales like eps/step^order, in
+    check.  The ladder top shrinks so no stencil point crosses a declared
+    kink.  The whole ladder of every abscissa is one call of ``f``.
+    Returns (values, abs_error_estimates); raises
+    :class:`~tailcorr.errors.QuadratureError` on a non-finite value.
+    """
+    offsets, weights, hpow = _STENCILS[order]
+    max_off = max(abs(o) for o in offsets)
+    big = h * 2.0 ** (levels - 1)
+    for kink in kinks:
+        big = np.minimum(big, 0.5 * np.abs(x - kink) / max_off)
+    big = np.maximum(big, h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rungs = np.where(big > h, np.clip(
+            np.floor(np.log2(big / h)) + 1, 1, levels), 1).astype(int)
+        con = np.where(rungs > 1, (big / h) ** (1.0 / (rungs - 1)), 1.0)
+    depth = int(rungs.max(initial=1))
+    steps = big[:, None] / con[:, None] ** np.arange(depth)
+    vals = f(x[:, None, None] + np.asarray(offsets) * steps[:, :, None])
+    acc = weights[0] * vals[..., 0]
+    for j in range(1, len(offsets)):
+        acc = acc + weights[j] * vals[..., j]
+    stencil = acc / steps ** hpow
+    if depth > 1:
+        best, best_err = _richardson(stencil, con, rungs)
+    else:
+        best, best_err = stencil[:, 0], np.full(x.shape, math.inf)
+    bad = ~np.isfinite(best)
+    if bad.any():
+        raise QuadratureError(
+            f"num_derivative failed at x={float(x[bad][0])}")
+    best_err = np.where(np.isfinite(best_err), best_err,
+                        np.maximum(np.abs(best), 1.0))
+    return best, best_err
+
+
+def _derivatives(f: Callable, x, order: int, h=None, *,
+                 kinks: Sequence[float] = (), levels: int = 5
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`num_derivative` of an array ``f`` at every entry of ``x``
+    (default steps per entry), as (values, abs_error_estimates) arrays of
+    the shape of ``x``."""
+    if order not in _STENCILS:
+        raise DomainError(f"order must be an integer in 1..8, got {order!r}")
+    xs = np.asarray(x, dtype=float)
+    flat = xs.ravel()
+    if h is None:
+        step = _EPS ** (1.0 / (order + 2)) * np.maximum(1.0, np.abs(flat))
+    else:
+        step = np.broadcast_to(np.asarray(h, dtype=float), xs.shape).ravel()
+    if not np.all((step > 0) & np.isfinite(step)):
+        raise DomainError(f"step h must be positive and finite, got {h!r}")
+    if levels < 1:
+        raise DomainError(f"levels must be >= 1, got {levels!r}")
+    max_off = max(abs(o) for o in _STENCILS[order][0])
+    for kink in kinks:
+        near = np.abs(flat - kink) <= max_off * step
+        if near.any():
+            i = int(np.argmax(near))
+            raise KinkError(
+                f"num_derivative at x={flat[i]} (order {order}, step "
+                f"{step[i]:.3e}) would cross the declared kink at {kink}",
+                x=float(flat[i]), kink=kink)
+    values, errors = _ridders(f, flat, order, step, kinks=kinks,
+                              levels=levels)
+    return values.reshape(xs.shape), errors.reshape(xs.shape)
+
+
 def num_derivative(
     f: Callable[[float], float],
     x: float,
@@ -363,9 +676,10 @@ def num_derivative(
     eps / h^k); callers probing high orders must treat values whose
     magnitude is comparable to the error estimate as sign-indeterminate.
 
-    A Richardson table over successively halved steps is built and the entry
-    with the smallest estimated error is returned, together with that
-    estimate (Ridders' scheme).
+    A Richardson table over a ladder of steps is built and the entry with
+    the smallest estimated error is returned, together with that estimate
+    (Ridders' scheme).  ``f`` is a callable of one float; the ladder is
+    evaluated float by float.
 
     The default step is ``eps^(1/(order+2)) * max(1, |x|)``.
 
@@ -373,56 +687,6 @@ def num_derivative(
     or touch a caller-declared kink abscissa; derivatives across kinks are
     meaningless and the caller must use one-sided logic instead.
     """
-    if order not in _STENCILS:
-        raise DomainError(f"order must be an integer in 1..8, got {order!r}")
-    if h is None:
-        h = _EPS ** (1.0 / (order + 2)) * max(1.0, abs(x))
-    if h <= 0 or not math.isfinite(h):
-        raise DomainError(f"step h must be positive and finite, got {h!r}")
-    if levels < 1:
-        raise DomainError(f"levels must be >= 1, got {levels!r}")
-
-    offsets, weights, hpow = _STENCILS[order]
-    max_off = max(abs(o) for o in offsets)
-    for kink in kinks:
-        if abs(x - kink) <= max_off * h:
-            raise KinkError(
-                f"num_derivative at x={x} (order {order}, step {h:.3e}) would cross "
-                f"the declared kink at {kink}", x=x, kink=kink)
-
-    # Ridders' scheme: a ladder of steps descending from a large initial step
-    # to h, with Richardson extrapolation across the ladder; the entry with
-    # the smallest estimated error wins.  Starting large (rather than halving
-    # below h) keeps round-off, which scales like eps/step^order, in check.
-    big = h * 2.0 ** (levels - 1)
-    for kink in kinks:
-        # Shrink the ladder top so no stencil point crosses a declared kink.
-        big = min(big, 0.5 * abs(x - kink) / max_off)
-    big = max(big, h)
-    n_levels = max(1, min(levels, int(math.log2(big / h)) + 1)) if big > h else 1
-    con = (big / h) ** (1.0 / (n_levels - 1)) if n_levels > 1 else 1.0
-
-    def stencil(step: float) -> float:
-        return sum(w * f(x + o * step) for o, w in zip(offsets, weights)) / step ** hpow
-
-    table: list[list[float]] = [[stencil(big)]]
-    best = table[0][0]
-    best_err = math.inf
-    for i in range(1, n_levels):
-        step = big / con ** i
-        row = [stencil(step)]
-        fac = con * con
-        for j in range(1, i + 1):
-            row.append((row[j - 1] * fac - table[i - 1][j - 1]) / (fac - 1.0))
-            fac *= con * con
-            errt = max(abs(row[j] - row[j - 1]), abs(row[j] - table[i - 1][j - 1]))
-            if errt <= best_err:
-                best, best_err = row[j], errt
-        table.append(row)
-        if abs(row[i] - table[i - 1][i - 1]) >= 2.0 * best_err and i > 1:
-            break  # round-off has taken over; stop refining
-    if not math.isfinite(best):
-        raise QuadratureError(f"num_derivative failed at x={x}")
-    if not math.isfinite(best_err):
-        best_err = max(abs(best), 1.0)
-    return SpecialFnResult(best, best_err)
+    values, errors = _derivatives(_lift(f), float(x), order, h, kinks=kinks,
+                                  levels=levels)
+    return SpecialFnResult(float(values), float(errors))

@@ -44,15 +44,16 @@ from .errors import DomainError, KinkError, TailcorrError
 from .models import TcfModel, h_d, tcf_result
 from .numerics import (
     SpecialFnResult,
+    _integrate,
+    _lift,
+    _ridders,
     _worst_midpoint_gap,
     beta_d,
     erf_inv,
     erfc,
     erfc_inv,
-    num_derivative,
-    quadrature,
 )
-from .radial import RadialFunction, _lift, radial_from_callable, tent
+from .radial import RadialFunction, radial_from_callable, tent
 
 __all__ = [
     "S_ADMISSIBLE_LIMIT",
@@ -399,16 +400,17 @@ def turning_bands(chi: RadialFunction, spec: TurningBandsSpec, r: float,
                     - math.lgamma((spec.d - spec.k) / 2.0))
     pts = sorted({(k_ / rf) ** 2 for k_ in chi.kinks if 0.0 < (k_ / rf) ** 2 < 1.0})
 
-    def integrand(b: float) -> float:
-        if b <= 0.0 or b >= 1.0:
-            return 0.0
-        return float(chi(rf * math.sqrt(b))) * b**a_exp * (1.0 - b) ** b_exp
+    def integrand(b, k):
+        # A mapped node may round onto an end, where the weight is dropped.
+        inside = (b > 0.0) & (b < 1.0)
+        bb = np.where(inside, b, 0.5)
+        return np.where(inside, chi(rf * np.sqrt(bb)) * bb**a_exp
+                        * (1.0 - bb) ** b_exp, 0.0)
 
-    res = quadrature(integrand, 0.0, 1.0, tol=tol,
-                     singular_exponent_a=min(a_exp, 0.0),
-                     singular_exponent_b=min(b_exp, 0.0),
-                     points=pts)
-    return norm * res.value
+    value = _integrate(integrand, 0.0, 1.0, tol,
+                       singular_exponent_a=min(a_exp, 0.0),
+                       singular_exponent_b=min(b_exp, 0.0), points=pts)[0]
+    return norm * float(value[0])
 
 
 def turning_bands_mc(chi: RadialFunction, spec: TurningBandsSpec, r: float,
@@ -461,28 +463,30 @@ def phi_d(t: float, d: int) -> float:
     upper = min(1.0, 1.0 / tf)
     expo = (d - 3) / 2.0
 
-    def integrand(w: float) -> float:
+    def integrand(w, k):
         base = (1.0 - w) * (1.0 + w)
-        return (1.0 - tf * w) * base**expo if base > 0.0 else 0.0
+        return np.where(base > 0.0, (1.0 - tf * w)
+                        * np.where(base > 0.0, base, 1.0) ** expo, 0.0)
 
     sing_b = min(expo, 0.0) if upper == 1.0 else 0.0
-    res = quadrature(integrand, 0.0, upper, tol=1e-12,
-                     singular_exponent_b=sing_b)
-    return c_d * res.value
+    value = _integrate(integrand, 0.0, upper, 1e-12,
+                       singular_exponent_b=sing_b)[0]
+    return c_d * float(value[0])
 
 
-def phi_d_neg_deriv_sqrt(t: float, d: int) -> float:
+def phi_d_neg_deriv_sqrt(t, d: int):
     """``-phi_d'(sqrt t)``: beta_d for t <= 1, else
-    ``beta_d (1 - (1 - 1/t)^{(d-1)/2})``."""
-    tf = float(t)
-    if tf <= 0:
+    ``beta_d (1 - (1 - 1/t)^{(d-1)/2})``.  Scalar in, float out; array in,
+    ndarray out."""
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr <= 0):
         raise DomainError(f"t must be > 0, got {t!r}")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d!r}")
     b = beta_d(d)
-    if tf <= 1.0:
-        return b
-    return b * (1.0 - (1.0 - 1.0 / tf) ** ((d - 1) / 2.0))
+    out = np.where(arr <= 1.0, b, b * (1.0 - (1.0 - 1.0 / np.maximum(arr, 1.0))
+                                        ** ((d - 1) / 2.0)))
+    return float(out) if arr.ndim == 0 else out
 
 
 def chi_d(t: float, d: int) -> float:
@@ -601,15 +605,20 @@ def gneiting_c(t: float, d: int, *, tol: float = 1e-10) -> float:
     # Substituted to a fixed interval: v = t w, with the inverse-square-root
     # singularity at w = 1 and the branch switch of -phi_d' at w = 1/t.
     # The derivative is taken at radius 1/sqrt(v), i.e. sqrt-argument 1/(t w).
-    def integrand(w: float) -> float:
-        if w <= 0.0 or w >= 1.0:
-            return 0.0
-        return math.sqrt(w / (1.0 - w)) * phi_d_neg_deriv_sqrt(1.0 / (tf * w), d)
+    def integrand(w, k):
+        # A mapped node may round onto an end, where the weight is dropped.
+        inside = (w > 0.0) & (w < 1.0)
+        ww = np.where(inside, w, 0.5)
+        return np.where(inside, np.sqrt(ww / (1.0 - ww))
+                        * phi_d_neg_deriv_sqrt(1.0 / (tf * ww), d), 0.0)
 
-    pts = [1.0 / tf] if tf > 1.0 else []
-    res = quadrature(integrand, 0.0, 1.0, tol=tol, singular_exponent_b=-0.5,
-                     points=pts)
-    return tf * res.value
+    # Near w = 0 and, left of the branch switch, near w = 1/t the integrand
+    # is a smooth function of sqrt(w), resp. sqrt(1/t - w), which the
+    # square-root variable change smooths out.
+    ends = [0.0, 1.0 / tf, 1.0] if tf > 1.0 else [0.0, 1.0]
+    values = _integrate(integrand, ends[:-1], ends[1:], tol / 2,
+                        singular_exponent_a=-0.5, singular_exponent_b=-0.5)[0]
+    return tf * float(values.sum())
 
 
 def c_second_deriv_at_1(d: int) -> float:
@@ -637,7 +646,7 @@ def midpoint_convexity_violation(f: Callable[[float], float],
     return gap, mid
 
 
-def implied_br_variogram(r: float) -> float:
+def implied_br_variogram(r):
     """The variogram exponent a Brown-Resnick TCF would need in order to
     equal ``0.25 erfc(sqrt r) + 0.75 erfc(5 sqrt r)``:
 
@@ -646,16 +655,16 @@ def implied_br_variogram(r: float) -> float:
     psi is increasing from psi(0) = 0; its second derivative has a local
     minimum, which obstructs psi from having a completely monotone
     derivative -- the mixture TCF is not of Brown-Resnick type even though
-    both components are.
+    both components are.  Scalar in, float out; array in, ndarray out.
     """
-    rf = float(r)
-    if rf < 0:
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr < 0):
         raise DomainError(f"r must be >= 0, got {r!r}")
-    if rf == 0.0:
-        return 0.0
-    s = math.sqrt(rf)
-    mix = 0.25 * float(erfc(s)) + 0.75 * float(erfc(5.0 * s))
-    return float(erfc_inv(mix)) ** 2
+    s = np.sqrt(arr)
+    mix = 0.25 * erfc(s) + 0.75 * erfc(5.0 * s)
+    # psi(0) = 0 exactly, where erfc_inv(1) may round.
+    out = np.where(arr == 0.0, 0.0, erfc_inv(mix) ** 2)
+    return float(out) if arr.ndim == 0 else out
 
 
 def implied_br_curvature_min(lo: float = 1e-4, hi: float = 10.0, *,
@@ -663,17 +672,18 @@ def implied_br_curvature_min(lo: float = 1e-4, hi: float = 10.0, *,
     """Locate a local minimum of psi'' on [lo, hi].
 
     Scans a log grid of n points for a discrete local minimum of the
-    numeric second derivative, then refines by golden-section.  Returns
-    (location, psi''(location)); raises if no interior minimum exists.
+    numeric second derivative (one batch of Ridders ladders), then refines
+    by golden-section.  Returns (location, psi''(location)); raises if no
+    interior minimum exists.
     """
     grid = np.geomspace(lo, hi, n)
 
-    def psi2(x: float) -> float:
+    def psi2(x):
         # Relative step keeps the whole Ridders ladder inside r > 0.
-        return num_derivative(implied_br_variogram, float(x), 2,
-                              h=float(x) / 20.0, levels=4).value
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        return _ridders(implied_br_variogram, xs, 2, xs / 20.0, levels=4)[0]
 
-    vals = np.array([psi2(x) for x in grid])
+    vals = psi2(grid)
     interior = np.flatnonzero(
         (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1
     if interior.size == 0:
@@ -683,20 +693,20 @@ def implied_br_curvature_min(lo: float = 1e-4, hi: float = 10.0, *,
     a, b = float(grid[i - 1]), float(grid[i + 1])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d_ = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = psi2(c), psi2(d_)
+    fc, fd = psi2([c, d_])
     for _ in range(60):
         if b - a < 1e-10 * max(1.0, abs(a)):
             break
         if fc < fd:
             b, d_, fd = d_, c, fc
             c = b - invphi * (b - a)
-            fc = psi2(c)
+            fc = psi2(c)[0]
         else:
             a, c, fc = c, d_, fd
             d_ = a + invphi * (b - a)
-            fd = psi2(d_)
+            fd = psi2(d_)[0]
     x_min = 0.5 * (a + b)
-    return x_min, psi2(x_min)
+    return x_min, float(psi2(x_min)[0])
 
 
 # ---------------------------------------------------------------------------

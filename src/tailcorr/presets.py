@@ -169,11 +169,11 @@ def erfc_sqrt_diameter_density(dim: int = 3):
     d=1: k(s) = (2s + 1) e^{-s} / (2 sqrt(pi s)).
     """
     if dim == 3:
-        return lambda s: ((4.0 * s * s + 8.0 * s + 5.0) * math.exp(-s)
-                          / (12.0 * math.sqrt(math.pi * s)))
+        return lambda s: ((4.0 * s * s + 8.0 * s + 5.0) * np.exp(-s)
+                          / (12.0 * np.sqrt(math.pi * s)))
     if dim == 1:
-        return lambda s: ((2.0 * s + 1.0) * math.exp(-s)
-                          / (2.0 * math.sqrt(math.pi * s)))
+        return lambda s: ((2.0 * s + 1.0) * np.exp(-s)
+                          / (2.0 * np.sqrt(math.pi * s)))
     raise DomainError(f"density available for dim 1 and 3 only, got {dim!r}")
 
 
@@ -198,10 +198,11 @@ def erfc_sqrt_mps_mixing() -> Distribution1D:
             return 0.0
         return (2.0 / math.pi) * math.atan(math.sqrt(2.0 * s / math.pi - 1.0))
 
-    def pdf(s: float) -> float:
-        if s <= half_pi:
-            return 0.0
-        return 1.0 / (math.pi * s * math.sqrt(2.0 * s / math.pi - 1.0))
+    def pdf(s):
+        above = np.asarray(s) > half_pi
+        t = np.where(above, s, math.pi)
+        return np.where(above, 1.0 / (math.pi * t
+                                      * np.sqrt(2.0 * t / math.pi - 1.0)), 0.0)
 
     def quantile(q: float) -> float:
         return half_pi * (1.0 + math.tan(half_pi * q) ** 2)

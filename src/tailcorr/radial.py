@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special as _special
 
 from .errors import DomainError, KinkError, TailcorrError
-from .numerics import kappa_d, num_derivative
+from .numerics import _derivatives, _lift, kappa_d
 
 __all__ = [
     "RadialFunction",
@@ -51,19 +51,6 @@ __all__ = [
 ]
 
 _KINK_EPS = 1e-12
-
-
-def _lift(func: Callable[[float], float]) -> Callable:
-    """Lift a scalar-only callable to floats and arrays, element by element."""
-
-    def lifted(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return float(func(float(arr)))
-        return np.array([float(func(float(v))) for v in arr.ravel()]
-                        ).reshape(arr.shape)
-
-    return lifted
 
 
 def _probe(func: Callable, points, what: str, helper: str) -> np.ndarray:
@@ -137,24 +124,38 @@ class RadialFunction:
             return None
         return min(self.kinks, key=lambda k: abs(k - r))
 
-    def derivative(self, r: float, order: int) -> float:
-        """Derivative of the given order at r > 0.
+    def _on_kink(self, r: np.ndarray) -> np.ndarray:
+        """Mask of the entries of ``r`` that sit on a declared kink."""
+        on = np.zeros(r.shape, dtype=bool)
+        for k in self.kinks:
+            on |= np.abs(r - k) <= _KINK_EPS * np.maximum(1.0, np.abs(r))
+        return on
 
-        Uses the analytic derivative when present, numeric differentiation
-        otherwise.  Refuses (KinkError) exactly on a declared kink, where no
-        two-sided derivative exists.
+    def derivative(self, r, order: int):
+        """Derivative of the given order at r > 0; a float for a float, an
+        array for an array.
+
+        Uses the analytic derivative when present (called float by float),
+        numeric differentiation of ``func`` on the whole array otherwise.
+        Refuses (KinkError) exactly on a declared kink, where no two-sided
+        derivative exists.
         """
         if order not in (1, 2, 3):
             raise DomainError(f"order must be 1, 2 or 3, got {order!r}")
-        k = self.nearest_kink(r)
-        if k is not None and abs(r - k) <= _KINK_EPS * max(1.0, abs(r)):
-            raise KinkError(
-                f"{self.name!r} has a kink at {k}; no order-{order} derivative there",
-                x=r, kink=k)
+        arr = np.asarray(r, dtype=float)
+        if self.kinks:
+            on = self._on_kink(arr)
+            if on.any():
+                x = float(arr[on].flat[0])
+                k = self.nearest_kink(x)
+                raise KinkError(
+                    f"{self.name!r} has a kink at {k}; no order-{order} "
+                    "derivative there", x=x, kink=k)
         analytic = (self.deriv1, self.deriv2, self.deriv3)[order - 1]
         if analytic is not None:
-            return float(analytic(float(r)))
-        return num_derivative(self.func, float(r), order, kinks=self.kinks).value
+            return _evaluate(_lift(analytic), arr)
+        values = _derivatives(self.func, arr, order, kinks=self.kinks)[0]
+        return float(values) if arr.ndim == 0 else values
 
 
 def radial_from_callable(name: str, func: Callable[[float], float],

@@ -21,9 +21,11 @@ dim   shape f(u)                diameter density k(s)
 
 where the d=2 kernels integrate against the measure ``d lambda_chi`` with
 ``lambda_chi(t) = t chi''(1/t)``.  The d=2 formulas assume enough smoothness
-for lambda_chi to be differentiable; when an analytic third derivative is
-available the integrals are computed against ``lambda_chi'``, otherwise by
-midpoint Stieltjes sums against ``lambda_chi`` itself.
+for lambda_chi to be differentiable: the integrals are computed against
+``lambda_chi'`` in the radius variable w = 1/t, with chi'' and chi''' taken
+analytically where chi carries them and numerically otherwise.  Numeric
+derivatives carry a relative error of about 1e-9, so that route floors its
+quadrature tolerance at ``_NUMERIC_D2_TOL``.
 
 A kink in chi (a jump of chi') corresponds to an atom in the diameter law
 -- the tent TCF inverts to a deterministic ball -- so density queries on
@@ -35,13 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .distributions import Distribution1D, stieltjes_expect
+from .distributions import Distribution1D
 from .errors import DomainError, KinkError, ModelError, NotInClassError
-from .numerics import kappa_d, quadrature
+from .numerics import _integrate, kappa_d, quadrature
 from .radial import RadialFunction
 
 __all__ = [
@@ -60,6 +61,11 @@ __all__ = [
 # Relative offset used to take one-sided limits next to a declared kink.
 _SIDE_EPS = 1e-7
 
+#: Smallest quadrature tolerance of the d=2 integrals when chi'' or chi'''
+#: is numeric: below it the integrand's differentiation noise, not the
+#: quadrature, sets the error.
+_NUMERIC_D2_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class RecoveryInput:
@@ -71,8 +77,9 @@ class RecoveryInput:
     are accurate to roughly 1e-7.
 
     The d=2 formulas hold under a stronger smoothness assumption on chi
-    (third derivative available); for merely twice-differentiable inputs
-    the Stieltjes fallback is best-effort, not certified.
+    (a third derivative exists); without analytic second and third
+    derivatives they integrate numeric ones, at a tolerance of at least
+    ``_NUMERIC_D2_TOL``.
     """
 
     chi: RadialFunction
@@ -119,21 +126,19 @@ def _guard_nonnegative(name: str, x: float, value: float, slack: float) -> float
     return max(0.0, value)
 
 
-def _d2_kernel(inp: RecoveryInput, w: float) -> float:
+def _d2_kernel(inp: RecoveryInput, w):
     """``chi''(w) - w chi'''(w)``, the density of d lambda_chi pushed to
-    the radius variable w = 1/t (so that d lambda_chi(t) = kernel dw/w^2)."""
+    the radius variable w = 1/t (so that d lambda_chi(t) = kernel dw/w^2);
+    ``w`` is an array."""
     return inp.chi.derivative(w, 2) - w * inp.chi.derivative(w, 3)
 
 
-def _d2_stieltjes(inp: RecoveryInput, g: Callable[[float], float],
-                  upper: float) -> float:
-    """``int_0^upper g(t) d lambda_chi(t)`` by midpoint Stieltjes sums.
-
-    Fallback when no analytic third derivative exists: only lambda_chi
-    values (second derivative) are needed.
-    """
-    return stieltjes_expect(g, lambda t: lambda_chi(inp, t),
-                            1e-12, upper, n=4000).value
+def _d2_tol(inp: RecoveryInput, tol: float) -> float:
+    """The d=2 quadrature tolerance: ``tol``, floored at
+    ``_NUMERIC_D2_TOL`` when chi'' or chi''' is numeric."""
+    if inp.chi.deriv2 is None or inp.chi.deriv3 is None:
+        return max(tol, _NUMERIC_D2_TOL)
+    return tol
 
 
 def recover_shape(inp: RecoveryInput, u: float, *, tol: float = 1e-10) -> float:
@@ -157,20 +162,16 @@ def recover_shape(inp: RecoveryInput, u: float, *, tol: float = 1e-10) -> float:
     # chi's derivatives at infinity.
     lo = 2.0 * uf
     hi = inp.chi.support_bound if inp.chi.support_bound is not None else math.inf
-    if inp.chi.deriv3 is not None:
-        def integrand(w: float) -> float:
-            arg = (w - lo) * (w + lo)
-            if arg <= 0.0:
-                return 0.0
-            return math.sqrt(arg) * _d2_kernel(inp, w) / (w * w)
+    tol = _d2_tol(inp, tol)
 
-        value = (2.0 / math.pi) * quadrature(integrand, lo, hi, tol=tol).value
-    else:
-        def kernel(t: float) -> float:
-            arg = (2.0 * uf * t) ** -2 - 1.0
-            return math.sqrt(arg) if arg > 0.0 else 0.0
+    def integrand(w, k):
+        arg = np.maximum((w - lo) * (w + lo), 0.0)
+        return np.sqrt(arg) * _d2_kernel(inp, w) / (w * w)
 
-        value = (4.0 * uf / math.pi) * _d2_stieltjes(inp, kernel, 1.0 / lo)
+    # The integrand is a smooth function of sqrt(w - 2u) at its lower end,
+    # which the square-root variable change smooths out.
+    value = (2.0 / math.pi) * float(_integrate(
+        integrand, lo, hi, tol, singular_exponent_a=-0.5)[0][0])
     return _guard_nonnegative("shape", uf, value, 10.0 * tol)
 
 
@@ -248,22 +249,20 @@ def recover_radius_density(inp: RecoveryInput, s: float, *,
     # integrated over the offset x = w - s so the singular factor
     # (x (w + s))^{-1/2} is computed without cancellation.
     hi = inp.chi.support_bound if inp.chi.support_bound is not None else math.inf
-    if inp.chi.deriv3 is not None:
-        def integrand(x: float) -> float:
-            w = sf + x
-            if x <= 0.0 or w >= hi:
-                return 0.0
-            return (x * (w + sf)) ** -0.5 * _d2_kernel(inp, w) / (w * w)
+    tol = _d2_tol(inp, tol)
 
-        res = quadrature(integrand, 0.0, hi - sf if math.isfinite(hi) else math.inf,
-                         tol=tol, singular_exponent_a=-0.5)
-        value = 0.5 * sf**3 * res.value
-    else:
-        def kernel(t: float) -> float:
-            arg = (sf * t) ** -2 - 1.0
-            return arg ** -0.5 if arg > 0.0 else 0.0
+    def integrand(x, k):
+        # A mapped node may round onto an end, where the weight is dropped.
+        w = sf + x
+        inside = (x > 0.0) & (w < hi)
+        out = np.zeros(x.shape)
+        xi, wi = x[inside], w[inside]
+        out[inside] = ((xi * (wi + sf)) ** -0.5 * _d2_kernel(inp, wi)
+                       / (wi * wi))
+        return out
 
-        value = (sf * sf / 2.0) * _d2_stieltjes(inp, kernel, 1.0 / sf)
+    value = 0.5 * sf**3 * float(_integrate(
+        integrand, 0.0, hi - sf, tol, singular_exponent_a=-0.5)[0][0])
     return _guard_nonnegative("diameter density", sf, value, 10.0 * tol)
 
 

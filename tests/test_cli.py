@@ -842,6 +842,17 @@ class TestColdImport:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_import_does_not_load_scipy_integrate(self):
+        # Quadrature is the package's own; SciPy's integrate would pull in
+        # its linalg, sparse, optimize and spatial packages.
+        src = str(Path(tailcorr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, tailcorr; "
+                 "print('scipy.integrate' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestGridSpecs:
     @pytest.mark.parametrize("spec", ["1:2", "2:1:5", "0:1:5:log",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -399,6 +400,22 @@ class TestArrayEvaluation:
         wrapped, calls = self.counted(chi)
         battery(wrapped)
         assert calls["float"] == 0
+
+    @pytest.mark.parametrize("chi", [truncated_power(2.0), powered_erfc(0.8)])
+    def test_classify_makes_one_float_call(self, chi):
+        # The chi(0) check; derivative stencils and the spectral scan
+        # evaluate whole arrays.
+        wrapped, calls = self.counted(chi)
+        classify(wrapped, 3)
+        assert calls["float"] <= 1
+
+    def test_default_grid_witness_holds_python_floats(self):
+        assert all(type(x) is float for x in DEFAULT_GRID)
+        verdict = test_completely_monotone(powered_erfc(0.8))
+        assert verdict.failed
+        assert all(type(v) in (float, int) for v in verdict.witness)
+        assert re.fullmatch(r"\(0\.870359136148\d*, 5, 0\.27982129\d*\)",
+                            repr(verdict.witness))
 
     KINK_GRID = np.linspace(0.25, 4.0, 16)  # holds t = 1
 

@@ -1,6 +1,7 @@
 """Tests for TCF evaluation across all process classes, the ball overlap
 kernel, parametric family bounds, and the erfc scale-mixture catalog."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailcorr import DomainError, ModelError, erfc
+from tailcorr import DomainError, ModelError, erfc, numerics
 from tailcorr.distributions import exponential_dist, point_mass
 from tailcorr.cli import resolve_function
 from tailcorr.membership import classify
@@ -259,6 +260,44 @@ class TestTableOneClasses:
         out = tcf(model, np.array([0.0, 1.0]))
         assert out.shape == (2,)
         assert out[0] == 1.0
+
+
+class TestBatchedLags:
+    """The lags of one ``tcf`` call are one batch of integrals."""
+
+    def test_m3b_density_called_once_per_pass(self, monkeypatch):
+        passes = [0]
+        kronrod = numerics._kronrod_panels
+
+        def counted_passes(*args):
+            passes[0] += 1
+            return kronrod(*args)
+
+        monkeypatch.setattr(numerics, "_kronrod_panels", counted_passes)
+        law = erfc_sqrt_radius_law(3)
+        calls = [0]
+
+        def pdf(r):
+            calls[0] += 1
+            return law.pdf(r)
+
+        model = M3bModel(dim=3, radius=dataclasses.replace(law, pdf=pdf))
+        lags = np.geomspace(0.01, 5.0, 200)
+        values = tcf(model, lags)
+        # One call per pass, plus the probe that finds the density takes
+        # arrays; not one per lag.
+        assert calls[0] == passes[0] + 1
+        assert passes[0] < 30
+        np.testing.assert_allclose(values, erfc(np.sqrt(lags)), atol=1e-8)
+
+    @pytest.mark.parametrize("name", ["M2r", "M3b", "MPS", "BR"])
+    def test_array_matches_lag_by_lag(self, name):
+        model = erfc_sqrt_models()[name]
+        lags = np.array([0.0, 0.05, 0.7, 3.0])
+        batch = tcf(model, lags, tol=1e-10)
+        for t, value in zip(lags, batch):
+            assert value == pytest.approx(tcf(model, float(t), tol=1e-10),
+                                          abs=1e-9)
 
 
 @pytest.mark.parametrize("name,model", [

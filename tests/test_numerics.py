@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from tailcorr import (
     DomainError,
@@ -20,7 +21,12 @@ from tailcorr import (
     num_derivative,
     quadrature,
 )
-from tailcorr.numerics import _worst_midpoint_gap
+from tailcorr.numerics import (
+    _QUAD_LIMIT,
+    _derivatives,
+    _integrate,
+    _worst_midpoint_gap,
+)
 
 
 class TestErfFamily:
@@ -225,6 +231,117 @@ class TestQuadrature:
         assert abs(whole - split) <= 2e-11
 
 
+class TestBatchedQuadrature:
+    """The batched Gauss-Kronrod engine against SciPy's QUADPACK, one batch
+    per integrand family, and its error estimates against closed forms."""
+
+    @staticmethod
+    def counted(f):
+        calls = [0]
+
+        def wrapped(x, k):
+            calls[0] += 1
+            return f(x, k)
+
+        return wrapped, calls
+
+    @staticmethod
+    def agree(values, reference, tol):
+        for got, want in zip(values, reference):
+            assert abs(got - want) <= 10.0 * tol * max(1.0, abs(want))
+
+    def test_smooth_family(self):
+        freq = np.linspace(0.5, 12.0, 40)
+        upper = np.linspace(0.5, 6.0, 40)
+        f, calls = self.counted(lambda x, k: np.exp(-x) * np.cos(freq[k] * x))
+        values, errors = _integrate(f, 0.0, upper, 1e-11)
+        self.agree(values, [quad(lambda x, w=w: math.exp(-x) * math.cos(w * x),
+                                 0.0, b, epsabs=1e-13, epsrel=1e-13)[0]
+                            for w, b in zip(freq, upper)], 1e-11)
+        assert calls[0] <= 8  # one call per pass for all 40 integrals
+
+    def test_declared_singular_family(self):
+        alpha = np.linspace(-0.9, -0.1, 17)
+        values, _ = _integrate(lambda x, k: x ** alpha[k] * np.exp(-x),
+                               0.0, 2.0, 1e-11, singular_exponent_a=alpha)
+        self.agree(values, [quad(lambda x, a=a: x ** a * math.exp(-x), 0.0, 2.0,
+                                 epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+                            for a in alpha], 1e-11)
+        # The integrand recomputes 1 - x from x = 1 - y^p, which cancels
+        # once p = 1/(1 + beta) is large; QUADPACK behind the same change
+        # loses accuracy from beta = -0.6 on.
+        beta = np.linspace(-0.5, -0.1, 5)
+        values, _ = _integrate(lambda x, k: (1.0 - x) ** beta[k] * np.cos(x),
+                               0.0, 1.0, 1e-11, singular_exponent_b=beta)
+        self.agree(values, [quad(lambda x, b=b: (1.0 - x) ** b * math.cos(x),
+                                 0.0, 1.0, epsabs=1e-13, epsrel=1e-13,
+                                 limit=200)[0] for b in beta], 1e-11)
+
+    def test_infinite_family(self):
+        scale = np.geomspace(0.05, 20.0, 25)
+        lower = np.linspace(0.0, 3.0, 25)
+        values, _ = _integrate(lambda x, k: 1.0 / (1.0 + (x / scale[k]) ** 3),
+                               lower, math.inf, 1e-11)
+        self.agree(values, [quad(lambda x, c=c: 1.0 / (1.0 + (x / c) ** 3), a,
+                                 math.inf, epsabs=1e-13, epsrel=1e-13)[0]
+                            for c, a in zip(scale, lower)], 1e-11)
+
+    def test_kinked_family_with_hints_per_integral(self):
+        kink = np.linspace(0.05, 0.95, 19)
+        values, _ = _integrate(lambda x, k: np.abs(x - kink[k]) * np.exp(x),
+                               0.0, 1.0, 1e-12, points=kink[:, None])
+        self.agree(values, [quad(lambda x, c=c: abs(x - c) * math.exp(x), 0.0,
+                                 1.0, points=[c], epsabs=1e-13,
+                                 epsrel=1e-13)[0] for c in kink], 1e-12)
+
+    @given(st.floats(0.1, 5.0), st.floats(-0.7, 0.0), st.floats(0.2, 3.0))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_quadpack(self, rate, alpha, upper):
+        def f(x):
+            return x ** alpha * math.exp(-rate * x) * (1.0 + math.sin(3.0 * x))
+
+        got = quadrature(f, 0.0, upper, tol=1e-11, singular_exponent_a=alpha)
+        want = quad(f, 0.0, upper, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        assert abs(got.value - want) <= 1e-9 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("f,a,b,kwargs,exact", [
+        (lambda x: math.exp(-x), 0.0, math.inf, {}, 1.0),
+        (lambda x: x ** -0.5, 0.0, 4.0, {"singular_exponent_a": -0.5}, 4.0),
+        (lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf, {}, math.pi / 2.0),
+        (lambda x: abs(x - 0.3), 0.0, 1.0, {"points": [0.3]}, 0.29),
+        (lambda x: math.sin(x) ** 2, 0.0, 20.0, {},
+         10.0 - math.sin(40.0) / 4.0),
+        (lambda x: math.log(x), 0.0, 1.0, {}, -1.0),
+    ])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    def test_error_estimate_covers_the_true_error(self, f, a, b, kwargs,
+                                                  exact, tol):
+        res = quadrature(f, a, b, tol=tol, **kwargs)
+        assert abs(res.value - exact) <= res.abs_error_estimate + 4e-16
+        assert res.abs_error_estimate <= tol * max(1.0, abs(exact))
+
+    def test_failure_names_the_interval(self):
+        with pytest.raises(QuadratureError, match=r"on \(0\.0, 1\.0\)"):
+            _integrate(lambda x, k: 1.0 / x + 0.0 * k, 0.0, [1.0, 2.0],
+                       1e-10)
+
+    def test_panel_budget(self):
+        f, calls = self.counted(lambda x, k: 1.0 / x)
+        with pytest.raises(QuadratureError):
+            _integrate(f, 0.0, 1.0, 1e-10)
+        # One bisection per pass until the budget is spent.
+        assert calls[0] == _QUAD_LIMIT
+
+    def test_batch_equals_one_at_a_time(self):
+        rate = np.array([0.3, 1.0, 4.0])
+        batch = _integrate(lambda x, k: np.exp(-rate[k] * x), np.zeros(3),
+                           math.inf, 1e-12)
+        for i, r in enumerate(rate):
+            alone = _integrate(lambda x, k: np.exp(-r * x), 0.0, math.inf,
+                               1e-12)
+            assert (batch[0][i], batch[1][i]) == (alone[0][0], alone[1][0])
+
+
 class TestNumDerivative:
     @pytest.mark.parametrize(
         "order,expected",
@@ -275,6 +392,25 @@ class TestNumDerivative:
         true = (-1.0) ** order * math.exp(-0.4)
         assert res.value == pytest.approx(true, abs=max(1e-4, 5 * res.abs_error_estimate))
         assert abs(res.value - true) <= max(10.0 * res.abs_error_estimate, 1e-5)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 5, 8])
+    def test_batch_matches_one_at_a_time(self, order):
+        # One call of f for the whole ladder of every abscissa; a kink
+        # inside the ladder reach shrinks the ladder top of nearby points.
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return 1.0 / (1.0 + x * x)
+
+        xs = np.linspace(0.3, 3.0, 25)
+        values, errors = _derivatives(f, xs, order, kinks=(3.6,))
+        assert calls[0] == 1
+        for x, value, error in zip(xs, values, errors):
+            res = num_derivative(f, float(x), order, kinks=(3.6,))
+            assert value == pytest.approx(res.value, rel=1e-12, abs=1e-12)
+            assert error == pytest.approx(res.abs_error_estimate, rel=1e-9,
+                                          abs=1e-15)
 
     def test_bad_step(self):
         with pytest.raises(DomainError):

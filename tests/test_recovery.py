@@ -1,6 +1,7 @@
 """Tests for TCF inversion: storm shapes, diameter laws, and the f <-> H
 correspondence, checked against closed forms and full round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,10 +14,12 @@ from tailcorr.numerics import kappa_d, quadrature
 from tailcorr.presets import erfc_sqrt_chi, erfc_sqrt_shape
 from tailcorr.radial import (
     exponential_decay,
+    generalized_cauchy,
     radial_from_callable,
     tent,
 )
 from tailcorr.recovery import (
+    _NUMERIC_D2_TOL,
     AtomicAnswer,
     H_from_f,
     RecoveryInput,
@@ -190,6 +193,36 @@ class TestRecoverRadiusDensity:
             lambda s: recover_radius_density(inp, s, tol=1e-11),
             0.0, math.inf, tol=1e-7)
         assert total.value == pytest.approx(1.0, abs=1e-5)
+
+
+class TestD2NumericDerivatives:
+    """Without analytic second and third derivatives, the d=2 integrals take
+    numeric ones and must agree with the analytic-derivative route."""
+
+    CHI = generalized_cauchy(1.0)  # 1/(1 + r), analytic deriv1 only
+    FULL = dataclasses.replace(CHI, deriv2=lambda r: 2.0 / (1.0 + r) ** 3,
+                               deriv3=lambda r: -6.0 / (1.0 + r) ** 4)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("recover", [recover_radius_density,
+                                         recover_shape])
+    def test_agrees_with_analytic_derivatives(self, recover, s):
+        numeric = recover(RecoveryInput(chi=self.CHI, dim=2), s)
+        analytic = recover(RecoveryInput(chi=self.FULL, dim=2), s)
+        assert numeric == pytest.approx(analytic, rel=1e-7)
+
+    def test_closed_form_at_one(self):
+        # k(1) = 8/35 for chi = 1/(1 + r).
+        inp = RecoveryInput(chi=self.CHI, dim=2)
+        assert recover_radius_density(inp, 1.0) == pytest.approx(8.0 / 35.0,
+                                                                 rel=1e-7)
+
+    def test_tolerance_floor(self):
+        # Below the floor the quadrature would chase differentiation noise;
+        # a tighter request is served at the floor instead of failing.
+        inp = RecoveryInput(chi=self.CHI, dim=2)
+        assert recover_radius_density(inp, 1.0, tol=1e-13) == \
+            recover_radius_density(inp, 1.0, tol=_NUMERIC_D2_TOL)
 
 
 class TestConsistencyLoop:
