@@ -36,7 +36,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import math
 from pathlib import Path
 from typing import get_type_hints
 
@@ -69,13 +68,11 @@ from .radial import (
     RadialFunction,
     Variogram,
     ball_indicator,
-    correlation_from_callable,
     erfc_sqrt,
     exponential_correlation,
     exponential_decay,
     fbm_variogram,
     bounded_variogram,
-    radial_from_callable,
     tent,
 )
 from .recovery import RecoveryInput, recover_radius_density, recover_shape
@@ -217,9 +214,8 @@ def _tabulated_cdf_law(points: np.ndarray) -> Distribution1D:
 
 
 def _gaussian_correlation(scale: float) -> Correlation:
-    return correlation_from_callable(
-        f"gaussian(scale={scale:g})",
-        lambda t: math.exp(-(t / scale) ** 2))
+    return Correlation(f"gaussian(scale={scale:g})",
+                       lambda t: np.exp(-(t / scale) ** 2))
 
 
 #: Config field type -> (the key that names its kind, kind -> (builder,
@@ -344,8 +340,8 @@ def _resolve(spec: str, tol: float) -> tuple[RadialFunction, str]:
     digests: the parsed config for an ``@`` spec, the spec otherwise."""
     if spec.startswith("@"):
         model, fingerprint = load_model(spec[1:])
-        return radial_from_callable(
-            f"tcf[{spec[1:]}]", lambda t: tcf(model, float(t), tol=tol)
+        return RadialFunction(
+            f"tcf[{spec[1:]}]", lambda t: tcf(model, t, tol=tol)
         ), "@" + fingerprint
     head, *args = spec.split(":")
     entry = _FUNCTION_SPECS.get(head)

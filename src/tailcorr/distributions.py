@@ -388,28 +388,3 @@ def from_cdf(name: str, cdf: Callable[[float], float],
     return Distribution1D(name=name, cdf=cdf, pdf=pdf,
                           atoms=tuple(atoms), support=support,
                           quantile=quantile)
-
-
-def stieltjes_expect(g: Callable[[float], float], cdf: Callable[[float], float],
-                     lo: float, hi: float, *, n: int = 4000) -> SpecialFnResult:
-    """E[g(X)] for X ~ cdf by midpoint Lebesgue-Stieltjes sums.
-
-    Fallback for laws given only through a cdf (no density, unknown atoms).
-    The error estimate is the difference between the n-panel and n/2-panel
-    sums, which is honest for functions of bounded variation.
-    """
-    if hi <= lo:
-        return SpecialFnResult(0.0, 0.0)
-
-    def riemann(m: int) -> float:
-        xs = np.linspace(lo, hi, m + 1)
-        cs = np.array([cdf(x) for x in xs])
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        return float(np.sum([g(x) for x in mids] * np.diff(cs)))
-
-    coarse = riemann(n // 2)
-    fine = riemann(n)
-    return SpecialFnResult(fine, abs(fine - coarse))
-
-
-__all__.append("stieltjes_expect")

@@ -324,18 +324,21 @@ class M3rModel:
     dim: int
     ensemble: ShapeEnsemble
     n_samples: int = 200
+    seed: int = 0
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
         if self.n_samples < 1:
             raise ModelError(f"n_samples must be >= 1, got {self.n_samples!r}")
+        if self.seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.seed!r}")
 
-    def _tcf(self, t: np.ndarray, tol: float, seed: int):
-        """Mean overlap integral over ``n_samples`` drawn shapes, the same
-        draws at every lag.  The error is the standard error of the mean
-        (the one quadrature estimate when ``n_samples`` is 1) plus the mean
-        quadrature estimate."""
-        rng = np.random.default_rng(seed)
+    def _tcf(self, t: np.ndarray, tol: float):
+        """Mean overlap integral over ``n_samples`` shapes drawn from
+        ``seed``, the same draws at every lag.  The error is the standard
+        error of the mean (the one quadrature estimate when ``n_samples`` is
+        1) plus the mean quadrature estimate."""
+        rng = np.random.default_rng(self.seed)
         n = self.n_samples
         draws = [_overlaps(self.ensemble.sample(rng), self.dim, t,
                            max(tol, 1e-8)) for _ in range(n)]
@@ -387,7 +390,7 @@ class M2rModel:
             pdf_points=shape.kinks,
         ))
 
-    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+    def _tcf(self, t: np.ndarray, tol: float):
         return _overlaps(self.shape, self.dim, t, tol)
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
@@ -416,7 +419,7 @@ class M3bModel:
         _check_dim(self.dim)
         _check_mixing(self.radius, "radius law")
 
-    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+    def _tcf(self, t: np.ndarray, tol: float):
         d = self.dim
         values, errors = np.ones(t.shape), np.zeros(t.shape)
         lag = t > 0.0
@@ -455,7 +458,7 @@ class MPSModel:
         _check_dim(self.dim)
         _check_mixing(self.mixing, "mixing law")
 
-    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+    def _tcf(self, t: np.ndarray, tol: float):
         return self.mixing.expectations(lambda s, c: np.exp(-c * s),
                                         laplace_factor(self.dim) * t, tol=tol)
 
@@ -491,7 +494,7 @@ class BRModel:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
 
-    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+    def _tcf(self, t: np.ndarray, tol: float):
         return (_special.erfc(np.sqrt(self.variogram(t) / 8.0)),
                 np.zeros(t.shape))
 
@@ -523,7 +526,7 @@ class VBRModel:
         _check_dim(self.dim)
         _check_mixing(self.scale_mixing, "scale mixing law")
 
-    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+    def _tcf(self, t: np.ndarray, tol: float):
         return self.scale_mixing.expectations(
             lambda s, arg: _special.erfc(s * arg),
             np.sqrt(self.variogram(t) / 8.0), tol=tol)
@@ -555,7 +558,7 @@ class EGModel:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
 
-    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+    def _tcf(self, t: np.ndarray, tol: float):
         rho = self.correlation(t)
         return (1.0 - np.sqrt(np.maximum(0.0, 1.0 - rho) / 2.0),
                 np.zeros(t.shape))
@@ -587,7 +590,7 @@ class EBGModel:
     def __post_init__(self) -> None:
         _check_dim(self.dim)
 
-    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+    def _tcf(self, t: np.ndarray, tol: float):
         rho = np.clip(self.correlation(t), -1.0, 1.0)
         return np.arcsin(rho) / math.pi + 0.5, np.zeros(t.shape)
 
@@ -628,7 +631,7 @@ class ParametricModel:
         object.__setattr__(self, "_function",
                            _FAMILIES[self.family].function(self.nu, self.beta))
 
-    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+    def _tcf(self, t: np.ndarray, tol: float):
         return self._function(t), np.zeros(t.shape)
 
 
@@ -651,7 +654,7 @@ class ErfcMixtureModel:
         _check_dim(self.dim)
         _check_mixing(self.mixing, "mixing law")
 
-    def _tcf(self, t: np.ndarray, tol: float, seed: int):
+    def _tcf(self, t: np.ndarray, tol: float):
         return self.mixing.expectations(lambda s, u: _special.erfc(s * u), t,
                                         tol=tol)
 
@@ -667,7 +670,7 @@ TcfModel = Union[
 # ---------------------------------------------------------------------------
 
 
-def _tcf_arrays(model: TcfModel, t: np.ndarray, tol: float, seed: int
+def _tcf_arrays(model: TcfModel, t: np.ndarray, tol: float
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The model's TCF and its error estimate at each lag of the 1-D array
     ``t``, in one batch."""
@@ -676,26 +679,26 @@ def _tcf_arrays(model: TcfModel, t: np.ndarray, tol: float, seed: int
         raise DomainError(f"t must be >= 0, got {float(t[negative][0])!r}")
     if not hasattr(model, "_tcf"):
         raise ModelError(f"unknown model type {type(model).__name__}")
-    return model._tcf(t, tol, seed)
+    return model._tcf(t, tol)
 
 
-def tcf_result(model: TcfModel, t: float, *, tol: float = 1e-9,
-               seed: int = 0) -> SpecialFnResult:
+def tcf_result(model: TcfModel, t: float, *, tol: float = 1e-9
+               ) -> SpecialFnResult:
     """chi(t) for the given model, with an absolute error estimate.
 
     Closed-form classes report error 0; quadrature classes report the
     integration error; the Monte Carlo class (M3r) reports a standard error
-    and takes the evaluation seed.
+    of draws from its ``seed`` field.
     """
-    values, errors = _tcf_arrays(model, np.array([float(t)]), tol, seed)
+    values, errors = _tcf_arrays(model, np.array([float(t)]), tol)
     return SpecialFnResult(float(values[0]), float(errors[0]))
 
 
-def tcf(model: TcfModel, t, *, tol: float = 1e-9, seed: int = 0):
+def tcf(model: TcfModel, t, *, tol: float = 1e-9):
     """chi(t); scalar in, float out; array in, ndarray out.  The lags of an
     array are one batch of integrals."""
     arr = np.asarray(t, dtype=float)
-    values = _tcf_arrays(model, arr.ravel(), tol, seed)[0]
+    values = _tcf_arrays(model, arr.ravel(), tol)[0]
     return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
 

@@ -22,8 +22,8 @@ input the Stiefel-manifold average collapses to a one-dimensional mixture,
 
 because the squared norm of the projection of a fixed unit vector onto a
 uniformly random k-frame is Beta(k/2, (d-k)/2).  This reduction is an
-implementation choice and is validated against the direct Monte Carlo
-average over orthonormalized Gaussian frames (:func:`turning_bands_mc`).
+implementation choice; the tests validate it against the direct Monte
+Carlo average over orthonormalized Gaussian frames.
 
 From the tent TCF the operator produces phi_d = tb_1^d(tent), linear with
 slope beta_d on [0,1]; multiplying phi_d(2t) by the ball overlap kernel
@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import special as _special
 
 from .errors import DomainError, KinkError, TailcorrError
 from .models import TcfModel, h_d, tcf_result
@@ -53,7 +54,7 @@ from .numerics import (
     erfc,
     erfc_inv,
 )
-from .radial import RadialFunction, radial_from_callable, tent
+from .radial import RadialFunction, tent
 
 __all__ = [
     "S_ADMISSIBLE_LIMIT",
@@ -69,7 +70,6 @@ __all__ = [
     "taylor_abs_monotone",
     "TurningBandsSpec",
     "turning_bands",
-    "turning_bands_mc",
     "phi_d",
     "phi_d_neg_deriv_sqrt",
     "phi_d_radial",
@@ -84,6 +84,7 @@ __all__ = [
     "implied_br_curvature_min",
     "erf_square_complement",
     "erf_square_complement_deriv1",
+    "erf_square_complement_radial",
 ]
 
 #: Largest lambda (at alpha = 0) for which S_lambda maps correlation
@@ -413,65 +414,39 @@ def turning_bands(chi: RadialFunction, spec: TurningBandsSpec, r: float,
     return norm * float(value[0])
 
 
-def turning_bands_mc(chi: RadialFunction, spec: TurningBandsSpec, r: float,
-                     *, n_samples: int = 100_000, seed: int = 0
-                     ) -> SpecialFnResult:
-    """Monte Carlo turning bands over random orthonormal k-frames.
-
-    Samples frames as the QR orthonormalization of d x k standard Gaussian
-    matrices and averages ``chi(|A^T t|)`` for a fixed probe t with
-    ``|t| = r``.  This is the direct (definition-level) evaluation used to
-    validate the Beta-mixture reduction; the error field is the standard
-    error of the mean.
-    """
-    rf = float(r)
-    if rf < 0:
-        raise DomainError(f"r must be >= 0, got {r!r}")
-    rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal((n_samples, spec.d, spec.k))
-    q, _ = np.linalg.qr(gauss)
-    # |A^T e_1|^2 is the squared norm of the first row of the frame.
-    b = np.sum(q[:, 0, :] ** 2, axis=1)
-    vals = chi(rf * np.sqrt(b))
-    se = float(np.std(vals, ddof=1)) / math.sqrt(n_samples)
-    return SpecialFnResult(float(np.mean(vals)), se)
-
-
 # ---------------------------------------------------------------------------
 # The tent image phi_d and the product construction chi_d
 # ---------------------------------------------------------------------------
 
 
-def phi_d(t: float, d: int) -> float:
+def phi_d(t, d: int):
     """``tb_1^d`` of the tent TCF: linear with slope beta_d on [0, 1].
 
-    Computed through the explicit one-dimensional integral
-    ``c_d int_0^{min(1, 1/t)} (1 - t w) (1 - w^2)^{(d-3)/2} dw`` for d >= 2
-    (the d = 1 case is the tent itself).
+    For d >= 2 the turning-bands integral
+    ``c_d int_0^u (1 - t w) (1 - w^2)^{(d-3)/2} dw``, u = min(1, 1/t), is
+    elementary in the regularized incomplete Beta function (DLMF 8.17):
+
+        phi_d(t) = I_{u^2}(1/2, (d-1)/2) - beta_d t (1 - (1 - u^2)^{(d-1)/2}),
+
+    which is 1 - beta_d t on [0, 1].  The d = 1 case is the tent itself.
+    Scalar in, float out; array in, ndarray out; NaN gives NaN.
     """
-    tf = float(t)
-    if tf < 0:
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0):
         raise DomainError(f"t must be >= 0, got {t!r}")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d!r}")
     if d == 1:
-        return max(0.0, 1.0 - tf)
-    if tf == 0.0:
-        return 1.0
-    c_d = 2.0 * math.exp(math.lgamma(d / 2.0) - math.lgamma((d - 1) / 2.0)) \
-        / math.sqrt(math.pi)
-    upper = min(1.0, 1.0 / tf)
-    expo = (d - 3) / 2.0
-
-    def integrand(w, k):
-        base = (1.0 - w) * (1.0 + w)
-        return np.where(base > 0.0, (1.0 - tf * w)
-                        * np.where(base > 0.0, base, 1.0) ** expo, 0.0)
-
-    sing_b = min(expo, 0.0) if upper == 1.0 else 0.0
-    value = _integrate(integrand, 0.0, upper, 1e-12,
-                       singular_exponent_b=sing_b)[0]
-    return c_d * float(value[0])
+        out = np.maximum(0.0, 1.0 - arr)
+    else:
+        u2 = 1.0 / np.maximum(arr, 1.0) ** 2
+        b = (d - 1) / 2.0
+        # log1p(-1) = -inf on [0, 1]; the second term is inf * 0 at t = inf.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (_special.betainc(0.5, b, u2)
+                   + beta_d(d) * arr * np.expm1(b * np.log1p(-u2)))
+        out = np.where(arr == math.inf, 0.0, out)
+    return float(out) if arr.ndim == 0 else out
 
 
 def phi_d_neg_deriv_sqrt(t, d: int):
@@ -489,15 +464,19 @@ def phi_d_neg_deriv_sqrt(t, d: int):
     return float(out) if arr.ndim == 0 else out
 
 
-def chi_d(t: float, d: int) -> float:
-    """The compactly supported TCF ``phi_d(2t) h_d(t)``."""
-    tf = float(t)
-    if tf >= 1.0:
-        return 0.0
-    return phi_d(2.0 * tf, d) * h_d(tf, d)
+def chi_d(t, d: int):
+    """The compactly supported TCF ``phi_d(2t) h_d(t)``.  Scalar in, float
+    out; array in, ndarray out; NaN gives NaN."""
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0):
+        raise DomainError(f"t must be >= 0, got {t!r}")
+    # h_d(1) = 0 ends the support; NaN takes its value last.
+    s = np.where(arr < 1.0, arr, 1.0)
+    out = np.where(np.isnan(arr), np.nan, phi_d(2.0 * s, d) * h_d(s, d))
+    return float(out) if arr.ndim == 0 else out
 
 
-def chi_d_neg_deriv_sqrt(t: float, d: int = 3) -> float:
+def chi_d_neg_deriv_sqrt(t, d: int = 3):
     """``-chi_d'(sqrt t)`` in closed form, for t in (0, 1).
 
     Expanded by the product rule into
@@ -505,19 +484,20 @@ def chi_d_neg_deriv_sqrt(t: float, d: int = 3) -> float:
     with ``-h_d'(s) = d beta_d (1 - s^2)^{(d-1)/2}``.  The function has a
     kink at t = 1/4 (where phi_d(2s) changes branch); evaluation exactly
     there raises KinkError -- approach from either side for the one-sided
-    slopes.
+    slopes.  Scalar in, float out; array in, ndarray out.
     """
-    tf = float(t)
-    if not 0.0 < tf < 1.0:
+    arr = np.asarray(t, dtype=float)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
-    if tf == 0.25:
+    if np.any(arr == 0.25):
         raise KinkError("-chi_d'(sqrt t) has a kink at t = 1/4",
-                        x=tf, kink=0.25)
+                        x=0.25, kink=0.25)
+    s = np.sqrt(arr)
     # -phi_d'(r) at radius r = 2 sqrt(t): the sqrt-argument form takes 4t.
-    term1 = 2.0 * phi_d_neg_deriv_sqrt(4.0 * tf, d) * h_d(math.sqrt(tf), d)
-    neg_h_deriv = d * beta_d(d) * (1.0 - tf) ** ((d - 1) / 2.0)
-    term2 = phi_d(2.0 * math.sqrt(tf), d) * neg_h_deriv
-    return term1 + term2
+    term1 = 2.0 * phi_d_neg_deriv_sqrt(4.0 * arr, d) * h_d(s, d)
+    neg_h_deriv = d * beta_d(d) * (1.0 - arr) ** ((d - 1) / 2.0)
+    out = term1 + phi_d(2.0 * s, d) * neg_h_deriv
+    return float(out) if arr.ndim == 0 else out
 
 
 def phi_d_radial(d: int) -> RadialFunction:
@@ -530,8 +510,9 @@ def phi_d_radial(d: int) -> RadialFunction:
         raise DomainError(f"d must be >= 1, got {d!r}")
     if d == 1:
         return tent()
-    return radial_from_callable(
-        f"phi_{d}", lambda r: phi_d(r, d),
+    return RadialFunction(
+        name=f"phi_{d}",
+        func=lambda r: phi_d(r, d),
         deriv1=lambda r: -phi_d_neg_deriv_sqrt(r * r, d),
         kinks=(1.0,),
         family="tent_turning_bands",
@@ -548,13 +529,14 @@ def chi_d_radial(d: int = 3) -> RadialFunction:
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d!r}")
 
-    def deriv1(r: float) -> float:
-        if r >= 1.0:
-            return 0.0
-        return -chi_d_neg_deriv_sqrt(r * r, d)
+    def deriv1(r):
+        outside = np.asarray(r) >= 1.0
+        inner = np.where(outside, 0.5, r * r)
+        return np.where(outside, 0.0, -chi_d_neg_deriv_sqrt(inner, d))
 
-    return radial_from_callable(
-        f"chi_{d}", lambda r: chi_d(r, d),
+    return RadialFunction(
+        name=f"chi_{d}",
+        func=lambda r: chi_d(r, d),
         deriv1=deriv1,
         kinks=(0.5, 1.0),
         support_bound=1.0,
@@ -569,7 +551,7 @@ def chi_d_radial(d: int = 3) -> RadialFunction:
 
 
 def multiply_overlap(chi: RadialFunction, model: TcfModel, t: float, *,
-                     tol: float = 1e-9, seed: int = 0) -> SpecialFnResult:
+                     tol: float = 1e-9) -> SpecialFnResult:
     """``chi(t)`` times the TCF of ``model`` at t -- a TCF whenever chi is
     one, since a product of TCFs is a TCF.
 
@@ -577,7 +559,7 @@ def multiply_overlap(chi: RadialFunction, model: TcfModel, t: float, *,
     ``M3bModel(dim=d, radius=R)``; that of a random normalized radial
     profile is an :class:`~tailcorr.models.M3rModel` over its law.
     """
-    factor = tcf_result(model, t, tol=tol, seed=seed)
+    factor = tcf_result(model, t, tol=tol)
     c = float(chi(float(t)))
     return SpecialFnResult(factor.value * c, factor.abs_error_estimate * abs(c))
 
@@ -714,32 +696,32 @@ def implied_br_curvature_min(lo: float = 1e-4, hi: float = 10.0, *,
 # ---------------------------------------------------------------------------
 
 
-def erf_square_complement(x: float) -> float:
-    """``1 - erf(sqrt x)^2``, completely monotone on [0, inf)."""
-    xf = float(x)
-    if xf < 0:
+def erf_square_complement(x):
+    """``1 - erf(sqrt x)^2``, completely monotone on [0, inf).  Scalar in,
+    float out; array in, ndarray out."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
         raise DomainError(f"x must be >= 0, got {x!r}")
-    e = math.erf(math.sqrt(xf))
-    return 1.0 - e * e
+    e = _special.erf(np.sqrt(arr))
+    out = 1.0 - e * e
+    return float(out) if arr.ndim == 0 else out
 
 
-def erf_square_complement_deriv1(x: float) -> float:
+def erf_square_complement_deriv1(x):
     """First derivative: ``-(2/sqrt pi) (erf(sqrt x)/sqrt x) e^{-x}``,
-    with the x -> 0 limit -4/pi."""
-    xf = float(x)
-    if xf < 0:
+    with the x -> 0 limit -4/pi.  Scalar in, float out; array in, ndarray
+    out."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
         raise DomainError(f"x must be >= 0, got {x!r}")
-    if xf == 0.0:
-        return -4.0 / math.pi
-    s = math.sqrt(xf)
-    return -(2.0 / math.sqrt(math.pi)) * (math.erf(s) / s) * math.exp(-xf)
+    s = np.sqrt(np.where(arr == 0.0, 1.0, arr))
+    out = np.where(arr == 0.0, -4.0 / math.pi, -(2.0 / math.sqrt(math.pi))
+                   * (_special.erf(s) / s) * np.exp(-arr))
+    return float(out) if arr.ndim == 0 else out
 
 
 def erf_square_complement_radial() -> RadialFunction:
     """The same function packaged with its derivative for membership tests."""
-    return radial_from_callable(
-        "erf_square_complement", erf_square_complement,
-        deriv1=erf_square_complement_deriv1)
-
-
-__all__.append("erf_square_complement_radial")
+    return RadialFunction(name="erf_square_complement",
+                          func=erf_square_complement,
+                          deriv1=erf_square_complement_deriv1)

@@ -281,8 +281,9 @@ def bounded_gauss_lambda() -> float:
 
 
 def bounded_gauss_chi():
-    """The common TCF erfc(0.45 sqrt(1 - e^{-t})) as a plain callable."""
-    return lambda t: float(erfc(0.45 * math.sqrt(-math.expm1(-abs(t)))))
+    """The common TCF erfc(0.45 sqrt(1 - e^{-t})) as a callable of floats
+    and arrays."""
+    return lambda t: erfc(0.45 * np.sqrt(-np.expm1(-np.abs(t))))
 
 
 def bounded_gauss_correlations() -> tuple[Correlation, Correlation]:

@@ -13,7 +13,8 @@ radial functions.  The wrapper records what plain callables cannot express:
 
 :class:`Variogram` and :class:`Correlation` are the analogous wrappers for
 the Gaussian-process model classes.
-Each wrapper's ``func`` takes a float or a whole array of distances; the
+Each wrapper's ``func``, and each declared derivative of a radial
+function, takes a float or a whole array of distances; the
 ``*_from_callable`` helpers lift a callable that only takes floats.
 """
 
@@ -87,9 +88,9 @@ class RadialFunction:
 
     name: str
     func: Callable
-    deriv1: Callable[[float], float] | None = None
-    deriv2: Callable[[float], float] | None = None
-    deriv3: Callable[[float], float] | None = None
+    deriv1: Callable | None = None
+    deriv2: Callable | None = None
+    deriv3: Callable | None = None
     kinks: tuple[float, ...] = ()
     support_bound: float | None = None
     zero_exponent: float = 0.0
@@ -109,6 +110,11 @@ class RadialFunction:
             if not math.isfinite(v):
                 raise DomainError(
                     f"radial function {self.name!r} is not finite at r={probe}")
+        derivs = (self.deriv1, self.deriv2, self.deriv3)
+        for order, deriv in enumerate(derivs, start=1):
+            if deriv is not None:
+                _probe(deriv, probes, f"derivative {order} of radial function "
+                       f"{self.name!r}", "radial_from_callable")
 
     def __call__(self, r):
         if np.any(np.asarray(r, dtype=float) < 0):
@@ -135,8 +141,8 @@ class RadialFunction:
         """Derivative of the given order at r > 0; a float for a float, an
         array for an array.
 
-        Uses the analytic derivative when present (called float by float),
-        numeric differentiation of ``func`` on the whole array otherwise.
+        Uses the analytic derivative when present, numeric differentiation
+        of ``func`` otherwise, either one on the whole array.
         Refuses (KinkError) exactly on a declared kink, where no two-sided
         derivative exists.
         """
@@ -153,14 +159,18 @@ class RadialFunction:
                     "derivative there", x=x, kink=k)
         analytic = (self.deriv1, self.deriv2, self.deriv3)[order - 1]
         if analytic is not None:
-            return _evaluate(_lift(analytic), arr)
+            return _evaluate(analytic, arr)
         values = _derivatives(self.func, arr, order, kinks=self.kinks)[0]
         return float(values) if arr.ndim == 0 else values
 
 
 def radial_from_callable(name: str, func: Callable[[float], float],
                          **meta) -> RadialFunction:
-    """Wrap a scalar callable as a RadialFunction; meta fields pass through."""
+    """Wrap a scalar callable, and the scalar derivatives among ``meta``, as
+    a RadialFunction; the other meta fields pass through."""
+    for key in ("deriv1", "deriv2", "deriv3"):
+        if meta.get(key) is not None:
+            meta[key] = _lift(meta[key])
     return RadialFunction(name=name, func=_lift(func), **meta)
 
 
@@ -174,9 +184,9 @@ def tent() -> RadialFunction:
     return RadialFunction(
         name="tent",
         func=lambda r: np.maximum(0.0, 1.0 - r),
-        deriv1=lambda r: -1.0 if r < 1.0 else 0.0,
-        deriv2=lambda r: 0.0,
-        deriv3=lambda r: 0.0,
+        deriv1=lambda r: np.where(r < 1.0, -1.0, 0.0),
+        deriv2=lambda r: np.zeros(np.shape(r)),
+        deriv3=lambda r: np.zeros(np.shape(r)),
         kinks=(1.0,),
         support_bound=1.0,
         family="tent",
@@ -191,9 +201,9 @@ def exponential_decay(scale: float = 1.0) -> RadialFunction:
     return RadialFunction(
         name=f"exp(-r/{s:g})" if s != 1.0 else "exp(-r)",
         func=lambda r: np.exp(-r / s),
-        deriv1=lambda r: -math.exp(-r / s) / s,
-        deriv2=lambda r: math.exp(-r / s) / s**2,
-        deriv3=lambda r: -math.exp(-r / s) / s**3,
+        deriv1=lambda r: -np.exp(-r / s) / s,
+        deriv2=lambda r: np.exp(-r / s) / s**2,
+        deriv3=lambda r: -np.exp(-r / s) / s**3,
         family="exponential",
         param=s,
     )
@@ -207,15 +217,15 @@ def erfc_sqrt() -> RadialFunction:
         d²/dr² = e^{-r} (2r+1) / (2 sqrt(pi) r^{3/2})
         d³/dr³ = -e^{-r} (4r²+4r+3) / (4 sqrt(pi) r^{5/2})
     """
-    sq = math.sqrt
-
+    sq_pi = math.sqrt(math.pi)
     return RadialFunction(
         name="erfc(sqrt(r))",
         func=lambda r: _special.erfc(np.sqrt(r)),
-        deriv1=lambda r: -math.exp(-r) / sq(math.pi * r),
-        deriv2=lambda r: math.exp(-r) * (2.0 * r + 1.0) / (2.0 * sq(math.pi) * r**1.5),
-        deriv3=lambda r: -math.exp(-r) * (4.0 * r * (r + 1.0) + 3.0)
-        / (4.0 * sq(math.pi) * r**2.5),
+        deriv1=lambda r: -np.exp(-r) / np.sqrt(math.pi * r),
+        deriv2=lambda r: (np.exp(-r) * (2.0 * r + 1.0)
+                          / (2.0 * sq_pi * np.power(r, 1.5))),
+        deriv3=lambda r: (-np.exp(-r) * (4.0 * r * (r + 1.0) + 3.0)
+                          / (4.0 * sq_pi * np.power(r, 2.5))),
         family="powered_erfc",
         param=0.5,
     )
@@ -232,7 +242,8 @@ def powered_erfc(nu: float) -> RadialFunction:
     return RadialFunction(
         name=f"erfc(r^{n:g})",
         func=lambda r: _special.erfc(np.power(r, n)),
-        deriv1=lambda r: -c * n * r ** (n - 1.0) * math.exp(-(r ** (2.0 * n))),
+        deriv1=lambda r: (-c * n * np.power(r, n - 1.0)
+                          * np.exp(-np.power(r, 2.0 * n))),
         family="powered_erfc",
         param=n,
     )
@@ -248,7 +259,7 @@ def powered_exponential(nu: float) -> RadialFunction:
     return RadialFunction(
         name=f"exp(-r^{n:g})",
         func=lambda r: np.exp(-np.power(r, n)),
-        deriv1=lambda r: -n * r ** (n - 1.0) * math.exp(-(r**n)),
+        deriv1=lambda r: -n * np.power(r, n - 1.0) * np.exp(-np.power(r, n)),
         family="powered_exponential",
         param=n,
     )
@@ -288,7 +299,8 @@ def generalized_cauchy(nu: float, beta: float = 1.0) -> RadialFunction:
     return RadialFunction(
         name=f"cauchy(nu={n:g}, beta={b:g})",
         func=lambda r: np.power(1.0 + np.power(r, n), -b),
-        deriv1=lambda r: -b * n * r ** (n - 1.0) * (1.0 + r**n) ** (-b - 1.0),
+        deriv1=lambda r: (-b * n * np.power(r, n - 1.0)
+                          * np.power(1.0 + np.power(r, n), -b - 1.0)),
         family="cauchy",
         param=n,
     )
@@ -302,7 +314,9 @@ def truncated_power(nu: float) -> RadialFunction:
     return RadialFunction(
         name=f"truncated_power(nu={n:g})",
         func=lambda r: np.power(np.maximum(0.0, 1.0 - r), n),
-        deriv1=lambda r: -n * (1.0 - r) ** (n - 1.0) if r < 1.0 else 0.0,
+        # |1 - r| keeps the branch that np.where drops finite.
+        deriv1=lambda r: np.where(
+            r < 1.0, -n * np.power(np.abs(1.0 - r), n - 1.0), 0.0),
         kinks=(1.0,),
         support_bound=1.0,
         family="truncated_power",

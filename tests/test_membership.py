@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tailcorr import cli
 from tailcorr.errors import DomainError
 from tailcorr.membership import (
     DEFAULT_GRID,
@@ -27,8 +28,12 @@ from tailcorr.membership import (
     test_Tinfty_MMMr,
     test_triangle,
 )
-from tailcorr.models import h_d
-from tailcorr.operators import chi_d_radial, phi_d_radial
+from tailcorr.models import M3bModel, h_d
+from tailcorr.operators import (
+    chi_d_radial,
+    erf_square_complement_radial,
+    phi_d_radial,
+)
 from tailcorr.radial import (
     erfc_sqrt,
     exponential_decay,
@@ -401,13 +406,33 @@ class TestArrayEvaluation:
         battery(wrapped)
         assert calls["float"] == 0
 
-    @pytest.mark.parametrize("chi", [truncated_power(2.0), powered_erfc(0.8)])
-    def test_classify_makes_one_float_call(self, chi):
+    @pytest.mark.parametrize("chi", [
+        truncated_power(2.0), powered_erfc(0.8), phi_d_radial(3),
+        chi_d_radial(3), erf_square_complement_radial(), "@m3b.yaml"])
+    def test_classify_makes_one_float_call(self, chi, tmp_path, monkeypatch):
         # The chi(0) check; derivative stencils and the spectral scan
-        # evaluate whole arrays.
-        wrapped, calls = self.counted(chi)
+        # evaluate whole arrays.  An @CONFIG spec is counted at its model
+        # TCF, which returns the closed form erfc(sqrt t) of the M3b config
+        # here instead of running its quadrature.
+        if isinstance(chi, str):
+            calls = {"float": 0, "array": 0}
+
+            def counting_tcf(model, t, *, tol):
+                assert isinstance(model, M3bModel)
+                calls["float" if np.ndim(t) == 0 else "array"] += 1
+                return erfc_sqrt()(t)
+
+            monkeypatch.setattr(cli, "tcf", counting_tcf)
+            path = tmp_path / chi
+            path.write_text("class: M3b\ndim: 3\n"
+                            "radius:\n  type: erfc_sqrt_radius\n")
+            wrapped = cli._resolve(f"@{path}", 1e-9)[0]
+        else:
+            wrapped, calls = self.counted(chi)
         classify(wrapped, 3)
         assert calls["float"] <= 1
+        if isinstance(chi, str):
+            assert calls["array"] > 0
 
     def test_default_grid_witness_holds_python_floats(self):
         assert all(type(x) is float for x in DEFAULT_GRID)
@@ -467,6 +492,16 @@ class TestClassify:
         assert "H2_condition" in report.verdicts
         assert "H3_condition" not in report.verdicts
         assert all(v.passed for v in report.verdicts.values())
+
+    @pytest.mark.parametrize("d,eigmin", [(2, -0.012623131264049575),
+                                          (3, -0.007604505181228207)])
+    def test_phi_d_refuted_by_a_moment_matrix(self, d, eigmin):
+        # phi_d is linear on [0, 1], where every derivative of order 2 and
+        # up vanishes; a derivative witness there would be noise.
+        verdict = classify(phi_d_radial(d), d).verdicts["completely_monotone"]
+        assert verdict.failed
+        assert isinstance(verdict.witness, MomentMatrixWitness)
+        assert verdict.witness.eigmin == pytest.approx(eigmin, rel=1e-6)
 
     def test_wrong_normalization_rejected(self):
         half = radial_from_callable("half", lambda r: 0.5 * math.exp(-r))

@@ -229,10 +229,9 @@ class TestTableOneClasses:
     def test_m3r_fixed_ensemble_equals_m2r(self):
         shape = ball_indicator(2, 1.0)
         ens = ShapeEnsemble(name="const", sample=lambda rng: shape)
-        m3r = M3rModel(dim=2, ensemble=ens, n_samples=4)
+        m3r = M3rModel(dim=2, ensemble=ens, n_samples=4, seed=1)
         for t in [0.0, 0.8, 1.5]:
-            assert tcf(m3r, t, seed=1) == pytest.approx(h_d(t / 2.0, 2),
-                                                        abs=1e-8)
+            assert tcf(m3r, t) == pytest.approx(h_d(t / 2.0, 2), abs=1e-8)
 
     def test_m3r_random_ball_ensemble_matches_m3b(self):
         # Random-radius ball indicators: the ensemble Monte Carlo route must
@@ -243,7 +242,7 @@ class TestTableOneClasses:
             return ball_indicator(3, radii[rng.integers(0, 3)])
 
         ens = ShapeEnsemble(name="three_balls", sample=sample)
-        m3r = M3rModel(dim=3, ensemble=ens, n_samples=600)
+        m3r = M3rModel(dim=3, ensemble=ens, n_samples=600, seed=7)
         mix = M3bModel(dim=3, radius=__import__("tailcorr.distributions",
                                                 fromlist=["Distribution1D"]
                                                 ).Distribution1D(
@@ -252,7 +251,7 @@ class TestTableOneClasses:
             cdf=lambda s: sum(1 / 3 for a in (0.5, 1.0, 1.5) if s >= a),
         ))
         t = 1.2
-        res = tcf_result(m3r, t, seed=7)
+        res = tcf_result(m3r, t)
         assert abs(res.value - tcf(mix, t)) <= 4.0 * res.abs_error_estimate
 
     def test_tcf_of_array(self):

@@ -19,7 +19,14 @@ from tailcorr.models import (
     tcf,
     tcf_result,
 )
-from tailcorr.numerics import beta_d, erf_inv, num_derivative, quadrature
+from tailcorr.numerics import (
+    SpecialFnResult,
+    _integrate,
+    beta_d,
+    erf_inv,
+    num_derivative,
+    quadrature,
+)
 from tailcorr.operators import (
     S_ADMISSIBLE_LIMIT,
     T_ADMISSIBLE_LIMIT,
@@ -29,6 +36,7 @@ from tailcorr.operators import (
     c_second_deriv_at_1,
     chi_d,
     chi_d_neg_deriv_sqrt,
+    chi_d_radial,
     erf_square_complement,
     erf_square_complement_deriv1,
     erf_square_complement_radial,
@@ -46,15 +54,55 @@ from tailcorr.operators import (
     transform_T,
     transform_bound,
     turning_bands,
-    turning_bands_mc,
 )
 from tailcorr.radial import (
+    RadialFunction,
     ball_indicator,
     correlation_from_callable,
     radial_from_callable,
     tent,
     variogram_from_callable,
 )
+
+
+def turning_bands_mc(chi, spec, r, *, n_samples=100_000, seed=0):
+    """Monte Carlo turning bands over random orthonormal k-frames: the
+    definition-level reference for the Beta-mixture reduction.
+
+    Samples frames as the QR orthonormalization of d x k standard Gaussian
+    matrices and averages ``chi(|A^T t|)`` for a fixed probe t with
+    ``|t| = r``; the error field is the standard error of the mean.
+    """
+    rng = np.random.default_rng(seed)
+    gauss = rng.standard_normal((n_samples, spec.d, spec.k))
+    q, _ = np.linalg.qr(gauss)
+    # |A^T e_1|^2 is the squared norm of the first row of the frame.
+    b = np.sum(q[:, 0, :] ** 2, axis=1)
+    vals = chi(r * np.sqrt(b))
+    se = float(np.std(vals, ddof=1)) / math.sqrt(n_samples)
+    return SpecialFnResult(float(np.mean(vals)), se)
+
+
+def phi_d_by_quadrature(t, d):
+    """The turning-bands integral ``c_d int_0^{min(1, 1/t)} (1 - t w)
+    (1 - w^2)^{(d-3)/2} dw`` by adaptive quadrature (d >= 2): the reference
+    for the closed form of :func:`phi_d`."""
+    if t == 0.0:
+        return 1.0
+    c_d = 2.0 * math.exp(math.lgamma(d / 2.0) - math.lgamma((d - 1) / 2.0)) \
+        / math.sqrt(math.pi)
+    upper = min(1.0, 1.0 / t)
+    expo = (d - 3) / 2.0
+
+    def integrand(w, k):
+        base = (1.0 - w) * (1.0 + w)
+        return np.where(base > 0.0, (1.0 - t * w)
+                        * np.where(base > 0.0, base, 1.0) ** expo, 0.0)
+
+    sing_b = min(expo, 0.0) if upper == 1.0 else 0.0
+    value = _integrate(integrand, 0.0, upper, 1e-12,
+                       singular_exponent_b=sing_b)[0]
+    return c_d * float(value[0])
 
 
 def one_sided_slope(fn, x, side, h=1e-4):
@@ -337,6 +385,23 @@ class TestPhiD:
         with pytest.raises(DomainError):
             phi_d_neg_deriv_sqrt(0.0, 3)
 
+    # t = 0, both sides of the branch switch at t = 1, and a log sweep.
+    LAGS = np.concatenate([[0.0, 1.0 - 1e-3, 1.0, 1.0 + 1e-3],
+                           np.geomspace(1e-3, 1e2, 200), [1e3, 1e6]])
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_closed_form_matches_quadrature(self, d):
+        want = np.array([phi_d_by_quadrature(float(t), d) for t in self.LAGS])
+        assert np.max(np.abs(phi_d(self.LAGS, d) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_array_in_array_out(self, d):
+        values = phi_d(self.LAGS.reshape(2, -1), d)
+        assert values.shape == (2, self.LAGS.size // 2)
+        assert values.ravel().tolist() == [phi_d(float(t), d)
+                                           for t in self.LAGS]
+        assert type(phi_d(0.5, d)) is float
+
     @settings(max_examples=25, deadline=None)
     @given(t=st.floats(0.0, 4.0), d=st.integers(2, 6))
     def test_decreasing_and_bounded(self, t, d):
@@ -386,6 +451,40 @@ class TestChiD:
             chi_d_neg_deriv_sqrt(0.0, 3)
         with pytest.raises(DomainError):
             chi_d_neg_deriv_sqrt(1.0, 3)
+
+    def test_negative_lag_names_the_callers_argument(self):
+        with pytest.raises(DomainError, match=r"got -0\.5$"):
+            chi_d(-0.5, 3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_vanishes_at_infinity(self, d):
+        assert phi_d(math.inf, d) == 0.0
+        assert chi_d(math.inf, d) == 0.0
+
+    @pytest.mark.parametrize("d", [3, 7])
+    def test_nan_gives_nan(self, d):
+        assert math.isnan(phi_d(math.nan, d))
+        assert math.isnan(chi_d(math.nan, d))
+        values = chi_d(np.array([0.3, math.nan, 1.5]), d)
+        assert values[0] == chi_d(0.3, d) and values[2] == 0.0
+        assert math.isnan(values[1])
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_arrays_match_floats(self, d):
+        # h_d rounds its cube differently on arrays and on floats, so the
+        # two may differ in the last bit.
+        ts = np.linspace(0.01, 0.99, 40)
+        assert chi_d_neg_deriv_sqrt(ts, d) == pytest.approx(
+            [chi_d_neg_deriv_sqrt(float(t), d) for t in ts], rel=1e-15)
+        rs = np.linspace(0.0, 1.5, 61)
+        assert chi_d(rs, d) == pytest.approx(
+            [chi_d(float(r), d) for r in rs], rel=1e-15, abs=1e-300)
+        rad = chi_d_radial(d)
+        rs = rs[(rs > 0.0) & ~rad._on_kink(rs)]
+        assert rad.derivative(rs, 1) == pytest.approx(
+            [rad.derivative(float(r), 1) for r in rs], rel=1e-15)
+        with pytest.raises(KinkError):
+            chi_d_neg_deriv_sqrt(np.array([0.1, 0.25]), d)
 
 
 class TestGneitingC:
@@ -494,6 +593,12 @@ class TestErfSquareComplement:
         rad = erf_square_complement_radial()
         assert rad(0.7) == erf_square_complement(0.7)
 
+    def test_arrays_match_floats(self):
+        xs = np.array([0.0, 0.2, 0.7, 2.5])
+        for f in (erf_square_complement, erf_square_complement_deriv1):
+            assert f(xs).tolist() == [f(float(x)) for x in xs]
+            assert type(f(0.7)) is float
+
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             erf_square_complement(-0.5)
@@ -511,28 +616,29 @@ class TestOverlap:
 
     def test_ensemble_mode_fixed_ball_matches_hd(self):
         model = M3rModel(3, ShapeEnsemble(
-            "ball(0.5)", lambda rng: ball_indicator(3, 0.5)), n_samples=4)
-        res = tcf_result(model, 0.4, seed=3)
+            "ball(0.5)", lambda rng: ball_indicator(3, 0.5)), n_samples=4,
+            seed=3)
+        res = tcf_result(model, 0.4)
         assert res.value == pytest.approx(h_d(0.4, 3), abs=1e-8)
 
     @staticmethod
-    def random_ball(n_samples):
+    def random_ball(n_samples, seed):
         def sampler(rng):
             return ball_indicator(3, float(rng.uniform(0.3, 1.0)))
 
         return M3rModel(3, ShapeEnsemble("ball(U(0.3, 1))", sampler),
-                        n_samples=n_samples)
+                        n_samples=n_samples, seed=seed)
 
     def test_ensemble_mode_random_radius_against_quadrature(self):
-        mc = tcf_result(self.random_ball(400), 0.5, seed=5)
+        mc = tcf_result(self.random_ball(400, seed=5), 0.5)
         oracle = quadrature(lambda r: h_d(0.5 / (2 * r), 3) / 0.7, 0.3, 1.0,
                             tol=1e-12)
         assert abs(mc.value - oracle.value) <= 4.0 * mc.abs_error_estimate
 
     def test_ensemble_mode_is_seed_deterministic(self):
-        model = self.random_ball(50)
-        a = tcf_result(model, 0.5, seed=9)
-        b = tcf_result(model, 0.5, seed=9)
+        model = self.random_ball(50, seed=9)
+        a = tcf_result(model, 0.5)
+        b = tcf_result(model, 0.5)
         assert a.value == b.value
 
     def test_multiply_is_the_product(self):

@@ -1,7 +1,8 @@
 """Tests for the evaluation contract of the distance-function wrappers:
-every catalog function, preset shape, correlation and variogram evaluates
-a whole array in one call, bit for bit as it evaluates each float, and a
-scalar-only callable must come in through a ``*_from_callable`` helper."""
+every catalog function, preset shape, correlation and variogram, and each
+analytic derivative of a radial function, evaluates a whole array in one
+call, bit for bit as it evaluates each float, and a scalar-only callable
+must come in through a ``*_from_callable`` helper."""
 
 import math
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from tailcorr import DomainError
+from tailcorr.cli import _gaussian_correlation
+from tailcorr.operators import erf_square_complement_radial, phi_d_radial
 from tailcorr.presets import bounded_gauss_correlations, erfc_sqrt_shape
 from tailcorr.radial import (
     Correlation,
@@ -50,12 +53,16 @@ FUNCTIONS = {
     "truncated_power_2": (lambda: truncated_power(2.0), True),
     "ball_2d": (lambda: ball_indicator(2, 1.0), True),
     "ball_3d": (lambda: ball_indicator(3, 0.7), True),
+    "phi_2": (lambda: phi_d_radial(2), True),
+    "phi_3": (lambda: phi_d_radial(3), True),
+    "erf_square_complement": (erf_square_complement_radial, True),
     "erfc_sqrt_shape_1d": (lambda: erfc_sqrt_shape(1), False),
     "erfc_sqrt_shape_3d": (lambda: erfc_sqrt_shape(3), False),
     "corr_exponential": (exponential_correlation, True),
     "corr_exponential_scale": (lambda: exponential_correlation(2.0), True),
     "corr_bounded_gauss_eg": (lambda: bounded_gauss_correlations()[0], True),
     "corr_bounded_gauss_ebg": (lambda: bounded_gauss_correlations()[1], True),
+    "corr_gaussian": (lambda: _gaussian_correlation(1.5), True),
     "vario_fbm_linear": (lambda: fbm_variogram(8.0, 1.0), True),
     "vario_fbm_0.5": (lambda: fbm_variogram(2.0, 0.5), True),
     "vario_fbm_1.7": (lambda: fbm_variogram(1.0, 1.7), True),
@@ -120,6 +127,25 @@ class TestArrayContract:
         assert type(f(0.37)) is float
 
 
+def declared_orders(f) -> list[int]:
+    return [k for k in (1, 2, 3) if getattr(f, f"deriv{k}", None) is not None]
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (factory, _) in FUNCTIONS.items()
+    if declared_orders(factory())))
+def test_analytic_derivatives_take_arrays(name):
+    f = FUNCTIONS[name][0]()
+    xs = np.geomspace(1e-3, 50.0, 301)
+    xs = xs[~f._on_kink(xs)]
+    for k in declared_orders(f):
+        got = f.derivative(xs, k)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        per_call = [f.derivative(float(x), k) for x in xs]
+        assert all(type(v) is float for v in per_call)
+        assert np.array_equal(bits(got), bits(per_call))
+
+
 class TestScalarCallables:
     @pytest.mark.parametrize("func", [
         lambda r: math.exp(-r),
@@ -129,6 +155,21 @@ class TestScalarCallables:
     def test_radial_function_rejects_scalar_func(self, func):
         with pytest.raises(DomainError, match="radial_from_callable"):
             RadialFunction(name="scalar", func=func)
+
+    @pytest.mark.parametrize("deriv", [
+        lambda r: -math.exp(-r),
+        lambda r: -1.0 if r < 1.0 else 0.0,
+        lambda r: 0.0,
+    ], ids=["math", "branch", "constant"])
+    def test_radial_function_rejects_scalar_derivative(self, deriv):
+        with pytest.raises(DomainError, match="derivative 1 .*"
+                           "radial_from_callable"):
+            RadialFunction(name="scalar", func=lambda r: np.exp(-r),
+                           deriv1=deriv)
+        lifted = radial_from_callable("lifted", lambda r: math.exp(-r),
+                                      deriv1=deriv)
+        assert lifted.derivative(np.array([0.5, 2.0]), 1).tolist() == [
+            deriv(0.5), deriv(2.0)]
 
     def test_correlation_rejects_scalar_func(self):
         with pytest.raises(DomainError, match="correlation_from_callable"):
