@@ -38,15 +38,16 @@ Each model class is declared in one place, its dataclass: the TCF is its
 their error estimates (the lags of a quadrature class are one batch of
 integrals), and a class that can be simulated also carries
 ``_profile_sampler``, the size-biased storm profile law used by
-:func:`tailcorr.simulate.simulate`.  The command line reads a class's
-config keys from its required dataclass fields.
+:func:`tailcorr.simulate.simulate`, whose draws are evaluated on demand
+(see ``_Profile``).  The command line reads a class's config keys from its
+required dataclass fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 from scipy import special as _special
@@ -107,13 +108,17 @@ def h_d(t, d: int):
     """Normalized overlap of two d-dimensional balls of diameter 1 at distance t.
 
     h_d(0) = 1, h_d(t) = 0 for t >= 1; closed form for d <= 5.  Scalar in,
-    float out; array in, ndarray out.
+    float out; array in, ndarray out.  A float is evaluated as a
+    one-element array, so it gets the array's bits: NumPy's powers on
+    arrays and on scalars can differ in the last place.
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise DomainError(f"dimension must be a positive integer, got {d!r}")
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise DomainError(f"h_d requires t >= 0, got {t!r}")
+    if arr.ndim == 0:
+        return float(h_d(arr.reshape(1), d)[0])
     s = np.minimum(arr, 1.0)
     if d == 1:
         v = 1.0 - s
@@ -131,8 +136,7 @@ def h_d(t, d: int):
         expo = (d - 1) / 2.0
         v = d * beta_d(d) * _integrate(lambda w, k: (1.0 - w * w) ** expo,
                                        s.ravel(), 1.0, 1e-12)[0].reshape(s.shape)
-    out = np.where(arr >= 1.0, 0.0, v)
-    return float(out) if arr.ndim == 0 else out
+    return np.where(arr >= 1.0, 0.0, v)
 
 
 def laplace_factor(d: int) -> float:
@@ -210,9 +214,23 @@ def overlap_integral(f: RadialFunction, d: int, t: float, *,
 #: Site cap for the dense-covariance Gaussian classes (BR/VBR/EG/EBG).
 _GAUSSIAN_SITE_CAP = 2_000
 
-#: ``draw(k, rng) -> ratios``: a storm profile divided by its value at
-#: site ``k``, drawn from the profile law size-biased by that value.
-_ProfileDraw = Callable[[int, np.random.Generator], np.ndarray]
+#: ``profile() -> ratios``: one drawn storm divided by its value at the
+#: conditioning site, at every site, evaluated on demand.  The classes
+#: whose profile is a dense matrix-vector product (BR, VBR, EG, EBG) set
+#: ``_PARTIAL_PROFILE`` and also take ``profile(idx)``: the sites ``idx``
+#: only, for a fraction of the cost, never above ``profile()[idx]`` (a
+#: lower bound within rounding, see :meth:`_GaussianRows.some`).
+_Profile = Callable[..., np.ndarray]
+
+#: ``draw(k, rng) -> profile``: makes every random draw of one storm, drawn
+#: from the profile law size-biased by its value at site ``k``.
+_ProfileDraw = Callable[[int, np.random.Generator], _Profile]
+
+#: Multiplies a bound that went through ``np.exp``, which may round two
+#: arguments a few units in the last place apart out of order.
+_BELOW_EXP_ROUNDING = 1.0 - 2.0 ** -50
+
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -239,6 +257,35 @@ def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
             "covariance is not positive semidefinite",
             min_eigenvalue=float(eigvals[0]))
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+
+
+class _GaussianRows:
+    """y = A z for the factor ``A`` of a Gaussian class (BR, VBR, EG, EBG),
+    on every site or on a few of them."""
+
+    def __init__(self, factor: np.ndarray) -> None:
+        self.factor = factor
+        self._norms = np.sqrt(np.einsum("ij,ij->i", factor, factor))
+
+    def some(self, z: np.ndarray, idx: np.ndarray, k: int):
+        """Rows ``idx`` of y lowered, and row ``k`` lowered and raised, so
+        that they bracket the same rows of the full product ``factor @ z``.
+
+        BLAS rounds a row differently depending on the rows that share the
+        call, so a row of a partial product may differ in its last bits.
+        Each of the two rows lies within gamma_n |a|.|z| <= gamma_n ||a||
+        ||z|| of the exact value, with gamma_n = n u / (1 - n u) for unit
+        roundoff u (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2nd ed., section 3.1).  The slack 4 n u ||a|| ||z|| is
+        twice their sum, which covers gamma_n > n u and the rounding of the
+        slack itself.
+        """
+        rows = np.append(idx, k)
+        y = self.factor[rows] @ z
+        slack = self._norms[rows] * (4.0 * len(z) * _UNIT_ROUNDOFF
+                                     * math.sqrt(z @ z))
+        low = y - slack
+        return low[:-1], low[-1], y[-1] + slack[-1]
 
 
 def _embed_sites(sites: np.ndarray, model_dim: int, model_name: str,
@@ -271,18 +318,69 @@ def _gaussian_distances(model: TcfModel, sites: np.ndarray) -> np.ndarray:
 
 def _variogram_covariance(model: BRModel | VBRModel, sites: np.ndarray):
     """Covariance of the driving Gaussian process of a Brown-Resnick class
-    anchored at the first site, its factor, and half its variances."""
+    anchored at the first site, its factor as :class:`_GaussianRows`, and
+    half its variances."""
     gamma = model.variogram(_gaussian_distances(model, sites))
     sig2 = gamma[0]  # variance anchored at the first site
     cov = 0.5 * (sig2[:, None] + sig2[None, :] - gamma)
-    return cov, _gaussian_factor(cov), 0.5 * sig2
+    return cov, _GaussianRows(_gaussian_factor(cov)), 0.5 * sig2
 
 
 def _correlation_factor(model: EGModel | EBGModel, sites: np.ndarray):
-    """Correlation matrix of an extremal Gaussian class and its factor."""
+    """Correlation matrix of an extremal Gaussian class and its factor as
+    :class:`_GaussianRows`."""
     corr = model.correlation(_gaussian_distances(model, sites))
     np.fill_diagonal(corr, 1.0)
-    return corr, _gaussian_factor(corr)
+    return corr, _GaussianRows(_gaussian_factor(corr))
+
+
+def _tilted_profile(gauss: _GaussianRows, z: np.ndarray, k: int,
+                    log_ratio: Callable) -> _Profile:
+    """The profile ``exp(log_ratio(w, w[k], at))`` of a Brown-Resnick class
+    on w = A z at the sites ``at``; ``log_ratio`` is non-decreasing in
+    ``w - w[k]``, so the bracket of :meth:`_GaussianRows.some` bounds it
+    from below."""
+
+    def profile(idx=None):
+        if idx is None:
+            w = gauss.factor @ z
+            return np.exp(log_ratio(w, w[k], slice(None)))
+        w, _, w_k = gauss.some(z, idx, k)
+        return np.exp(log_ratio(w, w_k, idx)) * _BELOW_EXP_ROUNDING
+
+    return profile
+
+
+def _conditioned_profile(gauss: _GaussianRows, normals: np.ndarray, k: int,
+                         z_star: float, corr: np.ndarray,
+                         ratio: Callable) -> _Profile:
+    """The profile ``ratio(z)`` of an extremal Gaussian class, 1 at site
+    ``k``, where z = y + (z* - y_k) rho_k conditions y = A normals on
+    z_k = z*.  ``ratio`` is non-decreasing, so raising y_k where rho_k is
+    nonnegative and lowering it elsewhere bounds a partial profile from
+    below."""
+
+    def profile(idx=None):
+        if idx is None:
+            y = gauss.factor @ normals
+            out = ratio(y + (z_star - y[k]) * corr[:, k])
+            out[k] = 1.0
+            return out
+        y, y_k_low, y_k_high = gauss.some(normals, idx, k)
+        rho = corr[idx, k]
+        return ratio(y + (z_star - np.where(rho >= 0.0, y_k_high, y_k_low))
+                     * rho)
+
+    return profile
+
+
+def _distances(coords: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Distances from the point ``center`` (a column) to the sites whose
+    coordinates are the rows of ``coords`` (one row per axis), with the
+    bits of ``np.linalg.norm(pts - center, axis=1)`` at a third of its
+    cost."""
+    diff = coords - center
+    return np.sqrt(np.add.reduce(diff * diff, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +495,18 @@ class M2rModel:
         # Storm center at a radial offset rho drawn from the offset law,
         # uniform direction; profile ratio f(.)/f(rho).
         pts = _embed_sites(sites, self.dim, "an M2r model")
-        shape, dim, offset = self.shape, self.dim, self._offset
+        coords = np.ascontiguousarray(pts.T)
+        func, dim, offset = self.shape.func, self.dim, self._offset
 
-        def draw_m2r(k: int, rng: np.random.Generator) -> np.ndarray:
+        def draw_m2r(k: int, rng: np.random.Generator) -> _Profile:
             rho = offset.sample(rng, 1)[0]
-            center = pts[k] + rho * _unit_vector(rng, dim)
-            dists = np.linalg.norm(pts - center, axis=1)
-            return shape(dists) / shape.func(rho)
+            center = (pts[k] + rho * _unit_vector(rng, dim))[:, None]
+            at_rho = func(rho)
+
+            def profile():
+                return func(_distances(coords, center)) / at_rho
+
+            return profile
 
         return draw_m2r
 
@@ -434,14 +537,19 @@ class M3bModel:
         # Radius from the model law unchanged, center uniform in the ball
         # around the site; profile ratio is the covering indicator.
         pts = _embed_sites(sites, self.dim, "an M3b model")
+        coords = np.ascontiguousarray(pts.T)
         dim = self.dim
         radius = self.radius
 
-        def draw_m3b(k: int, rng: np.random.Generator) -> np.ndarray:
+        def draw_m3b(k: int, rng: np.random.Generator) -> _Profile:
             r = radius.sample(rng, 1)[0]
             w = r * rng.uniform() ** (1.0 / dim)
-            center = pts[k] + w * _unit_vector(rng, dim)
-            return (np.linalg.norm(pts - center, axis=1) <= r).astype(float)
+            center = (pts[k] + w * _unit_vector(rng, dim))[:, None]
+
+            def profile():
+                return (_distances(coords, center) <= r).astype(float)
+
+            return profile
 
         return draw_m3b
 
@@ -475,11 +583,15 @@ class MPSModel:
         x = sites[:, 0]
         mixing = self.mixing
 
-        def draw_mps(k: int, rng: np.random.Generator) -> np.ndarray:
+        def draw_mps(k: int, rng: np.random.Generator) -> _Profile:
             beta = mixing.sample(rng, 1)[0]
             length = rng.gamma(2.0) / beta
             left = x[k] - rng.uniform(0.0, length)
-            return ((x >= left) & (x <= left + length)).astype(float)
+
+            def profile():
+                return ((x >= left) & (x <= left + length)).astype(float)
+
+            return profile
 
         return draw_mps
 
@@ -488,6 +600,7 @@ class MPSModel:
 class BRModel:
     """Brown-Resnick process with the given variogram."""
 
+    _PARTIAL_PROFILE: ClassVar[bool] = True
     dim: int
     variogram: Variogram
 
@@ -501,14 +614,14 @@ class BRModel:
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # V = exp(W - sigma^2/2); size-biasing is the exponential tilt, a
         # mean shift by the covariance column of the conditioning site.
-        cov, factor, half = _variogram_covariance(self, sites)
+        cov, gauss, half = _variogram_covariance(self, sites)
         m = sites.shape[0]
 
-        def draw_br(k: int, rng: np.random.Generator) -> np.ndarray:
-            w = factor @ rng.standard_normal(m)
-            log_ratio = (w - w[k]) + (cov[:, k] - cov[k, k]) \
-                - (half - half[k])
-            return np.exp(log_ratio)
+        def draw_br(k: int, rng: np.random.Generator) -> _Profile:
+            return _tilted_profile(
+                gauss, rng.standard_normal(m), k,
+                lambda w, w_k, at: (w - w_k) + (cov[at, k] - cov[k, k])
+                - (half[at] - half[k]))
 
         return draw_br
 
@@ -518,6 +631,7 @@ class VBRModel:
     """Variance-mixed Brown-Resnick: Gaussian scale S ~ G applied to the
     driving process, chi(t) = int erfc(s sqrt(gamma(t)/8)) dG(s)."""
 
+    _PARTIAL_PROFILE: ClassVar[bool] = True
     dim: int
     variogram: Variogram
     scale_mixing: Distribution1D
@@ -534,16 +648,16 @@ class VBRModel:
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Scale S from the mixing law unchanged, mean shift S^2 times the
         # covariance column of the conditioning site.
-        cov, factor, half = _variogram_covariance(self, sites)
+        cov, gauss, half = _variogram_covariance(self, sites)
         m = sites.shape[0]
         scale = self.scale_mixing
 
-        def draw_vbr(k: int, rng: np.random.Generator) -> np.ndarray:
-            s = scale.sample(rng, 1)[0]
-            w = factor @ rng.standard_normal(m)
-            log_ratio = s * (w - w[k]) + s * s * (
-                (cov[:, k] - cov[k, k]) - (half - half[k]))
-            return np.exp(log_ratio)
+        def draw_vbr(k: int, rng: np.random.Generator) -> _Profile:
+            s = scale.sample(rng, 1)[0]  # >= 0: non-decreasing in w - w_k
+            return _tilted_profile(
+                gauss, rng.standard_normal(m), k,
+                lambda w, w_k, at: s * (w - w_k) + s * s * (
+                    (cov[at, k] - cov[k, k]) - (half[at] - half[k])))
 
         return draw_vbr
 
@@ -552,6 +666,7 @@ class VBRModel:
 class EGModel:
     """Extremal Gaussian process with correlation rho."""
 
+    _PARTIAL_PROFILE: ClassVar[bool] = True
     dim: int
     correlation: Correlation
 
@@ -566,16 +681,14 @@ class EGModel:
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # The value at the site is Rayleigh, the rest follows by exact
         # Gaussian conditioning; profile ratio (Z)+ / z*.
-        corr, factor = _correlation_factor(self, sites)
+        corr, gauss = _correlation_factor(self, sites)
         m = sites.shape[0]
 
-        def draw_eg(k: int, rng: np.random.Generator) -> np.ndarray:
+        def draw_eg(k: int, rng: np.random.Generator) -> _Profile:
             z_star = rng.rayleigh()
-            y = factor @ rng.standard_normal(m)
-            z = y + (z_star - y[k]) * corr[:, k]
-            out = np.maximum(z, 0.0) / z_star
-            out[k] = 1.0
-            return out
+            return _conditioned_profile(
+                gauss, rng.standard_normal(m), k, z_star, corr,
+                lambda z: np.maximum(z, 0.0) / z_star)
 
         return draw_eg
 
@@ -584,6 +697,7 @@ class EGModel:
 class EBGModel:
     """Extremal binary Gaussian process with correlation rho."""
 
+    _PARTIAL_PROFILE: ClassVar[bool] = True
     dim: int
     correlation: Correlation
 
@@ -597,16 +711,14 @@ class EBGModel:
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # The value at the site is half-normal, the rest follows by exact
         # Gaussian conditioning; profile ratio is the positivity indicator.
-        corr, factor = _correlation_factor(self, sites)
+        corr, gauss = _correlation_factor(self, sites)
         m = sites.shape[0]
 
-        def draw_ebg(k: int, rng: np.random.Generator) -> np.ndarray:
+        def draw_ebg(k: int, rng: np.random.Generator) -> _Profile:
             z_star = abs(rng.standard_normal())
-            y = factor @ rng.standard_normal(m)
-            z = y + (z_star - y[k]) * corr[:, k]
-            out = (z > 0.0).astype(float)
-            out[k] = 1.0
-            return out
+            return _conditioned_profile(
+                gauss, rng.standard_normal(m), k, z_star, corr,
+                lambda z: (z > 0.0).astype(float))
 
         return draw_ebg
 

@@ -1,8 +1,9 @@
 """Tests for the evaluation contract of the distance-function wrappers:
-every catalog function, preset shape, correlation and variogram, and each
-analytic derivative of a radial function, evaluates a whole array in one
-call, bit for bit as it evaluates each float, and a scalar-only callable
-must come in through a ``*_from_callable`` helper."""
+every catalog function, preset shape, correlation and variogram, the ball
+overlap kernel h_d, and each analytic derivative of a radial function,
+evaluates a whole array in one call, bit for bit as it evaluates each
+float, and a scalar-only callable must come in through a
+``*_from_callable`` helper."""
 
 import math
 
@@ -11,7 +12,9 @@ import pytest
 
 from tailcorr import DomainError
 from tailcorr.cli import _gaussian_correlation
-from tailcorr.operators import erf_square_complement_radial, phi_d_radial
+from tailcorr.models import h_d
+from tailcorr.operators import (chi_d_radial, erf_square_complement_radial,
+                                phi_d_radial)
 from tailcorr.presets import bounded_gauss_correlations, erfc_sqrt_shape
 from tailcorr.radial import (
     Correlation,
@@ -34,6 +37,12 @@ from tailcorr.radial import (
     whittle_matern,
 )
 
+def ball_overlap(d: int) -> RadialFunction:
+    """The ball overlap kernel h_d as a function of distance."""
+    return RadialFunction(name=f"h_{d}", func=lambda r: h_d(r, d),
+                          support_bound=1.0)
+
+
 #: name -> (factory, finite at distance 0)
 FUNCTIONS = {
     "tent": (tent, True),
@@ -55,6 +64,8 @@ FUNCTIONS = {
     "ball_3d": (lambda: ball_indicator(3, 0.7), True),
     "phi_2": (lambda: phi_d_radial(2), True),
     "phi_3": (lambda: phi_d_radial(3), True),
+    "chi_3": (lambda: chi_d_radial(3), True),
+    **{f"h_{d}": (lambda d=d: ball_overlap(d), True) for d in range(1, 6)},
     "erf_square_complement": (erf_square_complement_radial, True),
     "erfc_sqrt_shape_1d": (lambda: erfc_sqrt_shape(1), False),
     "erfc_sqrt_shape_3d": (lambda: erfc_sqrt_shape(3), False),

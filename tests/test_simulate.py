@@ -21,11 +21,14 @@ from tailcorr.models import (
     MPSModel,
     ShapeEnsemble,
     VBRModel,
+    _distances,
     tcf,
 )
 from tailcorr.presets import (
     bounded_gauss_chi,
     bounded_gauss_correlations,
+    bounded_gauss_models,
+    erfc_sqrt_models,
     erfc_sqrt_models_1d,
     erfc_sqrt_mps_mixing,
 )
@@ -249,6 +252,156 @@ class TestEngineBasics:
                         n_realizations=1, seed=0)
         (field,) = simulate(cfg)
         assert np.all(field.values > 0)
+
+
+# ---------------------------------------------------------------------------
+# The screen at the nearest finished sites
+# ---------------------------------------------------------------------------
+
+
+ENGINE = importlib.import_module("tailcorr.simulate")
+
+
+def models_1d():
+    return {**erfc_sqrt_models_1d(), **bounded_gauss_models(dim=1),
+            "BR": brown_resnick_8t(),
+            "VBR": VBRModel(dim=1, variogram=fbm_variogram(8.0, 1.0),
+                            scale_mixing=point_mass(0.45)),
+            "MPS": MPSModel(dim=1, mixing=erfc_sqrt_mps_mixing())}
+
+
+def models_2d():
+    """Every class that hosts a 2-D grid; moving maxima live in d = 3."""
+    three = erfc_sqrt_models()
+    return {"M2r": three["M2r"], "M3b": three["M3b"],
+            **bounded_gauss_models(dim=2),
+            "BR": BRModel(dim=2, variogram=fbm_variogram(8.0, 1.0)),
+            "VBR": VBRModel(dim=2, variogram=fbm_variogram(8.0, 1.0),
+                            scale_mixing=point_mass(0.45))}
+
+
+SCREEN_CASES = (
+    [(f"1d-{c}", c, GridSpec(dim=1, shape=(24,), spacing=0.5), 30)
+     for c in ("M2r", "M3b", "MPS", "BR", "VBR", "EG", "EBG")]
+    + [(f"2d-{c}", c, GridSpec(dim=2, shape=(6, 7), spacing=0.25), 10)
+       for c in ("M2r", "M3b", "BR", "VBR", "EG", "EBG")])
+
+
+def nearest_earlier_brute(grid, q):
+    """The q nearest earlier sites of each site from all pairwise integer
+    offsets, ties by index, as the simulator defines them."""
+    shape = (1, grid.shape[0]) if grid.dim == 1 else grid.shape
+    idx = np.indices(shape).reshape(2, -1).T
+    near = np.full((len(idx), q), -1)
+    for k in range(q + 1, len(idx)):
+        d2 = np.sum((idx[:k] - idx[k]) ** 2, axis=1)
+        near[k] = np.lexsort((np.arange(k), d2))[:q]
+    return near
+
+
+class TestScreen:
+    @pytest.mark.parametrize("name, cls, grid, n", SCREEN_CASES,
+                             ids=[c[0] for c in SCREEN_CASES])
+    def test_fields_equal_unscreened(self, monkeypatch, name, cls, grid, n):
+        model = (models_1d() if grid.dim == 1 else models_2d())[cls]
+        cfg = SimConfig(model=model, grid=grid, n_realizations=n, seed=9)
+        monkeypatch.setattr(ENGINE, "_SCREEN_FROM_SITES", 0)
+        screened = collect(cfg)
+        monkeypatch.setattr(ENGINE, "_SCREEN_SITES", grid.n_sites)
+        assert np.array_equal(screened, collect(cfg))
+
+    def test_screen_engages(self, monkeypatch):
+        counts = {"candidates": 0, "whole": 0}
+        sampler = BRModel._profile_sampler
+
+        def counting(self, sites):
+            draw = sampler(self, sites)
+
+            def counted_draw(k, rng):
+                counts["candidates"] += 1
+                profile = draw(k, rng)
+
+                def counted(*idx):
+                    counts["whole"] += not idx
+                    return profile(*idx)
+
+                return counted
+
+            return counted_draw
+
+        monkeypatch.setattr(BRModel, "_profile_sampler", counting)
+        monkeypatch.setattr(ENGINE, "_SCREEN_FROM_SITES", 0)
+        model = BRModel(dim=2, variogram=fbm_variogram(8.0, 1.0))
+        collect(SimConfig(model=model, grid=GridSpec(dim=2, shape=(12, 12),
+                                                     spacing=0.25),
+                          n_realizations=3, seed=1))
+        assert 0 < counts["whole"] < counts["candidates"]
+
+    def test_small_grids_and_whole_profile_classes_do_not_screen(
+            self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("screened")
+
+        monkeypatch.setattr(ENGINE, "_nearest_earlier", refuse)
+        grid = GridSpec(dim=1, shape=(24,), spacing=0.5)
+        for model in models_1d().values():
+            collect(SimConfig(model=model, grid=grid, n_realizations=2,
+                              seed=0))
+        monkeypatch.setattr(ENGINE, "_SCREEN_FROM_SITES", 0)
+        for name in ("M2r", "M3b", "MPS"):
+            collect(SimConfig(model=models_1d()[name], grid=grid,
+                              n_realizations=2, seed=0))
+
+    def test_large_grids_screen_by_default(self, monkeypatch):
+        built = []
+        table = ENGINE._nearest_earlier
+
+        def spy(grid, q):
+            built.append(q)
+            return table(grid, q)
+
+        monkeypatch.setattr(ENGINE, "_nearest_earlier", spy)
+        grid = GridSpec(dim=1, shape=(ENGINE._SCREEN_FROM_SITES,))
+        collect(SimConfig(model=brown_resnick_8t(), grid=grid,
+                          n_realizations=1, seed=0))
+        assert built == [ENGINE._SCREEN_SITES]
+
+    @pytest.mark.parametrize("cls", ["BR", "VBR", "EG", "EBG"])
+    def test_partial_profile_is_a_lower_bound(self, cls):
+        grid = GridSpec(dim=2, shape=(9, 11), spacing=0.25)
+        draw = models_2d()[cls]._profile_sampler(grid.sites())
+        rng = np.random.default_rng(3)
+        for k in (0, 40, 98):
+            for _ in range(20):
+                profile = draw(k, rng)
+                idx = rng.choice(grid.n_sites, size=9, replace=False)
+                whole = profile()[idx]
+                part = profile(idx)
+                assert np.all(part <= whole)
+                assert np.allclose(part, whole, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_moving_maxima_distances_equal_norm_bit_for_bit(self, dim):
+        rng = np.random.default_rng(dim)
+        pts = rng.normal(scale=5.0, size=(500, dim))
+        for center in rng.normal(scale=5.0, size=(20, dim)):
+            got = _distances(np.ascontiguousarray(pts.T), center[:, None])
+            want = np.linalg.norm(pts - center, axis=1)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(dim=1, shape=(30,)),
+        GridSpec(dim=2, shape=(9, 11), spacing=0.3, origin=(1.0, -2.0)),
+        GridSpec(dim=2, shape=(1, 25)),
+        GridSpec(dim=2, shape=(25, 1)),
+        GridSpec(dim=2, shape=(3, 17)),
+        GridSpec(dim=2, shape=(17, 2)),
+    ], ids=["1d", "2d", "1xn", "nx1", "3x17", "17x2"])
+    @pytest.mark.parametrize("q", [1, 8])
+    def test_neighbour_table_matches_brute_force(self, grid, q):
+        near = ENGINE._nearest_earlier(grid, q)
+        assert near.shape == (grid.n_sites, q)
+        assert np.array_equal(near, nearest_earlier_brute(grid, q))
 
 
 # ---------------------------------------------------------------------------
