@@ -30,9 +30,9 @@ negative frequency, certifies failure through an explicit Rayleigh quotient:
 a lattice of sites carrying an oscillation at the offending frequency under
 a Gaussian window elongated along the wave direction (frequencies tangent
 to the sphere of radius omega* detune only quadratically, so the window may
-stay narrow across it).  The quadratic form is evaluated exactly (via FFT
-autocorrelation) and a negative value on an explicit vector proves the Gram
-matrix has a negative eigenvalue.
+stay narrow across it).  The quadratic form is summed directly from the
+1-D autocorrelations of the vector's axis factors, and a negative value on
+an explicit vector proves the Gram matrix has a negative eigenvalue.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import fft as _fft
 
 from .errors import DomainError
 from .models import parametric_bounds
@@ -238,13 +237,17 @@ class MomentMatrixWitness:
     eigmin: float
 
 
-def _moment_matrix_eigmin(m: np.ndarray, n: int) -> float:
-    """Smaller of the least eigenvalues of the two Hankel matrices of the
-    2n + 2 values ``m``."""
-    idx = np.arange(n + 1)
-    h0 = m[idx[:, None] + idx[None, :]]
-    h1 = m[idx[:, None] + idx[None, :] + 1]
-    return float(min(np.linalg.eigvalsh(h0)[0], np.linalg.eigvalsh(h1)[0]))
+def _chunks(n: int):
+    """Slices covering range(n) in chunks of 1, 3, 12, 48, ... items.
+
+    A stage that reports its first failure stops after the chunk holding
+    it, as an item-by-item loop would; one that passes makes O(log n)
+    array calls.
+    """
+    lo, hi = 0, 1
+    while lo < n:
+        yield slice(lo, min(hi, n))
+        lo, hi = hi, 4 * hi
 
 
 def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
@@ -255,19 +258,30 @@ def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     so every Hankel matrix built from consecutive values must be positive
     semidefinite.  A clearly negative eigenvalue refutes; this detects
     shallow violations far beyond the reach of low-order derivative signs.
-    Returns None when no matrix falls below the tolerance.
+    The 13 x 13 grids (start outer, spacing inner) go in chunks: one call
+    of f and one stacked eigenvalue call per Hankel stack each, and the
+    first failing grid in that order is the witness.  Returns None when no
+    matrix falls below the tolerance.
     """
     n = 14
-    for x0 in np.geomspace(0.01, 5.0, 13):
-        for h in np.geomspace(0.01, 2.0, 13):
-            m = f(x0 + h * np.arange(2 * n + 2))
-            scale = max(1.0, abs(float(m[0])))
-            eigmin = _moment_matrix_eigmin(m, n)
-            if eigmin < -max(tol, 1e-12 * scale):
-                return _failed(
-                    MomentMatrixWitness(start=float(x0), spacing=float(h),
-                                        size=n + 1, eigmin=eigmin),
-                    "values on an arithmetic grid are not a moment sequence")
+    x0, h = (g.ravel() for g in np.meshgrid(np.geomspace(0.01, 5.0, 13),
+                                            np.geomspace(0.01, 2.0, 13),
+                                            indexing="ij"))
+    idx = np.arange(n + 1)
+    hankel = idx[:, None] + idx[None, :]
+    for part in _chunks(len(x0)):
+        m = f(x0[part][:, None] + h[part][:, None] * np.arange(2 * n + 2))
+        eigmin = np.minimum(np.linalg.eigvalsh(m[:, hankel])[:, 0],
+                            np.linalg.eigvalsh(m[:, hankel + 1])[:, 0])
+        scale = np.maximum(1.0, np.abs(m[:, 0]))
+        failing = np.flatnonzero(eigmin < -np.maximum(tol, 1e-12 * scale))
+        if failing.size:
+            i = int(failing[0])
+            return _failed(
+                MomentMatrixWitness(start=float(x0[part][i]),
+                                    spacing=float(h[part][i]), size=n + 1,
+                                    eigmin=float(eigmin[i])),
+                "values on an arithmetic grid are not a moment sequence")
     return None
 
 
@@ -497,12 +511,6 @@ def _random_configuration(rng: np.random.Generator, index: int,
     return rng.standard_normal((n_points, d)) * scale
 
 
-def _gram_eigmin(chi: RadialFunction, sites: np.ndarray) -> float:
-    diff = sites[:, None, :] - sites[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(-1))
-    return float(np.linalg.eigvalsh(chi(dist))[0])
-
-
 def _spectral_densities(chi: RadialFunction, d: int, omegas: np.ndarray,
                         tol: float) -> np.ndarray:
     """:func:`spectral_density` at every frequency of ``omegas``, one batch
@@ -558,37 +566,43 @@ class LatticeProbeWitness:
     spectral_value: float
 
 
-def _lattice_rayleigh(chi: RadialFunction, d: int, omega: float, h: float,
+def _lattice_rayleigh(chi: RadialFunction, omega: float, h: float,
                       n_axis: tuple[int, ...], sig1: float, sigt: float
                       ) -> float:
     """Rayleigh quotient of the windowed-oscillation vector on a lattice.
 
-    The quadratic form sum_{jk} v_j v_k chi(|x_j - x_k|) is assembled from
-    the autocorrelation of the coefficient array (exact up to FFT roundoff),
-    so no pairwise matrix is materialized.
+    The vector is a product of one factor per axis, cos(omega x) times a
+    Gaussian window along axis 0 and a Gaussian window along each other
+    axis, so its autocorrelation at a lattice offset is the product of the
+    1-D autocorrelations of the factors.  That and chi(|offset|) are even
+    in every offset coordinate: the quadratic form
+    sum_{jk} v_j v_k chi(|x_j - x_k|) is a sum over the nonnegative offsets
+    inside the support of chi, each coordinate off zero weighted 2, and it
+    is contracted one axis at a time.  Neither a pairwise matrix nor the
+    d-dimensional vector is built.
     """
-    axes = [(np.arange(n) - (n - 1) / 2.0) * h for n in n_axis]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    window = -mesh[0] ** 2 / (2.0 * sig1 ** 2)
-    for m in mesh[1:]:
-        window = window - m ** 2 / (2.0 * sigt ** 2)
-    v = np.cos(omega * mesh[0]) * np.exp(window)
-    rev = v[tuple(slice(None, None, -1) for _ in range(d))]
-    # Full linear convolution of v with its reversal, zero-padded to fast
-    # real-FFT lengths and cropped back.
-    full = [2 * n - 1 for n in v.shape]
-    fshape = [_fft.next_fast_len(n, True) for n in full]
-    corr = _fft.irfftn(_fft.rfftn(v, fshape) * _fft.rfftn(rev, fshape),
-                       fshape)[tuple(slice(n) for n in full)]
-    offs = [(np.arange(2 * n - 1) - (n - 1)) * h for n in n_axis]
-    omesh = np.meshgrid(*offs, indexing="ij")
-    dist = np.sqrt(sum(m ** 2 for m in omesh))
     bound = chi.support_bound
+    weights, norm = [], 1.0
+    for axis, n in enumerate(n_axis):
+        x = (np.arange(n) - (n - 1) / 2.0) * h
+        f = np.exp(-x ** 2 / (2.0 * (sigt if axis else sig1) ** 2))
+        if not axis:
+            f = np.cos(omega * x) * f
+        # Offsets beyond bound / h lie outside the support in this
+        # coordinate alone; one more keeps the cut safe from rounding.
+        w = np.correlate(f, f, "full")[n - 1:n + int(bound / h) + 1]
+        w[1:] *= 2.0
+        weights.append(w)
+        norm *= float(f @ f)
+    offsets = np.meshgrid(*(np.arange(len(w)) * h for w in weights),
+                          indexing="ij")
+    dist = np.sqrt(sum(o ** 2 for o in offsets))
     mask = dist <= bound
-    kernel = np.zeros_like(dist)
-    kernel[mask] = chi(dist[mask])
-    q = float(np.sum(kernel * corr))
-    return q / float(np.sum(v * v))
+    q = np.zeros_like(dist)
+    q[mask] = chi(dist[mask])
+    for w in reversed(weights):
+        q = q @ w
+    return float(q) / norm
 
 
 def _spectral_probe(chi: RadialFunction, d: int) -> Verdict | None:
@@ -627,7 +641,7 @@ def _spectral_probe(chi: RadialFunction, d: int) -> Verdict | None:
             shape = (n1,) + (nt,) * (d - 1)
             if np.prod(shape) > 4e5:
                 continue
-            ray = _lattice_rayleigh(chi, d, w_star, h, shape, sig1, sigt)
+            ray = _lattice_rayleigh(chi, w_star, h, shape, sig1, sigt)
             if best is None or ray < best[0]:
                 best = (ray, shape, (sig1, sigt))
     if best is not None and best[0] < -1e-6:
@@ -661,11 +675,15 @@ def test_positive_definite(chi: RadialFunction, d: int,
     if n_configs < 1 or n_points < 1:
         raise DomainError("n_configs and n_points must be >= 1")
     rng = np.random.default_rng(seed)
-    for index in range(n_configs):
-        sites = _random_configuration(rng, index, n_points, d)
-        eigmin = _gram_eigmin(chi, sites)
-        if eigmin < -tol:
-            return _failed((index, sites, eigmin),
+    sites = np.stack([_random_configuration(rng, index, n_points, d)
+                      for index in range(n_configs)])
+    for part in _chunks(n_configs):
+        diff = sites[part, :, None, :] - sites[part, None, :, :]
+        eigmin = np.linalg.eigvalsh(chi(np.sqrt((diff ** 2).sum(-1))))[:, 0]
+        failing = np.flatnonzero(eigmin < -tol)
+        if failing.size:
+            i = int(failing[0])
+            return _failed((part.start + i, sites[part][i], float(eigmin[i])),
                            "Gram matrix has a negative eigenvalue")
     if chi.has_compact_support and d <= 3:
         stage_two = _spectral_probe(chi, d)

@@ -270,7 +270,7 @@ def _simulate_one(draw: _ProfileDraw, n_sites: int,
             if screen is None or not (
                     profile(screen) / arrival > values[screen]).any():
                 candidate = profile() / arrival
-                if np.all(candidate[:k] <= values[:k]):
+                if (candidate[:k] <= values[:k]).all():
                     np.maximum(values, candidate, out=values)
             arrival += rng.exponential()
     return values

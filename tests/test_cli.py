@@ -853,6 +853,15 @@ class TestColdImport:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_import_does_not_load_scipy_fft(self):
+        # The lattice probe sums 1-D autocorrelations; no FFT is needed.
+        src = str(Path(tailcorr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, tailcorr; print('scipy.fft' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestGridSpecs:
     @pytest.mark.parametrize("spec", ["1:2", "2:1:5", "0:1:5:log",

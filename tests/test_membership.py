@@ -13,6 +13,9 @@ from scipy.integrate import quad
 from tailcorr import cli
 from tailcorr.errors import DomainError
 from tailcorr.membership import (
+    _lattice_rayleigh,
+    _moment_matrix_stage,
+    _random_configuration,
     DEFAULT_GRID,
     LatticeProbeWitness,
     MembershipReport,
@@ -59,6 +62,61 @@ def h3_radial():
     """The unit-ball overlap TCF h_3 wrapped for the batteries."""
     return radial_from_callable(
         "h_3", lambda t: h_d(t, 3), kinks=(1.0,), support_bound=1.0)
+
+
+def narrow_bump(center):
+    """exp(-x) plus a tent of height and half-width 1e-3 at ``center``: a
+    grid that lands on the tent holds no moment sequence, and most grids
+    step over it."""
+    return radial_from_callable(
+        "bump", lambda x: math.exp(-x) + 1e-3 * max(
+            0.0, 1.0 - abs(x - center) / 1e-3))
+
+
+def moment_stage_by_grid(f, tol=1e-9):
+    """Reference Hankel stage: grid by grid, start outer and spacing inner,
+    one eigenvalue call per matrix; the witness of the first failure."""
+    n = 14
+    idx = np.arange(n + 1)
+    for x0 in np.geomspace(0.01, 5.0, 13):
+        for h in np.geomspace(0.01, 2.0, 13):
+            m = f(x0 + h * np.arange(2 * n + 2))
+            eigmin = float(min(
+                np.linalg.eigvalsh(m[idx[:, None] + idx[None, :]])[0],
+                np.linalg.eigvalsh(m[idx[:, None] + idx[None, :] + 1])[0]))
+            if eigmin < -max(tol, 1e-12 * max(1.0, abs(float(m[0])))):
+                return MomentMatrixWitness(start=float(x0), spacing=float(h),
+                                           size=n + 1, eigmin=eigmin)
+    return None
+
+
+def gram_stage_by_configuration(chi, d, seed, n_configs=50, n_points=8,
+                                tol=1e-9):
+    """Reference Gram stage: configuration by configuration, one eigenvalue
+    call per matrix; the (index, sites, eigmin) of the first failure."""
+    rng = np.random.default_rng(seed)
+    for index in range(n_configs):
+        sites = _random_configuration(rng, index, n_points, d)
+        diff = sites[:, None, :] - sites[None, :, :]
+        gram = chi(np.sqrt((diff ** 2).sum(-1)))
+        eigmin = float(np.linalg.eigvalsh(gram)[0])
+        if eigmin < -tol:
+            return index, sites, eigmin
+    return None
+
+
+def lattice_rayleigh_brute_force(chi, omega, h, shape, sig1, sigt):
+    """v^T G v / v^T v with the whole Gram matrix G of the lattice."""
+    axes = [(np.arange(n) - (n - 1) / 2.0) * h for n in shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    window = mesh[0] ** 2 / (2.0 * sig1 ** 2)
+    for m in mesh[1:]:
+        window = window + m ** 2 / (2.0 * sigt ** 2)
+    v = (np.cos(omega * mesh[0]) * np.exp(-window)).ravel()
+    sites = np.stack([m.ravel() for m in mesh], axis=1)
+    diff = sites[:, None, :] - sites[None, :, :]
+    gram = chi(np.sqrt((diff ** 2).sum(-1)))
+    return float(v @ gram @ v) / float(v @ v)
 
 
 class TestVerdict:
@@ -166,6 +224,23 @@ class TestCompletelyMonotone:
         assert isinstance(witness, MomentMatrixWitness)
         assert witness.eigmin < -1e-9
         assert witness.size == 15
+
+    @pytest.mark.parametrize("f", [powered_erfc(0.6), powered_erfc(0.7),
+                                   powered_erfc(0.52), phi_d_radial(3),
+                                   narrow_bump(0.68), erfc_sqrt(),
+                                   exponential_decay()],
+                             ids=["erfc0.6", "erfc0.7", "erfc0.52", "phi_3",
+                                  "bump0.68", "erfc_sqrt", "exp"])
+    def test_moment_witness_matches_loop_by_grid(self, f):
+        # erfc(t^0.52) first fails at the 8th grid and the bump at the
+        # 105th (the ninth start), past the first chunks; the last two
+        # pass every grid.
+        verdict = _moment_matrix_stage(f, 1e-9)
+        witness = moment_stage_by_grid(f)
+        if witness is None:
+            assert verdict is None
+        else:
+            assert verdict.witness == witness
 
     def test_compact_support_refuted_outright(self):
         verdict = test_completely_monotone(tent(), 4)
@@ -315,6 +390,46 @@ class TestPositiveDefinite:
     def test_config_count_guard(self):
         with pytest.raises(DomainError):
             test_positive_definite(tent(), 1, n_configs=0)
+
+    @pytest.mark.parametrize("d,seed", [(1, 0), (3, 0), (3, 4)])
+    def test_gram_witness_matches_loop_by_configuration(self, d, seed):
+        # Seed 4 in d = 3 first fails at the second configuration.
+        verdict = test_positive_definite(cubic_cutoff(), d, seed=seed)
+        index, sites, eigmin = verdict.witness
+        ref_index, ref_sites, ref_eigmin = gram_stage_by_configuration(
+            cubic_cutoff(), d, seed)
+        assert (index, eigmin) == (ref_index, ref_eigmin)
+        assert sites.tobytes() == ref_sites.tobytes()
+        assert type(index) is int and type(eigmin) is float
+
+    @pytest.mark.parametrize("chi,d", [(erfc_sqrt(), 3), (tent(), 1),
+                                       (truncated_power(2.0), 3)])
+    def test_gram_stage_passes_where_loop_passes(self, chi, d):
+        assert gram_stage_by_configuration(chi, d, 0) is None
+        assert test_positive_definite(chi, d).passed
+
+
+class TestLatticeRayleigh:
+    @pytest.mark.parametrize("shape", [(41,), (3,), (21, 11), (11, 7, 7),
+                                       (5, 3, 3)])
+    @pytest.mark.parametrize("chi", [tent(), truncated_power(1.5)],
+                             ids=["tent", "trunc_pow1.5"])
+    def test_matches_whole_gram_matrix(self, chi, shape):
+        # h = 0.15 puts the support edge at about 6.7 lattice steps: the
+        # larger lattices reach past it, the smaller ones stay inside it.
+        args = (8.0, 0.15, shape, 0.8, 0.4)
+        assert _lattice_rayleigh(chi, *args) == pytest.approx(
+            lattice_rayleigh_brute_force(chi, *args), rel=1e-12)
+
+    def test_witness_quotient_matches_whole_gram_matrix(self):
+        # The frequency, spacing and windows certified for tent in d = 2,
+        # on a 25 x 25 lattice (the certified 247 x 77 one has 19,019
+        # sites, too many for a whole Gram matrix).
+        witness = test_positive_definite(tent(), 2).witness
+        shape = tuple(min(n, 25) for n in witness.shape)
+        args = (witness.omega, witness.spacing, shape) + witness.sigma
+        assert _lattice_rayleigh(tent(), *args) == pytest.approx(
+            lattice_rayleigh_brute_force(tent(), *args), rel=1e-12)
 
 
 class TestSpectralDensity:
