@@ -595,8 +595,9 @@ def cmd_tb(function_spec, k, d, out, tol, grid_spec, quiet):
     """Turning-bands projection of a radial function -> CSV."""
     f, key = _resolve(function_spec, tol)
     spec = TurningBandsSpec(k=k, d=d)
-    rows = [(float(r), turning_bands(f, spec, float(r), tol=tol))
-            for r in _parse_grid(grid_spec)]
+    grid = _parse_grid(grid_spec)
+    rows = list(zip(grid.tolist(),
+                    turning_bands(f, spec, grid, tol=tol).tolist()))
     _emit(_render_csv(("r", f"tb_{k}_{d}"), rows,
                       fingerprint=_fingerprint([key, k, d]),
                       extra=(f"tol={tol!r}",)), out)

@@ -31,7 +31,6 @@ from .numerics import (
     SpecialFnResult,
     _array_callable,
     _integrate,
-    _lift,
     _once_per_node,
 )
 
@@ -120,12 +119,9 @@ class Distribution1D:
 
     @cached_property
     def _density(self) -> Callable:
-        """``pdf`` as a function of arrays: itself if it takes them, else its
-        per-float lift."""
-        lo, hi = self.support
-        probe = (lo + (hi - lo) * np.array([0.25, 0.75]) if math.isfinite(hi)
-                 else lo + np.array([0.5, 1.5]))
-        return _array_callable(self.pdf, probe)
+        """``pdf`` as a function of arrays: called on them if it takes them,
+        else float by float."""
+        return _array_callable(self.pdf)
 
     def _density_mass(self, a, b, tol: float) -> np.ndarray:
         """Mass of the density part on each (a_i, b_i), lower ends on or
@@ -188,10 +184,11 @@ class Distribution1D:
     def expect(self, g: Callable[[float], float], *, tol: float = 1e-9,
                points: Sequence[float] = ()) -> SpecialFnResult:
         """E[g(X)] with an absolute error estimate, for a callable ``g`` of
-        one float (evaluated float by float)."""
-        lifted = _lift(g)
+        one float or of arrays (called on whole panel sets when it takes
+        them, else float by float)."""
+        adapted = _array_callable(g)
         values, errors = self.expectations(
-            lambda x, _: lifted(x), 0.0, tol=tol, points=points)
+            lambda x, _: adapted(x), 0.0, tol=tol, points=points)
         return SpecialFnResult(float(values), float(errors))
 
     def mean(self, *, tol: float = 1e-9) -> float:

@@ -261,7 +261,8 @@ def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     The 13 x 13 grids (start outer, spacing inner) go in chunks: one call
     of f and one stacked eigenvalue call per Hankel stack each, and the
     first failing grid in that order is the witness.  Returns None when no
-    matrix falls below the tolerance.
+    matrix falls below the tolerance; raises DomainError naming the first
+    grid point where f is not finite.
     """
     n = 14
     x0, h = (g.ravel() for g in np.meshgrid(np.geomspace(0.01, 5.0, 13),
@@ -270,7 +271,13 @@ def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     idx = np.arange(n + 1)
     hankel = idx[:, None] + idx[None, :]
     for part in _chunks(len(x0)):
-        m = f(x0[part][:, None] + h[part][:, None] * np.arange(2 * n + 2))
+        xs = x0[part][:, None] + h[part][:, None] * np.arange(2 * n + 2)
+        m = f(xs)
+        broken = ~np.isfinite(m)
+        if broken.any():
+            raise DomainError(
+                f"candidate {f.name!r} is not finite at x = "
+                f"{float(xs[broken][0])!r} on a moment grid")
         eigmin = np.minimum(np.linalg.eigvalsh(m[:, hankel])[:, 0],
                             np.linalg.eigvalsh(m[:, hankel + 1])[:, 0])
         scale = np.maximum(1.0, np.abs(m[:, 0]))

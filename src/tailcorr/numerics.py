@@ -17,7 +17,8 @@ directly.  ``_integrate`` applies QUADPACK's G10/K21 rule to a whole batch
 of integrals: each pass evaluates the integrand once, on every
 unconverged panel of every integral.  ``_ridders`` evaluates the whole
 step ladder of many abscissae in one call.  The public functions run
-them on a batch of one and call their argument float by float.
+them on a batch of one.  They call their argument on the whole ladder or
+panel set when it takes arrays, and float by float otherwise.
 
 All functions are pure and reentrant; there is no shared mutable state.
 Scalar arguments yield Python floats, array arguments yield ndarrays.
@@ -183,16 +184,33 @@ def _lift(func: Callable[[float], float]) -> Callable:
     return lifted
 
 
-def _array_callable(func: Callable, probe: Sequence[float]) -> Callable:
-    """``func`` itself if it maps an array of ``probe`` points to an array of
-    the same shape, else its per-float lift."""
-    arr = np.asarray(probe, dtype=float)
-    try:
-        with np.errstate(all="ignore"):
-            out = np.shape(func(arr))
-    except (TypeError, ValueError):
-        return _lift(func)
-    return func if out == arr.shape else _lift(func)
+def _array_callable(func: Callable) -> Callable:
+    """``func`` as a function of arrays.
+
+    Each call hands ``func`` the whole array first.  If that raises, or does
+    not give back one value per point, the call is answered float by float
+    instead, and so is every later call.  ``func`` is thus only tried at
+    points the caller evaluates anyway: the adapter raises exactly where
+    the float-by-float evaluation raises.
+    """
+    lifted = _lift(func)
+    scalar_only = False
+
+    def adapted(x):
+        nonlocal scalar_only
+        arr = np.asarray(x, dtype=float)
+        if not scalar_only:
+            try:
+                out = func(arr)
+                if np.shape(out) == arr.shape:
+                    return np.asarray(out, dtype=float)
+            except Exception:
+                # Whatever the floats raise still surfaces below.
+                pass
+            scalar_only = True
+        return lifted(arr)
+
+    return adapted
 
 
 def _once_per_node(func: Callable, x: np.ndarray) -> np.ndarray:
@@ -465,7 +483,8 @@ def quadrature(
     Parameters
     ----------
     f:
-        Integrand, a callable of one float, evaluable on the open interval.
+        Integrand, a callable of one float or of arrays, evaluable on the
+        open interval.
     a, b:
         Limits; ``b`` may be ``math.inf``. ``a`` must be finite.
     tol:
@@ -485,12 +504,13 @@ def quadrature(
     -------
     SpecialFnResult with the value and the scheme's absolute error estimate.
 
-    This is the batched engine on a batch of one integral, with ``f``
-    called float by float.
+    This is the batched engine on a batch of one integral.  ``f`` is
+    called on every new panel set at once when it takes arrays, and float
+    by float otherwise.
     """
-    lifted = _lift(f)
+    adapted = _array_callable(f)
     values, errors = _integrate(
-        lambda x, k: lifted(x), float(a), float(b), tol,
+        lambda x, k: adapted(x), float(a), float(b), tol,
         singular_exponent_a=singular_exponent_a,
         singular_exponent_b=singular_exponent_b,
         points=[float(p) for p in points])
@@ -678,8 +698,8 @@ def num_derivative(
 
     A Richardson table over a ladder of steps is built and the entry with
     the smallest estimated error is returned, together with that estimate
-    (Ridders' scheme).  ``f`` is a callable of one float; the ladder is
-    evaluated float by float.
+    (Ridders' scheme).  ``f`` is called once on the whole ladder when it
+    takes arrays, and float by float otherwise.
 
     The default step is ``eps^(1/(order+2)) * max(1, |x|)``.
 
@@ -687,6 +707,6 @@ def num_derivative(
     or touch a caller-declared kink abscissa; derivatives across kinks are
     meaningless and the caller must use one-sided logic instead.
     """
-    values, errors = _derivatives(_lift(f), float(x), order, h, kinks=kinks,
-                                  levels=levels)
+    values, errors = _derivatives(_array_callable(f), float(x), order, h,
+                                  kinks=kinks, levels=levels)
     return SpecialFnResult(float(values), float(errors))

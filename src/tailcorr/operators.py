@@ -45,8 +45,8 @@ from .errors import DomainError, KinkError, TailcorrError
 from .models import TcfModel, h_d, tcf_result
 from .numerics import (
     SpecialFnResult,
+    _array_callable,
     _integrate,
-    _lift,
     _ridders,
     _worst_midpoint_gap,
     beta_d,
@@ -387,31 +387,50 @@ class TurningBandsSpec:
                 f"need 1 <= k <= d, got k={self.k!r}, d={self.d!r}")
 
 
-def turning_bands(chi: RadialFunction, spec: TurningBandsSpec, r: float,
-                  *, tol: float = 1e-10) -> float:
-    """``tb_k^d(chi)(r) = E[chi(r sqrt B)]``, B ~ Beta(k/2, (d-k)/2)."""
-    rf = float(r)
-    if rf < 0:
+def turning_bands(chi: RadialFunction, spec: TurningBandsSpec, r, *,
+                  tol: float = 1e-10):
+    """``tb_k^d(chi)(r) = E[chi(r sqrt B)]``, B ~ Beta(k/2, (d-k)/2).
+
+    An array of radii is one batch of integrals, each cut where a declared
+    kink of chi sits, at B = (kink / r)^2.  Scalar in, float out; array in,
+    ndarray out.
+    """
+    arr = np.asarray(r, dtype=float)
+    if np.any(arr < 0):
         raise DomainError(f"r must be >= 0, got {r!r}")
-    if spec.k == spec.d or rf == 0.0:
-        return float(chi(rf))
-    a_exp = spec.k / 2.0 - 1.0
-    b_exp = (spec.d - spec.k) / 2.0 - 1.0
-    norm = math.exp(math.lgamma(spec.d / 2.0) - math.lgamma(spec.k / 2.0)
-                    - math.lgamma((spec.d - spec.k) / 2.0))
-    pts = sorted({(k_ / rf) ** 2 for k_ in chi.kinks if 0.0 < (k_ / rf) ** 2 < 1.0})
+    if spec.k == spec.d:
+        return chi(arr)
+    rs = arr.ravel()
+    origin = rs == 0.0
+    out = np.empty(rs.shape)
+    if origin.any():
+        out[origin] = chi(0.0)
+    if not origin.all():
+        rm = rs[~origin]
+        a_exp = spec.k / 2.0 - 1.0
+        b_exp = (spec.d - spec.k) / 2.0 - 1.0
+        norm = math.exp(math.lgamma(spec.d / 2.0) - math.lgamma(spec.k / 2.0)
+                        - math.lgamma((spec.d - spec.k) / 2.0))
 
-    def integrand(b, k):
-        # A mapped node may round onto an end, where the weight is dropped.
-        inside = (b > 0.0) & (b < 1.0)
-        bb = np.where(inside, b, 0.5)
-        return np.where(inside, chi(rf * np.sqrt(bb)) * bb**a_exp
-                        * (1.0 - bb) ** b_exp, 0.0)
+        def integrand(b, k):
+            # A mapped node may round onto an end, where the weight is
+            # dropped.
+            inside = (b > 0.0) & (b < 1.0)
+            bb = np.where(inside, b, 0.5)
+            return np.where(inside, chi(rm[k] * np.sqrt(bb)) * bb**a_exp
+                            * (1.0 - bb) ** b_exp, 0.0)
 
-    value = _integrate(integrand, 0.0, 1.0, tol,
-                       singular_exponent_a=min(a_exp, 0.0),
-                       singular_exponent_b=min(b_exp, 0.0), points=pts)[0]
-    return norm * float(value[0])
+        # NaN marks a row's cuts outside (0, 1); a column with no cut
+        # inside is dropped.
+        cuts = (np.asarray(chi.kinks, dtype=float) / rm[:, None]) ** 2
+        inside = (cuts > 0.0) & (cuts < 1.0)
+        cuts = np.where(inside, cuts, np.nan)[:, inside.any(axis=0)]
+        values = _integrate(integrand, np.zeros(rm.size), 1.0, tol,
+                            singular_exponent_a=min(a_exp, 0.0),
+                            singular_exponent_b=min(b_exp, 0.0),
+                            points=cuts)[0]
+        out[~origin] = norm * values
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -569,38 +588,40 @@ def multiply_overlap(chi: RadialFunction, model: TcfModel, t: float, *,
 # ---------------------------------------------------------------------------
 
 
-def gneiting_c(t: float, d: int, *, tol: float = 1e-10) -> float:
+def gneiting_c(t, d: int):
     """``c(t) = int_0^t sqrt(v/(t-v)) (-phi_d'(1/sqrt v)) dv``.
 
     Convexity of c (after dividing by beta_d) is necessary for the linear
     TCF with slope beta_d to extend to a monotone-shape storm process in
     dimension d >= 2; this function lets tests probe where convexity fails.
+
+    With ``-phi_d'(1/sqrt v) = beta_d`` for v >= 1 and
+    ``beta_d (1 - (1 - v)^{(d-1)/2})`` below, Euler's integral (DLMF
+    15.6.1) gives c in the Gauss hypergeometric function 2F1:
+
+        c(t) = t beta_d (pi/2) (1 - 2F1((1-d)/2, 3/2; 2; t)),   t <= 1,
+        c(t) = t beta_d (pi/2 - t^{-3/2} B(3/2, (d+1)/2)
+                         2F1(1/2, 3/2; (d+4)/2; 1/t)),          t > 1.
+
+    Scalar in, float out; array in, ndarray out.
     """
-    tf = float(t)
-    if tf < 0:
+    arr = np.asarray(t, dtype=float)
+    if np.any(arr < 0):
         raise DomainError(f"t must be >= 0, got {t!r}")
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d!r}")
-    if tf == 0.0:
-        return 0.0
-
-    # Substituted to a fixed interval: v = t w, with the inverse-square-root
-    # singularity at w = 1 and the branch switch of -phi_d' at w = 1/t.
-    # The derivative is taken at radius 1/sqrt(v), i.e. sqrt-argument 1/(t w).
-    def integrand(w, k):
-        # A mapped node may round onto an end, where the weight is dropped.
-        inside = (w > 0.0) & (w < 1.0)
-        ww = np.where(inside, w, 0.5)
-        return np.where(inside, np.sqrt(ww / (1.0 - ww))
-                        * phi_d_neg_deriv_sqrt(1.0 / (tf * ww), d), 0.0)
-
-    # Near w = 0 and, left of the branch switch, near w = 1/t the integrand
-    # is a smooth function of sqrt(w), resp. sqrt(1/t - w), which the
-    # square-root variable change smooths out.
-    ends = [0.0, 1.0 / tf, 1.0] if tf > 1.0 else [0.0, 1.0]
-    values = _integrate(integrand, ends[:-1], ends[1:], tol / 2,
-                        singular_exponent_a=-0.5, singular_exponent_b=-0.5)[0]
-    return tf * float(values.sum())
+    near = np.minimum(arr, 1.0)
+    far = np.maximum(arr, 1.0)
+    # far^{3/2} as far sqrt(far): a power of NumPy may round arrays and
+    # floats differently.
+    inner = np.where(
+        arr <= 1.0,
+        math.pi / 2.0 * (1.0 - _special.hyp2f1((1 - d) / 2.0, 1.5, 2.0, near)),
+        math.pi / 2.0 - _special.beta(1.5, (d + 1) / 2.0)
+        * _special.hyp2f1(0.5, 1.5, (d + 4) / 2.0, 1.0 / far)
+        / (far * np.sqrt(far)))
+    out = arr * beta_d(d) * inner
+    return float(out) if arr.ndim == 0 else out
 
 
 def c_second_deriv_at_1(d: int) -> float:
@@ -619,12 +640,14 @@ def midpoint_convexity_violation(f: Callable[[float], float],
 
     For consecutive grid points a < b checks
     ``f((a+b)/2) <= (f(a)+f(b))/2``; returns (violation, midpoint) for the
-    worst pair, where violation > 0 means f is not convex there.
+    worst pair, where violation > 0 means f is not convex there.  ``f`` is
+    called once on the grid and once on the midpoints when it takes arrays,
+    and float by float otherwise.
     """
     xs = sorted(float(g) for g in grid)
     if len(xs) < 2:
         raise DomainError("grid needs at least two points")
-    gap, _, mid, _ = _worst_midpoint_gap(_lift(f), xs)
+    gap, _, mid, _ = _worst_midpoint_gap(_array_callable(f), xs)
     return gap, mid
 
 
@@ -644,8 +667,11 @@ def implied_br_variogram(r):
         raise DomainError(f"r must be >= 0, got {r!r}")
     s = np.sqrt(arr)
     mix = 0.25 * erfc(s) + 0.75 * erfc(5.0 * s)
-    # psi(0) = 0 exactly, where erfc_inv(1) may round.
-    out = np.where(arr == 0.0, 0.0, erfc_inv(mix) ** 2)
+    # psi(0) = 0 exactly, where erfc_inv(1) may round.  The square is a
+    # product: a float's ** 2 goes through libm's pow, which may round
+    # differently from NumPy's exact square of an array.
+    root = erfc_inv(mix)
+    out = np.where(arr == 0.0, 0.0, root * root)
     return float(out) if arr.ndim == 0 else out
 
 

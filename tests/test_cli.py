@@ -33,6 +33,7 @@ from tailcorr import (
     estimate_chi,
     simulate,
     tcf,
+    turning_bands,
 )
 from tailcorr.cli import (
     _SECTIONS,
@@ -514,6 +515,22 @@ class TestTurningBands:
     def test_k_larger_than_d_rejected(self, runner):
         res = runner.invoke(main, ["tb", "tent", "--k", "3", "--d", "1"])
         assert res.exit_code != 0
+
+    def test_grid_is_one_batch(self, runner, monkeypatch):
+        radii = []
+
+        def recorded(chi, spec, r, **kwargs):
+            radii.append(np.shape(r))
+            return turning_bands(chi, spec, r, **kwargs)
+
+        monkeypatch.setattr(tailcorr.cli, "turning_bands", recorded)
+        res = runner.invoke(main, ["tb", "tent", "--k", "1", "--d", "3",
+                                   "--grid", "0:3:13:lin", "--quiet"])
+        assert res.exit_code == 0
+        assert radii == [(13,)]
+        rows = [(float(a), float(b)) for a, b in csv_rows(res.stdout)]
+        assert [r for r, _ in rows] == np.linspace(0.0, 3.0, 13).tolist()
+        assert rows[0][1] == 1.0
 
 
 class TestCheck:

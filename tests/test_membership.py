@@ -195,6 +195,14 @@ class TestCompletelyMonotone:
     def test_known_members_pass(self, f, order):
         assert test_completely_monotone(f, order).passed
 
+    def test_non_finite_value_on_a_moment_grid_is_named(self):
+        # NumPy's eigenvalue routine used to fail on the NaN instead.
+        f = radial_from_callable(
+            "nan_tail", lambda x: math.exp(-x) if x < 40 else float("nan"))
+        with pytest.raises(DomainError,
+                           match=r"'nan_tail' is not finite at x = 40\.01 "):
+            test_completely_monotone(f, 6, grid=[0.1, 1.0, 10.0])
+
     def test_erfc_fails_at_order_three(self):
         # d^3/dr^3 erfc(r) = -(2/sqrt(pi)) (4r^2 - 2) e^{-r^2} tends to
         # +4/sqrt(pi) at 0, so the signed value (-1)^3 f''' is negative.

@@ -283,9 +283,8 @@ class TestBatchedLags:
         model = M3bModel(dim=3, radius=dataclasses.replace(law, pdf=pdf))
         lags = np.geomspace(0.01, 5.0, 200)
         values = tcf(model, lags)
-        # One call per pass, plus the probe that finds the density takes
-        # arrays; not one per lag.
-        assert calls[0] == passes[0] + 1
+        # One call per pass, not one per lag, and no probe beside them.
+        assert calls[0] == passes[0]
         assert passes[0] < 30
         np.testing.assert_allclose(values, erfc(np.sqrt(lags)), atol=1e-8)
 

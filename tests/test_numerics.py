@@ -21,12 +21,14 @@ from tailcorr import (
     num_derivative,
     quadrature,
 )
+from tailcorr.distributions import Distribution1D
 from tailcorr.numerics import (
     _QUAD_LIMIT,
     _derivatives,
     _integrate,
     _worst_midpoint_gap,
 )
+from tailcorr.operators import midpoint_convexity_violation
 
 
 class TestErfFamily:
@@ -463,3 +465,91 @@ class TestWorstMidpointGap:
         assert _worst_midpoint_gap(f, self.XS) == (-math.inf, 0.0, 0.0, 0.0)
         assert _worst_midpoint_gap(np.square, [2.0]) == (-math.inf, 2.0, 2.0,
                                                          2.0)
+
+
+class TestArrayCallable:
+    """``num_derivative``, ``quadrature``, ``Distribution1D.expect`` and
+    ``midpoint_convexity_violation`` call ``f`` on the whole ladder, panel
+    set or grid when it takes arrays, and float by float otherwise."""
+
+    ENTRY_POINTS = ["num_derivative", "quadrature", "expect", "midpoint"]
+
+    @staticmethod
+    def run(entry, f, pdf=lambda x: np.exp(-x)):
+        if entry == "num_derivative":
+            return num_derivative(f, 0.7, 2).value
+        if entry == "quadrature":
+            return quadrature(f, 0.0, 2.0).value
+        if entry == "expect":
+            law = Distribution1D(name="exp(1)", pdf=pdf)
+            return law.expect(f).value
+        return midpoint_convexity_violation(f, np.linspace(0.1, 2.0, 9))[0]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_scalar_only_callable_goes_float_by_float(self, entry):
+        seen = []
+
+        def f(x):
+            value = math.exp(-x * x)  # a TypeError on an array
+            seen.append(x)
+            return value
+
+        got = self.run(entry, f)
+        assert seen and all(type(x) is float for x in seen)
+        assert got == pytest.approx(self.run(entry, lambda x: np.exp(-x * x)),
+                                    rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("entry,calls", [
+        ("num_derivative", 1), ("quadrature", 1), ("midpoint", 2)])
+    def test_array_callable_gets_one_call_per_ladder_or_grid(self, entry,
+                                                             calls):
+        # x^2 is integrated exactly by the first pass of G10/K21.
+        shapes = []
+
+        def f(x):
+            shapes.append(np.shape(x))
+            return x * x
+
+        self.run(entry, f)
+        assert len(shapes) == calls
+        assert all(np.prod(shape) > 1 for shape in shapes)
+
+    def test_array_callable_gets_one_call_per_pass_of_expect(self):
+        # The density and g are both called once per pass of the engine.
+        g_shapes, pdf_calls = [], [0]
+
+        def g(x):
+            g_shapes.append(np.shape(x))
+            return x * x
+
+        def pdf(x):
+            pdf_calls[0] += 1
+            return np.exp(-x)
+
+        assert self.run("expect", g, pdf) == pytest.approx(2.0, rel=1e-9)
+        assert len(g_shapes) == pdf_calls[0] >= 1
+        assert all(len(shape) == 2 for shape in g_shapes)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_array_failure_falls_back_to_floats(self, entry):
+        # A callable that refuses arrays, or answers them with one value,
+        # is evaluated float by float and never raises from the attempt.
+        def floats_only(x):
+            if not isinstance(x, float):
+                raise DomainError("floats only")
+            return x * x
+
+        want = self.run(entry, lambda x: x * x)
+        assert self.run(entry, floats_only) == want
+        assert self.run(entry, lambda x: float(np.sum(x * x))) == want
+
+    def test_array_results_match_the_float_path(self):
+        # Plain arithmetic rounds alike on floats and arrays.
+        def f(x):
+            return x * (x - 3.0) / (1.0 + x * x)
+
+        def g(x):
+            return float(f(x))
+
+        for entry in self.ENTRY_POINTS:
+            assert self.run(entry, f) == self.run(entry, g)

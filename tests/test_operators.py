@@ -105,6 +105,28 @@ def phi_d_by_quadrature(t, d):
     return c_d * float(value[0])
 
 
+def gneiting_c_by_quadrature(t, d):
+    """``c(t) = t int_0^1 sqrt(w/(1-w)) (-phi_d'(1/sqrt(t w))) dw`` by
+    adaptive quadrature, cut at the branch switch w = 1/t of -phi_d' (d >= 2):
+    the reference for the closed form of :func:`gneiting_c`."""
+    if t == 0.0:
+        return 0.0
+
+    def integrand(w, k):
+        # A mapped node may round onto an end, where the weight is dropped.
+        inside = (w > 0.0) & (w < 1.0)
+        ww = np.where(inside, w, 0.5)
+        return np.where(inside, np.sqrt(ww / (1.0 - ww))
+                        * phi_d_neg_deriv_sqrt(1.0 / (t * ww), d), 0.0)
+
+    # Near w = 0 and, left of the branch switch, near w = 1/t the integrand
+    # is a smooth function of sqrt(w), resp. sqrt(1/t - w).
+    ends = [0.0, 1.0 / t, 1.0] if t > 1.0 else [0.0, 1.0]
+    values = _integrate(integrand, ends[:-1], ends[1:], 1e-12,
+                        singular_exponent_a=-0.5, singular_exponent_b=-0.5)[0]
+    return t * float(values.sum())
+
+
 def one_sided_slope(fn, x, side, h=1e-4):
     """Second-order one-sided difference quotient, nudged off the kink."""
     s = 1.0 if side == "right" else -1.0
@@ -342,6 +364,24 @@ class TestTurningBands:
     def test_negative_lag_rejected(self):
         with pytest.raises(DomainError):
             turning_bands(tent(), TurningBandsSpec(1, 3), -0.1)
+        with pytest.raises(DomainError):
+            turning_bands(tent(), TurningBandsSpec(1, 3), np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("chi,k,d", [
+        (tent(), 1, 3), (chi_d_radial(3), 1, 3), (ball_indicator(3, 1.0), 2, 3),
+        (radial_from_callable("exp", lambda t: math.exp(-t)), 2, 5),
+        (tent(), 3, 3)])
+    def test_array_of_radii_matches_floats(self, chi, k, d):
+        # One batch of integrals with per-row kink cuts, zeros included.
+        # A batch may round the mapped abscissae of a lone singular panel
+        # differently from a batch of one, so values agree to a few ulps.
+        spec = TurningBandsSpec(k, d)
+        rs = np.concatenate([[0.0], np.linspace(0.05, 4.0, 40)])
+        got = turning_bands(chi, spec, rs.reshape(1, -1))
+        assert got.shape == (1, rs.size)
+        want = [turning_bands(chi, spec, float(r)) for r in rs]
+        assert got.ravel() == pytest.approx(want, rel=1e-14, abs=1e-15)
+        assert type(turning_bands(chi, spec, 0.7)) is float
 
 
 class TestPhiD:
@@ -492,6 +532,36 @@ class TestGneitingC:
         assert gneiting_c(0.0, 3) == 0.0
         assert gneiting_c(1e-6, 3) < 1e-10
 
+    # Both sides of the branch switch at t = 1 and a log sweep.
+    LAGS = np.concatenate([[0.0, 1.0 - 1e-3, 1.0, 1.0 + 1e-3],
+                           np.geomspace(1e-4, 50.0, 80)])
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_closed_form_matches_quadrature(self, d):
+        want = np.array([gneiting_c_by_quadrature(float(t), d)
+                         for t in self.LAGS])
+        assert np.max(np.abs(gneiting_c(self.LAGS, d) - want)) <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 9])
+    def test_array_in_array_out(self, d):
+        values = gneiting_c(self.LAGS.reshape(4, -1), d)
+        assert values.shape == (4, self.LAGS.size // 4)
+        assert values.ravel().tolist() == [gneiting_c(float(t), d)
+                                           for t in self.LAGS]
+        assert type(gneiting_c(0.5, d)) is float
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_finite_and_continuous_at_one(self, d):
+        # The quadrature raised QuadratureError just above t = 1, where the
+        # piece (1/t, 1) of its integral shrank to a few ulps.
+        at_one = gneiting_c(1.0, d)
+        for k in range(5, 15):
+            for t in (1.0 + 10.0**-k, 1.0 - 10.0**-k):
+                value = gneiting_c(t, d)
+                assert math.isfinite(value)
+                # c'(t) grows only like log|t - 1| near 1 (for d = 2).
+                assert abs(value - at_one) <= 100.0 * 10.0**-k
+
     @pytest.mark.parametrize("d", [6, 7, 8])
     def test_second_derivative_at_1_closed_form(self, d):
         closed = c_second_deriv_at_1(d)
@@ -517,14 +587,33 @@ class TestGneitingC:
         assert violation <= 0.0
 
     def test_midpoint_helper_evaluates_each_point_once(self):
+        # An array function is called on the whole grid, then on the whole
+        # set of midpoints.
         seen = []
 
         def f(t):
-            seen.append(t)
-            return abs(t - 1.05)
+            seen.append(np.asarray(t))
+            return np.abs(t - 1.05)
 
         grid = np.linspace(0.0, 2.0, 11)
         violation, _ = midpoint_convexity_violation(f, grid[::-1])
+        assert [a.shape for a in seen] == [(11,), (10,)]
+        points = np.concatenate([a.ravel() for a in seen]).tolist()
+        assert len(points) == len(set(points)) == 2 * len(grid) - 1
+        assert violation <= 1e-15
+
+    def test_midpoint_helper_evaluates_scalar_function_once_per_point(self):
+        # A function of one float is called float by float, once per point.
+        seen = []
+
+        def f(t):
+            value = math.fabs(t - 1.05)
+            seen.append(t)
+            return value
+
+        grid = np.linspace(0.0, 2.0, 11)
+        violation, _ = midpoint_convexity_violation(f, grid[::-1])
+        assert all(type(t) is float for t in seen)
         assert len(seen) == len(set(seen)) == 2 * len(grid) - 1
         assert violation <= 1e-15
 
@@ -551,6 +640,14 @@ class TestImpliedBrVariogram:
             mix = 0.25 * sp_erfc(math.sqrt(r)) + 0.75 * sp_erfc(5 * math.sqrt(r))
             assert implied_br_variogram(r) == pytest.approx(
                 float(sp_erfcinv(mix)) ** 2, rel=1e-12)
+
+    def test_arrays_match_floats(self):
+        # Squared as a product: libm's pow(x, 2) rounds some floats
+        # differently from NumPy's square of an array (at r = 5, for one).
+        rs = np.concatenate([[0.0, 5.0], np.geomspace(1e-4, 10.0, 400),
+                             np.linspace(4.99, 5.01, 201)])
+        assert implied_br_variogram(rs).tolist() == [
+            implied_br_variogram(float(r)) for r in rs]
 
     def test_curvature_has_interior_local_minimum(self):
         r_min, v_min = implied_br_curvature_min()
