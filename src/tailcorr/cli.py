@@ -576,10 +576,8 @@ def cmd_transform(function_spec, map_name, lam, out, tol, grid_spec, quiet):
     f, key = _resolve(function_spec, tol)
     grid = _parse_grid(grid_spec)
     spec = TransformSpec(map_name, lam)
-    rows = []
-    for t in grid:
-        x = float(f(float(t)))
-        rows.append((float(t), x, apply_transform(spec, x)))
+    rows = [(t, x, apply_transform(spec, x))
+            for t, x in zip(grid.tolist(), f(grid).tolist())]
     _emit(_render_csv(("t", "value", "transformed"), rows,
                       fingerprint=_fingerprint([key, map_name, lam]),
                       extra=(f"tol={tol!r}",)), out)

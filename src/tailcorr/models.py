@@ -56,7 +56,9 @@ from .distributions import Distribution1D, from_pdf
 from .errors import DomainError, ModelError, SimulationError
 from .numerics import (
     SpecialFnResult,
+    _float_rule,
     _integrate,
+    _reject,
     beta_d,
     kappa_d,
 )
@@ -104,22 +106,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+@_float_rule
 def h_d(t, d: int):
     """Normalized overlap of two d-dimensional balls of diameter 1 at distance t.
 
     h_d(0) = 1, h_d(t) = 0 for t >= 1; closed form for d <= 5.  Scalar in,
-    float out; array in, ndarray out.  A float is evaluated as a
-    one-element array, so it gets the array's bits: NumPy's powers on
-    arrays and on scalars can differ in the last place.
+    float out; array in, ndarray out.
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise DomainError(f"dimension must be a positive integer, got {d!r}")
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"h_d requires t >= 0, got {t!r}")
-    if arr.ndim == 0:
-        return float(h_d(arr.reshape(1), d)[0])
-    s = np.minimum(arr, 1.0)
+    _reject(t, t < 0, "h_d requires t >= 0")
+    s = np.minimum(t, 1.0)
     if d == 1:
         v = 1.0 - s
     elif d == 2:
@@ -136,7 +133,7 @@ def h_d(t, d: int):
         expo = (d - 1) / 2.0
         v = d * beta_d(d) * _integrate(lambda w, k: (1.0 - w * w) ** expo,
                                        s.ravel(), 1.0, 1e-12)[0].reshape(s.shape)
-    return np.where(arr >= 1.0, 0.0, v)
+    return np.where(t >= 1.0, 0.0, v)
 
 
 def laplace_factor(d: int) -> float:
@@ -786,9 +783,7 @@ def _tcf_arrays(model: TcfModel, t: np.ndarray, tol: float
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The model's TCF and its error estimate at each lag of the 1-D array
     ``t``, in one batch."""
-    negative = t < 0
-    if negative.any():
-        raise DomainError(f"t must be >= 0, got {float(t[negative][0])!r}")
+    _reject(t, t < 0, "t must be >= 0")
     if not hasattr(model, "_tcf"):
         raise ModelError(f"unknown model type {type(model).__name__}")
     return model._tcf(t, tol)
@@ -809,9 +804,8 @@ def tcf_result(model: TcfModel, t: float, *, tol: float = 1e-9
 def tcf(model: TcfModel, t, *, tol: float = 1e-9):
     """chi(t); scalar in, float out; array in, ndarray out.  The lags of an
     array are one batch of integrals."""
-    arr = np.asarray(t, dtype=float)
-    values = _tcf_arrays(model, arr.ravel(), tol)[0]
-    return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
+    return _float_rule(lambda lags: _tcf_arrays(model, lags.ravel(), tol)[0]
+                       )(t)
 
 
 # ---------------------------------------------------------------------------
@@ -968,11 +962,11 @@ def _row2_density(nu: float) -> Callable:
     c_nu = math.sqrt(math.pi) / (math.gamma(nu) * math.gamma(0.5 - nu))
     expo = -nu - 0.5
 
+    @_float_rule
     def g(s):
-        arr = np.asarray(s, dtype=float)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        sp = arr[pos]
+        out = np.zeros(s.shape)
+        pos = s > 0.0
+        sp = s[pos]
         w0 = 1.0 / (2.0 * sp)
 
         # Integrate over the offset d = w - w0 so the singular factor
@@ -989,7 +983,7 @@ def _row2_density(nu: float) -> Callable:
         inner_values = _integrate(inner, 0.0, math.inf, 1e-11,
                                   singular_exponent_a=np.full(sp.shape, expo))[0]
         out[pos] = c_nu * sp**-3 * (2.0 * sp) ** (2.0 - 2.0 * nu) * inner_values
-        return float(out) if arr.ndim == 0 else out
+        return out
 
     return g
 

@@ -26,6 +26,7 @@ Scalar arguments yield Python floats, array arguments yield ndarrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -72,16 +73,31 @@ class SpecialFnResult:
         return float(self.value)
 
 
-def _as_float_array(x, name: str) -> tuple[np.ndarray, bool]:
-    """Coerce to a float ndarray, rejecting NaN. Returns (array, was_scalar)."""
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise DomainError(f"{name} must not contain NaN")
-    return arr, arr.ndim == 0
+def _float_rule(func: Callable) -> Callable:
+    """``func``, written for an array of distances as its first argument,
+    as a function of floats and arrays.
+
+    A float is evaluated as a one-element array and comes back as a Python
+    float, so it gets the bits of the same entry of an array: NumPy may
+    round an operation on a scalar differently.  An array comes back as an
+    ndarray of its shape.
+    """
+
+    @functools.wraps(func)
+    def evaluate(x, *args, **kwargs):
+        arr = np.asarray(x, dtype=float)
+        out = np.asarray(func(np.atleast_1d(arr), *args, **kwargs),
+                         dtype=float).reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
+
+    return evaluate
 
 
-def _ret(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
+def _reject(arr: np.ndarray, bad: np.ndarray, message: str) -> None:
+    """Raise DomainError with ``message`` and the first entry of ``arr``
+    where ``bad`` holds, if there is one."""
+    if bad.any():
+        raise DomainError(f"{message}, got {float(arr[bad][0])!r}")
 
 
 def kappa_d(d: int) -> float:
@@ -102,29 +118,31 @@ def beta_d(d: int) -> float:
     return math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d + 1) / 2.0))
 
 
+@_float_rule
 def erf(x):
     """Error function erf(x) = (2/sqrt(pi)) int_0^x e^{-v^2} dv."""
-    arr, scalar = _as_float_array(x, "x")
-    return _ret(_special.erf(arr), scalar)
+    _reject(x, np.isnan(x), "x must not contain NaN")
+    return _special.erf(x)
 
 
+@_float_rule
 def erfc(x):
     """Complementary error function erfc(x) = 1 - erf(x)."""
-    arr, scalar = _as_float_array(x, "x")
-    return _ret(_special.erfc(arr), scalar)
+    _reject(x, np.isnan(x), "x must not contain NaN")
+    return _special.erfc(x)
 
 
+@_float_rule
 def erf_inv(p):
     """Inverse of erf on (-1, 1).
 
     Satisfies erf(erf_inv(p)) = p to <= 1e-12 relative error.
     """
-    arr, scalar = _as_float_array(p, "p")
-    if np.any(np.abs(arr) >= 1.0):
-        raise DomainError(f"erf_inv requires p in (-1, 1), got {p!r}")
-    return _ret(_special.erfinv(arr), scalar)
+    _reject(p, ~(np.abs(p) < 1.0), "erf_inv requires p in (-1, 1)")
+    return _special.erfinv(p)
 
 
+@_float_rule
 def erfc_inv(p):
     """Inverse of erfc on (0, 2).
 
@@ -132,22 +150,20 @@ def erfc_inv(p):
     smallest subnormal, where the standard routine overflows, a few Newton
     steps solve log erfc(x) = log p instead.
     """
-    arr, scalar = _as_float_array(p, "p")
-    if np.any(arr <= 0.0) or np.any(arr >= 2.0):
-        raise DomainError(f"erfc_inv requires p in (0, 2), got {p!r}")
-    out = np.asarray(_special.erfcinv(arr))
+    _reject(p, ~((p > 0.0) & (p < 2.0)), "erfc_inv requires p in (0, 2)")
+    out = _special.erfcinv(p)
     bad = ~np.isfinite(out)
     if np.any(bad):
         # log erfc(x) = log 2 + log_ndtr(-x sqrt 2), started from the
         # asymptote erfc(x) ~ exp(-x^2).
-        log_p = np.log(arr[bad])
+        log_p = np.log(p[bad])
         x = np.sqrt(-log_p)
         for _ in range(4):
             log_erfc = math.log(2.0) + _special.log_ndtr(-math.sqrt(2.0) * x)
             slope = 2.0 / math.sqrt(math.pi) * np.exp(-x * x - log_erfc)
             x = x + (log_erfc - log_p) / slope
         out[bad] = x
-    return _ret(out, scalar)
+    return out
 
 
 def bessel_k(nu, x):
@@ -156,14 +172,12 @@ def bessel_k(nu, x):
     Relative error <= 1e-10 (verified in the tests against direct quadrature
     of the integral representation K_nu(x) = int_0^inf e^{-x cosh u} cosh(nu u) du).
     """
-    nu_arr, nu_scalar = _as_float_array(nu, "nu")
-    x_arr, x_scalar = _as_float_array(x, "x")
-    if np.any(nu_arr <= 0):
-        raise DomainError(f"bessel_k requires nu > 0, got {nu!r}")
-    if np.any(x_arr <= 0):
-        raise DomainError(f"bessel_k requires x > 0, got {x!r}")
-    out = _special.kv(nu_arr, x_arr)
-    return _ret(out, nu_scalar and x_scalar)
+    nu_arr, x_arr = np.broadcast_arrays(np.asarray(nu, dtype=float),
+                                        np.asarray(x, dtype=float))
+    _reject(nu_arr, ~(nu_arr > 0), "bessel_k requires nu > 0")
+    _reject(x_arr, ~(x_arr > 0), "bessel_k requires x > 0")
+    return _float_rule(lambda xs: _special.kv(nu_arr.reshape(xs.shape), xs)
+                       )(x_arr)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +187,8 @@ def bessel_k(nu, x):
 
 def _lift(func: Callable[[float], float]) -> Callable:
     """Lift a scalar-only callable to floats and arrays, element by element."""
-
-    def lifted(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return float(func(float(arr)))
-        return np.array([float(func(float(v))) for v in arr.ravel()]
-                        ).reshape(arr.shape)
-
-    return lifted
+    return _float_rule(
+        lambda arr: [float(func(float(v))) for v in arr.ravel()])
 
 
 def _array_callable(func: Callable) -> Callable:
@@ -274,7 +281,11 @@ def _kronrod_panels(f: Callable, lo, hi, owner, maps
             x, jac = y.copy(), np.ones_like(y)
             bent = np.flatnonzero(power != 1.0)
             if bent.size:
-                yb, pb = y[bent], power[bent, None]
+                # One exponent per node: NumPy squares exactly when the
+                # exponent is a single 2 and takes pow otherwise, so a
+                # broadcast one would tie the bits to the panel count.
+                yb = y[bent]
+                pb = np.repeat(power[bent], y.shape[1]).reshape(yb.shape)
                 x[bent] = origin[bent, None] + sign[bent, None] * yb ** pb
                 jac[bent] = pb * yb ** (pb - 1.0)
             far = np.flatnonzero(infinite)

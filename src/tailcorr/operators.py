@@ -46,7 +46,9 @@ from .models import TcfModel, h_d, tcf_result
 from .numerics import (
     SpecialFnResult,
     _array_callable,
+    _float_rule,
     _integrate,
+    _reject,
     _ridders,
     _worst_midpoint_gap,
     beta_d,
@@ -395,12 +397,17 @@ def turning_bands(chi: RadialFunction, spec: TurningBandsSpec, r, *,
     kink of chi sits, at B = (kink / r)^2.  Scalar in, float out; array in,
     ndarray out.
     """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"r must be >= 0, got {r!r}")
+    return _turning_bands(r, chi, spec, tol)
+
+
+@_float_rule
+def _turning_bands(r, chi: RadialFunction, spec: TurningBandsSpec,
+                   tol: float):
+    """:func:`turning_bands` at an array of radii."""
+    _reject(r, r < 0, "r must be >= 0")
     if spec.k == spec.d:
-        return chi(arr)
-    rs = arr.ravel()
+        return chi(r)
+    rs = r.ravel()
     origin = rs == 0.0
     out = np.empty(rs.shape)
     if origin.any():
@@ -430,7 +437,7 @@ def turning_bands(chi: RadialFunction, spec: TurningBandsSpec, r, *,
                             singular_exponent_b=min(b_exp, 0.0),
                             points=cuts)[0]
         out[~origin] = norm * values
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +445,7 @@ def turning_bands(chi: RadialFunction, spec: TurningBandsSpec, r, *,
 # ---------------------------------------------------------------------------
 
 
+@_float_rule
 def phi_d(t, d: int):
     """``tb_1^d`` of the tent TCF: linear with slope beta_d on [0, 1].
 
@@ -450,51 +458,44 @@ def phi_d(t, d: int):
     which is 1 - beta_d t on [0, 1].  The d = 1 case is the tent itself.
     Scalar in, float out; array in, ndarray out; NaN gives NaN.
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    _reject(t, t < 0, "t must be >= 0")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d!r}")
     if d == 1:
-        out = np.maximum(0.0, 1.0 - arr)
-    else:
-        u2 = 1.0 / np.maximum(arr, 1.0) ** 2
-        b = (d - 1) / 2.0
-        # log1p(-1) = -inf on [0, 1]; the second term is inf * 0 at t = inf.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (_special.betainc(0.5, b, u2)
-                   + beta_d(d) * arr * np.expm1(b * np.log1p(-u2)))
-        out = np.where(arr == math.inf, 0.0, out)
-    return float(out) if arr.ndim == 0 else out
+        return np.maximum(0.0, 1.0 - t)
+    u2 = 1.0 / np.maximum(t, 1.0) ** 2
+    b = (d - 1) / 2.0
+    # log1p(-1) = -inf on [0, 1]; the second term is inf * 0 at t = inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (_special.betainc(0.5, b, u2)
+               + beta_d(d) * t * np.expm1(b * np.log1p(-u2)))
+    return np.where(t == math.inf, 0.0, out)
 
 
+@_float_rule
 def phi_d_neg_deriv_sqrt(t, d: int):
     """``-phi_d'(sqrt t)``: beta_d for t <= 1, else
     ``beta_d (1 - (1 - 1/t)^{(d-1)/2})``.  Scalar in, float out; array in,
     ndarray out."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError(f"t must be > 0, got {t!r}")
+    _reject(t, t <= 0, "t must be > 0")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d!r}")
     b = beta_d(d)
-    out = np.where(arr <= 1.0, b, b * (1.0 - (1.0 - 1.0 / np.maximum(arr, 1.0))
-                                        ** ((d - 1) / 2.0)))
-    return float(out) if arr.ndim == 0 else out
+    return np.where(t <= 1.0, b, b * (1.0 - (1.0 - 1.0 / np.maximum(t, 1.0))
+                                      ** ((d - 1) / 2.0)))
 
 
+@_float_rule
 def chi_d(t, d: int):
     """The compactly supported TCF ``phi_d(2t) h_d(t)``.  Scalar in, float
     out; array in, ndarray out; NaN gives NaN."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    _reject(t, t < 0, "t must be >= 0")
     # h_d(1) = 0 ends the support; NaN takes its value last.
-    s = np.where(arr < 1.0, arr, 1.0)
-    out = np.where(np.isnan(arr), np.nan, phi_d(2.0 * s, d) * h_d(s, d))
-    return float(out) if arr.ndim == 0 else out
+    s = np.where(t < 1.0, t, 1.0)
+    return np.where(np.isnan(t), np.nan, phi_d(2.0 * s, d) * h_d(s, d))
 
 
+@_float_rule
 def chi_d_neg_deriv_sqrt(t, d: int = 3):
     """``-chi_d'(sqrt t)`` in closed form, for t in (0, 1).
 
@@ -505,18 +506,15 @@ def chi_d_neg_deriv_sqrt(t, d: int = 3):
     there raises KinkError -- approach from either side for the one-sided
     slopes.  Scalar in, float out; array in, ndarray out.
     """
-    arr = np.asarray(t, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise DomainError(f"t must lie in (0, 1), got {t!r}")
-    if np.any(arr == 0.25):
+    _reject(t, ~((t > 0.0) & (t < 1.0)), "t must lie in (0, 1)")
+    if np.any(t == 0.25):
         raise KinkError("-chi_d'(sqrt t) has a kink at t = 1/4",
                         x=0.25, kink=0.25)
-    s = np.sqrt(arr)
+    s = np.sqrt(t)
     # -phi_d'(r) at radius r = 2 sqrt(t): the sqrt-argument form takes 4t.
-    term1 = 2.0 * phi_d_neg_deriv_sqrt(4.0 * arr, d) * h_d(s, d)
-    neg_h_deriv = d * beta_d(d) * (1.0 - arr) ** ((d - 1) / 2.0)
-    out = term1 + phi_d(2.0 * s, d) * neg_h_deriv
-    return float(out) if arr.ndim == 0 else out
+    term1 = 2.0 * phi_d_neg_deriv_sqrt(4.0 * t, d) * h_d(s, d)
+    neg_h_deriv = d * beta_d(d) * (1.0 - t) ** ((d - 1) / 2.0)
+    return term1 + phi_d(2.0 * s, d) * neg_h_deriv
 
 
 def phi_d_radial(d: int) -> RadialFunction:
@@ -588,6 +586,7 @@ def multiply_overlap(chi: RadialFunction, model: TcfModel, t: float, *,
 # ---------------------------------------------------------------------------
 
 
+@_float_rule
 def gneiting_c(t, d: int):
     """``c(t) = int_0^t sqrt(v/(t-v)) (-phi_d'(1/sqrt v)) dv``.
 
@@ -605,23 +604,18 @@ def gneiting_c(t, d: int):
 
     Scalar in, float out; array in, ndarray out.
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    _reject(t, t < 0, "t must be >= 0")
     if d < 2:
         raise DomainError(f"d must be >= 2, got {d!r}")
-    near = np.minimum(arr, 1.0)
-    far = np.maximum(arr, 1.0)
-    # far^{3/2} as far sqrt(far): a power of NumPy may round arrays and
-    # floats differently.
+    near = np.minimum(t, 1.0)
+    far = np.maximum(t, 1.0)
     inner = np.where(
-        arr <= 1.0,
+        t <= 1.0,
         math.pi / 2.0 * (1.0 - _special.hyp2f1((1 - d) / 2.0, 1.5, 2.0, near)),
         math.pi / 2.0 - _special.beta(1.5, (d + 1) / 2.0)
         * _special.hyp2f1(0.5, 1.5, (d + 4) / 2.0, 1.0 / far)
         / (far * np.sqrt(far)))
-    out = arr * beta_d(d) * inner
-    return float(out) if arr.ndim == 0 else out
+    return t * beta_d(d) * inner
 
 
 def c_second_deriv_at_1(d: int) -> float:
@@ -651,6 +645,7 @@ def midpoint_convexity_violation(f: Callable[[float], float],
     return gap, mid
 
 
+@_float_rule
 def implied_br_variogram(r):
     """The variogram exponent a Brown-Resnick TCF would need in order to
     equal ``0.25 erfc(sqrt r) + 0.75 erfc(5 sqrt r)``:
@@ -662,17 +657,12 @@ def implied_br_variogram(r):
     derivative -- the mixture TCF is not of Brown-Resnick type even though
     both components are.  Scalar in, float out; array in, ndarray out.
     """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"r must be >= 0, got {r!r}")
-    s = np.sqrt(arr)
+    _reject(r, r < 0, "r must be >= 0")
+    s = np.sqrt(r)
     mix = 0.25 * erfc(s) + 0.75 * erfc(5.0 * s)
-    # psi(0) = 0 exactly, where erfc_inv(1) may round.  The square is a
-    # product: a float's ** 2 goes through libm's pow, which may round
-    # differently from NumPy's exact square of an array.
+    # psi(0) = 0 exactly, where erfc_inv(1) may round.
     root = erfc_inv(mix)
-    out = np.where(arr == 0.0, 0.0, root * root)
-    return float(out) if arr.ndim == 0 else out
+    return np.where(r == 0.0, 0.0, root * root)
 
 
 def implied_br_curvature_min(lo: float = 1e-4, hi: float = 10.0, *,
@@ -722,28 +712,24 @@ def implied_br_curvature_min(lo: float = 1e-4, hi: float = 10.0, *,
 # ---------------------------------------------------------------------------
 
 
+@_float_rule
 def erf_square_complement(x):
     """``1 - erf(sqrt x)^2``, completely monotone on [0, inf).  Scalar in,
     float out; array in, ndarray out."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    e = _special.erf(np.sqrt(arr))
-    out = 1.0 - e * e
-    return float(out) if arr.ndim == 0 else out
+    _reject(x, x < 0, "x must be >= 0")
+    e = _special.erf(np.sqrt(x))
+    return 1.0 - e * e
 
 
+@_float_rule
 def erf_square_complement_deriv1(x):
     """First derivative: ``-(2/sqrt pi) (erf(sqrt x)/sqrt x) e^{-x}``,
     with the x -> 0 limit -4/pi.  Scalar in, float out; array in, ndarray
     out."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    s = np.sqrt(np.where(arr == 0.0, 1.0, arr))
-    out = np.where(arr == 0.0, -4.0 / math.pi, -(2.0 / math.sqrt(math.pi))
-                   * (_special.erf(s) / s) * np.exp(-arr))
-    return float(out) if arr.ndim == 0 else out
+    _reject(x, x < 0, "x must be >= 0")
+    s = np.sqrt(np.where(x == 0.0, 1.0, x))
+    return np.where(x == 0.0, -4.0 / math.pi, -(2.0 / math.sqrt(math.pi))
+                    * (_special.erf(s) / s) * np.exp(-x))
 
 
 def erf_square_complement_radial() -> RadialFunction:

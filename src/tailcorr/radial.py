@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special as _special
 
 from .errors import DomainError, KinkError, TailcorrError
-from .numerics import _derivatives, _lift, kappa_d
+from .numerics import _derivatives, _float_rule, _lift, _reject, kappa_d
 
 __all__ = [
     "RadialFunction",
@@ -69,12 +69,10 @@ def _probe(func: Callable, points, what: str, helper: str) -> np.ndarray:
     return values
 
 
-def _evaluate(func: Callable, x):
-    """``func`` at a float (float out) or an array (same-shape array out)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return float(func(float(arr)))
-    return np.asarray(func(arr), dtype=float)
+@_float_rule
+def _evaluate(x, func: Callable):
+    """``func``, which takes arrays, at the distances ``x``."""
+    return func(x)
 
 
 @dataclass(frozen=True)
@@ -117,9 +115,9 @@ class RadialFunction:
                        f"{self.name!r}", "radial_from_callable")
 
     def __call__(self, r):
-        if np.any(np.asarray(r, dtype=float) < 0):
-            raise DomainError(f"radius must be >= 0, got {r!r}")
-        return _evaluate(self.func, r)
+        arr = np.asarray(r, dtype=float)
+        _reject(arr, arr < 0, "radius must be >= 0")
+        return _evaluate(arr, self.func)
 
     @property
     def has_compact_support(self) -> bool:
@@ -159,9 +157,9 @@ class RadialFunction:
                     "derivative there", x=x, kink=k)
         analytic = (self.deriv1, self.deriv2, self.deriv3)[order - 1]
         if analytic is not None:
-            return _evaluate(analytic, arr)
-        values = _derivatives(self.func, arr, order, kinks=self.kinks)[0]
-        return float(values) if arr.ndim == 0 else values
+            return _evaluate(arr, analytic)
+        return _evaluate(arr, lambda x: _derivatives(
+            self.func, x, order, kinks=self.kinks)[0])
 
 
 def radial_from_callable(name: str, func: Callable[[float], float],
@@ -368,7 +366,7 @@ class Correlation:
                     f"correlation {self.name!r} leaves [-1,1] at distance {probe}")
 
     def __call__(self, t):
-        return _evaluate(self.func, t)
+        return _evaluate(t, self.func)
 
 
 def exponential_correlation(scale: float = 1.0) -> Correlation:
@@ -407,7 +405,7 @@ class Variogram:
                     f"variogram {self.name!r} is negative at distance {probe}")
 
     def __call__(self, t):
-        return _evaluate(self.func, t)
+        return _evaluate(t, self.func)
 
 
 def fbm_variogram(scale: float, alpha: float) -> Variogram:

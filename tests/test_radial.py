@@ -13,8 +13,9 @@ import pytest
 from tailcorr import DomainError
 from tailcorr.cli import _gaussian_correlation
 from tailcorr.models import h_d
-from tailcorr.operators import (chi_d_radial, erf_square_complement_radial,
-                                phi_d_radial)
+from tailcorr.operators import (chi_d_neg_deriv_sqrt, chi_d_radial,
+                                erf_square_complement_radial, phi_d,
+                                phi_d_neg_deriv_sqrt, phi_d_radial)
 from tailcorr.presets import bounded_gauss_correlations, erfc_sqrt_shape
 from tailcorr.radial import (
     Correlation,
@@ -62,9 +63,8 @@ FUNCTIONS = {
     "truncated_power_2": (lambda: truncated_power(2.0), True),
     "ball_2d": (lambda: ball_indicator(2, 1.0), True),
     "ball_3d": (lambda: ball_indicator(3, 0.7), True),
-    "phi_2": (lambda: phi_d_radial(2), True),
-    "phi_3": (lambda: phi_d_radial(3), True),
-    "chi_3": (lambda: chi_d_radial(3), True),
+    **{f"phi_{d}": (lambda d=d: phi_d_radial(d), True) for d in (2, 3, 4, 6)},
+    **{f"chi_{d}": (lambda d=d: chi_d_radial(d), True) for d in (3, 4, 6)},
     **{f"h_{d}": (lambda d=d: ball_overlap(d), True) for d in range(1, 6)},
     "erf_square_complement": (erf_square_complement_radial, True),
     "erfc_sqrt_shape_1d": (lambda: erfc_sqrt_shape(1), False),
@@ -155,6 +155,31 @@ def test_analytic_derivatives_take_arrays(name):
         per_call = [f.derivative(float(x), k) for x in xs]
         assert all(type(v) is float for v in per_call)
         assert np.array_equal(bits(got), bits(per_call))
+
+
+#: 5,000 lags of each sqrt-argument derivative: (0, 1) without the kink at
+#: 1/4 for chi_d, [1e-3, 20] for phi_d.
+UNIT_LAGS = np.linspace(0.0, 1.0, 5002)[1:-1]
+NEG_DERIV_SQRT = [
+    *[(phi_d_neg_deriv_sqrt, d, np.geomspace(1e-3, 20.0, 5000))
+      for d in range(2, 8)],
+    *[(chi_d_neg_deriv_sqrt, d, UNIT_LAGS[UNIT_LAGS != 0.25])
+      for d in range(2, 7)],
+]
+
+
+@pytest.mark.parametrize("f, d, ts", NEG_DERIV_SQRT, ids=[
+    f"{f.__name__}-{d}" for f, d, _ in NEG_DERIV_SQRT])
+def test_neg_deriv_sqrt_array_matches_each_float(f, d, ts):
+    got = f(ts, d)
+    assert np.array_equal(bits(got), bits([f(float(t), d) for t in ts]))
+
+
+def test_array_error_names_the_bad_entry():
+    with pytest.raises(DomainError, match=r"got -0\.2$"):
+        phi_d(np.array([0.5, -0.2]), 3)
+    with pytest.raises(DomainError, match=r"got -0\.3$"):
+        tent()(np.array([[0.5, 1.0], [-0.3, -0.4]]))
 
 
 class TestScalarCallables:
