@@ -75,7 +75,8 @@ from .radial import (
     bounded_variogram,
     tent,
 )
-from .recovery import RecoveryInput, recover_radius_density, recover_shape
+from .recovery import (AtomicAnswer, RecoveryInput, recover_radius_density,
+                       recover_shape)
 from .simulate import (
     _SIMULABLE,
     GridField,
@@ -546,17 +547,13 @@ def cmd_recover(function_spec, target, dim, out, tol, grid_spec, quiet):
     """Invert a TCF into its moving-maxima density -> CSV."""
     chi, key = _resolve(function_spec, tol)
     inp = RecoveryInput(chi=chi, dim=dim)
-    rows = []
-    for x in _parse_grid(grid_spec):
-        if target == "shape":
-            rows.append((float(x), recover_shape(inp, float(x), tol=tol)))
-        else:
-            value = recover_radius_density(inp, float(x), tol=tol)
-            if not isinstance(value, float):
-                raise ConfigError(
-                    "the diameter law has atoms; a density table cannot "
-                    "represent it")
-            rows.append((float(x), value))
+    grid = _parse_grid(grid_spec)
+    recover = recover_shape if target == "shape" else recover_radius_density
+    values = recover(inp, grid, tol=tol)
+    if isinstance(values, AtomicAnswer):
+        raise ConfigError("the diameter law has atoms; a density table "
+                          "cannot represent it")
+    rows = list(zip(grid.tolist(), values.tolist()))
     column = "f" if target == "shape" else "k"
     _emit(_render_csv(("x", column), rows,
                       fingerprint=_fingerprint([key, target, dim]),

@@ -21,8 +21,9 @@ erfc scale mixtures int_0^inf erfc(s t) dG(s) with known closed forms.
 
 The kernel h_d is the normalized self-convolution of a d-dimensional unit
 ball indicator: the volume fraction in which two unit-diameter balls at
-distance 2t overlap.  Closed forms are used for d <= 5; quadrature of
-h_d(t) = d beta_d int_t^1 (1 - v^2)^{(d-1)/2} dv beyond.
+distance 2t overlap, h_d(t) = d beta_d int_t^1 (1 - v^2)^{(d-1)/2} dv: a
+polynomial in t and sqrt(1 - t^2) for d <= 5, and the regularized
+incomplete Beta function I_{1-t^2}((d+1)/2, 1/2) beyond.
 
 The minimum-overlap integral for radial non-increasing shapes f reduces to a
 single radial integral: the set where f(|z|) <= f(|z-t|) is the half-space
@@ -59,7 +60,6 @@ from .numerics import (
     _float_rule,
     _integrate,
     _reject,
-    beta_d,
     kappa_d,
 )
 from .radial import (
@@ -110,7 +110,7 @@ __all__ = [
 def h_d(t, d: int):
     """Normalized overlap of two d-dimensional balls of diameter 1 at distance t.
 
-    h_d(0) = 1, h_d(t) = 0 for t >= 1; closed form for d <= 5.  Scalar in,
+    h_d(0) = 1, h_d(t) = 0 for t >= 1; closed form for every d.  Scalar in,
     float out; array in, ndarray out.
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
@@ -130,9 +130,7 @@ def h_d(t, d: int):
     elif d == 5:
         v = 1.0 - 1.875 * s + 1.25 * s**3 - 0.375 * s**5
     else:
-        expo = (d - 1) / 2.0
-        v = d * beta_d(d) * _integrate(lambda w, k: (1.0 - w * w) ** expo,
-                                       s.ravel(), 1.0, 1e-12)[0].reshape(s.shape)
+        v = _special.betainc((d + 1) / 2.0, 0.5, 1.0 - s * s)
     return np.where(t >= 1.0, 0.0, v)
 
 

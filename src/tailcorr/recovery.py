@@ -27,6 +27,9 @@ analytically where chi carries them and numerically otherwise.  Numeric
 derivatives carry a relative error of about 1e-9, so that route floors its
 quadrature tolerance at ``_NUMERIC_D2_TOL``.
 
+Every function of distance here takes floats and arrays (one float rule,
+``numerics._float_rule``); the d=2 integrals of an array are one batch.
+
 A kink in chi (a jump of chi') corresponds to an atom in the diameter law
 -- the tent TCF inverts to a deterministic ball -- so density queries on
 such inputs return a structured :class:`AtomicAnswer` holding the full law
@@ -42,7 +45,7 @@ import numpy as np
 
 from .distributions import Distribution1D
 from .errors import DomainError, KinkError, ModelError, NotInClassError
-from .numerics import _integrate, kappa_d, quadrature
+from .numerics import _float_rule, _integrate, _reject, kappa_d, quadrature
 from .radial import RadialFunction
 
 __all__ = [
@@ -100,30 +103,51 @@ class RecoveryInput:
                 "not a valid TCF of this class")
 
 
-def lambda_chi(inp: RecoveryInput, t: float) -> float:
+def lambda_chi(inp: RecoveryInput, t):
     """The rescaled second derivative ``t * chi''(1/t)`` for t > 0.
 
     This is the cdf-like function whose increments drive the d=2 recovery
     integrals.  Raises KinkError when 1/t lands on a declared kink of chi.
     """
-    tf = float(t)
-    if tf <= 0:
-        raise DomainError(f"t must be > 0, got {t!r}")
-    return tf * inp.chi.derivative(1.0 / tf, 2)
+    return _lambda_chi(t, inp)
 
 
-def _beyond_support(inp: RecoveryInput, r: float) -> bool:
-    b = inp.chi.support_bound
-    return b is not None and r >= b
+@_float_rule
+def _lambda_chi(t, inp: RecoveryInput):
+    _reject(t, t <= 0, "t must be > 0")
+    return t * inp.chi.derivative(1.0 / t, 2)
 
 
-def _guard_nonnegative(name: str, x: float, value: float, slack: float) -> float:
-    if value < -max(slack, 1e-9):
+def _end(fn: RadialFunction) -> float:
+    return fn.support_bound if fn.support_bound is not None else math.inf
+
+
+def _guard_nonnegative(name: str, x, value, slack: float) -> np.ndarray:
+    bad = value < -max(slack, 1e-9)
+    if bad.any():
+        i = int(np.argmax(bad))
+        x, v = float(x[i]), float(value[i])
         raise NotInClassError(
-            f"recovered {name} is negative at {x:g}: {value:.6g}; the input "
-            "TCF is not realized by this storm class",
-            witness=(x, value))
-    return max(0.0, value)
+            f"recovered {name} is negative at {x:g}: {v:.6g}; the input "
+            "TCF is not realized by this storm class", witness=(x, v))
+    return np.where(value > 0.0, value, 0.0)
+
+
+def _zero_where_refused(g, x: np.ndarray) -> np.ndarray:
+    """``g`` on the array ``x``, with 0 at each entry where a derivative is
+    refused (a KinkError naming that entry: it sits on a kink, or a numeric
+    stencil there would cross one)."""
+    out = np.zeros(x.shape)
+    keep = np.ones(x.shape, dtype=bool)
+    while keep.any():
+        try:
+            out[keep] = g(x[keep])
+            break
+        except KinkError as err:
+            if not (keep & (x == err.x)).any():
+                raise
+            keep &= x != err.x
+    return out
 
 
 def _d2_kernel(inp: RecoveryInput, w):
@@ -133,46 +157,50 @@ def _d2_kernel(inp: RecoveryInput, w):
     return inp.chi.derivative(w, 2) - w * inp.chi.derivative(w, 3)
 
 
-def _d2_tol(inp: RecoveryInput, tol: float) -> float:
-    """The d=2 quadrature tolerance: ``tol``, floored at
-    ``_NUMERIC_D2_TOL`` when chi'' or chi''' is numeric."""
+def _d2_integrals(inp: RecoveryInput, integrand, a, b, tol: float):
+    """The d=2 integrals over (a_i, b_i), with a square-root change at a, at
+    ``tol`` floored at ``_NUMERIC_D2_TOL`` when chi'' or chi''' is numeric;
+    returned with the slack of the sign guard."""
     if inp.chi.deriv2 is None or inp.chi.deriv3 is None:
-        return max(tol, _NUMERIC_D2_TOL)
-    return tol
+        tol = max(tol, _NUMERIC_D2_TOL)
+    return (_integrate(integrand, a, b, tol, singular_exponent_a=-0.5)[0],
+            10.0 * tol)
 
 
-def recover_shape(inp: RecoveryInput, u: float, *, tol: float = 1e-10) -> float:
+def recover_shape(inp: RecoveryInput, u, *, tol: float = 1e-10):
     """The storm shape f(u) of the fixed-shape moving-maxima process."""
-    uf = float(u)
-    if uf <= 0:
-        raise DomainError(f"u must be > 0, got {u!r}")
-    if _beyond_support(inp, 2.0 * uf):
-        return 0.0
+    return _shape(u, inp, tol)
+
+
+@_float_rule
+def _shape(u, inp: RecoveryInput, tol: float):
+    _reject(u, u <= 0, "u must be > 0")
+    out = np.zeros(u.shape)
+    live = ~(2.0 * u >= _end(inp.chi))
+    u = u[live]
+    slack = 0.0
     if inp.dim == 1:
-        value = -inp.chi.derivative(2.0 * uf, 1)
-        return _guard_nonnegative("shape", uf, value, 0.0)
-    if inp.dim == 3:
-        value = inp.chi.derivative(2.0 * uf, 2) / (math.pi * uf)
-        return _guard_nonnegative("shape", uf, value, 0.0)
+        value = -inp.chi.derivative(2.0 * u, 1)
+    elif inp.dim == 3:
+        value = inp.chi.derivative(2.0 * u, 2) / (math.pi * u)
+    else:
+        # d = 2: (4u/pi) int_0^{1/(2u)} sqrt((2ut)^{-2} - 1) d lambda_chi(t).
+        # In the radius variable w = 1/t this is
+        #   (2/pi) int_{2u}^inf sqrt(w^2 - 4u^2) (chi''(w) - w chi'''(w)) / w^2 dw,
+        # with a benign square-root zero at the lower endpoint and the decay
+        # of chi's derivatives at infinity; one integral per entry.
+        lo = 2.0 * u
 
-    # d = 2: (4u/pi) int_0^{1/(2u)} sqrt((2ut)^{-2} - 1) d lambda_chi(t).
-    # In the radius variable w = 1/t this is
-    #   (2/pi) int_{2u}^inf sqrt(w^2 - 4u^2) (chi''(w) - w chi'''(w)) / w^2 dw,
-    # with a benign square-root zero at the lower endpoint and the decay of
-    # chi's derivatives at infinity.
-    lo = 2.0 * uf
-    hi = inp.chi.support_bound if inp.chi.support_bound is not None else math.inf
-    tol = _d2_tol(inp, tol)
+        def integrand(w, k):
+            arg = np.maximum((w - lo[k]) * (w + lo[k]), 0.0)
+            return np.sqrt(arg) * _d2_kernel(inp, w) / (w * w)
 
-    def integrand(w, k):
-        arg = np.maximum((w - lo) * (w + lo), 0.0)
-        return np.sqrt(arg) * _d2_kernel(inp, w) / (w * w)
-
-    # The integrand is a smooth function of sqrt(w - 2u) at its lower end,
-    # which the square-root variable change smooths out.
-    value = (2.0 / math.pi) * float(_integrate(
-        integrand, lo, hi, tol, singular_exponent_a=-0.5)[0][0])
-    return _guard_nonnegative("shape", uf, value, 10.0 * tol)
+        # The integrand is a smooth function of sqrt(w - 2u) at its lower
+        # end, which the square-root variable change smooths out.
+        value, slack = _d2_integrals(inp, integrand, lo, _end(inp.chi), tol)
+        value = (2.0 / math.pi) * value
+    out[live] = _guard_nonnegative("shape", u, value, slack)
+    return out
 
 
 def _diameter_atoms(inp: RecoveryInput) -> tuple[tuple[float, float], ...]:
@@ -193,7 +221,7 @@ def _diameter_cdf_smooth(inp: RecoveryInput, s: float) -> float:
     chi = inp.chi
     if s <= 0:
         return 0.0
-    if _beyond_support(inp, s):
+    if s >= _end(chi):
         return 1.0
     if inp.dim == 1:
         return 1.0 + s * chi.derivative(s, 1) - float(chi(s))
@@ -201,8 +229,8 @@ def _diameter_cdf_smooth(inp: RecoveryInput, s: float) -> float:
         return (1.0 - float(chi(s)) + s * chi.derivative(s, 1)
                 - s * s * chi.derivative(s, 2) / 3.0)
     # d = 2 has no derivative-only closed form; integrate the density.
-    res = quadrature(lambda x: recover_radius_density(inp, x, _assume_smooth=True),
-                     0.0, s, tol=1e-9)
+    res = quadrature(lambda x: _radius_density(x, inp, 1e-10), 0.0, s,
+                     tol=1e-9)
     return min(1.0, res.value)
 
 
@@ -217,53 +245,57 @@ class AtomicAnswer:
     law: Distribution1D
 
 
-def recover_radius_density(inp: RecoveryInput, s: float, *,
-                           tol: float = 1e-10,
-                           _assume_smooth: bool = False):
+def recover_radius_density(inp: RecoveryInput, s, *, tol: float = 1e-10):
     """The density k(s) of the diameter 2R of the random-ball process.
 
-    Returns a float for smooth inputs.  If chi has kinks carrying mass the
-    law is (partly) atomic and an :class:`AtomicAnswer` with the full
-    distribution is returned instead.
+    Returns a float or an array for smooth inputs.  If chi has kinks
+    carrying mass the law is (partly) atomic and an :class:`AtomicAnswer`
+    with the full distribution is returned instead.
     """
-    sf = float(s)
-    if sf <= 0:
-        raise DomainError(f"s must be > 0, got {s!r}")
-    if not _assume_smooth and inp.chi.kinks and _diameter_atoms(inp):
+    arr = np.asarray(s, dtype=float)
+    _reject(arr, arr <= 0, "s must be > 0")
+    if inp.chi.kinks and _diameter_atoms(inp):
         return AtomicAnswer(law=recover_radius_law(inp))
-    if _beyond_support(inp, sf):
-        return 0.0
+    return _radius_density(s, inp, tol)
+
+
+@_float_rule
+def _radius_density(s, inp: RecoveryInput, tol: float):
+    """k on an array of s, without looking for atoms; 0 at s <= 0 and
+    beyond the support of chi."""
     chi = inp.chi
+    out = np.zeros(s.shape)
+    live = (s > 0) & ~(s >= _end(chi))
+    s = s[live]
+    slack = 0.0
     if inp.dim == 1:
-        value = sf * chi.derivative(sf, 2)
-        return _guard_nonnegative("diameter density", sf, value, 0.0)
-    if inp.dim == 3:
-        value = (sf / 3.0) * (chi.derivative(sf, 2)
-                              - sf * chi.derivative(sf, 3))
-        return _guard_nonnegative("diameter density", sf, value, 0.0)
+        value = s * chi.derivative(s, 2)
+    elif inp.dim == 3:
+        value = (s / 3.0) * (chi.derivative(s, 2) - s * chi.derivative(s, 3))
+    else:
+        # d = 2: (s^2/2) int_0^{1/s} ((st)^{-2} - 1)^{-1/2} d lambda_chi(t);
+        # in the radius variable w = 1/t this is
+        #   (s^3/2) int_s^inf (w^2 - s^2)^{-1/2} (chi''(w) - w chi'''(w)) / w^2 dw
+        # with an inverse-square-root singularity at the lower endpoint,
+        # integrated over the offset x = w - s so the singular factor
+        # (x (w + s))^{-1/2} is computed without cancellation.
+        hi = _end(chi)
 
-    # d = 2: (s^2/2) int_0^{1/s} ((st)^{-2} - 1)^{-1/2} d lambda_chi(t); in
-    # the radius variable w = 1/t this is
-    #   (s^3/2) int_s^inf (w^2 - s^2)^{-1/2} (chi''(w) - w chi'''(w)) / w^2 dw
-    # with an inverse-square-root singularity at the lower endpoint,
-    # integrated over the offset x = w - s so the singular factor
-    # (x (w + s))^{-1/2} is computed without cancellation.
-    hi = inp.chi.support_bound if inp.chi.support_bound is not None else math.inf
-    tol = _d2_tol(inp, tol)
+        def integrand(x, k):
+            # A mapped node may round onto an end; its weight is dropped.
+            base = np.broadcast_to(s[k], x.shape)
+            w = base + x
+            inside = (x > 0.0) & (w < hi)
+            values = np.zeros(x.shape)
+            xi, wi = x[inside], w[inside]
+            values[inside] = ((xi * (wi + base[inside])) ** -0.5
+                              * _d2_kernel(inp, wi) / (wi * wi))
+            return values
 
-    def integrand(x, k):
-        # A mapped node may round onto an end, where the weight is dropped.
-        w = sf + x
-        inside = (x > 0.0) & (w < hi)
-        out = np.zeros(x.shape)
-        xi, wi = x[inside], w[inside]
-        out[inside] = ((xi * (wi + sf)) ** -0.5 * _d2_kernel(inp, wi)
-                       / (wi * wi))
-        return out
-
-    value = 0.5 * sf**3 * float(_integrate(
-        integrand, 0.0, hi - sf, tol, singular_exponent_a=-0.5)[0][0])
-    return _guard_nonnegative("diameter density", sf, value, 10.0 * tol)
+        value, slack = _d2_integrals(inp, integrand, 0.0, hi - s, tol)
+        value = 0.5 * s**3 * value
+    out[live] = _guard_nonnegative("diameter density", s, value, slack)
+    return out
 
 
 def recover_radius_law(inp: RecoveryInput, *, tol: float = 1e-10) -> Distribution1D:
@@ -274,7 +306,6 @@ def recover_radius_law(inp: RecoveryInput, *, tol: float = 1e-10) -> Distributio
     """
     atoms = _diameter_atoms(inp) if inp.chi.kinks else ()
     atom_mass = sum(m for _, m in atoms)
-    hi = inp.chi.support_bound if inp.chi.support_bound is not None else math.inf
 
     def nudge(s: float) -> float:
         # Evaluate the smooth cdf just right of a kink so the result is
@@ -291,21 +322,16 @@ def recover_radius_law(inp: RecoveryInput, *, tol: float = 1e-10) -> Distributio
 
     pdf = None
     if atom_mass < 1.0 - 1e-9:
-        def pdf(s: float) -> float:  # noqa: F811 - conditional definition
-            if s <= 0 or _beyond_support(inp, s):
-                return 0.0
-            try:
-                v = recover_radius_density(inp, s, tol=tol, _assume_smooth=True)
-            except KinkError:
-                return 0.0
-            return float(v)
+        # 0 where chi refuses a derivative at s, as on a kink.
+        pdf = _float_rule(lambda s: _zero_where_refused(
+            lambda x: _radius_density(x, inp, tol), s))
 
     return Distribution1D(
         name=f"diameter_law[{inp.chi.name}, d={inp.dim}]",
         cdf=cdf,
         pdf=pdf,
         atoms=atoms,
-        support=(0.0, hi),
+        support=(0.0, _end(inp.chi)),
     )
 
 
@@ -317,12 +343,9 @@ def shape_normalization(inp: RecoveryInput, *, tol: float = 1e-8) -> float:
     """
     d = inp.dim
     surface = d * kappa_d(d)
-    hi = (inp.chi.support_bound / 2.0 if inp.chi.support_bound is not None
-          else math.inf)
-    kink_pts = [k / 2.0 for k in inp.chi.kinks if 0.0 < k / 2.0 < hi]
     res = quadrature(
-        lambda u: recover_shape(inp, u) * u ** (d - 1),
-        0.0, hi, tol=tol, points=kink_pts)
+        lambda u: recover_shape(inp, u) * u ** (d - 1), 0.0,
+        _end(inp.chi) / 2.0, tol=tol, points=[k / 2.0 for k in inp.chi.kinks])
     return surface * res.value
 
 
@@ -331,9 +354,8 @@ def radius_normalization(inp: RecoveryInput, *, tol: float = 1e-8) -> float:
     law = recover_radius_law(inp)
     total = law.atom_mass
     if law.pdf is not None:
-        hi = law.support[1]
-        pts = [k for k in inp.chi.kinks if 0.0 < k < hi]
-        total += quadrature(law.pdf, 0.0, hi, tol=tol, points=pts).value
+        total += quadrature(law.pdf, 0.0, law.support[1], tol=tol,
+                            points=inp.chi.kinks).value
     return total
 
 
@@ -342,7 +364,7 @@ def radius_normalization(inp: RecoveryInput, *, tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 
-def f_from_H(H: Distribution1D, d: int, u: float, *, tol: float = 1e-10) -> float:
+def f_from_H(H: Distribution1D, d: int, u, *, tol: float = 1e-10):
     """Shape value ``f(u) = (1/kappa_d) int_0^{1/u} s^d dH(s)``.
 
     H is the cdf of 1/R.  Atoms exactly at s = 1/u are included
@@ -350,26 +372,30 @@ def f_from_H(H: Distribution1D, d: int, u: float, *, tol: float = 1e-10) -> floa
     """
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d!r}")
-    uf = float(u)
-    if uf <= 0:
-        raise DomainError(f"u must be > 0, got {u!r}")
-    cut = 1.0 / uf
-    total = sum(a**d * m for a, m in H.atoms if a <= cut)
+    return _f_from_H(u, H, d, tol)
+
+
+@_float_rule
+def _f_from_H(u, H: Distribution1D, d: int, tol: float):
+    _reject(u, u <= 0, "u must be > 0")
+    cut = 1.0 / u
+    total = sum((np.where(a <= cut, a**d * m, 0.0) for a, m in H.atoms),
+                np.zeros(u.shape))
     if 1.0 - H.atom_mass > 1e-12:
         if H.pdf is None:
             raise DomainError(
                 f"law {H.name!r} has continuous mass but no density")
         lo, hi = H.support
-        top = min(cut, hi)
-        if top > lo:
-            total += quadrature(
-                lambda s: s**d * H.pdf(s), lo, top, tol=tol,
-                singular_exponent_a=H.pdf_singular_exponent,
-                points=[p for p in H.pdf_points if lo < p < top]).value
+        top = np.minimum(cut, hi)
+        live = top > lo
+        total[live] += _integrate(
+            lambda s, k: s**d * H._density(s), lo, top[live], tol,
+            singular_exponent_a=H.pdf_singular_exponent,
+            points=H.pdf_points)[0]
     return total / kappa_d(d)
 
 
-def H_from_f(f: RadialFunction, d: int, s: float, *, tol: float = 1e-10) -> float:
+def H_from_f(f: RadialFunction, d: int, s, *, tol: float = 1e-10):
     """Cdf value ``H(s) = kappa_d int_{1/s}^inf v^d (-f'(v)) dv``.
 
     Jump discontinuities of f at declared kinks contribute atoms of 1/R at
@@ -377,26 +403,23 @@ def H_from_f(f: RadialFunction, d: int, s: float, *, tol: float = 1e-10) -> floa
     """
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d!r}")
-    sf = float(s)
-    if sf <= 0:
-        return 0.0
-    lo = 1.0 / sf
-    hi = f.support_bound if f.support_bound is not None else math.inf
-    total = 0.0
+    return _H_from_f(s, f, d, tol)
+
+
+@_float_rule
+def _H_from_f(s, f: RadialFunction, d: int, tol: float):
+    lo = np.divide(1.0, s, out=np.full(s.shape, math.inf), where=s > 0)
+    hi = _end(f)
+    total = np.zeros(lo.shape)
     for k in f.kinks:
-        if k < lo or k > hi:
-            continue
         jump = float(f(k * (1.0 - _SIDE_EPS))) - float(f(k * (1.0 + _SIDE_EPS)))
-        if jump > 1e-12:
-            total += k**d * jump
+        if jump > 1e-12 and k <= hi:
+            total = total + np.where(k >= lo, k**d * jump, 0.0)
 
-    def integrand(v: float) -> float:
-        try:
-            return -v**d * f.derivative(v, 1)
-        except KinkError:
-            return 0.0
+    def integrand(v, k):
+        return _zero_where_refused(lambda x: -x**d * f.derivative(x, 1), v)
 
-    if hi > lo:
-        pts = [k for k in f.kinks if lo < k < hi]
-        total += quadrature(integrand, lo, hi, tol=tol, points=pts).value
+    inner = hi > lo
+    total[inner] += _integrate(integrand, lo[inner], hi, tol,
+                               points=f.kinks)[0]
     return kappa_d(d) * total

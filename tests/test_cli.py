@@ -476,6 +476,31 @@ class TestRecover:
         for s, k in ((float(a), float(b)) for a, b in csv_rows(res.stdout)):
             assert k == pytest.approx(float(closed(s)), rel=1e-6)
 
+    @pytest.mark.parametrize("target, name", [
+        ("shape", "recover_shape"), ("radius", "recover_radius_density")])
+    def test_grid_is_one_call(self, runner, monkeypatch, target, name):
+        shapes = []
+        inner = getattr(tailcorr.cli, name)
+
+        def recorded(inp, x, **kwargs):
+            shapes.append(np.shape(x))
+            return inner(inp, x, **kwargs)
+
+        monkeypatch.setattr(tailcorr.cli, name, recorded)
+        res = runner.invoke(main, ["recover", "erfc_sqrt", "--target", target,
+                                   "--d", "2", "--grid", "0.1:4:7", "--quiet"])
+        assert res.exit_code == 0
+        assert shapes == [(7,)]
+        xs = [float(a) for a, _ in csv_rows(res.stdout)]
+        assert xs == np.geomspace(0.1, 4.0, 7).tolist()
+
+    def test_atomic_law_is_refused(self, runner):
+        # The tent TCF inverts to a deterministic ball diameter.
+        res = runner.invoke(main, ["recover", "tent", "--target", "radius",
+                                   "--d", "1", "--quiet"])
+        assert res.exit_code != 0
+        assert "atoms" in res.output
+
 
 class TestTransform:
     def test_s_and_t_reproduce_bounded_gauss_correlations(self, runner):

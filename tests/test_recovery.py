@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from tailcorr import DomainError, KinkError, ModelError, NotInClassError, erfc
-from tailcorr.distributions import Distribution1D, from_cdf, point_mass
+from tailcorr.distributions import (
+    Distribution1D,
+    exponential_dist,
+    from_cdf,
+    point_mass,
+)
 from tailcorr.models import M2rModel, M3bModel, tcf
 from tailcorr.numerics import kappa_d, quadrature
 from tailcorr.presets import erfc_sqrt_chi, erfc_sqrt_shape
@@ -17,6 +22,7 @@ from tailcorr.radial import (
     generalized_cauchy,
     radial_from_callable,
     tent,
+    truncated_power,
 )
 from tailcorr.recovery import (
     _NUMERIC_D2_TOL,
@@ -142,8 +148,22 @@ class TestRecoverShape:
                 recover_shape(inp, float(u))
         assert err.value.witness is not None
 
+    def test_array_negative_witness_names_first_entry(self):
+        # chi''(t) = (4t^2 - 2) e^{-t^2} < 0 for t < 1/sqrt(2), so the d=3
+        # shape chi''(2u) / (pi u) is negative for u < 0.3536: 0.3 is the
+        # first negative entry in grid order, 0.2 the most negative one.
+        chi = radial_from_callable("gauss", lambda t: math.exp(-t * t))
+        inp = RecoveryInput(chi=chi, dim=3)
+        with pytest.raises(NotInClassError) as err:
+            recover_shape(inp, np.array([2.0, 1.0, 0.5, 0.3, 0.2]))
+        u, value = err.value.witness
+        assert u == 0.3
+        assert value == pytest.approx(
+            (4 * 0.36 - 2) * math.exp(-0.36) / (math.pi * 0.3), rel=1e-6)
+        assert "at 0.3:" in str(err.value)
+
     def test_shape_normalization(self):
-        for dim in (1, 3):
+        for dim in (1, 2, 3):
             inp = RecoveryInput(chi=erfc_sqrt_chi(), dim=dim)
             assert shape_normalization(inp) == pytest.approx(1.0, abs=1e-6)
         assert shape_normalization(
@@ -177,7 +197,7 @@ class TestRecoverRadiusDensity:
         assert law.cdf_value(1.5) == pytest.approx(1.0, abs=1e-6)
 
     def test_radius_normalization(self):
-        for dim in (1, 3):
+        for dim in (1, 2, 3):
             inp = RecoveryInput(chi=erfc_sqrt_chi(), dim=dim)
             assert radius_normalization(inp) == pytest.approx(1.0, abs=1e-6)
         inp1 = RecoveryInput(chi=exponential_decay(), dim=3)
@@ -292,3 +312,110 @@ class TestFandH:
             f_from_H(H, 0, 1.0)
         with pytest.raises(DomainError):
             f_from_H(H, 1, 0.0)
+
+
+def _polyline(t):
+    # Convex polyline with kinks at 1/2 and 3/2; numeric derivatives only.
+    if t < 0.5:
+        return 1.0 - t
+    return max(0.0, 0.75 - 0.5 * t)
+
+
+class TestFloatRule:
+    """Every recovery function of distance takes a float or an array, and a
+    float gets the bits of the matching array entry."""
+
+    GRID = np.array([0.05, 0.3, 0.5, 0.7, 1.0, 1.9, 4.0])
+    CHIS = {"erfc_sqrt": erfc_sqrt_chi(), "exp": exponential_decay(),
+            "cauchy": generalized_cauchy(1.0)}
+
+    @staticmethod
+    def assert_entries(fn, grid):
+        array = fn(grid)
+        assert isinstance(array, np.ndarray) and array.shape == grid.shape
+        floats = [fn(float(x)) for x in grid.ravel()]
+        assert all(type(v) is float for v in floats)
+        assert [v.hex() for v in floats] == [
+            float(v).hex() for v in array.ravel()]
+        return array
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(CHIS))
+    def test_recover_shape(self, name, dim):
+        inp = RecoveryInput(chi=self.CHIS[name], dim=dim)
+        values = self.assert_entries(lambda u: recover_shape(inp, u),
+                                     self.GRID)
+        assert np.all(values > 0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(CHIS))
+    def test_recover_radius_density(self, name, dim):
+        inp = RecoveryInput(chi=self.CHIS[name], dim=dim)
+        self.assert_entries(lambda s: recover_radius_density(inp, s),
+                            self.GRID)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lambda_chi(self, dim):
+        inp = RecoveryInput(chi=erfc_sqrt_chi(), dim=dim)
+        self.assert_entries(lambda t: lambda_chi(inp, t), self.GRID)
+
+    def test_shape_matrix_keeps_its_shape(self):
+        inp = RecoveryInput(chi=exponential_decay(), dim=2)
+        grid = self.GRID[:6].reshape(2, 3)
+        self.assert_entries(lambda u: recover_shape(inp, u), grid)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_law_pdf(self, dim):
+        law = recover_radius_law(RecoveryInput(chi=erfc_sqrt_chi(), dim=dim))
+        grid = np.concatenate([[-1.0, 0.0], self.GRID])
+        values = self.assert_entries(law.pdf, grid)
+        assert values[0] == values[1] == 0.0
+        assert np.all(values[2:] > 0)
+
+    def test_law_pdf_is_zero_where_a_derivative_is_refused(self):
+        # (1 - s)^1.5 has a kink at 1 and numeric chi'': at 0.9999 the
+        # stencil would cross the kink, so the density part reads 0 there
+        # (and at the kink itself, the support's end).
+        law = recover_radius_law(RecoveryInput(chi=truncated_power(1.5),
+                                               dim=1))
+        grid = np.array([0.3, 0.9999, 1.0, 0.5])
+        values = self.assert_entries(law.pdf, grid)
+        assert values[1] == values[2] == 0.0
+        assert values[0] == pytest.approx(0.3 * 0.75 / math.sqrt(0.7),
+                                          rel=1e-7)
+        assert values[3] == pytest.approx(0.5 * 0.75 / math.sqrt(0.5),
+                                          rel=1e-7)
+        with pytest.raises(KinkError):
+            recover_radius_density(
+                RecoveryInput(chi=truncated_power(2.0), dim=1), grid)
+
+    LAWS = {
+        "exp_array_pdf": exponential_dist(1.0),
+        "exp_float_pdf": from_cdf("one_minus_exp", lambda s: -math.expm1(-s),
+                                  pdf=lambda s: math.exp(-s)),
+        "point_mass": point_mass(2.0),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_f_from_H(self, name, d):
+        self.assert_entries(lambda u: f_from_H(self.LAWS[name], d, u),
+                            self.GRID)
+
+    SHAPES = {
+        "exp": exponential_decay(),
+        "tent": tent(),
+        "polyline": radial_from_callable("polyline", _polyline,
+                                         kinks=(0.5, 1.5), support_bound=1.5),
+        "ball": radial_from_callable(
+            "ball", lambda u: 1.0 if u < 2.0 else 0.0, deriv1=lambda u: 0.0,
+            kinks=(2.0,), support_bound=2.0),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(SHAPES))
+    def test_H_from_f(self, name, d):
+        grid = np.concatenate([[-1.0, 0.0], self.GRID])
+        values = self.assert_entries(
+            lambda s: H_from_f(self.SHAPES[name], d, s), grid)
+        assert values[0] == values[1] == 0.0
