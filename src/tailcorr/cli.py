@@ -573,8 +573,9 @@ def cmd_transform(function_spec, map_name, lam, out, tol, grid_spec, quiet):
     f, key = _resolve(function_spec, tol)
     grid = _parse_grid(grid_spec)
     spec = TransformSpec(map_name, lam)
-    rows = [(t, x, apply_transform(spec, x))
-            for t, x in zip(grid.tolist(), f(grid).tolist())]
+    values = f(grid)
+    rows = list(zip(grid.tolist(), values.tolist(),
+                    apply_transform(spec, values).tolist()))
     _emit(_render_csv(("t", "value", "transformed"), rows,
                       fingerprint=_fingerprint([key, map_name, lam]),
                       extra=(f"tol={tol!r}",)), out)

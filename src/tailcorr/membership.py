@@ -47,7 +47,7 @@ import numpy as np
 from .errors import DomainError
 from .models import parametric_bounds
 from .numerics import (
-    _STENCILS,
+    _STENCIL_REACH,
     _integrate,
     _once_per_node,
     _ridders,
@@ -197,9 +197,6 @@ def test_T1_MMMr(chi: RadialFunction, *, grid=None, tol: float = 1e-9
 # ---------------------------------------------------------------------------
 
 _MAX_CM_ORDER = 8
-#: Largest |offset| of each derivative order's stencil.
-_STENCIL_REACH = {order: int(max(abs(o) for o in offsets))
-                  for order, (offsets, _, _) in _STENCILS.items()}
 
 
 def _safe_num_derivs(f: RadialFunction, xs: np.ndarray, order: int):
@@ -318,47 +315,35 @@ def test_completely_monotone(f: RadialFunction, max_order: int = 6, *,
     if f.has_compact_support:
         return _failed(f.support_bound,
                        "compact support excludes complete monotonicity")
-    straddles: list[tuple[float, int, float, float]] = []
     grid = np.array(xs)
-    values = f(grid)
-    # One call per order over the whole grid: of the analytic derivative
-    # off the declared kinks (NaN on them), else of f for numeric ones.
+    # By (grid point, order): order 0 and analytic orders carry no error
+    # bar; NaN marks a kink, no fitting stencil or a noise-dominated value.
+    values, errors = np.zeros((2, grid.size, max_order + 1))
+    values[:, 0] = f(grid)
     off_kink = ~f._on_kink(grid)
-    analytic = {}
-    for k in range(1, min(max_order, 3) + 1):
-        if (f.deriv1, f.deriv2, f.deriv3)[k - 1] is not None:
-            analytic[k] = np.full(grid.shape, np.nan)
-            analytic[k][off_kink] = f.derivative(grid[off_kink], k)
-    numeric = {k: _safe_num_derivs(f, grid, k)
-               for k in range(1, max_order + 1) if k not in analytic}
-    for i, (x, v0) in enumerate(zip(xs, values)):
-        if v0 < -tol:
-            return _failed((x, 0, float(v0)), "negative value")
-        for k in range(1, max_order + 1):
-            sign = (-1.0) ** k
-            if k in analytic:
-                value = float(analytic[k][i])
-                if sign * value < -tol:
-                    return _failed((x, k, value),
-                                   f"order-{k} derivative has the wrong sign")
-                continue
-            value, err = (float(v[i]) for v in numeric[k])
-            if math.isnan(value) or err >= 0.5 * abs(value):
-                continue  # no stencil, or noise-dominated: no sign information
-            val = sign * value
-            if val < -tol:
-                if abs(value) > 3.0 * err:
-                    return _failed((x, k, value),
-                                   f"order-{k} derivative has the wrong sign")
-                straddles.append((x, k, value, err))
+    for k in range(1, max_order + 1):
+        if k <= 3 and (f.deriv1, f.deriv2, f.deriv3)[k - 1] is not None:
+            values[:, k] = np.nan
+            values[off_kink, k] = f.derivative(grid[off_kink], k)
+        else:
+            value, errors[:, k] = _safe_num_derivs(f, grid, k)
+            values[:, k] = np.where(errors[:, k] >= 0.5 * np.abs(value),
+                                    np.nan, value)
+    wrong = values * (-1.0) ** np.arange(max_order + 1) < -tol
+    refuted = np.argwhere(wrong & (np.abs(values) > 3.0 * errors))
+    if refuted.size:
+        i, k = map(int, refuted[0])
+        return _failed((xs[i], k, float(values[i, k])),
+                       f"order-{k} derivative has the wrong sign" if k
+                       else "negative value")
     stage_two = _moment_matrix_stage(f, tol)
     if stage_two is not None:
         return stage_two
-    if straddles:
-        x, k, v, e = max(straddles, key=lambda s: abs(s[2]))
+    if wrong.any():
+        i, k = map(int, np.argwhere(wrong)[np.argmax(np.abs(values[wrong]))])
         return _inconclusive(
-            f"order-{k} derivative at x={x:.4g} is {v:.3g} with error bar "
-            f"{e:.3g}: sign indeterminate")
+            f"order-{k} derivative at x={xs[i]:.4g} is {values[i, k]:.3g} "
+            f"with error bar {errors[i, k]:.3g}: sign indeterminate")
     return _passed()
 
 
@@ -441,8 +426,7 @@ def test_H2_condition(phi: RadialFunction, *, grid=None, tol: float = 1e-7
         flat = ts.ravel()
         pos = flat > 0
         tp = flat[pos]
-        hints = np.array([[1.0 / (t * k * k) for k in phi.kinks]
-                          for t in tp]).reshape(tp.size, len(phi.kinks))
+        hints = 1.0 / np.outer(tp, np.square(phi.kinks))
 
         def integrand(w, k):
             # A mapped node may round onto an end, where the weight is

@@ -754,8 +754,6 @@ class ErfcMixtureModel:
     dim: int
     mixing: Distribution1D
     closed_form: Callable[[float], float] | None = None
-    row: int | None = None
-    param: float | None = None
 
     def __post_init__(self) -> None:
         _check_dim(self.dim)
@@ -1007,7 +1005,7 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
             f"exp(-1/(({a:g})s)^2)",
             lambda s: np.exp(-1.0 / (a * s) ** 2) * 2.0 / (a * a * s**3),
             points=[peak])
-        closed = lambda t: math.exp(-2.0 * t / a)  # noqa: E731
+        closed = _float_rule(lambda t: np.exp(-2.0 * t / a))
     elif row == 2:
         nu = float(param)
         if not 0.0 < nu < 0.5:
@@ -1022,7 +1020,7 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
         c = 2.0 * a / math.sqrt(math.pi)
         mixing = from_pdf(f"erf(({a:g})s)",
                           lambda s: c * np.exp(-((a * s) ** 2)))
-        closed = lambda t: 1.0 - (2.0 / math.pi) * math.atan(t / a)  # noqa: E731
+        closed = _float_rule(lambda t: 1.0 - 2.0 / math.pi * np.arctan(t / a))
     elif row == 4:
         a = float(param)
         if a <= 0:
@@ -1030,9 +1028,8 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
         mixing = from_pdf(
             f"1-exp(-(({a:g})s)^2)",
             lambda s: 2.0 * a * a * s * np.exp(-((a * s) ** 2)))
-        closed = lambda t: (1.0 - (1.0 + (t / a) ** -2) ** -0.5 if t > 0  # noqa: E731
-                            else 1.0)
+        # 1 - (1 + (t/a)^-2)^-1/2, without the pole of (t/a)^-2 at t = 0.
+        closed = _float_rule(lambda t: 1.0 - t / np.hypot(t, a))
     else:
         raise DomainError(f"row must be 1..4, got {row!r}")
-    return ErfcMixtureModel(dim=dim, mixing=mixing, closed_form=closed,
-                            row=row, param=float(param))
+    return ErfcMixtureModel(dim=dim, mixing=mixing, closed_form=closed)

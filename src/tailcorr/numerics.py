@@ -550,6 +550,9 @@ _STENCILS = {
     8: ((-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0),
         (1.0, -8.0, 28.0, -56.0, 70.0, -56.0, 28.0, -8.0, 1.0), 8),
 }
+#: Largest |offset| of each order's stencil.
+_STENCIL_REACH = {order: int(max(abs(o) for o in offsets))
+                  for order, (offsets, _, _) in _STENCILS.items()}
 
 
 def _worst_midpoint_gap(f: Callable, xs: Sequence[float]
@@ -690,6 +693,25 @@ def _derivatives(f: Callable, x, order: int, h=None, *,
     values, errors = _ridders(f, flat, order, step, kinks=kinks,
                               levels=levels)
     return values.reshape(xs.shape), errors.reshape(xs.shape)
+
+
+def _radial_derivatives(f: Callable, x: np.ndarray, order: int, *,
+                        kinks: Sequence[float] = ()) -> np.ndarray:
+    """:func:`_derivatives` values of ``f`` at x > 0 with no stencil point
+    at or below 0.  Where the default ladder (five rungs, the top 16 steps
+    out) would reach 0, 0 acts as a kink, and a base step that alone
+    reaches 0 shrinks to half the distance."""
+    _reject(x, ~(x > 0), "r must be > 0")
+    reach = _STENCIL_REACH[order]
+    step = _EPS ** (1.0 / (order + 2)) * np.maximum(1.0, x)
+    near = reach * 16.0 * step >= x
+    step = np.where(reach * step >= x, 0.5 * x / reach, step)
+    out = np.empty(x.shape)
+    out[~near] = _derivatives(f, x[~near], order, kinks=kinks)[0]
+    if near.any():
+        out[near] = _derivatives(f, x[near], order, step[near],
+                                 kinks=(0.0, *kinks))[0]
+    return out
 
 
 def num_derivative(

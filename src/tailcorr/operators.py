@@ -97,11 +97,9 @@ S_ADMISSIBLE_LIMIT = 8.0 * float(erf_inv(1.0 / math.sqrt(2.0))) ** 2
 T_ADMISSIBLE_LIMIT = 8.0 * float(erf_inv(0.5)) ** 2
 
 
-def _check_x(x: float) -> float:
-    xf = float(x)
-    if not -1.0 <= xf <= 1.0:
-        raise DomainError(f"transform argument must lie in [-1, 1], got {x!r}")
-    return xf
+def _check_x(x: np.ndarray) -> None:
+    _reject(x, ~((x >= -1.0) & (x <= 1.0)),
+            "transform argument must lie in [-1, 1]")
 
 
 def _check_lam(lam: float) -> float:
@@ -111,25 +109,29 @@ def _check_lam(lam: float) -> float:
     return lf
 
 
-def transform_R(x: float) -> float:
-    """``cos(pi sqrt((1-x)/2))`` on [-1, 1]."""
-    xf = _check_x(x)
-    return math.cos(math.pi * math.sqrt((1.0 - xf) / 2.0))
+@_float_rule
+def _transform(x, map: str, lam: float = 1.0):
+    """The map R, S or T at an array x in [-1, 1]."""
+    _check_x(x)
+    if map == "R":
+        return np.cos(math.pi * np.sqrt((1.0 - x) / 2.0))
+    e = _special.erf(np.sqrt(_check_lam(lam) * (1.0 - x) / 8.0))
+    return 1.0 - 2.0 * e * e if map == "S" else np.cos(math.pi * e)
 
 
-def transform_S(lam: float, x: float) -> float:
-    """``1 - 2 erf(sqrt(lambda (1-x)/8))^2`` on [-1, 1]."""
-    xf = _check_x(x)
-    lf = _check_lam(lam)
-    e = math.erf(math.sqrt(lf * (1.0 - xf) / 8.0))
-    return 1.0 - 2.0 * e * e
+def transform_R(x):
+    """``cos(pi sqrt((1-x)/2))`` on [-1, 1], for floats and arrays."""
+    return _transform(x, "R")
 
 
-def transform_T(lam: float, x: float) -> float:
-    """``cos(pi erf(sqrt(lambda (1-x)/8)))`` on [-1, 1]."""
-    xf = _check_x(x)
-    lf = _check_lam(lam)
-    return math.cos(math.pi * math.erf(math.sqrt(lf * (1.0 - xf) / 8.0)))
+def transform_S(lam: float, x):
+    """``1 - 2 erf(sqrt(lambda (1-x)/8))^2`` on [-1, 1], floats and arrays."""
+    return _transform(x, "S", lam)
+
+
+def transform_T(lam: float, x):
+    """``cos(pi erf(sqrt(lambda (1-x)/8)))`` on [-1, 1], floats and arrays."""
+    return _transform(x, "T", lam)
 
 
 @dataclass(frozen=True)
@@ -174,15 +176,12 @@ def is_admissible(spec: TransformSpec) -> bool:
     return spec.lam * (1.0 - spec.alpha) <= limit
 
 
-def apply_transform(spec: TransformSpec, x: float) -> float:
-    """Evaluate the alpha-shifted transform at x in [-1, 1]."""
-    xf = _check_x(x)
-    shifted = (1.0 - spec.alpha) * xf + spec.alpha
-    if spec.map == "R":
-        return transform_R(shifted)
-    if spec.map == "S":
-        return transform_S(spec.lam, shifted)
-    return transform_T(spec.lam, shifted)
+def apply_transform(spec: TransformSpec, x):
+    """The alpha-shifted transform at x in [-1, 1], a float or an array."""
+    xs = np.asarray(x, dtype=float)
+    _check_x(xs)
+    return _transform((1.0 - spec.alpha) * xs + spec.alpha, spec.map,
+                      spec.lam)
 
 
 # ---------------------------------------------------------------------------

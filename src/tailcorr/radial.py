@@ -28,7 +28,7 @@ import numpy as np
 from scipy import special as _special
 
 from .errors import DomainError, KinkError, TailcorrError
-from .numerics import _derivatives, _float_rule, _lift, _reject, kappa_d
+from .numerics import _float_rule, _lift, _radial_derivatives, _reject, kappa_d
 
 __all__ = [
     "RadialFunction",
@@ -158,8 +158,8 @@ class RadialFunction:
         analytic = (self.deriv1, self.deriv2, self.deriv3)[order - 1]
         if analytic is not None:
             return _evaluate(arr, analytic)
-        return _evaluate(arr, lambda x: _derivatives(
-            self.func, x, order, kinks=self.kinks)[0])
+        return _evaluate(arr, lambda x: _radial_derivatives(
+            self.func, x, order, kinks=self.kinks))
 
 
 def radial_from_callable(name: str, func: Callable[[float], float],

@@ -51,6 +51,7 @@ from tailcorr.presets import (
     erfc_sqrt_mps_mixing,
     erfc_sqrt_radius_law,
     erfc_sqrt_shape,
+    erfc_sqrt_suite,
 )
 from tailcorr.radial import (
     ball_indicator,
@@ -494,6 +495,18 @@ class TestRecover:
         xs = [float(a) for a, _ in csv_rows(res.stdout)]
         assert xs == np.geomspace(0.1, 4.0, 7).tolist()
 
+    @pytest.mark.parametrize("spec, dim", [
+        ("whittle_matern:0.3", "3"), ("powered_exponential:0.5", "3"),
+        ("chi_d:3", "1")])
+    def test_numeric_derivatives_near_zero(self, runner, spec, dim):
+        # The default Ridders ladders near r = 0 would evaluate these TCFs
+        # at r < 0, where they read 1, NaN or raise.
+        res = runner.invoke(main, ["recover", spec, "--target", "radius",
+                                   "--d", dim, "--quiet"])
+        assert res.exit_code == 0, res.output
+        ks = [float(k) for _, k in csv_rows(res.stdout)]
+        assert len(ks) == 200 and min(ks) >= 0.0
+
     def test_atomic_law_is_refused(self, runner):
         # The tent TCF inverts to a deterministic ball diameter.
         res = runner.invoke(main, ["recover", "tent", "--target", "radius",
@@ -515,6 +528,22 @@ class TestTransform:
             for t, _, y in ((float(a), float(b), float(c))
                             for a, b, c in csv_rows(res.stdout)):
                 assert y == pytest.approx(float(closed(t)), abs=1e-12)
+
+    def test_grid_is_one_call(self, runner, monkeypatch):
+        shapes = []
+        inner = tailcorr.cli.apply_transform
+
+        def recorded(spec, x):
+            shapes.append(np.shape(x))
+            return inner(spec, x)
+
+        monkeypatch.setattr(tailcorr.cli, "apply_transform", recorded)
+        res = runner.invoke(main, ["transform", "tent", "--map", "T",
+                                   "--grid", "0.1:4:7", "--quiet"])
+        assert res.exit_code == 0
+        assert shapes == [(7,)]
+        assert [float(a) for a, _, _ in csv_rows(res.stdout)] == \
+            np.geomspace(0.1, 4.0, 7).tolist()
 
     def test_r_map_squares_toward_one(self, runner):
         from tailcorr.operators import transform_R
@@ -854,6 +883,25 @@ class TestReproduce:
                 for p in out_dir.iterdir()
             })
         assert hashes[0] == hashes[1]
+
+    def test_check_rows_match_point_by_point_evaluation(self):
+        # Each check evaluates its points as one array; every row equals
+        # the evaluation of its own point alone.
+        for name, check in erfc_sqrt_suite().checks.items():
+            rows, worst = check.run()
+            want_worst = 0.0
+            for row, x in zip(rows, check.points.tolist()):
+                want = check.closed_form(x)
+                if check.computed is None:
+                    assert row == (x, want), name
+                    continue
+                got = check.computed(x)
+                gap = abs(got - want)
+                if check.relative:
+                    gap /= abs(want)
+                want_worst = max(want_worst, gap)
+                assert row == (x, got, want, gap), name
+            assert worst == want_worst
 
     def test_unknown_suite_rejected(self, runner, tmp_path):
         res = runner.invoke(main, ["reproduce", "other", "--out-dir",

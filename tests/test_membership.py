@@ -15,7 +15,9 @@ from tailcorr.errors import DomainError
 from tailcorr.membership import (
     _lattice_rayleigh,
     _moment_matrix_stage,
+    _neg_deriv_sqrt,
     _random_configuration,
+    _safe_num_derivs,
     DEFAULT_GRID,
     LatticeProbeWitness,
     MembershipReport,
@@ -88,6 +90,54 @@ def moment_stage_by_grid(f, tol=1e-9):
                 return MomentMatrixWitness(start=float(x0), spacing=float(h),
                                            size=n + 1, eigmin=eigmin)
     return None
+
+
+def complete_monotonicity_by_loop(f, max_order, tol=1e-9):
+    """Reference complete-monotonicity battery on DEFAULT_GRID: the sign
+    stage walks grid point by grid point and order by order, stopping at
+    the first refutation; the largest straddle makes it inconclusive."""
+    if f.has_compact_support:
+        return Verdict("fail", f.support_bound,
+                       "compact support excludes complete monotonicity")
+    grid = np.array(DEFAULT_GRID)
+    values = f(grid)
+    off_kink = ~f._on_kink(grid)
+    analytic = {}
+    for k in range(1, min(max_order, 3) + 1):
+        if (f.deriv1, f.deriv2, f.deriv3)[k - 1] is not None:
+            analytic[k] = np.full(grid.shape, np.nan)
+            analytic[k][off_kink] = f.derivative(grid[off_kink], k)
+    numeric = {k: _safe_num_derivs(f, grid, k)
+               for k in range(1, max_order + 1) if k not in analytic}
+    straddles = []
+    for i, (x, v0) in enumerate(zip(DEFAULT_GRID, values)):
+        if v0 < -tol:
+            return Verdict("fail", (x, 0, float(v0)), "negative value")
+        for k in range(1, max_order + 1):
+            sign = (-1.0) ** k
+            if k in analytic:
+                value = float(analytic[k][i])
+                if sign * value < -tol:
+                    return Verdict("fail", (x, k, value),
+                                   f"order-{k} derivative has the wrong sign")
+                continue
+            value, err = (float(v[i]) for v in numeric[k])
+            if math.isnan(value) or err >= 0.5 * abs(value):
+                continue
+            if sign * value < -tol:
+                if abs(value) > 3.0 * err:
+                    return Verdict("fail", (x, k, value),
+                                   f"order-{k} derivative has the wrong sign")
+                straddles.append((x, k, value, err))
+    stage_two = _moment_matrix_stage(f, tol)
+    if stage_two is not None:
+        return stage_two
+    if straddles:
+        x, k, v, e = max(straddles, key=lambda s: abs(s[2]))
+        return Verdict("inconclusive", reason=(
+            f"order-{k} derivative at x={x:.4g} is {v:.3g} with error bar "
+            f"{e:.3g}: sign indeterminate"))
+    return Verdict("pass")
 
 
 def gram_stage_by_configuration(chi, d, seed, n_configs=50, n_points=8,
@@ -249,6 +299,30 @@ class TestCompletelyMonotone:
             assert verdict is None
         else:
             assert verdict.witness == witness
+
+    @pytest.mark.parametrize("f", [
+        erfc_sqrt(), powered_erfc(0.4), generalized_cauchy(1.0),
+        powered_erfc(0.8), truncated_power(2.0), truncated_power(1.5),
+        tent(), phi_d_radial(3), chi_d_radial(3),
+        erf_square_complement_radial(), exponential_decay(),
+        whittle_matern(0.3), whittle_matern(1.5), generalized_cauchy(2.0),
+        powered_exponential(1.5)], ids=lambda f: f.name)
+    @pytest.mark.parametrize("lift", [False, True], ids=["f", "neg_deriv_sqrt"])
+    def test_signs_match_loop_by_point_and_order(self, f, lift):
+        if lift:
+            f = _neg_deriv_sqrt(f)
+        for max_order in range(9):
+            assert (test_completely_monotone(f, max_order)
+                    == complete_monotonicity_by_loop(f, max_order))
+
+    def test_straddle_matches_loop(self):
+        # Noise of 1e-15 leaves a few high-order signs within their error
+        # bars: the largest such straddle makes the verdict inconclusive.
+        f = radial_from_callable(
+            "noisy_exp", lambda x: math.exp(-x) + 1e-15 * math.sin(1e5 * x))
+        verdict = test_completely_monotone(f, 4)
+        assert verdict.status == "inconclusive"
+        assert verdict == complete_monotonicity_by_loop(f, 4)
 
     def test_compact_support_refuted_outright(self):
         verdict = test_completely_monotone(tent(), 4)

@@ -174,6 +174,31 @@ class TestTransforms:
         for t in (0.05, 0.4, 1.3, 4.0):
             assert tcf(eg, t) == pytest.approx(tcf(br, t), abs=1e-12)
 
+    @pytest.mark.parametrize("map", [
+        transform_R, lambda x: transform_S(1.62, x),
+        lambda x: transform_T(1.62, x),
+        *(lambda x, spec=TransformSpec(name, 1.62, alpha):
+          apply_transform(spec, x)
+          for name in ("R", "S", "T") for alpha in (0.0, 0.3))],
+        ids=["R", "S", "T", "shift_R_0", "shift_R_0.3", "shift_S_0",
+             "shift_S_0.3", "shift_T_0", "shift_T_0.3"])
+    def test_array_matches_each_float_bit_for_bit(self, map):
+        xs = np.concatenate([np.linspace(-1.0, 1.0, 400),
+                             np.exp(-np.geomspace(1e-3, 1e2, 200))])
+        got = map(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        floats = [map(float(x)) for x in xs]
+        assert all(type(v) is float for v in floats)
+        assert np.array_equal(got.view(np.int64),
+                              np.array(floats).view(np.int64))
+        assert map(xs.reshape(3, -1)).shape == (3, 200)
+
+    def test_domain_guard_names_the_first_bad_entry(self):
+        with pytest.raises(DomainError, match=r"\[-1, 1\], got 1\.5$"):
+            transform_S(1.0, np.array([0.2, 1.5, -3.0]))
+        with pytest.raises(DomainError, match=r"got nan$"):
+            apply_transform(TransformSpec("R"), np.array([0.0, np.nan]))
+
     def test_domain_guards(self):
         with pytest.raises(DomainError):
             transform_R(1.2)

@@ -12,7 +12,8 @@ import pytest
 
 from tailcorr import DomainError
 from tailcorr.cli import _gaussian_correlation
-from tailcorr.models import h_d
+from tailcorr.models import erfc_mixture, h_d
+from tailcorr.numerics import _derivatives
 from tailcorr.operators import (chi_d_neg_deriv_sqrt, chi_d_radial,
                                 erf_square_complement_radial, phi_d,
                                 phi_d_neg_deriv_sqrt, phi_d_radial)
@@ -67,6 +68,9 @@ FUNCTIONS = {
     **{f"chi_{d}": (lambda d=d: chi_d_radial(d), True) for d in (3, 4, 6)},
     **{f"h_{d}": (lambda d=d: ball_overlap(d), True) for d in range(1, 6)},
     "erf_square_complement": (erf_square_complement_radial, True),
+    **{f"erfc_mixture_row{row}": (lambda row=row, a=a: RadialFunction(
+        f"row{row}", erfc_mixture(row, a).closed_form), True)
+       for row, a in ((1, 2.0), (2, 0.3), (3, 0.5), (4, 1.5))},
     "erfc_sqrt_shape_1d": (lambda: erfc_sqrt_shape(1), False),
     "erfc_sqrt_shape_3d": (lambda: erfc_sqrt_shape(3), False),
     "corr_exponential": (exponential_correlation, True),
@@ -180,6 +184,42 @@ def test_array_error_names_the_bad_entry():
         phi_d(np.array([0.5, -0.2]), 3)
     with pytest.raises(DomainError, match=r"got -0\.3$"):
         tent()(np.array([[0.5, 1.0], [-0.3, -0.4]]))
+
+
+class TestNumericDerivativeNearZero:
+    """A numeric derivative of a radial function evaluates it at r > 0
+    only: a ladder that would reach 0 shrinks as next to a kink."""
+
+    XS = np.geomspace(1e-6, 2.0, 60)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_no_stencil_point_at_or_below_zero(self, order):
+        seen = []
+
+        def func(r):
+            seen.append(np.min(r))
+            return np.exp(-r)
+
+        f = RadialFunction(name="recorded", func=func)
+        assert np.all(np.isfinite(f.derivative(self.XS, order)))
+        assert min(seen) > 0.0
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_ladders_clear_of_zero_keep_their_bits(self, order):
+        f = RadialFunction(name="exp(-r^1.5)", func=lambda r: np.exp(-r**1.5))
+        xs = self.XS[self.XS > 0.05]
+        want = _derivatives(f.func, xs, order)[0]
+        assert np.array_equal(bits(f.derivative(xs, order)), bits(want))
+
+    @pytest.mark.parametrize("r", [1e-4, 1e-3])
+    def test_chi_3_second_derivative_near_zero(self, r):
+        # chi_3(r) = (1 - r)(1 - 3r/2 + r^3/2) on [0, 1/2].
+        assert chi_d_radial(3).derivative(r, 2) == pytest.approx(
+            3.0 + 3.0 * r - 6.0 * r * r, rel=1e-8)
+
+    def test_nonpositive_radius_is_refused(self):
+        with pytest.raises(DomainError, match=r"r must be > 0, got 0\.0$"):
+            whittle_matern(1.5).derivative(np.array([0.1, 0.0]), 2)
 
 
 class TestScalarCallables:

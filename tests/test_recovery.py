@@ -16,6 +16,7 @@ from tailcorr.distributions import (
 )
 from tailcorr.models import M2rModel, M3bModel, tcf
 from tailcorr.numerics import kappa_d, quadrature
+from tailcorr.operators import chi_d_radial
 from tailcorr.presets import erfc_sqrt_chi, erfc_sqrt_shape
 from tailcorr.radial import (
     exponential_decay,
@@ -213,6 +214,14 @@ class TestRecoverRadiusDensity:
             lambda s: recover_radius_density(inp, s, tol=1e-11),
             0.0, math.inf, tol=1e-7)
         assert total.value == pytest.approx(1.0, abs=1e-5)
+
+
+class TestNumericDerivativesNearZero:
+    def test_chi_3_law_in_dimension_one_has_unit_mass(self):
+        # The law's pdf takes chi_3'' by Ridders ladders; below r = 0.024
+        # the default ladder would reach r < 0, where chi_d raises.
+        assert radius_normalization(
+            RecoveryInput(chi_d_radial(3), 1)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestD2NumericDerivatives:
