@@ -48,10 +48,12 @@ from .errors import DomainError
 from .models import parametric_bounds
 from .numerics import (
     _STENCIL_REACH,
+    _float_rule,
     _integrate,
     _once_per_node,
-    _ridders,
+    _reject,
     _worst_midpoint_gap,
+    num_derivative,
 )
 from .radial import RadialFunction
 
@@ -216,7 +218,7 @@ def _safe_num_derivs(f: RadialFunction, xs: np.ndarray, order: int):
     values = np.full(xs.shape, np.nan)
     errors = np.full(xs.shape, np.nan)
     if fits.any():
-        values[fits], errors[fits] = _ridders(
+        values[fits], errors[fits] = num_derivative(
             f.func, xs[fits], order, h[fits], kinks=f.kinks, levels=levels)
     return values, errors
 
@@ -502,10 +504,22 @@ def _random_configuration(rng: np.random.Generator, index: int,
     return rng.standard_normal((n_points, d)) * scale
 
 
-def _spectral_densities(chi: RadialFunction, d: int, omegas: np.ndarray,
-                        tol: float) -> np.ndarray:
-    """:func:`spectral_density` at every frequency of ``omegas``, one batch
-    of integrals over the compact support."""
+@_float_rule(at=2)
+def spectral_density(chi: RadialFunction, d: int, omega, *,
+                     tol: float = 1e-11):
+    """d-dimensional Fourier transform of the radial function at |omega|.
+
+    Requires compact support (the transform is then a finite integral);
+    d in {1, 2, 3}.  Nonnegativity for all omega is Bochner's criterion
+    for positive definiteness.  The frequencies of an array are one batch
+    of integrals over the support.
+    """
+    if d not in (1, 2, 3):
+        raise DomainError(f"spectral density implemented for d in 1..3, got {d!r}")
+    if not chi.has_compact_support:
+        raise DomainError("spectral density requires compact support")
+    _reject(omega, ~(omega > 0), "omega must be > 0")
+    omegas = omega.ravel()
     bound = float(chi.support_bound)
     if d == 1:
         def integrand(r, k):
@@ -524,24 +538,6 @@ def _spectral_densities(chi: RadialFunction, d: int, omegas: np.ndarray,
     values = _integrate(integrand, np.zeros(omegas.shape), bound, tol,
                         points=chi.kinks)[0]
     return scale * values
-
-
-def spectral_density(chi: RadialFunction, d: int, omega: float, *,
-                     tol: float = 1e-11) -> float:
-    """d-dimensional Fourier transform of the radial function at |omega|.
-
-    Requires compact support (the transform is then a finite integral);
-    d in {1, 2, 3}.  Nonnegativity for all omega is Bochner's criterion
-    for positive definiteness.
-    """
-    if d not in (1, 2, 3):
-        raise DomainError(f"spectral density implemented for d in 1..3, got {d!r}")
-    if not chi.has_compact_support:
-        raise DomainError("spectral density requires compact support")
-    w = float(omega)
-    if w <= 0:
-        raise DomainError(f"omega must be > 0, got {omega!r}")
-    return float(_spectral_densities(chi, d, np.array([w]), tol)[0])
 
 
 @dataclass(frozen=True)
@@ -606,8 +602,8 @@ def _spectral_probe(chi: RadialFunction, d: int) -> Verdict | None:
     bound = float(chi.support_bound)
     omegas = np.linspace(0.3, 60.0, 180) / bound
     # The scan and the reference value near 0 are one batch.
-    *vals, f0 = _spectral_densities(
-        chi, d, np.append(omegas, 1e-3 / bound), 1e-11)
+    *vals, f0 = spectral_density(
+        chi, d, np.append(omegas, 1e-3 / bound), tol=1e-11)
     vals = np.array(vals)
     threshold = -max(1e-6, 1e-5 * abs(f0))
     if vals.min() >= threshold:

@@ -56,7 +56,6 @@ from scipy import special as _special
 from .distributions import Distribution1D, from_pdf
 from .errors import DomainError, ModelError, SimulationError
 from .numerics import (
-    SpecialFnResult,
     _float_rule,
     _integrate,
     _reject,
@@ -155,10 +154,17 @@ def _cap_constant(d: int) -> float:
             * float(_special.beta((d - 1) / 2.0, 0.5)))
 
 
-def _overlaps(f: RadialFunction, d: int, t: np.ndarray, tol: float
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`overlap_integral` at every lag of the 1-D array ``t`` in one
-    batch of integrals, as (values, abs_error_estimates)."""
+@_float_rule(at=2, result=True)
+def overlap_integral(f: RadialFunction, d: int, t, *, tol: float = 1e-10):
+    """int_{R^d} min(f(|z|), f(|z - t e_1|)) dz for radial non-increasing f.
+
+    At t = 0 this is the full radial integral of f over R^d (the model
+    normalization).  A float ``t`` gives a :class:`SpecialFnResult`; the
+    lags of an array are one batch of integrals, returned as
+    (values, abs_error_estimates).
+    """
+    _reject(t, t < 0, "t must be >= 0")
+    t = t.ravel()
     half = 0.5 * t
     upper = f.support_bound if f.support_bound is not None else math.inf
     # The radial integrand at t = 0 behaves like u^(zero_exponent + d - 1).
@@ -187,19 +193,6 @@ def _overlaps(f: RadialFunction, d: int, t: np.ndarray, tol: float
             integrand, lows, upper, tol, singular_exponent_a=sing[live],
             points=f.kinks)
     return 2.0 * values, 2.0 * errors
-
-
-def overlap_integral(f: RadialFunction, d: int, t: float, *,
-                     tol: float = 1e-10) -> SpecialFnResult:
-    """int_{R^d} min(f(|z|), f(|z - t e_1|)) dz for radial non-increasing f.
-
-    At t = 0 this is the full radial integral of f over R^d (the model
-    normalization).
-    """
-    if t < 0:
-        raise DomainError(f"t must be >= 0, got {t!r}")
-    values, errors = _overlaps(f, d, np.array([float(t)]), tol)
-    return SpecialFnResult(float(values[0]), float(errors[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +426,8 @@ class M3rModel:
         1) plus the mean quadrature estimate."""
         rng = np.random.default_rng(self.seed)
         n = self.n_samples
-        draws = [_overlaps(self.ensemble.sample(rng), self.dim, t,
-                           max(tol, 1e-8)) for _ in range(n)]
+        draws = [overlap_integral(self.ensemble.sample(rng), self.dim, t,
+                                  tol=max(tol, 1e-8)) for _ in range(n)]
         vals = np.array([v for v, _ in draws])
         errs = np.array([e for _, e in draws])
         se = (np.std(vals, axis=0, ddof=1) / math.sqrt(n) if n > 1
@@ -484,7 +477,7 @@ class M2rModel:
         ))
 
     def _tcf(self, t: np.ndarray, tol: float):
-        return _overlaps(self.shape, self.dim, t, tol)
+        return overlap_integral(self.shape, self.dim, t, tol=tol)
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Storm center at a radial offset rho drawn from the offset law,
@@ -775,33 +768,27 @@ TcfModel = Union[
 # ---------------------------------------------------------------------------
 
 
-def _tcf_arrays(model: TcfModel, t: np.ndarray, tol: float
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The model's TCF and its error estimate at each lag of the 1-D array
-    ``t``, in one batch."""
-    _reject(t, t < 0, "t must be >= 0")
-    if not hasattr(model, "_tcf"):
-        raise ModelError(f"unknown model type {type(model).__name__}")
-    return model._tcf(t, tol)
-
-
-def tcf_result(model: TcfModel, t: float, *, tol: float = 1e-9
-               ) -> SpecialFnResult:
+@_float_rule(at=1, result=True)
+def tcf_result(model: TcfModel, t, *, tol: float = 1e-9):
     """chi(t) for the given model, with an absolute error estimate.
 
     Closed-form classes report error 0; quadrature classes report the
     integration error; the Monte Carlo class (M3r) reports a standard error
-    of draws from its ``seed`` field.
+    of draws from its ``seed`` field.  A float ``t`` gives a
+    :class:`SpecialFnResult`; the lags of an array are one batch, returned
+    as (values, abs_error_estimates).
     """
-    values, errors = _tcf_arrays(model, np.array([float(t)]), tol)
-    return SpecialFnResult(float(values[0]), float(errors[0]))
+    _reject(t, t < 0, "t must be >= 0")
+    if not hasattr(model, "_tcf"):
+        raise ModelError(f"unknown model type {type(model).__name__}")
+    return model._tcf(t.ravel(), tol)
 
 
+@_float_rule(at=1)
 def tcf(model: TcfModel, t, *, tol: float = 1e-9):
     """chi(t); scalar in, float out; array in, ndarray out.  The lags of an
     array are one batch of integrals."""
-    return _float_rule(lambda lags: _tcf_arrays(model, lags.ravel(), tol)[0]
-                       )(t)
+    return tcf_result.__wrapped__(model, t, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,28 @@ This module is the shared numerical floor of the package:
 * ``num_derivative``: central finite differences with Richardson
   extrapolation and refusal near caller-declared kinks.
 
-Both rest on batched NumPy engines that the rest of the package calls
-directly.  ``_integrate`` applies QUADPACK's G10/K21 rule to a whole batch
-of integrals: each pass evaluates the integrand once, on every
-unconverged panel of every integral.  ``_ridders`` evaluates the whole
-step ladder of many abscissae in one call.  The public functions run
-them on a batch of one.  They call their argument on the whole ladder or
-panel set when it takes arrays, and float by float otherwise.
+Both rest on batched NumPy engines.  ``_integrate``, which the rest of
+the package also calls directly, applies QUADPACK's G10/K21 rule to a
+whole batch of integrals: each pass evaluates the integrand once, on
+every unconverged panel of every integral; ``quadrature`` runs it on a
+batch of one.  ``_ridders`` evaluates the whole step ladder of many
+abscissae in one call; ``num_derivative`` is its only entry point, at a
+float or at every entry of an array.  Both call their argument on the
+whole ladder or panel set when it takes arrays, and float by float
+otherwise.
 
 All functions are pure and reentrant; there is no shared mutable state.
-Scalar arguments yield Python floats, array arguments yield ndarrays.
+Every function of distance follows one float rule (``_float_rule``): a
+float yields a Python float and an array an ndarray of its shape, a
+one-element array included.  A function that also estimates its error,
+as ``num_derivative`` does, gives a :class:`SpecialFnResult` for a float
+and (values, abs_error_estimates) arrays for an array.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -73,21 +80,44 @@ class SpecialFnResult:
         return float(self.value)
 
 
-def _float_rule(func: Callable) -> Callable:
-    """``func``, written for an array of distances as its first argument,
-    as a function of floats and arrays.
+def _float_rule(func: Callable | None = None, *, at: int = 0,
+                result: bool = False) -> Callable:
+    """``func``, written for an array of distances as its positional
+    argument ``at``, as a function of floats and arrays.
 
     A float is evaluated as a one-element array and comes back as a Python
     float, so it gets the bits of the same entry of an array: NumPy may
-    round an operation on a scalar differently.  An array comes back as an
-    ndarray of its shape.
+    round an operation on a scalar differently.  An array, a one-element
+    one included, comes back as an ndarray of its shape.  The distance may
+    also be passed by keyword.  Under ``result``, ``func`` returns
+    (values, abs_error_estimates), two flat arrays or two of the distance's
+    shape: a float gives a :class:`SpecialFnResult` and an array the pair
+    of arrays.  Used bare or as ``@_float_rule(...)``.
     """
+    if func is None:
+        return functools.partial(_float_rule, at=at, result=result)
+    name = None
 
     @functools.wraps(func)
-    def evaluate(x, *args, **kwargs):
-        arr = np.asarray(x, dtype=float)
-        out = np.asarray(func(np.atleast_1d(arr), *args, **kwargs),
-                         dtype=float).reshape(arr.shape)
+    def evaluate(*args, **kwargs):
+        nonlocal name
+        if len(args) > at:
+            arr = np.asarray(args[at], dtype=float)
+            out = func(*args[:at], np.atleast_1d(arr), *args[at + 1:],
+                       **kwargs)
+        else:
+            name = name or list(inspect.signature(func).parameters)[at]
+            if name not in kwargs:
+                # Python names the missing argument.
+                return func(*args, **kwargs)
+            arr = np.asarray(kwargs[name], dtype=float)
+            out = func(*args, **{**kwargs, name: np.atleast_1d(arr)})
+        if result:
+            values, errors = out
+            if arr.ndim == 0:
+                return SpecialFnResult(float(values[0]), float(errors[0]))
+            return values.reshape(arr.shape), errors.reshape(arr.shape)
+        out = np.asarray(out, dtype=float).reshape(arr.shape)
         return float(out) if arr.ndim == 0 else out
 
     return evaluate
@@ -200,7 +230,6 @@ def _array_callable(func: Callable) -> Callable:
     points the caller evaluates anyway: the adapter raises exactly where
     the float-by-float evaluation raises.
     """
-    lifted = _lift(func)
     scalar_only = False
 
     def adapted(x):
@@ -215,7 +244,7 @@ def _array_callable(func: Callable) -> Callable:
                 # Whatever the floats raise still surfaces below.
                 pass
             scalar_only = True
-        return lifted(arr)
+        return _lift(func)(arr)
 
     return adapted
 
@@ -663,41 +692,65 @@ def _ridders(f: Callable, x: np.ndarray, order: int, h: np.ndarray, *,
     return best, best_err
 
 
-def _derivatives(f: Callable, x, order: int, h=None, *,
-                 kinks: Sequence[float] = (), levels: int = 5
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`num_derivative` of an array ``f`` at every entry of ``x``
-    (default steps per entry), as (values, abs_error_estimates) arrays of
-    the shape of ``x``."""
+@_float_rule(at=1, result=True)
+def num_derivative(
+    f: Callable[[float], float],
+    x,
+    order: int,
+    h=None,
+    *,
+    kinks: Sequence[float] = (),
+    levels: int = 5,
+):
+    """k-th derivative of ``f`` at ``x`` (k = 1..8) by central differences.
+
+    A float ``x`` gives a :class:`SpecialFnResult`; an array gives
+    (values, abs_error_estimates), arrays of its shape, and ``h``, when
+    given, may be one step per entry.
+
+    Error bars grow quickly with the order (round-off scales like
+    eps / h^k); callers probing high orders must treat values whose
+    magnitude is comparable to the error estimate as sign-indeterminate.
+
+    A Richardson table over a ladder of steps is built and the entry with
+    the smallest estimated error is returned, together with that estimate
+    (Ridders' scheme).  ``f`` is called once on the ladders of every entry
+    when it takes arrays, and float by float otherwise.
+
+    The default step is ``eps^(1/(order+2)) * max(1, |x|)``.
+
+    Raises :class:`~tailcorr.errors.KinkError` when the stencil would straddle
+    or touch a caller-declared kink abscissa; derivatives across kinks are
+    meaningless and the caller must use one-sided logic instead.  It names
+    the first such entry of ``x``.
+    """
     if order not in _STENCILS:
         raise DomainError(f"order must be an integer in 1..8, got {order!r}")
-    xs = np.asarray(x, dtype=float)
-    flat = xs.ravel()
+    flat = x.ravel()
     if h is None:
         step = _EPS ** (1.0 / (order + 2)) * np.maximum(1.0, np.abs(flat))
     else:
-        step = np.broadcast_to(np.asarray(h, dtype=float), xs.shape).ravel()
+        step = np.broadcast_to(np.asarray(h, dtype=float), x.shape).ravel()
     if not np.all((step > 0) & np.isfinite(step)):
         raise DomainError(f"step h must be positive and finite, got {h!r}")
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels!r}")
-    max_off = max(abs(o) for o in _STENCILS[order][0])
+    reach = _STENCIL_REACH[order]
     for kink in kinks:
-        near = np.abs(flat - kink) <= max_off * step
+        near = np.abs(flat - kink) <= reach * step
         if near.any():
             i = int(np.argmax(near))
             raise KinkError(
                 f"num_derivative at x={flat[i]} (order {order}, step "
                 f"{step[i]:.3e}) would cross the declared kink at {kink}",
                 x=float(flat[i]), kink=kink)
-    values, errors = _ridders(f, flat, order, step, kinks=kinks,
-                              levels=levels)
-    return values.reshape(xs.shape), errors.reshape(xs.shape)
+    return _ridders(_array_callable(f), flat, order, step, kinks=kinks,
+                    levels=levels)
 
 
 def _radial_derivatives(f: Callable, x: np.ndarray, order: int, *,
                         kinks: Sequence[float] = ()) -> np.ndarray:
-    """:func:`_derivatives` values of ``f`` at x > 0 with no stencil point
+    """:func:`num_derivative` values of ``f`` at x > 0 with no stencil point
     at or below 0.  Where the default ladder (five rungs, the top 16 steps
     out) would reach 0, 0 acts as a kink, and a base step that alone
     reaches 0 shrinks to half the distance."""
@@ -707,39 +760,8 @@ def _radial_derivatives(f: Callable, x: np.ndarray, order: int, *,
     near = reach * 16.0 * step >= x
     step = np.where(reach * step >= x, 0.5 * x / reach, step)
     out = np.empty(x.shape)
-    out[~near] = _derivatives(f, x[~near], order, kinks=kinks)[0]
+    out[~near] = num_derivative(f, x[~near], order, kinks=kinks)[0]
     if near.any():
-        out[near] = _derivatives(f, x[near], order, step[near],
-                                 kinks=(0.0, *kinks))[0]
+        out[near] = num_derivative(f, x[near], order, step[near],
+                                   kinks=(0.0, *kinks))[0]
     return out
-
-
-def num_derivative(
-    f: Callable[[float], float],
-    x: float,
-    order: int,
-    h: float | None = None,
-    *,
-    kinks: Sequence[float] = (),
-    levels: int = 5,
-) -> SpecialFnResult:
-    """k-th derivative of ``f`` at ``x`` (k = 1..8) by central differences.
-
-    Error bars grow quickly with the order (round-off scales like
-    eps / h^k); callers probing high orders must treat values whose
-    magnitude is comparable to the error estimate as sign-indeterminate.
-
-    A Richardson table over a ladder of steps is built and the entry with
-    the smallest estimated error is returned, together with that estimate
-    (Ridders' scheme).  ``f`` is called once on the whole ladder when it
-    takes arrays, and float by float otherwise.
-
-    The default step is ``eps^(1/(order+2)) * max(1, |x|)``.
-
-    Raises :class:`~tailcorr.errors.KinkError` when the stencil would straddle
-    or touch a caller-declared kink abscissa; derivatives across kinks are
-    meaningless and the caller must use one-sided logic instead.
-    """
-    values, errors = _derivatives(_array_callable(f), float(x), order, h,
-                                  kinks=kinks, levels=levels)
-    return SpecialFnResult(float(values), float(errors))

@@ -49,12 +49,12 @@ from .numerics import (
     _float_rule,
     _integrate,
     _reject,
-    _ridders,
     _worst_midpoint_gap,
     beta_d,
     erf_inv,
     erfc,
     erfc_inv,
+    num_derivative,
 )
 from .radial import RadialFunction, tent
 
@@ -388,6 +388,7 @@ class TurningBandsSpec:
                 f"need 1 <= k <= d, got k={self.k!r}, d={self.d!r}")
 
 
+@_float_rule(at=2)
 def turning_bands(chi: RadialFunction, spec: TurningBandsSpec, r, *,
                   tol: float = 1e-10):
     """``tb_k^d(chi)(r) = E[chi(r sqrt B)]``, B ~ Beta(k/2, (d-k)/2).
@@ -396,13 +397,6 @@ def turning_bands(chi: RadialFunction, spec: TurningBandsSpec, r, *,
     kink of chi sits, at B = (kink / r)^2.  Scalar in, float out; array in,
     ndarray out.
     """
-    return _turning_bands(r, chi, spec, tol)
-
-
-@_float_rule
-def _turning_bands(r, chi: RadialFunction, spec: TurningBandsSpec,
-                   tol: float):
-    """:func:`turning_bands` at an array of radii."""
     _reject(r, r < 0, "r must be >= 0")
     if spec.k == spec.d:
         return chi(r)
@@ -678,7 +672,8 @@ def implied_br_curvature_min(lo: float = 1e-4, hi: float = 10.0, *,
     def psi2(x):
         # Relative step keeps the whole Ridders ladder inside r > 0.
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        return _ridders(implied_br_variogram, xs, 2, xs / 20.0, levels=4)[0]
+        return num_derivative(implied_br_variogram, xs, 2, xs / 20.0,
+                              levels=4)[0]
 
     vals = psi2(grid)
     interior = np.flatnonzero(

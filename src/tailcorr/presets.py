@@ -84,7 +84,7 @@ class Check:
 
     def run(self) -> tuple[list[tuple], float]:
         """The artifact rows (point, computed..., closed form, deviation)
-        and the worst deviation, which skips NaN."""
+        and the worst deviation, NaN when any deviation is NaN."""
         want = np.asarray(self.closed_form(self.points), dtype=float)
         if self.computed is None:
             return list(zip(self.points.tolist(), want.tolist())), 0.0
@@ -94,7 +94,7 @@ class Check:
             gap /= np.abs(want)
         rows = [(x, *g, w, d) for x, g, w, d in zip(
             self.points.tolist(), got.T.tolist(), want.tolist(), gap.tolist())]
-        return rows, float(np.fmax.reduce(gap, initial=0.0))
+        return rows, float(np.max(gap, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -112,16 +112,17 @@ class Suite:
     @staticmethod
     def chi_hat(model: TcfModel, estimates) -> tuple[list[tuple], float]:
         """Chi-hat rows and the worst margin (deviation minus threshold): a
-        lag passes when |chi_hat - chi| <= max(0.02, 3 std errs)."""
-        rows, worst = [], -math.inf
+        lag passes when |chi_hat - chi| <= max(0.02, 3 std errs).  The worst
+        margin is NaN when any deviation is NaN."""
+        rows, margins = [], []
         truths = tcf(model, [est.lag for est in estimates]).tolist()
         for est, true in zip(estimates, truths):
             threshold = max(0.02, 3.0 * est.std_err)
             gap = abs(est.chi_hat - true)
             rows.append((est.lag, est.chi_hat, est.std_err, est.n, true, gap,
                          threshold, "pass" if gap <= threshold else "fail"))
-            worst = max(worst, gap - threshold)
-        return rows, worst
+            margins.append(gap - threshold)
+        return rows, float(np.max(margins, initial=-math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -103,17 +103,13 @@ class RecoveryInput:
                 "not a valid TCF of this class")
 
 
+@_float_rule(at=1)
 def lambda_chi(inp: RecoveryInput, t):
     """The rescaled second derivative ``t * chi''(1/t)`` for t > 0.
 
     This is the cdf-like function whose increments drive the d=2 recovery
     integrals.  Raises KinkError when 1/t lands on a declared kink of chi.
     """
-    return _lambda_chi(t, inp)
-
-
-@_float_rule
-def _lambda_chi(t, inp: RecoveryInput):
     _reject(t, t <= 0, "t must be > 0")
     return t * inp.chi.derivative(1.0 / t, 2)
 
@@ -167,13 +163,9 @@ def _d2_integrals(inp: RecoveryInput, integrand, a, b, tol: float):
             10.0 * tol)
 
 
+@_float_rule(at=1)
 def recover_shape(inp: RecoveryInput, u, *, tol: float = 1e-10):
     """The storm shape f(u) of the fixed-shape moving-maxima process."""
-    return _shape(u, inp, tol)
-
-
-@_float_rule
-def _shape(u, inp: RecoveryInput, tol: float):
     _reject(u, u <= 0, "u must be > 0")
     out = np.zeros(u.shape)
     live = ~(2.0 * u >= _end(inp.chi))
@@ -364,6 +356,7 @@ def radius_normalization(inp: RecoveryInput, *, tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 
+@_float_rule(at=2)
 def f_from_H(H: Distribution1D, d: int, u, *, tol: float = 1e-10):
     """Shape value ``f(u) = (1/kappa_d) int_0^{1/u} s^d dH(s)``.
 
@@ -372,11 +365,6 @@ def f_from_H(H: Distribution1D, d: int, u, *, tol: float = 1e-10):
     """
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d!r}")
-    return _f_from_H(u, H, d, tol)
-
-
-@_float_rule
-def _f_from_H(u, H: Distribution1D, d: int, tol: float):
     _reject(u, u <= 0, "u must be > 0")
     cut = 1.0 / u
     total = sum((np.where(a <= cut, a**d * m, 0.0) for a, m in H.atoms),
@@ -395,6 +383,7 @@ def _f_from_H(u, H: Distribution1D, d: int, tol: float):
     return total / kappa_d(d)
 
 
+@_float_rule(at=2)
 def H_from_f(f: RadialFunction, d: int, s, *, tol: float = 1e-10):
     """Cdf value ``H(s) = kappa_d int_{1/s}^inf v^d (-f'(v)) dv``.
 
@@ -403,11 +392,6 @@ def H_from_f(f: RadialFunction, d: int, s, *, tol: float = 1e-10):
     """
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d!r}")
-    return _H_from_f(s, f, d, tol)
-
-
-@_float_rule
-def _H_from_f(s, f: RadialFunction, d: int, tol: float):
     lo = np.divide(1.0, s, out=np.full(s.shape, math.inf), where=s > 0)
     hi = _end(f)
     total = np.zeros(lo.shape)

@@ -29,6 +29,7 @@ from tailcorr import (
     M3bModel,
     MPSModel,
     SimConfig,
+    LagEstimate,
     VBRModel,
     estimate_chi,
     simulate,
@@ -47,6 +48,9 @@ from tailcorr.distributions import Distribution1D, exponential_dist, point_mass
 from tailcorr.errors import ConfigError, DomainError
 from tailcorr.models import M3rModel, ShapeEnsemble, TcfModel
 from tailcorr.presets import (
+    REPRODUCTION_SUITES,
+    Check,
+    Suite,
     bounded_gauss_correlations,
     erfc_sqrt_mps_mixing,
     erfc_sqrt_radius_law,
@@ -902,6 +906,34 @@ class TestReproduce:
                 want_worst = max(want_worst, gap)
                 assert row == (x, got, want, gap), name
             assert worst == want_worst
+
+    def test_nan_deviation_fails(self, runner, tmp_path, monkeypatch):
+        # A NaN deviation is the worst one: its check fails, and so does
+        # reproduce, rather than skipping it.
+        points = np.array([0.5, 1.0, 2.0])
+        check = Check(("t", "computed", "closed_form", "deviation"), points,
+                      lambda t: np.exp(-t),
+                      lambda t: np.where(t > 1.5, np.nan, np.exp(-t)),
+                      threshold=1e-6)
+        rows, worst = check.run()
+        assert math.isnan(worst) and math.isnan(rows[-1][-1])
+        monkeypatch.setitem(REPRODUCTION_SUITES, "erfc-sqrt", lambda: Suite(
+            checks={"nan_check": check}, simulated={}, lags=()))
+        out_dir = tmp_path / "nan"
+        res = runner.invoke(main, ["reproduce", "erfc-sqrt", "--out-dir",
+                                   str(out_dir), "--quiet"])
+        assert res.exit_code != 0
+        assert csv_rows((out_dir / "summary.csv").read_text()) == [
+            ["nan_check", "nan", "9.9999999999999995e-07", "fail"]]
+
+    def test_nan_chi_hat_is_the_worst_margin(self):
+        model = BRModel(dim=1, variogram=fbm_variogram(8.0, 1.0))
+        estimates = [LagEstimate(lag=0.5, chi_hat=chi, std_err=0.01, n=100,
+                                 requested_lag=0.5, clipped=False)
+                     for chi in (tcf(model, 0.5), math.nan)]
+        rows, worst = Suite.chi_hat(model, estimates)
+        assert math.isnan(worst)
+        assert [row[-1] for row in rows] == ["pass", "fail"]
 
     def test_unknown_suite_rejected(self, runner, tmp_path):
         res = runner.invoke(main, ["reproduce", "other", "--out-dir",

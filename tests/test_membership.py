@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import assert_entrywise
+
 from tailcorr import cli
 from tailcorr.errors import DomainError
 from tailcorr.membership import (
@@ -542,9 +544,19 @@ class TestSpectralDensity:
         with pytest.raises(DomainError):
             spectral_density(tent(), 4, 1.0)
 
-    def test_omega_guard(self):
-        with pytest.raises(DomainError):
-            spectral_density(tent(), 1, 0.0)
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
+    def test_omega_guard(self, bad):
+        with pytest.raises(DomainError, match=f"omega must be > 0, got {bad}"):
+            spectral_density(tent(), 1, bad)
+        omegas = np.array([[1.0, 2.0, 3.0], [4.0, bad, -1.0]])
+        with pytest.raises(DomainError, match=f"got {bad}$"):
+            spectral_density(tent(), 1, omegas)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_array_matches_floats(self, d):
+        omegas = np.array([[0.5, 2.0, 5.0], [8.3, 12.0, 30.0]])
+        assert_entrywise(
+            lambda w: spectral_density(truncated_power(1.5), d, w), omegas)
 
 
 class TestConvexityConditions:

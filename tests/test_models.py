@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_entrywise
+
 from tailcorr import DomainError, ModelError, erfc, numerics
 from tailcorr.distributions import exponential_dist, point_mass
 from tailcorr.cli import resolve_function
@@ -115,10 +117,10 @@ class TestOverlapIntegral:
         # h_d(t / (2 radius)) — an independent closed form for the radial
         # cap-reduction route.
         f = ball_indicator(d, radius)
-        for t in [0.0, 0.3 * radius, radius, 1.9 * radius, 2.1 * radius]:
-            res = overlap_integral(f, d, t)
-            assert res.value == pytest.approx(
-                h_d(t / (2.0 * radius), d), abs=1e-9)
+        ts = radius * np.array([[0.0, 0.3, 1.0], [1.9, 2.1, 0.7]])
+        values, _ = assert_entrywise(lambda t: overlap_integral(f, d, t), ts)
+        np.testing.assert_allclose(values, h_d(ts / (2.0 * radius), d),
+                                   rtol=0.0, atol=1e-9)
 
     def test_exponential_shape_d1(self):
         # f(u) = e^{-2u} integrates to 1 on R and has chi(t) = e^{-t}:
@@ -291,10 +293,11 @@ class TestBatchedLags:
     @pytest.mark.parametrize("name", ["M2r", "M3b", "MPS", "BR"])
     def test_array_matches_lag_by_lag(self, name):
         model = erfc_sqrt_models()[name]
-        lags = np.array([0.0, 0.05, 0.7, 3.0])
-        batch = tcf(model, lags, tol=1e-10)
-        assert batch.tolist() == [tcf(model, float(t), tol=1e-10)
-                                  for t in lags]
+        lags = np.array([[0.0, 0.05, 0.7], [3.0, 1.2, 0.3]])
+        values = assert_entrywise(lambda t: tcf(model, t, tol=1e-10), lags)
+        results = assert_entrywise(
+            lambda t: tcf_result(model, t, tol=1e-10), lags)
+        assert np.array_equal(results[0], values)
 
 
 @pytest.mark.parametrize("name,model", [

@@ -24,7 +24,6 @@ from tailcorr import (
 from tailcorr.distributions import Distribution1D
 from tailcorr.numerics import (
     _QUAD_LIMIT,
-    _derivatives,
     _integrate,
     _worst_midpoint_gap,
 )
@@ -395,8 +394,11 @@ class TestNumDerivative:
         assert res.value == pytest.approx(true, abs=max(1e-4, 5 * res.abs_error_estimate))
         assert abs(res.value - true) <= max(10.0 * res.abs_error_estimate, 1e-5)
 
+    @pytest.mark.parametrize("levels", [None, 4])
+    @pytest.mark.parametrize("step", ["default", "scalar", "per-entry"])
+    @pytest.mark.parametrize("shape", [(25,), (2, 3)])
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 8])
-    def test_batch_matches_one_at_a_time(self, order):
+    def test_batch_matches_one_at_a_time(self, order, shape, step, levels):
         # One call of f for the whole ladder of every abscissa; a kink
         # inside the ladder reach shrinks the ladder top of nearby points.
         calls = [0]
@@ -405,14 +407,31 @@ class TestNumDerivative:
             calls[0] += 1
             return 1.0 / (1.0 + x * x)
 
-        xs = np.linspace(0.3, 3.0, 25)
-        values, errors = _derivatives(f, xs, order, kinks=(3.6,))
+        xs = np.linspace(0.3, 3.0, math.prod(shape)).reshape(shape)
+        h = {"default": None, "scalar": 0.01, "per-entry": xs / 40.0}[step]
+        ladder = {} if levels is None else {"levels": levels}
+        values, errors = num_derivative(f, xs, order, h, kinks=(3.6,),
+                                        **ladder)
         assert calls[0] == 1
-        for x, value, error in zip(xs, values, errors):
-            res = num_derivative(f, float(x), order, kinks=(3.6,))
-            assert value == pytest.approx(res.value, rel=1e-12, abs=1e-12)
-            assert error == pytest.approx(res.abs_error_estimate, rel=1e-9,
-                                          abs=1e-15)
+        assert values.shape == errors.shape == xs.shape
+        steps = np.broadcast_to(np.asarray(h, dtype=object), xs.shape)
+        for x, hx, value, error in zip(xs.ravel(), steps.ravel(),
+                                       values.ravel(), errors.ravel()):
+            res = num_derivative(f, float(x), order, hx, kinks=(3.6,),
+                                 **ladder)
+            assert (value, error) == (res.value, res.abs_error_estimate)
+
+    def test_one_element_array_gets_the_array_form(self):
+        values, errors = num_derivative(np.exp, np.array([0.5]), 1)
+        assert values.shape == errors.shape == (1,)
+        assert values[0] == num_derivative(np.exp, 0.5, 1).value
+
+    def test_array_near_kink_names_the_first_offending_entry(self):
+        xs = np.array([[0.5, 1.004, 2.0], [0.997, 3.0, 4.0]])
+        with pytest.raises(KinkError, match=r"x=1\.004 ") as err:
+            num_derivative(lambda t: np.abs(t - 1.0), xs, 1, h=0.01,
+                           kinks=[1.0])
+        assert (err.value.x, err.value.kink) == (1.004, 1.0)
 
     def test_bad_step(self):
         with pytest.raises(DomainError):

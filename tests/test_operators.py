@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_entrywise
+
 from tailcorr.distributions import exponential_dist, point_mass
 from tailcorr.errors import DomainError, KinkError, ModelError
 from tailcorr.models import (
@@ -399,12 +401,9 @@ class TestTurningBands:
     def test_array_of_radii_matches_floats(self, chi, k, d):
         # One batch of integrals with per-row kink cuts, zeros included.
         spec = TurningBandsSpec(k, d)
-        rs = np.concatenate([[0.0], np.linspace(0.05, 4.0, 40)])
-        got = turning_bands(chi, spec, rs.reshape(1, -1))
-        assert got.shape == (1, rs.size)
-        want = [turning_bands(chi, spec, float(r)) for r in rs]
-        assert got.ravel().tolist() == want
-        assert type(turning_bands(chi, spec, 0.7)) is float
+        rs = np.concatenate([[0.0], np.linspace(0.05, 4.0, 41)])
+        assert_entrywise(lambda r: turning_bands(chi, spec, r),
+                         rs.reshape(2, 21))
 
     def test_bits_do_not_depend_on_the_batch(self):
         # A lone singular panel once had its nodes mapped by an exact

@@ -10,10 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from tailcorr import DomainError
+from tailcorr import DomainError, num_derivative
 from tailcorr.cli import _gaussian_correlation
 from tailcorr.models import erfc_mixture, h_d
-from tailcorr.numerics import _derivatives
 from tailcorr.operators import (chi_d_neg_deriv_sqrt, chi_d_radial,
                                 erf_square_complement_radial, phi_d,
                                 phi_d_neg_deriv_sqrt, phi_d_radial)
@@ -208,7 +207,7 @@ class TestNumericDerivativeNearZero:
     def test_ladders_clear_of_zero_keep_their_bits(self, order):
         f = RadialFunction(name="exp(-r^1.5)", func=lambda r: np.exp(-r**1.5))
         xs = self.XS[self.XS > 0.05]
-        want = _derivatives(f.func, xs, order)[0]
+        want = num_derivative(f.func, xs, order)[0]
         assert np.array_equal(bits(f.derivative(xs, order)), bits(want))
 
     @pytest.mark.parametrize("r", [1e-4, 1e-3])

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_entrywise
+
 from tailcorr import DomainError, KinkError, ModelError, NotInClassError, erfc
 from tailcorr.distributions import (
     Distribution1D,
@@ -338,46 +340,49 @@ class TestFloatRule:
     CHIS = {"erfc_sqrt": erfc_sqrt_chi(), "exp": exponential_decay(),
             "cauchy": generalized_cauchy(1.0)}
 
-    @staticmethod
-    def assert_entries(fn, grid):
-        array = fn(grid)
-        assert isinstance(array, np.ndarray) and array.shape == grid.shape
-        floats = [fn(float(x)) for x in grid.ravel()]
-        assert all(type(v) is float for v in floats)
-        assert [v.hex() for v in floats] == [
-            float(v).hex() for v in array.ravel()]
-        return array
+    @classmethod
+    def points(cls, layout, lead=()):
+        """``lead`` and then GRID, in a line or the first six as a 2 x 3
+        matrix."""
+        points = np.concatenate([lead, cls.GRID])
+        return points if layout == "line" else points[:6].reshape(2, 3)
 
+    @pytest.mark.parametrize("layout", ["line", "matrix"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("name", list(CHIS))
-    def test_recover_shape(self, name, dim):
+    def test_recover_shape(self, name, dim, layout):
         inp = RecoveryInput(chi=self.CHIS[name], dim=dim)
-        values = self.assert_entries(lambda u: recover_shape(inp, u),
-                                     self.GRID)
+        values = assert_entrywise(lambda u: recover_shape(inp, u),
+                                  self.points(layout))
         assert np.all(values > 0)
+
+    @pytest.mark.parametrize("u", [0.3, np.array([[0.3, 1.0]])])
+    def test_distance_by_keyword(self, u):
+        inp = RecoveryInput(chi=exponential_decay(), dim=2)
+        got = recover_shape(inp, u=u, tol=1e-9)
+        assert np.array_equal(got, recover_shape(inp, u, tol=1e-9))
+        assert type(got) is type(recover_shape(inp, u))
+        assert np.array_equal(lambda_chi(inp=inp, t=u), lambda_chi(inp, u))
+        with pytest.raises(TypeError, match="'u'"):
+            recover_shape(inp)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("name", list(CHIS))
     def test_recover_radius_density(self, name, dim):
         inp = RecoveryInput(chi=self.CHIS[name], dim=dim)
-        self.assert_entries(lambda s: recover_radius_density(inp, s),
-                            self.GRID)
+        assert_entrywise(lambda s: recover_radius_density(inp, s), self.GRID)
 
+    @pytest.mark.parametrize("layout", ["line", "matrix"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_lambda_chi(self, dim):
+    def test_lambda_chi(self, dim, layout):
         inp = RecoveryInput(chi=erfc_sqrt_chi(), dim=dim)
-        self.assert_entries(lambda t: lambda_chi(inp, t), self.GRID)
-
-    def test_shape_matrix_keeps_its_shape(self):
-        inp = RecoveryInput(chi=exponential_decay(), dim=2)
-        grid = self.GRID[:6].reshape(2, 3)
-        self.assert_entries(lambda u: recover_shape(inp, u), grid)
+        assert_entrywise(lambda t: lambda_chi(inp, t), self.points(layout))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_law_pdf(self, dim):
         law = recover_radius_law(RecoveryInput(chi=erfc_sqrt_chi(), dim=dim))
         grid = np.concatenate([[-1.0, 0.0], self.GRID])
-        values = self.assert_entries(law.pdf, grid)
+        values = assert_entrywise(law.pdf, grid)
         assert values[0] == values[1] == 0.0
         assert np.all(values[2:] > 0)
 
@@ -388,7 +393,7 @@ class TestFloatRule:
         law = recover_radius_law(RecoveryInput(chi=truncated_power(1.5),
                                                dim=1))
         grid = np.array([0.3, 0.9999, 1.0, 0.5])
-        values = self.assert_entries(law.pdf, grid)
+        values = assert_entrywise(law.pdf, grid)
         assert values[1] == values[2] == 0.0
         assert values[0] == pytest.approx(0.3 * 0.75 / math.sqrt(0.7),
                                           rel=1e-7)
@@ -405,11 +410,12 @@ class TestFloatRule:
         "point_mass": point_mass(2.0),
     }
 
+    @pytest.mark.parametrize("layout", ["line", "matrix"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", list(LAWS))
-    def test_f_from_H(self, name, d):
-        self.assert_entries(lambda u: f_from_H(self.LAWS[name], d, u),
-                            self.GRID)
+    def test_f_from_H(self, name, d, layout):
+        assert_entrywise(lambda u: f_from_H(self.LAWS[name], d, u),
+                         self.points(layout))
 
     SHAPES = {
         "exp": exponential_decay(),
@@ -421,10 +427,11 @@ class TestFloatRule:
             kinks=(2.0,), support_bound=2.0),
     }
 
+    @pytest.mark.parametrize("layout", ["line", "matrix"])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", list(SHAPES))
-    def test_H_from_f(self, name, d):
-        grid = np.concatenate([[-1.0, 0.0], self.GRID])
-        values = self.assert_entries(
-            lambda s: H_from_f(self.SHAPES[name], d, s), grid)
-        assert values[0] == values[1] == 0.0
+    def test_H_from_f(self, name, d, layout):
+        values = assert_entrywise(
+            lambda s: H_from_f(self.SHAPES[name], d, s),
+            self.points(layout, lead=[-1.0, 0.0]))
+        assert values.flat[0] == values.flat[1] == 0.0
