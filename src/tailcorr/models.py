@@ -163,7 +163,7 @@ def overlap_integral(f: RadialFunction, d: int, t, *, tol: float = 1e-10):
     lags of an array are one batch of integrals, returned as
     (values, abs_error_estimates).
     """
-    _reject(t, t < 0, "t must be >= 0")
+    _reject(t, ~(t >= 0), "t must be >= 0")
     t = t.ravel()
     half = 0.5 * t
     upper = f.support_bound if f.support_bound is not None else math.inf
@@ -778,7 +778,7 @@ def tcf_result(model: TcfModel, t, *, tol: float = 1e-9):
     :class:`SpecialFnResult`; the lags of an array are one batch, returned
     as (values, abs_error_estimates).
     """
-    _reject(t, t < 0, "t must be >= 0")
+    _reject(t, ~(t >= 0), "t must be >= 0")
     if not hasattr(model, "_tcf"):
         raise ModelError(f"unknown model type {type(model).__name__}")
     return model._tcf(t.ravel(), tol)

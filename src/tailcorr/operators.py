@@ -44,7 +44,6 @@ from scipy import special as _special
 from .errors import DomainError, KinkError, TailcorrError
 from .models import TcfModel, h_d, tcf_result
 from .numerics import (
-    SpecialFnResult,
     _array_callable,
     _float_rule,
     _integrate,
@@ -207,86 +206,41 @@ class TaylorReport:
 
 _MAX_ORDER = 60
 
-
-def _r_base_coefficients(n_coeffs: int) -> tuple[list[float], float]:
-    """Maclaurin coefficients of R via the explicit odd-product series.
-
-    The order-k coefficient is ``pi^{2k}/(2^{2k} k!) * a_k`` with
-
-        a_k = sum_n (-1)^n pi^{2n} / (2^n (2n)!) / prod_{j=1}^k (2n+2j-1),
-
-    summed until the terms drop below 1e-18.
-    """
-    coeffs = []
-    worst_tail = 0.0
-    for k in range(n_coeffs):
-        total = 0.0
-        n = 0
-        while True:
-            log_term = 2 * n * math.log(math.pi) - n * math.log(2.0) \
-                - math.lgamma(2 * n + 1)
-            prod = sum(math.log(2 * n + 2 * j - 1) for j in range(1, k + 1))
-            term = math.exp(log_term - prod)
-            total += (-1) ** n * term
-            if term < 1e-18:
-                worst_tail = max(worst_tail, term)
-                break
-            n += 1
-        scale = math.exp(2 * k * math.log(math.pi) - 2 * k * math.log(2.0)
-                         - math.lgamma(k + 1))
-        coeffs.append(scale * total)
-    return coeffs, worst_tail
+#: Every base series keeps ``order + _EXTRA_TERMS`` Maclaurin coefficients.
+_EXTRA_TERMS = 120
 
 
-def _erf_sq_complement_series(n_coeffs: int) -> list[float]:
-    """Maclaurin coefficients of ``1 - erf(sqrt x)^2`` (entire in x).
-
-    With ``erf(sqrt x) = sqrt(x) p(x)``, ``p_m = (2/sqrt pi)(-1)^m /
-    (m! (2m+1))``, the function is ``1 - x p(x)^2``.
-    """
-    m = n_coeffs + 2
-    p = [2.0 / math.sqrt(math.pi) * (-1) ** i
-         * math.exp(-math.lgamma(i + 1) - math.log(2 * i + 1))
-         for i in range(m)]
-    q = [0.0] * m
-    for i in range(m):
-        for j in range(m - i):
-            q[i + j] += p[i] * p[j]
-    coeffs = [1.0] + [-q[j - 1] for j in range(1, n_coeffs)]
-    return coeffs
+def _cos_sqrt_series(n: int) -> np.ndarray:
+    """The first n Maclaurin coefficients of the entire
+    ``C(u) = cos(pi sqrt u)``: ``(-1)^j pi^{2j} / (2j)!``."""
+    j = np.arange(n)
+    return (-1.0) ** j * np.exp(2.0 * j * math.log(math.pi)
+                                - _special.gammaln(2.0 * j + 1.0))
 
 
-def _shifted_binomial(coeffs: Sequence[float], x0: float, order: int
-                      ) -> tuple[list[float], float]:
-    """Coefficients of ``x -> g(x0 (1 - x))`` given Maclaurin coeffs of g.
-
-    Returns the order-0..order coefficients and a bound on the neglected
-    tail (the largest dropped term magnitude).
-    """
-    out = [0.0] * (order + 1)
-    tail = 0.0
-    for k in range(order + 1):
-        sign = (-1) ** k
-        acc = 0.0
-        last = 0.0
-        for j in range(k, len(coeffs)):
-            last = coeffs[j] * x0**j * math.comb(j, k)
-            acc += last
-        out[k] = sign * acc
-        tail = max(tail, abs(last))
-    return out, tail
+def _erf_sq_series(n: int) -> np.ndarray:
+    """The first n Maclaurin coefficients of the entire
+    ``E(u) = erf(sqrt u)^2 = u p(u)^2``, where
+    ``p_m = (2/sqrt pi) (-1)^m / (m! (2m+1))``."""
+    m = np.arange(n - 1)
+    p = (2.0 / math.sqrt(math.pi) * (-1.0) ** m
+         * np.exp(-_special.gammaln(m + 1.0)) / (2.0 * m + 1.0))
+    return np.concatenate(([0.0], np.convolve(p, p)[:n - 1]))
 
 
-def _poly_mul(a: Sequence[float], b: Sequence[float], order: int) -> list[float]:
-    out = [0.0] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order or ai == 0.0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
+def _recentered(coeffs: np.ndarray, center: float, scale: float,
+                order: int) -> tuple[np.ndarray, float]:
+    """Coefficients of orders 0..order of ``x -> g(center + scale x)``,
+    given the Maclaurin coefficients of g, and the largest magnitude of a
+    last kept term, which bounds the truncation of g's series once its
+    terms decrease."""
+    j = np.arange(len(coeffs))
+    k = np.arange(order + 1)[:, None]
+    # Entries with j < k hold a zero binomial; their power is clamped to 1.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (coeffs * _special.comb(j, k)
+                 * center ** np.maximum(j - k, 0) * scale ** k)
+        return terms.sum(axis=1), float(np.abs(terms[:, -1]).max())
 
 
 def taylor_abs_monotone(map: str, lam: float = 1.0, alpha: float = 0.0,
@@ -297,74 +251,57 @@ def taylor_abs_monotone(map: str, lam: float = 1.0, alpha: float = 0.0,
     preserving) exactly when all reported coefficients of order >= 1 are
     nonnegative and ``coeff0 >= 0``; for admissible parameters only the
     0-th coefficient can go negative.
+
+    All three maps are compositions of the entire series
+    ``C(u) = cos(pi sqrt u)`` and ``E(u) = erf(sqrt u)^2``, with
+    ``s = (1-alpha)/2`` and ``x0 = lambda (1-alpha)/8``:
+
+    * ``R_alpha(x) = C(s - s x)``,
+    * ``S(x) = 1 - 2 E(x0 - x0 x)``,
+    * ``T(x) = C(E(x0 - x0 x))``: C is recentered at ``E(x0)`` and
+      composed with ``E(x0 - x0 x) - E(x0)`` by Horner's rule.
+
+    Each base series keeps ``order + 120`` terms.  ``tail_bound`` is the
+    largest last kept term of a recentered series (doubled for S, summed
+    over both series for T): it bounds the truncation of the series, not
+    the rounding of the sums.  ``coeff0`` is the transform at 0 itself.
     """
-    if order < 1 or order > _MAX_ORDER:
-        raise DomainError(f"order must lie in 1..{_MAX_ORDER}, got {order!r}")
+    if (not isinstance(order, (int, np.integer))
+            or not 1 <= order <= _MAX_ORDER):
+        raise DomainError(f"order must be an integer in 1..{_MAX_ORDER}, "
+                          f"got {order!r}")
     spec = TransformSpec(map=map, lam=lam, alpha=alpha)
-
+    if spec.alpha == 1.0:
+        # alpha = 1 collapses every map to the constant 1.
+        return TaylorReport((1.0,) + (0.0,) * order, 1.0, True, 0.0)
+    n = order + _EXTRA_TERMS
     if map == "R":
-        # R_alpha = R((1-alpha) x + alpha): compose the base series with the
-        # affine shift; orders >= 1 only involve base orders >= 1.
-        base, tail = _r_base_coefficients(order + 41)
-        a, s = spec.alpha, 1.0 - spec.alpha
-        coeffs = [transform_R(a)]
-        for k in range(1, order + 1):
-            acc = 0.0
-            for m_i in range(k, len(base)):
-                acc += base[m_i] * math.comb(m_i, k) * a ** (m_i - k)
-            coeffs.append(acc * s**k)
-        report_tail = tail * 2.0
+        s = (1.0 - spec.alpha) / 2.0
+        coeffs, tail = _recentered(_cos_sqrt_series(n), s, -s, order)
     else:
-        lam_eff = spec.lam * (1.0 - spec.alpha)
-        if lam_eff == 0.0:
-            # alpha = 1 collapses S and T to the constant 1.
-            coeffs = [1.0] + [0.0] * order
-            return TaylorReport(tuple(coeffs), 1.0, True, 0.0)
-        x0 = lam_eff / 8.0
-        f_coeffs = _erf_sq_complement_series(order + 120)
-        f_shift, tail = _shifted_binomial(f_coeffs, x0, order)
+        x0 = spec.lam * (1.0 - spec.alpha) / 8.0
+        e, tail = _recentered(_erf_sq_series(n), x0, -x0, order)
         if map == "S":
-            # S(x) = 2 f(x0 (1-x)) - 1.
-            coeffs = [2.0 * c for c in f_shift]
-            coeffs[0] = transform_S(lam_eff, 0.0)
-            report_tail = 2.0 * tail
+            coeffs, tail = -2.0 * e, 2.0 * tail
         else:
-            # T = C(g) with C(u) = cos(pi sqrt u) entire and
-            # g(x) = 1 - f(x0 (1-x)); expand C about g0 = g(0) and compose
-            # with the polynomial h = g - g0 (h(0) = 0, so orders <= k of
-            # the composition need only h powers up to k).
-            g = [-c for c in f_shift]
-            g[0] += 1.0
-            g0 = g[0]
-            h = [0.0] + g[1:]
-            coeffs = [0.0] * (order + 1)
-            h_pow = [1.0]
-            comp_tail = 0.0
-            for m_i in range(order + 1):
-                deriv_over_fact = 0.0
-                n = m_i
-                while True:
-                    b_n = (-1) ** n * math.exp(
-                        2 * n * math.log(math.pi) - math.lgamma(2 * n + 1))
-                    term = b_n * math.comb(n, m_i) * g0 ** (n - m_i)
-                    deriv_over_fact += term
-                    if abs(term) < 1e-22 and n > m_i + 4:
-                        comp_tail = max(comp_tail, abs(term))
-                        break
-                    n += 1
-                for idx, hv in enumerate(h_pow):
-                    if idx <= order:
-                        coeffs[idx] += deriv_over_fact * hv
-                h_pow = _poly_mul(h_pow, h, order)
-            coeffs[0] = transform_T(lam_eff, 0.0)
-            report_tail = tail + comp_tail
-
-    negatives = [c for c in coeffs[1:] if c < -report_tail - 1e-15]
+            c, c_tail = _recentered(_cos_sqrt_series(n), e[0], 1.0, order)
+            h = np.concatenate(([0.0], e[1:]))
+            coeffs = np.zeros(order + 1)
+            for cm in c[::-1]:
+                coeffs = np.convolve(coeffs, h)[:order + 1]
+                coeffs[0] += cm
+            tail += c_tail
+    if not tail <= 1e-15:
+        # A truncation beyond the sign rule's slack (or an overflow).
+        raise DomainError(
+            f"the series of {map} do not converge in {n} terms at "
+            f"lambda={spec.lam!r}, alpha={spec.alpha!r}")
+    coeffs[0] = coeff0 = apply_transform(spec, 0.0)
     return TaylorReport(
-        coeffs=tuple(coeffs),
-        coeff0=coeffs[0],
-        all_nonneg_from_1=not negatives,
-        tail_bound=report_tail,
+        coeffs=tuple(coeffs.tolist()),
+        coeff0=coeff0,
+        all_nonneg_from_1=not np.any(coeffs[1:] < -tail - 1e-15),
+        tail_bound=tail,
     )
 
 
@@ -381,7 +318,8 @@ class TurningBandsSpec:
     d: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and isinstance(self.d, int)):
+        if not (isinstance(self.k, (int, np.integer))
+                and isinstance(self.d, (int, np.integer))):
             raise DomainError("k and d must be integers")
         if not 1 <= self.k <= self.d:
             raise DomainError(
@@ -560,18 +498,21 @@ def chi_d_radial(d: int = 3) -> RadialFunction:
 # ---------------------------------------------------------------------------
 
 
-def multiply_overlap(chi: RadialFunction, model: TcfModel, t: float, *,
-                     tol: float = 1e-9) -> SpecialFnResult:
+@_float_rule(at=2, result=True)
+def multiply_overlap(chi: RadialFunction, model: TcfModel, t, *,
+                     tol: float = 1e-9):
     """``chi(t)`` times the TCF of ``model`` at t -- a TCF whenever chi is
     one, since a product of TCFs is a TCF.
 
     The overlap factor of a random ball of radius law R in R^d is
     ``M3bModel(dim=d, radius=R)``; that of a random normalized radial
-    profile is an :class:`~tailcorr.models.M3rModel` over its law.
+    profile is an :class:`~tailcorr.models.M3rModel` over its law.  A float
+    ``t`` gives a :class:`SpecialFnResult`; an array gives
+    (values, abs_error_estimates) of its shape.
     """
-    factor = tcf_result(model, t, tol=tol)
-    c = float(chi(float(t)))
-    return SpecialFnResult(factor.value * c, factor.abs_error_estimate * abs(c))
+    values, errors = tcf_result.__wrapped__(model, t, tol=tol)
+    c = chi(t.ravel())
+    return values * c, errors * np.abs(c)
 
 
 # ---------------------------------------------------------------------------

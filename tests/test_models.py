@@ -136,6 +136,12 @@ class TestOverlapIntegral:
         with pytest.raises(ModelError):
             overlap_integral(f, 1, 0.0)
 
+    @pytest.mark.parametrize("lags", [math.nan, np.array([0.5, math.nan])],
+                             ids=["float", "array"])
+    def test_nan_lag_rejected(self, lags):
+        with pytest.raises(DomainError, match="nan"):
+            overlap_integral(ball_indicator(2, 1.0), 2, lags)
+
 
 class TestTableOneClasses:
     def test_br_fbm(self):
@@ -298,6 +304,22 @@ class TestBatchedLags:
         results = assert_entrywise(
             lambda t: tcf_result(model, t, tol=1e-10), lags)
         assert np.array_equal(results[0], values)
+
+
+@pytest.mark.parametrize("name,model", [
+    *erfc_sqrt_models().items(),
+    *((k, v) for k, v in bounded_gauss_models().items() if k != "BR"),
+    ("parametric", ParametricModel(dim=1, family="powered_exponential",
+                                   nu=1.0)),
+])
+@pytest.mark.parametrize("lags", [math.nan, np.array([0.5, math.nan])],
+                         ids=["float", "array"])
+def test_nan_lag_rejected(name, model, lags):
+    # Each class read a NaN lag its own way (1.0, 0.0, NaN, a quadrature
+    # error, an erf error); the lag guard names it for all of them.
+    for fn in (tcf, tcf_result):
+        with pytest.raises(DomainError, match="t must be >= 0, got nan"):
+            fn(model, lags)
 
 
 @pytest.mark.parametrize("name,model", [

@@ -330,6 +330,32 @@ class TestTaylor:
         with pytest.raises(DomainError):
             taylor_abs_monotone("R", order=0)
 
+    @pytest.mark.parametrize("order", [2.5, 40.0, "40"])
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(DomainError, match="integer"):
+            taylor_abs_monotone("R", order=order)
+
+    def test_diverging_series_rejected(self):
+        # At lambda (1 - alpha) = 200 the order + 120 terms of the base
+        # series no longer converge; the report would be noise.
+        with pytest.raises(DomainError, match="converge"):
+            taylor_abs_monotone("S", lam=200.0)
+        with pytest.raises(DomainError, match="converge"):
+            taylor_abs_monotone("T", lam=1000.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_r_satisfies_its_recurrence(self, alpha):
+        # C(u) = cos(pi sqrt u) solves 4u C'' + 2C' + pi^2 C = 0, so the
+        # coefficients of R_alpha(x) = C(s - s x), s = (1 - alpha)/2, obey
+        # 4(k+2)(k+1) r_{k+2} - (4k+2)(k+1) r_{k+1} + pi^2 s r_k = 0.
+        r = taylor_abs_monotone("R", alpha=alpha, order=40).coeffs
+        s = (1.0 - alpha) / 2.0
+        for k in range(39):
+            terms = (4.0 * (k + 2) * (k + 1) * r[k + 2],
+                     -(4.0 * k + 2.0) * (k + 1) * r[k + 1],
+                     math.pi**2 * s * r[k])
+            assert abs(math.fsum(terms)) <= 1e-12 * sum(map(abs, terms))
+
 
 class TestTurningBands:
     def test_spec_validation(self):
@@ -339,6 +365,8 @@ class TestTurningBands:
             TurningBandsSpec(0, 2)
         with pytest.raises(DomainError):
             TurningBandsSpec(1.0, 2.0)
+        # NumPy integers are integers, as for h_d and a model's dim.
+        assert TurningBandsSpec(np.int64(1), np.int32(3)).k == 1
 
     def test_k_equals_d_is_identity(self):
         chi = tent()
@@ -767,10 +795,15 @@ class TestOverlap:
 
     def test_multiply_is_the_product(self):
         chi = radial_from_callable("exp", lambda t: math.exp(-t))
-        res = multiply_overlap(chi, M3bModel(dim=3, radius=point_mass(0.5)),
-                               0.4)
+        model = M3bModel(dim=3, radius=point_mass(0.5))
+        res = multiply_overlap(chi, model, 0.4)
         assert res.value == pytest.approx(h_d(0.4, 3) * math.exp(-0.4),
                                           abs=1e-9)
+        lags = np.array([[0.0, 0.4, 0.9], [1.3, 0.1, 2.0]])
+        values, _ = assert_entrywise(
+            lambda t: multiply_overlap(chi, model, t), lags)
+        np.testing.assert_allclose(values, h_d(lags, 3) * np.exp(-lags),
+                                   rtol=0.0, atol=1e-9)
 
     def test_product_preserves_convex_decrease_in_1d(self):
         # Multiplying a convex decreasing TCF by a ball overlap factor
