@@ -935,37 +935,30 @@ def classify_parameters(family: str, nu: float, d: int | None = None) -> str:
 def _row2_density(nu: float) -> Callable:
     # Density of the mixing law whose erfc scale mixture is the
     # Whittle-Matern function with 0 < nu < 1/2:
-    #   g(s) = C s^{-3} int_0^s x^{2 nu - 3} e^{-1/(4x^2)} (s^2-x^2)^{-nu-1/2} dx,
+    #   g(s) = C int_0^s x^{2 nu - 3} e^{-1/(4x^2)} (s^2-x^2)^{-nu-1/2} dx,
     #   C = sqrt(pi) / (Gamma(nu) Gamma(1/2 - nu)).
-    # The substitution w = 1/(2 s y) (x = s y) turns the inner integral into
-    #   (2s)^{2-2nu} int_{1/(2s)}^inf w^{1-2nu} e^{-w^2} (1-(2sw)^{-2})^{-nu-1/2} dw,
-    # a Gaussian-tail integral with an algebraic singularity at the left
-    # endpoint, which adaptive quadrature handles after desingularization.
-    # The inner integrals of all requested s are one batch.
-    c_nu = math.sqrt(math.pi) / (math.gamma(nu) * math.gamma(0.5 - nu))
-    expo = -nu - 0.5
+    # The substitution x^2 = s^2/(1 + v) turns it into Tricomi's confluent
+    # hypergeometric function (DLMF 13.4.4):
+    #   g(s) = sqrt(pi) / (2 Gamma(nu)) s^{-3} e^{-a} U(1/2 - nu, 2 - nu, a),
+    # with a = 1/(4 s^2).  As a -> 0, U ~ Gamma(1-nu)/Gamma(1/2-nu) a^{nu-1}
+    # to relative order a^{1-nu}; below a = 1e-200 that asymptote is exact
+    # in floats and keeps g finite where s^{-3} underflows or s^2 overflows.
+    # Beyond a = 746 the factor e^{-a} underflows and g is 0.
+    c_nu = math.sqrt(math.pi) / (2.0 * math.gamma(nu))
+    c_tail = (c_nu * math.gamma(1.0 - nu) / math.gamma(0.5 - nu)
+              * 4.0 ** (1.0 - nu))
 
     @_float_rule
     def g(s):
         out = np.zeros(s.shape)
-        pos = s > 0.0
-        sp = s[pos]
-        w0 = 1.0 / (2.0 * sp)
-
-        # Integrate over the offset d = w - w0 so the singular factor
-        # (1 - (w0/w)^2)^expo = (d (w + w0) / w^2)^expo is evaluated without
-        # cancellation as d -> 0; beyond w^2 = 745 the Gaussian factor
-        # underflows.
-        def inner(d, k):
-            w = w0[k] + d
-            with np.errstate(over="ignore", invalid="ignore"):
-                body = (w ** (1.0 - 2.0 * nu) * np.exp(-w * w)
-                        * (d * (w + w0[k]) / (w * w)) ** expo)
-            return np.where(w * w > 745.0, 0.0, body)
-
-        inner_values = _integrate(inner, 0.0, math.inf, 1e-11,
-                                  singular_exponent_a=np.full(sp.shape, expo))[0]
-        out[pos] = c_nu * sp**-3 * (2.0 * sp) ** (2.0 - 2.0 * nu) * inner_values
+        with np.errstate(over="ignore", divide="ignore"):
+            a = np.where(s > 0.0, 0.25 / (s * s), math.inf)
+        tail = a < 1e-200
+        body = (a < 746.0) & ~tail
+        sb, ab = s[body], a[body]
+        out[body] = c_nu * sb**-3 * np.exp(-ab) * _special.hyperu(
+            0.5 - nu, 2.0 - nu, ab)
+        out[tail] = c_tail * s[tail] ** (-1.0 - 2.0 * nu)
         return out
 
     return g
@@ -978,10 +971,14 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
     row   mixing law G (parameter a or nu)   closed form phi(t)
     ====  =================================  ======================================
     1     G(s) = exp(-1/(a s)^2)             exp(-2t/a)
-    2     density via nested integral        Whittle-Matern, 0 < nu < 1/2
+    2     density via Tricomi's U            Whittle-Matern, 0 < nu < 1/2
     3     G(s) = erf(a s)                    1 - (2/pi) arctan(t/a)
     4     G(s) = 1 - exp(-(a s)^2)           1 - (1 + (t/a)^{-2})^{-1/2}
     ====  =================================  ======================================
+
+    Row 2's mixing density is
+    g(s) = sqrt(pi) / (2 Gamma(nu)) s^{-3} e^{-a} U(1/2 - nu, 2 - nu, a) with
+    a = 1/(4 s^2), U Tricomi's confluent hypergeometric function.
     """
     if row == 1:
         a = float(param)

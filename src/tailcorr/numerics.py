@@ -564,8 +564,10 @@ def quadrature(
 # Central stencils of second-order accuracy: (offsets, weights, power of h).
 # Even orders are plain central binomial differences; odd orders are the
 # averaged (smoothed) half-integer differences, which keeps the offsets on
-# the integer grid at the same O(h^2) accuracy.
-_STENCILS = {
+# the integer grid at the same O(h^2) accuracy.  Offsets and weights are
+# arrays, built once.
+_STENCILS = {order: (np.array(offsets), np.array(weights), hpow)
+             for order, (offsets, weights, hpow) in {
     1: ((-1.0, 1.0), (-0.5, 0.5), 1),
     2: ((-1.0, 0.0, 1.0), (1.0, -2.0, 1.0), 2),
     3: ((-2.0, -1.0, 1.0, 2.0), (-0.5, 1.0, -1.0, 0.5), 3),
@@ -578,9 +580,9 @@ _STENCILS = {
         (-0.5, 3.0, -7.0, 7.0, -7.0, 7.0, -3.0, 0.5), 7),
     8: ((-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0),
         (1.0, -8.0, 28.0, -56.0, 70.0, -56.0, 28.0, -8.0, 1.0), 8),
-}
+}.items()}
 #: Largest |offset| of each order's stencil.
-_STENCIL_REACH = {order: int(max(abs(o) for o in offsets))
+_STENCIL_REACH = {order: int(offsets[-1])
                   for order, (offsets, _, _) in _STENCILS.items()}
 
 
@@ -605,50 +607,83 @@ def _worst_midpoint_gap(f: Callable, xs: Sequence[float]
             float(grid[i + 1]))
 
 
+@functools.cache
+def _tableau(depth: int) -> tuple[np.ndarray, ...]:
+    """Plan of Ridders' table of ``depth`` rungs, built once per depth.
+    The table's entries (i, j), rung i and extrapolation j <= i, lie column
+    by column, (j, j) to (depth - 1, j) for each j in turn; the plan
+    indexes them there.
+
+    It holds the candidates, (0, 0) and then the entries (i, j) with
+    1 <= j <= i in the order the scheme visits them; the parents (i, j - 1)
+    and (i - 1, j - 1) and the rung i - 1 of each entry; the diagonal
+    (i, i) for 0 <= i < depth; the rungs 1..depth-1; and the candidate
+    that ends each rung."""
+    def at(i, j):
+        return j * depth - j * (j - 1) // 2 + i - j
+
+    i_idx, j_idx = np.array([(i, j) for i in range(1, depth)
+                             for j in range(1, i + 1)], dtype=int).T
+    rung, diagonal = np.arange(1, depth), np.arange(depth)
+    plan = (np.concatenate([[0], at(i_idx, j_idx)]), at(i_idx, j_idx - 1),
+            at(i_idx - 1, j_idx - 1), i_idx - 1, at(diagonal, diagonal),
+            rung, np.cumsum(rung))
+    for part in plan:
+        part.flags.writeable = False
+    return plan
+
+
 def _richardson(stencil: np.ndarray, con: np.ndarray, rungs: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Best entry and its error of the Richardson table over each row of
     ``stencil`` (one rung per column, step ratio ``con``, ``rungs`` valid
     columns), as Ridders' scheme picks it."""
     n, depth = stencil.shape
-    # Table t[:, i, j] (i-th rung, j-th extrapolation), a column at a time
-    # over all rungs and abscissae.
-    table = np.full((n, depth, depth), np.nan)
-    table[:, :, 0] = stencil
-    fac = con * con
-    # Entries (i, j), 1 <= j <= i, in the order the table is filled.
-    i_idx, j_idx = np.array([(i, j) for i in range(1, depth)
-                             for j in range(1, i + 1)], dtype=int).T
-    rung = np.arange(1, depth)
+    pick, left, up, row, diagonal, rung, ends = _tableau(depth)
+    fac = np.empty((depth - 1, n, 1))
+    errs = np.empty((n, pick.size))
+    live = np.empty((n, depth - 1), dtype=bool)
+    taken = np.empty((n, pick.size), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for j in rung:
-            table[:, j:, j] = ((table[:, j:, j - 1] * fac[:, None]
-                                - table[:, j - 1:-1, j - 1])
-                               / (fac[:, None] - 1.0))
-            fac = fac * (con * con)
-        entry = table[:, i_idx, j_idx]
-        errt = np.maximum(np.abs(entry - table[:, i_idx, j_idx - 1]),
-                          np.abs(entry - table[:, i_idx - 1, j_idx - 1]))
+        # fac[j - 1] = con^(2j), a product of j factors con^2 in turn.
+        fac[:] = (con * con)[:, None]
+        np.multiply.accumulate(fac, axis=0, out=fac)
+        # Column j of the table, over its rungs j..depth-1, from column
+        # j - 1; then all columns end to end.
+        columns = [stencil]
+        for scale, less in zip(fac, fac - 1.0):
+            prev = columns[-1]
+            columns.append((prev[:, 1:] * scale - prev[:, :-1]) / less)
+        flat = np.concatenate(columns, axis=1)
+        # Each candidate with its error: the base stencil value, kept with
+        # an infinite error when no entry qualifies, then the entries.
+        cand = flat.take(pick, axis=1)
+        entry = cand[:, 1:]
+        errs[:, 0] = math.inf
+        np.maximum(np.abs(entry - flat.take(left, axis=1)),
+                   np.abs(entry - flat.take(up, axis=1)), out=errs[:, 1:])
         # The running best error, which an entry replaces when it is no
         # larger (NaN never does); after each rung i > 1, refinement stops
         # once the new diagonal moved by twice the best error (round-off).
-        running = np.fmin.accumulate(np.concatenate(
-            [np.full((n, 1), math.inf), errt], axis=1), axis=1)
-        diag = np.abs(table[:, rung, rung] - table[:, rung - 1, rung - 1])
-        stop = (diag >= 2.0 * running[:, np.cumsum(rung)]) & (rung > 1)
-    halted = np.logical_or.accumulate(stop, axis=1)
-    live = (rungs[:, None] > rung) & np.concatenate(
-        [np.ones((n, 1), dtype=bool), ~halted[:, :-1]], axis=1)
-    taken = live[:, i_idx - 1] & (errt <= running[:, :-1])
-    last = taken.shape[1] - 1 - np.argmax(taken[:, ::-1], axis=1)
-    found = taken.any(axis=1)
-    rows = np.arange(n)
-    return (np.where(found, entry[rows, last], stencil[:, 0]),
-            np.where(found, errt[rows, last], math.inf))
+        running = np.fmin.accumulate(errs, axis=1)
+        diag = flat.take(diagonal, axis=1)
+        stop = (np.abs(diag[:, 1:] - diag[:, :-1])
+                >= 2.0 * running.take(ends, axis=1))
+        stop[:, 0] = False
+        live[:, 0] = True
+        np.logical_not(np.logical_or.accumulate(stop[:, :-1], axis=1),
+                       out=live[:, 1:])
+        live &= rungs[:, None] > rung
+        taken[:, 0] = True
+        np.logical_and(live.take(row, axis=1), errs[:, 1:] <= running[:, :-1],
+                       out=taken[:, 1:])
+        last = pick.size - 1 - taken[:, ::-1].argmax(axis=1)
+        rows = np.arange(n)
+        return cand[rows, last], errs[rows, last]
 
 
 def _ridders(f: Callable, x: np.ndarray, order: int, h: np.ndarray, *,
-             kinks: Sequence[float] = (), levels: int = 5
+             gaps: Sequence[np.ndarray] = (), levels: int = 5
              ) -> tuple[np.ndarray, np.ndarray]:
     """Ridders' scheme for the order-k derivative of an array ``f`` at each
     abscissa of ``x``, with base steps ``h`` (same shape).
@@ -658,37 +693,38 @@ def _ridders(f: Callable, x: np.ndarray, order: int, h: np.ndarray, *,
     with the smallest estimated error wins.  Starting large (rather than
     halving below h) keeps round-off, which scales like eps/step^order, in
     check.  The ladder top shrinks so no stencil point crosses a declared
-    kink.  The whole ladder of every abscissa is one call of ``f``.
+    kink; ``gaps`` holds the distance |x - kink| of each.  The whole ladder
+    of every abscissa is one call of ``f``.
     Returns (values, abs_error_estimates); raises
     :class:`~tailcorr.errors.QuadratureError` on a non-finite value.
     """
     offsets, weights, hpow = _STENCILS[order]
-    max_off = max(abs(o) for o in offsets)
     big = h * 2.0 ** (levels - 1)
-    for kink in kinks:
-        big = np.minimum(big, 0.5 * np.abs(x - kink) / max_off)
+    for gap in gaps:
+        big = np.minimum(big, 0.5 * gap / _STENCIL_REACH[order])
     big = np.maximum(big, h)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rungs = np.where(big > h, np.clip(
-            np.floor(np.log2(big / h)) + 1, 1, levels), 1).astype(int)
-        con = np.where(rungs > 1, (big / h) ** (1.0 / (rungs - 1)), 1.0)
+        ratio = big / h
+        # One rung where big = h (or is NaN); elsewhere floor(log2(ratio))
+        # + 1 is at least 1.
+        rungs = np.fmax(np.minimum(np.floor(np.log2(ratio)) + 1, levels), 1.0)
+        con = np.where(rungs > 1, ratio ** (1.0 / (rungs - 1)), 1.0)
     depth = int(rungs.max(initial=1))
     steps = big[:, None] / con[:, None] ** np.arange(depth)
-    vals = f(x[:, None, None] + np.asarray(offsets) * steps[:, :, None])
-    acc = weights[0] * vals[..., 0]
-    for j in range(1, len(offsets)):
-        acc = acc + weights[j] * vals[..., j]
+    terms = f(x[:, None, None] + offsets * steps[:, :, None]) * weights
+    acc = terms[..., 0] + terms[..., 1]
+    for j in range(2, terms.shape[-1]):
+        acc += terms[..., j]
     stencil = acc / steps ** hpow
     if depth > 1:
         best, best_err = _richardson(stencil, con, rungs)
     else:
         best, best_err = stencil[:, 0], np.full(x.shape, math.inf)
-    bad = ~np.isfinite(best)
-    if bad.any():
+    finite = np.isfinite(best)
+    if not finite.all():
         raise QuadratureError(
-            f"num_derivative failed at x={float(x[bad][0])}")
-    best_err = np.where(np.isfinite(best_err), best_err,
-                        np.maximum(np.abs(best), 1.0))
+            f"num_derivative failed at x={float(x[~finite][0])}")
+    np.maximum(np.abs(best), 1.0, out=best_err, where=~np.isfinite(best_err))
     return best, best_err
 
 
@@ -731,20 +767,21 @@ def num_derivative(
         step = _EPS ** (1.0 / (order + 2)) * np.maximum(1.0, np.abs(flat))
     else:
         step = np.broadcast_to(np.asarray(h, dtype=float), x.shape).ravel()
-    if not np.all((step > 0) & np.isfinite(step)):
+    if not ((step > 0) & np.isfinite(step)).all():
         raise DomainError(f"step h must be positive and finite, got {h!r}")
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels!r}")
     reach = _STENCIL_REACH[order]
-    for kink in kinks:
-        near = np.abs(flat - kink) <= reach * step
+    gaps = [np.abs(flat - kink) for kink in kinks]
+    for kink, gap in zip(kinks, gaps):
+        near = gap <= reach * step
         if near.any():
             i = int(np.argmax(near))
             raise KinkError(
                 f"num_derivative at x={flat[i]} (order {order}, step "
                 f"{step[i]:.3e}) would cross the declared kink at {kink}",
                 x=float(flat[i]), kink=kink)
-    return _ridders(_array_callable(f), flat, order, step, kinks=kinks,
+    return _ridders(_array_callable(f), flat, order, step, gaps=gaps,
                     levels=levels)
 
 

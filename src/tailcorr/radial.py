@@ -294,11 +294,38 @@ def generalized_cauchy(nu: float, beta: float = 1.0) -> RadialFunction:
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta!r}")
     n, b = float(nu), float(beta)
+
+    def parts(r):
+        # With u = r^nu and g = 1 + u: -beta nu g^(-beta-1), q = 1/g,
+        # w = u/g and P/g for P = (nu - 1) - (1 + beta nu) u, all finite
+        # wherever r is.
+        u = np.power(r, n)
+        q = 1.0 / (1.0 + u)
+        w = 1.0 / (1.0 + 1.0 / u)
+        return (-b * n * np.power(q, b + 1.0), q, w,
+                (n - 1.0) * q - (1.0 + b * n) * w)
+
+    def deriv2(r):
+        # -beta nu r^(nu-2) g^(-beta-2) P
+        lead, _, _, p = parts(r)
+        return lead * np.power(r, n - 2.0) * p
+
+    def deriv3(r):
+        # -beta nu r^(nu-3) g^(-beta-3)
+        #   [(nu - 1) g ((nu - 2) - 2 (1 + beta nu) u) - (beta + 2) nu u P];
+        # so grouped, the bracket does not cancel at nu = 1.
+        lead, q, w, p = parts(r)
+        return lead * np.power(r, n - 3.0) * (
+            (n - 1.0) * ((n - 2.0) * q - 2.0 * (1.0 + b * n) * w)
+            - (b + 2.0) * n * w * p)
+
     return RadialFunction(
         name=f"cauchy(nu={n:g}, beta={b:g})",
         func=lambda r: np.power(1.0 + np.power(r, n), -b),
         deriv1=lambda r: (-b * n * np.power(r, n - 1.0)
                           * np.power(1.0 + np.power(r, n), -b - 1.0)),
+        deriv2=deriv2,
+        deriv3=deriv3,
         family="cauchy",
         param=n,
     )

@@ -545,8 +545,8 @@ class TestErfcMixtureCatalog:
 
     @pytest.mark.parametrize("nu", [0.25])
     def test_row2_matches_whittle_matern(self, nu):
-        # The nested-quadrature density must reproduce the Whittle-Matern
-        # closed form (slow path; the acceptance suite covers more nu).
+        # The Tricomi-U density must reproduce the Whittle-Matern closed
+        # form (the acceptance suite covers more nu).
         model = erfc_mixture(2, nu)
         for t in [0.5, 2.0]:
             assert tcf(model, t, tol=1e-8) == pytest.approx(
@@ -556,6 +556,49 @@ class TestErfcMixtureCatalog:
         model = erfc_mixture(2, 0.3)
         total = quadrature(model.mixing.pdf, 0.0, math.inf, tol=1e-8)
         assert total.value == pytest.approx(1.0, abs=1e-6)
+
+    @staticmethod
+    def row2_density_by_quadrature(nu, s):
+        # g(s) = C int_0^s x^(2nu-3) e^(-1/(4x^2)) (s^2 - x^2)^(-nu-1/2) dx,
+        # C = sqrt(pi) / (Gamma(nu) Gamma(1/2 - nu)), over y = s - x, so
+        # that the singular end is the lower one.
+        def integrand(y):
+            x = s - y
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                body = (x ** (2.0 * nu - 3.0) * np.exp(-0.25 / (x * x))
+                        * (y * (s + x)) ** (-nu - 0.5))
+            return np.where(x > 0.0, body, 0.0)
+
+        c = math.sqrt(math.pi) / (math.gamma(nu) * math.gamma(0.5 - nu))
+        return c * quadrature(integrand, 0.0, s, tol=1e-12,
+                              singular_exponent_a=-nu - 0.5).value
+
+    @pytest.mark.parametrize("s", [0.2, 0.5, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("nu", [0.1, 0.3, 0.49])
+    def test_row2_density_matches_its_integral(self, nu, s):
+        pdf = erfc_mixture(2, nu).mixing.pdf
+        assert pdf(s) == pytest.approx(
+            self.row2_density_by_quadrature(nu, s), rel=1e-8)
+
+    @pytest.mark.parametrize("nu", [0.1, 0.3, 0.49])
+    def test_row2_density_tail(self, nu):
+        # g(s) ~ c s^(-1-2nu): the closed form at 1e90 and its a -> 0
+        # asymptote, which takes over near 5e99, agree.
+        pdf = erfc_mixture(2, nu).mixing.pdf
+        near, far = (pdf(s) * s ** (1.0 + 2.0 * nu) for s in (1e90, 1e110))
+        assert far == pytest.approx(near, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.1, 0.3])
+    def test_row2_density_is_finite_where_s_squared_overflows(self, nu):
+        # At nu = 0.49 the value, about 1e-398, is below the float range.
+        value = erfc_mixture(2, nu).mixing.pdf(1e200)
+        assert math.isfinite(value) and value > 0.0
+
+    def test_row2_density_float_gets_array_bits(self):
+        grid = np.array([-1.0, 0.0, 0.01, 0.05, 0.2, 1.0, 3.0, 1e8, 1e99,
+                         1e101, 1e200, math.inf])
+        values = assert_entrywise(erfc_mixture(2, 0.3).mixing.pdf, grid)
+        assert np.all(values[:3] == 0.0) and np.all(values[3:-1] > 0.0)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):

@@ -25,6 +25,7 @@ from tailcorr.distributions import Distribution1D
 from tailcorr.numerics import (
     _QUAD_LIMIT,
     _integrate,
+    _richardson,
     _worst_midpoint_gap,
 )
 from tailcorr.operators import midpoint_convexity_violation
@@ -436,6 +437,64 @@ class TestNumDerivative:
     def test_bad_step(self):
         with pytest.raises(DomainError):
             num_derivative(lambda t: t, 0.0, 1, h=-0.1)
+
+
+def ridders_pick(stencil, con, rungs):
+    """Ridders' selection on one ladder as a scalar loop, after Numerical
+    Recipes (3rd ed., section 5.7): the table a[i][j] over the first
+    ``rungs`` stencil values, the entry of smallest error estimate (a later
+    one wins a tie, NaN never wins; the first value with an infinite error
+    if none does), and a stop once the new diagonal moved by twice the
+    best error, checked from the third rung on."""
+    a = [[math.nan] * rungs for _ in range(rungs)]
+    a[0][0] = best = stencil[0]
+    err = math.inf
+    con2 = con * con
+    for i in range(1, rungs):
+        a[i][0] = stencil[i]
+        fac = con2
+        for j in range(1, i + 1):
+            a[i][j] = (a[i][j - 1] * fac - a[i - 1][j - 1]) / (fac - 1.0)
+            fac = fac * con2
+            gaps = (abs(a[i][j] - a[i][j - 1]), abs(a[i][j] - a[i - 1][j - 1]))
+            errt = math.nan if math.isnan(sum(gaps)) else max(gaps)
+            if errt <= err:
+                err, best = errt, a[i][j]
+        if i > 1 and abs(a[i][i] - a[i - 1][i - 1]) >= 2.0 * err:
+            break
+    return best, err
+
+
+class TestRichardson:
+    """``_richardson`` on whole batches of ladders against the scalar loop,
+    bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    def test_matches_the_scalar_loop(self, depth, seed):
+        rng = np.random.default_rng(100 * depth + seed)
+        n = 60
+        con = rng.uniform(1.2, 3.0, n)
+        rungs = rng.integers(1, depth + 1, n)
+        rungs[0] = depth
+        # Ladders that converge like h^2 with noise, and plain noise, with
+        # NaN and inf entries.
+        steps = con[:, None] ** -np.arange(depth)
+        stencil = np.where(rng.random((n, 1)) < 0.7,
+                           1.0 + rng.normal(size=(n, 1)) * steps ** 2
+                           + rng.normal(scale=1e-6, size=(n, depth)),
+                           rng.normal(size=(n, depth)))
+        holes = rng.random((n, depth))
+        stencil[holes < 0.04] = math.nan
+        stencil[(holes >= 0.04) & (holes < 0.08)] = math.inf
+        stencil[(holes >= 0.08) & (holes < 0.1)] = -math.inf
+        with np.errstate(invalid="ignore"):
+            values, errors = _richardson(stencil, con, rungs.astype(float))
+        for k in range(n):
+            want = ridders_pick(stencil[k].tolist(), float(con[k]),
+                                int(rungs[k]))
+            assert (values[k].hex(), errors[k].hex()) == tuple(
+                float(w).hex() for w in want)
 
 
 class TestWorstMidpointGap:

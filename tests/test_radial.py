@@ -160,6 +160,27 @@ def test_analytic_derivatives_take_arrays(name):
         assert np.array_equal(bits(got), bits(per_call))
 
 
+@pytest.mark.parametrize("nu, beta", [(0.5, 1.0), (1.0, 1.0), (1.5, 2.0),
+                                      (2.0, 0.5)])
+def test_cauchy_derivatives_match_numeric_ones(nu, beta):
+    f = generalized_cauchy(nu, beta)
+    rs = np.array([0.3, 1.0, 2.5])
+    for k in (2, 3):
+        assert f.derivative(rs, k) == pytest.approx(
+            num_derivative(f.func, rs, k)[0], rel=1e-7)
+
+
+def test_cauchy_derivatives_closed_form_at_nu_one():
+    # (1 + r)^-1 has f'' = 2 (1 + r)^-3 and f''' = -6 (1 + r)^-4, also at
+    # small radii, where an ungrouped bracket of f''' would lose digits.
+    f = generalized_cauchy(1.0)
+    rs = np.array([1e-12, 1e-6, 0.3, 1.0, 2.5, 1e6])
+    assert f.derivative(rs, 2) == pytest.approx(2.0 / (1.0 + rs) ** 3,
+                                                rel=1e-14)
+    assert f.derivative(rs, 3) == pytest.approx(-6.0 / (1.0 + rs) ** 4,
+                                                rel=1e-14)
+
+
 #: 5,000 lags of each sqrt-argument derivative: (0, 1) without the kink at
 #: 1/4 for chi_d, [1e-3, 20] for phi_d.
 UNIT_LAGS = np.linspace(0.0, 1.0, 5002)[1:-1]
