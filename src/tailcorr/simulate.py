@@ -48,9 +48,11 @@ __all__ = [
     "GridField",
     "SimConfig",
     "LagEstimate",
+    "ThetaEstimate",
     "simulate",
     "transform_margins",
     "estimate_chi",
+    "estimate_theta",
 ]
 
 #: Storm candidates a realization may examine per grid site before the
@@ -85,6 +87,11 @@ _SIMULABLE = {cls.__name__.removesuffix("Model"): cls
 _MARGINS = ("frechet", "gumbel")
 
 
+def _is_integer(value) -> bool:
+    """A Python or NumPy integer; bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Grid geometry and fields
 # ---------------------------------------------------------------------------
@@ -105,12 +112,15 @@ class GridSpec:
     origin: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2):
-            raise DomainError(f"grid dim must be 1 or 2, got {self.dim!r}")
-        shape = tuple(int(n) for n in np.atleast_1d(self.shape))
-        if len(shape) != self.dim or any(n < 1 for n in shape):
+        if not _is_integer(self.dim) or self.dim not in (1, 2):
             raise DomainError(
-                f"grid shape {self.shape!r} is not {self.dim} positive sizes")
+                f"grid dim must be the integer 1 or 2, got {self.dim!r}")
+        sizes = np.atleast_1d(self.shape)
+        if (len(sizes) != self.dim
+                or not all(_is_integer(n) and n >= 1 for n in sizes)):
+            raise DomainError(f"grid shape {self.shape!r} is not {self.dim} "
+                              f"positive integer sizes")
+        shape = tuple(int(n) for n in sizes)
         spacing = float(self.spacing)
         if not math.isfinite(spacing) or spacing <= 0:
             raise DomainError(f"spacing must be positive, got {self.spacing!r}")
@@ -119,6 +129,7 @@ class GridSpec:
         if len(origin) != self.dim or not all(map(math.isfinite, origin)):
             raise DomainError(
                 f"origin {self.origin!r} is not {self.dim} finite coordinates")
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -192,14 +203,14 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if int(self.n_realizations) < 1:
+        if not _is_integer(self.n_realizations) or self.n_realizations < 1:
+            raise DomainError(f"n_realizations must be an integer >= 1, "
+                              f"got {self.n_realizations!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
             raise DomainError(
-                f"n_realizations must be >= 1, got {self.n_realizations!r}")
+                f"seed must be a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "n_realizations", int(self.n_realizations))
-        seed = int(self.seed)
-        if seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", int(self.seed))
         if not isinstance(self.grid, GridSpec):
             raise DomainError("grid must be a GridSpec")
 
@@ -356,23 +367,23 @@ class LagEstimate(NamedTuple):
     clipped: bool
 
 
-def estimate_chi(realizations: Iterable[GridField], lags: Iterable[float],
-                 *, lag_tol: float | None = None) -> list[LagEstimate]:
-    """Estimate the TCF at the given lags from simulated Frechet fields.
+class ThetaEstimate(NamedTuple):
+    """Empirical extremal coefficient of one set of grid sites.
 
-    For a simple max-stable pair the maximum ``max(X_s, X_t)`` is Frechet
-    with scale ``theta(t - s)``, so its reciprocal is exponential with
-    rate ``theta``; the estimator inverts the sample mean of the
-    reciprocals at one site pair per lag and reports
-    ``chi_hat = 2 - theta_hat`` with the delta-method standard error.
-
-    Each requested lag maps to the site pair whose distance is nearest;
-    lags farther than ``lag_tol`` (default half the grid spacing) from any
-    realizable distance are skipped with a warning.  A zero lag compares a
-    site with itself and yields exactly 1.  Estimates are clipped to
-    [0, 1] and flagged.  Requires at least 100 realizations with Frechet
-    margins on a common grid.
+    ``sites`` are indices into ``values.ravel()`` of the fields (the order
+    of :meth:`GridSpec.sites`).  ``theta`` is not clipped to [1, |S|].
     """
+
+    sites: tuple[int, ...]
+    theta: float
+    std_err: float
+    n: int
+
+
+def _frechet_values(realizations: Iterable[GridField]
+                    ) -> tuple[GridSpec, np.ndarray]:
+    """The common grid and the values stacked as ``(n, sites)`` of at least
+    100 realizations with Frechet margins."""
     fields = list(realizations)
     if len(fields) < 100:
         raise DomainError(
@@ -384,12 +395,86 @@ def estimate_chi(realizations: Iterable[GridField], lags: Iterable[float],
                               "use transform_margins first")
         if f.grid != grid:
             raise DomainError("all realizations must share one grid")
-    values = np.stack([f.values.ravel() for f in fields])
-    dist = _pairwise_distances(grid.sites())
-    tol = 0.5 * grid.spacing if lag_tol is None else float(lag_tol)
-    n = len(fields)
+    return grid, np.stack([f.values.ravel() for f in fields])
 
-    out: list[LagEstimate] = []
+
+def _theta(values: np.ndarray, site_sets: list[tuple[int, ...]]
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Extremal coefficients of column sets of Frechet values ``(n, sites)``
+    and their delta-method standard errors.
+
+    For a simple max-stable vector, ``max over S of X_s`` is Frechet with
+    scale ``theta(S)``, so its reciprocal is exponential with rate
+    ``theta(S)``: the estimate inverts the sample mean of the reciprocals.
+    A set of one distinct site gives exactly 1 with error 0.  Each set's
+    reciprocals are reduced as one contiguous row, so a pair gets the bits
+    of the 1-D reductions of its own reciprocals.
+    """
+    reciprocals = np.empty((len(site_sets), values.shape[0]))
+    for row, sites in zip(reciprocals, site_sets):
+        row[:] = 1.0 / np.maximum.reduce(values[:, sites], axis=1)
+    theta = 1.0 / reciprocals.mean(axis=1)
+    std_err = (theta * theta * reciprocals.std(axis=1, ddof=1)
+               / math.sqrt(values.shape[0]))
+    single = np.array([len(set(sites)) == 1 for sites in site_sets], bool)
+    theta[single] = 1.0
+    std_err[single] = 0.0
+    return theta, std_err
+
+
+def _site_set(sites, n_sites: int) -> tuple[int, ...]:
+    """A nonempty set of site indices as a tuple of ints."""
+    try:
+        indices = tuple(sites)
+    except TypeError:
+        indices = ()
+    if not indices or not all(_is_integer(k) and 0 <= k < n_sites
+                              for k in indices):
+        raise DomainError(f"site set {sites!r} is not a nonempty collection "
+                          f"of integer site indices in [0, {n_sites})")
+    return tuple(int(k) for k in indices)
+
+
+def estimate_theta(realizations: Iterable[GridField],
+                   site_sets: Iterable[Iterable[int]]) -> list[ThetaEstimate]:
+    """Estimate the extremal coefficient of each site set from simulated
+    Frechet fields.
+
+    ``theta(S)`` is the scale of ``max over S of X_s``: 1 for sites that
+    always take one value, ``|S|`` for independent ones.  The estimate is
+    ``1 / mean(1 / max over S of X_s)`` with the delta-method standard
+    error, unclipped; a set of one distinct site gives exactly 1 with
+    error 0.  Sites are indices into ``values.ravel()`` (the order of
+    :meth:`GridSpec.sites`).  Requires at least 100 realizations with
+    Frechet margins on a common grid.
+    """
+    grid, values = _frechet_values(realizations)
+    sets = [_site_set(sites, grid.n_sites) for sites in site_sets]
+    theta, std_err = _theta(values, sets)
+    return [ThetaEstimate(sites, float(t), float(e), len(values))
+            for sites, t, e in zip(sets, theta, std_err)]
+
+
+def estimate_chi(realizations: Iterable[GridField], lags: Iterable[float],
+                 *, lag_tol: float | None = None) -> list[LagEstimate]:
+    """Estimate the TCF at the given lags from simulated Frechet fields.
+
+    This is the pair case of :func:`estimate_theta`: each requested lag
+    maps to the site pair whose distance is nearest, and the estimate is
+    ``chi_hat = 2 - theta_hat`` of that pair with the delta-method standard
+    error.  Lags farther than ``lag_tol`` (default half the grid spacing;
+    it must be finite and >= 0) from any realizable distance are skipped
+    with a warning.  A zero lag compares a site with itself and yields
+    exactly 1.  Estimates are clipped to [0, 1] and flagged.  Requires at
+    least 100 realizations with Frechet margins on a common grid.
+    """
+    grid, values = _frechet_values(realizations)
+    tol = 0.5 * grid.spacing if lag_tol is None else float(lag_tol)
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"lag_tol must be finite and >= 0, got {lag_tol!r}")
+    dist = _pairwise_distances(grid.sites())
+
+    kept: list[tuple[float, int, int]] = []
     for requested in lags:
         requested = float(requested)
         if requested < 0 or not math.isfinite(requested):
@@ -402,15 +487,13 @@ def estimate_chi(realizations: Iterable[GridField], lags: Iterable[float],
                 f"{tol} (nearest distance {dist[i, j]:.6g}); skipped",
                 stacklevel=2)
             continue
-        realized = float(dist[i, j])
-        if realized == 0.0:
-            out.append(LagEstimate(0.0, 1.0, 0.0, n, requested, False))
-            continue
-        reciprocals = 1.0 / np.maximum(values[:, i], values[:, j])
-        theta = 1.0 / float(reciprocals.mean())
-        std_err = theta * theta * float(reciprocals.std(ddof=1)) / math.sqrt(n)
-        raw = 2.0 - theta
+        kept.append((requested, int(i), int(j)))
+
+    theta, std_err = _theta(values, [(i, j) for _, i, j in kept])
+    out: list[LagEstimate] = []
+    for (requested, i, j), t, e in zip(kept, theta, std_err):
+        raw = 2.0 - float(t)
         chi = min(1.0, max(0.0, raw))
-        out.append(LagEstimate(realized, chi, std_err, n, requested,
-                               chi != raw))
+        out.append(LagEstimate(float(dist[i, j]), chi, float(e), len(values),
+                               requested, chi != raw))
     return out

@@ -956,33 +956,20 @@ class TestReproduce:
 
 
 class TestColdImport:
-    def test_import_does_not_load_scipy_signal(self):
+    def test_import_does_not_load_heavy_scipy_packages(self):
+        # Quadrature is the package's own (SciPy's integrate would pull in
+        # its linalg, sparse, optimize and spatial packages), the lattice
+        # probe sums 1-D autocorrelations without an FFT, and the
+        # extremal-coefficient estimators need no scipy.stats.
         src = str(Path(tailcorr.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        probe = "import sys, tailcorr; print('scipy.signal' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
-
-    def test_import_does_not_load_scipy_integrate(self):
-        # Quadrature is the package's own; SciPy's integrate would pull in
-        # its linalg, sparse, optimize and spatial packages.
-        src = str(Path(tailcorr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
+        heavy = ["scipy.signal", "scipy.integrate", "scipy.fft",
+                 "scipy.stats", "scipy.optimize"]
         probe = ("import sys, tailcorr; "
-                 "print('scipy.integrate' in sys.modules)")
+                 f"print([m for m in {heavy!r} if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
-
-    def test_import_does_not_load_scipy_fft(self):
-        # The lattice probe sums 1-D autocorrelations; no FFT is needed.
-        src = str(Path(tailcorr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        probe = "import sys, tailcorr; print('scipy.fft' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 class TestGridSpecs:

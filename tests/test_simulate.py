@@ -2,13 +2,14 @@
 empirical extremal-coefficient estimator, closing the loop against the
 closed-form TCFs of every simulatable class."""
 
+import hashlib
 import importlib
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, norm
 
 from tailcorr import DomainError, SimulationError, erfc
 from tailcorr.distributions import point_mass
@@ -43,7 +44,9 @@ from tailcorr.simulate import (
     GridSpec,
     LagEstimate,
     SimConfig,
+    ThetaEstimate,
     estimate_chi,
+    estimate_theta,
     simulate,
     transform_margins,
 )
@@ -55,14 +58,6 @@ def constant_correlation():
 
 def frechet_cdf(x):
     return np.exp(-1.0 / np.asarray(x))
-
-
-def pair_chi(values, i, j):
-    """Closed-loop estimate (chi_hat, std_err) from one site pair."""
-    a = 1.0 / np.maximum(values[:, i], values[:, j])
-    theta = 1.0 / a.mean()
-    se = theta * theta * a.std(ddof=1) / math.sqrt(len(a))
-    return 2.0 - theta, se
 
 
 def collect(config):
@@ -100,6 +95,17 @@ class TestGridSpec:
     ])
     def test_invalid_geometry_rejected(self, kwargs):
         with pytest.raises(DomainError):
+            GridSpec(**kwargs)
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("shape", {"dim": 1, "shape": (2.7,)}),
+        ("shape", {"dim": 2, "shape": (2, 3.0)}),
+        ("shape", {"dim": 1, "shape": (True,)}),
+        ("dim", {"dim": 1.0, "shape": (2,)}),
+        ("dim", {"dim": True, "shape": (2,)}),
+    ])
+    def test_integer_fields_reject_other_values(self, field, kwargs):
+        with pytest.raises(DomainError, match=field):
             GridSpec(**kwargs)
 
 
@@ -144,6 +150,24 @@ class TestConfigValidation:
             SimConfig(model=BRModel(dim=1, variogram=fbm_variogram(8.0, 1.0)),
                       grid=GridSpec(dim=1, shape=(2,)), n_realizations=1,
                       seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_realizations", 150.9), ("n_realizations", True),
+        ("seed", 3.99), ("seed", 3.0), ("seed", "3"),
+    ])
+    def test_integer_fields_reject_other_values(self, field, value):
+        kwargs = {"n_realizations": 150, "seed": 3, field: value}
+        with pytest.raises(DomainError, match=field):
+            SimConfig(model=brown_resnick_8t(),
+                      grid=GridSpec(dim=1, shape=(2,)), **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(model=brown_resnick_8t(),
+                        grid=GridSpec(dim=np.int64(1), shape=(np.int32(2),)),
+                        n_realizations=np.int64(150), seed=np.uint8(3))
+        assert (cfg.n_realizations, cfg.seed, cfg.grid.shape) == (150, 3, (2,))
+        assert all(type(v) is int for v in (cfg.n_realizations, cfg.seed,
+                                            cfg.grid.dim, *cfg.grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +543,20 @@ class TestTrivialFields:
         assert abs(est.chi_hat) <= 3.0 * est.std_err
 
 
+@pytest.fixture(scope="module")
+def m3b_fields():
+    """The 1-D suite's M3b on 8 sites at spacing 0.5."""
+    return list(simulate(SimConfig(
+        model=erfc_sqrt_models_1d()["M3b"],
+        grid=GridSpec(dim=1, shape=(8,), spacing=0.5), n_realizations=6000,
+        seed=17)))
+
+
 class TestStationarity:
-    def test_pair_estimates_agree_across_translation(self):
-        cfg = SimConfig(model=erfc_sqrt_models_1d()["M3b"],
-                        grid=GridSpec(dim=1, shape=(8,), spacing=0.5),
-                        n_realizations=6000, seed=17)
-        values = collect(cfg)
-        chi_a, se_a = pair_chi(values, 0, 2)
-        chi_b, se_b = pair_chi(values, 4, 6)
-        assert abs(chi_a - chi_b) <= 3.0 * math.hypot(se_a, se_b)
+    def test_pair_estimates_agree_across_translation(self, m3b_fields):
+        a, b = estimate_theta(m3b_fields, [(0, 2), (4, 6)])
+        assert abs(a.theta - b.theta) <= 3.0 * math.hypot(a.std_err,
+                                                          b.std_err)
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +608,56 @@ class TestTransformMargins:
 # ---------------------------------------------------------------------------
 
 
-def frechet_fields(rng, n, grid, correlate=False):
+def frechet_fields(rng, n, grid, correlate=False, common=0.0):
+    """``n`` fields of standard Frechet values on ``grid``.
+
+    Sites are independent, or all take one value (``correlate``).  With
+    ``common`` in (0, 1) each site is the larger of ``common`` times a value
+    the field shares and ``1 - common`` times its own, so every site pair
+    has chi = ``common``.
+    """
     m = grid.n_sites
     out = []
     for _ in range(n):
         x = 1.0 / rng.exponential(size=m)
         if correlate:
             x[:] = x[0]
+        if common:
+            x = np.maximum(common / rng.exponential(), (1.0 - common) * x)
         out.append(GridField(grid=grid, values=x.reshape(grid.shape)))
     return out
+
+
+#: (grid, realizations, seed, frechet_fields options, lags) whose estimates
+#: ``TestEstimateChi.test_pinned_bits`` pins: a requested lag off the grid
+#: (0.7) and one beyond it (5, skipped), site differences that are not
+#: exact in floats (spacing 0.1), a 2-D grid, and estimates clipped below
+#: and above.
+PINNED = [
+    (GridSpec(dim=1, shape=(8,), spacing=0.5), 400, 12, {"common": 0.5},
+     [0.0, 0.5, 0.7, 5.0]),
+    (GridSpec(dim=1, shape=(12,), spacing=0.1), 300, 13, {"common": 0.3},
+     [0.1, 0.3, 0.7, 1.1]),
+    (GridSpec(dim=2, shape=(4, 5)), 250, 14, {"common": 0.6},
+     [0.0, 1.0, 1.5, 2.0, 2.9, 4.0, 5.0]),
+    (GridSpec(dim=1, shape=(2,)), 150, 21, {}, [1.0]),
+    (GridSpec(dim=1, shape=(2,)), 150, 21, {"correlate": True}, [1.0]),
+]
+
+#: The two estimators on one site pair, for the checks they share.
+ESTIMATORS = [lambda fields: estimate_chi(fields, [1.0]),
+              lambda fields: estimate_theta(fields, [(0, 1)])]
+
+#: Family-wise z bound of the extremal-coefficient checks of
+#: ``TestEstimateChi``: two-sided, Bonferroni over their 8 comparisons at a
+#: family error of 1e-5, so a correct estimator fails them at about one
+#: seed in 1e5.
+THETA_Z = float(norm.isf(1e-5 / (2 * 8)))
+
+#: sha256 of the ``float.hex`` of (lag, chi_hat, std_err, clipped) of every
+#: estimate of ``PINNED``, from the per-lag reciprocal-max estimator.
+PINNED_DIGEST = (
+    "9426233c73db9d571aae39f3a64619a070d90589c3d79cc27cdcc98dbbca7962")
 
 
 class TestEstimateChi:
@@ -643,29 +713,115 @@ class TestEstimateChi:
         for est in out:
             assert 0.0 <= est.chi_hat <= 1.0
 
-    def test_needs_at_least_100_realizations(self):
+    @pytest.mark.parametrize("estimate", ESTIMATORS, ids=["chi", "theta"])
+    def test_needs_at_least_100_realizations(self, estimate):
         grid = GridSpec(dim=1, shape=(2,))
         fields = frechet_fields(np.random.default_rng(7), 99, grid)
         with pytest.raises(DomainError, match="100"):
-            estimate_chi(fields, [1.0])
+            estimate(fields)
 
-    def test_requires_frechet_margins(self):
+    @pytest.mark.parametrize("estimate", ESTIMATORS, ids=["chi", "theta"])
+    def test_requires_frechet_margins(self, estimate):
         grid = GridSpec(dim=1, shape=(2,))
         fields = [transform_margins(f, "gumbel")
                   for f in frechet_fields(np.random.default_rng(8), 120, grid)]
         with pytest.raises(DomainError, match="Frechet"):
-            estimate_chi(fields, [1.0])
+            estimate(fields)
 
-    def test_requires_common_grid(self):
+    @pytest.mark.parametrize("estimate", ESTIMATORS, ids=["chi", "theta"])
+    def test_requires_common_grid(self, estimate):
         fields = frechet_fields(np.random.default_rng(9), 60,
                                 GridSpec(dim=1, shape=(2,)))
         fields += frechet_fields(np.random.default_rng(10), 60,
                                  GridSpec(dim=1, shape=(2,), spacing=2.0))
         with pytest.raises(DomainError, match="grid"):
-            estimate_chi(fields, [1.0])
+            estimate(fields)
+
+    def test_pinned_bits(self):
+        hexes, clipped = [], []
+        for grid, n, seed, options, lags in PINNED:
+            fields = frechet_fields(np.random.default_rng(seed), n, grid,
+                                    **options)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                estimates = estimate_chi(fields, lags)
+            clipped += [est.clipped for est in estimates]
+            hexes += [float(v).hex() for est in estimates
+                      for v in (est.lag, est.chi_hat, est.std_err, est.clipped)]
+        assert len(clipped) == 16 and sum(clipped) == 2
+        digest = hashlib.sha256(" ".join(hexes).encode()).hexdigest()
+        assert digest == PINNED_DIGEST
 
     def test_negative_lag_rejected(self):
         grid = GridSpec(dim=1, shape=(2,))
         fields = frechet_fields(np.random.default_rng(11), 120, grid)
         with pytest.raises(DomainError, match="lag"):
             estimate_chi(fields, [-1.0])
+
+    @pytest.mark.parametrize("lag_tol", [math.nan, -1.0, math.inf])
+    def test_lag_tol_must_be_finite_and_nonnegative(self, lag_tol):
+        grid = GridSpec(dim=1, shape=(4,), spacing=2.0)
+        fields = frechet_fields(np.random.default_rng(12), 120, grid)
+        with pytest.raises(DomainError, match="lag_tol"):
+            estimate_chi(fields, [0.0, 1.0, 5.0], lag_tol=lag_tol)
+
+    def test_zero_lag_tol_keeps_exact_lags_only(self):
+        grid = GridSpec(dim=1, shape=(4,), spacing=2.0)
+        fields = frechet_fields(np.random.default_rng(12), 120, grid)
+        with pytest.warns(UserWarning, match="not realizable"):
+            out = estimate_chi(fields, [0.0, 1.0, 4.0], lag_tol=0.0)
+        assert [est.lag for est in out] == [0.0, 4.0]
+
+    # -- the extremal coefficient of site sets; estimate_chi is its pair case
+
+    def test_single_site_is_exactly_one(self):
+        grid = GridSpec(dim=1, shape=(5,))
+        fields = frechet_fields(np.random.default_rng(13), 150, grid)
+        out = estimate_theta(fields, [(2,), (2, 2), [np.int64(4)] * 3])
+        assert out == [ThetaEstimate((2,), 1.0, 0.0, 150),
+                       ThetaEstimate((2, 2), 1.0, 0.0, 150),
+                       ThetaEstimate((4, 4, 4), 1.0, 0.0, 150)]
+        assert all(type(k) is int for est in out for k in est.sites)
+
+    def test_sites_with_one_value_give_one(self):
+        grid = GridSpec(dim=1, shape=(5,))
+        fields = frechet_fields(np.random.default_rng(14), 4000, grid,
+                                correlate=True)
+        for est in estimate_theta(fields, [(0, 1), (1, 2, 4),
+                                           (0, 1, 2, 3, 4)]):
+            assert abs(est.theta - 1.0) <= THETA_Z * est.std_err, est
+
+    def test_independent_sites_give_set_size(self):
+        grid = GridSpec(dim=1, shape=(5,))
+        fields = frechet_fields(np.random.default_rng(15), 4000, grid)
+        for est in estimate_theta(fields, [(0, 3), (4, 1, 2),
+                                           (0, 1, 2, 3, 4)]):
+            size = len(est.sites)
+            assert abs(est.theta - size) <= THETA_Z * est.std_err, est
+
+    @pytest.mark.parametrize("sites", [(0, 1, 3), (0, 1, 3, 4, 7)])
+    def test_collinear_m3b_sites_match_the_chain_value(self, m3b_fields,
+                                                        sites):
+        """For M3b in d = 1 the sites' balls cover a union of length
+        2R + sum min(g_k, 2R) over neighbour gaps g_k, so theta is
+        1 + sum (1 - chi(g_k))."""
+        model = erfc_sqrt_models_1d()["M3b"]
+        truth = 1.0 + sum(1.0 - tcf(model, 0.5 * g) for g in np.diff(sites))
+        (est,) = estimate_theta(m3b_fields, [sites])
+        assert abs(est.theta - truth) <= THETA_Z * est.std_err
+
+    def test_pair_is_two_minus_chi(self, m3b_fields):
+        (chi,) = estimate_chi(m3b_fields, [1.0])
+        (theta,) = estimate_theta(m3b_fields, [(0, 2)])
+        assert chi.chi_hat == 2.0 - theta.theta
+        assert chi.std_err == theta.std_err
+
+    @pytest.mark.parametrize("sites", [
+        (), (0, 5), (-1, 0), (0, 1.0), (True, 1), ("0", "1"), 3, None,
+    ])
+    def test_bad_site_sets_rejected(self, sites):
+        grid = GridSpec(dim=1, shape=(5,))
+        fields = frechet_fields(np.random.default_rng(16), 120, grid)
+        with pytest.raises(DomainError, match="site set") as err:
+            estimate_theta(fields, [(0, 1), sites])
+        assert repr(sites) in str(err.value)
