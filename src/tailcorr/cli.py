@@ -36,6 +36,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 from pathlib import Path
 from typing import get_type_hints
 
@@ -377,8 +378,10 @@ def _parse_grid(spec: str | None) -> np.ndarray:
     mode = parts[3] if len(parts) == 4 else "log"
     if mode not in ("log", "lin"):
         raise ConfigError(f"grid mode must be log or lin, got {mode!r}")
-    if n < 2 or lo >= hi or (mode == "log" and lo <= 0):
-        raise ConfigError(f"grid spec {spec!r} is not an increasing range")
+    if (n < 2 or not -math.inf < lo < hi < math.inf
+            or (mode == "log" and lo <= 0)):
+        raise ConfigError(
+            f"grid spec {spec!r} is not a finite increasing range")
     return np.geomspace(lo, hi, n) if mode == "log" else np.linspace(lo, hi, n)
 
 
@@ -392,8 +395,9 @@ def _parse_lags(spec: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"lag spec {spec!r}: {exc}") from exc
-        if step <= 0 or stop < start:
-            raise ConfigError(f"lag spec {spec!r} is not an increasing range")
+        if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
+            raise ConfigError(
+                f"lag spec {spec!r} is not a finite increasing range")
         count = int(round((stop - start) / step))
         lags = [start + k * step for k in range(count + 1)]
         return [lag for lag in lags if lag <= stop + 1e-12]

@@ -49,6 +49,7 @@ from .models import parametric_bounds
 from .numerics import (
     _STENCIL_REACH,
     _float_rule,
+    _integer,
     _integrate,
     _once_per_node,
     _reject,
@@ -147,9 +148,24 @@ def _as_grid(grid) -> tuple[float, ...]:
     xs = tuple(float(g) for g in grid)
     if len(xs) < 3:
         raise DomainError("grid needs at least three points")
-    if any(x <= 0 for x in xs) or list(xs) != sorted(xs):
-        raise DomainError("grid must be positive and increasing")
+    i = next((i for i, x in enumerate(xs) if not 0 < x < math.inf), None)
+    if i is not None:
+        raise DomainError(f"grid entry {i} is {xs[i]!r}, not in (0, inf)")
+    if list(xs) != sorted(xs):
+        raise DomainError("grid must be increasing")
     return xs
+
+
+def _finite_values(f: RadialFunction, x: np.ndarray, where: str
+                   ) -> np.ndarray:
+    """``f(x)``, or DomainError naming the candidate and the first point of
+    ``x`` where it is not finite."""
+    values = f(x)
+    broken = ~np.isfinite(values)
+    if broken.any():
+        raise DomainError(f"candidate {f.name!r} is not finite at x = "
+                          f"{float(x[broken][0])!r} {where}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +188,7 @@ def test_T1_MMMr(chi: RadialFunction, *, grid=None, tol: float = 1e-9
     """Necessary conditions for the 1-D monotone-storm class: chi(0) = 1,
     0 <= chi <= 1, convex, and decaying to 0."""
     xs = _as_grid(grid)
-    values = chi(np.array((0.0,) + xs))
+    values = _finite_values(chi, np.array((0.0,) + xs), "on the grid")
     at_zero, values = float(values[0]), values[1:]
     if abs(at_zero - 1.0) > 1e-9:
         return _failed((0.0, at_zero), "chi(0) must equal 1")
@@ -271,12 +287,7 @@ def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     hankel = idx[:, None] + idx[None, :]
     for part in _chunks(len(x0)):
         xs = x0[part][:, None] + h[part][:, None] * np.arange(2 * n + 2)
-        m = f(xs)
-        broken = ~np.isfinite(m)
-        if broken.any():
-            raise DomainError(
-                f"candidate {f.name!r} is not finite at x = "
-                f"{float(xs[broken][0])!r} on a moment grid")
+        m = _finite_values(f, xs, "on a moment grid")
         eigmin = np.minimum(np.linalg.eigvalsh(m[:, hankel])[:, 0],
                             np.linalg.eigvalsh(m[:, hankel + 1])[:, 0])
         scale = np.maximum(1.0, np.abs(m[:, 0]))
@@ -310,9 +321,7 @@ def test_completely_monotone(f: RadialFunction, max_order: int = 6, *,
     monotone function is analytic on (0, inf) and cannot vanish on an open
     set.
     """
-    if not 0 <= max_order <= _MAX_CM_ORDER:
-        raise DomainError(
-            f"max_order must lie in 0..{_MAX_CM_ORDER}, got {max_order!r}")
+    max_order = _integer(max_order, "max_order", 0, _MAX_CM_ORDER)
     xs = _as_grid(grid)
     if f.has_compact_support:
         return _failed(f.support_bound,
@@ -465,7 +474,8 @@ def test_triangle(chi: RadialFunction, pairs=None, *, tol: float = 1e-12
 
     pairs = list(pairs)
     s, t = np.array(pairs, dtype=float).reshape(-1, 2).T
-    eta = 1.0 - chi(np.abs(np.stack([s, t, s + t, s - t])))
+    eta = 1.0 - _finite_values(chi, np.abs(np.stack([s, t, s + t, s - t])),
+                               "at a triangle lag")
     bound = eta[0] + eta[1] + tol
     # Row-major order: pair by pair, the sum lag before the difference lag.
     violated = np.flatnonzero((eta[2:] > bound).T)
@@ -514,8 +524,7 @@ def spectral_density(chi: RadialFunction, d: int, omega, *,
     for positive definiteness.  The frequencies of an array are one batch
     of integrals over the support.
     """
-    if d not in (1, 2, 3):
-        raise DomainError(f"spectral density implemented for d in 1..3, got {d!r}")
+    d = _integer(d, "d", 1, 3)
     if not chi.has_compact_support:
         raise DomainError("spectral density requires compact support")
     _reject(omega, ~(omega > 0), "omega must be > 0")
@@ -657,16 +666,17 @@ def test_positive_definite(chi: RadialFunction, d: int,
     negative (such violations are practically invisible to random
     configurations of modest size).
     """
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d!r}")
-    if n_configs < 1 or n_points < 1:
-        raise DomainError("n_configs and n_points must be >= 1")
-    rng = np.random.default_rng(seed)
+    d = _integer(d, "d", 1)
+    n_configs = _integer(n_configs, "n_configs", 1)
+    n_points = _integer(n_points, "n_points", 1)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     sites = np.stack([_random_configuration(rng, index, n_points, d)
                       for index in range(n_configs)])
     for part in _chunks(n_configs):
         diff = sites[part, :, None, :] - sites[part, None, :, :]
-        eigmin = np.linalg.eigvalsh(chi(np.sqrt((diff ** 2).sum(-1))))[:, 0]
+        gram = _finite_values(chi, np.sqrt((diff ** 2).sum(-1)),
+                              "at a Gram matrix distance")
+        eigmin = np.linalg.eigvalsh(gram)[:, 0]
         failing = np.flatnonzero(eigmin < -tol)
         if failing.size:
             i = int(failing[0])
@@ -688,6 +698,7 @@ def classify(chi: RadialFunction, d: int, *, seed: int = 0, grid=None,
              max_order: int = 6) -> MembershipReport:
     """Run the applicable necessary-condition batteries plus the special
     closed-form rules for the powered-erfc family and compact supports."""
+    d = _integer(d, "d", 1)
     xs = _as_grid(grid)
     if abs(float(chi(0.0)) - 1.0) > 1e-9:
         raise DomainError(

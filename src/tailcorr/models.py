@@ -57,6 +57,7 @@ from .distributions import Distribution1D, from_pdf
 from .errors import DomainError, ModelError, SimulationError
 from .numerics import (
     _float_rule,
+    _integer,
     _integrate,
     _reject,
     kappa_d,
@@ -112,8 +113,7 @@ def h_d(t, d: int):
     h_d(0) = 1, h_d(t) = 0 for t >= 1; closed form for every d.  Scalar in,
     float out; array in, ndarray out.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise DomainError(f"dimension must be a positive integer, got {d!r}")
+    d = _integer(d, "d", 1)
     _reject(t, t < 0, "h_d requires t >= 0")
     s = np.minimum(t, 1.0)
     if d == 1:
@@ -136,8 +136,7 @@ def h_d(t, d: int):
 def laplace_factor(d: int) -> float:
     """The distance scaling 2 kappa_{d-1} / (d kappa_d) of the MPS Laplace
     transform (1 in d=1, 2/pi in d=2, 1/2 in d=3)."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise DomainError(f"dimension must be a positive integer, got {d!r}")
+    d = _integer(d, "d", 1)
     return 2.0 * kappa_d(d - 1) / (d * kappa_d(d))
 
 
@@ -163,6 +162,7 @@ def overlap_integral(f: RadialFunction, d: int, t, *, tol: float = 1e-10):
     lags of an array are one batch of integrals, returned as
     (values, abs_error_estimates).
     """
+    d = _integer(d, "d", 1)
     _reject(t, ~(t >= 0), "t must be >= 0")
     t = t.ravel()
     half = 0.5 * t
@@ -376,11 +376,6 @@ def _distances(coords: np.ndarray, center: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_dim(dim: int) -> None:
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ModelError(f"dim must be a positive integer, got {dim!r}")
-
-
 def _check_mixing(dist: Distribution1D, what: str) -> None:
     if dist.support[0] < 0:
         raise ModelError(
@@ -413,11 +408,9 @@ class M3rModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
-        if self.n_samples < 1:
-            raise ModelError(f"n_samples must be >= 1, got {self.n_samples!r}")
-        if self.seed < 0:
-            raise ModelError(f"seed must be >= 0, got {self.seed!r}")
+        _integer(self.dim, "dim", 1, error=ModelError)
+        _integer(self.n_samples, "n_samples", 1, error=ModelError)
+        _integer(self.seed, "seed", 0, error=ModelError)
 
     def _tcf(self, t: np.ndarray, tol: float):
         """Mean overlap integral over ``n_samples`` shapes drawn from
@@ -449,7 +442,7 @@ class M2rModel:
     _offset: Distribution1D = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
+        _integer(self.dim, "dim", 1, error=ModelError)
         grid = np.logspace(-3, 2, 40)
         vals = self.shape(grid)
         if np.any(vals < -1e-12):
@@ -507,7 +500,7 @@ class M3bModel:
     radius: Distribution1D
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
+        _integer(self.dim, "dim", 1, error=ModelError)
         _check_mixing(self.radius, "radius law")
 
     def _tcf(self, t: np.ndarray, tol: float):
@@ -551,7 +544,7 @@ class MPSModel:
     mixing: Distribution1D
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
+        _integer(self.dim, "dim", 1, error=ModelError)
         _check_mixing(self.mixing, "mixing law")
 
     def _tcf(self, t: np.ndarray, tol: float):
@@ -593,7 +586,7 @@ class BRModel:
     variogram: Variogram
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
+        _integer(self.dim, "dim", 1, error=ModelError)
 
     def _tcf(self, t: np.ndarray, tol: float):
         return (_special.erfc(np.sqrt(self.variogram(t) / 8.0)),
@@ -625,7 +618,7 @@ class VBRModel:
     scale_mixing: Distribution1D
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
+        _integer(self.dim, "dim", 1, error=ModelError)
         _check_mixing(self.scale_mixing, "scale mixing law")
 
     def _tcf(self, t: np.ndarray, tol: float):
@@ -659,7 +652,7 @@ class EGModel:
     correlation: Correlation
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
+        _integer(self.dim, "dim", 1, error=ModelError)
 
     def _tcf(self, t: np.ndarray, tol: float):
         rho = self.correlation(t)
@@ -690,7 +683,7 @@ class EBGModel:
     correlation: Correlation
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
+        _integer(self.dim, "dim", 1, error=ModelError)
 
     def _tcf(self, t: np.ndarray, tol: float):
         rho = np.clip(self.correlation(t), -1.0, 1.0)
@@ -723,7 +716,7 @@ class ParametricModel:
     _function: RadialFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
+        _integer(self.dim, "dim", 1, error=ModelError)
         if self.family not in PARAMETRIC_FAMILIES:
             raise ModelError(
                 f"unknown family {self.family!r}; choose from "
@@ -749,7 +742,7 @@ class ErfcMixtureModel:
     closed_form: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
-        _check_dim(self.dim)
+        _integer(self.dim, "dim", 1, error=ModelError)
         _check_mixing(self.mixing, "mixing law")
 
     def _tcf(self, t: np.ndarray, tol: float):
@@ -847,12 +840,13 @@ def _dimension_free(cf: ParamInterval, tcf: ParamInterval,
 def _truncated_power_bounds(family: str, d: int | None) -> ParametricBounds:
     """(1 - r)_+^nu: the TCF bound nu >= floor(d/2) + 1 is sharp for odd d;
     for even d it is valid but its sharpness is unknown."""
-    if d is None or not isinstance(d, (int, np.integer)) or d < 1:
+    if d is None:
         raise DomainError(
             "truncated_power bounds are dimension-dependent; pass d >= 1")
+    d = _integer(d, "d", 1)
     sharp = d % 2 == 1
     return ParametricBounds(
-        family, int(d),
+        family, d,
         ParamInterval((d + 1) / 2.0, math.inf, lo_open=False, hi_open=True),
         ParamInterval(float(d // 2 + 1), math.inf, lo_open=False,
                       hi_open=True),
@@ -980,6 +974,7 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
     g(s) = sqrt(pi) / (2 Gamma(nu)) s^{-3} e^{-a} U(1/2 - nu, 2 - nu, a) with
     a = 1/(4 s^2), U Tricomi's confluent hypergeometric function.
     """
+    row = _integer(row, "row", 1, 4)
     if row == 1:
         a = float(param)
         if a <= 0:
@@ -1005,7 +1000,7 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
         mixing = from_pdf(f"erf(({a:g})s)",
                           lambda s: c * np.exp(-((a * s) ** 2)))
         closed = _float_rule(lambda t: 1.0 - 2.0 / math.pi * np.arctan(t / a))
-    elif row == 4:
+    else:
         a = float(param)
         if a <= 0:
             raise DomainError(f"row 4 needs a > 0, got {param!r}")
@@ -1014,6 +1009,4 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
             lambda s: 2.0 * a * a * s * np.exp(-((a * s) ** 2)))
         # 1 - (1 + (t/a)^-2)^-1/2, without the pole of (t/a)^-2 at t = 0.
         closed = _float_rule(lambda t: 1.0 - t / np.hypot(t, a))
-    else:
-        raise DomainError(f"row must be 1..4, got {row!r}")
     return ErfcMixtureModel(dim=dim, mixing=mixing, closed_form=closed)

@@ -130,10 +130,25 @@ def _reject(arr: np.ndarray, bad: np.ndarray, message: str) -> None:
         raise DomainError(f"{message}, got {float(arr[bad][0])!r}")
 
 
+def _is_integer(value) -> bool:
+    """A Python or NumPy integer; bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer(value, name: str, low: int, high: int | None = None,
+             error: type[Exception] = DomainError) -> int:
+    """``value`` as a Python int in ``low..high`` (unbounded above when
+    ``high`` is None), or ``error`` naming the argument and the value
+    passed.  NumPy integers are accepted; bool and floats are not."""
+    if _is_integer(value) and low <= value and (high is None or value <= high):
+        return int(value)
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    raise error(f"{name} must be an integer {span}, got {value!r}")
+
+
 def kappa_d(d: int) -> float:
     """Volume of the d-dimensional unit ball, pi^{d/2} / Gamma(d/2 + 1)."""
-    if not isinstance(d, (int, np.integer)) or d < 0:
-        raise DomainError(f"dimension must be a non-negative integer, got {d!r}")
+    d = _integer(d, "d", 0)
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
@@ -143,8 +158,7 @@ def beta_d(d: int) -> float:
     This is the (negative) derivative at 0 of the ball self-convolution
     kernel in d dimensions, and the slope of its turning-bands average.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise DomainError(f"dimension must be a positive integer, got {d!r}")
+    d = _integer(d, "d", 1)
     return math.gamma(d / 2.0) / (math.sqrt(math.pi) * math.gamma((d + 1) / 2.0))
 
 
@@ -760,8 +774,8 @@ def num_derivative(
     meaningless and the caller must use one-sided logic instead.  It names
     the first such entry of ``x``.
     """
-    if order not in _STENCILS:
-        raise DomainError(f"order must be an integer in 1..8, got {order!r}")
+    order = _integer(order, "order", 1, max(_STENCILS))
+    levels = _integer(levels, "levels", 1)
     flat = x.ravel()
     if h is None:
         step = _EPS ** (1.0 / (order + 2)) * np.maximum(1.0, np.abs(flat))
@@ -769,8 +783,6 @@ def num_derivative(
         step = np.broadcast_to(np.asarray(h, dtype=float), x.shape).ravel()
     if not ((step > 0) & np.isfinite(step)).all():
         raise DomainError(f"step h must be positive and finite, got {h!r}")
-    if levels < 1:
-        raise DomainError(f"levels must be >= 1, got {levels!r}")
     reach = _STENCIL_REACH[order]
     gaps = [np.abs(flat - kink) for kink in kinks]
     for kink, gap in zip(kinks, gaps):

@@ -46,6 +46,7 @@ from .models import TcfModel, h_d, tcf_result
 from .numerics import (
     _array_callable,
     _float_rule,
+    _integer,
     _integrate,
     _reject,
     _worst_midpoint_gap,
@@ -266,10 +267,7 @@ def taylor_abs_monotone(map: str, lam: float = 1.0, alpha: float = 0.0,
     over both series for T): it bounds the truncation of the series, not
     the rounding of the sums.  ``coeff0`` is the transform at 0 itself.
     """
-    if (not isinstance(order, (int, np.integer))
-            or not 1 <= order <= _MAX_ORDER):
-        raise DomainError(f"order must be an integer in 1..{_MAX_ORDER}, "
-                          f"got {order!r}")
+    order = _integer(order, "order", 1, _MAX_ORDER)
     spec = TransformSpec(map=map, lam=lam, alpha=alpha)
     if spec.alpha == 1.0:
         # alpha = 1 collapses every map to the constant 1.
@@ -318,12 +316,8 @@ class TurningBandsSpec:
     d: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, (int, np.integer))
-                and isinstance(self.d, (int, np.integer))):
-            raise DomainError("k and d must be integers")
-        if not 1 <= self.k <= self.d:
-            raise DomainError(
-                f"need 1 <= k <= d, got k={self.k!r}, d={self.d!r}")
+        d = _integer(self.d, "d", 1)
+        _integer(self.k, "k", 1, d)
 
 
 @_float_rule(at=2)
@@ -390,8 +384,7 @@ def phi_d(t, d: int):
     Scalar in, float out; array in, ndarray out; NaN gives NaN.
     """
     _reject(t, t < 0, "t must be >= 0")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d!r}")
+    d = _integer(d, "d", 1)
     if d == 1:
         return np.maximum(0.0, 1.0 - t)
     u2 = 1.0 / np.maximum(t, 1.0) ** 2
@@ -409,8 +402,7 @@ def phi_d_neg_deriv_sqrt(t, d: int):
     ``beta_d (1 - (1 - 1/t)^{(d-1)/2})``.  Scalar in, float out; array in,
     ndarray out."""
     _reject(t, t <= 0, "t must be > 0")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d!r}")
+    d = _integer(d, "d", 1)
     b = beta_d(d)
     return np.where(t <= 1.0, b, b * (1.0 - (1.0 - 1.0 / np.maximum(t, 1.0))
                                       ** ((d - 1) / 2.0)))
@@ -454,8 +446,7 @@ def phi_d_radial(d: int) -> RadialFunction:
     The derivative of ``-phi_d'(sqrt t)`` jumps at t = 1 for every d >= 2,
     so the radius r = 1 is declared as a kink; d = 1 is the tent itself.
     """
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d!r}")
+    d = _integer(d, "d", 1)
     if d == 1:
         return tent()
     return RadialFunction(
@@ -474,8 +465,7 @@ def chi_d_radial(d: int = 3) -> RadialFunction:
     Kinks sit at r = 1/2 (branch change of phi_d(2r)) and at the support
     boundary r = 1.
     """
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d!r}")
+    d = _integer(d, "d", 1)
 
     def deriv1(r):
         outside = np.asarray(r) >= 1.0
@@ -539,8 +529,7 @@ def gneiting_c(t, d: int):
     Scalar in, float out; array in, ndarray out.
     """
     _reject(t, t < 0, "t must be >= 0")
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d!r}")
+    d = _integer(d, "d", 2)
     near = np.minimum(t, 1.0)
     far = np.maximum(t, 1.0)
     inner = np.where(
@@ -555,8 +544,7 @@ def gneiting_c(t, d: int):
 def c_second_deriv_at_1(d: int) -> float:
     """Closed form of c''(1): ``-beta_d (d-1) 3 sqrt(pi) Gamma(d/2-2) /
     (16 Gamma((d+1)/2))``, valid for d >= 6 (negative: c is concave at 1)."""
-    if d < 6:
-        raise DomainError(f"closed form requires d >= 6, got {d!r}")
+    d = _integer(d, "d", 6)
     return -beta_d(d) * (d - 1) * 3.0 * math.sqrt(math.pi) * math.exp(
         math.lgamma(d / 2.0 - 2.0) - math.lgamma((d + 1) / 2.0)) / 16.0
 

@@ -46,7 +46,7 @@ from .radial import (
     exponential_correlation,
     fbm_variogram,
 )
-from .numerics import erf, erfc
+from .numerics import _integer, erf, erfc
 from .recovery import RecoveryInput, recover_radius_density, recover_shape
 from .simulate import GridSpec
 
@@ -142,7 +142,7 @@ def erfc_sqrt_shape(dim: int = 3) -> RadialFunction:
     d=1: f(u) = e^{-2u} / sqrt(2 pi u).
     Both integrate to 1 over R^d and diverge algebraically at 0.
     """
-    if dim == 3:
+    if _integer(dim, "dim", 1, 3) == 3:
         c = math.pi**1.5 * 2.0**2.5
         return RadialFunction(
             name="erfc_sqrt_shape_3d",
@@ -165,7 +165,7 @@ def erfc_sqrt_diameter_density(dim: int = 3):
     d=3: k(s) = (4s^2 + 8s + 5) e^{-s} / (12 sqrt(pi s));
     d=1: k(s) = (2s + 1) e^{-s} / (2 sqrt(pi s)).
     """
-    if dim == 3:
+    if _integer(dim, "dim", 1, 3) == 3:
         return lambda s: ((4.0 * s * s + 8.0 * s + 5.0) * np.exp(-s)
                           / (12.0 * np.sqrt(math.pi * s)))
     if dim == 1:

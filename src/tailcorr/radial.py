@@ -28,7 +28,8 @@ import numpy as np
 from scipy import special as _special
 
 from .errors import DomainError, KinkError, TailcorrError
-from .numerics import _float_rule, _lift, _radial_derivatives, _reject, kappa_d
+from .numerics import (_float_rule, _integer, _lift, _radial_derivatives,
+                       _reject, kappa_d)
 
 __all__ = [
     "RadialFunction",
@@ -141,11 +142,12 @@ class RadialFunction:
 
         Uses the analytic derivative when present, numeric differentiation
         of ``func`` otherwise, either one on the whole array.
-        Refuses (KinkError) exactly on a declared kink, where no two-sided
-        derivative exists.
+        Refuses (KinkError) on a declared kink, where no two-sided
+        derivative exists; the numeric route also refuses wherever its
+        stencil would cross a kink, so ``truncated_power(1.5)`` has no
+        numeric second derivative at 0.9999999.
         """
-        if order not in (1, 2, 3):
-            raise DomainError(f"order must be 1, 2 or 3, got {order!r}")
+        order = _integer(order, "order", 1, 3)
         arr = np.asarray(r, dtype=float)
         if self.kinks:
             on = self._on_kink(arr)
@@ -354,6 +356,7 @@ def ball_indicator(d: int, radius: float = 1.0) -> RadialFunction:
 
     Integrates to 1 over R^d; the building block of the ball-mixture model.
     """
+    d = _integer(d, "d", 1)
     if radius <= 0:
         raise DomainError(f"radius must be positive, got {radius!r}")
     height = 1.0 / (kappa_d(d) * float(radius) ** d)

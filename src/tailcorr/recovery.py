@@ -45,7 +45,8 @@ import numpy as np
 
 from .distributions import Distribution1D
 from .errors import DomainError, KinkError, ModelError, NotInClassError
-from .numerics import _float_rule, _integrate, _reject, kappa_d, quadrature
+from .numerics import (_float_rule, _integer, _integrate, _reject, kappa_d,
+                       quadrature)
 from .radial import RadialFunction
 
 __all__ = [
@@ -89,9 +90,7 @@ class RecoveryInput:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim not in (1, 2, 3):
-            raise DomainError(
-                f"recovery formulas cover dim 1, 2, 3; got {self.dim!r}")
+        _integer(self.dim, "dim", 1, 3)
         if abs(float(self.chi(0.0)) - 1.0) > 1e-9:
             raise ModelError(
                 f"chi(0) must equal 1, got {float(self.chi(0.0))!r}")
@@ -108,9 +107,10 @@ def lambda_chi(inp: RecoveryInput, t):
     """The rescaled second derivative ``t * chi''(1/t)`` for t > 0.
 
     This is the cdf-like function whose increments drive the d=2 recovery
-    integrals.  Raises KinkError when 1/t lands on a declared kink of chi.
+    integrals.  Raises KinkError when 1/t lands on a declared kink of chi,
+    or, where chi'' is numeric, so near one that the stencil would cross it.
     """
-    _reject(t, t <= 0, "t must be > 0")
+    _reject(t, ~(t > 0), "t must be > 0")
     return t * inp.chi.derivative(1.0 / t, 2)
 
 
@@ -166,7 +166,7 @@ def _d2_integrals(inp: RecoveryInput, integrand, a, b, tol: float):
 @_float_rule(at=1)
 def recover_shape(inp: RecoveryInput, u, *, tol: float = 1e-10):
     """The storm shape f(u) of the fixed-shape moving-maxima process."""
-    _reject(u, u <= 0, "u must be > 0")
+    _reject(u, ~(u > 0), "u must be > 0")
     out = np.zeros(u.shape)
     live = ~(2.0 * u >= _end(inp.chi))
     u = u[live]
@@ -245,7 +245,7 @@ def recover_radius_density(inp: RecoveryInput, s, *, tol: float = 1e-10):
     with the full distribution is returned instead.
     """
     arr = np.asarray(s, dtype=float)
-    _reject(arr, arr <= 0, "s must be > 0")
+    _reject(arr, ~(arr > 0), "s must be > 0")
     if inp.chi.kinks and _diameter_atoms(inp):
         return AtomicAnswer(law=recover_radius_law(inp))
     return _radius_density(s, inp, tol)
@@ -363,9 +363,8 @@ def f_from_H(H: Distribution1D, d: int, u, *, tol: float = 1e-10):
     H is the cdf of 1/R.  Atoms exactly at s = 1/u are included
     (right-continuous convention).
     """
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d!r}")
-    _reject(u, u <= 0, "u must be > 0")
+    d = _integer(d, "d", 1)
+    _reject(u, ~(u > 0), "u must be > 0")
     cut = 1.0 / u
     total = sum((np.where(a <= cut, a**d * m, 0.0) for a, m in H.atoms),
                 np.zeros(u.shape))
@@ -388,10 +387,11 @@ def H_from_f(f: RadialFunction, d: int, s, *, tol: float = 1e-10):
     """Cdf value ``H(s) = kappa_d int_{1/s}^inf v^d (-f'(v)) dv``.
 
     Jump discontinuities of f at declared kinks contribute atoms of 1/R at
-    the kink radius (a ball-indicator shape gives a point mass).
+    the kink radius (a ball-indicator shape gives a point mass).  H is 0 at
+    s <= 0; NaN is refused.
     """
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d!r}")
+    d = _integer(d, "d", 1)
+    _reject(s, np.isnan(s), "s must not be NaN")
     lo = np.divide(1.0, s, out=np.full(s.shape, math.inf), where=s > 0)
     hi = _end(f)
     total = np.zeros(lo.shape)

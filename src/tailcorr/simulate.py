@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import DomainError, SimulationError
 from .models import TcfModel, _pairwise_distances, _ProfileDraw
+from .numerics import _integer, _is_integer
 
 __all__ = [
     "GridSpec",
@@ -87,11 +88,6 @@ _SIMULABLE = {cls.__name__.removesuffix("Model"): cls
 _MARGINS = ("frechet", "gumbel")
 
 
-def _is_integer(value) -> bool:
-    """A Python or NumPy integer; bool is not one here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 # ---------------------------------------------------------------------------
 # Grid geometry and fields
 # ---------------------------------------------------------------------------
@@ -112,9 +108,7 @@ class GridSpec:
     origin: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.dim) or self.dim not in (1, 2):
-            raise DomainError(
-                f"grid dim must be the integer 1 or 2, got {self.dim!r}")
+        object.__setattr__(self, "dim", _integer(self.dim, "grid dim", 1, 2))
         sizes = np.atleast_1d(self.shape)
         if (len(sizes) != self.dim
                 or not all(_is_integer(n) and n >= 1 for n in sizes)):
@@ -129,7 +123,6 @@ class GridSpec:
         if len(origin) != self.dim or not all(map(math.isfinite, origin)):
             raise DomainError(
                 f"origin {self.origin!r} is not {self.dim} finite coordinates")
-        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -203,14 +196,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.n_realizations) or self.n_realizations < 1:
-            raise DomainError(f"n_realizations must be an integer >= 1, "
-                              f"got {self.n_realizations!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise DomainError(
-                f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "n_realizations", int(self.n_realizations))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n_realizations", _integer(
+            self.n_realizations, "n_realizations", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         if not isinstance(self.grid, GridSpec):
             raise DomainError("grid must be a GridSpec")
 

@@ -980,6 +980,28 @@ class TestGridSpecs:
                                    "--grid", spec])
         assert res.exit_code != 0
 
+    @pytest.mark.parametrize("command, spec", [
+        (["recover", "erfc_sqrt", "--target", "shape"], "nan:1:3"),
+        (["tb", "tent", "--k", "1", "--d", "3"], "1:inf:3"),
+        (["check", "exp", "--d", "1"], "0.1:nan:5"),
+        (["transform", "exp", "--map", "R"], "-inf:1:3:lin"),
+    ], ids=["recover", "tb", "check", "transform"])
+    def test_non_finite_grid_bound_rejected(self, runner, command, spec):
+        # These used to write nan or inf rows, or pass every battery.
+        res = runner.invoke(main, [*command, "--grid", spec, "--quiet"])
+        assert res.exit_code == 1
+        assert (f"grid spec {spec!r} is not a finite increasing range"
+                in res.output)
+
+    @pytest.mark.parametrize("spec", ["0:inf:1", "0:nan:1", "0:1:inf",
+                                      "nan:1:0.5", "-inf:0:1"])
+    def test_non_finite_lag_range_rejected(self, runner, br_config, spec):
+        # A traceback (OverflowError, ValueError) or no lags at all before.
+        res = runner.invoke(main, ["eval", br_config, "--lags", spec])
+        assert res.exit_code == 1
+        assert (f"lag spec {spec!r} is not a finite increasing range"
+                in res.output)
+
     def test_linear_grid_endpoints(self, runner):
         res = runner.invoke(main, ["transform", "exp", "--map", "R",
                                    "--grid", "1:3:3:lin", "--quiet"])

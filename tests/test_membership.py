@@ -717,6 +717,29 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify(half, 1)
 
+    @pytest.mark.parametrize("grid, entry", [
+        ([0.01, math.nan, 100.0], "1 is nan"),
+        ([0.01, 1.0, math.inf], "2 is inf"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_grid_entry_named(self, grid, entry):
+        # A NaN entry used to pass every battery on the two real points.
+        with pytest.raises(DomainError, match=f"^grid entry {entry}, "):
+            classify(exponential_decay(), 1, grid=grid)
+
+    @pytest.mark.parametrize("battery, x", [
+        (test_T1_MMMr, "2.0729"),
+        (test_triangle, "2.8480"),
+        (lambda f: test_positive_definite(f, 2), "2.4161"),
+    ], ids=["T1_MMMr", "triangle", "positive_definite"])
+    def test_non_finite_candidate_named(self, battery, x):
+        # exp(-x) up to 2, NaN beyond: T1 and the triangle used to pass,
+        # and the Gram eigenvalues ended in a LinAlgError.
+        f = radial_from_callable(
+            "exp_nan", lambda r: math.exp(-r) if r < 2 else math.nan)
+        pattern = f"^candidate 'exp_nan' is not finite at x = {x}"
+        with pytest.raises(DomainError, match=pattern.replace(".", r"\.")):
+            battery(f)
+
     def test_summary_lists_witnesses(self):
         report = classify(h3_radial(), 3)
         text = report.summary()

@@ -2,6 +2,7 @@
 numerical differentiation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,13 +23,50 @@ from tailcorr import (
     quadrature,
 )
 from tailcorr.distributions import Distribution1D
+from tailcorr.errors import ModelError
+from tailcorr.membership import (
+    classify,
+    spectral_density,
+    test_completely_monotone,
+    test_positive_definite,
+)
+from tailcorr.models import (
+    M3bModel,
+    M3rModel,
+    ShapeEnsemble,
+    erfc_mixture,
+    h_d,
+    laplace_factor,
+    overlap_integral,
+    parametric_bounds,
+    tcf,
+)
 from tailcorr.numerics import (
     _QUAD_LIMIT,
+    _integer,
     _integrate,
     _richardson,
     _worst_midpoint_gap,
+    beta_d,
+    kappa_d,
 )
-from tailcorr.operators import midpoint_convexity_violation
+from tailcorr.operators import (
+    TurningBandsSpec,
+    c_second_deriv_at_1,
+    chi_d_radial,
+    gneiting_c,
+    midpoint_convexity_violation,
+    phi_d,
+    phi_d_neg_deriv_sqrt,
+    phi_d_radial,
+)
+from tailcorr.presets import (
+    erfc_sqrt_diameter_density,
+    erfc_sqrt_radius_law,
+    erfc_sqrt_shape,
+)
+from tailcorr.radial import ball_indicator, erfc_sqrt, truncated_power
+from tailcorr.recovery import H_from_f, RecoveryInput, f_from_H
 
 
 class TestErfFamily:
@@ -631,3 +669,133 @@ class TestArrayCallable:
 
         for entry in self.ENTRY_POINTS:
             assert self.run(entry, f) == self.run(entry, g)
+
+
+class TestIntegerArguments:
+    """Dimensions, orders and counts: one check, ``_integer``, for all."""
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)],
+                             ids=["int", "int64", "uint8"])
+    def test_python_and_numpy_integers_accepted(self, value):
+        out = _integer(value, "d", 1)
+        assert out == 3 and type(out) is int
+
+    @pytest.mark.parametrize("value", [True, False, 3.0, np.float64(3.0),
+                                       2.5, "3", None],
+                             ids=repr)
+    def test_bool_and_non_integers_rejected(self, value):
+        message = f"d must be an integer >= 0, got {value!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            _integer(value, "d", 0)
+
+    def test_bounds_and_error_class(self):
+        assert _integer(0, "k", 0, 0) == 0
+        with pytest.raises(DomainError, match=r"^k must be an integer in "
+                           r"1\.\.3, got 4$"):
+            _integer(4, "k", 1, 3)
+        with pytest.raises(ModelError, match=r"^dim must be an integer "
+                           r">= 1, got 0$"):
+            _integer(0, "dim", 1, error=ModelError)
+
+    def test_numpy_dimension_keeps_bits(self):
+        # h_d(0.3, 3) = 1 - 0.45 + 0.0135 before and after the check.
+        assert h_d(0.3, np.int64(3)).hex() == "0x1.2083126e978d5p-1"
+        ts = np.array([0.0, 0.1, 0.37, 0.9, 1.2])
+        for d in range(1, 9):
+            assert h_d(ts, np.int64(d)).tobytes() == h_d(ts, d).tobytes()
+            assert kappa_d(np.int64(d)) == kappa_d(d)
+            assert beta_d(np.int64(d)) == beta_d(d)
+
+    _BALLS = ShapeEnsemble("ball(0.5)", lambda rng: ball_indicator(3, 0.5))
+
+    # Each call passes a bool, a float or an out-of-range value as an
+    # integer argument; the error names the argument and the value.
+    MODEL_PROBES = {
+        "M3bModel-dim": (
+            lambda: M3bModel(dim=True, radius=erfc_sqrt_radius_law(1)),
+            "dim", True),
+        "M3rModel-n_samples": (
+            lambda: tcf(M3rModel(dim=3, ensemble=TestIntegerArguments._BALLS,
+                                 n_samples=2.5), 0.5), "n_samples", 2.5),
+        "M3rModel-seed": (
+            lambda: M3rModel(dim=3, ensemble=TestIntegerArguments._BALLS,
+                             seed=1.5), "seed", 1.5),
+    }
+    PROBES = {
+        "kappa_d": (lambda: kappa_d(True), "d", True),
+        "beta_d": (lambda: beta_d(2.0), "d", 2.0),
+        "num_derivative-order-bool": (
+            lambda: num_derivative(math.exp, 0.5, True), "order", True),
+        "num_derivative-order-float": (
+            lambda: num_derivative(math.exp, 0.5, 2.0), "order", 2.0),
+        "num_derivative-levels": (
+            lambda: num_derivative(math.exp, 0.5, 2, levels=2.5),
+            "levels", 2.5),
+        "h_d": (lambda: h_d(0.3, True), "d", True),
+        "laplace_factor": (lambda: laplace_factor(True), "d", True),
+        "overlap_integral-float": (
+            lambda: overlap_integral(erfc_sqrt(), 2.5, 0.3), "d", 2.5),
+        "overlap_integral-zero": (
+            lambda: overlap_integral(erfc_sqrt(), 0, 0.3), "d", 0),
+        "parametric_bounds": (
+            lambda: parametric_bounds("truncated_power", True), "d", True),
+        "erfc_mixture": (lambda: erfc_mixture(True, 1.0), "row", True),
+        "TurningBandsSpec": (
+            lambda: TurningBandsSpec(k=True, d=3), "k", True),
+        "phi_d": (lambda: phi_d(0.3, True), "d", True),
+        "phi_d_neg_deriv_sqrt": (
+            lambda: phi_d_neg_deriv_sqrt(0.3, 3.0), "d", 3.0),
+        "phi_d_radial": (lambda: phi_d_radial(True), "d", True),
+        "chi_d_radial": (lambda: chi_d_radial(3.0), "d", 3.0),
+        "gneiting_c": (lambda: gneiting_c(0.3, 2.5), "d", 2.5),
+        "c_second_deriv_at_1": (
+            lambda: c_second_deriv_at_1(6.0), "d", 6.0),
+        "test_completely_monotone-bool": (
+            lambda: test_completely_monotone(erfc_sqrt(), True),
+            "max_order", True),
+        "test_completely_monotone-float": (
+            lambda: test_completely_monotone(erfc_sqrt(), 2.5),
+            "max_order", 2.5),
+        "spectral_density": (
+            lambda: spectral_density(truncated_power(2.0), True, 1.0),
+            "d", True),
+        "test_positive_definite-d": (
+            lambda: test_positive_definite(erfc_sqrt(), 2.5), "d", 2.5),
+        "test_positive_definite-n_configs": (
+            lambda: test_positive_definite(erfc_sqrt(), 2, n_configs=2.5),
+            "n_configs", 2.5),
+        "test_positive_definite-n_points": (
+            lambda: test_positive_definite(erfc_sqrt(), 2, n_points=True),
+            "n_points", True),
+        "test_positive_definite-seed": (
+            lambda: test_positive_definite(erfc_sqrt(), 2, seed=True),
+            "seed", True),
+        "classify-seed": (
+            lambda: classify(erfc_sqrt(), 2, seed=2.5), "seed", 2.5),
+        "ball_indicator": (lambda: ball_indicator(0), "d", 0),
+        "classify": (lambda: classify(erfc_sqrt(), 2.5), "d", 2.5),
+        "RecoveryInput": (
+            lambda: RecoveryInput(erfc_sqrt(), True), "dim", True),
+        "f_from_H": (
+            lambda: f_from_H(erfc_sqrt_radius_law(3), True, 0.5), "d", True),
+        "H_from_f": (
+            lambda: H_from_f(erfc_sqrt_shape(3), 2.5, 0.5), "d", 2.5),
+        "erfc_sqrt_shape": (lambda: erfc_sqrt_shape(True), "dim", True),
+        "erfc_sqrt_diameter_density": (
+            lambda: erfc_sqrt_diameter_density(True), "dim", True),
+        "erfc_sqrt_radius_law": (
+            lambda: erfc_sqrt_radius_law(True), "dim", True),
+        "RadialFunction.derivative": (
+            lambda: erfc_sqrt().derivative(0.5, True), "order", True),
+    }
+
+    @pytest.mark.parametrize("call, name, value, error", [
+        *(pytest.param(*probe, ModelError, id=key)
+          for key, probe in MODEL_PROBES.items()),
+        *(pytest.param(*probe, DomainError, id=key)
+          for key, probe in PROBES.items())])
+    def test_non_integer_argument_named(self, call, name, value, error):
+        pattern = (f"^{re.escape(name)} must be an integer .*, got "
+                   f"{re.escape(repr(value))}$")
+        with pytest.raises(error, match=pattern):
+            call()

@@ -59,6 +59,22 @@ class TestRecoveryInput:
             RecoveryInput(chi=exponential_decay(), dim=4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda u: recover_shape(RecoveryInput(erfc_sqrt_chi(), 3), u),
+    lambda u: recover_shape(RecoveryInput(erfc_sqrt_chi(), 2), u),
+    lambda u: recover_radius_density(RecoveryInput(erfc_sqrt_chi(), 3), u),
+    lambda u: lambda_chi(RecoveryInput(erfc_sqrt_chi(), 3), u),
+    lambda u: f_from_H(exponential_dist(1.0), 3, u),
+    lambda u: H_from_f(erfc_sqrt_shape(3), 3, u),
+], ids=["recover_shape", "recover_shape-d2", "recover_radius_density",
+        "lambda_chi", "f_from_H", "H_from_f"])
+def test_nan_distance_rejected(call):
+    # A NaN used to read as a distance at or below 0 (value 0), as NaN,
+    # or as a quadrature "lower limit".
+    with pytest.raises(DomainError, match="must .*, got nan$"):
+        call(np.array([0.5, math.nan]))
+
+
 class TestLambdaChi:
     def test_erfc_sqrt_at_one(self):
         # t chi''(1/t) at t=1 for chi = erfc(sqrt(.)):
