@@ -37,6 +37,7 @@ import hashlib
 import inspect
 import json
 import math
+import sys
 from pathlib import Path
 from typing import get_type_hints
 
@@ -98,6 +99,9 @@ __all__ = ["main", "model_from_doc", "load_model", "resolve_function"]
 
 _REQUIRED = object()
 
+#: Most points a lag or grid spec may list.
+_MAX_POINTS = 1_000_000
+
 #: Scalar kind -> the document types it accepts and the noun its error uses.
 _SCALARS = {
     str: ((str,), "a string"),
@@ -108,10 +112,14 @@ _SCALARS = {
 
 
 def _checked(value: object, kind: type, address: str):
-    """``value`` as the scalar ``kind``; booleans are never numbers."""
+    """``value`` as the scalar ``kind``; booleans are never numbers, and
+    numbers are finite."""
     accepted, noun = _SCALARS[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"expected {noun}, got {value!r}", address=address)
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"expected a finite number, got {value!r}",
+                          address=address)
     return kind(value)
 
 
@@ -172,11 +180,14 @@ def _cdf_points(points: object, address: str) -> np.ndarray:
     points = _checked(points, list, address)
     try:
         arr = np.array(points, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("expected [[x, F], ...] number pairs",
                           address=address) from None
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ConfigError("expected at least two [x, F] pairs",
+                          address=address)
+    if not np.isfinite(arr).all():
+        raise ConfigError("cdf points must be finite numbers",
                           address=address)
     xs, fs = arr[:, 0], arr[:, 1]
     if np.any(np.diff(xs) <= 0) or np.any(np.diff(fs) < 0):
@@ -265,12 +276,11 @@ def _build(field_type, section: _Section):
 
 def _config_fields(model_type) -> dict:
     """Config key -> field type: the required init fields of the model
-    type other than ``dim``, in declaration order."""
+    type, ``dim`` first, in declaration order."""
     hints = get_type_hints(model_type)
     return {f.name: hints[f.name]
             for f in dataclasses.fields(model_type)
-            if f.init and f.name != "dim"
-            and f.default is dataclasses.MISSING
+            if f.init and f.default is dataclasses.MISSING
             and f.default_factory is dataclasses.MISSING}
 
 
@@ -278,10 +288,9 @@ def model_from_doc(data: object) -> TcfModel:
     """Build a model from a parsed config document (strict keys)."""
     root = _Section(data, "")
     model_type = root.take_choice("class", _SIMULABLE)
-    dim = root.take("dim", int)
     parts = {key: root.take(key, field_type)
              for key, field_type in _config_fields(model_type).items()}
-    model = model_type(dim=dim, **parts)
+    model = model_type(**parts)
     root.close()
     return model
 
@@ -378,10 +387,10 @@ def _parse_grid(spec: str | None) -> np.ndarray:
     mode = parts[3] if len(parts) == 4 else "log"
     if mode not in ("log", "lin"):
         raise ConfigError(f"grid mode must be log or lin, got {mode!r}")
-    if (n < 2 or not -math.inf < lo < hi < math.inf
+    if (not 2 <= n <= _MAX_POINTS or not -math.inf < lo < hi < math.inf
             or (mode == "log" and lo <= 0)):
-        raise ConfigError(
-            f"grid spec {spec!r} is not a finite increasing range")
+        raise ConfigError(f"grid spec {spec!r} is not a finite increasing "
+                          f"range of 2 to {_MAX_POINTS:,} points")
     return np.geomspace(lo, hi, n) if mode == "log" else np.linspace(lo, hi, n)
 
 
@@ -395,9 +404,10 @@ def _parse_lags(spec: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"lag spec {spec!r}: {exc}") from exc
-        if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
-            raise ConfigError(
-                f"lag spec {spec!r} is not a finite increasing range")
+        if not (0 < step < math.inf and -math.inf < start <= stop < math.inf
+                and (stop - start) / step < _MAX_POINTS):
+            raise ConfigError(f"lag spec {spec!r} is not a finite increasing "
+                              f"range of at most {_MAX_POINTS:,} lags")
         count = int(round((stop - start) / step))
         lags = [start + k * step for k in range(count + 1)]
         return [lag for lag in lags if lag <= stop + 1e-12]
@@ -474,14 +484,22 @@ def _output(fn):
     return fn
 
 
-def _common(tol_help: str = "numerical tolerance passed to the backend"):
+def _positive_finite(ctx, param, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise click.BadParameter(f"must be positive and finite, got {value!r}")
+    return value
+
+
+def _common(tol_help: str = "numerical tolerance passed to the backend",
+            grid_help: str = "evaluation grid"):
     def decorate(fn):
         fn = click.option("--grid", "grid_spec", default=None,
                           metavar="LO:HI:N",
-                          help="evaluation grid lo:hi:n[:log|lin] "
+                          help=f"{grid_help} lo:hi:n[:log|lin] "
                                "(default 1e-3:1e2:200:log)")(fn)
         fn = click.option("--tol", type=float, default=1e-9,
-                          show_default=True, help=tol_help)(fn)
+                          show_default=True, callback=_positive_finite,
+                          help=tol_help)(fn)
         return _output(fn)
     return decorate
 
@@ -610,7 +628,8 @@ def cmd_tb(function_spec, k, d, out, tol, grid_spec, quiet):
               show_default=True, help="ambient dimension for the batteries")
 @click.option("--max-order", type=click.IntRange(1, 8), default=6,
               show_default=True, help="highest derivative order probed")
-@_common(_SPEC_TOL_HELP)
+@_common(_SPEC_TOL_HELP, "points of T1_MMMr, completely_monotone, "
+         "Tinfty_MMMr and H3_condition (the other batteries use their own)")
 @_seed
 def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
               quiet):

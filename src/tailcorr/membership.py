@@ -697,7 +697,10 @@ def test_positive_definite(chi: RadialFunction, d: int,
 def classify(chi: RadialFunction, d: int, *, seed: int = 0, grid=None,
              max_order: int = 6) -> MembershipReport:
     """Run the applicable necessary-condition batteries plus the special
-    closed-form rules for the powered-erfc family and compact supports."""
+    closed-form rules for the powered-erfc family and compact supports.
+    ``grid`` feeds T1_MMMr, completely_monotone, Tinfty_MMMr and
+    H3_condition; triangle, positive_definite and H2_condition use their
+    own points."""
     d = _integer(d, "d", 1)
     xs = _as_grid(grid)
     if abs(float(chi(0.0)) - 1.0) > 1e-9:

@@ -34,10 +34,10 @@ z . t/|t| >= |t|/2, so by symmetry
 where cap_d(u, c) is the surface measure of the spherical cap
 {|z| = u, z_1 > c u}; an incomplete Beta function in closed form.
 
-Each model class is declared in one place, its dataclass: the TCF is its
-``_tcf`` method, which takes a 1-D array of lags and returns the values and
-their error estimates (the lags of a quadrature class are one batch of
-integrals), and a class that can be simulated also carries
+Each model class is declared in one place, its :class:`TcfModel` subclass:
+the TCF is its ``_tcf`` method, which takes a 1-D array of lags and returns
+the values and their error estimates (the lags of a quadrature class are
+one batch of integrals), and a class that can be simulated also carries
 ``_profile_sampler``, the size-biased storm profile law used by
 :func:`tailcorr.simulate.simulate`, whose draws are evaluated on demand
 (see ``_Profile``).  The command line reads a class's config keys from its
@@ -47,8 +47,8 @@ required dataclass fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, ClassVar
 
 import numpy as np
 from scipy import special as _special
@@ -276,18 +276,6 @@ class _GaussianRows:
         return low[:-1], low[-1], y[-1] + slack[-1]
 
 
-def _embed_sites(sites: np.ndarray, model_dim: int, model_name: str,
-                 ) -> np.ndarray:
-    m, g = sites.shape
-    if model_dim < g:
-        raise DomainError(
-            f"{model_name} lives in dimension {model_dim} and cannot host a "
-            f"{g}-dimensional grid")
-    out = np.zeros((m, model_dim))
-    out[:, :g] = sites
-    return out
-
-
 def _pairwise_distances(sites: np.ndarray) -> np.ndarray:
     diff = sites[:, None, :] - sites[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
@@ -300,8 +288,7 @@ def _gaussian_distances(model: TcfModel, sites: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"Gaussian-class grids are capped at {_GAUSSIAN_SITE_CAP} "
             f"sites for dense factorization, got {sites.shape[0]}")
-    name = f"a {type(model).__name__.removesuffix('Model')} model"
-    return _pairwise_distances(_embed_sites(sites, model.dim, name))
+    return _pairwise_distances(model._host(sites))
 
 
 def _variogram_covariance(model: BRModel | VBRModel, sites: np.ndarray):
@@ -399,16 +386,43 @@ class ShapeEnsemble:
 
 
 @dataclass(frozen=True)
-class M3rModel:
+class TcfModel:
+    """The base of every model class: the ``dim`` field and the checks all
+    classes share.  It declares no ``_tcf``; each class states its own."""
+
+    #: Whether the profiles of the class also take ``profile(idx)``.
+    _PARTIAL_PROFILE: ClassVar[bool] = False
+    dim: int
+
+    def __post_init__(self) -> None:
+        _integer(self.dim, "dim", 1, error=ModelError)
+        for f in fields(self):
+            law = getattr(self, f.name) if f.init else None
+            if isinstance(law, Distribution1D):
+                _check_mixing(law, f"{f.name.replace('_', ' ')} law")
+
+    def _host(self, sites: np.ndarray) -> np.ndarray:
+        """The ``(m, g)`` grid ``sites`` as points of R^dim."""
+        m, g = sites.shape
+        if self.dim < g:
+            raise DomainError(
+                f"{type(self).__name__.removesuffix('Model')} model lives in "
+                f"dimension {self.dim} and cannot host a {g}-dimensional grid")
+        out = np.zeros((m, self.dim))
+        out[:, :g] = sites
+        return out
+
+
+@dataclass(frozen=True)
+class M3rModel(TcfModel):
     """Mixed moving maxima with random radial non-increasing shapes."""
 
-    dim: int
     ensemble: ShapeEnsemble
     n_samples: int = 200
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _integer(self.dim, "dim", 1, error=ModelError)
+        super().__post_init__()
         _integer(self.n_samples, "n_samples", 1, error=ModelError)
         _integer(self.seed, "seed", 0, error=ModelError)
 
@@ -429,20 +443,19 @@ class M3rModel:
 
 
 @dataclass(frozen=True)
-class M2rModel:
+class M2rModel(TcfModel):
     """Moving maxima with one deterministic radial non-increasing shape.
 
     The shape must integrate to 1 over R^d; this is checked at construction
     by radial quadrature (tolerance ``normalization_tol``).
     """
 
-    dim: int
     shape: RadialFunction
     normalization_tol: float = 1e-6
     _offset: Distribution1D = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _integer(self.dim, "dim", 1, error=ModelError)
+        super().__post_init__()
         grid = np.logspace(-3, 2, 40)
         vals = self.shape(grid)
         if np.any(vals < -1e-12):
@@ -475,7 +488,7 @@ class M2rModel:
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Storm center at a radial offset rho drawn from the offset law,
         # uniform direction; profile ratio f(.)/f(rho).
-        pts = _embed_sites(sites, self.dim, "an M2r model")
+        pts = self._host(sites)
         coords = np.ascontiguousarray(pts.T)
         func, dim, offset = self.shape.func, self.dim, self._offset
 
@@ -493,15 +506,10 @@ class M2rModel:
 
 
 @dataclass(frozen=True)
-class M3bModel:
+class M3bModel(TcfModel):
     """Mixed moving maxima with ball indicator shapes of random radius R."""
 
-    dim: int
     radius: Distribution1D
-
-    def __post_init__(self) -> None:
-        _integer(self.dim, "dim", 1, error=ModelError)
-        _check_mixing(self.radius, "radius law")
 
     def _tcf(self, t: np.ndarray, tol: float):
         d = self.dim
@@ -517,7 +525,7 @@ class M3bModel:
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Radius from the model law unchanged, center uniform in the ball
         # around the site; profile ratio is the covering indicator.
-        pts = _embed_sites(sites, self.dim, "an M3b model")
+        pts = self._host(sites)
         coords = np.ascontiguousarray(pts.T)
         dim = self.dim
         radius = self.radius
@@ -536,16 +544,11 @@ class M3bModel:
 
 
 @dataclass(frozen=True)
-class MPSModel:
+class MPSModel(TcfModel):
     """Mixed Poisson storm process; chi is the Laplace transform of the
     intensity mixing law F at distance scaled by laplace_factor(dim)."""
 
-    dim: int
     mixing: Distribution1D
-
-    def __post_init__(self) -> None:
-        _integer(self.dim, "dim", 1, error=ModelError)
-        _check_mixing(self.mixing, "mixing law")
 
     def _tcf(self, t: np.ndarray, tol: float):
         return self.mixing.expectations(lambda s, c: np.exp(-c * s),
@@ -578,15 +581,11 @@ class MPSModel:
 
 
 @dataclass(frozen=True)
-class BRModel:
+class BRModel(TcfModel):
     """Brown-Resnick process with the given variogram."""
 
     _PARTIAL_PROFILE: ClassVar[bool] = True
-    dim: int
     variogram: Variogram
-
-    def __post_init__(self) -> None:
-        _integer(self.dim, "dim", 1, error=ModelError)
 
     def _tcf(self, t: np.ndarray, tol: float):
         return (_special.erfc(np.sqrt(self.variogram(t) / 8.0)),
@@ -608,18 +607,13 @@ class BRModel:
 
 
 @dataclass(frozen=True)
-class VBRModel:
+class VBRModel(TcfModel):
     """Variance-mixed Brown-Resnick: Gaussian scale S ~ G applied to the
     driving process, chi(t) = int erfc(s sqrt(gamma(t)/8)) dG(s)."""
 
     _PARTIAL_PROFILE: ClassVar[bool] = True
-    dim: int
     variogram: Variogram
     scale_mixing: Distribution1D
-
-    def __post_init__(self) -> None:
-        _integer(self.dim, "dim", 1, error=ModelError)
-        _check_mixing(self.scale_mixing, "scale mixing law")
 
     def _tcf(self, t: np.ndarray, tol: float):
         return self.scale_mixing.expectations(
@@ -644,15 +638,11 @@ class VBRModel:
 
 
 @dataclass(frozen=True)
-class EGModel:
+class EGModel(TcfModel):
     """Extremal Gaussian process with correlation rho."""
 
     _PARTIAL_PROFILE: ClassVar[bool] = True
-    dim: int
     correlation: Correlation
-
-    def __post_init__(self) -> None:
-        _integer(self.dim, "dim", 1, error=ModelError)
 
     def _tcf(self, t: np.ndarray, tol: float):
         rho = self.correlation(t)
@@ -675,15 +665,11 @@ class EGModel:
 
 
 @dataclass(frozen=True)
-class EBGModel:
+class EBGModel(TcfModel):
     """Extremal binary Gaussian process with correlation rho."""
 
     _PARTIAL_PROFILE: ClassVar[bool] = True
-    dim: int
     correlation: Correlation
-
-    def __post_init__(self) -> None:
-        _integer(self.dim, "dim", 1, error=ModelError)
 
     def _tcf(self, t: np.ndarray, tol: float):
         rho = np.clip(self.correlation(t), -1.0, 1.0)
@@ -705,18 +691,17 @@ class EBGModel:
 
 
 @dataclass(frozen=True)
-class ParametricModel:
+class ParametricModel(TcfModel):
     """A member of one of the named parametric families of radial functions;
     a parameter outside the family's domain is rejected at construction."""
 
-    dim: int
     family: str
     nu: float
     beta: float = 1.0
     _function: RadialFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _integer(self.dim, "dim", 1, error=ModelError)
+        super().__post_init__()
         if self.family not in PARAMETRIC_FAMILIES:
             raise ModelError(
                 f"unknown family {self.family!r}; choose from "
@@ -729,7 +714,7 @@ class ParametricModel:
 
 
 @dataclass(frozen=True)
-class ErfcMixtureModel:
+class ErfcMixtureModel(TcfModel):
     """Scale mixture phi(t) = int_0^inf erfc(s t) dG(s).
 
     ``closed_form``, when present, is an independently derived analytic
@@ -737,23 +722,12 @@ class ErfcMixtureModel:
     so the two routes stay comparable.
     """
 
-    dim: int
     mixing: Distribution1D
     closed_form: Callable[[float], float] | None = None
-
-    def __post_init__(self) -> None:
-        _integer(self.dim, "dim", 1, error=ModelError)
-        _check_mixing(self.mixing, "mixing law")
 
     def _tcf(self, t: np.ndarray, tol: float):
         return self.mixing.expectations(lambda s, u: _special.erfc(s * u), t,
                                         tol=tol)
-
-
-TcfModel = Union[
-    M3rModel, M2rModel, M3bModel, MPSModel, BRModel, VBRModel,
-    EGModel, EBGModel, ParametricModel, ErfcMixtureModel,
-]
 
 
 # ---------------------------------------------------------------------------
@@ -899,8 +873,8 @@ def _family(name: str) -> _Family:
 def parametric_tcf(family: str, nu: float, t, *, beta: float = 1.0):
     """Evaluate the named parametric family at parameter nu (and beta for
     the Cauchy family).  Scalar or array t."""
-    if np.any(np.asarray(t, dtype=float) < 0):
-        raise DomainError(f"t must be >= 0, got {t!r}")
+    lags = np.asarray(t, dtype=float)
+    _reject(lags, ~(lags >= 0), "t must be >= 0")
     return _family(family).function(nu, beta)(t)
 
 

@@ -104,8 +104,8 @@ def _check_x(x: np.ndarray) -> None:
 
 def _check_lam(lam: float) -> float:
     lf = float(lam)
-    if lf <= 0:
-        raise DomainError(f"lambda must be > 0, got {lam!r}")
+    if not 0.0 < lf < math.inf:
+        raise DomainError(f"lambda must be > 0 and finite, got {lam!r}")
     return lf
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, get_args
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -79,10 +79,10 @@ _SCREEN_SITES = 8
 #: storm classes evaluate a whole profile about as fast as a screen.
 _SCREEN_FROM_SITES = 512
 
-#: Class tag -> model type, for every member of TcfModel that carries a
-#: size-biased profile sampler.
+#: Class tag -> model type, for every model class (a subclass of
+#: TcfModel) that carries a size-biased profile sampler.
 _SIMULABLE = {cls.__name__.removesuffix("Model"): cls
-              for cls in get_args(TcfModel)
+              for cls in TcfModel.__subclasses__()
               if hasattr(cls, "_profile_sampler")}
 
 _MARGINS = ("frechet", "gumbel")
@@ -296,7 +296,7 @@ def simulate(config: SimConfig) -> Iterator[GridField]:
             f"supported classes: {', '.join(_SIMULABLE)}")
     sites = config.grid.sites()
     draw = config.model._profile_sampler(sites)
-    screens = (getattr(config.model, "_PARTIAL_PROFILE", False)
+    screens = (config.model._PARTIAL_PROFILE
                and len(sites) >= _SCREEN_FROM_SITES
                and len(sites) > _SCREEN_SITES)
     near = _nearest_earlier(config.grid, _SCREEN_SITES) if screens else None

@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import get_args
 
 import numpy as np
 import pytest
@@ -37,8 +36,11 @@ from tailcorr import (
     turning_bands,
 )
 from tailcorr.cli import (
+    _SCALARS,
     _SECTIONS,
     _config_fields,
+    _parse_grid,
+    _parse_lags,
     _read_fields_csv,
     main,
     model_from_doc,
@@ -47,6 +49,7 @@ from tailcorr.cli import (
 from tailcorr.distributions import Distribution1D, exponential_dist, point_mass
 from tailcorr.errors import ConfigError, DomainError
 from tailcorr.models import M3rModel, ShapeEnsemble, TcfModel
+from tailcorr.simulate import _SIMULABLE
 from tailcorr.presets import (
     REPRODUCTION_SUITES,
     Check,
@@ -380,6 +383,28 @@ class TestConfigSections:
         assert err.value.address == "scale_mixing.points"
         assert str(err.value).startswith("scale_mixing.points: ")
 
+    @pytest.mark.parametrize("doc,address", [
+        ("class: M3b\ndim: 1\nradius: {type: tabulated, "
+         "points: [[0.1, 0.0], [.nan, 1.0]]}", "radius.points"),
+        ("class: M3b\ndim: 1\nradius: {type: tabulated, "
+         "points: [[0.1, 0.0], [.inf, 1.0]]}", "radius.points"),
+        ("class: M3b\ndim: 1\nradius: {type: exponential, rate: .nan}",
+         "radius.rate"),
+        ("class: MPS\ndim: 1\nmixing: {type: exponential, rate: .inf}",
+         "mixing.rate"),
+        ("class: BR\ndim: 1\nvariogram: {type: bounded, lambda: .inf, "
+         "correlation: {type: exponential}}",
+         "variogram.lambda"),
+        ("class: EG\ndim: 1\ncorrelation: {type: gaussian, "
+         "scale: 1" + "0" * 400 + "}", "correlation.scale"),
+    ], ids=["tabulated-nan", "tabulated-inf", "rate-nan", "rate-inf",
+            "lambda-inf", "int-beyond-float"])
+    def test_non_finite_number_rejected(self, doc, address):
+        # These wrote nan or 0 rows, or ended in the storm budget.
+        with pytest.raises(ConfigError, match="finite") as err:
+            model_from_doc(yaml.safe_load(doc))
+        assert err.value.address == address
+
 
 class TestModelDeclarations:
     """Each model class states its TCF, sampler and config keys once, on
@@ -387,27 +412,39 @@ class TestModelDeclarations:
     from there."""
 
     SIMULABLE = {"M2r", "M3b", "MPS", "BR", "VBR", "EG", "EBG"}
+    TAGS = ["M3r", "M2r", "M3b", "MPS", "BR", "VBR", "EG", "EBG",
+            "Parametric", "ErfcMixture"]
+
+    def model_types(self):
+        """The model classes, checked to be the ten, in definition order."""
+        types = TcfModel.__subclasses__()
+        assert [cls.__name__.removesuffix("Model")
+                for cls in types] == self.TAGS
+        return types
 
     def test_classes_with_a_sampler(self):
-        with_sampler = {cls.__name__.removesuffix("Model")
-                        for cls in get_args(TcfModel)
-                        if hasattr(cls, "_profile_sampler")}
-        assert with_sampler == self.SIMULABLE
+        with_sampler = [cls.__name__.removesuffix("Model")
+                        for cls in self.model_types()
+                        if hasattr(cls, "_profile_sampler")]
+        assert list(_SIMULABLE) == with_sampler
+        assert set(with_sampler) == self.SIMULABLE
 
-    def test_every_config_field_type_has_a_section(self):
-        for model_type in get_args(TcfModel):
+    def test_partial_profiles(self):
+        partial = {cls.__name__.removesuffix("Model")
+                   for cls in self.model_types() if cls._PARTIAL_PROFILE}
+        assert partial == {"BR", "VBR", "EG", "EBG"}
+
+    def test_every_config_field_type_has_a_parser(self):
+        for model_type in self.model_types():
             if hasattr(model_type, "_profile_sampler"):
-                assert set(_config_fields(model_type).values()) <= set(
-                    _SECTIONS)
+                fields = _config_fields(model_type)
+                assert list(fields)[0] == "dim"
+                assert set(fields.values()) <= set(_SECTIONS) | set(_SCALARS)
 
-    def test_every_config_field_has_a_parser(self):
-        for model_type in get_args(TcfModel):
-            if hasattr(model_type, "_profile_sampler"):
-                assert _config_fields(model_type)
-
-    def test_every_model_type_has_a_tcf(self):
-        for model_type in get_args(TcfModel):
-            assert callable(getattr(model_type, "_tcf", None)), model_type
+    def test_every_model_type_has_its_own_tcf(self):
+        assert not hasattr(TcfModel, "_tcf")
+        for model_type in self.model_types():
+            assert callable(vars(model_type).get("_tcf")), model_type
 
     def test_cli_parses_exactly_the_simulable_classes(self, runner,
                                                       tmp_path):
@@ -548,6 +585,14 @@ class TestTransform:
         assert shapes == [(7,)]
         assert [float(a) for a, _, _ in csv_rows(res.stdout)] == \
             np.geomspace(0.1, 4.0, 7).tolist()
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "0"])
+    def test_lambda_must_be_positive_and_finite(self, runner, lam):
+        # nan wrote nan rows and inf wrote -1, both with exit status 0.
+        res = runner.invoke(main, ["transform", "exp", "--map", "S",
+                                   "--lam", lam, "--quiet"])
+        assert res.exit_code == 1
+        assert "lambda must be > 0 and finite" in res.output
 
     def test_r_map_squares_toward_one(self, runner):
         from tailcorr.operators import transform_R
@@ -1001,6 +1046,35 @@ class TestGridSpecs:
         assert res.exit_code == 1
         assert (f"lag spec {spec!r} is not a finite increasing range"
                 in res.output)
+
+    def test_more_than_a_million_points_rejected(self):
+        # The counts were unbounded, and a huge lag count overflowed.
+        assert len(_parse_grid("1:2:1000000")) == 1_000_000
+        assert len(_parse_lags("0:999999:1")) == 1_000_000
+        for spec in ("1:2:1000001", "0.1:2:1000001:lin"):
+            with pytest.raises(ConfigError, match=f"grid spec {spec!r} is "
+                               "not .* range of 2 to 1,000,000 points"):
+                _parse_grid(spec)
+        for spec in ("0:1000000:1", "0:1e300:1e-300"):
+            with pytest.raises(ConfigError, match=f"lag spec {spec!r} is "
+                               "not .* range of at most 1,000,000 lags"):
+                _parse_lags(spec)
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "{config}", "--lags", "0.5"],
+        ["recover", "erfc_sqrt", "--target", "shape"],
+        ["transform", "exp", "--map", "S"],
+        ["tb", "tent", "--k", "1", "--d", "3"],
+        ["check", "exp", "--d", "1"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_tol_must_be_positive_and_finite(self, runner, br_config,
+                                             command, tol):
+        # --tol nan wrote a nan row with exit status 0.
+        args = [arg.format(config=br_config) for arg in command]
+        res = runner.invoke(main, [*args, "--tol", tol, "--quiet"])
+        assert res.exit_code == 2
+        assert "must be positive and finite" in res.output
 
     def test_linear_grid_endpoints(self, runner):
         res = runner.invoke(main, ["transform", "exp", "--map", "R",

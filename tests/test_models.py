@@ -357,6 +357,11 @@ class TestParametricFamilies:
         assert np.allclose(parametric_tcf("whittle_matern", 0.5, t),
                            np.exp(-t), rtol=1e-10)
 
+    @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan]])
+    def test_nan_lag_rejected(self, t):
+        with pytest.raises(DomainError, match="^t must be >= 0, got nan$"):
+            parametric_tcf("cauchy", 1.0, t)
+
     def test_truncated_power_value(self):
         assert parametric_tcf("truncated_power", 2.0, 0.5) == pytest.approx(
             0.25, abs=1e-14)
@@ -642,3 +647,39 @@ class TestModelValidation:
     def test_bad_dim(self):
         with pytest.raises(ModelError):
             BRModel(dim=0, variogram=fbm_variogram(1.0, 1.0))
+
+    @pytest.mark.parametrize("model", [
+        M3rModel(dim=1, ensemble=ShapeEnsemble("tent", lambda rng: tent())),
+        M2rModel(dim=1, shape=tent()),
+        M3bModel(dim=1, radius=point_mass(1.0)),
+        MPSModel(dim=1, mixing=exponential_dist(1.0)),
+        BRModel(dim=1, variogram=fbm_variogram(1.0, 1.0)),
+        VBRModel(dim=1, variogram=fbm_variogram(1.0, 1.0),
+                 scale_mixing=exponential_dist(2.0)),
+        EGModel(dim=1, correlation=exponential_correlation()),
+        EBGModel(dim=1, correlation=exponential_correlation()),
+        ParametricModel(dim=1, family="powered_exponential", nu=1.0),
+        erfc_mixture(4, 1.0),
+    ], ids=lambda model: type(model).__name__)
+    @pytest.mark.parametrize("dim", [0, 1.0, True])
+    def test_every_class_checks_dim(self, model, dim):
+        with pytest.raises(ModelError,
+                           match=f"^dim must be an integer >= 1, got {dim!r}$"):
+            dataclasses.replace(model, dim=dim)
+
+    @pytest.mark.parametrize("build,what", [
+        (lambda law: M3bModel(dim=1, radius=law), "radius law"),
+        (lambda law: MPSModel(dim=1, mixing=law), "mixing law"),
+        (lambda law: VBRModel(dim=1, variogram=fbm_variogram(1.0, 1.0),
+                              scale_mixing=law), "scale mixing law"),
+        (lambda law: ErfcMixtureModel(dim=1, mixing=law), "mixing law"),
+    ], ids=["M3b", "MPS", "VBR", "ErfcMixture"])
+    @pytest.mark.parametrize("law,problem", [
+        (point_mass(-1.0),
+         "must be supported on (0, inf), got support (-1.0, -1.0)"),
+        (point_mass(0.0), "has an atom at a non-positive location"),
+    ], ids=["support-below-0", "atom-at-0"])
+    def test_mixing_law_checked(self, build, what, law, problem):
+        with pytest.raises(ModelError) as err:
+            build(law)
+        assert str(err.value) == f"{what} {problem}"

@@ -222,6 +222,14 @@ class TestTransformSpec:
             TransformSpec("T", lam=1.0, alpha=1.5)
         TransformSpec("R", alpha=0.7)  # lambda irrelevant for R
 
+    @pytest.mark.parametrize("map_name", ["S", "T"])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, map_name, lam):
+        with pytest.raises(DomainError, match="lambda must be > 0 and finite"):
+            TransformSpec(map_name, lam)
+        with pytest.raises(DomainError, match="lambda must be > 0 and finite"):
+            (transform_S if map_name == "S" else transform_T)(lam, 0.3)
+
     @pytest.mark.parametrize("lam,alpha", [(3.0, 0.25), (5.0, 0.6), (1.62, 0.0)])
     def test_shift_rescales_lambda_for_s_and_t(self, lam, alpha):
         # S_{lam,alpha} = S_{lam (1-alpha)} identically, and likewise for T.

@@ -235,6 +235,16 @@ class TestEngineBasics:
                                grid=GridSpec(dim=2, shape=(2, 2)),
                                n_realizations=1, seed=0))
 
+    @pytest.mark.parametrize("tag", ["M2r", "M3b", "MPS", "BR", "VBR", "EG",
+                                     "EBG"])
+    def test_one_dimensional_model_refuses_a_2d_grid(self, tag):
+        message = ("requires a 1-D grid" if tag == "MPS" else
+                   "lives in dimension 1 and cannot host a 2-dimensional grid")
+        with pytest.raises(DomainError, match=message):
+            simulate(SimConfig(model=models_1d()[tag],
+                               grid=GridSpec(dim=2, shape=(2, 2)),
+                               n_realizations=1, seed=0))
+
     def test_gaussian_site_cap(self):
         model = EGModel(dim=2, correlation=exponential_correlation(1.0))
         with pytest.raises(DomainError, match="capped"):
