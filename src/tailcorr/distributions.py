@@ -318,8 +318,8 @@ def point_mass(x: float, name: str | None = None) -> Distribution1D:
 
 def exponential_dist(rate: float = 1.0, name: str | None = None) -> Distribution1D:
     """Exponential law with the given rate (mean 1/rate)."""
-    if rate <= 0:
-        raise DomainError(f"rate must be positive, got {rate!r}")
+    if not 0 < rate < math.inf:
+        raise DomainError(f"rate must be positive and finite, got {rate!r}")
     r = float(rate)
     return Distribution1D(
         name=name or f"exponential(rate={r:g})",
@@ -352,9 +352,10 @@ def from_pdf(name: str, pdf: Callable[[float], float],
 
 def scale_distribution(dist: Distribution1D, c: float,
                        name: str | None = None) -> Distribution1D:
-    """The law of c*X for X ~ dist and c > 0."""
-    if c <= 0:
-        raise DomainError(f"scale factor must be positive, got {c!r}")
+    """The law of c*X for X ~ dist and finite c > 0."""
+    if not 0 < c < math.inf:
+        raise DomainError(
+            f"scale factor c must be positive and finite, got {c!r}")
     cf = float(c)
     lo, hi = dist.support
     cdf = (lambda s: dist.cdf(s / cf)) if dist.cdf is not None else None

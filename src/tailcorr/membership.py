@@ -47,6 +47,7 @@ import numpy as np
 from .errors import DomainError
 from .models import parametric_bounds
 from .numerics import (
+    _EPS,
     _STENCIL_REACH,
     _float_rule,
     _integer,
@@ -265,6 +266,43 @@ def _chunks(n: int):
         lo, hi = hi, 4 * hi
 
 
+def _eigmin_uncertified(floor, *stacks: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue over ``stacks`` of each symmetric matrix,
+    or +inf where a Cholesky certificate shows none of them below -floor.
+
+    Each stack is factorized once, shifted by floor / 2.  A factorization
+    that completes is exact for the shifted matrix B plus a perturbation
+    of 2-norm at most n gamma_{n+1} ||B|| / (1 - n gamma_{n+1}) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 10.1),
+    and forming B rounds each diagonal entry once more; the bound below,
+    with the Frobenius norm, covers both.  Where it lies under floor / 2,
+    the smallest eigenvalue is above -floor.  Every other matrix, and the
+    whole chunk when a factorization breaks down, takes the stacked
+    eigenvalue call, so a passing chunk computes no eigenvalue and a
+    failing one gets the bits of ``np.linalg.eigvalsh``.
+    """
+    n = stacks[0].shape[-1]
+    half = 0.5 * np.broadcast_to(np.asarray(floor, dtype=float),
+                                 stacks[0].shape[:1])
+    unit = 0.5 * _EPS
+    gamma = (n + 1) * unit / (1.0 - (n + 1) * unit)
+    certified = np.ones(half.shape, dtype=bool)
+    try:
+        for a in stacks:
+            shifted = a + half[:, None, None] * np.eye(n)
+            np.linalg.cholesky(shifted)
+            norm = np.sqrt(np.einsum("kij,kij->k", shifted, shifted))
+            certified &= (n + 1) * gamma * norm < half
+    except np.linalg.LinAlgError:
+        certified[:] = False
+    eigmin = np.full(half.shape, np.inf)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        eigmin[rest] = np.min([np.linalg.eigvalsh(a[rest])[:, 0]
+                               for a in stacks], axis=0)
+    return eigmin
+
+
 def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     """Hankel positive-semidefiniteness of f on arithmetic grids.
 
@@ -274,10 +312,12 @@ def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     semidefinite.  A clearly negative eigenvalue refutes; this detects
     shallow violations far beyond the reach of low-order derivative signs.
     The 13 x 13 grids (start outer, spacing inner) go in chunks: one call
-    of f and one stacked eigenvalue call per Hankel stack each, and the
-    first failing grid in that order is the witness.  Returns None when no
-    matrix falls below the tolerance; raises DomainError naming the first
-    grid point where f is not finite.
+    of f and one Cholesky certificate per Hankel stack each
+    (:func:`_eigmin_uncertified`); eigenvalues are computed only in a
+    chunk the certificate does not pass, and the first failing grid in
+    that order is the witness.  Returns None when no matrix falls below
+    the tolerance; raises DomainError naming the first grid point where f
+    is not finite.
     """
     n = 14
     x0, h = (g.ravel() for g in np.meshgrid(np.geomspace(0.01, 5.0, 13),
@@ -288,10 +328,9 @@ def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     for part in _chunks(len(x0)):
         xs = x0[part][:, None] + h[part][:, None] * np.arange(2 * n + 2)
         m = _finite_values(f, xs, "on a moment grid")
-        eigmin = np.minimum(np.linalg.eigvalsh(m[:, hankel])[:, 0],
-                            np.linalg.eigvalsh(m[:, hankel + 1])[:, 0])
-        scale = np.maximum(1.0, np.abs(m[:, 0]))
-        failing = np.flatnonzero(eigmin < -np.maximum(tol, 1e-12 * scale))
+        floor = np.maximum(tol, 1e-12 * np.maximum(1.0, np.abs(m[:, 0])))
+        eigmin = _eigmin_uncertified(floor, m[:, hankel], m[:, hankel + 1])
+        failing = np.flatnonzero(eigmin < -floor)
         if failing.size:
             i = int(failing[0])
             return _failed(
@@ -659,7 +698,10 @@ def test_positive_definite(chi: RadialFunction, d: int,
 
     Stage one draws seeded random configurations (cubes, collinear ladders,
     clusters) and requires every Gram matrix to have minimum eigenvalue
-    >= -tol; a violation carries the configuration as witness.  Stage two,
+    >= -tol; a violation carries the configuration as witness.  The
+    configurations go in chunks, each passed by one Cholesky certificate
+    (:func:`_eigmin_uncertified`); eigenvalues are computed only in a
+    chunk the certificate does not pass.  Stage two,
     for compactly supported inputs in d <= 3, scans the spectral density
     and certifies shallow indefiniteness through an explicit lattice
     configuration and coefficient vector whose Rayleigh quotient is
@@ -676,7 +718,7 @@ def test_positive_definite(chi: RadialFunction, d: int,
         diff = sites[part, :, None, :] - sites[part, None, :, :]
         gram = _finite_values(chi, np.sqrt((diff ** 2).sum(-1)),
                               "at a Gram matrix distance")
-        eigmin = np.linalg.eigvalsh(gram)[:, 0]
+        eigmin = _eigmin_uncertified(tol, gram)
         failing = np.flatnonzero(eigmin < -tol)
         if failing.size:
             i = int(failing[0])

@@ -264,12 +264,24 @@ def _array_callable(func: Callable) -> Callable:
 
 
 def _once_per_node(func: Callable, x: np.ndarray) -> np.ndarray:
-    """``func`` on an array of abscissae, called once on their distinct
-    values: the integrals of a batch start from the same panels, so a
-    factor that depends on x alone repeats across them."""
-    distinct, where = np.unique(x, return_inverse=True)
-    return np.asarray(func(distinct), dtype=float)[where.ravel()].reshape(
-        x.shape)
+    """``func`` on an array of abscissae, one panel of nodes per row (last
+    axis), called once on each distinct panel: the integrals of a batch
+    start from the same panels, so a factor that depends on x alone
+    repeats across them.
+
+    Rows are sorted by their first node, and a row equal to its sorted
+    predecessor in every column takes that row's values, so no value is
+    shared between nodes that differ.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    order = np.argsort(rows[:, 0])
+    ranked = rows[order]
+    new = np.ones(len(ranked), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    out = np.empty(rows.shape)
+    out[order] = np.asarray(func(ranked[new]), dtype=float)[
+        np.cumsum(new) - 1]
+    return out.reshape(x.shape)
 
 
 #: Panel budget of one integral.

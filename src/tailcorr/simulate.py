@@ -62,6 +62,12 @@ __all__ = [
 #: law is inconsistent with its margins comes near this.
 _STORMS_PER_SITE = 1_000
 
+#: Most grid sites a simulation takes.  Exact enumeration examines about
+#: one storm per site and each whole profile costs O(sites), so a
+#: realization costs O(sites^2); far larger grids would also allocate
+#: their site coordinates before anything else could refuse them.
+_MAX_SITES = 2 ** 20
+
 #: Finished sites at which a storm candidate is screened before its whole
 #: profile is evaluated: the ones nearest to the site being enumerated,
 #: where most rejections show.  BR on a 32 x 32 grid took a median 269,
@@ -129,7 +135,7 @@ class GridSpec:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def sites(self) -> np.ndarray:
         """All grid sites as an ``(n_sites, dim)`` array, row-major."""
@@ -284,16 +290,19 @@ def simulate(config: SimConfig) -> Iterator[GridField]:
     the stream is bit-reproducible and may be regenerated in any order.
 
     Raises :class:`~tailcorr.errors.DomainError` for unsupported model
-    classes or grids (Poisson storms require d = 1; Gaussian classes cap
-    the site count) and :class:`~tailcorr.errors.SimulationError` for
-    indefinite covariances, with the minimum eigenvalue attached, and for
-    a realization that examines more than ``_STORMS_PER_SITE`` storm
-    candidates per site.
+    classes or grids (more than ``_MAX_SITES`` sites; Poisson storms
+    require d = 1; Gaussian classes cap the site count) and
+    :class:`~tailcorr.errors.SimulationError` for indefinite covariances,
+    with the minimum eigenvalue attached, and for a realization that
+    examines more than ``_STORMS_PER_SITE`` storm candidates per site.
     """
     if not hasattr(config.model, "_profile_sampler"):
         raise DomainError(
             f"simulation is not supported for {type(config.model).__name__}; "
             f"supported classes: {', '.join(_SIMULABLE)}")
+    if config.grid.n_sites > _MAX_SITES:
+        raise DomainError(f"grid has {config.grid.n_sites} sites, more than "
+                          f"the {_MAX_SITES} a simulation takes")
     sites = config.grid.sites()
     draw = config.model._profile_sampler(sites)
     screens = (config.model._PARTIAL_PROFILE

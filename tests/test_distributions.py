@@ -16,6 +16,7 @@ from tailcorr.distributions import (
     exponential_dist,
     from_cdf,
     from_pdf,
+    scale_distribution,
 )
 from tailcorr.errors import DomainError, SimulationError
 
@@ -136,3 +137,17 @@ def test_density_without_mass_raises():
     law = from_pdf("zero", lambda x: 0.0, support=(0.0, 1.0))
     with pytest.raises(SimulationError, match="density integrates to zero"):
         law.sample(rng(), 1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_exponential_rate_must_be_positive_and_finite(value):
+    with pytest.raises(DomainError, match=f"rate must be positive and "
+                                          f"finite, got {value!r}"):
+        exponential_dist(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+def test_scale_factor_must_be_positive_and_finite(value):
+    with pytest.raises(DomainError, match=f"scale factor c must be positive "
+                                          f"and finite, got {value!r}"):
+        scale_distribution(exponential_dist(), value)

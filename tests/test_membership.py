@@ -15,6 +15,8 @@ from conftest import assert_entrywise
 from tailcorr import cli
 from tailcorr.errors import DomainError
 from tailcorr.membership import (
+    _chunks,
+    _eigmin_uncertified,
     _lattice_rayleigh,
     _moment_matrix_stage,
     _neg_deriv_sqrt,
@@ -491,6 +493,98 @@ class TestPositiveDefinite:
     def test_gram_stage_passes_where_loop_passes(self, chi, d):
         assert gram_stage_by_configuration(chi, d, 0) is None
         assert test_positive_definite(chi, d).passed
+
+
+def with_eigmin(rng, n, eigmin):
+    """A symmetric n x n matrix with smallest eigenvalue ``eigmin`` and the
+    others in [0.5, 2]."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * np.append(eigmin, rng.uniform(0.5, 2.0, n - 1))) @ q.T
+    return 0.5 * (a + a.T)
+
+
+def counting_eigvalsh(monkeypatch):
+    """Wrap np.linalg.eigvalsh; the list collects the shape of each call."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestCholeskyCertificate:
+    FLOOR = 1e-9
+
+    @pytest.mark.parametrize("n", [8, 15])
+    def test_verdict_and_eigmin_match_eigenvalue_path(self, n):
+        rng = np.random.default_rng(n)
+        factors = (-2.0, -1.01, -0.99, -0.6, -0.4, 0.0, 1.0)
+        # Positive definite, so the factorization completes: only the
+        # rounding bound keeps it from certifying.
+        huge = with_eigmin(rng, n, 0.5)
+        huge *= 1e8 / np.abs(huge).max()
+        stack = np.stack([with_eigmin(rng, n, c * self.FLOOR)
+                          for c in factors] + [np.ones((n, n)), huge])
+        reference = np.linalg.eigvalsh(stack)[:, 0]
+        one_by_one = np.array([_eigmin_uncertified(self.FLOOR, a[None])[0]
+                               for a in stack])
+        for eigmin in (one_by_one, _eigmin_uncertified(self.FLOOR, stack)):
+            assert np.array_equal(eigmin < -self.FLOOR,
+                                  reference < -self.FLOOR)
+            computed = np.isfinite(eigmin)
+            assert np.array_equal(eigmin[computed], reference[computed])
+        # c = -0.4, 0, 1 and the singular all-ones matrix are certified;
+        # the 1e8 matrix, whose rounding bound exceeds the floor, never is.
+        assert np.array_equal(np.isinf(one_by_one),
+                              [False] * 4 + [True] * 4 + [False])
+
+    @pytest.mark.parametrize("chi,d", [(erfc_sqrt(), 3),
+                                       (powered_erfc(0.4), 1),
+                                       (generalized_cauchy(1.0), 2)])
+    def test_passing_candidates_compute_no_eigenvalue(self, monkeypatch,
+                                                      chi, d):
+        calls = counting_eigvalsh(monkeypatch)
+        report = classify(chi, d)
+        assert report.verdicts["completely_monotone"].passed
+        assert report.verdicts["positive_definite"].passed
+        assert calls == []
+
+    @pytest.mark.parametrize("d,seed", [(1, 0), (3, 0), (3, 4)])
+    def test_gram_stage_diagonalizes_only_the_witness_chunk(
+            self, monkeypatch, d, seed):
+        # The witnesses equal the reference loop's
+        # (test_gram_witness_matches_loop_by_configuration).
+        calls = counting_eigvalsh(monkeypatch)
+        index = test_positive_definite(cubic_cutoff(), d,
+                                       seed=seed).witness[0]
+        chunk = next(part for part in _chunks(50) if part.stop > index)
+        assert calls == [(chunk.stop - chunk.start, 8, 8)]
+
+    def test_passing_gram_stage_computes_no_eigenvalue(self, monkeypatch):
+        # truncated_power(1.5) passes every random configuration in d = 3;
+        # the spectral stage refutes it.
+        calls = counting_eigvalsh(monkeypatch)
+        verdict = test_positive_definite(truncated_power(1.5), 3,
+                                         n_configs=50, n_points=8)
+        assert calls == []
+        assert isinstance(verdict.witness, LatticeProbeWitness)
+        monkeypatch.undo()
+        assert gram_stage_by_configuration(truncated_power(1.5), 3, 0) is None
+
+    @pytest.mark.parametrize("f,grids", [(powered_erfc(0.52), slice(4, 16)),
+                                         (narrow_bump(0.68), slice(64, 169))],
+                             ids=["erfc0.52", "bump0.68"])
+    def test_moment_stage_diagonalizes_only_the_witness_chunk(
+            self, monkeypatch, f, grids):
+        # The witnesses equal the reference loop's
+        # (test_moment_witness_matches_loop_by_grid).
+        calls = counting_eigvalsh(monkeypatch)
+        assert _moment_matrix_stage(f, 1e-9).failed
+        assert calls == [(grids.stop - grids.start, 15, 15)] * 2
 
 
 class TestLatticeRayleigh:

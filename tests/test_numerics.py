@@ -45,6 +45,7 @@ from tailcorr.numerics import (
     _QUAD_LIMIT,
     _integer,
     _integrate,
+    _once_per_node,
     _richardson,
     _worst_midpoint_gap,
     beta_d,
@@ -380,6 +381,67 @@ class TestBatchedQuadrature:
             alone = _integrate(lambda x, k: np.exp(-r * x), 0.0, math.inf,
                                1e-12)
             assert (batch[0][i], batch[1][i]) == (alone[0][0], alone[1][0])
+
+
+def first_pass_nodes(b, **kwargs):
+    """The abscissae of the first pass of a batch of integrals over
+    (0, b_i): one row of 21 Kronrod nodes per panel."""
+    seen = []
+
+    def record(x, k):
+        seen.append(x.copy())
+        return np.exp(-x)
+
+    _integrate(record, np.zeros(np.shape(b)), b, 1e-9, **kwargs)
+    return seen[0]
+
+
+class TestOncePerNode:
+    """``_once_per_node`` evaluates each distinct panel once and gives the
+    bits of evaluating every node."""
+
+    FUNCS = [erfc_sqrt(), lambda x: np.exp(-x) * np.sqrt(x) / (1.0 + x * x)]
+
+    @staticmethod
+    def inputs():
+        infinite = first_pass_nodes(np.full(200, np.inf))
+        bent = first_pass_nodes(np.repeat(np.linspace(0.5, 3.0, 20), 10),
+                                singular_exponent_a=-0.5)
+        row = infinite[:1]
+        other = row.copy()
+        other[0, 5] += 1e-3
+        return {"infinite": infinite, "bent": bent, "single row": row,
+                "same first node": np.concatenate([row, other, row])}
+
+    @pytest.mark.parametrize("func", FUNCS, ids=["erfc_sqrt", "expression"])
+    def test_bits_equal_evaluating_every_node(self, func):
+        for name, x in self.inputs().items():
+            got = _once_per_node(func, x)
+            assert got.shape == x.shape, name
+            assert np.array_equal(got.view(np.int64),
+                                  np.asarray(func(x)).view(np.int64)), name
+
+    def test_expectation_batch_sees_each_distinct_panel_once(self):
+        panels, rows = [], []
+
+        def g(x, t):
+            panels.append(x.reshape(-1, x.shape[-1]))
+            return np.exp(-t * x)
+
+        def pdf(x):
+            rows.append(x)
+            return np.exp(-x)
+
+        law = Distribution1D(name="exp(1)", pdf=pdf)
+        lags = np.linspace(0.1, 5.0, 200)
+        values, _ = law.expectations(g, lags)
+        assert values == pytest.approx(1.0 / (1.0 + lags), rel=1e-9)
+        assert len(rows) == len(panels)
+        assert len(rows[0]) < len(panels[0])
+        for seen, every in zip(rows, panels):
+            distinct = np.unique(every, axis=0)
+            assert len(seen) == len(distinct)
+            assert np.array_equal(np.unique(seen, axis=0), distinct)
 
 
 class TestNumDerivative:

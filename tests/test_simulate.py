@@ -40,6 +40,7 @@ from tailcorr.radial import (
     tent,
 )
 from tailcorr.simulate import (
+    _MAX_SITES,
     GridField,
     GridSpec,
     LagEstimate,
@@ -220,6 +221,22 @@ class TestEngineBasics:
         with pytest.raises(DomainError, match="not supported"):
             simulate(SimConfig(model=M3rModel(dim=1, ensemble=ensemble),
                                grid=GridSpec(dim=1, shape=(2,)),
+                               n_realizations=1, seed=0))
+
+    @pytest.mark.parametrize("dim,shape", [(1, (_MAX_SITES + 1,)),
+                                           (2, (100_000, 100_000))])
+    def test_site_bound_refuses_before_any_allocation(self, monkeypatch,
+                                                      dim, shape):
+        def no_sites(grid):
+            raise AssertionError("grid sites were built")
+
+        monkeypatch.setattr(GridSpec, "sites", no_sites)
+        model = EGModel(dim=dim, correlation=exponential_correlation(2.0))
+        sites = math.prod(shape)
+        with pytest.raises(DomainError, match=f"grid has {sites} sites, more "
+                                              f"than the {_MAX_SITES}"):
+            simulate(SimConfig(model=model, grid=GridSpec(dim=dim,
+                                                          shape=shape),
                                n_realizations=1, seed=0))
 
     def test_mps_needs_dimension_one(self):
