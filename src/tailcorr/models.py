@@ -59,6 +59,7 @@ from .numerics import (
     _float_rule,
     _integer,
     _integrate,
+    _real,
     _reject,
     kappa_d,
 )
@@ -949,10 +950,11 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
     a = 1/(4 s^2), U Tricomi's confluent hypergeometric function.
     """
     row = _integer(row, "row", 1, 4)
+    if row == 2:
+        nu = _real(param, "row 2 nu", 0.0, 0.5, open_high=True)
+    else:
+        a = _real(param, f"row {row} a", 0.0)
     if row == 1:
-        a = float(param)
-        if a <= 0:
-            raise DomainError(f"row 1 needs a > 0, got {param!r}")
         peak = math.sqrt(2.0 / 3.0) / a
         mixing = from_pdf(
             f"exp(-1/(({a:g})s)^2)",
@@ -960,24 +962,15 @@ def erfc_mixture(row: int, param: float, dim: int = 1) -> ErfcMixtureModel:
             points=[peak])
         closed = _float_rule(lambda t: np.exp(-2.0 * t / a))
     elif row == 2:
-        nu = float(param)
-        if not 0.0 < nu < 0.5:
-            raise DomainError(f"row 2 needs nu in (0, 1/2), got {param!r}")
         wm = whittle_matern(nu)
         mixing = from_pdf(f"wm_mixing(nu={nu:g})", _row2_density(nu))
         closed = wm.func
     elif row == 3:
-        a = float(param)
-        if a <= 0:
-            raise DomainError(f"row 3 needs a > 0, got {param!r}")
         c = 2.0 * a / math.sqrt(math.pi)
         mixing = from_pdf(f"erf(({a:g})s)",
                           lambda s: c * np.exp(-((a * s) ** 2)))
         closed = _float_rule(lambda t: 1.0 - 2.0 / math.pi * np.arctan(t / a))
     else:
-        a = float(param)
-        if a <= 0:
-            raise DomainError(f"row 4 needs a > 0, got {param!r}")
         mixing = from_pdf(
             f"1-exp(-(({a:g})s)^2)",
             lambda s: 2.0 * a * a * s * np.exp(-((a * s) ** 2)))

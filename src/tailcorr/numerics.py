@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,6 +145,20 @@ def _integer(value, name: str, low: int, high: int | None = None,
         return int(value)
     span = f">= {low}" if high is None else f"in {low}..{high}"
     raise error(f"{name} must be an integer {span}, got {value!r}")
+
+
+def _real(value, name: str, low: float, high: float = math.inf, *,
+          open_high: bool = False) -> float:
+    """``value`` as a finite Python float with ``low < value <= high``
+    (``value < high`` under ``open_high``), or DomainError naming the
+    argument and the value passed.  NaN, +-inf and bool are refused."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and low < value
+            and (value < high if open_high else value <= high)):
+        return float(value)
+    span = (f"in ({low:g}, {high:g}{')' if open_high else ']'}"
+            if high < math.inf else f"finite and > {low:g}")
+    raise DomainError(f"{name} must be {span}, got {value!r}")
 
 
 def kappa_d(d: int) -> float:

@@ -29,7 +29,7 @@ from scipy import special as _special
 
 from .errors import DomainError, KinkError, TailcorrError
 from .numerics import (_float_rule, _integer, _lift, _radial_derivatives,
-                       _reject, kappa_d)
+                       _real, _reject, kappa_d)
 
 __all__ = [
     "RadialFunction",
@@ -195,9 +195,7 @@ def tent() -> RadialFunction:
 
 def exponential_decay(scale: float = 1.0) -> RadialFunction:
     """exp(-r/scale); completely monotone."""
-    if scale <= 0:
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    s = float(scale)
+    s = _real(scale, "scale", 0.0)
     return RadialFunction(
         name=f"exp(-r/{s:g})" if s != 1.0 else "exp(-r)",
         func=lambda r: np.exp(-r / s),
@@ -233,11 +231,9 @@ def erfc_sqrt() -> RadialFunction:
 
 def powered_erfc(nu: float) -> RadialFunction:
     """erfc(r^nu) for nu > 0."""
-    if nu <= 0:
-        raise DomainError(f"nu must be positive, got {nu!r}")
-    if nu == 0.5:
+    n = _real(nu, "nu", 0.0)
+    if n == 0.5:
         return erfc_sqrt()
-    n = float(nu)
     c = 2.0 / math.sqrt(math.pi)
     return RadialFunction(
         name=f"erfc(r^{n:g})",
@@ -251,11 +247,9 @@ def powered_erfc(nu: float) -> RadialFunction:
 
 def powered_exponential(nu: float) -> RadialFunction:
     """exp(-r^nu) for nu in (0, 2]."""
-    if not 0 < nu <= 2:
-        raise DomainError(f"nu must be in (0, 2], got {nu!r}")
-    if nu == 1.0:
+    n = _real(nu, "nu", 0.0, 2.0)
+    if n == 1.0:
         return exponential_decay()
-    n = float(nu)
     return RadialFunction(
         name=f"exp(-r^{n:g})",
         func=lambda r: np.exp(-np.power(r, n)),
@@ -267,9 +261,7 @@ def powered_exponential(nu: float) -> RadialFunction:
 
 def whittle_matern(nu: float) -> RadialFunction:
     """2^{1-nu} Gamma(nu)^{-1} r^nu K_nu(r); equals 1 at r=0."""
-    if nu <= 0:
-        raise DomainError(f"nu must be positive, got {nu!r}")
-    n = float(nu)
+    n = _real(nu, "nu", 0.0)
     const = 2.0 ** (1.0 - n) / math.gamma(n)
 
     def f(r):
@@ -291,11 +283,7 @@ def whittle_matern(nu: float) -> RadialFunction:
 
 def generalized_cauchy(nu: float, beta: float = 1.0) -> RadialFunction:
     """(1 + r^nu)^{-beta} for nu in (0, 2], beta > 0."""
-    if not 0 < nu <= 2:
-        raise DomainError(f"nu must be in (0, 2], got {nu!r}")
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
-    n, b = float(nu), float(beta)
+    n, b = _real(nu, "nu", 0.0, 2.0), _real(beta, "beta", 0.0)
 
     def parts(r):
         # With u = r^nu and g = 1 + u: -beta nu g^(-beta-1), q = 1/g,
@@ -335,9 +323,7 @@ def generalized_cauchy(nu: float, beta: float = 1.0) -> RadialFunction:
 
 def truncated_power(nu: float) -> RadialFunction:
     """(1 - r)_+^nu for nu > 0; compact support [0, 1]."""
-    if nu <= 0:
-        raise DomainError(f"nu must be positive, got {nu!r}")
-    n = float(nu)
+    n = _real(nu, "nu", 0.0)
     return RadialFunction(
         name=f"truncated_power(nu={n:g})",
         func=lambda r: np.power(np.maximum(0.0, 1.0 - r), n),
@@ -357,10 +343,8 @@ def ball_indicator(d: int, radius: float = 1.0) -> RadialFunction:
     Integrates to 1 over R^d; the building block of the ball-mixture model.
     """
     d = _integer(d, "d", 1)
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius!r}")
-    height = 1.0 / (kappa_d(d) * float(radius) ** d)
-    rad = float(radius)
+    rad = _real(radius, "radius", 0.0)
+    height = 1.0 / (kappa_d(d) * rad**d)
     return RadialFunction(
         name=f"ball_indicator(d={d}, radius={rad:g})",
         func=lambda r: height * (r <= rad),
@@ -401,9 +385,7 @@ class Correlation:
 
 def exponential_correlation(scale: float = 1.0) -> Correlation:
     """rho(t) = exp(-t/scale)."""
-    if scale <= 0:
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    s = float(scale)
+    s = _real(scale, "scale", 0.0)
     return Correlation(
         name=f"exp(-t/{s:g})" if s != 1.0 else "exp(-t)",
         func=lambda t: np.exp(-np.abs(t) / s),
@@ -440,11 +422,8 @@ class Variogram:
 
 def fbm_variogram(scale: float, alpha: float) -> Variogram:
     """gamma(t) = scale * |t|^alpha, alpha in (0, 2]."""
-    s, a = float(scale), float(alpha)
-    if not 0 < a <= 2:
-        raise DomainError(f"fbm variogram needs alpha in (0,2], got {a!r}")
-    if not s > 0:
-        raise DomainError(f"fbm variogram needs a positive scale, got {s!r}")
+    a = _real(alpha, "fbm variogram alpha", 0.0, 2.0)
+    s = _real(scale, "fbm variogram scale", 0.0)
     return Variogram(
         name=f"{s:g}*t^{a:g}",
         func=lambda t: s * np.power(np.abs(t), a),
@@ -453,9 +432,7 @@ def fbm_variogram(scale: float, alpha: float) -> Variogram:
 
 def bounded_variogram(lam: float, correlation: Correlation) -> Variogram:
     """gamma(t) = lam * (1 - rho(t)) for a correlation rho."""
-    lamf = float(lam)
-    if not lamf > 0:
-        raise DomainError(f"bounded variogram needs lam > 0, got {lamf!r}")
+    lamf = _real(lam, "bounded variogram lam", 0.0)
     return Variogram(
         name=f"{lamf:g}*(1-{correlation.name})",
         func=lambda t: lamf * (1.0 - correlation.func(np.abs(t))),

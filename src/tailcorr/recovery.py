@@ -11,21 +11,22 @@ construction:
 
 All three routes pass through derivatives of chi:
 
-====  ========================  =====================================
-dim   shape f(u)                diameter density k(s)
-====  ========================  =====================================
-1     -chi'(2u)                 s chi''(s)
-2     (4u/pi) int sqrt-kernel   (s^2/2) int inverse-sqrt kernel
-3     chi''(2u) / (pi u)        (s/3) (chi''(s) - s chi'''(s))
-====  ========================  =====================================
+====  ==============================  ==============================
+dim   shape f(u)                      diameter density k(s)
+====  ==============================  ==============================
+1     -chi'(2u)                       s chi''(s)
+2     theta-average of the d=3 entry  theta-average of the d=3 entry
+3     chi''(2u) / (pi u)              (s/3) (chi''(s) - s chi'''(s))
+====  ==============================  ==============================
 
-where the d=2 kernels integrate against the measure ``d lambda_chi`` with
-``lambda_chi(t) = t chi''(1/t)``.  The d=2 formulas assume enough smoothness
-for lambda_chi to be differentiable: the integrals are computed against
-``lambda_chi'`` in the radius variable w = 1/t, with chi'' and chi''' taken
-analytically where chi carries them and numerically otherwise.  Numeric
-derivatives carry a relative error of about 1e-9, so that route floors its
-quadrature tolerance at ``_NUMERIC_D2_TOL``.
+A plane cuts a ball of diameter w = x cosh(theta) in a disc of diameter x
+(Wicksell's corpuscle problem), so each d=2 object is a d=3 closed form
+averaged over theta in (0, arccosh(b/x)), b the support end of chi: the
+shape 2u int cosh f_3(u cosh), the density (3/2) int sech^3 k_3(s cosh)
+plus a term per d=3 atom (a d=2 law has none), and the cdf (3/2) int
+sech^4 K_3(s cosh), K_3 = 1 past b.  Numeric derivatives carry a relative
+error of about 1e-9, so a d=2 integral of one floors its quadrature
+tolerance at ``_NUMERIC_D2_TOL``.
 
 Every function of distance here takes floats and arrays (one float rule,
 ``numerics._float_rule``); the d=2 integrals of an array are one batch.
@@ -38,6 +39,7 @@ instead of a meaningless pointwise number.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -47,7 +49,7 @@ from .distributions import Distribution1D
 from .errors import DomainError, KinkError, ModelError, NotInClassError
 from .numerics import (_float_rule, _integer, _integrate, _reject, kappa_d,
                        quadrature)
-from .radial import RadialFunction
+from .radial import _KINK_EPS, RadialFunction
 
 __all__ = [
     "RecoveryInput",
@@ -80,10 +82,8 @@ class RecoveryInput:
     analytic derivatives give machine-precision recovery, numeric fallbacks
     are accurate to roughly 1e-7.
 
-    The d=2 formulas hold under a stronger smoothness assumption on chi
-    (a third derivative exists); without analytic second and third
-    derivatives they integrate numeric ones, at a tolerance of at least
-    ``_NUMERIC_D2_TOL``.
+    In d=2, as in d=3, the shape and cdf need chi'' and the density chi''';
+    numeric ones floor the tolerance at ``_NUMERIC_D2_TOL``.
     """
 
     chi: RadialFunction
@@ -106,9 +106,10 @@ class RecoveryInput:
 def lambda_chi(inp: RecoveryInput, t):
     """The rescaled second derivative ``t * chi''(1/t)`` for t > 0.
 
-    This is the cdf-like function whose increments drive the d=2 recovery
-    integrals.  Raises KinkError when 1/t lands on a declared kink of chi,
-    or, where chi'' is numeric, so near one that the stencil would cross it.
+    The paper's d=2 recovery integrates against d lambda_chi; the library
+    averages the d=3 closed forms instead and keeps it as the paper's
+    object.  Raises KinkError when 1/t lands on a declared kink of chi, or,
+    where chi'' is numeric, so near one that the stencil would cross it.
     """
     _reject(t, ~(t > 0), "t must be > 0")
     return t * inp.chi.derivative(1.0 / t, 2)
@@ -146,21 +147,46 @@ def _zero_where_refused(g, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _d2_kernel(inp: RecoveryInput, w):
-    """``chi''(w) - w chi'''(w)``, the density of d lambda_chi pushed to
-    the radius variable w = 1/t (so that d lambda_chi(t) = kernel dw/w^2);
-    ``w`` is an array."""
-    return inp.chi.derivative(w, 2) - w * inp.chi.derivative(w, 3)
+def _density_d3(chi: RadialFunction, w):
+    """The d=3 diameter density at w."""
+    return (w / 3.0) * (chi.derivative(w, 2) - w * chi.derivative(w, 3))
 
 
-def _d2_integrals(inp: RecoveryInput, integrand, a, b, tol: float):
-    """The d=2 integrals over (a_i, b_i), with a square-root change at a, at
-    ``tol`` floored at ``_NUMERIC_D2_TOL`` when chi'' or chi''' is numeric;
-    returned with the slack of the sign guard."""
-    if inp.chi.deriv2 is None or inp.chi.deriv3 is None:
+def _cdf_d3(chi: RadialFunction, w):
+    """The d=3 diameter cdf at w, away from kinks."""
+    return (1.0 - chi(w) + w * chi.derivative(w, 1)
+            - w * w * chi.derivative(w, 2) / 3.0)
+
+
+def _slice_average(inp: RecoveryInput, x: np.ndarray, power: int, form,
+                   order: int, tol: float):
+    """A d=3 closed form ``form(w)`` of derivatives of chi up to ``order``,
+    times sech(theta)^power, integrated over theta in (0, arccosh(b / x_i))
+    at w = x_i cosh(theta), b the support end of chi; with the sign guard's
+    slack.  A numeric chi'' (or chi''' at order 3) floors ``tol`` at
+    ``_NUMERIC_D2_TOL``."""
+    chi = inp.chi
+    if None in (chi.deriv2, chi.deriv3)[:order - 1]:
         tol = max(tol, _NUMERIC_D2_TOL)
-    return (_integrate(integrand, a, b, tol, singular_exponent_a=-0.5)[0],
-            10.0 * tol)
+    with np.errstate(invalid="ignore"):
+        # Kinks of chi at theta = arccosh(k / x_i) (NaN where k < x_i).
+        points = np.arccosh(np.divide.outer(chi.kinks, x).T)
+
+    def integrand(theta, k):
+        c = np.cosh(theta)
+        w = x[k] * c
+        # Past w = 1e100, where cosh(theta) and w^2 overflow, it is 0.
+        values = np.zeros(w.shape)
+        near = w < 1e100
+        c, w = c[near], w[near]
+        # A node whose w rounds onto a kink takes the left piece.
+        w = np.where(chi._on_kink(w),
+                     w - 3.0 * _KINK_EPS * np.maximum(1.0, w), w)
+        values[near] = form(w) / c**power
+        return values
+
+    return (_integrate(integrand, 0.0, np.arccosh(_end(chi) / x), tol,
+                       points=points)[0], 10.0 * tol)
 
 
 @_float_rule(at=1)
@@ -176,54 +202,42 @@ def recover_shape(inp: RecoveryInput, u, *, tol: float = 1e-10):
     elif inp.dim == 3:
         value = inp.chi.derivative(2.0 * u, 2) / (math.pi * u)
     else:
-        # d = 2: (4u/pi) int_0^{1/(2u)} sqrt((2ut)^{-2} - 1) d lambda_chi(t).
-        # In the radius variable w = 1/t this is
-        #   (2/pi) int_{2u}^inf sqrt(w^2 - 4u^2) (chi''(w) - w chi'''(w)) / w^2 dw,
-        # with a benign square-root zero at the lower endpoint and the decay
-        # of chi's derivatives at infinity; one integral per entry.
-        lo = 2.0 * u
-
-        def integrand(w, k):
-            arg = np.maximum((w - lo[k]) * (w + lo[k]), 0.0)
-            return np.sqrt(arg) * _d2_kernel(inp, w) / (w * w)
-
-        # The integrand is a smooth function of sqrt(w - 2u) at its lower
-        # end, which the square-root variable change smooths out.
-        value, slack = _d2_integrals(inp, integrand, lo, _end(inp.chi), tol)
-        value = (2.0 / math.pi) * value
+        # 2u int cosh f_3(u cosh) = (2/pi) int chi''(2u cosh).
+        value, slack = _slice_average(inp, 2.0 * u, 0, lambda w: (
+            2.0 / math.pi) * inp.chi.derivative(w, 2), 2, tol)
     out[live] = _guard_nonnegative("shape", u, value, slack)
     return out
 
 
 def _diameter_atoms(inp: RecoveryInput) -> tuple[tuple[float, float], ...]:
     """Atoms of the diameter law, one per kink of chi, by one-sided limits
-    of the exact cdf."""
-    atoms = []
-    for k in inp.chi.kinks:
-        lo = _diameter_cdf_smooth(inp, k * (1.0 - _SIDE_EPS))
-        hi = _diameter_cdf_smooth(inp, k * (1.0 + _SIDE_EPS))
-        mass = hi - lo
-        if mass > 1e-6:
-            atoms.append((k, mass))
-    return tuple(atoms)
+    of the exact cdf.  A d=2 law has none: each atom of the d=3 law slices
+    into a term of its density."""
+    if inp.dim == 2:
+        return ()
+    jumps = [(k, _diameter_cdf_smooth(inp, k * (1.0 + _SIDE_EPS))
+              - _diameter_cdf_smooth(inp, k * (1.0 - _SIDE_EPS)))
+             for k in inp.chi.kinks]
+    return tuple((k, mass) for k, mass in jumps if mass > 1e-6)
 
 
 def _diameter_cdf_smooth(inp: RecoveryInput, s: float) -> float:
-    """The diameter cdf K(s) away from kinks, in closed form for d=1,3."""
+    """The diameter cdf K(s) away from kinks: closed form for d=1,3, and
+    its angle average for d=2."""
     chi = inp.chi
-    if s <= 0:
-        return 0.0
-    if s >= _end(chi):
-        return 1.0
+    end = _end(chi)
+    if s <= 0 or s >= end:
+        return float(s > 0)
     if inp.dim == 1:
         return 1.0 + s * chi.derivative(s, 1) - float(chi(s))
     if inp.dim == 3:
-        return (1.0 - float(chi(s)) + s * chi.derivative(s, 1)
-                - s * s * chi.derivative(s, 2) / 3.0)
-    # d = 2 has no derivative-only closed form; integrate the density.
-    res = quadrature(lambda x: _radius_density(x, inp, 1e-10), 0.0, s,
-                     tol=1e-9)
-    return min(1.0, res.value)
+        return _cdf_d3(chi, s)
+    # (3/2) int sech^4 K_3(s cosh) with K_3 = 1 past theta_b, where the
+    # weight integrates to (1 - t)^2 (2 + t) / 2, t = tanh(theta_b).
+    value, _ = _slice_average(inp, np.array([s]), 4,
+                              lambda w: 1.5 * _cdf_d3(chi, w), 2, 1e-10)
+    t = math.sqrt(1.0 - (s / end) ** 2)
+    return float(value[0]) + 0.5 * (1.0 - t) ** 2 * (2.0 + t)
 
 
 @dataclass(frozen=True)
@@ -246,7 +260,7 @@ def recover_radius_density(inp: RecoveryInput, s, *, tol: float = 1e-10):
     """
     arr = np.asarray(s, dtype=float)
     _reject(arr, ~(arr > 0), "s must be > 0")
-    if inp.chi.kinks and _diameter_atoms(inp):
+    if _diameter_atoms(inp):
         return AtomicAnswer(law=recover_radius_law(inp))
     return _radius_density(s, inp, tol)
 
@@ -263,29 +277,15 @@ def _radius_density(s, inp: RecoveryInput, tol: float):
     if inp.dim == 1:
         value = s * chi.derivative(s, 2)
     elif inp.dim == 3:
-        value = (s / 3.0) * (chi.derivative(s, 2) - s * chi.derivative(s, 3))
+        value = _density_d3(chi, s)
     else:
-        # d = 2: (s^2/2) int_0^{1/s} ((st)^{-2} - 1)^{-1/2} d lambda_chi(t);
-        # in the radius variable w = 1/t this is
-        #   (s^3/2) int_s^inf (w^2 - s^2)^{-1/2} (chi''(w) - w chi'''(w)) / w^2 dw
-        # with an inverse-square-root singularity at the lower endpoint,
-        # integrated over the offset x = w - s so the singular factor
-        # (x (w + s))^{-1/2} is computed without cancellation.
-        hi = _end(chi)
-
-        def integrand(x, k):
-            # A mapped node may round onto an end; its weight is dropped.
-            base = np.broadcast_to(s[k], x.shape)
-            w = base + x
-            inside = (x > 0.0) & (w < hi)
-            values = np.zeros(x.shape)
-            xi, wi = x[inside], w[inside]
-            values[inside] = ((xi * (wi + base[inside])) ** -0.5
-                              * _d2_kernel(inp, wi) / (wi * wi))
-            return values
-
-        value, slack = _d2_integrals(inp, integrand, 0.0, hi - s, tol)
-        value = 0.5 * s**3 * value
+        # (3/2) int sech^3 k_3(s cosh), plus a slice term per d=3 atom.
+        value, slack = _slice_average(
+            inp, s, 3, lambda w: 1.5 * _density_d3(chi, w), 3, tol)
+        for k, m in _diameter_atoms(dataclasses.replace(inp, dim=3)):
+            c = s < k
+            value[c] += 1.5 * m * (s[c] / k) ** 3 / np.sqrt(
+                (k - s[c]) * (k + s[c]))
     out[live] = _guard_nonnegative("diameter density", s, value, slack)
     return out
 
@@ -294,26 +294,19 @@ def recover_radius_law(inp: RecoveryInput, *, tol: float = 1e-10) -> Distributio
     """The full law of the diameter 2R, including atoms from kinks of chi.
 
     The continuous part is the pointwise density between kinks; the cdf is
-    exact (closed form in d=1,3; integrated in d=2).
+    exact (closed form in d=1,3; one angle integral in d=2, with no atoms).
     """
-    atoms = _diameter_atoms(inp) if inp.chi.kinks else ()
-    atom_mass = sum(m for _, m in atoms)
-
-    def nudge(s: float) -> float:
-        # Evaluate the smooth cdf just right of a kink so the result is
-        # right-continuous (includes the atom).
-        k = inp.chi.nearest_kink(s)
-        if k is not None and abs(s - k) <= 1e-9 * max(1.0, abs(k)):
-            return k * (1.0 + _SIDE_EPS)
-        return s
+    atoms = _diameter_atoms(inp)
 
     def cdf(s: float) -> float:
-        if s <= 0:
-            return 0.0
-        return min(1.0, _diameter_cdf_smooth(inp, nudge(s)))
+        # Just right of a kink: right-continuous, the atom included.
+        k = inp.chi.nearest_kink(s)
+        if k is not None and abs(s - k) <= 1e-9 * max(1.0, abs(k)):
+            s = k * (1.0 + _SIDE_EPS)
+        return min(1.0, _diameter_cdf_smooth(inp, s))
 
     pdf = None
-    if atom_mass < 1.0 - 1e-9:
+    if sum(m for _, m in atoms) < 1.0 - 1e-9:
         # 0 where chi refuses a derivative at s, as on a kink.
         pdf = _float_rule(lambda s: _zero_where_refused(
             lambda x: _radius_density(x, inp, tol), s))
@@ -344,11 +337,16 @@ def shape_normalization(inp: RecoveryInput, *, tol: float = 1e-8) -> float:
 def radius_normalization(inp: RecoveryInput, *, tol: float = 1e-8) -> float:
     """Total mass of the recovered diameter law; 1 for valid inputs."""
     law = recover_radius_law(inp)
+    end = law.support[1]
     total = law.atom_mass
     if law.pdf is not None:
-        total += quadrature(law.pdf, 0.0, law.support[1], tol=tol,
-                            points=inp.chi.kinks).value
-    return total
+        # One piece per gap between kinks: in d=2 a d=3 atom at a kink k
+        # slices into a density like (k - s)^(-1/2) below it.
+        edges = np.array([0.0, *(k for k in inp.chi.kinks if k < end), end])
+        beta = np.where((inp.dim == 2) & (edges[1:] < math.inf), -0.5, 0.0)
+        total += _integrate(lambda s, k: law.pdf(s), edges[:-1], edges[1:],
+                            tol, singular_exponent_b=beta)[0].sum()
+    return float(total)
 
 
 # ---------------------------------------------------------------------------

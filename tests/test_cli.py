@@ -202,7 +202,7 @@ class TestConfigStrictness:
         ("class: M3b\ndim: 2\nradius: {type: erfc_sqrt_radius, dim: 2}\n",
          "radius: density available for dim 1 and 3 only, got 2"),
         ("class: BR\ndim: 1\nvariogram: {type: fbm, scale: 1.0, alpha: 3}\n",
-         "variogram: fbm variogram needs alpha"),
+         "variogram: fbm variogram alpha must be in (0, 2]"),
     ])
     def test_builder_rejection_names_the_section(self, runner, tmp_path, doc,
                                                  message):

@@ -301,13 +301,13 @@ class TestVariogramParameters:
     NaN included."""
 
     @pytest.mark.parametrize("scale, alpha, match", [
-        (8.0, 3.0, "alpha in"),
-        (8.0, 0.0, "alpha in"),
-        (8.0, -1.0, "alpha in"),
-        (8.0, math.nan, "alpha in"),
-        (0.0, 1.0, "positive scale"),
-        (-2.0, 1.0, "positive scale"),
-        (math.nan, 1.0, "positive scale"),
+        (8.0, 3.0, "alpha must be in"),
+        (8.0, 0.0, "alpha must be in"),
+        (8.0, -1.0, "alpha must be in"),
+        (8.0, math.nan, "alpha must be in"),
+        (0.0, 1.0, "scale must be finite and > 0"),
+        (-2.0, 1.0, "scale must be finite and > 0"),
+        (math.nan, 1.0, "scale must be finite and > 0"),
     ])
     def test_fbm_rejects(self, scale, alpha, match):
         with pytest.raises(DomainError, match=match):
@@ -315,10 +315,40 @@ class TestVariogramParameters:
 
     @pytest.mark.parametrize("lam", [0.0, -1.62, math.nan])
     def test_bounded_rejects(self, lam):
-        with pytest.raises(DomainError, match="lam > 0"):
+        with pytest.raises(DomainError, match="lam must be finite and > 0"):
             bounded_variogram(lam, exponential_correlation())
 
     def test_domain_edges_accepted(self):
         assert fbm_variogram(1e-300, 2.0)(1.0) == 1e-300
         assert fbm_variogram(8.0, 1e-9)(0.0) == 0.0
         assert bounded_variogram(1e-9, exponential_correlation())(0.0) == 0.0
+
+
+# Each constructor with one real parameter (the others at valid values).
+REAL_PARAMETERS = {
+    "exponential_decay": (exponential_decay, "scale"),
+    "powered_erfc": (powered_erfc, "nu"),
+    "powered_exponential": (powered_exponential, "nu"),
+    "whittle_matern": (whittle_matern, "nu"),
+    "generalized_cauchy-nu": (generalized_cauchy, "nu"),
+    "generalized_cauchy-beta": (lambda v: generalized_cauchy(1.0, v), "beta"),
+    "truncated_power": (truncated_power, "nu"),
+    "ball_indicator": (lambda v: ball_indicator(2, v), "radius"),
+    "exponential_correlation": (exponential_correlation, "scale"),
+    "fbm_variogram-scale": (lambda v: fbm_variogram(v, 1.0), "scale"),
+    "fbm_variogram-alpha": (lambda v: fbm_variogram(1.0, v), "alpha"),
+    "bounded_variogram": (
+        lambda v: bounded_variogram(v, exponential_correlation()), "lam"),
+    **{f"erfc_mixture-{row}": (lambda v, row=row: erfc_mixture(row, v),
+                               "nu" if row == 2 else "a")
+       for row in (1, 2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(REAL_PARAMETERS))
+def test_constructor_refuses_non_finite_parameter(name, value):
+    build, argument = REAL_PARAMETERS[name]
+    with pytest.raises(DomainError,
+                       match=f"{argument} must be .*, got {value!r}$"):
+        build(value)

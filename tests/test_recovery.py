@@ -22,6 +22,7 @@ from tailcorr.numerics import kappa_d, quadrature
 from tailcorr.operators import chi_d_radial
 from tailcorr.presets import erfc_sqrt_chi, erfc_sqrt_shape
 from tailcorr.radial import (
+    RadialFunction,
     exponential_decay,
     generalized_cauchy,
     radial_from_callable,
@@ -225,9 +226,9 @@ class TestRecoverRadiusDensity:
         assert radius_normalization(inp1) == pytest.approx(1.0, abs=1e-8)
 
     def test_d2_singular_route_converges(self):
-        # chi = e^{-t} has analytic derivatives; the d=2 density quadrature
-        # carries a declared -1/2 endpoint singularity and must integrate
-        # to total mass 1.
+        # chi = e^{-t} has analytic derivatives; the d=2 density, the angle
+        # average of the d=3 one, must integrate to total mass 1 (outer
+        # quadrature from s = 0 to infinity).
         inp = RecoveryInput(chi=exponential_decay(), dim=2)
         total = quadrature(
             lambda s: recover_radius_density(inp, s, tol=1e-11),
@@ -250,9 +251,12 @@ class TestD2NumericDerivatives:
     FULL = generalized_cauchy(1.0)  # 1/(1 + r)
     CHI = dataclasses.replace(FULL, deriv2=None, deriv3=None)
 
-    @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("recover", [recover_radius_density,
-                                         recover_shape])
+    # The shape also far out, where it is 1.2e-10 at u = 1000: the angle
+    # integral of chi'' alone keeps the numeric route within 1e-7 there.
+    @pytest.mark.parametrize("recover, s", [
+        (recover, s) for recover in (recover_radius_density, recover_shape)
+        for s in (0.5, 1.0, 2.0)] + [(recover_shape, 30.0),
+                                     (recover_shape, 1000.0)])
     def test_agrees_with_analytic_derivatives(self, recover, s):
         numeric = recover(RecoveryInput(chi=self.CHI, dim=2), s)
         analytic = recover(RecoveryInput(chi=self.FULL, dim=2), s)
@@ -276,11 +280,108 @@ class TestD2NumericDerivatives:
         assert shape_normalization(inp) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.xfail(raises=QuadratureError, strict=True, reason=(
-        "numeric chi''' is rounding noise near r = 0, so the integral "
-        "does not converge"))
+        "numeric chi'' is rounding noise near r = 0, so the normalization "
+        "integral does not converge near u = 0"))
     def test_shape_normalization_by_numeric_derivatives(self):
         inp = RecoveryInput(chi=self.CHI, dim=2)
         assert shape_normalization(inp) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestD2CompactSupport:
+    """chi = (1 - t)_+^2, with chi''(1-) = 2: its d=3 diameter law has
+    density 2w/3 and an atom of 2/3 at 1, so plane slices of those balls
+    have the cdf 1 - sqrt(1 - s^2), and the d=2 shape is
+    (4/pi) arccosh(1/(2u))."""
+
+    CHI = RadialFunction(
+        name="(1-t)_+^2",
+        func=lambda t: np.maximum(0.0, 1.0 - t) ** 2,
+        deriv1=lambda t: np.where(t < 1.0, -2.0 * (1.0 - t), 0.0),
+        deriv2=lambda t: np.where(t < 1.0, 2.0, 0.0),
+        deriv3=lambda t: np.zeros(np.shape(t)),
+        kinks=(1.0,), support_bound=1.0)
+    INP = RecoveryInput(chi=CHI, dim=2)
+    S = np.array([0.1, 0.5, 0.9, 0.99])
+
+    def test_shape(self):
+        u = np.array([0.05, 0.2, 0.4])
+        assert recover_shape(self.INP, u) == pytest.approx(
+            4.0 / math.pi * np.arccosh(1.0 / (2.0 * u)), rel=1e-12)
+        assert shape_normalization(self.INP) == pytest.approx(1.0, abs=1e-8)
+
+    def test_cdf(self):
+        law = recover_radius_law(self.INP)
+        assert law.atoms == ()
+        assert [law.cdf_value(s) for s in self.S] == pytest.approx(
+            1.0 - np.sqrt(1.0 - self.S**2), abs=1e-12)
+
+    def test_density(self):
+        density = recover_radius_density(self.INP, self.S)
+        assert isinstance(density, np.ndarray)
+        # The slice term takes the d=3 atom from one-sided limits of the
+        # d=3 cdf at a relative offset of 1e-7, so it is 1e-7 off.
+        assert density == pytest.approx(
+            self.S / np.sqrt(1.0 - self.S**2), rel=1e-6)
+        assert radius_normalization(self.INP) == pytest.approx(1.0,
+                                                               abs=1e-6)
+
+    def test_interior_atom(self):
+        # Half (1 - t)_+^2 and half (1 - t/2)_+^2: the d=3 atom at the
+        # interior kink 1 slices into a density that grows like
+        # (1 - s)^(-1/2) below it, and the law still has unit mass.
+        def mix(order):
+            return lambda t: 0.5 * (self.CHI.derivative(t, order)
+                                    + self.CHI.derivative(t / 2.0, order)
+                                    / 2.0**order)
+
+        chi = RadialFunction(
+            "mixture", lambda t: 0.5 * (self.CHI(t) + self.CHI(t / 2.0)),
+            deriv1=mix(1), deriv2=mix(2), deriv3=mix(3), kinks=(1.0, 2.0),
+            support_bound=2.0)
+        inp = RecoveryInput(chi=chi, dim=2)
+        law = recover_radius_law(inp)
+        s = np.array([0.5, 0.99, 1.5, 1.99])
+        exact = 1.0 - 0.5 * (np.sqrt(np.maximum(0.0, 1.0 - s**2))
+                             + np.sqrt(1.0 - s**2 / 4.0))
+        assert law.atoms == ()
+        assert [law.cdf_value(x) for x in s] == pytest.approx(exact,
+                                                              abs=1e-12)
+        assert radius_normalization(inp) == pytest.approx(1.0, abs=1e-6)
+
+    def test_shape_rebuilds_chi(self):
+        f = radial_from_callable(
+            "recovered_d2", lambda u: recover_shape(self.INP, max(u, 1e-12)),
+            kinks=(0.5,), support_bound=0.5)
+        model = M2rModel(dim=2, shape=f, normalization_tol=1e-5)
+        for t in [0.2, 0.5, 0.8]:
+            assert tcf(model, t, tol=1e-10) == pytest.approx((1.0 - t) ** 2,
+                                                             abs=1e-8)
+
+
+class TestD2SmoothSlices:
+    def test_exponential_radius_round_trip(self):
+        # R ~ Exp(1): the d=2 M3b TCF, taken back to its diameter law, gives
+        # the cdf 1 - e^{-s/2} and the density e^{-s/2} / 2.
+        model = M3bModel(dim=2, radius=exponential_dist(1.0))
+        chi = RadialFunction("m3b_exp", lambda t: tcf(model, t, tol=1e-13))
+        inp = RecoveryInput(chi=chi, dim=2)
+        law = recover_radius_law(inp)
+        s = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+        assert [law.cdf_value(x) for x in s] == pytest.approx(
+            -np.expm1(-s / 2.0), abs=1e-8)
+        assert recover_radius_density(inp, s[1:5]) == pytest.approx(
+            0.5 * np.exp(-s[1:5] / 2.0), rel=1e-6)
+
+    @pytest.mark.parametrize("chi", [erfc_sqrt_chi(), generalized_cauchy(1.0),
+                                     exponential_decay()],
+                             ids=["erfc_sqrt", "cauchy", "exp"])
+    def test_slice_is_smaller_than_ball(self, chi):
+        # Valid in d=3, so each d=2 disc is a plane slice of a d=3 ball:
+        # K_2(s) >= K_3(s) at every s.
+        cdfs = [recover_radius_law(RecoveryInput(chi=chi, dim=d)).cdf_value
+                for d in (2, 3)]
+        for s in [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0]:
+            assert cdfs[0](s) > cdfs[1](s)
 
 
 class TestConsistencyLoop:
