@@ -44,6 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import series
 from .errors import DomainError
 from .models import parametric_bounds
 from .numerics import (
@@ -57,7 +58,7 @@ from .numerics import (
     _worst_midpoint_gap,
     num_derivative,
 )
-from .radial import RadialFunction
+from .radial import _MAX_TAYLOR_ORDER, RadialFunction, _taylor_hook
 
 __all__ = [
     "Verdict",
@@ -341,15 +342,52 @@ def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     return None
 
 
+def _derivative_table(f: RadialFunction, grid: np.ndarray, max_order: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error bars of f^(k) by (grid point, order), k =
+    0..max_order.  NaN marks a kink, no fitting stencil or a value within
+    two error bars of 0.
+
+    A function with a Taylor hook takes every order from one call of it,
+    k! c_k with k! times the coefficient's rounding bound as its error
+    bar.  Otherwise order 0 and the analytic orders carry no error bar,
+    and every other order is one Ridders ladder over the grid.
+    """
+    off_kink = ~f._on_kink(grid)
+    if f.taylor is not None:
+        coef, bound = f._series(grid, max_order)
+        scale = np.cumprod([1.0] + list(range(1, max_order + 1)))[:, None]
+        values, errors = (coef * scale).T, (bound * scale).T
+        errors += 0.5 * _EPS * np.abs(values)
+        values[errors >= 0.5 * np.abs(values)] = np.nan
+        values[~off_kink] = np.nan
+        return values, errors
+    values, errors = np.zeros((2, grid.size, max_order + 1))
+    values[:, 0] = f(grid)
+    for k in range(1, max_order + 1):
+        if k <= 3 and (f.deriv1, f.deriv2, f.deriv3)[k - 1] is not None:
+            values[:, k] = np.nan
+            values[off_kink, k] = f.derivative(grid[off_kink], k)
+        else:
+            value, errors[:, k] = _safe_num_derivs(f, grid, k)
+            values[:, k] = np.where(errors[:, k] >= 0.5 * np.abs(value),
+                                    np.nan, value)
+    return values, errors
+
+
 def test_completely_monotone(f: RadialFunction, max_order: int = 6, *,
                              grid=None, tol: float = 1e-9) -> Verdict:
     """Necessary conditions for complete monotonicity.
 
     Stage one checks the derivative signs (-1)^k f^(k) >= 0 for
-    k = 0..max_order on a log grid: analytic derivatives are used through
-    order 3 when the input carries them, higher orders fall back to finite
-    differences with error bars.  A negative value beyond three error bars
-    refutes; a negative value within the bars counts as inconclusive.
+    k = 0..max_order on a log grid.  A function with a Taylor hook gives
+    every order in one call of it, each value with its rounding bound as
+    error bar.  Otherwise analytic derivatives are used through order 3
+    when the input carries them, and higher orders fall back to finite
+    differences with error bars (one Ridders ladder per order).  A value
+    within two error bars of 0 is dropped.  A negative value beyond three
+    error bars refutes; a negative value within the bars counts as
+    inconclusive.
 
     Stage two exploits the Bernstein representation: values on arithmetic
     grids must form Hausdorff moment sequences, so their Hankel matrices
@@ -365,20 +403,7 @@ def test_completely_monotone(f: RadialFunction, max_order: int = 6, *,
     if f.has_compact_support:
         return _failed(f.support_bound,
                        "compact support excludes complete monotonicity")
-    grid = np.array(xs)
-    # By (grid point, order): order 0 and analytic orders carry no error
-    # bar; NaN marks a kink, no fitting stencil or a noise-dominated value.
-    values, errors = np.zeros((2, grid.size, max_order + 1))
-    values[:, 0] = f(grid)
-    off_kink = ~f._on_kink(grid)
-    for k in range(1, max_order + 1):
-        if k <= 3 and (f.deriv1, f.deriv2, f.deriv3)[k - 1] is not None:
-            values[:, k] = np.nan
-            values[off_kink, k] = f.derivative(grid[off_kink], k)
-        else:
-            value, errors[:, k] = _safe_num_derivs(f, grid, k)
-            values[:, k] = np.where(errors[:, k] >= 0.5 * np.abs(value),
-                                    np.nan, value)
+    values, errors = _derivative_table(f, np.array(xs), max_order)
     wrong = values * (-1.0) ** np.arange(max_order + 1) < -tol
     refuted = np.argwhere(wrong & (np.abs(values) > 3.0 * errors))
     if refuted.size:
@@ -422,6 +447,24 @@ def _neg_deriv_sqrt(phi: RadialFunction) -> RadialFunction:
             u = np.sqrt(t)
             return -phi.deriv2(u) / (2.0 * u)
 
+    taylor = None
+    if phi.taylor is not None:
+        def taylor(t, order):
+            # -phi'(u + v) at u = sqrt(t), a series in v, composed with
+            # v = sqrt(t + s) - sqrt(t).  u is sqrt(t) rounded once: that
+            # moves coefficient k of phi' by up to (k + 1) |phi'_(k+1)|
+            # times the rounding, so phi's series runs two orders higher.
+            u = np.sqrt(t)
+            coef, bound = phi._series(u, order + 2)
+            k = np.arange(1.0, order + 3.0)[:, None]
+            d = k * coef[1:]
+            moved = k[:-1] * np.abs(d[1:]) * (0.5 * _EPS) * u
+            outer = series.Series(-d[:-1], k[:-1] * bound[1:-1] + moved
+                                  + 0.5 * _EPS * np.abs(d[:-1]))
+            return series.compose(outer, series.shifted_power(t, 0.5, order))
+
+        taylor = _taylor_hook(taylor, _MAX_TAYLOR_ORDER - 2)
+
     return RadialFunction(
         name=f"-d/dr[{phi.name}](sqrt t)",
         func=g,
@@ -429,6 +472,7 @@ def _neg_deriv_sqrt(phi: RadialFunction) -> RadialFunction:
         kinks=tuple(sorted(k * k for k in phi.kinks)),
         support_bound=(phi.support_bound ** 2
                        if phi.support_bound is not None else None),
+        taylor=taylor,
     )
 
 

@@ -44,6 +44,7 @@ from scipy import special as _special
 from .errors import DomainError, KinkError, TailcorrError
 from .models import TcfModel, h_d, tcf_result
 from .numerics import (
+    _EPS,
     _array_callable,
     _float_rule,
     _integer,
@@ -196,13 +197,17 @@ class TaylorReport:
     ``coeffs[k]`` is the order-k coefficient; ``coeff0`` repeats the 0-th
     (the only one whose sign may flip with lambda); ``all_nonneg_from_1``
     summarizes the signs of orders >= 1; ``tail_bound`` bounds the series
-    truncation error of the reported coefficients.
+    truncation error of the reported coefficients, and
+    ``rounding_bound[k]`` the rounding error of the sums behind
+    ``coeffs[k]`` (entry 0 is that of the series route, though ``coeffs[0]``
+    is the transform at 0 itself).
     """
 
     coeffs: tuple[float, ...]
     coeff0: float
     all_nonneg_from_1: bool
     tail_bound: float
+    rounding_bound: tuple[float, ...]
 
 
 _MAX_ORDER = 60
@@ -230,18 +235,21 @@ def _erf_sq_series(n: int) -> np.ndarray:
 
 
 def _recentered(coeffs: np.ndarray, center: float, scale: float,
-                order: int) -> tuple[np.ndarray, float]:
+                order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients of orders 0..order of ``x -> g(center + scale x)``,
-    given the Maclaurin coefficients of g, and the largest magnitude of a
-    last kept term, which bounds the truncation of g's series once its
-    terms decrease."""
+    given the n Maclaurin coefficients of g; with the magnitude of the
+    last kept term of each, whose largest bounds the truncation of g's
+    series once its terms decrease, and eps n sum_j |term_kj|, which bounds
+    the rounding of each sum and of its terms."""
     j = np.arange(len(coeffs))
     k = np.arange(order + 1)[:, None]
     # Entries with j < k hold a zero binomial; their power is clamped to 1.
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (coeffs * _special.comb(j, k)
                  * center ** np.maximum(j - k, 0) * scale ** k)
-        return terms.sum(axis=1), float(np.abs(terms[:, -1]).max())
+        magnitude = np.abs(terms)
+        return (terms.sum(axis=1), magnitude[:, -1],
+                _EPS * len(coeffs) * magnitude.sum(axis=1))
 
 
 def taylor_abs_monotone(map: str, lam: float = 1.0, alpha: float = 0.0,
@@ -264,43 +272,89 @@ def taylor_abs_monotone(map: str, lam: float = 1.0, alpha: float = 0.0,
 
     Each base series keeps ``order + 120`` terms.  ``tail_bound`` is the
     largest last kept term of a recentered series (doubled for S, summed
-    over both series for T): it bounds the truncation of the series, not
-    the rounding of the sums.  ``coeff0`` is the transform at 0 itself.
+    over both series for T): it bounds the truncation of the series.
+    ``rounding_bound`` bounds the rounding of each coefficient: eps n
+    sum_j |term_kj| for a recentered sum of n terms (doubled for S), and
+    for T the same magnitude rule carried through Horner's loop, with
+    the rounding of E(x0), the center of C, moving coefficient m of C by
+    (m + 1) |C_(m+1)| times as much.  ``coeff0`` is the transform at 0
+    itself.
+
+    A coefficient of order >= 1 below -(tail + rounding) - 1e-15 is
+    negative; one that is not, but could be below -1e-15 within
+    tail + rounding, has a sign the bounds cannot settle, and the call
+    raises DomainError, as it does for a series that does not converge.
+    So ``all_nonneg_from_1`` is never a guess.
     """
     order = _integer(order, "order", 1, _MAX_ORDER)
     spec = TransformSpec(map=map, lam=lam, alpha=alpha)
     if spec.alpha == 1.0:
         # alpha = 1 collapses every map to the constant 1.
-        return TaylorReport((1.0,) + (0.0,) * order, 1.0, True, 0.0)
+        return TaylorReport((1.0,) + (0.0,) * order, 1.0, True, 0.0,
+                            (0.0,) * (order + 1))
     n = order + _EXTRA_TERMS
     if map == "R":
         s = (1.0 - spec.alpha) / 2.0
-        coeffs, tail = _recentered(_cos_sqrt_series(n), s, -s, order)
+        coeffs, last, rounding = _recentered(_cos_sqrt_series(n), s, -s,
+                                             order)
+        tail = float(last.max())
     else:
         x0 = spec.lam * (1.0 - spec.alpha) / 8.0
-        e, tail = _recentered(_erf_sq_series(n), x0, -x0, order)
+        e, last, e_rounding = _recentered(_erf_sq_series(n), x0, -x0, order)
+        tail = float(last.max())
         if map == "S":
-            coeffs, tail = -2.0 * e, 2.0 * tail
+            coeffs, tail, rounding = -2.0 * e, 2.0 * tail, 2.0 * e_rounding
         else:
-            c, c_tail = _recentered(_cos_sqrt_series(n), e[0], 1.0, order)
-            h = np.concatenate(([0.0], e[1:]))
-            coeffs = np.zeros(order + 1)
-            for cm in c[::-1]:
-                coeffs = np.convolve(coeffs, h)[:order + 1]
-                coeffs[0] += cm
-            tail += c_tail
+            coeffs, tail, rounding = _composed_t(n, e, e_rounding, tail,
+                                                 order)
     if not tail <= 1e-15:
         # A truncation beyond the sign rule's slack (or an overflow).
         raise DomainError(
             f"the series of {map} do not converge in {n} terms at "
             f"lambda={spec.lam!r}, alpha={spec.alpha!r}")
+    slack = (tail + rounding)[1:]
+    negative = coeffs[1:] < -slack - 1e-15
+    unsettled = ~negative & (coeffs[1:] - slack < -1e-15)
+    if unsettled.any():
+        k = int(np.argmax(unsettled)) + 1
+        raise DomainError(
+            f"the sign of the order-{k} coefficient of {map} "
+            f"({coeffs[k]:.6g}) lies within its rounding and truncation "
+            f"bound {slack[k - 1]:.3g} at lambda={spec.lam!r}, "
+            f"alpha={spec.alpha!r}")
     coeffs[0] = coeff0 = apply_transform(spec, 0.0)
     return TaylorReport(
         coeffs=tuple(coeffs.tolist()),
         coeff0=coeff0,
-        all_nonneg_from_1=not np.any(coeffs[1:] < -tail - 1e-15),
+        all_nonneg_from_1=not negative.any(),
         tail_bound=tail,
+        rounding_bound=tuple(rounding.tolist()),
     )
+
+
+def _composed_t(n: int, e: np.ndarray, e_rounding: np.ndarray, tail: float,
+                order: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """T's coefficients, truncation and rounding bounds: C recentered at
+    E(x0) = e[0] and composed with h = E(x0 - x0 x) - E(x0) by Horner's
+    rule, each convolution adding eps (order + 1) times the magnitudes it
+    sums and carrying the bounds of its inputs."""
+    c, last, c_rounding = _recentered(_cos_sqrt_series(n), e[0], 1.0,
+                                      order + 1)
+    # The center e[0] is off by up to e_rounding[0].
+    c_rounding = (c_rounding[:-1] + np.arange(1, order + 2)
+                  * np.abs(c[1:]) * e_rounding[0])
+    h = np.concatenate(([0.0], e[1:]))
+    h_rounding = np.concatenate(([0.0], e_rounding[1:]))
+    coeffs, rounding = np.zeros(order + 1), np.zeros(order + 1)
+    for cm, rm in zip(c[-2::-1], c_rounding[::-1]):
+        magnitude = np.convolve(np.abs(coeffs), np.abs(h))[:order + 1]
+        rounding = (np.convolve(rounding, np.abs(h))[:order + 1]
+                    + np.convolve(np.abs(coeffs), h_rounding)[:order + 1]
+                    + _EPS * (order + 1) * magnitude)
+        coeffs = np.convolve(coeffs, h)[:order + 1]
+        coeffs[0] += cm
+        rounding[0] += rm
+    return coeffs, tail + float(last[:-1].max()), rounding
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ storm shapes, ball-convolution kernels, and turning-bands inputs are all
 radial functions.  The wrapper records what plain callables cannot express:
 
 * analytic derivatives up to order 3 where available,
+* a Taylor hook where available: ``taylor(x, order)`` gives the Taylor
+  coefficients of orders 0..order at every x > 0 in one call, each with a
+  bound on its rounding error (:mod:`tailcorr.series`),
 * declared kink abscissae (numeric differentiation refuses to straddle them),
 * a support bound for compactly supported functions,
 * the algebraic growth exponent at 0 for shapes that blow up there,
@@ -16,6 +19,14 @@ the Gaussian-process model classes.
 Each wrapper's ``func``, and each declared derivative of a radial
 function, takes a float or a whole array of distances; the
 ``*_from_callable`` helpers lift a callable that only takes floats.
+
+A derivative of order k takes one of three routes, the first one the
+function declares: its closed form ``deriv<k>``, so every closed form
+keeps its bits; k! times coefficient k of its Taylor hook; Ridders'
+extrapolated differences of ``func`` (:func:`tailcorr.num_derivative`).
+``exponential_decay``, ``erfc_sqrt``, ``powered_erfc``,
+``powered_exponential`` and ``generalized_cauchy`` declare the hook, for
+orders 0..10; a hook takes arrays only and is never lifted.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from typing import Callable
 import numpy as np
 from scipy import special as _special
 
+from . import series
 from .errors import DomainError, KinkError, TailcorrError
 from .numerics import (_float_rule, _integer, _lift, _radial_derivatives,
                        _real, _reject, kappa_d)
@@ -54,6 +66,9 @@ __all__ = [
 
 _KINK_EPS = 1e-12
 
+#: Largest order the Taylor hooks of the catalog take.
+_MAX_TAYLOR_ORDER = 10
+
 
 def _probe(func: Callable, points, what: str, helper: str) -> np.ndarray:
     """``func`` on a small array; rejects a callable that only takes floats."""
@@ -76,6 +91,23 @@ def _evaluate(x, func: Callable):
     return func(x)
 
 
+def _taylor_hook(build: Callable, max_order: int = _MAX_TAYLOR_ORDER
+                 ) -> Callable:
+    """A ``taylor(x, order)`` hook from ``build(x, order)``, which takes a
+    flat array of x > 0 and returns a :class:`~tailcorr.series.Series`;
+    the hook returns its coefficients and bounds, shape
+    (order + 1,) + x.shape."""
+    def taylor(x, order: int):
+        order = _integer(order, "order", 0, max_order)
+        arr = np.asarray(x, dtype=float)
+        _reject(arr, ~(arr > 0), "r must be > 0")
+        out = build(arr.ravel(), order)
+        shape = (order + 1,) + arr.shape
+        return out.coef.reshape(shape), out.bound.reshape(shape)
+
+    return taylor
+
+
 @dataclass(frozen=True)
 class RadialFunction:
     """A function of radius r >= 0 with differentiation metadata.
@@ -83,6 +115,11 @@ class RadialFunction:
     ``func`` must be finite on (0, inf); it may diverge at 0 with declared
     algebraic exponent ``zero_exponent`` (``func(u) ~ u^zero_exponent``),
     which integrators use to handle the singularity.
+
+    ``taylor(x, order)``, when given, takes an array of x > 0 and returns
+    two arrays of shape (order + 1,) + x.shape: the Taylor coefficients
+    f^(k)(x) / k! for k = 0..order, and a bound on the absolute error of
+    each.
     """
 
     name: str
@@ -95,6 +132,7 @@ class RadialFunction:
     zero_exponent: float = 0.0
     family: str | None = None
     param: float | None = None
+    taylor: Callable | None = None
 
     def __post_init__(self) -> None:
         if list(self.kinks) != sorted(self.kinks):
@@ -120,6 +158,20 @@ class RadialFunction:
         _reject(arr, arr < 0, "radius must be >= 0")
         return _evaluate(arr, self.func)
 
+    def _series(self, x: np.ndarray, order: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``taylor`` hook at the array ``x``: coefficients and bounds,
+        each checked to be of shape (order + 1,) + x.shape."""
+        coef, bound = (np.asarray(a, dtype=float)
+                       for a in self.taylor(x, order))
+        if not coef.shape == bound.shape == (order + 1,) + x.shape:
+            raise DomainError(
+                f"the taylor hook of radial function {self.name!r} must "
+                "return coefficients and bounds of shape (order + 1,) + "
+                f"x.shape = {(order + 1,) + x.shape}, got {coef.shape} and "
+                f"{bound.shape}")
+        return coef, bound
+
     @property
     def has_compact_support(self) -> bool:
         return self.support_bound is not None
@@ -140,8 +192,10 @@ class RadialFunction:
         """Derivative of the given order at r > 0; a float for a float, an
         array for an array.
 
-        Uses the analytic derivative when present, numeric differentiation
-        of ``func`` otherwise, either one on the whole array.
+        Takes the first route the function declares, on the whole array:
+        the closed form ``deriv<order>``, then order! times coefficient
+        ``order`` of the ``taylor`` hook, then numeric differentiation of
+        ``func`` (Ridders' scheme).
         Refuses (KinkError) on a declared kink, where no two-sided
         derivative exists; the numeric route also refuses wherever its
         stencil would cross a kink, so ``truncated_power(1.5)`` has no
@@ -160,6 +214,9 @@ class RadialFunction:
         analytic = (self.deriv1, self.deriv2, self.deriv3)[order - 1]
         if analytic is not None:
             return _evaluate(arr, analytic)
+        if self.taylor is not None:
+            return _evaluate(arr, lambda x: math.factorial(order)
+                             * self._series(x, order)[0][order])
         return _evaluate(arr, lambda x: _radial_derivatives(
             self.func, x, order, kinks=self.kinks))
 
@@ -204,7 +261,22 @@ def exponential_decay(scale: float = 1.0) -> RadialFunction:
         deriv3=lambda r: -np.exp(-r / s) / s**3,
         family="exponential",
         param=s,
+        taylor=_exp_power_taylor(1.0, -1.0 / s),
     )
+
+
+def _exp_power_taylor(nu: float, factor: float) -> Callable:
+    """The Taylor hook of exp(factor r^nu): exp of the shifted power
+    (x + s)^nu times ``factor``."""
+    return _taylor_hook(lambda x, m: series.exp(series.scale(
+        series.shifted_power(x, nu, m), factor)))
+
+
+def _erfc_power_taylor(nu: float) -> Callable:
+    """The Taylor hook of erfc(r^nu): erfc through its ODE, of the shifted
+    power (x + s)^nu, whose square is (x + s)^(2 nu)."""
+    return _taylor_hook(lambda x, m: series.erfc(
+        series.shifted_power(x, nu, m), series.shifted_power(x, 2.0 * nu, m)))
 
 
 def erfc_sqrt() -> RadialFunction:
@@ -226,6 +298,7 @@ def erfc_sqrt() -> RadialFunction:
                           / (4.0 * sq_pi * np.power(r, 2.5))),
         family="powered_erfc",
         param=0.5,
+        taylor=_erfc_power_taylor(0.5),
     )
 
 
@@ -242,6 +315,7 @@ def powered_erfc(nu: float) -> RadialFunction:
                           * np.exp(-np.power(r, 2.0 * n))),
         family="powered_erfc",
         param=n,
+        taylor=_erfc_power_taylor(n),
     )
 
 
@@ -256,6 +330,7 @@ def powered_exponential(nu: float) -> RadialFunction:
         deriv1=lambda r: -n * np.power(r, n - 1.0) * np.exp(-np.power(r, n)),
         family="powered_exponential",
         param=n,
+        taylor=_exp_power_taylor(n, -1.0),
     )
 
 
@@ -309,6 +384,15 @@ def generalized_cauchy(nu: float, beta: float = 1.0) -> RadialFunction:
             (n - 1.0) * ((n - 2.0) * q - 2.0 * (1.0 + b * n) * w)
             - (b + 2.0) * n * w * p)
 
+    def taylor(x, m):
+        # (1 + u0 + v)^(-beta), a shifted power in v, composed with
+        # v = (x + s)^nu - u0, u0 = x^nu; 1 + u0 is rounded once more.
+        u = series.shifted_power(x, n, m)
+        base = 1.0 + u.coef[0]
+        outer = series.shifted_power(
+            base, -b, m, rel_error=u.bound[0] / base + series._UNIT)
+        return series.compose(outer, u)
+
     return RadialFunction(
         name=f"cauchy(nu={n:g}, beta={b:g})",
         func=lambda r: np.power(1.0 + np.power(r, n), -b),
@@ -318,6 +402,7 @@ def generalized_cauchy(nu: float, beta: float = 1.0) -> RadialFunction:
         deriv3=deriv3,
         family="cauchy",
         param=n,
+        taylor=_taylor_hook(taylor),
     )
 
 

@@ -79,8 +79,9 @@ class RecoveryInput:
 
     ``chi`` must carry whatever derivative orders the dimension demands
     (order 1 for d=1 shapes, up to order 3 for d=3 radius densities);
-    analytic derivatives give machine-precision recovery, numeric fallbacks
-    are accurate to roughly 1e-7.
+    analytic derivatives, closed-form or from a Taylor hook, give
+    machine-precision recovery, numeric fallbacks are accurate to roughly
+    1e-7.
 
     In d=2, as in d=3, the shape and cdf need chi'' and the density chi''';
     numeric ones floor the tolerance at ``_NUMERIC_D2_TOL``.
@@ -163,10 +164,11 @@ def _slice_average(inp: RecoveryInput, x: np.ndarray, power: int, form,
     """A d=3 closed form ``form(w)`` of derivatives of chi up to ``order``,
     times sech(theta)^power, integrated over theta in (0, arccosh(b / x_i))
     at w = x_i cosh(theta), b the support end of chi; with the sign guard's
-    slack.  A numeric chi'' (or chi''' at order 3) floors ``tol`` at
+    slack.  A numeric chi'' (or chi''' at order 3), one with neither a
+    closed form nor a Taylor hook, floors ``tol`` at
     ``_NUMERIC_D2_TOL``."""
     chi = inp.chi
-    if None in (chi.deriv2, chi.deriv3)[:order - 1]:
+    if chi.taylor is None and None in (chi.deriv2, chi.deriv3)[:order - 1]:
         tol = max(tol, _NUMERIC_D2_TOL)
     with np.errstate(invalid="ignore"):
         # Kinks of chi at theta = arccosh(k / x_i) (NaN where k < x_i).
@@ -228,6 +230,10 @@ def _diameter_cdf_smooth(inp: RecoveryInput, s: float) -> float:
     end = _end(chi)
     if s <= 0 or s >= end:
         return float(s > 0)
+    if inp.dim != 2 and chi._on_kink(np.array(s)):
+        # No atom here (the law's cdf moves a query at an atom past it),
+        # so the cdf is continuous: take the left piece.
+        s -= 3.0 * _KINK_EPS * max(1.0, s)
     if inp.dim == 1:
         return 1.0 + s * chi.derivative(s, 1) - float(chi(s))
     if inp.dim == 3:
@@ -299,10 +305,11 @@ def recover_radius_law(inp: RecoveryInput, *, tol: float = 1e-10) -> Distributio
     atoms = _diameter_atoms(inp)
 
     def cdf(s: float) -> float:
-        # Just right of a kink: right-continuous, the atom included.
-        k = inp.chi.nearest_kink(s)
-        if k is not None and abs(s - k) <= 1e-9 * max(1.0, abs(k)):
-            s = k * (1.0 + _SIDE_EPS)
+        # Just right of an atom: right-continuous, the atom included.  The
+        # cdf is continuous everywhere else, so no other query moves.
+        for k, _ in atoms:
+            if abs(s - k) <= 1e-9 * max(1.0, abs(k)):
+                s = k * (1.0 + _SIDE_EPS)
         return min(1.0, _diameter_cdf_smooth(inp, s))
 
     pdf = None

@@ -12,10 +12,11 @@ from scipy.integrate import quad
 
 from conftest import assert_entrywise
 
-from tailcorr import cli
+from tailcorr import cli, membership, numerics
 from tailcorr.errors import DomainError
 from tailcorr.membership import (
     _chunks,
+    _derivative_table,
     _eigmin_uncertified,
     _lattice_rayleigh,
     _moment_matrix_stage,
@@ -99,10 +100,13 @@ def moment_stage_by_grid(f, tol=1e-9):
 def complete_monotonicity_by_loop(f, max_order, tol=1e-9):
     """Reference complete-monotonicity battery on DEFAULT_GRID: the sign
     stage walks grid point by grid point and order by order, stopping at
-    the first refutation; the largest straddle makes it inconclusive."""
+    the first refutation; the largest straddle makes it inconclusive.  A
+    function with a Taylor hook takes it point by point."""
     if f.has_compact_support:
         return Verdict("fail", f.support_bound,
                        "compact support excludes complete monotonicity")
+    if f.taylor is not None:
+        return _series_signs_by_loop(f, max_order, tol)
     grid = np.array(DEFAULT_GRID)
     values = f(grid)
     off_kink = ~f._on_kink(grid)
@@ -133,6 +137,35 @@ def complete_monotonicity_by_loop(f, max_order, tol=1e-9):
                     return Verdict("fail", (x, k, value),
                                    f"order-{k} derivative has the wrong sign")
                 straddles.append((x, k, value, err))
+    stage_two = _moment_matrix_stage(f, tol)
+    if stage_two is not None:
+        return stage_two
+    if straddles:
+        x, k, v, e = max(straddles, key=lambda s: abs(s[2]))
+        return Verdict("inconclusive", reason=(
+            f"order-{k} derivative at x={x:.4g} is {v:.3g} with error bar "
+            f"{e:.3g}: sign indeterminate"))
+    return Verdict("pass")
+
+
+def _series_signs_by_loop(f, max_order, tol):
+    """The reference sign stage of a function with a Taylor hook: one hook
+    call per grid point, k! c_k with k! times its bound (plus the rounding
+    of that product) as error bar, and the rules of the Ridders route."""
+    straddles = []
+    for x in DEFAULT_GRID:
+        coef, bound = f.taylor(np.array([x]), max_order)
+        for k in range(max_order + 1):
+            value = math.factorial(k) * float(coef[k, 0])
+            err = (math.factorial(k) * float(bound[k, 0])
+                   + 0.5 * np.finfo(float).eps * abs(value))
+            if err >= 0.5 * abs(value) or (-1.0) ** k * value >= -tol:
+                continue
+            if abs(value) > 3.0 * err:
+                return Verdict("fail", (x, k, value),
+                               f"order-{k} derivative has the wrong sign"
+                               if k else "negative value")
+            straddles.append((x, k, value, err))
     stage_two = _moment_matrix_stage(f, tol)
     if stage_two is not None:
         return stage_two
@@ -371,6 +404,63 @@ class TestTinfty:
         verdict = test_Tinfty_MMMr(powered_exponential(2.0), 4)
         assert verdict.failed
         assert verdict.witness[1] == 1
+
+
+class TestTaylorRoute:
+    """A candidate with a Taylor hook takes every sign of stage one from
+    one call of the hook per battery, and no Ridders ladder anywhere."""
+
+    ROUTED = [(erfc_sqrt(), 3), (powered_erfc(0.4), 1),
+              (generalized_cauchy(1.0), 2), (powered_erfc(0.8), 3),
+              (exponential_decay(), 1), (powered_exponential(0.5), 2)]
+
+    @pytest.mark.parametrize("chi, d", ROUTED,
+                             ids=[f"{c.name}-d{d}" for c, d in ROUTED])
+    def test_classify_makes_no_numeric_derivative(self, chi, d, monkeypatch):
+        ladders, hooks = [], []
+        real = numerics.num_derivative
+
+        def counting(*args, **kwargs):
+            ladders.append(args[2] if len(args) > 2 else kwargs["order"])
+            return real(*args, **kwargs)
+
+        def hook(x, order):
+            hooks.append((order, np.size(x)))
+            return chi.taylor(x, order)
+
+        monkeypatch.setattr(membership, "num_derivative", counting)
+        monkeypatch.setattr(numerics, "num_derivative", counting)
+        classify(dataclasses.replace(chi, taylor=hook), d)
+        assert ladders == []
+        # One call on the grid for completely_monotone (order 6) and one
+        # for the hook of -phi'(sqrt t) in Tinfty_MMMr (order 6 + 2).
+        assert sorted(hooks) == [(6, len(DEFAULT_GRID)),
+                                 (8, len(DEFAULT_GRID))]
+
+    @pytest.mark.parametrize("alpha, x, order", [
+        (0.8, 0.8703591361485166, 5), (0.9, 0.41026581058271944, 4),
+        (1.0, 0.001, 3)])
+    def test_stage_one_witnesses_of_the_ladders(self, alpha, x, order):
+        # The grid point and order the Ridders route found.
+        verdict = test_completely_monotone(powered_erfc(alpha))
+        assert verdict.witness[:2] == (x, order)
+
+    @pytest.mark.parametrize("f", [powered_erfc(0.4), erfc_sqrt(),
+                                   _neg_deriv_sqrt(powered_erfc(0.4))],
+                             ids=["erfc0.4", "erfc_sqrt", "neg_deriv_sqrt"])
+    def test_resolves_every_sign_the_ladders_resolve(self, f):
+        # Only signs are compared: the ladders are up to 1 % off at order
+        # 6 near r = 1e-3, and their error estimates are no bounds (for
+        # erfc(sqrt r) at order 4 and r = 0.8214 the ladder is 1.4e-6 off
+        # with an estimate of 8.5e-9).
+        grid = np.array(DEFAULT_GRID)
+        series, _ = _derivative_table(f, grid, 6)
+        ladder, _ = _derivative_table(dataclasses.replace(f, taylor=None),
+                                      grid, 6)
+        assert not np.any(np.isnan(series) & ~np.isnan(ladder))
+        both = ~np.isnan(ladder)
+        assert both[:, 4:].sum() > 100
+        assert np.array_equal(np.sign(series[both]), np.sign(ladder[both]))
 
 
 class TestTriangle:
@@ -742,8 +832,11 @@ class TestArrayEvaluation:
         verdict = test_completely_monotone(powered_erfc(0.8))
         assert verdict.failed
         assert all(type(v) in (float, int) for v in verdict.witness)
-        assert re.fullmatch(r"\(0\.870359136148\d*, 5, 0\.27982129\d*\)",
-                            repr(verdict.witness))
+        # The order-5 value of the Taylor hook; 40-digit arithmetic reads
+        # 0.27982298271998547 (Ridders' ladder read 0.2798212958).
+        assert re.fullmatch(
+            r"\(0\.870359136148\d*, 5, 0\.27982298271998\d*\)",
+            repr(verdict.witness))
 
     KINK_GRID = np.linspace(0.25, 4.0, 16)  # holds t = 1
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_entrywise
 
+from tailcorr import series
 from tailcorr.distributions import exponential_dist, point_mass
 from tailcorr.errors import DomainError, KinkError, ModelError
 from tailcorr.models import (
@@ -350,6 +351,39 @@ class TestTaylor:
             taylor_abs_monotone("S", lam=200.0)
         with pytest.raises(DomainError, match="converge"):
             taylor_abs_monotone("T", lam=1000.0)
+
+    def test_s_at_large_lambda_raises(self):
+        # At lambda = 100 the recentered sums round to noise: the order-1
+        # coefficient reads 2.9e-5 within a bound of 3.4e-3.  Without the
+        # bound the call read all_nonneg_from_1=False, where a 90-digit
+        # reference has every coefficient of orders 1..40 positive.
+        with pytest.raises(DomainError, match=(
+                r"sign of the order-1 coefficient of S .* at "
+                r"lambda=100\.0, alpha=0\.0")):
+            taylor_abs_monotone("S", 100.0)
+
+    @pytest.mark.parametrize("lam", [1.0, 5.0, 20.0, 50.0])
+    def test_s_rounding_bound_covers_a_second_route(self, lam):
+        # S(x) = 1 - 2 E(x0 - x0 x), E(u) = erf(sqrt u)^2, x0 = lam / 8:
+        # coefficient k is -2 (-x0)^k E_k, with E_k the Taylor coefficients
+        # of E at x0 itself, from the series of erfc(sqrt u) there, which
+        # do not cancel at large lambda.
+        order = 40
+        rep = taylor_abs_monotone("S", lam, order=order)
+        assert len(rep.rounding_bound) == order + 1
+        x0 = lam / 8.0
+        y = series.erfc(series.shifted_power(np.array([x0]), 0.5, order),
+                        series.shifted_power(np.array([x0]), 1.0, order))
+        erf = series.Series(
+            np.concatenate([1.0 - y.coef[:1], -y.coef[1:]]),
+            y.bound + np.concatenate([[1e-16], np.zeros(order)])[:, None])
+        e = series.mul(erf, erf)
+        for k in range(1, order + 1):
+            want = -2.0 * (-x0) ** k * float(e.coef[k, 0])
+            slack = (rep.rounding_bound[k] + rep.tail_bound
+                     + 2.0 * x0**k * float(e.bound[k, 0]) + 1e-15 * abs(want))
+            assert abs(rep.coeffs[k] - want) <= slack
+            assert rep.rounding_bound[k] < abs(rep.coeffs[k])
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
     def test_r_satisfies_its_recurrence(self, alpha):

@@ -5,6 +5,7 @@ evaluates a whole array in one call, bit for bit as it evaluates each
 float, and a scalar-only callable must come in through a
 ``*_from_callable`` helper."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from tailcorr import DomainError, num_derivative
 from tailcorr.cli import _gaussian_correlation
+from tailcorr.membership import DEFAULT_GRID, _neg_deriv_sqrt
 from tailcorr.models import erfc_mixture, h_d
 from tailcorr.operators import (chi_d_neg_deriv_sqrt, chi_d_radial,
                                 erf_square_complement_radial, phi_d,
@@ -352,3 +354,110 @@ def test_constructor_refuses_non_finite_parameter(name, value):
     with pytest.raises(DomainError,
                        match=f"{argument} must be .*, got {value!r}$"):
         build(value)
+
+
+#: name -> factory of every catalog function with a Taylor hook.
+HOOKED = {
+    "exponential": exponential_decay,
+    "exponential_scale": lambda: exponential_decay(2.5),
+    "erfc_sqrt": erfc_sqrt,
+    "powered_erfc_0.4": lambda: powered_erfc(0.4),
+    "powered_erfc_0.8": lambda: powered_erfc(0.8),
+    "powered_exponential_0.5": lambda: powered_exponential(0.5),
+    "powered_exponential_1.5": lambda: powered_exponential(1.5),
+    "cauchy_1": lambda: generalized_cauchy(1.0),
+    "cauchy_2": lambda: generalized_cauchy(2.0),
+    "cauchy_0.5_2": lambda: generalized_cauchy(0.5, 2.0),
+    "cauchy_1.5_0.7": lambda: generalized_cauchy(1.5, 0.7),
+}
+
+
+class TestTaylorHook:
+    """The Taylor hook: k! c_k against each closed form the function
+    declares, an ODE, and the route ``derivative`` takes."""
+
+    GRID = np.array(DEFAULT_GRID)
+
+    @pytest.mark.parametrize("name", sorted(HOOKED))
+    def test_matches_every_closed_form(self, name):
+        # 1e-13 relative, or within the hook's own bound where a
+        # derivative crosses 0 (the third one of Cauchy nu = 1.5 near
+        # r = 0.82, where the closed form is no better).
+        f = HOOKED[name]()
+        coef, bound = f.taylor(self.GRID, 3)
+        assert coef.shape == bound.shape == (4, self.GRID.size)
+        for k, closed in enumerate((f.func, f.deriv1, f.deriv2, f.deriv3)):
+            if closed is None:
+                continue
+            want = closed(self.GRID)
+            got = math.factorial(k) * coef[k]
+            err = math.factorial(k) * bound[k]
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want) + err)
+            assert np.all(err <= 1e-10 * np.abs(want))
+
+    def test_erfc_sqrt_solves_its_ode_through_order_9(self):
+        # y = erfc(sqrt x) solves 2x y'' + (2x + 1) y' = 0; in the
+        # coefficients c at x, for k = 0..7:
+        #   2x (k+2)(k+1) c_(k+2) + 2 (k+1) k c_(k+1)
+        #     + (2x + 1)(k+1) c_(k+1) + 2 k c_k = 0.
+        x = self.GRID
+        c, bound = erfc_sqrt().taylor(x, 9)
+        for k in range(8):
+            terms = (2.0 * x * (k + 2) * (k + 1) * c[k + 2],
+                     2.0 * (k + 1) * k * c[k + 1],
+                     (2.0 * x + 1.0) * (k + 1) * c[k + 1],
+                     2.0 * k * c[k])
+            scale = sum(np.abs(t) for t in terms)
+            assert np.all(np.abs(sum(terms)) <= 1e-13 * scale)
+        assert np.all(bound <= 1e-12 * np.abs(c))
+
+    @pytest.mark.parametrize("name", sorted(HOOKED))
+    def test_neg_deriv_sqrt_hook_matches_its_closed_forms(self, name):
+        # g(t) = -phi'(sqrt t) and g'(t) = -phi''(sqrt t) / (2 sqrt t),
+        # from phi's hook composed with sqrt(t + s) - sqrt(t).
+        phi = HOOKED[name]()
+        g = _neg_deriv_sqrt(phi)
+        coef, bound = g.taylor(self.GRID, 8)
+        assert coef.shape == (9, self.GRID.size)
+        u = np.sqrt(self.GRID)
+        want = (-phi.derivative(u, 1), -phi.derivative(u, 2) / (2.0 * u))
+        for k, w in enumerate(want):
+            assert np.all(np.abs(coef[k] - w) <= 1e-13 * np.abs(w) + bound[k])
+
+    @pytest.mark.parametrize("name", sorted(HOOKED))
+    def test_derivative_route(self, name):
+        # The closed form first, then k! c_k; both on the float rule.
+        f = HOOKED[name]()
+        xs = np.geomspace(1e-3, 50.0, 301)
+        coef, _ = f.taylor(xs, 3)
+        for k in (1, 2, 3):
+            got = f.derivative(xs, k)
+            closed = getattr(f, f"deriv{k}")
+            want = closed(xs) if closed else math.factorial(k) * coef[k]
+            assert np.array_equal(bits(got), bits(want))
+            per_call = [f.derivative(float(x), k) for x in xs]
+            assert np.array_equal(bits(got), bits(per_call))
+
+    def test_without_hook_the_derivative_is_numeric(self):
+        f = powered_erfc(0.4)
+        bare = dataclasses.replace(f, taylor=None)
+        xs = np.array([0.3, 1.0, 2.5])
+        assert not np.array_equal(bare.derivative(xs, 2),
+                                  f.derivative(xs, 2))
+        assert bare.derivative(xs, 2) == pytest.approx(f.derivative(xs, 2),
+                                                       rel=1e-7)
+
+    def test_hook_shape_and_order_are_checked(self):
+        f = erfc_sqrt()
+        coef, bound = f.taylor(np.ones((2, 3)), 4)
+        assert coef.shape == bound.shape == (5, 2, 3)
+        with pytest.raises(DomainError,
+                           match=r"order must be an integer in 0\.\.10, got 11"):
+            f.taylor(self.GRID, 11)
+        with pytest.raises(DomainError, match="r must be > 0, got 0.0"):
+            f.taylor(np.array([1.0, 0.0]), 2)
+        bad = RadialFunction("bad", func=lambda r: np.exp(-r),
+                             taylor=lambda x, order: (x, x[None]))
+        with pytest.raises(DomainError, match=r"taylor hook of radial "
+                           r"function 'bad' .* got \(3,\) and \(1, 3\)"):
+            bad.derivative(np.array([0.5, 1.0, 2.0]), 2)

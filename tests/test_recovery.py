@@ -25,12 +25,15 @@ from tailcorr.radial import (
     RadialFunction,
     exponential_decay,
     generalized_cauchy,
+    powered_erfc,
+    powered_exponential,
     radial_from_callable,
     tent,
     truncated_power,
 )
 from tailcorr.recovery import (
     _NUMERIC_D2_TOL,
+    _diameter_cdf_smooth,
     AtomicAnswer,
     H_from_f,
     RecoveryInput,
@@ -217,6 +220,14 @@ class TestRecoverRadiusDensity:
         assert law.cdf_value(1.0) == pytest.approx(1.0, abs=1e-6)
         assert law.cdf_value(1.5) == pytest.approx(1.0, abs=1e-6)
 
+    def test_cdf_on_a_kink_without_atom(self):
+        # (1 - t)_+^3 has chi'(1) = 0, so its d=1 law has no atom at 1; a
+        # query on the kink takes the left piece instead of raising.
+        law = recover_radius_law(RecoveryInput(truncated_power(3.0), 1))
+        assert law.atoms == ()
+        assert law.cdf_value(1.0 - 1e-13) == pytest.approx(1.0, abs=1e-12)
+        assert law.cdf_value(0.5) == pytest.approx(0.5, abs=1e-12)
+
     def test_radius_normalization(self):
         for dim in (1, 2, 3):
             inp = RecoveryInput(chi=erfc_sqrt_chi(), dim=dim)
@@ -245,11 +256,12 @@ class TestNumericDerivativesNearZero:
 
 
 class TestD2NumericDerivatives:
-    """Without analytic second and third derivatives, the d=2 integrals take
-    numeric ones and must agree with the analytic-derivative route."""
+    """Without analytic second and third derivatives or a Taylor hook, the
+    d=2 integrals take numeric ones and must agree with the
+    analytic-derivative route."""
 
     FULL = generalized_cauchy(1.0)  # 1/(1 + r)
-    CHI = dataclasses.replace(FULL, deriv2=None, deriv3=None)
+    CHI = dataclasses.replace(FULL, deriv2=None, deriv3=None, taylor=None)
 
     # The shape also far out, where it is 1.2e-10 at u = 1000: the angle
     # integral of chi'' alone keeps the numeric route within 1e-7 there.
@@ -285,6 +297,22 @@ class TestD2NumericDerivatives:
     def test_shape_normalization_by_numeric_derivatives(self):
         inp = RecoveryInput(chi=self.CHI, dim=2)
         assert shape_normalization(inp) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestTaylorHookRecovery:
+    """Catalog functions whose second and third derivatives come from
+    their Taylor hook recover a shape of unit mass in d = 2 and 3 (with
+    numeric ones, d = 2 raised QuadratureError and d = 3 read up to
+    1.0045)."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("chi", [powered_erfc(0.4), powered_erfc(0.8),
+                                     powered_exponential(0.5)],
+                             ids=lambda chi: chi.name)
+    def test_shape_normalization(self, chi, d):
+        assert chi.deriv2 is None and chi.taylor is not None
+        assert shape_normalization(RecoveryInput(chi, d)) == pytest.approx(
+            1.0, abs=1e-8)
 
 
 class TestD2CompactSupport:
@@ -325,20 +353,23 @@ class TestD2CompactSupport:
         assert radius_normalization(self.INP) == pytest.approx(1.0,
                                                                abs=1e-6)
 
-    def test_interior_atom(self):
-        # Half (1 - t)_+^2 and half (1 - t/2)_+^2: the d=3 atom at the
-        # interior kink 1 slices into a density that grows like
-        # (1 - s)^(-1/2) below it, and the law still has unit mass.
+    def mixture(self):
+        """Half (1 - t)_+^2 and half (1 - t/2)_+^2."""
         def mix(order):
             return lambda t: 0.5 * (self.CHI.derivative(t, order)
                                     + self.CHI.derivative(t / 2.0, order)
                                     / 2.0**order)
 
-        chi = RadialFunction(
+        return RadialFunction(
             "mixture", lambda t: 0.5 * (self.CHI(t) + self.CHI(t / 2.0)),
             deriv1=mix(1), deriv2=mix(2), deriv3=mix(3), kinks=(1.0, 2.0),
             support_bound=2.0)
-        inp = RecoveryInput(chi=chi, dim=2)
+
+    def test_interior_atom(self):
+        # The d=3 atom at the interior kink 1 of the mixture slices into a
+        # density that grows like (1 - s)^(-1/2) below it, and the law
+        # still has unit mass.
+        inp = RecoveryInput(chi=self.mixture(), dim=2)
         law = recover_radius_law(inp)
         s = np.array([0.5, 0.99, 1.5, 1.99])
         exact = 1.0 - 0.5 * (np.sqrt(np.maximum(0.0, 1.0 - s**2))
@@ -347,6 +378,17 @@ class TestD2CompactSupport:
         assert [law.cdf_value(x) for x in s] == pytest.approx(exact,
                                                               abs=1e-12)
         assert radius_normalization(inp) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("s", [1.0 - 1e-13, 2.0 - 1e-13, 1.0, 2.0])
+    def test_cdf_next_to_a_kink_stays_put(self, s):
+        # The d=2 law has no atom, so a query next to a kink of chi is
+        # not moved past it (it read 1.0 at 2 - 1e-13, exact 1 - 1.6e-7).
+        inp = RecoveryInput(chi=self.mixture(), dim=2)
+        exact = 1.0 - 0.5 * (math.sqrt(max(0.0, 1.0 - s**2))
+                             + math.sqrt(1.0 - s**2 / 4.0))
+        got = recover_radius_law(inp).cdf_value(s)
+        assert got == pytest.approx(_diameter_cdf_smooth(inp, s), abs=1e-9)
+        assert got == pytest.approx(exact, abs=1e-9)
 
     def test_shape_rebuilds_chi(self):
         f = radial_from_callable(
