@@ -17,10 +17,15 @@ the package also calls directly, applies QUADPACK's G10/K21 rule to a
 whole batch of integrals: each pass evaluates the integrand once, on
 every unconverged panel of every integral; ``quadrature`` runs it on a
 batch of one.  ``_ridders`` evaluates the whole step ladder of many
-abscissae in one call; ``num_derivative`` is its only entry point, at a
-float or at every entry of an array.  Both call their argument on the
-whole ladder or panel set when it takes arrays, and float by float
-otherwise.
+abscissae in one call; ``num_derivative`` runs it on every entry of an
+array.  A float with a scalar or default step takes a float route,
+``_ridders_at``, instead of a batch of one: the same ladder in one call
+of the argument, with the checks and the Richardson table on Python
+floats (``_ridders_pick``, the loop ``_richardson`` matches bit for bit).
+Its fixed cost is a few one-element NumPy calls, not the tableau's, and
+it gives the bits of the same entry of an array.  Both engines call
+their argument on the whole ladder or panel set when it takes arrays,
+and float by float otherwise.
 
 All functions are pure and reentrant; there is no shared mutable state.
 Every function of distance follows one float rule (``_float_rule``): a
@@ -723,6 +728,51 @@ def _richardson(stencil: np.ndarray, con: np.ndarray, rungs: np.ndarray
         return cand[rows, last], errs[rows, last]
 
 
+def _ridders_pick(stencil: Sequence[float], con: float, rungs: int
+                  ) -> tuple[float, float]:
+    """Ridders' selection on one ladder in Python floats, after Numerical
+    Recipes (3rd ed., section 5.7): the Richardson table over the first
+    ``rungs`` values of ``stencil`` (step ratio ``con``) and its entry of
+    smallest error estimate.  A later entry wins a tie and NaN never wins;
+    with no entry, the first value comes back with an infinite error.
+    Refinement stops once the new diagonal moved by twice the best error,
+    checked from the third rung on.  :func:`_richardson` is this loop on a
+    batch of ladders, bit for bit."""
+    con2 = con * con
+    above = [stencil[0]]
+    best, err = stencil[0], math.inf
+    for i in range(1, rungs):
+        row = [stencil[i]]
+        fac = con2
+        for j in range(1, i + 1):
+            entry = (row[j - 1] * fac - above[j - 1]) / (fac - 1.0)
+            fac = fac * con2
+            left, up = abs(entry - row[j - 1]), abs(entry - above[j - 1])
+            # Both gaps within the best error: max(left, up) is not NaN.
+            if left <= err and up <= err:
+                best, err = entry, max(left, up)
+            row.append(entry)
+        if i > 1 and abs(row[i] - above[i - 1]) >= 2.0 * err:
+            break
+        above = row
+    return best, err
+
+
+def _differences(f: Callable, nodes: np.ndarray, order: int,
+                 steps: np.ndarray) -> np.ndarray:
+    """Central differences of order k over each ladder of ``steps``
+    (n, depth), from one call of ``f`` on their (n, depth, m) stencil
+    ``nodes``."""
+    _, weights, hpow = _STENCILS[order]
+    terms = f(nodes)
+    with np.errstate(all="ignore"):
+        terms = terms * weights
+        acc = terms[..., 0] + terms[..., 1]
+        for j in range(2, terms.shape[-1]):
+            acc += terms[..., j]
+        return acc / steps ** hpow
+
+
 def _ridders(f: Callable, x: np.ndarray, order: int, h: np.ndarray, *,
              gaps: Sequence[np.ndarray] = (), levels: int = 5
              ) -> tuple[np.ndarray, np.ndarray]:
@@ -739,24 +789,20 @@ def _ridders(f: Callable, x: np.ndarray, order: int, h: np.ndarray, *,
     Returns (values, abs_error_estimates); raises
     :class:`~tailcorr.errors.QuadratureError` on a non-finite value.
     """
-    offsets, weights, hpow = _STENCILS[order]
-    big = h * 2.0 ** (levels - 1)
-    for gap in gaps:
-        big = np.minimum(big, 0.5 * gap / _STENCIL_REACH[order])
-    big = np.maximum(big, h)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        big = h * 2.0 ** (levels - 1)
+        for gap in gaps:
+            big = np.minimum(big, 0.5 * gap / _STENCIL_REACH[order])
+        big = np.maximum(big, h)
         ratio = big / h
-        # One rung where big = h (or is NaN); elsewhere floor(log2(ratio))
-        # + 1 is at least 1.
+        # One rung where big = h; elsewhere floor(log2(ratio)) + 1 is at
+        # least 1.
         rungs = np.fmax(np.minimum(np.floor(np.log2(ratio)) + 1, levels), 1.0)
         con = np.where(rungs > 1, ratio ** (1.0 / (rungs - 1)), 1.0)
-    depth = int(rungs.max(initial=1))
-    steps = big[:, None] / con[:, None] ** np.arange(depth)
-    terms = f(x[:, None, None] + offsets * steps[:, :, None]) * weights
-    acc = terms[..., 0] + terms[..., 1]
-    for j in range(2, terms.shape[-1]):
-        acc += terms[..., j]
-    stencil = acc / steps ** hpow
+        depth = int(rungs.max(initial=1))
+        steps = big[:, None] / con[:, None] ** np.arange(depth)
+        nodes = x[:, None, None] + _STENCILS[order][0] * steps[:, :, None]
+    stencil = _differences(f, nodes, order, steps)
     if depth > 1:
         best, best_err = _richardson(stencil, con, rungs)
     else:
@@ -769,7 +815,49 @@ def _ridders(f: Callable, x: np.ndarray, order: int, h: np.ndarray, *,
     return best, best_err
 
 
-@_float_rule(at=1, result=True)
+def _ridders_at(f: Callable, x: float, order: int, h: float, *,
+                gaps: Sequence[float] = (), levels: int = 5
+                ) -> SpecialFnResult:
+    """:func:`_ridders` at one abscissa, on Python floats.
+
+    The ladder top and the Richardson table are float arithmetic, which
+    rounds as NumPy's does; the rung count, the step ratio, the ladder and
+    the differences are NumPy's, on one-element arrays and the
+    (1, depth, m) nodes, as :func:`_ridders` computes them for a batch.  So
+    a float gets the bits of the same entry of an array."""
+    big = h * 2.0 ** (levels - 1)
+    for gap in gaps:
+        big = min(big, 0.5 * gap / _STENCIL_REACH[order])
+    big = max(big, h)
+    ratio = np.array([big / h])
+    log2 = float(np.log2(ratio)[0])
+    # floor(log2(ratio)) + 1 rungs, at most ``levels`` (log2 may be inf).
+    rungs = levels if log2 >= levels else max(math.floor(log2) + 1, 1)
+    with np.errstate(all="ignore"):
+        if rungs > 1:
+            con = np.power(ratio, np.array([1.0 / (rungs - 1)]))
+            steps = big / con[:, None] ** np.arange(rungs)
+            con = float(con[0])
+        else:
+            steps, con = np.array([[big]]), 1.0
+        nodes = x + _STENCILS[order][0] * steps[:, :, None]
+    stencil = _differences(f, nodes, order, steps)[0].tolist()
+    value, error = _ridders_pick(stencil, con, rungs)
+    if not math.isfinite(value):
+        raise QuadratureError(f"num_derivative failed at x={x}")
+    if not math.isfinite(error):
+        error = max(abs(value), 1.0)
+    return SpecialFnResult(value, error)
+
+
+def _kink_error(x: float, kink: float, order: int, step: float
+                ) -> KinkError:
+    """The refusal of a stencil at ``x`` that would cross ``kink``."""
+    return KinkError(f"num_derivative at x={x} (order {order}, step "
+                     f"{step:.3e}) would cross the declared kink at {kink}",
+                     x=x, kink=kink)
+
+
 def num_derivative(
     f: Callable[[float], float],
     x,
@@ -791,10 +879,18 @@ def num_derivative(
 
     A Richardson table over a ladder of steps is built and the entry with
     the smallest estimated error is returned, together with that estimate
-    (Ridders' scheme).  ``f`` is called once on the ladders of every entry
+    (Ridders' scheme).  The estimate is the table's truncation estimate,
+    not a bound: for erfc(sqrt r) at order 4 and r = 0.8214 the value is
+    168 estimates off.  ``f`` is called once on the ladders of every entry
     when it takes arrays, and float by float otherwise.
 
-    The default step is ``eps^(1/(order+2)) * max(1, |x|)``.
+    A float ``x`` with a scalar or default step takes a float route: the
+    same ladder and the same call of ``f``, with the checks and the
+    Richardson table on Python floats.  It gives the bits of the same
+    entry of an array.
+
+    The default step is ``eps^(1/(order+2)) * max(1, |x|)``.  ``x`` must be
+    finite and ``h`` positive and finite; a NaN kink is refused.
 
     Raises :class:`~tailcorr.errors.KinkError` when the stencil would straddle
     or touch a caller-declared kink abscissa; derivatives across kinks are
@@ -803,7 +899,33 @@ def num_derivative(
     """
     order = _integer(order, "order", 1, max(_STENCILS))
     levels = _integer(levels, "levels", 1)
+    kinks = tuple(float(kink) for kink in kinks)
+    for kink in kinks:
+        if math.isnan(kink):
+            raise DomainError(f"kinks must not be NaN, got {kink!r}")
+    if np.ndim(x) or (h is not None and np.ndim(h)):
+        return _derivatives(f, x, order, h, kinks, levels)
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    step = (_EPS ** (1.0 / (order + 2)) * max(1.0, abs(x)) if h is None
+            else float(h))
+    if not (step > 0 and math.isfinite(step)):
+        raise DomainError(f"step h must be positive and finite, got {h!r}")
+    gaps = [abs(x - kink) for kink in kinks]
+    for kink, gap in zip(kinks, gaps):
+        if gap <= _STENCIL_REACH[order] * step:
+            raise _kink_error(x, kink, order, step)
+    return _ridders_at(_array_callable(f), x, order, step, gaps=gaps,
+                       levels=levels)
+
+
+@_float_rule(at=1, result=True)
+def _derivatives(f: Callable, x: np.ndarray, order: int, h,
+                 kinks: tuple[float, ...], levels: int):
+    """:func:`num_derivative` on an array ``x``, or with a step per entry."""
     flat = x.ravel()
+    _reject(flat, ~np.isfinite(flat), "x must be finite")
     if h is None:
         step = _EPS ** (1.0 / (order + 2)) * np.maximum(1.0, np.abs(flat))
     else:
@@ -816,10 +938,7 @@ def num_derivative(
         near = gap <= reach * step
         if near.any():
             i = int(np.argmax(near))
-            raise KinkError(
-                f"num_derivative at x={flat[i]} (order {order}, step "
-                f"{step[i]:.3e}) would cross the declared kink at {kink}",
-                x=float(flat[i]), kink=kink)
+            raise _kink_error(float(flat[i]), kink, order, float(step[i]))
     return _ridders(_array_callable(f), flat, order, step, gaps=gaps,
                     levels=levels)
 

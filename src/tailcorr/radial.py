@@ -135,6 +135,9 @@ class RadialFunction:
     taylor: Callable | None = None
 
     def __post_init__(self) -> None:
+        for kink in self.kinks:
+            if not math.isfinite(kink):
+                raise DomainError(f"kinks must be finite, got {kink!r}")
         if list(self.kinks) != sorted(self.kinks):
             raise DomainError(f"kinks must be sorted, got {self.kinks!r}")
         if self.support_bound is not None and self.support_bound <= 0:

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import assert_entrywise
+
 from tailcorr import (
     DomainError,
     KinkError,
     QuadratureError,
+    SpecialFnResult,
     bessel_k,
     erf,
     erf_inv,
@@ -47,6 +50,7 @@ from tailcorr.numerics import (
     _integrate,
     _once_per_node,
     _richardson,
+    _ridders_pick,
     _worst_midpoint_gap,
     beta_d,
     kappa_d,
@@ -538,36 +542,110 @@ class TestNumDerivative:
         with pytest.raises(DomainError):
             num_derivative(lambda t: t, 0.0, 1, h=-0.1)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_refused(self, x):
+        message = f"x must be finite, got {x!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            num_derivative(np.exp, x, 2)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            num_derivative(np.exp, np.array([[0.5, 1.0], [x, math.nan]]), 2)
 
-def ridders_pick(stencil, con, rungs):
-    """Ridders' selection on one ladder as a scalar loop, after Numerical
-    Recipes (3rd ed., section 5.7): the table a[i][j] over the first
-    ``rungs`` stencil values, the entry of smallest error estimate (a later
-    one wins a tie, NaN never wins; the first value with an infinite error
-    if none does), and a stop once the new diagonal moved by twice the
-    best error, checked from the third rung on."""
-    a = [[math.nan] * rungs for _ in range(rungs)]
-    a[0][0] = best = stencil[0]
-    err = math.inf
-    con2 = con * con
-    for i in range(1, rungs):
-        a[i][0] = stencil[i]
-        fac = con2
-        for j in range(1, i + 1):
-            a[i][j] = (a[i][j - 1] * fac - a[i - 1][j - 1]) / (fac - 1.0)
-            fac = fac * con2
-            gaps = (abs(a[i][j] - a[i][j - 1]), abs(a[i][j] - a[i - 1][j - 1]))
-            errt = math.nan if math.isnan(sum(gaps)) else max(gaps)
-            if errt <= err:
-                err, best = errt, a[i][j]
-        if i > 1 and abs(a[i][i] - a[i - 1][i - 1]) >= 2.0 * err:
-            break
-    return best, err
+    @pytest.mark.parametrize("x", [1.0, np.array([0.5, 1.0])])
+    def test_nan_kink_is_refused(self, x):
+        with pytest.raises(DomainError,
+                           match=r"^kinks must not be NaN, got nan$"):
+            num_derivative(np.exp, x, 2, kinks=(0.0, math.nan))
+
+    @pytest.mark.parametrize("x", [1.0, np.array([0.5, 1.0])])
+    def test_underflowing_steps_end_in_quadrature_error(self, x):
+        # h^2 underflows to 0: the stencil divides 0 by 0, without a
+        # RuntimeWarning under the tests' warning filters.
+        with pytest.raises(QuadratureError,
+                           match=r"^num_derivative failed at x=(1\.0|0\.5)$"):
+            num_derivative(np.exp, x, 2, 1e-300)
+
+
+def _holes(x):
+    """A smooth function with a NaN band and an infinite band; no
+    operation of it warns."""
+    return np.where((x > 1.0) & (x < 1.5), np.nan,
+                    np.where((x > -2.0) & (x < -1.8), np.inf,
+                             x * (x - 3.0) / (1.0 + x * x)))
+
+
+class TestFloatRoute:
+    """A float ``x`` with a scalar or default step takes its own route in
+    ``num_derivative``; it gives the bits of the same entry of an array,
+    and raises what the array raises."""
+
+    FUNCTIONS = {
+        "array": lambda x: np.exp(-0.5 * x) / (1.0 + x * x),
+        "holes": _holes,
+        "math": lambda t: math.exp(-t * t) * math.cos(t),
+    }
+
+    @staticmethod
+    def outcome(call):
+        """("ok", value hexes, error hexes) or ("raises", type, message)."""
+        try:
+            got = call()
+        except Exception as err:  # noqa: BLE001 - compared across routes
+            return ("raises", type(err), str(err))
+        if isinstance(got, SpecialFnResult):
+            return ("ok", [got.value.hex()], [got.abs_error_estimate.hex()])
+        return ("ok", [v.hex() for v in got[0].tolist()],
+                [v.hex() for v in got[1].tolist()])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_float_matches_the_array_entry(self, data):
+        name = data.draw(st.sampled_from(sorted(self.FUNCTIONS)))
+        f = self.FUNCTIONS[name]
+        order = data.draw(st.integers(1, 8), label="order")
+        levels = data.draw(st.integers(1, 8), label="levels")
+        xs = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=1,
+                                max_size=5), label="xs")
+        h = data.draw(st.one_of(st.none(), st.floats(1e-4, 0.5),
+                                st.floats(1e-300, 1e-100)), label="h")
+        # A kink within the ladder's reach of one entry clips its top, so
+        # its step ratio is no power of 2; a nearer one is refused.
+        anchor = data.draw(st.sampled_from(xs))
+        base = (h if h is not None else np.finfo(float).eps ** (
+            1.0 / (order + 2)) * max(1.0, abs(anchor)))
+        reach = (order + 1) // 2 * base
+        kinks = tuple(anchor + data.draw(st.sampled_from([-1.0, 1.0]))
+                      * reach * 2.0 ** data.draw(st.floats(-0.5, levels))
+                      for _ in range(data.draw(st.integers(0, 2))))
+        kw = {"kinks": kinks, "levels": levels}
+        got = self.outcome(lambda: num_derivative(f, np.array(xs), order, h,
+                                                  **kw))
+        floats = [self.outcome(lambda x=x: num_derivative(f, x, order, h,
+                                                          **kw))
+                  for x in xs]
+        raised = {o for o in floats if o[0] == "raises"}
+        if got[0] == "raises":
+            assert got in raised
+        else:
+            assert not raised
+            assert got == ("ok", sum((o[1] for o in floats), []),
+                           sum((o[2] for o in floats), []))
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_clipped_ladders_match_the_array(self, order):
+        # A kink at 0 clips the ladder top of every entry, each to its own
+        # step ratio: the rung count and the ratio come from NumPy's log2
+        # and power, which round unlike Python's ``**`` on some of them.
+        f = self.FUNCTIONS["array"]
+        reach = (order + 1) // 2
+        xs = np.geomspace(0.0102 * reach, 2.5 * reach, 200)
+        assert_entrywise(lambda x: num_derivative(f, x, order, 0.01,
+                                                  kinks=(0.0,), levels=8),
+                         xs)
 
 
 class TestRichardson:
-    """``_richardson`` on whole batches of ladders against the scalar loop,
-    bit for bit."""
+    """``_richardson`` on whole batches of ladders against the library's
+    scalar loop ``_ridders_pick``, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("depth", [2, 3, 4, 5])
@@ -591,8 +669,8 @@ class TestRichardson:
         with np.errstate(invalid="ignore"):
             values, errors = _richardson(stencil, con, rungs.astype(float))
         for k in range(n):
-            want = ridders_pick(stencil[k].tolist(), float(con[k]),
-                                int(rungs[k]))
+            want = _ridders_pick(stencil[k].tolist(), float(con[k]),
+                                 int(rungs[k]))
             assert (values[k].hex(), errors[k].hex()) == tuple(
                 float(w).hex() for w in want)
 

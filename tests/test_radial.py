@@ -208,6 +208,13 @@ def test_array_error_names_the_bad_entry():
         tent()(np.array([[0.5, 1.0], [-0.3, -0.4]]))
 
 
+@pytest.mark.parametrize("kink", [math.nan, math.inf, -math.inf])
+def test_non_finite_kinks_are_refused(kink):
+    with pytest.raises(DomainError,
+                       match=f"^kinks must be finite, got {kink!r}$"):
+        RadialFunction(name="x", func=np.exp, kinks=(0.5, kink))
+
+
 class TestNumericDerivativeNearZero:
     """A numeric derivative of a radial function evaluates it at r > 0
     only: a ladder that would reach 0 shrinks as next to a kink."""
