@@ -21,11 +21,11 @@ abscissae in one call; ``num_derivative`` runs it on every entry of an
 array.  A float with a scalar or default step takes a float route,
 ``_ridders_at``, instead of a batch of one: the same ladder in one call
 of the argument, with the checks and the Richardson table on Python
-floats (``_ridders_pick``, the loop ``_richardson`` matches bit for bit).
-Its fixed cost is a few one-element NumPy calls, not the tableau's, and
-it gives the bits of the same entry of an array.  Both engines call
-their argument on the whole ladder or panel set when it takes arrays,
-and float by float otherwise.
+floats (``_ridders_pick``; ``_richardson`` runs that loop on all rows of
+a batch at once).  Its fixed cost is a few one-element NumPy calls, not
+a dozen per table entry, and it gives the bits of the same entry of an
+array.  Both engines call their argument on the whole ladder or panel
+set when it takes arrays, and float by float otherwise.
 
 All functions are pure and reentrant; there is no shared mutable state.
 Every function of distance follows one float rule (``_float_rule``): a
@@ -653,79 +653,41 @@ def _worst_midpoint_gap(f: Callable, xs: Sequence[float]
             float(grid[i + 1]))
 
 
-@functools.cache
-def _tableau(depth: int) -> tuple[np.ndarray, ...]:
-    """Plan of Ridders' table of ``depth`` rungs, built once per depth.
-    The table's entries (i, j), rung i and extrapolation j <= i, lie column
-    by column, (j, j) to (depth - 1, j) for each j in turn; the plan
-    indexes them there.
-
-    It holds the candidates, (0, 0) and then the entries (i, j) with
-    1 <= j <= i in the order the scheme visits them; the parents (i, j - 1)
-    and (i - 1, j - 1) and the rung i - 1 of each entry; the diagonal
-    (i, i) for 0 <= i < depth; the rungs 1..depth-1; and the candidate
-    that ends each rung."""
-    def at(i, j):
-        return j * depth - j * (j - 1) // 2 + i - j
-
-    i_idx, j_idx = np.array([(i, j) for i in range(1, depth)
-                             for j in range(1, i + 1)], dtype=int).T
-    rung, diagonal = np.arange(1, depth), np.arange(depth)
-    plan = (np.concatenate([[0], at(i_idx, j_idx)]), at(i_idx, j_idx - 1),
-            at(i_idx - 1, j_idx - 1), i_idx - 1, at(diagonal, diagonal),
-            rung, np.cumsum(rung))
-    for part in plan:
-        part.flags.writeable = False
-    return plan
-
-
 def _richardson(stencil: np.ndarray, con: np.ndarray, rungs: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Best entry and its error of the Richardson table over each row of
     ``stencil`` (one rung per column, step ratio ``con``, ``rungs`` valid
-    columns), as Ridders' scheme picks it."""
-    n, depth = stencil.shape
-    pick, left, up, row, diagonal, rung, ends = _tableau(depth)
-    fac = np.empty((depth - 1, n, 1))
-    errs = np.empty((n, pick.size))
-    live = np.empty((n, depth - 1), dtype=bool)
-    taken = np.empty((n, pick.size), dtype=bool)
+    columns), as Ridders' scheme picks it: :func:`_ridders_pick`'s loop,
+    statement for statement, on all rows at once, so bit for bit.  A row
+    drops out of ``live`` past its ``rungs`` or once it stops, and takes
+    no later entry; a one-rung table gives the base value with an
+    infinite error."""
+    con2 = con * con
+    above = [stencil[:, 0]]
+    best, err = stencil[:, 0].copy(), np.full(len(stencil), math.inf)
+    live = np.ones(len(stencil), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # fac[j - 1] = con^(2j), a product of j factors con^2 in turn.
-        fac[:] = (con * con)[:, None]
-        np.multiply.accumulate(fac, axis=0, out=fac)
-        # Column j of the table, over its rungs j..depth-1, from column
-        # j - 1; then all columns end to end.
-        columns = [stencil]
-        for scale, less in zip(fac, fac - 1.0):
-            prev = columns[-1]
-            columns.append((prev[:, 1:] * scale - prev[:, :-1]) / less)
-        flat = np.concatenate(columns, axis=1)
-        # Each candidate with its error: the base stencil value, kept with
-        # an infinite error when no entry qualifies, then the entries.
-        cand = flat.take(pick, axis=1)
-        entry = cand[:, 1:]
-        errs[:, 0] = math.inf
-        np.maximum(np.abs(entry - flat.take(left, axis=1)),
-                   np.abs(entry - flat.take(up, axis=1)), out=errs[:, 1:])
-        # The running best error, which an entry replaces when it is no
-        # larger (NaN never does); after each rung i > 1, refinement stops
-        # once the new diagonal moved by twice the best error (round-off).
-        running = np.fmin.accumulate(errs, axis=1)
-        diag = flat.take(diagonal, axis=1)
-        stop = (np.abs(diag[:, 1:] - diag[:, :-1])
-                >= 2.0 * running.take(ends, axis=1))
-        stop[:, 0] = False
-        live[:, 0] = True
-        np.logical_not(np.logical_or.accumulate(stop[:, :-1], axis=1),
-                       out=live[:, 1:])
-        live &= rungs[:, None] > rung
-        taken[:, 0] = True
-        np.logical_and(live.take(row, axis=1), errs[:, 1:] <= running[:, :-1],
-                       out=taken[:, 1:])
-        last = pick.size - 1 - taken[:, ::-1].argmax(axis=1)
-        rows = np.arange(n)
-        return cand[rows, last], errs[rows, last]
+        for i in range(1, stencil.shape[1]):
+            live &= rungs > i
+            if not live.any():
+                break
+            row = [stencil[:, i]]
+            fac = con2
+            for j in range(1, i + 1):
+                entry = (row[j - 1] * fac - above[j - 1]) / (fac - 1.0)
+                fac = fac * con2
+                left = np.abs(entry - row[j - 1])
+                up = np.abs(entry - above[j - 1])
+                # Both gaps within the best error: max(left, up) is not NaN.
+                take = live & (left <= err) & (up <= err)
+                np.copyto(best, entry, where=take)
+                np.copyto(err, np.maximum(left, up), where=take)
+                row.append(entry)
+            # Not ``gap < 2 err``: a NaN gap stops no row, as in the loop.
+            if i > 1:
+                live &= ~(np.abs(row[i] - above[i - 1]) >= 2.0 * err)
+            above = row
+    return best, err
 
 
 def _ridders_pick(stencil: Sequence[float], con: float, rungs: int
@@ -736,8 +698,9 @@ def _ridders_pick(stencil: Sequence[float], con: float, rungs: int
     smallest error estimate.  A later entry wins a tie and NaN never wins;
     with no entry, the first value comes back with an infinite error.
     Refinement stops once the new diagonal moved by twice the best error,
-    checked from the third rung on.  :func:`_richardson` is this loop on a
-    batch of ladders, bit for bit."""
+    checked from the third rung on.  :func:`_richardson` runs this loop on
+    a batch of ladders, one array operation per statement, with a mask of
+    the ladders still live."""
     con2 = con * con
     above = [stencil[0]]
     best, err = stencil[0], math.inf
@@ -802,11 +765,8 @@ def _ridders(f: Callable, x: np.ndarray, order: int, h: np.ndarray, *,
         depth = int(rungs.max(initial=1))
         steps = big[:, None] / con[:, None] ** np.arange(depth)
         nodes = x[:, None, None] + _STENCILS[order][0] * steps[:, :, None]
-    stencil = _differences(f, nodes, order, steps)
-    if depth > 1:
-        best, best_err = _richardson(stencil, con, rungs)
-    else:
-        best, best_err = stencil[:, 0], np.full(x.shape, math.inf)
+    best, best_err = _richardson(_differences(f, nodes, order, steps), con,
+                                 rungs)
     finite = np.isfinite(best)
     if not finite.all():
         raise QuadratureError(
@@ -889,8 +849,13 @@ def num_derivative(
     Richardson table on Python floats.  It gives the bits of the same
     entry of an array.
 
-    The default step is ``eps^(1/(order+2)) * max(1, |x|)``.  ``x`` must be
-    finite and ``h`` positive and finite; a NaN kink is refused.
+    The default step is ``eps^(1/(order+2)) * max(1, |x|)``, and the ladder
+    of ``levels`` rungs (1..16) starts 2^(levels-1) steps out.  The step
+    grows with |x|, so far from 0 the ladder may span the scale on which
+    ``f`` varies: ``num_derivative(np.sin, 40.0, 7)`` reads -1.1e-8 with
+    an estimate of 3.1e-9, where the derivative is -cos 40 = 0.667.  Pass
+    ``h`` there.  ``x`` must be finite and ``h`` positive and finite; a
+    NaN kink is refused.
 
     Raises :class:`~tailcorr.errors.KinkError` when the stencil would straddle
     or touch a caller-declared kink abscissa; derivatives across kinks are
@@ -898,7 +863,7 @@ def num_derivative(
     the first such entry of ``x``.
     """
     order = _integer(order, "order", 1, max(_STENCILS))
-    levels = _integer(levels, "levels", 1)
+    levels = _integer(levels, "levels", 1, 16)
     kinks = tuple(float(kink) for kink in kinks)
     for kink in kinks:
         if math.isnan(kink):

@@ -647,18 +647,16 @@ def implied_br_curvature_min(lo: float = 1e-4, hi: float = 10.0, *,
 
     Scans a log grid of n points for a discrete local minimum of the
     numeric second derivative (one batch of Ridders ladders), then refines
-    by golden-section.  Returns (location, psi''(location)); raises if no
-    interior minimum exists.
+    by golden-section on floats.  Returns (location, psi''(location));
+    raises if no interior minimum exists.
     """
     grid = np.geomspace(lo, hi, n)
 
     def psi2(x):
         # Relative step keeps the whole Ridders ladder inside r > 0.
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        return num_derivative(implied_br_variogram, xs, 2, xs / 20.0,
-                              levels=4)[0]
+        return num_derivative(implied_br_variogram, x, 2, x / 20.0, levels=4)
 
-    vals = psi2(grid)
+    vals = psi2(grid)[0]
     interior = np.flatnonzero(
         (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])) + 1
     if interior.size == 0:
@@ -668,20 +666,20 @@ def implied_br_curvature_min(lo: float = 1e-4, hi: float = 10.0, *,
     a, b = float(grid[i - 1]), float(grid[i + 1])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c, d_ = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = psi2([c, d_])
+    fc, fd = psi2(c).value, psi2(d_).value
     for _ in range(60):
         if b - a < 1e-10 * max(1.0, abs(a)):
             break
         if fc < fd:
             b, d_, fd = d_, c, fc
             c = b - invphi * (b - a)
-            fc = psi2(c)[0]
+            fc = psi2(c).value
         else:
             a, c, fc = c, d_, fd
             d_ = a + invphi * (b - a)
-            fd = psi2(d_)[0]
+            fd = psi2(d_).value
     x_min = 0.5 * (a + b)
-    return x_min, float(psi2(x_min)[0])
+    return x_min, psi2(x_min).value
 
 
 # ---------------------------------------------------------------------------

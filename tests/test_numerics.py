@@ -564,6 +564,21 @@ class TestNumDerivative:
                            match=r"^num_derivative failed at x=(1\.0|0\.5)$"):
             num_derivative(np.exp, x, 2, 1e-300)
 
+    @pytest.mark.parametrize("levels", [17, 1100])
+    @pytest.mark.parametrize("x", [0.5, np.array([0.5, 1.0])])
+    def test_levels_above_16_are_refused(self, x, levels):
+        # 2 ** (levels - 1) base steps would overflow at 1100.
+        message = f"levels must be an integer in 1..16, got {levels}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            num_derivative(np.sin, x, 1, levels=levels)
+
+    def test_sixteen_levels_work_on_both_routes(self):
+        res = num_derivative(np.sin, 0.5, 1, levels=16)
+        assert res.value == pytest.approx(math.cos(0.5), abs=1e-9)
+        values, errors = num_derivative(np.sin, np.array([0.5, 1.0]), 1,
+                                        levels=16)
+        assert (values[0], errors[0]) == (res.value, res.abs_error_estimate)
+
 
 def _holes(x):
     """A smooth function with a NaN band and an infinite band; no
@@ -647,16 +662,17 @@ class TestRichardson:
     """``_richardson`` on whole batches of ladders against the library's
     scalar loop ``_ridders_pick``, bit for bit."""
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
-    def test_matches_the_scalar_loop(self, depth, seed):
-        rng = np.random.default_rng(100 * depth + seed)
-        n = 60
+    @staticmethod
+    def ladders(rng, n, depth):
+        """``n`` ladders of ``depth`` rungs: step ratios, rung counts (the
+        first row full, at least one row of one rung) and values that
+        converge like h^2 with noise or are plain noise, with NaN and
+        +-inf entries."""
         con = rng.uniform(1.2, 3.0, n)
         rungs = rng.integers(1, depth + 1, n)
         rungs[0] = depth
-        # Ladders that converge like h^2 with noise, and plain noise, with
-        # NaN and inf entries.
+        if n > 1:
+            rungs[-1] = 1
         steps = con[:, None] ** -np.arange(depth)
         stencil = np.where(rng.random((n, 1)) < 0.7,
                            1.0 + rng.normal(size=(n, 1)) * steps ** 2
@@ -666,13 +682,46 @@ class TestRichardson:
         stencil[holes < 0.04] = math.nan
         stencil[(holes >= 0.04) & (holes < 0.08)] = math.inf
         stencil[(holes >= 0.08) & (holes < 0.1)] = -math.inf
-        with np.errstate(invalid="ignore"):
-            values, errors = _richardson(stencil, con, rungs.astype(float))
-        for k in range(n):
-            want = _ridders_pick(stencil[k].tolist(), float(con[k]),
-                                 int(rungs[k]))
-            assert (values[k].hex(), errors[k].hex()) == tuple(
-                float(w).hex() for w in want)
+        return stencil, con, rungs
+
+    @staticmethod
+    def assert_matches(stencil, con, rungs):
+        values, errors = _richardson(stencil, con, rungs.astype(float))
+        got = [(v.hex(), e.hex())
+               for v, e in zip(values.tolist(), errors.tolist())]
+        want = [tuple(float(w).hex() for w in _ridders_pick(
+            row.tolist(), float(c), int(r)))
+            for row, c, r in zip(stencil, con, rungs)]
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("depth", range(1, 17))
+    def test_matches_the_scalar_loop(self, depth, seed):
+        # Each seed a batch size: one row, two, a panel and a scan.
+        rng = np.random.default_rng(100 * depth + seed)
+        self.assert_matches(*self.ladders(rng, (1, 2, 60, 2000)[seed],
+                                          depth))
+
+    def test_ties_go_to_the_later_entry(self):
+        # con^2 = 4, in exact arithmetic: entry (1, 1) is 1 with error 1;
+        # entry (2, 1) is -0.25 with gaps 0.25 and 1, a tie, and wins;
+        # entry (2, 2) is -1/3 with gap 4/3 and loses.
+        stencil = np.array([[0.0, 0.75, 0.0]])
+        self.assert_matches(stencil, np.array([2.0]), np.array([3]))
+        values, errors = _richardson(stencil, np.array([2.0]),
+                                     np.array([3.0]))
+        assert (values[0], errors[0]) == (-0.25, 1.0)
+
+    def test_a_nan_diagonal_does_not_stop_the_table(self):
+        # A NaN base value makes every diagonal entry NaN, and the stop
+        # test false; the finite columns go on to rung 3, whose entry
+        # (3, 2) = 3.4 beats (2, 1) = 7/3 and its error 4/3.
+        stencil = np.array([[math.nan, 1.0, 2.0, 3.0]])
+        self.assert_matches(stencil, np.array([2.0]), np.array([4]))
+        values, errors = _richardson(stencil, np.array([2.0]),
+                                     np.array([4.0]))
+        assert (values[0], errors[0]) == (pytest.approx(3.4),
+                                          pytest.approx(16.0 / 15.0))
 
 
 class TestWorstMidpointGap:

@@ -758,6 +758,13 @@ class TestImpliedBrVariogram:
         assert psi2(r_min * 0.5) > v_min
         assert psi2(r_min * 2.0) > v_min
 
+    def test_curvature_minimum_bits(self):
+        # The golden-section steps take num_derivative's float route, which
+        # gives the bits of the same entry of an array.
+        r_min, v_min = implied_br_curvature_min()
+        assert (r_min.hex(), v_min.hex()) == ("0x1.9170505c8849cp-7",
+                                              "-0x1.493e98e20b370p+7")
+
 
 class TestErfSquareComplement:
     def test_values_and_decay(self):
