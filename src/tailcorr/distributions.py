@@ -158,6 +158,12 @@ class Distribution1D:
         """
         ts = np.asarray(t, dtype=float)
         flat = ts.ravel()
+        hints = np.asarray(points, dtype=float)
+        if hints.ndim > 2 or (hints.ndim == 2
+                              and hints.shape[0] not in (1, flat.size)):
+            raise DomainError(
+                f"points must be one row or one row per entry of t, got "
+                f"shape {hints.shape} for t of shape {ts.shape}")
         value = np.zeros(flat.shape)
         for a, m in self.atoms:
             value = value + m * np.asarray(g(np.full(flat.shape, a), flat),
@@ -168,7 +174,6 @@ class Distribution1D:
                 raise DomainError(
                     f"distribution {self.name!r} has continuous mass but no "
                     "density; cannot take expectations")
-            hints = np.asarray(points, dtype=float)
             own = np.asarray(self.pdf_points, dtype=float)
             if hints.ndim == 2:
                 own = np.broadcast_to(own, (hints.shape[0], own.size))

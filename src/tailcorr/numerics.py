@@ -16,7 +16,10 @@ Both rest on batched NumPy engines.  ``_integrate``, which the rest of
 the package also calls directly, applies QUADPACK's G10/K21 rule to a
 whole batch of integrals: each pass evaluates the integrand once, on
 every unconverged panel of every integral; ``quadrature`` runs it on a
-batch of one.  ``_ridders`` evaluates the whole step ladder of many
+batch of one.  Each panel is one row of a float table (its ends and its
+variable change) beside the index of its integral, so a pass takes its
+panels with one index and a bisection appends its right halves with one
+``concatenate``.  ``_ridders`` evaluates the whole step ladder of many
 abscissae in one call; ``num_derivative`` runs it on every entry of an
 array.  A float with a scalar or default step takes a float route,
 ``_ridders_at``, instead of a batch of one: the same ladder in one call
@@ -332,7 +335,18 @@ _KRONROD = np.array(list(_WGK) + [_WGK_CENTER] + list(_WGK[::-1]))
 _GAUSS = np.zeros(21)
 _GAUSS[1:10:2] = _WG
 _GAUSS[19:10:-2] = _WG
-_UFLOW = float(np.finfo(float).tiny)
+#: QUADPACK's round-off floor: the error estimate of a panel is at least
+#: ``_ROUNDOFF`` times the integral of |f| over it, once that integral
+#: exceeds ``_ROUNDOFF_FLOOR``.
+_ROUNDOFF = 50.0 * _EPS
+_ROUNDOFF_FLOOR = float(np.finfo(float).tiny) / _ROUNDOFF
+
+# Columns of the panel table, one row per panel: the panel [lo, hi] of the
+# computational variable y and its map to the integration variable x,
+# x = origin + sign * y^power, or x = origin + (1 - y)/y where infinite is
+# 1.  A row of power 1 that is not infinite is not mapped: x = y.
+_LO, _HI, _ORIGIN, _SIGN, _POWER, _INFINITE = range(6)
+_IDENTITY = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
 
 
 def _row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -341,104 +355,125 @@ def _row_dot(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", values, weights)
 
 
-def _kronrod_panels(f: Callable, lo, hi, owner, maps
+def _bend(y: np.ndarray, tab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = origin + sign * y^power and its Jacobian at the nodes ``y`` of
+    the panels ``tab``."""
+    # One exponent per node: NumPy squares exactly when the exponent is a
+    # single 2 and takes pow otherwise, so a broadcast one would tie the
+    # bits to the panel count.
+    pb = tab[:, _POWER].repeat(y.shape[1]).reshape(y.shape)
+    return (tab[:, _ORIGIN, None] + tab[:, _SIGN, None] * y ** pb,
+            pb * y ** (pb - 1.0))
+
+
+def _kronrod_panels(f: Callable, tab: np.ndarray, owner: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The qk21 value and error estimate of each panel [lo, hi] of the
-    computational variable y, in one call of f.  ``maps`` is None when every
-    panel has x = y, else (origin, sign, power, infinite): x = origin +
-    sign * y^power, or x = origin + (1 - y) / y on an infinite panel."""
+    """The qk21 value and error estimate of each panel of the table ``tab``
+    (rows of integrals ``owner``), in one call of f.  Runs under the
+    caller's ``np.errstate``."""
+    lo, hi = tab[:, _LO], tab[:, _HI]
     half = 0.5 * (hi - lo)
     y = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    bent = tab[:, _POWER] != 1.0
+    far = tab[:, _INFINITE].nonzero()[0]
     x, jac = y, None
-    with np.errstate(all="ignore"):
-        if maps is not None:
-            origin, sign, power, infinite = maps
-            x, jac = y.copy(), np.ones_like(y)
-            bent = np.flatnonzero(power != 1.0)
-            if bent.size:
-                # One exponent per node: NumPy squares exactly when the
-                # exponent is a single 2 and takes pow otherwise, so a
-                # broadcast one would tie the bits to the panel count.
-                yb = y[bent]
-                pb = np.repeat(power[bent], y.shape[1]).reshape(yb.shape)
-                x[bent] = origin[bent, None] + sign[bent, None] * yb ** pb
-                jac[bent] = pb * yb ** (pb - 1.0)
-            far = np.flatnonzero(infinite)
-            if far.size:
-                yf = y[far]
-                x[far] = origin[far, None] + (1.0 - yf) / yf
-                jac[far] = 1.0 / (yf * yf)
-        fv = np.asarray(f(x, owner[:, None]), dtype=float)
-        fv = np.broadcast_to(fv, y.shape) if jac is None else fv * jac
-        resk = _row_dot(fv, _KRONROD)
-        scale = np.abs(half)
-        err = np.abs((resk - _row_dot(fv, _GAUSS)) * half)
-        resabs = _row_dot(np.abs(fv), _KRONROD) * scale
-        resasc = _row_dot(np.abs(fv - 0.5 * resk[:, None]), _KRONROD) * scale
-        # QUADPACK's grading of |K - G| and its round-off floor.
-        graded = np.where((resasc != 0.0) & (err != 0.0), resasc * np.minimum(
-            1.0, (200.0 * err / resasc) ** 1.5), err)
-        err = np.where(resabs > _UFLOW / (50.0 * _EPS),
-                       np.maximum(50.0 * _EPS * resabs, graded), graded)
-    return resk * half, err
+    if np.count_nonzero(bent) == len(tab):
+        x, jac = _bend(y, tab)
+    elif far.size or np.count_nonzero(bent):
+        x, jac = y.copy(), np.ones_like(y)
+        bent = bent.nonzero()[0]
+        x[bent], jac[bent] = _bend(y[bent], tab[bent])
+        yf = y[far]
+        x[far] = tab[far, _ORIGIN, None] + (1.0 - yf) / yf
+        jac[far] = 1.0 / (yf * yf)
+    fv = np.asarray(f(x, owner[:, None]), dtype=float)
+    if jac is not None:
+        fv = fv * jac
+    elif fv.shape != y.shape:
+        fv = np.broadcast_to(fv, y.shape)
+    resk = _row_dot(fv, _KRONROD)
+    scale = np.abs(half)
+    err = np.abs((resk - _row_dot(fv, _GAUSS)) * half)
+    resabs = _row_dot(np.abs(fv), _KRONROD) * scale
+    resasc = _row_dot(np.abs(fv - 0.5 * resk[:, None]), _KRONROD) * scale
+    # QUADPACK's grading of |K - G| and its round-off floor.
+    graded = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    # Where resasc or err is 0: both are >= 0 or NaN, and fmin skips NaN.
+    np.copyto(graded, err, where=np.fmin(resasc, err) == 0.0)
+    np.maximum(_ROUNDOFF * resabs, graded, out=graded,
+               where=resabs > _ROUNDOFF_FLOOR)
+    return resk * half, graded
 
 
-def _segments(a, b, alpha, beta, points):
+def _segments(a, b, alpha, beta, pts):
     """Initial panels of each integral: its interval cut at the hint points,
     with the endpoint variable changes on the first and last piece.
-    Returns (lo, hi, owner, maps) as :func:`_kronrod_panels` takes them."""
-    pts = np.asarray(points, dtype=float)
+    Returns the panel table and the integral of each row, as
+    :func:`_kronrod_panels` takes them."""
+    singular_a, singular_b = alpha != 0.0, beta != 0.0
+    infinite_b = np.isinf(b)
+    if np.count_nonzero(singular_b & infinite_b):
+        raise DomainError("singular_exponent_b requires a finite upper limit")
+    # A piece carries at most one variable change: split an interval with
+    # two singular ends at its middle, and one reaching infinity after a
+    # unit head, so that the map of the tail, whose resolution near its
+    # origin is only absolute, stays away from the lower end.
+    halve, extend = singular_a & singular_b, infinite_b
     cuts = []
     if pts.size:
         if pts.ndim > 2:
             raise DomainError(f"points must be one row or one row per "
                               f"integral, got shape {pts.shape}")
-        pts = pts.reshape(1, -1) if pts.ndim <= 1 else pts
         inside = (pts > a[:, None]) & (pts < b[:, None])
         cuts.append(np.where(inside, pts, np.nan))
-    singular_a, singular_b = alpha != 0.0, beta != 0.0
-    infinite_b = np.isinf(b)
-    if singular_a.any() or infinite_b.any():
-        # A piece carries at most one variable change: split an interval
-        # with two singular ends at its middle, and one reaching infinity
-        # after a unit head, so that the map of the tail, whose resolution
-        # near its origin is only absolute, stays away from the lower end.
-        bare = ~np.any(inside, axis=1) if pts.size else True
-        cuts.append(np.where(bare & singular_a & singular_b, 0.5 * (a + b),
-                             np.where(bare & infinite_b, a + 1.0,
-                                      np.nan))[:, None])
+        bare = ~inside.any(axis=1)
+        halve, extend = halve & bare, extend & bare
+    if np.count_nonzero(halve) or np.count_nonzero(extend):
+        cuts.append(np.where(halve, 0.5 * (a + b), np.where(
+            extend, a + 1.0, np.nan))[:, None])
     if cuts:
-        cut = np.sort(np.concatenate(cuts, axis=1), axis=1)
-        count = np.sum(~np.isnan(cut), axis=1)
+        cut = np.concatenate(cuts, axis=1) if len(cuts) > 1 else cuts[0]
+        if cut.shape[1] > 1:
+            cut.sort(axis=1)
+        count = (~np.isnan(cut)).sum(axis=1)
         lefts = np.concatenate([a[:, None], cut], axis=1)
         rights = np.concatenate([np.where(np.isnan(cut), b[:, None], cut),
                                  b[:, None]], axis=1)
         col = np.arange(lefts.shape[1])
-        owner, col = np.nonzero((col <= count[:, None]) & (b > a)[:, None])
+        owner, col = ((col <= count[:, None]) & (b > a)[:, None]).nonzero()
         left, right = lefts[owner, col], rights[owner, col]
-        first, last = col == 0, col == count[owner]
+        last = col == count[owner]
+        # The exponent at the lower and at the upper end of each piece.
+        start = np.where(col == 0, alpha[owner], 0.0)
+        end = np.where(last, beta[owner], 0.0)
+        infinite = last & infinite_b[owner]
     else:
-        owner = np.flatnonzero(b > a)
+        owner = (b > a).nonzero()[0]
         left, right = a[owner], b[owner]
-        first = last = True
-    head = first & singular_a[owner]
-    tail = last & singular_b[owner]
-    infinite = last & infinite_b[owner]
-    bent = head | tail
-    if not (np.any(bent) or np.any(infinite)):
-        return left, right, owner, None
-    lo, hi = left.copy(), right.copy()
-    origin = np.where(tail, right, np.where(infinite | head, left, 0.0))
-    sign = np.where(tail, -1.0, 1.0)
-    # x = a + y^p with p = 1/(1 + alpha) turns (x - a)^alpha into y^0, and
-    # x = b - y^p does so at the upper end.
-    power = 1.0 / (1.0 + np.where(head, alpha[owner],
-                                  np.where(tail, beta[owner], 0.0)))
-    lo[bent] = 0.0
-    hi[bent] = (right[bent] - left[bent]) ** (1.0 / power[bent])
-    # x = c + (1 - y)/y maps y in (0, 1] onto [c, inf).
-    lo[infinite], hi[infinite] = 0.0, 1.0
-    return lo, hi, owner, (origin, sign, power, infinite)
+        start, end, infinite = alpha[owner], beta[owner], infinite_b[owner]
+    tab = np.empty((owner.size, 6))
+    tab[:] = _IDENTITY
+    lo, hi, origin = tab[:, _LO], tab[:, _HI], tab[:, _ORIGIN]
+    lo[:], hi[:] = left, right
+    if not (np.count_nonzero(singular_a) or np.count_nonzero(singular_b)
+            or np.count_nonzero(infinite_b)):
+        return tab, owner
+    # x = a + y^p with p = 1/(1 + alpha) turns (x - a)^alpha into y^0 on
+    # 0 <= y <= (b - a)^(1/p), and x = b - y^p does so at the upper end;
+    # x = c + (1 - y)/y maps 0 < y <= 1 onto [c, inf).  A piece has at most
+    # one singular end, so start + end is its exponent, and a piece whose
+    # power rounds to 1 keeps x = y.
+    power = 1.0 / (1.0 + (start + end))
+    bent = power != 1.0
+    tail = end != 0.0
+    origin[:] = left
+    np.copyto(origin, right, where=tail)
+    np.copyto(tab[:, _SIGN], -1.0, where=tail)
+    tab[:, _POWER], tab[:, _INFINITE] = power, infinite
+    np.copyto(lo, 0.0, where=bent | infinite)
+    np.copyto(hi, (right - left) ** (1.0 / power), where=bent)
+    np.copyto(hi, 1.0, where=infinite)
+    return tab, owner
 
 
 def _integrate(f: Callable, a, b, tol: float, *, singular_exponent_a=0.0,
@@ -460,89 +495,103 @@ def _integrate(f: Callable, a, b, tol: float, *, singular_exponent_a=0.0,
     (G10/K21 rule, QUADPACK error estimate), then bisects, in each integral
     whose error sum exceeds ``max(tol, tol*|value|)``, every panel whose
     error is at least its share of that target; at most ``_QUAD_LIMIT``
-    panels per integral.  Returns (values, abs_error_estimates); raises
+    panels per integral.  Returns (values, abs_error_estimates), float
+    arrays with one entry per integral; raises
     :class:`~tailcorr.errors.QuadratureError` naming the first integral
     that did not converge.
     """
     # One integral per entry of the broadcast limits and exponents, and per
     # row of a two-dimensional ``points``.
     pts = np.asarray(points, dtype=float)
-    rows = np.zeros(pts.shape[:1] if pts.ndim == 2 else ())
-    a, b, alpha, beta, _ = (np.ravel(v) for v in np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a, b, singular_exponent_a,
-                                                singular_exponent_b)), rows))
-    if not np.all(np.isfinite(a)):
-        raise DomainError(f"lower limit must be finite, got "
-                          f"{a[~np.isfinite(a)][0]!r}")
-    if np.any(np.isnan(b)):
-        raise DomainError("upper limit must not be NaN")
-    if np.any(b < a):
+    args = (a, b, singular_exponent_a, singular_exponent_b)
+    shape = np.broadcast(*args).shape
+    if pts.ndim == 2 and pts.shape[0] not in (1, math.prod(shape)):
+        if math.prod(shape) != 1:
+            raise DomainError(
+                f"points must be one row or one row per integral, got shape "
+                f"{pts.shape} for limits of shape {shape}")
+        shape = pts.shape[:1]
+    limits = np.empty((4,) + shape)
+    for i, v in enumerate(args):
+        limits[i] = v
+    a, b, alpha, beta = limits = limits.reshape(4, -1)
+    n = a.size
+    if np.count_nonzero(np.isfinite(a) & (b >= a)) < n:
+        _reject(a, ~np.isfinite(a), "lower limit must be finite")
+        if np.count_nonzero(np.isnan(b)):
+            raise DomainError("upper limit must not be NaN")
         i = int(np.argmax(b < a))
-        raise DomainError(f"upper limit {b[i]!r} below lower limit {a[i]!r}")
+        raise DomainError(f"upper limit {float(b[i])!r} below lower limit "
+                          f"{float(a[i])!r}")
     if tol <= 0 or not math.isfinite(tol):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    for name, exps in (("singular_exponent_a", alpha),
-                       ("singular_exponent_b", beta)):
-        bad = ~((exps > -1.0) & (exps <= 0.0))
-        if bad.any():
-            raise DomainError(f"{name} must lie in (-1, 0], got "
-                              f"{exps[bad][0]!r}")
-    if np.any((beta != 0.0) & np.isinf(b)):
-        raise DomainError("singular_exponent_b requires a finite upper limit")
+    exps = limits[2:]
+    if np.count_nonzero((exps > -1.0) & (exps <= 0.0)) < exps.size:
+        for name, row in zip(("singular_exponent_a", "singular_exponent_b"),
+                             exps):
+            _reject(row, ~((row > -1.0) & (row <= 0.0)),
+                    f"{name} must lie in (-1, 0]")
 
-    n = a.size
-    lo, hi, owner, maps = _segments(a, b, alpha, beta, pts)
-    value = np.zeros(lo.size)
-    error = np.zeros(lo.size)
-    fresh = np.arange(lo.size)
-    stuck = np.zeros(n, dtype=bool)
-    while True:
-        for start in range(0, fresh.size, _CHUNK_PANELS):
-            idx = fresh[start:start + _CHUNK_PANELS]
-            value[idx], error[idx] = _kronrod_panels(
-                f, lo[idx], hi[idx], owner[idx],
-                None if maps is None else tuple(m[idx] for m in maps))
-        total = np.bincount(owner, weights=value, minlength=n)
-        total_err = np.bincount(owner, weights=error, minlength=n)
-        target = tol * np.maximum(1.0, np.abs(total))
-        broken = ~np.isfinite(total + total_err)
-        open_ = (total_err > target) & ~broken & ~stuck
-        if not open_.any():
-            break
-        # Bisect every splittable panel of an open integral whose error is
-        # at least its share of the target; within the panel budget, the
-        # panels of largest error go first.
-        count = np.bincount(owner, minlength=n)
-        want = open_[owner] & (error * count[owner] >= target[owner]) & (
-            hi - lo > 100.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
-        over = np.bincount(owner[want], minlength=n) > _QUAD_LIMIT - count
-        if over.any():
-            ranked = np.flatnonzero(want & over[owner])
-            ranked = ranked[np.lexsort((-error[ranked], owner[ranked]))]
-            who = owner[ranked]
-            first = np.searchsorted(who, who)
-            want[ranked[np.arange(who.size) - first
-                        >= _QUAD_LIMIT - count[who]]] = False
-        split = np.flatnonzero(want)
-        stuck |= open_ & (np.bincount(owner[split], minlength=n) == 0)
-        fresh = split
-        if not split.size:
-            continue
-        mid = 0.5 * (lo[split] + hi[split])
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([hi, hi[split]])
-        hi[split] = mid
-        owner = np.concatenate([owner, owner[split]])
-        if maps is not None:
-            maps = tuple(np.concatenate([m, m[split]]) for m in maps)
-        value = np.concatenate([value, np.zeros(split.size)])
-        error = np.concatenate([error, np.zeros(split.size)])
-        fresh = np.concatenate([split, np.arange(lo.size - split.size,
-                                                 lo.size)])
-    failed = broken | (total_err > target)
-    if failed.any():
-        i = int(np.argmax(failed))
-        if broken[i]:
+    with np.errstate(all="ignore"):
+        tab, owner = _segments(a, b, alpha, beta, pts)
+        value, error = np.empty(len(tab)), np.empty(len(tab))
+        # The integrals that are finite and have not run out of panels to
+        # split; an integral drops out for good, as it is not split again.
+        live = ~np.zeros(n, dtype=bool)
+        # The first pass evaluates every panel, by slices of the table; a
+        # later one the panels ``fresh`` names.
+        fresh = None
+        while True:
+            size = len(tab) if fresh is None else fresh.size
+            for start in range(0, size, _CHUNK_PANELS):
+                idx = (slice(start, start + _CHUNK_PANELS) if fresh is None
+                       else fresh[start:start + _CHUNK_PANELS])
+                value[idx], error[idx] = _kronrod_panels(f, tab[idx],
+                                                         owner[idx])
+            total = np.bincount(owner, weights=value, minlength=n)
+            total_err = np.bincount(owner, weights=error, minlength=n)
+            target = tol * np.maximum(1.0, np.abs(total))
+            live &= np.isfinite(total + total_err)
+            open_ = (total_err > target) & live
+            if not np.count_nonzero(open_):
+                break
+            # Bisect every splittable panel of an open integral whose error
+            # is at least its share of the target; within the panel budget,
+            # the panels of largest error go first.
+            count = np.bincount(owner, minlength=n)
+            lo, hi = tab[:, _LO], tab[:, _HI]
+            want = open_[owner] & (error * count[owner] >= target[owner]) & (
+                hi - lo > 100.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+            split = want.nonzero()[0]
+            per = np.bincount(owner[split], minlength=n)
+            over = per > _QUAD_LIMIT - count
+            if np.count_nonzero(over):
+                ranked = split[over[owner[split]]]
+                ranked = ranked[np.lexsort((-error[ranked], owner[ranked]))]
+                who = owner[ranked]
+                first = np.searchsorted(who, who)
+                want[ranked[np.arange(who.size) - first
+                            >= _QUAD_LIMIT - count[who]]] = False
+                split = want.nonzero()[0]
+                per = np.bincount(owner[split], minlength=n)
+            live &= ~open_ | (per > 0)
+            # The left half of a panel keeps its row, the right half is a
+            # new row at the end; both are evaluated in the next pass.
+            new = tab[split]
+            mid = 0.5 * (new[:, _LO] + new[:, _HI])
+            tab[split, _HI] = new[:, _LO] = mid
+            fresh = np.concatenate([split, np.arange(len(tab),
+                                                     len(tab) + split.size)])
+            tab = np.concatenate([tab, new])
+            owner = np.concatenate([owner, owner[split]])
+            # Placeholders: the next pass writes every fresh row.
+            value = np.concatenate([value, mid])
+            error = np.concatenate([error, mid])
+    # Each integral still live has converged; the others are non-finite or
+    # out of panels to split.
+    if np.count_nonzero(live) < n:
+        i = int(np.argmax(~live))
+        if not math.isfinite(float(total[i]) + float(total_err[i])):
             raise QuadratureError(
                 f"quadrature produced a non-finite value on ({a[i]}, {b[i]})",
                 value=float(total[i]), abs_error_estimate=float(total_err[i]))
@@ -551,7 +600,7 @@ def _integrate(f: Callable, a, b, tol: float, *, singular_exponent_a=0.0,
             f"value={float(total[i])!r}, error estimate {total_err[i]:.3e} "
             f"exceeds tol {tol:.3e}",
             value=float(total[i]), abs_error_estimate=float(total_err[i]))
-    return total, total_err
+    return total.astype(float, copy=False), total_err.astype(float, copy=False)
 
 
 def quadrature(
@@ -908,20 +957,28 @@ def _derivatives(f: Callable, x: np.ndarray, order: int, h,
                     levels=levels)
 
 
-def _radial_derivatives(f: Callable, x: np.ndarray, order: int, *,
-                        kinks: Sequence[float] = ()) -> np.ndarray:
-    """:func:`num_derivative` values of ``f`` at x > 0 with no stencil point
-    at or below 0.  Where the default ladder (five rungs, the top 16 steps
-    out) would reach 0, 0 acts as a kink, and a base step that alone
-    reaches 0 shrinks to half the distance."""
-    _reject(x, ~(x > 0), "r must be > 0")
+def _radial_derivatives(f: Callable, x, order: int, *,
+                        kinks: Sequence[float] = ()):
+    """:func:`num_derivative` values of ``f`` at x > 0, a float or an
+    array, with no stencil point at or below 0.  Where the default ladder
+    (five rungs, the top 16 steps out) would reach 0, 0 acts as a kink, and
+    a base step that alone reaches 0 shrinks to half the distance.  A float
+    takes the float route of :func:`num_derivative` and gives the bits of
+    the same entry of an array."""
+    arr = np.atleast_1d(x)
+    _reject(arr, ~(arr > 0), "r must be > 0")
     reach = _STENCIL_REACH[order]
-    step = _EPS ** (1.0 / (order + 2)) * np.maximum(1.0, x)
-    near = reach * 16.0 * step >= x
-    step = np.where(reach * step >= x, 0.5 * x / reach, step)
-    out = np.empty(x.shape)
-    out[~near] = num_derivative(f, x[~near], order, kinks=kinks)[0]
+    step = _EPS ** (1.0 / (order + 2)) * np.maximum(1.0, arr)
+    near = reach * 16.0 * step >= arr
+    step = np.where(reach * step >= arr, 0.5 * arr / reach, step)
+    if np.ndim(x) == 0:
+        if near[0]:
+            return num_derivative(f, float(x), order, float(step[0]),
+                                  kinks=(0.0, *kinks)).value
+        return num_derivative(f, float(x), order, kinks=kinks).value
+    out = np.empty(arr.shape)
+    out[~near] = num_derivative(f, arr[~near], order, kinks=kinks)[0]
     if near.any():
-        out[near] = num_derivative(f, x[near], order, step[near],
+        out[near] = num_derivative(f, arr[near], order, step[near],
                                    kinks=(0.0, *kinks))[0]
     return out

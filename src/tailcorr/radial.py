@@ -220,6 +220,9 @@ class RadialFunction:
         if self.taylor is not None:
             return _evaluate(arr, lambda x: math.factorial(order)
                              * self._series(x, order)[0][order])
+        if arr.ndim == 0:
+            return _radial_derivatives(self.func, float(arr), order,
+                                       kinks=self.kinks)
         return _evaluate(arr, lambda x: _radial_derivatives(
             self.func, x, order, kinks=self.kinks))
 

@@ -2,9 +2,11 @@
 into draws: one case per branch (the law's own sampler, its quantile
 function, its atoms, a tabulated inverse cdf of its density, bisection on
 its cdf), a goodness-of-fit test of the density branch, and the table
-being built once per law rather than once per simulation."""
+being built once per law rather than once per simulation.  Also the hint
+rows and the dtypes of ``Distribution1D.expectations``."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,3 +153,28 @@ def test_scale_factor_must_be_positive_and_finite(value):
     with pytest.raises(DomainError, match=f"scale factor c must be positive "
                                           f"and finite, got {value!r}"):
         scale_distribution(exponential_dist(), value)
+
+
+def laplace(x, t):
+    return np.exp(-t * x)
+
+
+def test_hint_rows_must_be_one_or_one_per_t():
+    with pytest.raises(DomainError, match=re.escape(
+            "points must be one row or one row per entry of t, got shape "
+            "(2, 1) for t of shape (3,)")):
+        exponential_dist(1.0).expectations(laplace, [0.5, 1.0, 2.0],
+                                           points=[[0.3], [0.4]])
+
+
+@pytest.mark.parametrize("points", [[0.3], [[0.3]], [[0.3], [0.2], [1.0]]])
+def test_one_hint_row_or_one_per_t(points):
+    t = np.array([0.5, 1.0, 2.0])
+    values, _ = exponential_dist(1.0).expectations(laplace, t, points=points)
+    assert values == pytest.approx(1.0 / (1.0 + t), rel=1e-9)
+
+
+def test_an_empty_batch_gives_float_arrays():
+    values, errors = exponential_dist(1.0).expectations(laplace, np.array([]))
+    assert values.dtype == errors.dtype == np.float64
+    assert values.shape == errors.shape == (0,)

@@ -1,6 +1,7 @@
 """Tests for the shared numerical layer: special functions, quadrature,
 numerical differentiation."""
 
+import hashlib
 import math
 import re
 
@@ -45,6 +46,7 @@ from tailcorr.models import (
     tcf,
 )
 from tailcorr.numerics import (
+    _CHUNK_PANELS,
     _QUAD_LIMIT,
     _integer,
     _integrate,
@@ -377,6 +379,55 @@ class TestBatchedQuadrature:
         # One bisection per pass until the budget is spent.
         assert calls[0] == _QUAD_LIMIT
 
+    def test_empty_batches_give_float_arrays(self):
+        for a, b in ((np.zeros(0), 1.0), (2.0, 2.0), ([0.0, 1.0], 1.0)):
+            values, errors = _integrate(lambda x, k: x, a, b, 1e-10)
+            assert values.dtype == errors.dtype == np.float64
+        assert values.tolist() == [0.5, 0.0]
+
+    def test_hint_rows_must_be_one_or_one_per_integral(self):
+        with pytest.raises(DomainError, match=re.escape(
+                "points must be one row or one row per integral, got shape "
+                "(2, 1) for limits of shape (3,)")):
+            _integrate(lambda x, k: x, 0.0, [1.0, 2.0, 3.0], 1e-10,
+                       points=[[0.3], [0.4]])
+        with pytest.raises(DomainError, match=re.escape(
+                "got shape (3, 1) for limits of shape (2, 3)")):
+            _integrate(lambda x, k: x, np.zeros((2, 3)), 1.0, 1e-10,
+                       points=np.full((3, 1), 0.5))
+
+    def test_hint_rows_count_the_integrals(self):
+        f = lambda x, k: np.abs(x - 0.5)  # noqa: E731
+        grid = _integrate(f, np.zeros((2, 3)), 1.0, 1e-12,
+                          points=np.full((6, 1), 0.5))
+        rows = _integrate(f, 0.0, 1.0, 1e-12, points=np.full((6, 1), 0.5))
+        one = _integrate(f, [0.0], 1.0, 1e-12, points=np.full((6, 1), 0.5))
+        for values, errors in (grid, rows, one):
+            assert values.shape == errors.shape == (6,)
+            assert values.tolist() == [0.25] * 6
+
+    @pytest.mark.parametrize("args,kwargs,message", [
+        ((-math.inf, 1.0), {}, "lower limit must be finite, got -inf"),
+        ((2.0, 1.0), {}, "upper limit 1.0 below lower limit 2.0"),
+        ((0.0, math.nan), {}, "upper limit must not be NaN"),
+        ((0.0, 1.0), {"singular_exponent_a": -1.0},
+         "singular_exponent_a must lie in (-1, 0], got -1.0"),
+        ((0.0, 1.0), {"singular_exponent_b": 0.5},
+         "singular_exponent_b must lie in (-1, 0], got 0.5"),
+        ((0.0, math.inf), {"singular_exponent_b": -0.5},
+         "singular_exponent_b requires a finite upper limit"),
+    ])
+    def test_errors_print_plain_numbers(self, args, kwargs, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            quadrature(math.cos, *args, **kwargs)
+
+    def test_a_near_zero_exponent_maps_nothing(self):
+        # 1/(1 + alpha) rounds to 1: the piece keeps x = y on (a, b).
+        for kwargs in ({"singular_exponent_a": -1e-17},
+                       {"singular_exponent_b": -1e-17}):
+            values, _ = _integrate(lambda x, k: x, 5.0, 6.0, 1e-10, **kwargs)
+            assert values[0] == pytest.approx(5.5, rel=1e-14)
+
     def test_batch_equals_one_at_a_time(self):
         rate = np.array([0.3, 1.0, 4.0])
         batch = _integrate(lambda x, k: np.exp(-rate[k] * x), np.zeros(3),
@@ -385,6 +436,109 @@ class TestBatchedQuadrature:
             alone = _integrate(lambda x, k: np.exp(-r * x), 0.0, math.inf,
                                1e-12)
             assert (batch[0][i], batch[1][i]) == (alone[0][0], alone[1][0])
+
+
+def _comb(counts, width):
+    """Lorentzian peaks of half-width ``width`` at the centres of
+    ``counts[k]`` equal cells of (0, 1), for integral k."""
+    def f(x, k):
+        out = np.zeros(x.shape)
+        for j in range(max(counts)):
+            peak = width / (width * width + (x - (j + 0.5) / counts[k]) ** 2)
+            out = out + np.where(j < counts[k], peak, 0.0)
+        return out
+    return f
+
+
+def _chebyshev_squared(n):
+    """T_n(x)^2, by the three-term recurrence."""
+    def f(x, k):
+        t0, t1 = np.ones_like(x), x
+        for _ in range(n - 1):
+            t0, t1 = t1, 2.0 * x * t1 - t0
+        return t1 * t1
+    return f
+
+
+_ALPHA = np.array([-0.5, -0.3, -0.75])
+_BETA = np.array([-0.5, -0.2])
+_KINKS = np.array([0.1, 0.5, np.nan, 0.9])
+_MANY = np.linspace(0.1, 10.0, 2100)
+
+#: A fixed family of engine calls, each with the digest of the bits of its
+#: (value, error estimate) pairs, or of the pair a QuadratureError carries.
+#: The integrands use arithmetic, sqrt and pow only.
+_ENGINE_FAMILY = {
+    "plain": ("5a6d04a059bd8d15", lambda: _integrate(
+        lambda x, k: 1.0 / (1.0 + x * x), 0.0, 1.0, 1e-10)),
+    "empty and full": ("205fbc8d978dc70c", lambda: _integrate(
+        lambda x, k: 1.0 / (1.0 + x * x), 0.0, [1.0, 0.0, 3.0], 1e-10)),
+    "singular a": ("914e675e13256438", lambda: _integrate(
+        lambda x, k: x ** _ALPHA[k] / (1.0 + x), 0.0, 2.0, 1e-11,
+        singular_exponent_a=_ALPHA)),
+    "singular b": ("426062cffe35518f", lambda: _integrate(
+        lambda x, k: (1.0 - x) ** _BETA[k] * (1.0 + x * x), 0.0, 1.0, 1e-11,
+        singular_exponent_b=_BETA)),
+    "singular both": ("5703dcf6934f9652", lambda: _integrate(
+        lambda x, k: (1.0 + x) / np.sqrt(x * (1.0 - x)), 0.0, 1.0, 1e-11,
+        singular_exponent_a=-0.5, singular_exponent_b=-0.5)),
+    "singular a with a hint": ("cebeda95669e3bff", lambda: _integrate(
+        lambda x, k: np.abs(x - 0.5) / np.sqrt(x), 0.0, [1.0, 0.4], 1e-11,
+        singular_exponent_a=-0.5, points=[0.5])),
+    "infinite": ("4b5a7b9031638818", lambda: _integrate(
+        lambda x, k: 1.0 / (1.0 + x * x * x), [0.0, 0.5, 2.0], math.inf,
+        1e-11)),
+    "singular a and infinite": ("81a987f20fdbbbd4", lambda: _integrate(
+        lambda x, k: 1.0 / (np.sqrt(x) * (1.0 + x)), 0.0, math.inf, 1e-11,
+        singular_exponent_a=-0.5)),
+    "shared hints": ("86e59feea697c946", lambda: _integrate(
+        lambda x, k: np.abs(x - 0.3) + np.abs(x - 0.7), 0.0,
+        [1.0, 0.5, 0.2], 1e-12, points=[0.3, 0.7])),
+    "one hint row per integral": ("7c9f6fbd77b33f0f", lambda: _integrate(
+        lambda x, k: np.abs(x - np.nan_to_num(_KINKS, nan=0.25)[k]), 0.0,
+        1.0, 1e-12, points=_KINKS[:, None])),
+    "multi-pass": ("63c3452145fe7cc3", lambda: _integrate(
+        lambda x, k: np.sqrt(x) + 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0,
+        1e-12)),
+    "over budget, one integral": ("837f7e780d9a206e", lambda: _integrate(
+        lambda x, k: 1.0 / x, 0.0, 1.0, 1e-10)),
+    "over budget, ranked": ("d7db9419887ae2bc", lambda: _integrate(
+        _chebyshev_squared(320), -1.0, 1.0, 1e-9)),
+    "over budget, a batch": ("93da0548c8e6ac8e", lambda: _integrate(
+        _comb(np.array([12, 20, 28]), 1e-3), 0.0, np.ones(3), 1e-10)),
+    "above one chunk": ("f5effd325e89b5d2", lambda: _integrate(
+        lambda x, k: 1.0 / (1.0 + _MANY[k] * x * x), 0.0,
+        np.linspace(0.5, 3.0, _MANY.size), 1e-10)),
+}
+
+
+class TestEngineBits:
+    """Every integral of a fixed family keeps the bits of its value and
+    error estimate, whatever the engine's bookkeeping."""
+
+    @staticmethod
+    def digest(call):
+        try:
+            pairs = zip(*call())
+        except QuadratureError as exc:
+            pairs = [(exc.value, exc.abs_error_estimate)]
+        text = " ".join(f"{float(v).hex()},{float(e).hex()}" for v, e in pairs)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("name", list(_ENGINE_FAMILY))
+    def test_digest(self, name):
+        pinned, call = _ENGINE_FAMILY[name]
+        assert self.digest(call) == pinned
+
+    def test_a_large_batch_is_evaluated_in_chunks(self):
+        rows = []
+
+        def f(x, k):
+            rows.append(len(x))
+            return 1.0 / (1.0 + _MANY[k] * x * x)
+
+        _integrate(f, np.zeros(_MANY.size), 1.0, 1e-10)
+        assert rows[:2] == [_CHUNK_PANELS, _MANY.size - _CHUNK_PANELS]
 
 
 def first_pass_nodes(b, **kwargs):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from tailcorr import DomainError, num_derivative
+from tailcorr import DomainError, num_derivative, numerics
 from tailcorr.cli import _gaussian_correlation
 from tailcorr.membership import DEFAULT_GRID, _neg_deriv_sqrt
 from tailcorr.models import erfc_mixture, h_d
@@ -249,6 +249,38 @@ class TestNumericDerivativeNearZero:
     def test_nonpositive_radius_is_refused(self):
         with pytest.raises(DomainError, match=r"r must be > 0, got 0\.0$"):
             whittle_matern(1.5).derivative(np.array([0.1, 0.0]), 2)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    # From 5e-5 (order 1), 1e-3 (order 2) or 1e-2 (order 3) down the ladder
+    # would reach 0, and at 1e-7 so would the base step alone.
+    @pytest.mark.parametrize("r", [3.0, 0.5, 1e-2, 1e-3, 5e-5, 1e-7])
+    def test_float_takes_the_float_route_with_the_bits_of_an_array(
+            self, monkeypatch, order, r):
+        f = whittle_matern(1.5)
+        want = f.derivative(np.array([r]), order)
+        # The array engine is out of reach of a float.
+        monkeypatch.setattr(numerics, "_ridders", None)
+        got = f.derivative(r, order)
+        assert type(got) is float
+        assert got.hex() == float(want[0]).hex()
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_float_stencil_clear_of_zero(self, order):
+        seen = []
+
+        def func(r):
+            seen.append(np.min(r))
+            return np.exp(-r)
+
+        f = RadialFunction(name="recorded", func=func)
+        for r in self.XS[:20]:
+            assert math.isfinite(f.derivative(float(r), order))
+        assert min(seen) > 0.0
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_nonpositive_float_radius_is_refused(self, r):
+        with pytest.raises(DomainError, match=rf"r must be > 0, got {r!r}$"):
+            whittle_matern(1.5).derivative(r, 2)
 
 
 class TestScalarCallables:
