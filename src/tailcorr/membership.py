@@ -33,13 +33,20 @@ to the sphere of radius omega* detune only quadratically, so the window may
 stay narrow across it).  The quadratic form is summed directly from the
 1-D autocorrelations of the vector's axis factors, and a negative value on
 an explicit vector proves the Gram matrix has a negative eigenvalue.
+
+Designs that do not depend on the candidate are built once.  The moment
+stage's grids and Hankel index and the triangle battery's default pairs
+are module constants, and stage one's seeded configurations are drawn
+once per process and (seed, n_configs, n_points, d), a handful of keys
+kept, and shared read-only; a witness holds its own copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 import numpy as np
@@ -304,6 +311,22 @@ def _eigmin_uncertified(floor, *stacks: np.ndarray) -> np.ndarray:
     return eigmin
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The moment stage's design: 13 x 13 arithmetic grids (start outer, spacing
+# inner) of 2 * 14 + 2 points each, and the index of the 15 x 15 Hankel
+# matrix of a grid's values.
+_MOMENT_STARTS, _MOMENT_SPACINGS = (
+    _frozen(g.ravel()) for g in np.meshgrid(np.geomspace(0.01, 5.0, 13),
+                                            np.geomspace(0.01, 2.0, 13),
+                                            indexing="ij"))
+_MOMENT_STEPS = _frozen(np.arange(30.0))
+_HANKEL = _frozen(np.add.outer(np.arange(15), np.arange(15)))
+
+
 def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     """Hankel positive-semidefiniteness of f on arithmetic grids.
 
@@ -312,32 +335,26 @@ def _moment_matrix_stage(f: RadialFunction, tol: float) -> Verdict | None:
     so every Hankel matrix built from consecutive values must be positive
     semidefinite.  A clearly negative eigenvalue refutes; this detects
     shallow violations far beyond the reach of low-order derivative signs.
-    The 13 x 13 grids (start outer, spacing inner) go in chunks: one call
-    of f and one Cholesky certificate per Hankel stack each
-    (:func:`_eigmin_uncertified`); eigenvalues are computed only in a
+    The 13 x 13 grids (start outer, spacing inner; a module constant) go
+    in chunks: one call of f and one Cholesky certificate per Hankel stack
+    each (:func:`_eigmin_uncertified`); eigenvalues are computed only in a
     chunk the certificate does not pass, and the first failing grid in
     that order is the witness.  Returns None when no matrix falls below
     the tolerance; raises DomainError naming the first grid point where f
     is not finite.
     """
-    n = 14
-    x0, h = (g.ravel() for g in np.meshgrid(np.geomspace(0.01, 5.0, 13),
-                                            np.geomspace(0.01, 2.0, 13),
-                                            indexing="ij"))
-    idx = np.arange(n + 1)
-    hankel = idx[:, None] + idx[None, :]
-    for part in _chunks(len(x0)):
-        xs = x0[part][:, None] + h[part][:, None] * np.arange(2 * n + 2)
+    for part in _chunks(_MOMENT_STARTS.size):
+        x0, h = _MOMENT_STARTS[part], _MOMENT_SPACINGS[part]
+        xs = x0[:, None] + h[:, None] * _MOMENT_STEPS
         m = _finite_values(f, xs, "on a moment grid")
         floor = np.maximum(tol, 1e-12 * np.maximum(1.0, np.abs(m[:, 0])))
-        eigmin = _eigmin_uncertified(floor, m[:, hankel], m[:, hankel + 1])
+        eigmin = _eigmin_uncertified(floor, m[:, _HANKEL], m[:, _HANKEL + 1])
         failing = np.flatnonzero(eigmin < -floor)
         if failing.size:
             i = int(failing[0])
             return _failed(
-                MomentMatrixWitness(start=float(x0[part][i]),
-                                    spacing=float(h[part][i]), size=n + 1,
-                                    eigmin=float(eigmin[i])),
+                MomentMatrixWitness(start=float(x0[i]), spacing=float(h[i]),
+                                    size=len(_HANKEL), eigmin=float(eigmin[i])),
                 "values on an arithmetic grid are not a moment sequence")
     return None
 
@@ -547,15 +564,17 @@ def test_H2_condition(phi: RadialFunction, *, grid=None, tol: float = 1e-7
 # ---------------------------------------------------------------------------
 
 
+#: The default lag pairs (s, t) of :func:`test_triangle`: s <= t on 12
+#: log-spaced lags in [0.01, 10].
+_TRIANGLE_PAIRS = tuple((float(s), float(t)) for s, t in
+                        combinations_with_replacement(
+                            np.geomspace(0.01, 10.0, 12), 2))
+
+
 def test_triangle(chi: RadialFunction, pairs=None, *, tol: float = 1e-12
                   ) -> Verdict:
     """Subadditivity of eta = 1 - chi: eta(|s +- t|) <= eta(s) + eta(t)."""
-    if pairs is None:
-        sub = np.geomspace(0.01, 10.0, 12)
-        pairs = [(float(s), float(t)) for i, s in enumerate(sub)
-                 for t in sub[i:]]
-
-    pairs = list(pairs)
+    pairs = _TRIANGLE_PAIRS if pairs is None else list(pairs)
     s, t = np.array(pairs, dtype=float).reshape(-1, 2).T
     eta = 1.0 - _finite_values(chi, np.abs(np.stack([s, t, s + t, s - t])),
                                "at a triangle lag")
@@ -595,6 +614,16 @@ def _random_configuration(rng: np.random.Generator, index: int,
         return np.outer(np.arange(n_points) * step, direction)
     scale = float(np.exp(rng.uniform(np.log(0.1), np.log(1.0))))
     return rng.standard_normal((n_points, d)) * scale
+
+
+@lru_cache(maxsize=8)
+def _seeded_configurations(seed: int, n_configs: int, n_points: int, d: int
+                           ) -> np.ndarray:
+    """The (n_configs, n_points, d) site configurations of seed ``seed``,
+    drawn once per process and key; read-only, as every call shares them."""
+    rng = np.random.default_rng(seed)
+    return _frozen(np.stack([_random_configuration(rng, index, n_points, d)
+                             for index in range(n_configs)]))
 
 
 @_float_rule(at=2)
@@ -755,9 +784,8 @@ def test_positive_definite(chi: RadialFunction, d: int,
     d = _integer(d, "d", 1)
     n_configs = _integer(n_configs, "n_configs", 1)
     n_points = _integer(n_points, "n_points", 1)
-    rng = np.random.default_rng(_integer(seed, "seed", 0))
-    sites = np.stack([_random_configuration(rng, index, n_points, d)
-                      for index in range(n_configs)])
+    sites = _seeded_configurations(_integer(seed, "seed", 0), n_configs,
+                                   n_points, d)
     for part in _chunks(n_configs):
         diff = sites[part, :, None, :] - sites[part, None, :, :]
         gram = _finite_values(chi, np.sqrt((diff ** 2).sum(-1)),
@@ -766,7 +794,8 @@ def test_positive_definite(chi: RadialFunction, d: int,
         failing = np.flatnonzero(eigmin < -tol)
         if failing.size:
             i = int(failing[0])
-            return _failed((part.start + i, sites[part][i], float(eigmin[i])),
+            return _failed((part.start + i, sites[part.start + i].copy(),
+                            float(eigmin[i])),
                            "Gram matrix has a negative eigenvalue")
     if chi.has_compact_support and d <= 3:
         stage_two = _spectral_probe(chi, d)

@@ -32,7 +32,9 @@ z . t/|t| >= |t|/2, so by symmetry
     chi(t) = 2 int_{t/2}^inf f(u) * cap_d(u, t/(2u)) du,
 
 where cap_d(u, c) is the surface measure of the spherical cap
-{|z| = u, z_1 > c u}; an incomplete Beta function in closed form.
+{|z| = u, z_1 > c u}: u^{d-1} times a constant times I_{1-c^2}((d-1)/2, 1/2),
+the same incomplete Beta function as h_{d-2}(c), and in closed form
+through d = 7.
 
 Each model class is declared in one place, its :class:`TcfModel` subclass:
 the TCF is its ``_tcf`` method, which takes a 1-D array of lags and returns
@@ -107,6 +109,33 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _cap_fraction(c, d: int):
+    """I_{1-c^2}((d-1)/2, 1/2) for 0 <= c <= 1 and d >= 2: the share of a
+    hemisphere of the unit sphere in R^d that lies in the cap z_1 > c.
+
+    Closed form through d = 7 (DLMF 8.17, by the recurrence in the first
+    parameter from 1/2 and 1): a polynomial in c and sqrt(1 - c^2), plus
+    arccos c in even d.  A small c keeps its digits there, which the
+    argument 1 - c^2 of ``betainc``, the form beyond d = 7, rounds away.
+    h_d(s) is ``_cap_fraction(s, d + 2)``.
+    """
+    if d == 2:
+        return (2.0 / math.pi) * np.arccos(c)
+    if d == 3:
+        return 1.0 - c
+    if d == 4:
+        return (2.0 / math.pi) * (np.arccos(c) - c * np.sqrt(1.0 - c * c))
+    if d == 5:
+        return 1.0 - 1.5 * c + 0.5 * c**3
+    if d == 6:
+        root = np.sqrt(1.0 - c * c)
+        return (1.0 - (2.0 / math.pi) * (np.arcsin(c) + c * root)
+                - (4.0 / (3.0 * math.pi)) * c * root**3)
+    if d == 7:
+        return 1.0 - 1.875 * c + 1.25 * c**3 - 0.375 * c**5
+    return _special.betainc((d - 1) / 2.0, 0.5, 1.0 - c * c)
+
+
 @_float_rule
 def h_d(t, d: int):
     """Normalized overlap of two d-dimensional balls of diameter 1 at distance t.
@@ -116,22 +145,7 @@ def h_d(t, d: int):
     """
     d = _integer(d, "d", 1)
     _reject(t, t < 0, "h_d requires t >= 0")
-    s = np.minimum(t, 1.0)
-    if d == 1:
-        v = 1.0 - s
-    elif d == 2:
-        v = (2.0 / math.pi) * (np.arccos(s) - s * np.sqrt(1.0 - s * s))
-    elif d == 3:
-        v = 1.0 - 1.5 * s + 0.5 * s**3
-    elif d == 4:
-        root = np.sqrt(1.0 - s * s)
-        v = (1.0 - (2.0 / math.pi) * (np.arcsin(s) + s * root)
-             - (4.0 / (3.0 * math.pi)) * s * root**3)
-    elif d == 5:
-        v = 1.0 - 1.875 * s + 1.25 * s**3 - 0.375 * s**5
-    else:
-        v = _special.betainc((d + 1) / 2.0, 0.5, 1.0 - s * s)
-    return np.where(t >= 1.0, 0.0, v)
+    return np.where(t >= 1.0, 0.0, _cap_fraction(np.minimum(t, 1.0), d + 2))
 
 
 def laplace_factor(d: int) -> float:
@@ -181,12 +195,10 @@ def overlap_integral(f: RadialFunction, d: int, t, *, tol: float = 1e-10):
             return f.func(u)
     else:
         cap_const = _cap_constant(d)
-        a_beta, b_beta = (d - 1) / 2.0, 0.5
 
         def integrand(u, k):
-            c = lows[k] / u
             return (f.func(u) * u ** (d - 1) * cap_const
-                    * _special.betainc(a_beta, b_beta, 1.0 - c * c))
+                    * _cap_fraction(lows[k] / u, d))
 
     values, errors = np.zeros(t.shape), np.zeros(t.shape)
     if live.any():

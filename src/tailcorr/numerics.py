@@ -28,7 +28,9 @@ floats (``_ridders_pick``; ``_richardson`` runs that loop on all rows of
 a batch at once).  Its fixed cost is a few one-element NumPy calls, not
 a dozen per table entry, and it gives the bits of the same entry of an
 array.  Both engines call their argument on the whole ladder or panel
-set when it takes arrays, and float by float otherwise.
+set when it takes arrays, and float by float otherwise.  ``_segments``
+builds the first pass's rows from one NaN-padded table of each
+integral's ends and cuts.
 
 All functions are pure and reentrant; there is no shared mutable state.
 Every function of distance follows one float rule (``_float_rule``): a
@@ -112,15 +114,16 @@ def _float_rule(func: Callable | None = None, *, at: int = 0,
         nonlocal name
         if len(args) > at:
             arr = np.asarray(args[at], dtype=float)
-            out = func(*args[:at], np.atleast_1d(arr), *args[at + 1:],
-                       **kwargs)
+            out = func(*args[:at], arr if arr.ndim else arr.reshape(1),
+                       *args[at + 1:], **kwargs)
         else:
             name = name or list(inspect.signature(func).parameters)[at]
             if name not in kwargs:
                 # Python names the missing argument.
                 return func(*args, **kwargs)
             arr = np.asarray(kwargs[name], dtype=float)
-            out = func(*args, **{**kwargs, name: np.atleast_1d(arr)})
+            out = func(*args, **{**kwargs,
+                                 name: arr if arr.ndim else arr.reshape(1)})
         if result:
             values, errors = out
             if arr.ndim == 0:
@@ -135,7 +138,7 @@ def _float_rule(func: Callable | None = None, *, at: int = 0,
 def _reject(arr: np.ndarray, bad: np.ndarray, message: str) -> None:
     """Raise DomainError with ``message`` and the first entry of ``arr``
     where ``bad`` holds, if there is one."""
-    if bad.any():
+    if np.count_nonzero(bad):
         raise DomainError(f"{message}, got {float(arr[bad][0])!r}")
 
 
@@ -418,37 +421,47 @@ def _segments(a, b, alpha, beta, pts):
     # two singular ends at its middle, and one reaching infinity after a
     # unit head, so that the map of the tail, whose resolution near its
     # origin is only absolute, stays away from the lower end.
+    nonempty = b > a
     halve, extend = singular_a & singular_b, infinite_b
-    cuts = []
+    hints = 0
     if pts.size:
         if pts.ndim > 2:
             raise DomainError(f"points must be one row or one row per "
                               f"integral, got shape {pts.shape}")
         inside = (pts > a[:, None]) & (pts < b[:, None])
-        cuts.append(np.where(inside, pts, np.nan))
         bare = ~inside.any(axis=1)
         halve, extend = halve & bare, extend & bare
-    if np.count_nonzero(halve) or np.count_nonzero(extend):
-        cuts.append(np.where(halve, 0.5 * (a + b), np.where(
-            extend, a + 1.0, np.nan))[:, None])
-    if cuts:
-        cut = np.concatenate(cuts, axis=1) if len(cuts) > 1 else cuts[0]
-        if cut.shape[1] > 1:
-            cut.sort(axis=1)
-        count = (~np.isnan(cut)).sum(axis=1)
-        lefts = np.concatenate([a[:, None], cut], axis=1)
-        rights = np.concatenate([np.where(np.isnan(cut), b[:, None], cut),
-                                 b[:, None]], axis=1)
-        col = np.arange(lefts.shape[1])
-        owner, col = ((col <= count[:, None]) & (b > a)[:, None]).nonzero()
-        left, right = lefts[owner, col], rights[owner, col]
-        last = col == count[owner]
+        hints = inside.shape[1]
+    halves, extends = np.count_nonzero(halve), np.count_nonzero(extend)
+    extra = 1 if halves or extends else 0
+    if hints or extra:
+        # Row i: a_i (NaN where the interval is empty), its cuts in
+        # increasing order with the unused ones (NaN) last, and a NaN
+        # column.  Each edge that is not NaN starts a piece, which ends at
+        # the next edge, or at b where that one is NaN.
+        width = hints + extra + 2
+        edges = np.full((a.size, width), np.nan)
+        np.copyto(edges[:, 0], a, where=nonempty)
+        if hints:
+            np.copyto(edges[:, 1:hints + 1], pts, where=inside)
+        if extends:
+            np.copyto(edges[:, -2], a + 1.0, where=extend)
+        if halves:
+            np.copyto(edges[:, -2], 0.5 * (a + b), where=halve & nonempty)
+        if hints + extra > 1:
+            edges[:, 1:-1].sort(axis=1)
+        edges = edges.ravel()
+        at = np.flatnonzero(edges == edges)
+        owner, col = np.divmod(at, width)
+        left, right = edges[at], edges[at + 1]
+        last = np.isnan(right)
+        np.copyto(right, b[owner], where=last)
         # The exponent at the lower and at the upper end of each piece.
         start = np.where(col == 0, alpha[owner], 0.0)
         end = np.where(last, beta[owner], 0.0)
         infinite = last & infinite_b[owner]
     else:
-        owner = (b > a).nonzero()[0]
+        owner = nonempty.nonzero()[0]
         left, right = a[owner], b[owner]
         start, end, infinite = alpha[owner], beta[owner], infinite_b[owner]
     tab = np.empty((owner.size, 6))

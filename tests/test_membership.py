@@ -1,6 +1,7 @@
 """Tests for the necessary-condition membership batteries."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -38,7 +39,8 @@ from tailcorr.membership import (
     test_Tinfty_MMMr,
     test_triangle,
 )
-from tailcorr.models import M3bModel, h_d
+from tailcorr.distributions import exponential_dist
+from tailcorr.models import M3bModel, MPSModel, h_d, tcf
 from tailcorr.operators import (
     chi_d_radial,
     erf_square_complement_radial,
@@ -50,6 +52,7 @@ from tailcorr.radial import (
     generalized_cauchy,
     powered_erfc,
     powered_exponential,
+    RadialFunction,
     radial_from_callable,
     tent,
     truncated_power,
@@ -405,6 +408,21 @@ class TestTinfty:
         assert verdict.failed
         assert verdict.witness[1] == 1
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "an MPS TCF without a Taylor hook takes its derivatives from Ridders "
+        "ladders on quadrature output, and the moment stage certifies that "
+        "noise as a witness; mended by a hook from the mixing law's moments "
+        "(ROADMAP.md item 20)"))
+    def test_mps_tcf_passes(self):
+        # chi(t) = E[exp(-t S)] gives -chi'(sqrt t) = E[S exp(-S sqrt t)],
+        # completely monotone for every mixing law; the same candidate
+        # passes test_completely_monotone.
+        model = MPSModel(dim=1, mixing=exponential_dist(3.0))
+        chi = RadialFunction(name="mps_exponential_3",
+                             func=lambda t: tcf(model, t))
+        assert test_completely_monotone(chi).passed
+        assert test_Tinfty_MMMr(chi).passed
+
 
 class TestTaylorRoute:
     """A candidate with a Taylor hook takes every sign of stage one from
@@ -583,6 +601,67 @@ class TestPositiveDefinite:
     def test_gram_stage_passes_where_loop_passes(self, chi, d):
         assert gram_stage_by_configuration(chi, d, 0) is None
         assert test_positive_definite(chi, d).passed
+
+    def test_gram_witness_keeps_its_bits(self):
+        # Pinned: the first configuration refuted for the cubic cutoff in
+        # d = 3 at seed 4, its sites and its smallest eigenvalue.
+        index, sites, eigmin = test_positive_definite(cubic_cutoff(), 3,
+                                                      seed=4).witness
+        assert index == 1
+        assert hashlib.sha256(sites.tobytes()).hexdigest() == (
+            "3e41ad7df8b9b38f358c281b04bfc36b"
+            "68f88568e1122a7113be698f2e9c04b3")
+        assert eigmin.hex() == "-0x1.a591945782e42p-2"
+
+
+@pytest.fixture
+def fresh_configurations():
+    """The configuration cache, empty before and after the test."""
+    membership._seeded_configurations.cache_clear()
+    yield membership._seeded_configurations
+    membership._seeded_configurations.cache_clear()
+
+
+class TestSeededDesigns:
+    def test_configurations_are_drawn_once_per_key(
+            self, monkeypatch, fresh_configurations):
+        drawn = []
+        draw = membership._random_configuration
+
+        def spy(rng, index, n_points, d):
+            drawn.append(index)
+            return draw(rng, index, n_points, d)
+
+        monkeypatch.setattr(membership, "_random_configuration", spy)
+        first = test_positive_definite(cubic_cutoff(), 3, seed=4)
+        assert drawn == list(range(50))
+        second = test_positive_definite(cubic_cutoff(), 3, seed=4)
+        assert len(drawn) == 50
+        assert second.witness[1].tobytes() == first.witness[1].tobytes()
+        test_positive_definite(cubic_cutoff(), 3, seed=5)
+        assert len(drawn) == 100
+
+    @pytest.mark.parametrize("name", ["configurations", "_MOMENT_STARTS",
+                                      "_MOMENT_SPACINGS", "_MOMENT_STEPS",
+                                      "_HANKEL"])
+    def test_shared_arrays_are_read_only(self, name, fresh_configurations):
+        array = (fresh_configurations(0, 50, 8, 3) if name == "configurations"
+                 else getattr(membership, name))
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+    def test_witness_is_a_writable_copy(self, fresh_configurations):
+        verdict = test_positive_definite(cubic_cutoff(), 3, seed=4)
+        sites = verdict.witness[1]
+        pinned = sites.copy()
+        assert sites.flags.writeable
+        assert not np.shares_memory(sites, fresh_configurations(4, 50, 8, 3))
+        sites[:] = 0.0
+        again = test_positive_definite(cubic_cutoff(), 3, seed=4)
+        assert again.witness[0] == verdict.witness[0]
+        assert again.witness[1].tobytes() == pinned.tobytes()
+        assert again.witness[2] == verdict.witness[2]
 
 
 def with_eigmin(rng, n, eigmin):

@@ -3,9 +3,11 @@ kernel, parametric family bounds, and the erfc scale-mixture catalog."""
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from tailcorr.membership import classify
 from tailcorr.models import (
     _FAMILIES,
     PARAMETRIC_FAMILIES,
+    _cap_fraction,
     BRModel,
     EBGModel,
     EGModel,
@@ -100,6 +103,47 @@ class TestHd:
     def test_bad_dimension(self):
         with pytest.raises(DomainError):
             h_d(0.5, 0)
+
+
+class TestCapFraction:
+    """_cap_fraction(c, d) = I_{1-c^2}((d-1)/2, 1/2), the share of a
+    hemisphere in the cap z_1 > c."""
+
+    #: Where betainc keeps the digits of c: its argument 1 - c^2 loses
+    #: about eps / c^2 relative in c^2, an error of order eps / c in the
+    #: value, and below c ~ 1e-8 it rounds to 1.
+    C = np.concatenate([np.linspace(0.0, 1.0, 1001),
+                        np.geomspace(1e-4, 1.0, 400)])
+    SMALL = np.geomspace(1e-12, 1e-4, 81)
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_closed_forms_match_betainc(self, d):
+        np.testing.assert_allclose(
+            _cap_fraction(self.C, d),
+            special.betainc((d - 1) / 2.0, 0.5, 1.0 - self.C * self.C),
+            rtol=0.0, atol=2e-12)
+
+    @pytest.mark.parametrize("d", range(8, 12))
+    def test_betainc_beyond_seven(self, d):
+        c = np.concatenate([self.C, self.SMALL])
+        assert np.array_equal(_cap_fraction(c, d), special.betainc(
+            (d - 1) / 2.0, 0.5, 1.0 - c * c))
+
+    def test_d3_is_one_minus_c_rounded_once(self):
+        c = np.concatenate([self.C, self.SMALL, [2.5e-5, 5e-324]])
+        exact = [float(Fraction(1) - Fraction(float(x))) for x in c]
+        assert _cap_fraction(c, 3).tolist() == exact
+
+    @pytest.mark.parametrize("d,form", [
+        (2, lambda c: 1.0 - (2.0 / math.pi) * math.asin(c)),
+        (4, lambda c: 1.0 - (2.0 / math.pi) * (math.asin(c) + c * math.sqrt(
+            1.0 - c * c))),
+    ])
+    def test_small_c_keeps_its_digits(self, d, form):
+        # The arcsine forms are exact at c = 0 and lose nothing at small c.
+        want = np.array([form(float(x)) for x in self.SMALL])
+        np.testing.assert_allclose(_cap_fraction(self.SMALL, d), want,
+                                   rtol=0.0, atol=4e-16)
 
 
 class TestLaplaceFactor:
@@ -240,6 +284,19 @@ class TestTableOneClasses:
         m3r = M3rModel(dim=2, ensemble=ens, n_samples=4, seed=1)
         for t in [0.0, 0.8, 1.5]:
             assert tcf(m3r, t) == pytest.approx(h_d(t / 2.0, 2), abs=1e-8)
+
+    def test_m3r_unit_disc_matches_closed_form(self):
+        # Two unit discs at distance t overlap in (2/pi)(arccos x -
+        # x sqrt(1 - x^2)), x = t/2; the model's quadrature runs at 1e-8.
+        disc = ball_indicator(2, 1.0)
+        model = M3rModel(dim=2, ensemble=ShapeEnsemble(
+            name="unit_disc", sample=lambda rng: disc), n_samples=2)
+        t = np.geomspace(0.01, 5.0, 200)
+        x = np.minimum(t / 2.0, 1.0)
+        np.testing.assert_allclose(
+            tcf(model, t),
+            (2.0 / math.pi) * (np.arccos(x) - x * np.sqrt(1.0 - x * x)),
+            rtol=0.0, atol=1e-8)
 
     def test_m3r_random_ball_ensemble_matches_m3b(self):
         # Random-radius ball indicators: the ensemble Monte Carlo route must
