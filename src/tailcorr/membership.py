@@ -34,18 +34,17 @@ stay narrow across it).  The quadratic form is summed directly from the
 1-D autocorrelations of the vector's axis factors, and a negative value on
 an explicit vector proves the Gram matrix has a negative eigenvalue.
 
-Designs that do not depend on the candidate are built once.  The moment
+Designs that do not depend on the candidate are built once: the moment
 stage's grids and Hankel index and the triangle battery's default pairs
-are module constants, and stage one's seeded configurations are drawn
-once per process and (seed, n_configs, n_points, d), a handful of keys
-kept, and shared read-only; a witness holds its own copy.
+are module constants.  Stage one's seeded configurations are drawn on
+every call, into one preallocated stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
@@ -595,35 +594,32 @@ def test_triangle(chi: RadialFunction, pairs=None, *, tol: float = 1e-12
 # ---------------------------------------------------------------------------
 
 
+# Per shape of _random_configuration: log of the smallest size and log of
+# the ratio of sizes, (lo, hi) = (0.5, 4), (0.05, 1) and (0.1, 1).
+_SIZE_LOGS = tuple((float(np.log(lo)), float(np.log(hi) - np.log(lo)))
+                   for lo, hi in ((0.5, 4.0), (0.05, 1.0), (0.1, 1.0)))
+
+
 def _random_configuration(rng: np.random.Generator, index: int,
                           n_points: int, d: int) -> np.ndarray:
     """Seeded site configurations cycling through three shapes.
 
     Uniform cubes probe generic placements, collinear ladders expose
     triangle-type violations, and tight Gaussian clusters stress the
-    short-range behavior.
+    short-range behavior.  Each shape's size is log-uniform.  The draws are
+    ``rng.uniform``'s, low + (high - low) * ``rng.random()``, written out
+    to skip its per-call checks; the bits are the same.
     """
     kind = index % 3
+    log_lo, log_ratio = _SIZE_LOGS[kind]
+    size = float(np.exp(log_lo + log_ratio * rng.random()))
     if kind == 0:
-        side = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
-        return rng.uniform(0.0, side, (n_points, d))
+        return rng.random((n_points, d)) * size
     if kind == 1:
-        step = float(np.exp(rng.uniform(np.log(0.05), np.log(1.0))))
         direction = rng.standard_normal(d)
-        direction /= np.linalg.norm(direction)
-        return np.outer(np.arange(n_points) * step, direction)
-    scale = float(np.exp(rng.uniform(np.log(0.1), np.log(1.0))))
-    return rng.standard_normal((n_points, d)) * scale
-
-
-@lru_cache(maxsize=8)
-def _seeded_configurations(seed: int, n_configs: int, n_points: int, d: int
-                           ) -> np.ndarray:
-    """The (n_configs, n_points, d) site configurations of seed ``seed``,
-    drawn once per process and key; read-only, as every call shares them."""
-    rng = np.random.default_rng(seed)
-    return _frozen(np.stack([_random_configuration(rng, index, n_points, d)
-                             for index in range(n_configs)]))
+        direction /= math.sqrt(direction.dot(direction))
+        return (np.arange(n_points) * size)[:, None] * direction
+    return rng.standard_normal((n_points, d)) * size
 
 
 @_float_rule(at=2)
@@ -784,8 +780,10 @@ def test_positive_definite(chi: RadialFunction, d: int,
     d = _integer(d, "d", 1)
     n_configs = _integer(n_configs, "n_configs", 1)
     n_points = _integer(n_points, "n_points", 1)
-    sites = _seeded_configurations(_integer(seed, "seed", 0), n_configs,
-                                   n_points, d)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
+    sites = np.empty((n_configs, n_points, d))
+    for index in range(n_configs):
+        sites[index] = _random_configuration(rng, index, n_points, d)
     for part in _chunks(n_configs):
         diff = sites[part, :, None, :] - sites[part, None, :, :]
         gram = _finite_values(chi, np.sqrt((diff ** 2).sum(-1)),
@@ -794,8 +792,7 @@ def test_positive_definite(chi: RadialFunction, d: int,
         failing = np.flatnonzero(eigmin < -tol)
         if failing.size:
             i = int(failing[0])
-            return _failed((part.start + i, sites[part.start + i].copy(),
-                            float(eigmin[i])),
+            return _failed((part.start + i, sites[part][i], float(eigmin[i])),
                            "Gram matrix has a negative eigenvalue")
     if chi.has_compact_support and d <= 3:
         stage_two = _spectral_probe(chi, d)
