@@ -49,7 +49,7 @@ from . import __version__
 from .distributions import Distribution1D, exponential_dist, point_mass
 from .errors import ConfigError, DomainError, TailcorrError
 from .membership import classify
-from .models import _FAMILIES, TcfModel, tcf
+from .models import _FAMILIES, TcfModel, tcf, tcf_radial
 from .operators import (
     TransformSpec,
     TurningBandsSpec,
@@ -351,9 +351,8 @@ def _resolve(spec: str, tol: float) -> tuple[RadialFunction, str]:
     digests: the parsed config for an ``@`` spec, the spec otherwise."""
     if spec.startswith("@"):
         model, fingerprint = load_model(spec[1:])
-        return RadialFunction(
-            f"tcf[{spec[1:]}]", lambda t: tcf(model, t, tol=tol)
-        ), "@" + fingerprint
+        return (tcf_radial(model, tol=tol, name=f"tcf[{spec[1:]}]"),
+                "@" + fingerprint)
     head, *args = spec.split(":")
     entry = _FUNCTION_SPECS.get(head)
     if entry is None or not entry[2] <= len(args) <= len(entry[1]):

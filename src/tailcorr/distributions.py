@@ -15,6 +15,12 @@ Expectations integrate the density part with the batched Gauss-Kronrod
 engine of :mod:`~tailcorr.numerics` and add the atom sum, so error estimates
 flow through.  A density may take floats only; it is then evaluated float by
 float.
+
+Draws take one route per law, fixed on the first draw: the law's own
+sampler, its atoms, a tabulated inverse cdf of its density (with its atoms),
+its quantile function, or bisection on its cdf.  ``sample(rng, n)`` and the
+one-draw ``sample_one(rng)`` of the simulation samplers share it, so one
+draw has the bits of ``sample(rng, 1)[0]``.
 """
 
 from __future__ import annotations
@@ -241,36 +247,128 @@ class Distribution1D:
         the density part (built on the first draw and kept; about 1e-6
         relative quantile error, far below every estimator tolerance) and
         its atoms, and a law given only by its cdf inverts it by bisection.
+        A NaN or a value outside the support from the law's ``sampler`` or
+        ``quantile`` raises :class:`~tailcorr.errors.DomainError`.
         """
+        return self._route[0](rng, n)
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        """One draw: the float ``sample(rng, 1)[0]``, bit for bit, from the
+        same random numbers, without the array."""
+        return self._route[1](rng)
+
+    @cached_property
+    def _route(self) -> tuple[Callable, Callable]:
+        """The draw route of :meth:`sample`, decided once per law: a pair
+        ``(many, one)`` of ``many(rng, n)`` and ``one(rng)``."""
         if self.sampler is not None:
-            out = np.asarray(self.sampler(rng, n), dtype=float)
+            return self._sampler_route()
+        if self.quantile is None and self.is_purely_atomic:
+            return self._atom_route()
+        if self.quantile is None and self.pdf is not None:
+            return self._table_route()
+        return self._quantile_route()
+
+    def _outside(self, value: float, source: str) -> DomainError:
+        """The error for a draw of ``source`` outside the support."""
+        lo, hi = self.support
+        return DomainError(
+            f"the {source} of law {self.name!r} returned {value!r}, outside "
+            f"its support [{lo!r}, {hi!r}]")
+
+    def _sampler_route(self) -> tuple[Callable, Callable]:
+        sampler, (lo, hi) = self.sampler, self.support
+
+        def many(rng, n):
+            out = np.asarray(sampler(rng, n), dtype=float)
             if out.shape != (n,):
                 raise DomainError(
                     f"sampler of {self.name!r} returned shape {out.shape}, "
                     f"expected ({n},)")
+            inside = (out >= lo) & (out <= hi)
+            if not inside.all():
+                raise self._outside(float(out[np.argmin(inside)]), "sampler")
             return out
-        if self.quantile is None and self.is_purely_atomic:
-            points, weights = self._atom_arrays()
-            return rng.choice(points, size=n, p=weights / weights.sum())
-        if self.quantile is None and self.pdf is not None:
-            x, cum = self._inverse_cdf_table
-            if not self.atoms:
+
+        return many, lambda rng: float(many(rng, 1)[0])
+
+    def _atom_route(self) -> tuple[Callable, Callable]:
+        points, cdf, _ = self._atom_cdf()
+
+        def many(rng, n):
+            return points[cdf.searchsorted(rng.random(n), "right")]
+
+        def one(rng):
+            return float(points[cdf.searchsorted(rng.random(), "right")])
+
+        return many, one
+
+    def _quantile_route(self) -> tuple[Callable, Callable]:
+        # Levels stay off 0 and 1, where a quantile may be infinite, so
+        # ``quantile_value`` would only check them again; without a quantile
+        # it inverts the cdf.  A level is a NumPy float on both routes.
+        lo, hi = self.support
+        quantile = self.quantile
+        invert = ((lambda q: float(quantile(q))) if quantile is not None
+                  else self.quantile_value)
+
+        def at(q):
+            x = invert(q)
+            if not lo <= x <= hi:
+                raise self._outside(x, "quantile" if quantile is not None
+                                    else "cdf")
+            return x
+
+        def level(rng, size=None):
+            return rng.uniform(1e-12, 1.0 - 1e-12, size=size)
+
+        return ((lambda rng, n: np.array([at(q) for q in level(rng, n)],
+                                         dtype=float)),
+                (lambda rng: at(np.float64(level(rng)))))
+
+    def _table_route(self) -> tuple[Callable, Callable]:
+        # The table is built on the first draw, not here.
+        if not self.atoms:
+            def many(rng, n):
+                x, cum = self._inverse_cdf_table
                 return np.interp(rng.random(n), cum, x)
-            points, weights = self._atom_arrays()
-            mass = float(weights.sum())
+
+            def one(rng):
+                x, cum = self._inverse_cdf_table
+                return float(np.interp(rng.random(), cum, x))
+
+            return many, one
+        points, cdf, mass = self._atom_cdf()
+
+        def many(rng, n):
+            x, cum = self._inverse_cdf_table
             atom = rng.random(n) < mass
             hits = int(atom.sum())
             out = np.empty(n)
             if hits:
-                out[atom] = rng.choice(points, size=hits, p=weights / mass)
+                out[atom] = points[cdf.searchsorted(rng.random(hits), "right")]
             out[~atom] = np.interp(rng.random(n - hits), cum, x)
             return out
-        u = rng.uniform(1e-12, 1.0 - 1e-12, size=n)
-        return np.array([self.quantile_value(q) for q in u])
 
-    def _atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([a for a, _ in self.atoms]),
-                np.array([m for _, m in self.atoms]))
+        def one(rng):
+            x, cum = self._inverse_cdf_table
+            if rng.random() < mass:
+                return float(points[cdf.searchsorted(rng.random(), "right")])
+            return float(np.interp(rng.random(), cum, x))
+
+        return many, one
+
+    def _atom_cdf(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Atom locations, the cdf over them that ``Generator.choice``
+        builds from their normalized masses (so a draw is the atom whose cdf
+        value first exceeds a uniform level, as in ``choice``), and their
+        total mass."""
+        points = np.array([a for a, _ in self.atoms])
+        weights = np.array([m for _, m in self.atoms])
+        mass = float(weights.sum())
+        cdf = (weights / mass).cumsum()
+        cdf /= cdf[-1]
+        return points, cdf, mass
 
     @cached_property
     def _inverse_cdf_table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -39,10 +39,11 @@ through d = 7.
 Each model class is declared in one place, its :class:`TcfModel` subclass:
 the TCF is its ``_tcf`` method, which takes a 1-D array of lags and returns
 the values and their error estimates (the lags of a quadrature class are
-one batch of integrals), and a class that can be simulated also carries
-``_profile_sampler``, the size-biased storm profile law used by
-:func:`tailcorr.simulate.simulate`, whose draws are evaluated on demand
-(see ``_Profile``).  The command line reads a class's config keys from its
+one batch of integrals), a class that states the Taylor series of its TCF
+carries ``_taylor`` (read by :func:`tcf_radial`), and a class that can be
+simulated also carries ``_profile_sampler``, the size-biased storm profile
+law used by :func:`tailcorr.simulate.simulate`, whose draws are evaluated
+on demand (see ``_Profile``).  The command line reads a class's config keys from its
 required dataclass fields.
 """
 
@@ -55,6 +56,7 @@ from typing import Callable, ClassVar
 import numpy as np
 from scipy import special as _special
 
+from . import series
 from .distributions import Distribution1D, from_pdf
 from .errors import DomainError, ModelError, SimulationError
 from .numerics import (
@@ -69,6 +71,7 @@ from .radial import (
     Correlation,
     RadialFunction,
     Variogram,
+    _taylor_hook,
     generalized_cauchy,
     powered_erfc,
     powered_exponential,
@@ -93,6 +96,7 @@ __all__ = [
     "TcfModel",
     "tcf",
     "tcf_result",
+    "tcf_radial",
     "overlap_integral",
     "parametric_tcf",
     "parametric_bounds",
@@ -216,7 +220,8 @@ def overlap_integral(f: RadialFunction, d: int, t, *, tol: float = 1e-10):
 _GAUSSIAN_SITE_CAP = 2_000
 
 #: ``profile() -> ratios``: one drawn storm divided by its value at the
-#: conditioning site, at every site, evaluated on demand.  The classes
+#: conditioning site, at every site, evaluated on demand, as a new float
+#: array that the engine scales in place.  The classes
 #: whose profile is a dense matrix-vector product (BR, VBR, EG, EBG) set
 #: ``_PARTIAL_PROFILE`` and also take ``profile(idx)``: the sites ``idx``
 #: only, for a fraction of the cost, never above ``profile()[idx]`` (a
@@ -224,7 +229,8 @@ _GAUSSIAN_SITE_CAP = 2_000
 _Profile = Callable[..., np.ndarray]
 
 #: ``draw(k, rng) -> profile``: makes every random draw of one storm, drawn
-#: from the profile law size-biased by its value at site ``k``.
+#: from the profile law size-biased by its value at site ``k``, in a fixed
+#: order (the stream contract of :mod:`tailcorr.simulate`).
 _ProfileDraw = Callable[[int, np.random.Generator], _Profile]
 
 #: Multiplies a bound that went through ``np.exp``, which may round two
@@ -235,11 +241,13 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A uniform direction in R^dim.  ``math.sqrt(v.dot(v))`` is what
+    ``np.linalg.norm(v)`` computes, at a fraction of its cost."""
     v = rng.standard_normal(dim)
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v.dot(v))
     while n == 0.0:  # pragma: no cover - probability zero
         v = rng.standard_normal(dim)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(v.dot(v))
     return v / n
 
 
@@ -307,7 +315,9 @@ def _gaussian_distances(model: TcfModel, sites: np.ndarray) -> np.ndarray:
 def _variogram_covariance(model: BRModel | VBRModel, sites: np.ndarray):
     """Covariance of the driving Gaussian process of a Brown-Resnick class
     anchored at the first site, its factor as :class:`_GaussianRows`, and
-    half its variances."""
+    half its variances.  The covariance is symmetric in every bit (entry
+    (i, j) sums the same terms as (j, i)), so the samplers read the column
+    of a site as its contiguous row."""
     gamma = model.variogram(_gaussian_distances(model, sites))
     sig2 = gamma[0]  # variance anchored at the first site
     cov = 0.5 * (sig2[:, None] + sig2[None, :] - gamma)
@@ -316,25 +326,27 @@ def _variogram_covariance(model: BRModel | VBRModel, sites: np.ndarray):
 
 def _correlation_factor(model: EGModel | EBGModel, sites: np.ndarray):
     """Correlation matrix of an extremal Gaussian class and its factor as
-    :class:`_GaussianRows`."""
+    :class:`_GaussianRows`.  The matrix is symmetric in every bit, as the
+    distances are, so the samplers read the column of a site as its
+    contiguous row."""
     corr = model.correlation(_gaussian_distances(model, sites))
     np.fill_diagonal(corr, 1.0)
     return corr, _GaussianRows(_gaussian_factor(corr))
 
 
 def _tilted_profile(gauss: _GaussianRows, z: np.ndarray, k: int,
-                    log_ratio: Callable) -> _Profile:
-    """The profile ``exp(log_ratio(w, w[k], at))`` of a Brown-Resnick class
-    on w = A z at the sites ``at``; ``log_ratio`` is non-decreasing in
-    ``w - w[k]``, so the bracket of :meth:`_GaussianRows.some` bounds it
-    from below."""
+                    log_ratio: Callable, s: float) -> _Profile:
+    """The profile ``exp(log_ratio(w, w[k], at, k, s))`` of a Brown-Resnick
+    class on w = A z at the sites ``at``, for the scale ``s`` of the storm;
+    ``log_ratio`` is non-decreasing in ``w - w[k]``, so the bracket of
+    :meth:`_GaussianRows.some` bounds it from below."""
 
     def profile(idx=None):
         if idx is None:
             w = gauss.factor @ z
-            return np.exp(log_ratio(w, w[k], slice(None)))
+            return np.exp(log_ratio(w, w[k], slice(None), k, s))
         w, _, w_k = gauss.some(z, idx, k)
-        return np.exp(log_ratio(w, w_k, idx)) * _BELOW_EXP_ROUNDING
+        return np.exp(log_ratio(w, w_k, idx, k, s)) * _BELOW_EXP_ROUNDING
 
     return profile
 
@@ -342,22 +354,22 @@ def _tilted_profile(gauss: _GaussianRows, z: np.ndarray, k: int,
 def _conditioned_profile(gauss: _GaussianRows, normals: np.ndarray, k: int,
                          z_star: float, corr: np.ndarray,
                          ratio: Callable) -> _Profile:
-    """The profile ``ratio(z)`` of an extremal Gaussian class, 1 at site
+    """The profile ``ratio(z, z*)`` of an extremal Gaussian class, 1 at site
     ``k``, where z = y + (z* - y_k) rho_k conditions y = A normals on
-    z_k = z*.  ``ratio`` is non-decreasing, so raising y_k where rho_k is
-    nonnegative and lowering it elsewhere bounds a partial profile from
+    z_k = z*.  ``ratio`` is non-decreasing in z, so raising y_k where rho_k
+    is nonnegative and lowering it elsewhere bounds a partial profile from
     below."""
 
     def profile(idx=None):
         if idx is None:
             y = gauss.factor @ normals
-            out = ratio(y + (z_star - y[k]) * corr[:, k])
+            out = ratio(y + (z_star - y[k]) * corr[k], z_star)
             out[k] = 1.0
             return out
         y, y_k_low, y_k_high = gauss.some(normals, idx, k)
-        rho = corr[idx, k]
+        rho = corr[k, idx]
         return ratio(y + (z_star - np.where(rho >= 0.0, y_k_high, y_k_low))
-                     * rho)
+                     * rho, z_star)
 
     return profile
 
@@ -503,10 +515,10 @@ class M2rModel(TcfModel):
         # uniform direction; profile ratio f(.)/f(rho).
         pts = self._host(sites)
         coords = np.ascontiguousarray(pts.T)
-        func, dim, offset = self.shape.func, self.dim, self._offset
+        func, dim, offset = self.shape.func, self.dim, self._offset.sample_one
 
         def draw_m2r(k: int, rng: np.random.Generator) -> _Profile:
-            rho = offset.sample(rng, 1)[0]
+            rho = offset(rng)
             center = (pts[k] + rho * _unit_vector(rng, dim))[:, None]
             at_rho = func(rho)
 
@@ -540,11 +552,10 @@ class M3bModel(TcfModel):
         # around the site; profile ratio is the covering indicator.
         pts = self._host(sites)
         coords = np.ascontiguousarray(pts.T)
-        dim = self.dim
-        radius = self.radius
+        dim, radius = self.dim, self.radius.sample_one
 
         def draw_m3b(k: int, rng: np.random.Generator) -> _Profile:
-            r = radius.sample(rng, 1)[0]
+            r = radius(rng)
             w = r * rng.uniform() ** (1.0 / dim)
             center = (pts[k] + w * _unit_vector(rng, dim))[:, None]
 
@@ -567,6 +578,27 @@ class MPSModel(TcfModel):
         return self.mixing.expectations(lambda s, c: np.exp(-c * s),
                                         laplace_factor(self.dim) * t, tol=tol)
 
+    def _taylor(self, t: np.ndarray, order: int, tol: float) -> series.Series:
+        """Taylor coefficients of chi at the lags ``t``: coefficient k is
+        E[(-cS)^k e^(-ctS)] / k!, c = ``laplace_factor(dim)``, and its bound
+        the quadrature error estimate / k! (an estimate, not a strict
+        bound).  Every (k, t) pair is one integral of a single batch of
+        expectations."""
+        c = laplace_factor(self.dim)
+        k = np.repeat(np.arange(order + 1), t.size)
+        ct = np.tile(c * t, order + 1)
+
+        def moment(s, pair):
+            pair = pair.astype(np.intp)
+            return (-c * s) ** k[pair] * np.exp(-ct[pair] * s)
+
+        values, errors = self.mixing.expectations(
+            moment, np.arange(k.size, dtype=float), tol=tol)
+        factorial = _special.factorial(np.arange(order + 1))[:, None]
+        shape = (order + 1, t.size)
+        return series.Series(values.reshape(shape) / factorial,
+                             errors.reshape(shape) / factorial)
+
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Intensity beta from the mixing law unchanged, cell length
         # Gamma(2,1)/beta (the size-biased exponential cell) covering the
@@ -577,11 +609,10 @@ class MPSModel(TcfModel):
                 f"(model has dim {self.dim})")
         if sites.shape[1] != 1:
             raise DomainError("a Poisson-storm model requires a 1-D grid")
-        x = sites[:, 0]
-        mixing = self.mixing
+        x, mixing = sites[:, 0], self.mixing.sample_one
 
         def draw_mps(k: int, rng: np.random.Generator) -> _Profile:
-            beta = mixing.sample(rng, 1)[0]
+            beta = mixing(rng)
             length = rng.gamma(2.0) / beta
             left = x[k] - rng.uniform(0.0, length)
 
@@ -606,15 +637,17 @@ class BRModel(TcfModel):
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # V = exp(W - sigma^2/2); size-biasing is the exponential tilt, a
-        # mean shift by the covariance column of the conditioning site.
+        # mean shift by the covariance column of the conditioning site (read
+        # as its row).
         cov, gauss, half = _variogram_covariance(self, sites)
         m = sites.shape[0]
 
+        def log_ratio(w, w_k, at, k, _):
+            return (w - w_k) + (cov[k, at] - cov[k, k]) - (half[at] - half[k])
+
         def draw_br(k: int, rng: np.random.Generator) -> _Profile:
-            return _tilted_profile(
-                gauss, rng.standard_normal(m), k,
-                lambda w, w_k, at: (w - w_k) + (cov[at, k] - cov[k, k])
-                - (half[at] - half[k]))
+            return _tilted_profile(gauss, rng.standard_normal(m), k,
+                                   log_ratio, 1.0)
 
         return draw_br
 
@@ -637,15 +670,16 @@ class VBRModel(TcfModel):
         # Scale S from the mixing law unchanged, mean shift S^2 times the
         # covariance column of the conditioning site.
         cov, gauss, half = _variogram_covariance(self, sites)
-        m = sites.shape[0]
-        scale = self.scale_mixing
+        m, scale = sites.shape[0], self.scale_mixing.sample_one
+
+        def log_ratio(w, w_k, at, k, s):  # s >= 0: non-decreasing in w - w_k
+            return s * (w - w_k) + s * s * (
+                (cov[k, at] - cov[k, k]) - (half[at] - half[k]))
 
         def draw_vbr(k: int, rng: np.random.Generator) -> _Profile:
-            s = scale.sample(rng, 1)[0]  # >= 0: non-decreasing in w - w_k
-            return _tilted_profile(
-                gauss, rng.standard_normal(m), k,
-                lambda w, w_k, at: s * (w - w_k) + s * s * (
-                    (cov[at, k] - cov[k, k]) - (half[at] - half[k])))
+            s = scale(rng)
+            return _tilted_profile(gauss, rng.standard_normal(m), k,
+                                   log_ratio, s)
 
         return draw_vbr
 
@@ -668,11 +702,13 @@ class EGModel(TcfModel):
         corr, gauss = _correlation_factor(self, sites)
         m = sites.shape[0]
 
+        def ratio(z, z_star):
+            return np.maximum(z, 0.0) / z_star
+
         def draw_eg(k: int, rng: np.random.Generator) -> _Profile:
             z_star = rng.rayleigh()
             return _conditioned_profile(
-                gauss, rng.standard_normal(m), k, z_star, corr,
-                lambda z: np.maximum(z, 0.0) / z_star)
+                gauss, rng.standard_normal(m), k, z_star, corr, ratio)
 
         return draw_eg
 
@@ -694,11 +730,13 @@ class EBGModel(TcfModel):
         corr, gauss = _correlation_factor(self, sites)
         m = sites.shape[0]
 
+        def ratio(z, _):
+            return (z > 0.0).astype(float)
+
         def draw_ebg(k: int, rng: np.random.Generator) -> _Profile:
             z_star = abs(rng.standard_normal())
             return _conditioned_profile(
-                gauss, rng.standard_normal(m), k, z_star, corr,
-                lambda z: (z > 0.0).astype(float))
+                gauss, rng.standard_normal(m), k, z_star, corr, ratio)
 
         return draw_ebg
 
@@ -769,6 +807,25 @@ def tcf(model: TcfModel, t, *, tol: float = 1e-9):
     """chi(t); scalar in, float out; array in, ndarray out.  The lags of an
     array are one batch of integrals."""
     return tcf_result.__wrapped__(model, t, tol=tol)[0]
+
+
+def tcf_radial(model: TcfModel, *, tol: float = 1e-9,
+               name: str | None = None) -> RadialFunction:
+    """The TCF of ``model`` as a :class:`RadialFunction`, the candidate that
+    the membership batteries and recovery take.
+
+    ``func`` is :func:`tcf` at ``tol``.  A class that states its own Taylor
+    series (MPS) also gives the ``taylor`` hook, so every derivative comes
+    from the series and none from differences of quadrature output, whose
+    noise a difference ladder amplifies.  The other classes give ``func``
+    only.
+    """
+    taylor = None
+    if hasattr(model, "_taylor"):
+        taylor = _taylor_hook(lambda x, order: model._taylor(x, order, tol))
+    return RadialFunction(
+        name or f"tcf[{type(model).__name__.removesuffix('Model')}]",
+        lambda t: tcf(model, t, tol=tol), taylor=taylor)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,14 @@ exceeds the field.  The partial values never exceed the whole profile's,
 so the screen rejects only what the full check rejects, and the random
 stream and the output bits are those of the unscreened enumeration.
 
+The random stream is fixed per realization.  Realization i draws from its
+own generator, child i of ``SeedSequence(seed)``, and in one order: at
+each site the first storm arrival, then for each candidate the draws of
+its class's ``draw(k, rng)`` (a mixing law through
+``Distribution1D.sample_one``) and the next arrival.  A field therefore
+depends only on the seed and its index, whatever is drawn before, after
+or between it.
+
 Covariance factors are taken from the symmetric eigendecomposition with
 small negative eigenvalues clipped, so degenerate but valid inputs (for
 example a correlation identically one) simulate correctly; genuinely
@@ -169,9 +177,14 @@ class GridField:
         if self.margins not in _MARGINS:
             raise DomainError(
                 f"margins must be one of {_MARGINS}, got {self.margins!r}")
-        if not np.all(np.isfinite(vals)):
+        # Two reductions and no temporary array: NaN propagates through
+        # both, so every value is finite exactly when the least and the
+        # greatest are, and positive exactly when the least is.
+        low = np.minimum.reduce(vals, axis=None)
+        high = np.maximum.reduce(vals, axis=None)
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise DomainError("field values must be finite")
-        if self.margins == "frechet" and not np.all(vals > 0):
+        if self.margins == "frechet" and not low > 0:
             raise DomainError("Frechet-margin values must be positive")
         object.__setattr__(self, "values", vals)
 
@@ -261,10 +274,16 @@ def _simulate_one(draw: _ProfileDraw, n_sites: int,
     values = np.zeros(n_sites)
     budget = _STORMS_PER_SITE * n_sites
     spent = 0
+    exponential = rng.exponential
+    # Reductions called as ufuncs, without the Python wrappers of
+    # ``ndarray.any`` and ``ndarray.all``.
+    any_, all_ = np.logical_or.reduce, np.logical_and.reduce
     for k in range(n_sites):
         screen = near[k] if near is not None and k > _SCREEN_SITES else None
-        arrival = rng.exponential()
-        while 1.0 / arrival > values[k]:
+        finished = values[:k]
+        top = values.item(k)
+        arrival = exponential()
+        while 1.0 / arrival > top:
             if spent == budget:
                 raise SimulationError(
                     f"storm budget exhausted at site {k}: {spent} "
@@ -272,12 +291,14 @@ def _simulate_one(draw: _ProfileDraw, n_sites: int,
                     f"per site for {n_sites} sites")
             spent += 1
             profile = draw(k, rng)
-            if screen is None or not (
-                    profile(screen) / arrival > values[screen]).any():
-                candidate = profile() / arrival
-                if (candidate[:k] <= values[:k]).all():
+            if screen is None or not any_(
+                    profile(screen) / arrival > values[screen]):
+                candidate = profile()
+                candidate /= arrival
+                if all_(candidate[:k] <= finished):
                     np.maximum(values, candidate, out=values)
-            arrival += rng.exponential()
+                    top = values.item(k)
+            arrival += exponential()
     return values
 
 
@@ -286,8 +307,11 @@ def simulate(config: SimConfig) -> Iterator[GridField]:
 
     Yields ``config.n_realizations`` fields with standard Frechet margins
     (use :func:`transform_margins` for Gumbel).  Realizations are
-    independent and derived from per-index subseeds of ``config.seed``, so
-    the stream is bit-reproducible and may be regenerated in any order.
+    independent: realization i draws from child i of
+    ``SeedSequence(config.seed)`` alone, in the fixed order of the module
+    docstring, so the stream is bit-reproducible, realization i of a
+    stream of n equals realization i of a longer one, and streams may be
+    interleaved or regenerated in any order.
 
     Raises :class:`~tailcorr.errors.DomainError` for unsupported model
     classes or grids (more than ``_MAX_SITES`` sites; Poisson storms

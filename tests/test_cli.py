@@ -674,6 +674,23 @@ class TestCheck:
         assert tolerances["triangle"] == 1e-12
 
 
+    def test_storm_config_takes_its_taylor_series(self, runner, tmp_path):
+        # chi(t) = E[exp(-t S)] is completely monotone and so is
+        # -chi'(sqrt t); through difference ladders on quadrature output
+        # Tinfty_MMMr refuted this config.
+        path = tmp_path / "mps.yaml"
+        path.write_text("class: MPS\ndim: 1\n"
+                        "mixing: {type: exponential, rate: 3.0}\n")
+        assert resolve_function(f"@{path}").taylor is not None
+        out = tmp_path / "verdicts.csv"
+        res = runner.invoke(main, ["check", f"@{path}", "--d", "1",
+                                   "--out", str(out), "--quiet"])
+        assert res.exit_code == 0, res.output
+        statuses = {row[0]: row[1] for row in csv_rows(out.read_text())}
+        assert statuses["Tinfty_MMMr"] == "pass"
+        assert statuses["completely_monotone"] == "pass"
+
+
 class TestSimulateEstimate:
     def test_round_trip_matches_library(self, runner, br_config, tmp_path):
         """simulate -> CSV -> estimate reproduces the in-memory estimator

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tailcorr import GridSpec, M3bModel, SimConfig, simulate
+from tailcorr import GridSpec, M3bModel, MPSModel, SimConfig, simulate
 from tailcorr.distributions import (
     Distribution1D,
     exponential_dist,
@@ -178,3 +178,151 @@ def test_an_empty_batch_gives_float_arrays():
     values, errors = exponential_dist(1.0).expectations(laplace, np.array([]))
     assert values.dtype == errors.dtype == np.float64
     assert values.shape == errors.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# The draw route: decided once per law, one draw with the bits of many
+# ---------------------------------------------------------------------------
+
+
+def mixed_law(mass=0.3):
+    """Exp(1) density of mass 1 - mass plus an atom of that mass at 2."""
+    return Distribution1D(
+        name="mixed",
+        cdf=lambda s: ((1.0 - mass) * -math.expm1(-s) if s > 0 else 0.0)
+        + (mass if s >= 2.0 else 0.0),
+        pdf=lambda x: (1.0 - mass) * math.exp(-x) if x > 0 else 0.0,
+        atoms=((2.0, mass),),
+    )
+
+
+def exp_cdf(s):
+    return -math.expm1(-s) if s > 0 else 0.0
+
+
+#: One law of each draw route.
+LAW_KINDS = {
+    "sampler": lambda: Distribution1D(
+        name="gamma3", cdf=lambda s: 0.0,
+        sampler=lambda g, n: g.gamma(3.0, size=n)),
+    "atoms": lambda: Distribution1D(
+        name="atoms", atoms=((0.5, 0.25), (1.0, 0.15), (2.0, 0.6))),
+    "table": lambda: from_pdf("exp", lambda x: math.exp(-x) if x > 0
+                              else 0.0),
+    "table_and_atoms": mixed_law,
+    "quantile": lambda: from_cdf("exp", exp_cdf,
+                                 quantile=lambda q: -math.log1p(-q)),
+    "bisection": lambda: from_cdf("exp", exp_cdf),
+}
+
+
+def reference_sample(law, rng, n):
+    """``n`` draws of ``law`` as the branches of ``sample`` write them out,
+    with ``Generator.choice`` for atoms."""
+    if law.sampler is not None:
+        return np.asarray(law.sampler(rng, n), dtype=float)
+    points = np.array([a for a, _ in law.atoms])
+    weights = np.array([m for _, m in law.atoms])
+    if law.quantile is None and law.is_purely_atomic:
+        return rng.choice(points, size=n, p=weights / weights.sum())
+    if law.quantile is None and law.pdf is not None:
+        x, cum = law._inverse_cdf_table
+        if not law.atoms:
+            return np.interp(rng.random(n), cum, x)
+        mass = float(weights.sum())
+        atom = rng.random(n) < mass
+        hits = int(atom.sum())
+        out = np.empty(n)
+        if hits:
+            out[atom] = rng.choice(points, size=hits, p=weights / mass)
+        out[~atom] = np.interp(rng.random(n - hits), cum, x)
+        return out
+    u = rng.uniform(1e-12, 1.0 - 1e-12, size=n)
+    return np.array([law.quantile_value(q) for q in u])
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+def test_one_draw_has_the_bits_of_a_sample_of_one(kind):
+    law = LAW_KINDS[kind]()
+    for seed in range(20):
+        one, many = rng(seed), rng(seed)
+        drawn = law.sample_one(one)
+        assert type(drawn) is float
+        assert np.array_equal(bits([drawn]), bits(law.sample(many, 1)))
+        assert one.bit_generator.state == many.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", LAW_KINDS)
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_sample_keeps_its_bits(kind, n):
+    law = LAW_KINDS[kind]()
+    for seed in range(20):
+        mine, theirs = rng(seed), rng(seed)
+        got = law.sample(mine, n)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert np.array_equal(bits(got), bits(reference_sample(law, theirs,
+                                                               n)))
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def test_atoms_of_a_mixed_law_are_drawn_on_both_routes():
+    law = mixed_law(0.5)
+    draws = [law.sample_one(rng(seed)) for seed in range(40)]
+    assert 2.0 in draws and any(d != 2.0 for d in draws)
+
+
+def test_the_route_builds_no_table_before_the_first_draw():
+    pdf, calls = counted_exponential_pdf()
+    law = from_pdf("counted", pdf)
+    assert law._route and calls[0] == 0
+    law.sample_one(rng())
+    assert calls[0] > 0
+
+
+@pytest.mark.parametrize("bad", [-1.5, math.nan])
+def test_sampler_value_outside_the_support_is_refused(bad):
+    law = Distribution1D(name="bad", cdf=lambda s: 0.0,
+                         sampler=lambda g, n: np.full(n, bad))
+    message = rf"the sampler of law 'bad' returned {bad!r}, outside its " \
+              r"support \[0\.0, inf\]"
+    with pytest.raises(DomainError, match=message):
+        law.sample(rng(), 3)
+    with pytest.raises(DomainError, match=message):
+        law.sample_one(rng())
+
+
+@pytest.mark.parametrize("bad", [5.0, math.nan])
+def test_quantile_value_outside_the_support_is_refused(bad):
+    law = from_cdf("bounded", lambda s: min(1.0, max(0.0, s - 1.0)),
+                   support=(1.0, 2.0), quantile=lambda q: bad)
+    message = rf"the quantile of law 'bounded' returned {bad!r}, outside " \
+              r"its support \[1\.0, 2\.0\]"
+    with pytest.raises(DomainError, match=message):
+        law.sample(rng(), 2)
+    with pytest.raises(DomainError, match=message):
+        law.sample_one(rng())
+
+
+def test_a_sampler_may_return_the_support_ends():
+    law = Distribution1D(name="ends", cdf=lambda s: 0.0, support=(1.0, 2.0),
+                         sampler=lambda g, n: np.resize([1.0, 2.0], n))
+    assert law.sample(rng(), 4).tolist() == [1.0, 2.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("cls, field", [(M3bModel, "radius"),
+                                        (MPSModel, "mixing")])
+def test_a_negative_model_draw_names_its_law(cls, field):
+    # Without the check, the radius ended in an exhausted storm budget and
+    # the storm intensity in a bare NumPy ValueError.
+    law = Distribution1D(name="negative", cdf=lambda s: 0.0,
+                         sampler=lambda g, n: -g.exponential(size=n))
+    model = cls(dim=1, **{field: law})
+    config = SimConfig(model=model, grid=GridSpec(dim=1, shape=(4,)),
+                       n_realizations=1, seed=0)
+    with pytest.raises(DomainError, match=r"the sampler of law 'negative' "
+                                          r"returned -\d"):
+        list(simulate(config))

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import factorial
 
 from conftest import assert_entrywise
 
-from tailcorr import cli, membership, numerics
+from tailcorr import cli, membership, models, numerics
 from tailcorr.errors import DomainError
 from tailcorr.membership import (
     _chunks,
@@ -40,7 +41,8 @@ from tailcorr.membership import (
     test_triangle,
 )
 from tailcorr.distributions import exponential_dist
-from tailcorr.models import M3bModel, MPSModel, h_d, tcf
+from tailcorr.models import (M3bModel, MPSModel, h_d, laplace_factor, tcf,
+                             tcf_radial)
 from tailcorr.operators import (
     chi_d_radial,
     erf_square_complement_radial,
@@ -410,23 +412,77 @@ class TestTinfty:
 
     @staticmethod
     def mps_exponential_3():
-        model = MPSModel(dim=1, mixing=exponential_dist(3.0))
-        return RadialFunction(name="mps_exponential_3",
-                              func=lambda t: tcf(model, t))
+        return tcf_radial(MPSModel(dim=1, mixing=exponential_dist(3.0)))
 
     def test_mps_tcf_is_completely_monotone(self):
         assert test_completely_monotone(self.mps_exponential_3()).passed
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "an MPS TCF without a Taylor hook takes its derivatives from Ridders "
-        "ladders on quadrature output, and the moment stage certifies that "
-        "noise as a witness; mended by a hook from the mixing law's moments "
-        "(ROADMAP.md item 20)"))
     def test_mps_tcf_passes(self):
         # chi(t) = E[exp(-t S)] gives -chi'(sqrt t) = E[S exp(-S sqrt t)],
         # completely monotone for every mixing law, as the test above
         # confirms for chi itself.
         assert test_Tinfty_MMMr(self.mps_exponential_3()).passed
+
+
+class TestMPSTaylor:
+    """The MPS TCF carries its Taylor series, E[(-cS)^k e^(-ctS)] / k!, so
+    the batteries take no derivative from quadrature output."""
+
+    RATES = (0.433, 1.0, 1.13, 1.5, 2.0, 3.0, 4.12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("rate", [0.433, 1.0, 4.12])
+    def test_coefficients_match_the_closed_form(self, rate, dim):
+        # chi(t) = 1 / (1 + ct/rate) for an exponential mixing law.
+        chi = tcf_radial(MPSModel(dim=dim, mixing=exponential_dist(rate)))
+        c = laplace_factor(dim)
+        t = np.geomspace(1e-3, 20.0, 50)
+        coef, bound = chi.taylor(t, 8)
+        k = np.arange(9.0)[:, None]
+        exact = (-c / rate) ** k / (1.0 + c * t / rate) ** (k + 1.0)
+        assert coef.shape == bound.shape == (9, 50)
+        # Each moment is one integral at the mixed absolute and relative
+        # tolerance 1e-9, and coefficient k is that moment over k!.
+        scale = 1e-8 * np.maximum(np.abs(exact), 1.0 / factorial(k))
+        assert np.all(np.abs(coef - exact) <= scale)
+        assert np.all((bound >= 0.0) & (bound <= scale))
+
+    def test_coefficient_zero_is_the_tcf(self):
+        model = MPSModel(dim=2, mixing=exponential_dist(1.5))
+        t = np.array([0.01, 0.3, 2.0])
+        np.testing.assert_allclose(tcf_radial(model).taylor(t, 0)[0][0],
+                                   tcf(model, t), rtol=1e-12)
+
+    @staticmethod
+    def refuse_ladders(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a difference ladder was called")
+
+        monkeypatch.setattr(membership, "num_derivative", refuse)
+        for name in ("num_derivative", "_ridders", "_ridders_at"):
+            monkeypatch.setattr(numerics, name, refuse)
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_tinfty_passes_without_numeric_derivatives(self, rate,
+                                                       monkeypatch):
+        self.refuse_ladders(monkeypatch)
+        chi = tcf_radial(MPSModel(dim=1, mixing=exponential_dist(rate)))
+        assert test_Tinfty_MMMr(chi).passed
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_classify_takes_no_difference_ladder(self, d, monkeypatch):
+        self.refuse_ladders(monkeypatch)
+        chi = tcf_radial(MPSModel(dim=d, mixing=exponential_dist(3.0)))
+        report = classify(chi, d)
+        assert report.verdicts["Tinfty_MMMr"].passed
+        assert report.verdicts["completely_monotone"].passed
+
+    def test_other_classes_give_func_only(self):
+        chi = tcf_radial(M3bModel(dim=1, radius=exponential_dist(2.0)))
+        assert chi.taylor is None
+        assert chi.name == "tcf[M3b]"
+        assert chi(0.4) == tcf(M3bModel(dim=1, radius=exponential_dist(2.0)),
+                               0.4)
 
 
 class TestTaylorRoute:
@@ -886,7 +942,7 @@ class TestArrayEvaluation:
                 calls["float" if np.ndim(t) == 0 else "array"] += 1
                 return erfc_sqrt()(t)
 
-            monkeypatch.setattr(cli, "tcf", counting_tcf)
+            monkeypatch.setattr(models, "tcf", counting_tcf)
             path = tmp_path / chi
             path.write_text("class: M3b\ndim: 3\n"
                             "radius:\n  type: erfc_sqrt_radius\n")

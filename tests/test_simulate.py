@@ -12,8 +12,9 @@ import pytest
 from scipy.stats import kstest, norm
 
 from tailcorr import DomainError, SimulationError, erfc
-from tailcorr.distributions import point_mass
+from tailcorr.distributions import from_pdf, point_mass
 from tailcorr.models import (
+    _BELOW_EXP_ROUNDING,
     BRModel,
     EBGModel,
     EGModel,
@@ -22,7 +23,9 @@ from tailcorr.models import (
     MPSModel,
     ShapeEnsemble,
     VBRModel,
+    _correlation_factor,
     _distances,
+    _variogram_covariance,
     tcf,
 )
 from tailcorr.presets import (
@@ -120,6 +123,24 @@ class TestGridField:
         g = GridSpec(dim=1, shape=(3,))
         with pytest.raises(DomainError, match="positive"):
             GridField(grid=g, values=np.array([1.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("margins", ["frechet", "gumbel"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_values_must_be_finite(self, margins, bad):
+        # A non-finite value is named first, also beside a negative one.
+        g = GridSpec(dim=2, shape=(2, 2))
+        for values in ([1.0, bad, 2.0, 3.0], [-1.0, 2.0, 3.0, bad]):
+            with pytest.raises(DomainError, match="must be finite"):
+                GridField(grid=g, values=np.reshape(values, (2, 2)),
+                          margins=margins)
+
+    @pytest.mark.parametrize("low", [0.0, -0.0, -2.0, -5e-324])
+    def test_frechet_values_below_the_least_positive_are_refused(self, low):
+        g = GridSpec(dim=1, shape=(3,))
+        with pytest.raises(DomainError, match="positive"):
+            GridField(grid=g, values=np.array([3.0, 1.0, low]))
+        assert GridField(grid=g, values=np.array([3.0, 1.0, 5e-324])
+                         ).values[2] == 5e-324
 
     def test_gumbel_values_may_be_negative(self):
         g = GridSpec(dim=1, shape=(3,))
@@ -453,6 +474,217 @@ class TestScreen:
         near = ENGINE._nearest_earlier(grid, q)
         assert near.shape == (grid.n_sites, q)
         assert np.array_equal(near, nearest_earlier_brute(grid, q))
+
+
+# ---------------------------------------------------------------------------
+# The engine's bits against a reference kept here
+# ---------------------------------------------------------------------------
+
+
+def reference_unit_vector(rng, dim):
+    v = rng.standard_normal(dim)
+    n = float(np.linalg.norm(v))
+    while n == 0.0:  # pragma: no cover - probability zero
+        v = rng.standard_normal(dim)
+        n = float(np.linalg.norm(v))
+    return v / n
+
+
+def reference_draw(model, sites, swap=False):
+    """``draw(k, rng) -> profile`` of each class written out plainly: a law
+    draws through ``sample(rng, 1)[0]``, a direction is normalized by
+    ``np.linalg.norm``, and the Gaussian classes read covariance and
+    correlation columns.  ``swap`` exchanges the radius and the position
+    draws of M3b, the mutant the comparison must catch."""
+    tag = type(model).__name__.removesuffix("Model")
+    if tag in ("M2r", "M3b"):
+        pts = model._host(sites)
+        coords = np.ascontiguousarray(pts.T)
+    if tag == "M2r":
+        func = model.shape.func
+
+        def draw(k, rng):
+            rho = model._offset.sample(rng, 1)[0]
+            center = (pts[k] + rho * reference_unit_vector(rng, model.dim)
+                      )[:, None]
+            at_rho = func(rho)
+            return lambda: func(_distances(coords, center)) / at_rho
+    elif tag == "M3b":
+        def draw(k, rng):
+            if swap:
+                u = rng.uniform()
+                r = model.radius.sample(rng, 1)[0]
+            else:
+                r = model.radius.sample(rng, 1)[0]
+                u = rng.uniform()
+            w = r * u ** (1.0 / model.dim)
+            center = (pts[k] + w * reference_unit_vector(rng, model.dim)
+                      )[:, None]
+            return lambda: (_distances(coords, center) <= r).astype(float)
+    elif tag == "MPS":
+        x = sites[:, 0]
+
+        def draw(k, rng):
+            beta = model.mixing.sample(rng, 1)[0]
+            length = rng.gamma(2.0) / beta
+            left = x[k] - rng.uniform(0.0, length)
+            return lambda: ((x >= left) & (x <= left + length)).astype(float)
+    elif tag in ("BR", "VBR"):
+        cov, gauss, half = _variogram_covariance(model, sites)
+
+        def draw(k, rng):
+            s = model.scale_mixing.sample(rng, 1)[0] if tag == "VBR" else 1.0
+            z = rng.standard_normal(len(sites))
+
+            def log_ratio(w, w_k, at):
+                if tag == "BR":
+                    return ((w - w_k) + (cov[at, k] - cov[k, k])
+                            - (half[at] - half[k]))
+                return s * (w - w_k) + s * s * (
+                    (cov[at, k] - cov[k, k]) - (half[at] - half[k]))
+
+            def profile(idx=None):
+                if idx is None:
+                    w = gauss.factor @ z
+                    return np.exp(log_ratio(w, w[k], slice(None)))
+                w, _, w_k = gauss.some(z, idx, k)
+                return np.exp(log_ratio(w, w_k, idx)) * _BELOW_EXP_ROUNDING
+
+            return profile
+    else:
+        corr, gauss = _correlation_factor(model, sites)
+
+        def draw(k, rng):
+            z_star = (rng.rayleigh() if tag == "EG"
+                      else abs(rng.standard_normal()))
+            normals = rng.standard_normal(len(sites))
+
+            def ratio(z):
+                return (np.maximum(z, 0.0) / z_star if tag == "EG"
+                        else (z > 0.0).astype(float))
+
+            def profile(idx=None):
+                if idx is None:
+                    y = gauss.factor @ normals
+                    out = ratio(y + (z_star - y[k]) * corr[:, k])
+                    out[k] = 1.0
+                    return out
+                y, y_k_low, y_k_high = gauss.some(normals, idx, k)
+                rho = corr[idx, k]
+                return ratio(y + (z_star - np.where(rho >= 0.0, y_k_high,
+                                                    y_k_low)) * rho)
+
+            return profile
+    return draw
+
+
+def reference_fields(config, swap=False):
+    """The fields of ``config`` from the plain per-site enumeration, one
+    child generator per realization, with the engine's screen."""
+    sites = config.grid.sites()
+    draw = reference_draw(config.model, sites, swap)
+    near = None
+    if (config.model._PARTIAL_PROFILE
+            and len(sites) >= ENGINE._SCREEN_FROM_SITES):
+        near = ENGINE._nearest_earlier(config.grid, ENGINE._SCREEN_SITES)
+    fields = []
+    for child in np.random.SeedSequence(config.seed).spawn(
+            config.n_realizations):
+        rng = np.random.default_rng(child)
+        values = np.zeros(len(sites))
+        for k in range(len(sites)):
+            screen = (near[k] if near is not None and k > ENGINE._SCREEN_SITES
+                      else None)
+            arrival = rng.exponential()
+            while 1.0 / arrival > values[k]:
+                profile = draw(k, rng)
+                if screen is None or not (
+                        profile(screen) / arrival > values[screen]).any():
+                    candidate = profile() / arrival
+                    if (candidate[:k] <= values[:k]).all():
+                        np.maximum(values, candidate, out=values)
+                arrival += rng.exponential()
+        fields.append(values)
+    return np.stack(fields)
+
+
+def loop_models():
+    """The seven classes on the 9-site loop grid, each law on another draw
+    route: tables for the moving-maxima offsets and radii and the VBR
+    scale, the analytic quantile for the storm intensity."""
+    def gamma_4_8(s):
+        return s ** 3 * math.exp(-8.0 * s) * 8.0 ** 4 / 6.0 if s > 0 else 0.0
+
+    return {**erfc_sqrt_models_1d(), **bounded_gauss_models(dim=1),
+            "BR": BRModel(dim=1, variogram=fbm_variogram(8.0, 1.0)),
+            "VBR": VBRModel(dim=1, variogram=fbm_variogram(8.0, 1.0),
+                            scale_mixing=from_pdf("gamma(4, 1/8)",
+                                                  gamma_4_8)),
+            "MPS": MPSModel(dim=1, mixing=erfc_sqrt_mps_mixing())}
+
+
+LOOP_GRID = GridSpec(dim=1, shape=(9,), spacing=0.5)
+
+#: 529 sites: BR screens its candidates at the nearest finished sites.
+SCREENED_GRID = GridSpec(dim=2, shape=(23, 23), spacing=0.25)
+
+
+def bit_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+class TestEngineBits:
+    """The engine and the samplers keep every bit of the plain enumeration
+    written out in :func:`reference_fields`.  Nothing is pinned to a hash:
+    the fields go through exp and BLAS, whose last bits vary across CPUs
+    and NumPy builds, so both sides are computed on the machine at hand."""
+
+    @pytest.mark.parametrize("cls", ["BR", "VBR", "M2r", "M3b", "MPS", "EG",
+                                     "EBG"])
+    def test_loop_grid(self, cls):
+        config = SimConfig(model=loop_models()[cls], grid=LOOP_GRID,
+                           n_realizations=150, seed=31)
+        assert bit_equal(collect(config), reference_fields(config))
+
+    @pytest.mark.parametrize("cls", ["M2r", "M3b", "BR", "VBR", "EG",
+                                     "EBG"])
+    def test_screened_grid(self, cls):
+        assert SCREENED_GRID.n_sites >= ENGINE._SCREEN_FROM_SITES
+        config = SimConfig(model=models_2d()[cls], grid=SCREENED_GRID,
+                           n_realizations=1, seed=5)
+        assert bit_equal(collect(config), reference_fields(config))
+
+    def test_a_swapped_draw_is_caught(self):
+        config = SimConfig(model=loop_models()["M3b"], grid=LOOP_GRID,
+                           n_realizations=20, seed=31)
+        assert bit_equal(collect(config), reference_fields(config))
+        assert not bit_equal(collect(config),
+                             reference_fields(config, swap=True))
+
+
+class TestStreamContract:
+    """One child generator per realization: a realization's fields depend
+    on the seed and its index only, whatever is drawn around it."""
+
+    def test_interleaved_streams_equal_each_alone(self):
+        model = loop_models()["M2r"]
+        first, second = (SimConfig(model=model, grid=LOOP_GRID,
+                                   n_realizations=8, seed=seed)
+                         for seed in (3, 4))
+        together = [(a.values, b.values)
+                    for a, b in zip(simulate(first), simulate(second))]
+        assert bit_equal(np.stack([a for a, _ in together]), collect(first))
+        assert bit_equal(np.stack([b for _, b in together]), collect(second))
+
+    @pytest.mark.parametrize("cls", ["M3b", "BR"])
+    def test_a_longer_stream_extends_a_shorter_one(self, cls):
+        model = loop_models()[cls]
+        short, long = (collect(SimConfig(model=model, grid=LOOP_GRID,
+                                         n_realizations=n, seed=12))
+                       for n in (6, 12))
+        assert bit_equal(long[:6], short)
+        assert not np.array_equal(long[6:], short)
 
 
 # ---------------------------------------------------------------------------
