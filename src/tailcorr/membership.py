@@ -365,8 +365,9 @@ def _derivative_table(f: RadialFunction, grid: np.ndarray, max_order: int
     two error bars of 0.
 
     A function with a Taylor hook takes every order from one call of it,
-    k! c_k with k! times the coefficient's rounding bound as its error
-    bar.  Otherwise order 0 and the analytic orders carry no error bar,
+    k! c_k with k! times the coefficient's error term as its error bar: a
+    rounding bound for a closed form, a quadrature error estimate for the
+    hook of an MPS model's TCF.  Otherwise order 0 and the analytic orders carry no error bar,
     and every other order is one Ridders ladder over the grid.
     """
     off_kink = ~f._on_kink(grid)

@@ -257,15 +257,23 @@ def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
     Tolerates the tiny negative eigenvalues of valid but singular inputs
     (clipped to zero); genuinely indefinite matrices raise with the
     minimum eigenvalue attached.
+
+    ``np.linalg.eigh`` reads only the lower triangle of ``cov``, so it
+    factors the symmetric matrix that triangle defines without a
+    symmetrized copy.  Both callers pass a matrix symmetric in every bit,
+    for which ``0.5 * (cov + cov.T)`` is ``cov`` itself.  The eigenvectors
+    are scaled in place, so while eigh runs ``cov`` is the only n x n
+    array of the library alive (eigh holds its own copy, a 2 n^2
+    workspace and the eigenvectors).
     """
-    sym = 0.5 * (cov + cov.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
+    eigvals, factor = np.linalg.eigh(cov)
     floor = -1e-8 * max(1.0, float(eigvals[-1]))
     if eigvals[0] < floor:
         raise SimulationError(
             "covariance is not positive semidefinite",
             min_eigenvalue=float(eigvals[0]))
-    return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    factor *= np.sqrt(np.clip(eigvals, 0.0, None))
+    return factor
 
 
 class _GaussianRows:
@@ -298,8 +306,20 @@ class _GaussianRows:
 
 
 def _pairwise_distances(sites: np.ndarray) -> np.ndarray:
-    diff = sites[:, None, :] - sites[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """The (m, m) distances between the rows of the (m, g) ``sites``.
+
+    The squared differences are added axis by axis into one buffer, the
+    order in which ``np.sqrt(np.sum(diff * diff, axis=2))`` sums fewer than
+    eight axes, so the bits are those of that formula without its
+    (m, m, g) arrays.  Entry (j, i) sums the negated differences of (i, j),
+    so the matrix is symmetric in every bit."""
+    m = sites.shape[0]
+    dist, diff = np.zeros((m, m)), np.empty((m, m))
+    for x in sites.T:
+        np.subtract.outer(x, x, out=diff)
+        diff *= diff
+        dist += diff
+    return np.sqrt(dist, out=dist)
 
 
 def _gaussian_distances(model: TcfModel, sites: np.ndarray) -> np.ndarray:
@@ -317,10 +337,16 @@ def _variogram_covariance(model: BRModel | VBRModel, sites: np.ndarray):
     anchored at the first site, its factor as :class:`_GaussianRows`, and
     half its variances.  The covariance is symmetric in every bit (entry
     (i, j) sums the same terms as (j, i)), so the samplers read the column
-    of a site as its contiguous row."""
+    of a site as its contiguous row.  The covariance is formed in one
+    buffer, in the order of ``0.5 * (sig2[:, None] + sig2[None, :] -
+    gamma)``, and the variogram matrix is dropped before the factorization."""
     gamma = model.variogram(_gaussian_distances(model, sites))
-    sig2 = gamma[0]  # variance anchored at the first site
-    cov = 0.5 * (sig2[:, None] + sig2[None, :] - gamma)
+    # Variance anchored at the first site, copied so that gamma can go.
+    sig2 = gamma[0].copy()
+    cov = np.add.outer(sig2, sig2)
+    cov -= gamma
+    del gamma
+    cov *= 0.5
     return cov, _GaussianRows(_gaussian_factor(cov)), 0.5 * sig2
 
 
@@ -455,11 +481,17 @@ class M3rModel(TcfModel):
         """Mean overlap integral over ``n_samples`` shapes drawn from
         ``seed``, the same draws at every lag.  The error is the standard
         error of the mean (the one quadrature estimate when ``n_samples`` is
-        1) plus the mean quadrature estimate."""
+        1) plus the mean quadrature estimate.  A shape object drawn more
+        than once is integrated once; its rows still count once per draw."""
         rng = np.random.default_rng(self.seed)
         n = self.n_samples
-        draws = [overlap_integral(self.ensemble.sample(rng), self.dim, t,
-                                  tol=max(tol, 1e-8)) for _ in range(n)]
+        shapes = [self.ensemble.sample(rng) for _ in range(n)]
+        integrals = {}  # by id: ``shapes`` keeps every object alive
+        for f in shapes:
+            if id(f) not in integrals:
+                integrals[id(f)] = overlap_integral(f, self.dim, t,
+                                                    tol=max(tol, 1e-8))
+        draws = [integrals[id(f)] for f in shapes]
         vals = np.array([v for v, _ in draws])
         errs = np.array([e for _, e in draws])
         se = (np.std(vals, axis=0, ddof=1) / math.sqrt(n) if n > 1
@@ -817,8 +849,11 @@ def tcf_radial(model: TcfModel, *, tol: float = 1e-9,
     ``func`` is :func:`tcf` at ``tol``.  A class that states its own Taylor
     series (MPS) also gives the ``taylor`` hook, so every derivative comes
     from the series and none from differences of quadrature output, whose
-    noise a difference ladder amplifies.  The other classes give ``func``
-    only.
+    noise a difference ladder amplifies.  The hook's second array is the
+    quadrature error estimate / k! of coefficient k, an estimate and not a
+    strict bound (in d = 2, 1 of 450 entries was 1.34 times its estimate),
+    and ``membership._derivative_table`` uses it as an error bar.  The
+    other classes give ``func`` only.
     """
     taylor = None
     if hasattr(model, "_taylor"):

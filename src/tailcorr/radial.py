@@ -118,8 +118,11 @@ class RadialFunction:
 
     ``taylor(x, order)``, when given, takes an array of x > 0 and returns
     two arrays of shape (order + 1,) + x.shape: the Taylor coefficients
-    f^(k)(x) / k! for k = 0..order, and a bound on the absolute error of
-    each.
+    f^(k)(x) / k! for k = 0..order, and the absolute error of each: a
+    bound for the closed forms built on :mod:`tailcorr.series`, the
+    quadrature error estimate / k! for the hook of an MPS model's TCF
+    (:func:`tailcorr.models.tcf_radial`), which is no strict bound.  The
+    membership batteries take it as the coefficient's error bar.
     """
 
     name: str

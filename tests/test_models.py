@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_entrywise
 
-from tailcorr import DomainError, ModelError, erfc, numerics
+from tailcorr import DomainError, ModelError, erfc, models, numerics
 from tailcorr.distributions import exponential_dist, point_mass
 from tailcorr.cli import resolve_function
 from tailcorr.membership import classify
@@ -284,6 +284,35 @@ class TestTableOneClasses:
         m3r = M3rModel(dim=2, ensemble=ens, n_samples=4, seed=1)
         for t in [0.0, 0.8, 1.5]:
             assert tcf(m3r, t) == pytest.approx(h_d(t / 2.0, 2), abs=1e-8)
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 4])
+    def test_m3r_integrates_each_distinct_shape_once(self, n_samples,
+                                                      monkeypatch):
+        # The mean and standard error still run over n_samples rows, so the
+        # bits are those of one integral per draw.
+        disc = ball_indicator(2, 1.0)
+        model = M3rModel(dim=2, ensemble=ShapeEnsemble(
+            name="unit_disc", sample=lambda rng: disc), n_samples=n_samples)
+        t = np.geomspace(0.01, 3.0, 25)
+        draws = [overlap_integral(disc, 2, t, tol=1e-8)
+                 for _ in range(n_samples)]
+        vals = np.array([v for v, _ in draws])
+        errs = np.array([e for _, e in draws])
+        se = (np.std(vals, axis=0, ddof=1) / math.sqrt(n_samples)
+              if n_samples > 1 else errs[0])
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return overlap_integral(*args, **kwargs)
+
+        monkeypatch.setattr(models, "overlap_integral", spy)
+        value, error = model._tcf(t, 1e-10)
+        assert len(calls) == 1
+        for got, want in [(value, np.mean(vals, axis=0)),
+                          (error, se + np.mean(errs, axis=0))]:
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
 
     def test_m3r_unit_disc_matches_closed_form(self):
         # Two unit discs at distance t overlap in (2/pi)(arccos x -

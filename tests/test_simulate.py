@@ -5,6 +5,7 @@ closed-form TCFs of every simulatable class."""
 import hashlib
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from tailcorr.models import (
     VBRModel,
     _correlation_factor,
     _distances,
+    _pairwise_distances,
     _variogram_covariance,
     tcf,
 )
@@ -661,6 +663,85 @@ class TestEngineBits:
         assert bit_equal(collect(config), reference_fields(config))
         assert not bit_equal(collect(config),
                              reference_fields(config, swap=True))
+
+
+def reference_distances(sites):
+    diff = sites[:, None, :] - sites[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def reference_setup(model, sites):
+    """The dense Gaussian set-up of BR, VBR, EG and EBG written out with
+    its (m, m, g) differences, a symmetrized copy and a scaled copy of the
+    eigenvectors: the covariance or correlation matrix, its factor, the
+    factor's row norms and half the variances (None for a correlation)."""
+    dist = reference_distances(model._host(sites))
+    if isinstance(model, (BRModel, VBRModel)):
+        gamma = model.variogram(dist)
+        sig2 = gamma[0]
+        matrix = 0.5 * (sig2[:, None] + sig2[None, :] - gamma)
+        half = 0.5 * sig2
+    else:
+        matrix = model.correlation(dist)
+        np.fill_diagonal(matrix, 1.0)
+        half = None
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
+    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    return matrix, factor, np.sqrt(np.einsum("ij,ij->i", factor, factor)), half
+
+
+SETUP_CASES = (
+    [(f"loop-{c}", lambda c=c: loop_models()[c], LOOP_GRID)
+     for c in ("BR", "VBR", "EG", "EBG")]
+    + [(f"screened-{c}", lambda c=c: models_2d()[c], SCREENED_GRID)
+       for c in ("BR", "VBR", "EG", "EBG")]
+    + [("loop-EG-constant", lambda: EGModel(
+        dim=1, correlation=constant_correlation()), LOOP_GRID)])
+
+
+class TestSetupBits:
+    """The Gaussian set-up, built in place, keeps every bit of the plain
+    formulas in :func:`reference_setup`, which share no code with it."""
+
+    @pytest.mark.parametrize("name, model, grid", SETUP_CASES,
+                             ids=[c[0] for c in SETUP_CASES])
+    def test_setup_equals_reference(self, name, model, grid):
+        model, sites = model(), grid.sites()
+        matrix, factor, norms, half = reference_setup(model, sites)
+        if half is None:
+            got, gauss = _correlation_factor(model, sites)
+        else:
+            got, gauss, got_half = _variogram_covariance(model, sites)
+            assert bit_equal(got_half, half)
+        assert bit_equal(got, matrix)
+        assert bit_equal(gauss.factor, factor)
+        assert bit_equal(gauss._norms, norms)
+        if name.endswith("constant"):
+            # Rank one: eigenvalues below zero are clipped.
+            assert np.linalg.eigvalsh(matrix)[0] < 0.0
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_pairwise_distances(self, g):
+        rng = np.random.default_rng(g)
+        sites = rng.standard_normal((57, g)) * 10.0 ** rng.uniform(
+            -3, 3, (57, g))
+        dist = _pairwise_distances(sites)
+        assert bit_equal(dist, reference_distances(sites))
+        assert bit_equal(dist, dist.T)
+
+    def test_br_setup_memory(self):
+        # The library's own arrays at their peak, about 3 n^2 floats (the
+        # distances and the variogram's two temporaries); LAPACK's
+        # workspace is not traced.
+        sites = GridSpec(dim=2, shape=(32, 32), spacing=0.25).sites()
+        model = BRModel(dim=2, variogram=fbm_variogram(8.0, 1.0))
+        tracemalloc.start()
+        try:
+            model._profile_sampler(sites)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * len(sites) ** 2 * 8
 
 
 class TestStreamContract:
