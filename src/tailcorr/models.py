@@ -219,14 +219,20 @@ def overlap_integral(f: RadialFunction, d: int, t, *, tol: float = 1e-10):
 #: Site cap for the dense-covariance Gaussian classes (BR/VBR/EG/EBG).
 _GAUSSIAN_SITE_CAP = 2_000
 
-#: ``profile() -> ratios``: one drawn storm divided by its value at the
-#: conditioning site, at every site, evaluated on demand, as a new float
-#: array that the engine scales in place.  The classes
-#: whose profile is a dense matrix-vector product (BR, VBR, EG, EBG) set
-#: ``_PARTIAL_PROFILE`` and also take ``profile(idx)``: the sites ``idx``
-#: only, for a fraction of the cost, never above ``profile()[idx]`` (a
-#: lower bound within rounding, see :meth:`_GaussianRows.some`).
-_Profile = Callable[..., np.ndarray]
+#: ``profile() -> (start, ratios)``: one drawn storm divided by its value
+#: at the conditioning site, evaluated on demand.  ``ratios`` is a new
+#: float array, which the engine scales in place, of the profile at the
+#: run of sites ``start .. start + len(ratios) - 1``; the profile is 0 at
+#: every other site.  The bounded storms of M3b and MPS return the run
+#: their ball or interval can reach, found by bisection on the sites'
+#: first coordinate, which is non-decreasing in the row-major order of
+#: :meth:`tailcorr.simulate.GridSpec.sites`; the other classes return
+#: ``(0, ratios at every site)``.  The classes whose profile is a dense
+#: matrix-vector product (BR, VBR, EG, EBG) set ``_PARTIAL_PROFILE`` and
+#: also take ``profile(idx)``: the ratios at the sites ``idx`` only, for a
+#: fraction of the cost, never above the whole profile's (a lower bound
+#: within rounding, see :meth:`_GaussianRows.some`).
+_Profile = Callable[..., tuple[int, np.ndarray] | np.ndarray]
 
 #: ``draw(k, rng) -> profile``: makes every random draw of one storm, drawn
 #: from the profile law size-biased by its value at site ``k``, in a fixed
@@ -238,6 +244,18 @@ _ProfileDraw = Callable[[int, np.random.Generator], _Profile]
 _BELOW_EXP_ROUNDING = 1.0 - 2.0 ** -50
 
 _UNIT_ROUNDOFF = 2.0 ** -53
+
+#: The reach of a ball of radius r along the first axis is r times this
+#: plus ``_REACH_FLOOR``.  A site x whose rounded distance
+#: ``_distances`` to the centre c is at most r has |x_0 - c_0| < r (1 + 3u)
+#: + 2^-537.4 (u the unit roundoff): that distance is at least
+#: (1 - u) sqrt(a^2 (1 - u) - 2^-1075) for a = fl(x_0 - c_0) =
+#: (x_0 - c_0)(1 + e), |e| <= u, since the squares of the other axes only
+#: add to it and every rounding is monotone (2^-1075 bounds the error of
+#: a subnormal square).  Rounded, the reach still exceeds that bound, and
+#: as x_0 is a float, fl(c_0 - reach) <= x_0 <= fl(c_0 + reach).
+_REACH_SCALE = 1.0 + 8.0 * _UNIT_ROUNDOFF
+_REACH_FLOOR = 2.0 ** -537
 
 
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -297,7 +315,7 @@ class _GaussianRows:
         twice their sum, which covers gamma_n > n u and the rounding of the
         slack itself.
         """
-        rows = np.append(idx, k)
+        rows = np.concatenate((idx, (k,)))
         y = self.factor[rows] @ z
         slack = self._norms[rows] * (4.0 * len(z) * _UNIT_ROUNDOFF
                                      * math.sqrt(z @ z))
@@ -370,7 +388,7 @@ def _tilted_profile(gauss: _GaussianRows, z: np.ndarray, k: int,
     def profile(idx=None):
         if idx is None:
             w = gauss.factor @ z
-            return np.exp(log_ratio(w, w[k], slice(None), k, s))
+            return 0, np.exp(log_ratio(w, w[k], slice(None), k, s))
         w, _, w_k = gauss.some(z, idx, k)
         return np.exp(log_ratio(w, w_k, idx, k, s)) * _BELOW_EXP_ROUNDING
 
@@ -391,7 +409,7 @@ def _conditioned_profile(gauss: _GaussianRows, normals: np.ndarray, k: int,
             y = gauss.factor @ normals
             out = ratio(y + (z_star - y[k]) * corr[k], z_star)
             out[k] = 1.0
-            return out
+            return 0, out
         y, y_k_low, y_k_high = gauss.some(normals, idx, k)
         rho = corr[k, idx]
         return ratio(y + (z_star - np.where(rho >= 0.0, y_k_high, y_k_low))
@@ -555,7 +573,7 @@ class M2rModel(TcfModel):
             at_rho = func(rho)
 
             def profile():
-                return func(_distances(coords, center)) / at_rho
+                return 0, func(_distances(coords, center)) / at_rho
 
             return profile
 
@@ -581,18 +599,25 @@ class M3bModel(TcfModel):
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Radius from the model law unchanged, center uniform in the ball
-        # around the site; profile ratio is the covering indicator.
+        # around the site; profile ratio is the covering indicator, taken
+        # on the run of sites within reach of the center along the first
+        # axis.
         pts = self._host(sites)
         coords = np.ascontiguousarray(pts.T)
+        first = coords[0]
         dim, radius = self.dim, self.radius.sample_one
 
         def draw_m3b(k: int, rng: np.random.Generator) -> _Profile:
             r = radius(rng)
-            w = r * rng.uniform() ** (1.0 / dim)
+            w = r * rng.random() ** (1.0 / dim)
             center = (pts[k] + w * _unit_vector(rng, dim))[:, None]
 
             def profile():
-                return (_distances(coords, center) <= r).astype(float)
+                c, reach = center.item(0), r * _REACH_SCALE + _REACH_FLOOR
+                start = int(first.searchsorted(c - reach))
+                stop = int(first.searchsorted(c + reach, "right"))
+                near = _distances(coords[:, start:stop], center)
+                return start, (near <= r).astype(float)
 
             return profile
 
@@ -634,7 +659,8 @@ class MPSModel(TcfModel):
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Intensity beta from the mixing law unchanged, cell length
         # Gamma(2,1)/beta (the size-biased exponential cell) covering the
-        # site uniformly; profile ratio is the covering indicator.
+        # site uniformly; profile ratio is the covering indicator, 1 on
+        # the run of sites in the cell.
         if self.dim != 1:
             raise DomainError(
                 "Poisson-storm simulation is supported in dimension 1 only "
@@ -646,10 +672,14 @@ class MPSModel(TcfModel):
         def draw_mps(k: int, rng: np.random.Generator) -> _Profile:
             beta = mixing(rng)
             length = rng.gamma(2.0) / beta
-            left = x[k] - rng.uniform(0.0, length)
+            left = x[k] - length * rng.random()
 
             def profile():
-                return ((x >= left) & (x <= left + length)).astype(float)
+                # The sites x >= left and x <= left + length of the
+                # non-decreasing x.
+                start = int(x.searchsorted(left))
+                stop = int(x.searchsorted(left + length, "right"))
+                return start, np.ones(stop - start)
 
             return profile
 

@@ -518,19 +518,32 @@ def fbm_variogram(scale: float, alpha: float) -> Variogram:
     """gamma(t) = scale * |t|^alpha, alpha in (0, 2]."""
     a = _real(alpha, "fbm variogram alpha", 0.0, 2.0)
     s = _real(scale, "fbm variogram scale", 0.0)
-    return Variogram(
-        name=f"{s:g}*t^{a:g}",
-        func=lambda t: s * np.power(np.abs(t), a),
-    )
+
+    def func(t):
+        # |t|, its power and the scale in one buffer: the bits of
+        # ``s * np.power(np.abs(t), a)`` without its two temporaries.
+        out = np.abs(t, out=np.empty(np.shape(t)))
+        np.power(out, a, out=out)
+        out *= s
+        return out
+
+    return Variogram(name=f"{s:g}*t^{a:g}", func=func)
 
 
 def bounded_variogram(lam: float, correlation: Correlation) -> Variogram:
     """gamma(t) = lam * (1 - rho(t)) for a correlation rho."""
     lamf = _real(lam, "bounded variogram lam", 0.0)
-    return Variogram(
-        name=f"{lamf:g}*(1-{correlation.name})",
-        func=lambda t: lamf * (1.0 - correlation.func(np.abs(t))),
-    )
+    rho = correlation.func
+
+    def func(t):
+        # 1 - rho(|t|) and the scale in the buffer of |t|: the bits of
+        # ``lamf * (1.0 - rho(np.abs(t)))`` without its temporaries.
+        out = np.abs(t, out=np.empty(np.shape(t)))
+        np.subtract(1.0, rho(out), out=out)
+        out *= lamf
+        return out
+
+    return Variogram(name=f"{lamf:g}*(1-{correlation.name})", func=func)
 
 
 def variogram_from_callable(name: str, func: Callable[[float], float]

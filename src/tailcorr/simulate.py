@@ -16,7 +16,12 @@ the conditioning site, drawn from the profile law size-biased by that
 value.  Each model class that can be simulated states it in its
 ``_profile_sampler`` method (see :mod:`tailcorr.models`); the classes
 without one are rejected with the list of those that have one.  A drawn
-profile is evaluated on demand.  Most candidates are rejected at a
+profile is evaluated on demand, on a run of consecutive sites outside
+which it is 0: the whole grid for most classes, and for the bounded
+storms of M3b and MPS only the sites that the ball or interval can reach
+(a site's first coordinate never decreases in row-major order, so they
+form one run).  A candidate is checked against the finished sites of its
+run and taken into the field there.  Most candidates are rejected at a
 finished site near the conditioning one, so for a class with a partial
 profile on a large grid the engine first evaluates a candidate at the
 ``_SCREEN_SITES`` nearest finished sites and rejects it there when it
@@ -94,8 +99,10 @@ _SCREEN_SITES = 8
 #: costs more than it saves.  Median us per field and site, screened /
 #: unscreened, one core of a shared 2-core x86-64 host with OpenBLAS: at 256
 #: sites in 1-D, BR 83/52 and EG 62/49; at 512 sites in 1-D, BR 196/184 and
-#: EG 95/171; on 23 x 23, BR 131/193 and EG 78/175.  The moving-maxima and
-#: storm classes evaluate a whole profile about as fast as a screen.
+#: EG 95/171; on 23 x 23, BR 131/193 and EG 78/175.  M2r evaluates a
+#: whole profile about as fast as a screen, and the bounded storms of M3b
+#: and MPS evaluate only the run of sites their ball or interval can
+#: reach, so those classes are not screened.
 _SCREEN_FROM_SITES = 512
 
 #: Class tag -> model type, for every model class (a subclass of
@@ -142,6 +149,12 @@ class GridSpec:
         if len(origin) != self.dim or not all(map(math.isfinite, origin)):
             raise DomainError(
                 f"origin {self.origin!r} is not {self.dim} finite coordinates")
+        for axis, (start, n) in enumerate(zip(origin, shape)):
+            # The last site of the axis, in the arithmetic of :meth:`sites`.
+            if not math.isfinite(start + spacing * (n - 1)):
+                raise DomainError(
+                    f"grid axis {axis} overflows: its last site "
+                    f"{start!r} + {spacing!r} * {n - 1} is not finite")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
@@ -274,7 +287,10 @@ def _simulate_one(draw: _ProfileDraw, n_sites: int,
     finished sites ``near[k]``: a value above the field there rejects it
     before its whole profile is evaluated.  A screened value never exceeds
     the profile's, so the screen rejects only candidates that the full
-    check rejects, and the field keeps its bits.
+    check rejects, and the field keeps its bits.  A profile is checked
+    against the finished sites and taken into the field on its run of
+    sites only: it is 0 elsewhere, which neither exceeds nor raises the
+    field.
     """
     values = np.zeros(n_sites)
     budget = _STORMS_PER_SITE * n_sites
@@ -285,7 +301,6 @@ def _simulate_one(draw: _ProfileDraw, n_sites: int,
     any_, all_ = np.logical_or.reduce, np.logical_and.reduce
     for k in range(n_sites):
         screen = near[k] if near is not None and k > _SCREEN_SITES else None
-        finished = values[:k]
         top = values.item(k)
         arrival = exponential()
         while 1.0 / arrival > top:
@@ -298,10 +313,14 @@ def _simulate_one(draw: _ProfileDraw, n_sites: int,
             profile = draw(k, rng)
             if screen is None or not any_(
                     profile(screen) / arrival > values[screen]):
-                candidate = profile()
+                start, candidate = profile()
                 candidate /= arrival
-                if all_(candidate[:k] <= finished):
-                    np.maximum(values, candidate, out=values)
+                # The profile's run of sites, whose first k - start are
+                # finished.
+                run = values[start:start + len(candidate)]
+                seen = k - start
+                if seen <= 0 or all_(candidate[:seen] <= run[:seen]):
+                    np.maximum(run, candidate, out=run)
                     top = values.item(k)
             arrival += exponential()
     return values

@@ -791,6 +791,12 @@ class TestSimulateEstimate:
                                    "--n", "2"])
         assert res.exit_code != 0
 
+    def test_overflowing_grid_names_its_axis(self, runner, br_config):
+        res = runner.invoke(main, ["simulate", br_config, "--grid", "4@1e308",
+                                   "--n", "2"])
+        assert res.exit_code == 1
+        assert "Error: grid axis 0 overflows" in res.output
+
 
 class TestSeedOption:
     """``--seed`` exists only on the commands that draw random numbers."""

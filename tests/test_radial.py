@@ -365,6 +365,28 @@ class TestVariogramParameters:
         assert bounded_variogram(1e-9, exponential_correlation())(0.0) == 0.0
 
 
+class TestVariogramBuffer:
+    """The variograms evaluate in one buffer with the bits of their
+    formulas, at negative and integer distances too."""
+
+    def test_fbm_equals_its_formula(self):
+        t = np.concatenate([-distances(True), distances(True)])
+        for scale, alpha in ((8.0, 1.0), (2.0, 0.5), (1.0, 1.7)):
+            got = fbm_variogram(scale, alpha).func(t)
+            assert np.array_equal(bits(got), bits(
+                scale * np.power(np.abs(t), alpha)))
+        assert np.array_equal(fbm_variogram(2.0, 0.5).func(np.array([-4, 9])),
+                              [4.0, 6.0])
+
+    def test_bounded_equals_its_formula(self):
+        t = np.concatenate([-distances(True), distances(True)])
+        for rho in (exponential_correlation(2.0),
+                    bounded_gauss_correlations()[0]):
+            got = bounded_variogram(1.62, rho).func(t)
+            assert np.array_equal(bits(got), bits(
+                1.62 * (1.0 - rho.func(np.abs(t)))))
+
+
 # Each constructor with one real parameter (the others at valid values).
 REAL_PARAMETERS = {
     "exponential_decay": (exponential_decay, "scale"),

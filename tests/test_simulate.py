@@ -37,6 +37,7 @@ from tailcorr.presets import (
     erfc_sqrt_models,
     erfc_sqrt_models_1d,
     erfc_sqrt_mps_mixing,
+    erfc_sqrt_radius_law,
 )
 from tailcorr.radial import (
     correlation_from_callable,
@@ -113,6 +114,22 @@ class TestGridSpec:
     def test_integer_fields_reject_other_values(self, field, kwargs):
         with pytest.raises(DomainError, match=field):
             GridSpec(**kwargs)
+
+    @pytest.mark.parametrize("axis, kwargs", [
+        (0, {"dim": 1, "shape": (4,), "spacing": 1e308}),
+        (0, {"dim": 1, "shape": (3,), "spacing": 1e308,
+             "origin": (-1.7e308,)}),
+        (1, {"dim": 2, "shape": (2, 3), "spacing": 1e307,
+             "origin": (0.0, 1.7e308)}),
+    ])
+    def test_sites_that_overflow_are_refused(self, axis, kwargs):
+        with pytest.raises(DomainError, match=f"grid axis {axis} overflows"):
+            GridSpec(**kwargs)
+
+    def test_sites_near_the_float_limit_are_finite(self):
+        grid = GridSpec(dim=2, shape=(4, 2), spacing=1e307,
+                        origin=(1.7e308 - 3e307, -1.7e308))
+        assert np.isfinite(grid.sites()).all()
 
 
 class TestGridField:
@@ -449,7 +466,7 @@ class TestScreen:
             for _ in range(20):
                 profile = draw(k, rng)
                 idx = rng.choice(grid.n_sites, size=9, replace=False)
-                whole = profile()[idx]
+                whole = profile()[1][idx]
                 part = profile(idx)
                 assert np.all(part <= whole)
                 assert np.allclose(part, whole, rtol=1e-9, atol=0.0)
@@ -630,6 +647,11 @@ LOOP_GRID = GridSpec(dim=1, shape=(9,), spacing=0.5)
 #: 529 sites: BR screens its candidates at the nearest finished sites.
 SCREENED_GRID = GridSpec(dim=2, shape=(23, 23), spacing=0.25)
 
+#: 600 sites in 1-D, of which a bounded storm covers a short run.
+LONG_GRID = GridSpec(dim=1, shape=(600,), spacing=0.1, origin=(-17.3,))
+
+GRID_1024 = GridSpec(dim=2, shape=(32, 32), spacing=0.25)
+
 
 def bit_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64),
@@ -657,12 +679,145 @@ class TestEngineBits:
                            n_realizations=1, seed=5)
         assert bit_equal(collect(config), reference_fields(config))
 
+    @pytest.mark.parametrize("cls", ["M3b", "MPS"])
+    def test_long_grid(self, cls):
+        config = SimConfig(model=models_1d()[cls], grid=LONG_GRID,
+                           n_realizations=3, seed=7)
+        assert bit_equal(collect(config), reference_fields(config))
+
+    def test_m3b_on_32x32(self):
+        config = SimConfig(model=models_2d()["M3b"], grid=GRID_1024,
+                           n_realizations=2, seed=3)
+        assert bit_equal(collect(config), reference_fields(config))
+
     def test_a_swapped_draw_is_caught(self):
         config = SimConfig(model=loop_models()["M3b"], grid=LOOP_GRID,
                            n_realizations=20, seed=31)
         assert bit_equal(collect(config), reference_fields(config))
         assert not bit_equal(collect(config),
                              reference_fields(config, swap=True))
+
+
+class ScriptedRng:
+    """A generator that returns scripted draws: ``random()`` the next level,
+    ``uniform(low, high)`` NumPy's ``low + (high - low) * level`` of it,
+    ``standard_normal(n)`` the next vector and ``gamma(shape)`` the next
+    value."""
+
+    def __init__(self, levels=(), normals=(), gammas=()):
+        self.levels, self.normals = iter(levels), iter(normals)
+        self.gammas = iter(gammas)
+
+    def random(self):
+        return next(self.levels)
+
+    def uniform(self, low=0.0, high=1.0):
+        return low + (high - low) * next(self.levels)
+
+    def standard_normal(self, size):
+        return np.array(next(self.normals), dtype=float)
+
+    def gamma(self, shape):
+        return next(self.gammas)
+
+
+def padded(profile, n_sites):
+    """The profile ``(start, ratios)`` at every site, 0 off its run."""
+    start, ratios = profile()
+    assert 0 <= start and start + len(ratios) <= n_sites
+    out = np.zeros(n_sites)
+    out[start:start + len(ratios)] = ratios
+    return out
+
+
+RUN_GRIDS = [
+    ("1d", 1, GridSpec(dim=1, shape=(40,), spacing=0.25, origin=(-3.75,))),
+    ("1d-0.1", 1, GridSpec(dim=1, shape=(61,), spacing=0.1,
+                           origin=(-2.3,))),
+    ("1xn", 3, GridSpec(dim=2, shape=(1, 25), spacing=0.25,
+                        origin=(-1.25, -2.75))),
+    ("nx1", 3, GridSpec(dim=2, shape=(25, 1), spacing=0.25,
+                        origin=(-2.75, -1.25))),
+    ("32x32", 3, GRID_1024),
+]
+
+
+class TestProfileRun:
+    """The bounded storms of M3b and MPS return their profile on a run of
+    sites; padded with zeros it equals the whole profile of the reference
+    draws bit for bit."""
+
+    @pytest.mark.parametrize("name, dim, grid", RUN_GRIDS,
+                             ids=[c[0] for c in RUN_GRIDS])
+    @pytest.mark.parametrize("radius", ["spacing", "2.5 spacings", "law"])
+    def test_m3b_run_equals_whole_indicator(self, name, dim, grid, radius):
+        law = {"spacing": point_mass(grid.spacing),
+               "2.5 spacings": point_mass(2.5 * grid.spacing),
+               "law": erfc_sqrt_radius_law(dim)}[radius]
+        model = M3bModel(dim=dim, radius=law)
+        sites, n = grid.sites(), grid.n_sites
+        draw, reference = model._profile_sampler(sites), reference_draw(
+            model, sites)
+        rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+        for k in (0, n // 3, n - 1):
+            for _ in range(30):
+                assert bit_equal(padded(draw(k, rng), n),
+                                 reference(k, twin)())
+        if radius == "law":
+            return
+        # Centres on a site (level 0) or a radius away from it along an
+        # axis (level 1), past the grid's edge at its first and last
+        # sites.  On the grids of spacing 0.25, whose sites are exact in
+        # binary, sites then lie at exactly the radius from the centre.
+        axes = np.eye(dim)
+        for k in (0, n // 2, n - 1):
+            for level in (0.0, 1.0):
+                for direction in (*axes, *-axes):
+                    script = {"levels": [level], "normals": [direction]}
+                    whole = reference(k, ScriptedRng(**script))()
+                    assert bit_equal(padded(draw(k, ScriptedRng(**script)),
+                                            n), whole)
+
+    def test_mps_run_equals_whole_indicator(self):
+        grid = GridSpec(dim=1, shape=(30,), spacing=0.5, origin=(-6.5,))
+        sites, n = grid.sites(), grid.n_sites
+        for model in (MPSModel(dim=1, mixing=erfc_sqrt_mps_mixing()),
+                      MPSModel(dim=1, mixing=point_mass(1.0))):
+            draw, reference = model._profile_sampler(sites), reference_draw(
+                model, sites)
+            rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+            for k in (0, 11, n - 1):
+                for _ in range(30):
+                    assert bit_equal(padded(draw(k, rng), n),
+                                     reference(k, twin)())
+        # Cells of length 0.25 to 3 whose ends fall on grid points, and
+        # cells past the grid's edges.
+        for k in (0, 1, 15, n - 1):
+            for length in (0.25, 0.5, 1.0, 3.0):
+                for level in (0.0, 0.25, 0.5, 1.0):
+                    script = {"levels": [level], "gammas": [length]}
+                    whole = reference(k, ScriptedRng(**script))()
+                    got = padded(draw(k, ScriptedRng(**script)), n)
+                    assert bit_equal(got, whole)
+                    assert got[k] == 1.0
+
+    def test_m3b_profile_evaluates_only_its_run(self, monkeypatch):
+        models = importlib.import_module("tailcorr.models")
+        distances = models._distances
+        widths = []
+
+        def spy(coords, center):
+            widths.append(coords.shape[1])
+            return distances(coords, center)
+
+        monkeypatch.setattr(models, "_distances", spy)
+        sites = GRID_1024.sites()
+        draw = M3bModel(dim=3, radius=point_mass(0.5))._profile_sampler(sites)
+        rng = np.random.default_rng(0)
+        for k in (0, 500, len(sites) - 1):
+            draw(k, rng)()
+        assert len(widths) == 3
+        assert max(widths) < len(sites)
 
 
 def reference_distances(sites):
@@ -742,6 +897,19 @@ class TestSetupBits:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * len(sites) ** 2 * 8
+
+    def test_br_setup_memory_with_variogram_in_one_buffer(self):
+        # The variogram takes |t|, its power and its scale in one buffer
+        # beside the distances: about 2 n^2 floats at the traced peak.
+        sites = GRID_1024.sites()
+        model = BRModel(dim=2, variogram=fbm_variogram(8.0, 1.0))
+        tracemalloc.start()
+        try:
+            model._profile_sampler(sites)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(sites) ** 2 * 8
 
 
 class TestStreamContract:
