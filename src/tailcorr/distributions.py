@@ -26,6 +26,7 @@ draw has the bits of ``sample(rng, 1)[0]``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -327,15 +328,15 @@ class Distribution1D:
                 (lambda rng: at(np.float64(level(rng)))))
 
     def _table_route(self) -> tuple[Callable, Callable]:
-        # The table is built on the first draw, not here.
+        # The table is built on the first draw, not here.  One draw reads
+        # it as lists, with the bits of ``np.interp`` (see :func:`_interp`).
         if not self.atoms:
             def many(rng, n):
                 x, cum = self._inverse_cdf_table
                 return np.interp(rng.random(n), cum, x)
 
             def one(rng):
-                x, cum = self._inverse_cdf_table
-                return float(np.interp(rng.random(), cum, x))
+                return _interp(rng.random(), *self._inverse_cdf_lists)
 
             return many, one
         points, cdf, mass = self._atom_cdf()
@@ -351,10 +352,9 @@ class Distribution1D:
             return out
 
         def one(rng):
-            x, cum = self._inverse_cdf_table
             if rng.random() < mass:
                 return float(points[cdf.searchsorted(rng.random(), "right")])
-            return float(np.interp(rng.random(), cum, x))
+            return _interp(rng.random(), *self._inverse_cdf_lists)
 
         return many, one
 
@@ -369,6 +369,17 @@ class Distribution1D:
         cdf = (weights / mass).cumsum()
         cdf /= cdf[-1]
         return points, cdf, mass
+
+    @cached_property
+    def _inverse_cdf_lists(self) -> tuple[list, list, list]:
+        """The inverse-cdf table as the lists (levels, nodes, slopes) that
+        :func:`_interp` reads; slope j is NumPy's ``(x[j+1] - x[j]) /
+        (cum[j+1] - cum[j])``, infinite or NaN where that quotient is (a
+        level step of 0, which no level selects, or a tiny one)."""
+        x, cum = self._inverse_cdf_table
+        with np.errstate(all="ignore"):
+            slopes = np.diff(x) / np.diff(cum)
+        return cum.tolist(), x.tolist(), slopes.tolist()
 
     @cached_property
     def _inverse_cdf_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -404,6 +415,29 @@ class Distribution1D:
             raise SimulationError(
                 f"law {self.name!r}: density integrates to zero")
         return x, cum / total
+
+
+def _interp(u: float, levels: list, nodes: list, slopes: list) -> float:
+    """``np.interp(u, levels, nodes)`` of one float ``u``, bit for bit, in
+    Python floats: NumPy's interval j with levels[j] <= u < levels[j+1],
+    its end and exact-node cases, and its formula on the slope of a single
+    value, with both of its NaN fallbacks."""
+    if u != u:
+        return u
+    j = bisect_right(levels, u) - 1
+    if j < 0:
+        return nodes[0]
+    if j == len(levels) - 1:
+        return nodes[j]
+    if levels[j] == u:
+        return nodes[j]
+    slope = slopes[j]
+    value = slope * (u - levels[j]) + nodes[j]
+    if value != value:
+        value = slope * (u - levels[j + 1]) + nodes[j + 1]
+        if value != value and nodes[j] == nodes[j + 1]:
+            value = nodes[j]
+    return value
 
 
 def point_mass(x: float, name: str | None = None) -> Distribution1D:

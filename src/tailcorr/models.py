@@ -258,15 +258,20 @@ _REACH_SCALE = 1.0 + 8.0 * _UNIT_ROUNDOFF
 _REACH_FLOOR = 2.0 ** -537
 
 
-def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A uniform direction in R^dim.  ``math.sqrt(v.dot(v))`` is what
-    ``np.linalg.norm(v)`` computes, at a fraction of its cost."""
-    v = rng.standard_normal(dim)
+def _storm_centre(rng: np.random.Generator, site: list[float],
+                  offset: float) -> np.ndarray:
+    """The point ``site + offset * v / |v|`` for a standard normal v, a
+    uniform direction in R^dim, as a (dim, 1) column.  Each coordinate is
+    taken in Python floats, with the bits of that array expression, and
+    ``math.sqrt(v.dot(v))`` is what ``np.linalg.norm(v)`` computes, at a
+    fraction of their cost."""
+    v = rng.standard_normal(len(site))
     n = math.sqrt(v.dot(v))
     while n == 0.0:  # pragma: no cover - probability zero
-        v = rng.standard_normal(dim)
+        v = rng.standard_normal(len(site))
         n = math.sqrt(v.dot(v))
-    return v / n
+    return np.array([x + offset * (a / n)
+                     for x, a in zip(site, v.tolist())])[:, None]
 
 
 def _gaussian_factor(cov: np.ndarray) -> np.ndarray:
@@ -564,12 +569,12 @@ class M2rModel(TcfModel):
         # Storm center at a radial offset rho drawn from the offset law,
         # uniform direction; profile ratio f(.)/f(rho).
         pts = self._host(sites)
-        coords = np.ascontiguousarray(pts.T)
-        func, dim, offset = self.shape.func, self.dim, self._offset.sample_one
+        coords, rows = np.ascontiguousarray(pts.T), pts.tolist()
+        func, offset = self.shape.func, self._offset.sample_one
 
         def draw_m2r(k: int, rng: np.random.Generator) -> _Profile:
             rho = offset(rng)
-            center = (pts[k] + rho * _unit_vector(rng, dim))[:, None]
+            center = _storm_centre(rng, rows[k], rho)
             at_rho = func(rho)
 
             def profile():
@@ -603,14 +608,14 @@ class M3bModel(TcfModel):
         # on the run of sites within reach of the center along the first
         # axis.
         pts = self._host(sites)
-        coords = np.ascontiguousarray(pts.T)
+        coords, rows = np.ascontiguousarray(pts.T), pts.tolist()
         first = coords[0]
         dim, radius = self.dim, self.radius.sample_one
 
         def draw_m3b(k: int, rng: np.random.Generator) -> _Profile:
             r = radius(rng)
             w = r * rng.random() ** (1.0 / dim)
-            center = (pts[k] + w * _unit_vector(rng, dim))[:, None]
+            center = _storm_centre(rng, rows[k], w)
 
             def profile():
                 c, reach = center.item(0), r * _REACH_SCALE + _REACH_FLOOR

@@ -69,6 +69,9 @@ _KINK_EPS = 1e-12
 #: Largest order the Taylor hooks of the catalog take.
 _MAX_TAYLOR_ORDER = 10
 
+#: Distances per call of a correlation inside :func:`bounded_variogram`.
+_RHO_PIECE = 2 ** 15
+
 
 def _probe(func: Callable, points, what: str, helper: str) -> np.ndarray:
     """``func`` on a small array; rejects a callable that only takes floats."""
@@ -477,13 +480,26 @@ class Correlation:
         return _evaluate(t, self.func)
 
 
+def _abs_buffer(t) -> np.ndarray:
+    """|t| in a new float buffer, for a function of distance to finish in
+    place."""
+    return np.abs(t, out=np.empty(np.shape(t)))
+
+
 def exponential_correlation(scale: float = 1.0) -> Correlation:
     """rho(t) = exp(-t/scale)."""
     s = _real(scale, "scale", 0.0)
-    return Correlation(
-        name=f"exp(-t/{s:g})" if s != 1.0 else "exp(-t)",
-        func=lambda t: np.exp(-np.abs(t) / s),
-    )
+
+    def func(t):
+        # -|t|, its scale and its exp in one buffer: the bits of
+        # ``np.exp(-np.abs(t) / s)`` without its temporaries.
+        out = _abs_buffer(t)
+        np.negative(out, out=out)
+        out /= s
+        return np.exp(out, out=out)
+
+    return Correlation(name=f"exp(-t/{s:g})" if s != 1.0 else "exp(-t)",
+                       func=func)
 
 
 def correlation_from_callable(name: str, func: Callable[[float], float]
@@ -522,7 +538,7 @@ def fbm_variogram(scale: float, alpha: float) -> Variogram:
     def func(t):
         # |t|, its power and the scale in one buffer: the bits of
         # ``s * np.power(np.abs(t), a)`` without its two temporaries.
-        out = np.abs(t, out=np.empty(np.shape(t)))
+        out = _abs_buffer(t)
         np.power(out, a, out=out)
         out *= s
         return out
@@ -536,10 +552,16 @@ def bounded_variogram(lam: float, correlation: Correlation) -> Variogram:
     rho = correlation.func
 
     def func(t):
-        # 1 - rho(|t|) and the scale in the buffer of |t|: the bits of
-        # ``lamf * (1.0 - rho(np.abs(t)))`` without its temporaries.
-        out = np.abs(t, out=np.empty(np.shape(t)))
-        np.subtract(1.0, rho(out), out=out)
+        # rho(|t|), 1 - rho and the scale in one buffer, rho taken on
+        # pieces of |t| so that its own buffers stay small: the bits of
+        # ``lamf * (1.0 - rho(np.abs(t)))`` for a rho that acts entry by
+        # entry, without its whole-size temporaries.
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape)
+        flat_t, flat = t.reshape(-1), out.reshape(-1)
+        for lo in range(0, flat.size, _RHO_PIECE):
+            flat[lo:lo + _RHO_PIECE] = rho(np.abs(flat_t[lo:lo + _RHO_PIECE]))
+        np.subtract(1.0, out, out=out)
         out *= lamf
         return out
 

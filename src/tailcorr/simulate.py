@@ -35,7 +35,11 @@ each site the first storm arrival, then for each candidate the draws of
 its class's ``draw(k, rng)`` (a mixing law through
 ``Distribution1D.sample_one``) and the next arrival.  A field therefore
 depends only on the seed and its index, whatever is drawn before, after
-or between it.
+or between it.  The children are computed in blocks of ``_SEED_BLOCK`` as
+the stream reaches them, not spawned up front: one vectorized pass of
+``SeedSequence``'s own hash gives the words with which PCG64 seeds itself
+from each child of the block, bit for bit, so a stream holds one block
+and its memory does not grow with the number of realizations.
 
 Covariance factors are taken from the symmetric eigendecomposition with
 small negative eigenvalues clipped, so degenerate but valid inputs (for
@@ -57,6 +61,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, SimulationError
 from .models import TcfModel, _pairwise_distances, _ProfileDraw
@@ -104,6 +109,20 @@ _SCREEN_SITES = 8
 #: and MPS evaluate only the run of sites their ball or interval can
 #: reach, so those classes are not screened.
 _SCREEN_FROM_SITES = 512
+
+#: Children of a stream's ``SeedSequence`` whose seeding words are computed
+#: in one pass, as the stream reaches them.
+_SEED_BLOCK = 4096
+
+#: The constants of ``SeedSequence``'s hash (NumPy's ``bit_generator.pyx``,
+#: whose streams NEP 19 keeps stable): ``mix_entropy`` mixes the entropy
+#: into a pool of four 32-bit words, and ``generate_state`` hashes the
+#: pool into the requested words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
 
 #: Class tag -> model type, for every model class (a subclass of
 #: TcfModel) that carries a size-biased profile sampler.
@@ -162,6 +181,23 @@ class GridSpec:
     @property
     def n_sites(self) -> int:
         return math.prod(self.shape)
+
+    def _check_extent(self) -> None:
+        """Refuse a grid whose squared extent, the sum over axes of (last
+        site - first site)^2, is not finite.  That is the greatest squared
+        distance between two sites in the arithmetic of the set-up's
+        ``_pairwise_distances`` (rounding is monotone), so every squared
+        distance is finite exactly when it is."""
+        total = 0.0
+        for start, n in zip(self.origin, self.shape):
+            span = (start + self.spacing * (n - 1)) - start
+            total += span * span
+        if not math.isfinite(total):
+            raise DomainError(
+                f"grid extent overflows: its squared extent, the sum over "
+                f"axes of (spacing * (n - 1))^2, is not finite for spacing "
+                f"{self.spacing!r} and shape {self.shape}, so distances "
+                f"between its sites cannot be squared")
 
     def sites(self) -> np.ndarray:
         """All grid sites as an ``(n_sites, dim)`` array, row-major."""
@@ -278,6 +314,99 @@ def _nearest_earlier(grid: GridSpec, q: int) -> np.ndarray:
     return near
 
 
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words, least significant first, into which
+    ``SeedSequence`` splits the nonnegative int ``n`` (``[0]`` for 0)."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _child_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Row i - start is ``SeedSequence(seed, spawn_key=(i,))
+    .generate_state(4, np.uint64)``, the words with which PCG64 seeds
+    itself from child i of ``SeedSequence(seed)``, for i in [start, stop).
+
+    NumPy's hash runs on all the rows at once: each 32-bit word of the
+    pool is a Python int while it depends on the seed only and a uint64
+    array of one entry per row once a spawn key word is mixed in, and
+    every product of two 32-bit words is taken in 64 bits and masked.  The
+    hash multipliers follow a fixed sequence, the same for every row.  A
+    key i takes one word below 2^32 and more above, so the rows are split
+    where i crosses a multiple of 2^32; within a piece the key's first
+    word is an array and its others are ints.
+    """
+    entropy = _uint32_words(seed)
+    # With a spawn key, SeedSequence pads the seed's words to the pool.
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    out = np.empty((stop - start, 4), dtype=np.uint64)
+    piece = start
+    while piece < stop:
+        high, low = divmod(piece, 2 ** 32)
+        end = min(stop, (high + 1) * 2 ** 32)
+        key = [np.arange(low, low + end - piece, dtype=np.uint64)]
+        if high:
+            key += _uint32_words(high)
+        out[piece - start:end - start] = _hash_words(entropy + key)
+        piece = end
+    return out
+
+
+def _hash_words(entropy: list) -> np.ndarray:
+    """``mix_entropy`` of the entropy words (ints or uint64 arrays of one
+    length), then ``generate_state(4, np.uint64)`` of the pool, as NumPy's
+    ``SeedSequence`` computes them; an (n, 4) array for arrays of n."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state: eight 32-bit words from the pool in cycle, paired
+    # little-endian into four 64-bit ones.
+    const, state = _INIT_B, []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state.append(value ^ value >> 16)
+    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)],
+                    axis=-1)
+
+
+class _ChildSeed(ISeedSequence):
+    """The seeding words of one child, computed by :func:`_child_words`:
+    PCG64 asks its seed sequence for ``generate_state(4, np.uint64)`` and
+    seeds itself from them, exactly as from the child itself."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a child's seeding words are 4 uint64 words")
+        return self.words
+
+
 def _simulate_one(draw: _ProfileDraw, n_sites: int,
                   rng: np.random.Generator,
                   near: np.ndarray | None = None) -> np.ndarray:
@@ -335,11 +464,14 @@ def simulate(config: SimConfig) -> Iterator[GridField]:
     ``SeedSequence(config.seed)`` alone, in the fixed order of the module
     docstring, so the stream is bit-reproducible, realization i of a
     stream of n equals realization i of a longer one, and streams may be
-    interleaved or regenerated in any order.
+    interleaved or regenerated in any order.  The children are computed
+    in blocks as the stream advances, so its memory does not grow with
+    ``n_realizations``.
 
     Raises :class:`~tailcorr.errors.DomainError` for unsupported model
-    classes or grids (more than ``_MAX_SITES`` sites; Poisson storms
-    require d = 1; Gaussian classes cap the site count) and
+    classes or grids (more than ``_MAX_SITES`` sites; a squared extent
+    that is not finite; Poisson storms require d = 1; Gaussian classes
+    cap the site count) and
     :class:`~tailcorr.errors.SimulationError` for indefinite covariances,
     with the minimum eigenvalue attached, and for a realization that
     examines more than ``_STORMS_PER_SITE`` storm candidates per site.
@@ -351,21 +483,23 @@ def simulate(config: SimConfig) -> Iterator[GridField]:
     if config.grid.n_sites > _MAX_SITES:
         raise DomainError(f"grid has {config.grid.n_sites} sites, more than "
                           f"the {_MAX_SITES} a simulation takes")
+    config.grid._check_extent()
     sites = config.grid.sites()
     draw = config.model._profile_sampler(sites)
     screens = (config.model._PARTIAL_PROFILE
                and len(sites) >= _SCREEN_FROM_SITES
                and len(sites) > _SCREEN_SITES)
     near = _nearest_earlier(config.grid, _SCREEN_SITES) if screens else None
-    children = np.random.SeedSequence(config.seed).spawn(config.n_realizations)
+    n, seed = config.n_realizations, config.seed
 
     def stream() -> Iterator[GridField]:
-        for child in children:
-            rng = np.random.default_rng(child)
-            values = _simulate_one(draw, len(sites), rng, near)
-            yield GridField(grid=config.grid,
-                            values=values.reshape(config.grid.shape),
-                            margins="frechet")
+        for start in range(0, n, _SEED_BLOCK):
+            for words in _child_words(seed, start, min(n, start + _SEED_BLOCK)):
+                rng = np.random.Generator(np.random.PCG64(_ChildSeed(words)))
+                values = _simulate_one(draw, len(sites), rng, near)
+                yield GridField(grid=config.grid,
+                                values=values.reshape(config.grid.shape),
+                                margins="frechet")
 
     return stream()
 

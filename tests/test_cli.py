@@ -797,6 +797,15 @@ class TestSimulateEstimate:
         assert res.exit_code == 1
         assert "Error: grid axis 0 overflows" in res.output
 
+    def test_a_squared_extent_that_overflows_is_named(self, runner,
+                                                      br_config):
+        res = runner.invoke(main, ["simulate", br_config, "--grid", "4@1e200",
+                                   "--n", "2"])
+        assert res.exit_code == 1
+        assert ("Error: grid extent overflows: its squared extent, the sum "
+                "over axes of (spacing * (n - 1))^2, is not finite"
+                in res.output)
+
 
 class TestSeedOption:
     """``--seed`` exists only on the commands that draw random numbers."""

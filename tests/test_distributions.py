@@ -15,12 +15,18 @@ from scipy import stats
 from tailcorr import GridSpec, M3bModel, MPSModel, SimConfig, simulate
 from tailcorr.distributions import (
     Distribution1D,
+    _interp,
     exponential_dist,
     from_cdf,
     from_pdf,
     scale_distribution,
 )
 from tailcorr.errors import DomainError, SimulationError
+from tailcorr.presets import (
+    erfc_sqrt_models,
+    erfc_sqrt_models_1d,
+    erfc_sqrt_radius_law,
+)
 
 N = 4000
 
@@ -267,6 +273,51 @@ def test_sample_keeps_its_bits(kind, n):
         assert np.array_equal(bits(got), bits(reference_sample(law, theirs,
                                                                n)))
         assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def tabulated_preset_laws():
+    """The laws of the presets that draw from an inverse-cdf table: the
+    M3b radii and the M2r centre offsets in d = 1 and 3."""
+    return {"radius-1d": erfc_sqrt_radius_law(1),
+            "radius-3d": erfc_sqrt_radius_law(3),
+            "offset-1d": erfc_sqrt_models_1d()["M2r"]._offset,
+            "offset-3d": erfc_sqrt_models()["M2r"]._offset}
+
+
+@pytest.mark.parametrize("name", ["radius-1d", "radius-3d", "offset-1d",
+                                  "offset-3d"])
+def test_one_table_draw_has_the_bits_of_np_interp(name):
+    # 1e5 uniform levels, every node's level and both of its float
+    # neighbours, each through one scalar ``np.interp`` call.
+    law = tabulated_preset_laws()[name]
+    x, cum = law._inverse_cdf_table
+    assert law.quantile is None and law.sampler is None and not law.atoms
+    levels = np.concatenate([
+        rng(3).random(100_000), cum, np.nextafter(cum, -np.inf),
+        np.nextafter(cum, np.inf), [np.nextafter(1.0, 0.0)]])
+    levels = levels[(levels >= 0.0) & (levels < 1.0)]
+    assert len(levels) > 100_000 + 3 * len(cum) - 4
+    want = [np.interp(u, cum, x) for u in levels]
+    got = [_interp(u, *law._inverse_cdf_lists) for u in levels.tolist()]
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("levels, nodes", [
+    ([0.0, 0.5, 1.0], [0.0, 1.0, 3.0]),
+    # An infinite slope: only the exact-node case keeps its nodes.
+    ([0.0, 5e-324, 1.0], [0.0, 1e300, 2e300]),
+    # Infinite nodes: the formula gives NaN, and each fallback answers.
+    ([0.0, 0.5, 1.0], [-math.inf, 0.0, 1.0]),
+    ([0.0, 0.5, 1.0], [math.inf, math.inf, 1.0]),
+], ids=["plain", "infinite-slope", "nan-fallback", "equal-nodes-fallback"])
+def test_one_table_draw_at_the_edges_of_np_interp(levels, nodes):
+    with np.errstate(all="ignore"):
+        slopes = (np.diff(nodes) / np.diff(levels)).tolist()
+    for u in (-0.5, 0.0, 5e-324, 0.25, 0.5, 0.75, 1.0, 2.0, math.nan):
+        with np.errstate(all="ignore"):
+            want = np.interp(u, levels, nodes)
+        assert np.array_equal(bits([_interp(u, levels, nodes, slopes)]),
+                              bits([want]))
 
 
 def test_atoms_of_a_mixed_law_are_drawn_on_both_routes():

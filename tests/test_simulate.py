@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
-from tailcorr import DomainError, SimulationError, erfc
+from tailcorr import DomainError, SimulationError, erf, erfc
 from tailcorr.distributions import from_pdf, point_mass
 from tailcorr.models import (
     _BELOW_EXP_ROUNDING,
@@ -40,6 +40,7 @@ from tailcorr.presets import (
     erfc_sqrt_radius_law,
 )
 from tailcorr.radial import (
+    bounded_variogram,
     correlation_from_callable,
     exponential_correlation,
     fbm_variogram,
@@ -130,6 +131,30 @@ class TestGridSpec:
         grid = GridSpec(dim=2, shape=(4, 2), spacing=1e307,
                         origin=(1.7e308 - 3e307, -1.7e308))
         assert np.isfinite(grid.sites()).all()
+
+    @pytest.mark.parametrize("cls", ["BR", "M2r"])
+    @pytest.mark.parametrize("grid", [
+        GridSpec(dim=1, shape=(4,), spacing=1e200),
+        # Each axis squares to a finite 1.21e308, their sum does not.
+        GridSpec(dim=2, shape=(2, 2), spacing=1.1e154),
+    ], ids=["1d", "2d"])
+    def test_a_squared_extent_that_overflows_is_named(self, cls, grid):
+        model = {**erfc_sqrt_models_1d(),
+                 "BR": BRModel(dim=1, variogram=fbm_variogram(8.0, 1.0))}
+        if grid.dim == 2:
+            model = erfc_sqrt_models()
+        config = SimConfig(model=model[cls], grid=grid, n_realizations=1,
+                           seed=0)
+        with pytest.raises(DomainError, match="grid extent overflows: its "
+                           r"squared extent, the sum over axes of \(spacing "
+                           r"\* \(n - 1\)\)\^2, is not finite"):
+            simulate(config)
+
+    def test_a_squared_extent_below_the_limit_simulates(self):
+        grid = GridSpec(dim=2, shape=(2, 2), spacing=9e153)
+        config = SimConfig(model=erfc_sqrt_models()["M3b"], grid=grid,
+                           n_realizations=2, seed=0)
+        assert collect(config).shape == (2, 4)
 
 
 class TestGridField:
@@ -911,6 +936,51 @@ class TestSetupBits:
             tracemalloc.stop()
         assert peak <= 2.5 * len(sites) ** 2 * 8
 
+    @pytest.mark.parametrize("cls", ["BR", "EG", "EBG"])
+    def test_bounded_gauss_setup_memory_in_one_buffer(self, cls):
+        # The bounded-gauss correlations and BR's bounded variogram over
+        # the exponential correlation each fill one buffer beside the
+        # distances: about 2 n^2 floats at the traced peak.
+        sites = GRID_1024.sites()
+        model = bounded_gauss_models(dim=2)[cls]
+        tracemalloc.start()
+        try:
+            model._profile_sampler(sites)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(sites) ** 2 * 8
+
+    def test_correlations_in_one_buffer_keep_their_bits(self):
+        # Against the formulas written out, on the distances of the 32 x 32
+        # grid and on signed values from subnormal to huge.
+        rho_eg, rho_ebg = bounded_gauss_correlations()
+
+        def e(t):
+            return erf(0.45 * np.sqrt(-np.expm1(-np.abs(t))))
+
+        rng = np.random.default_rng(8)
+        signed = np.concatenate([
+            rng.standard_normal(5000) * 10.0 ** rng.uniform(-320, 3, 5000),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-160, 1e300, math.inf]])
+        lam, exp_rho = 1.62, exponential_correlation(1.0)
+        for t in (_pairwise_distances(GRID_1024.sites()), signed, signed[:1]):
+            for scale in (1.0, 0.3, 7.0):
+                assert bit_equal(exponential_correlation(scale).func(t),
+                                 np.exp(-np.abs(t) / scale))
+            assert bit_equal(rho_eg.func(t), 1.0 - 2.0 * e(t) * e(t))
+            assert bit_equal(rho_ebg.func(t), np.cos(math.pi * e(t)))
+            assert bit_equal(bounded_variogram(lam, exp_rho).func(t),
+                             lam * (1.0 - exp_rho.func(np.abs(t))))
+
+    def test_a_bounded_variogram_of_a_plain_callable(self):
+        # A correlation wrapped from a scalar callable that is not even,
+        # on more signed distances than one piece of the variogram takes.
+        rho = correlation_from_callable("odd", lambda t: 1.0 / (1.0 + abs(t) + t))
+        t = np.linspace(-40.0, 40.0, 7 * (2 ** 14 + 3)).reshape(-1, 7)
+        assert bit_equal(bounded_variogram(2.0, rho).func(t),
+                         2.0 * (1.0 - rho.func(np.abs(t))))
+
 
 class TestStreamContract:
     """One child generator per realization: a realization's fields depend
@@ -934,6 +1004,83 @@ class TestStreamContract:
                        for n in (6, 12))
         assert bit_equal(long[:6], short)
         assert not np.array_equal(long[6:], short)
+
+    def test_a_stream_across_seed_blocks(self, monkeypatch):
+        # Blocks of 4 children: the fields of a stream of 10 are those of
+        # the reference's one generator per child of ``spawn``.
+        monkeypatch.setattr(ENGINE, "_SEED_BLOCK", 4)
+        config = SimConfig(model=loop_models()["M3b"], grid=LOOP_GRID,
+                           n_realizations=10, seed=41)
+        assert bit_equal(collect(config), reference_fields(config))
+
+    def test_a_huge_stream_starts_at_once(self):
+        # No child is made ahead of its block: the first field of a stream
+        # of 10^12 costs one block of seeding words.
+        config = SimConfig(model=loop_models()["MPS"], grid=LOOP_GRID,
+                           n_realizations=10 ** 12, seed=3)
+        tracemalloc.start()
+        try:
+            first = next(simulate(config))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+        assert bit_equal(first.values.ravel(), reference_fields(
+            SimConfig(model=config.model, grid=LOOP_GRID, n_realizations=1,
+                      seed=3))[0])
+
+
+#: Seeds of one to six 32-bit words.
+SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 160 + 3]
+
+
+class TestChildSeeds:
+    """The seeding words of a block of children are NumPy's own, and a
+    generator seeded from them draws as ``default_rng`` of the child."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start, stop", [
+        (0, 10),
+        (ENGINE._SEED_BLOCK - 3, ENGINE._SEED_BLOCK + 3),
+        # Keys from 2^32 on take two words.
+        (2 ** 32 - 2, 2 ** 32 + 2),
+    ], ids=["first", "block-edge", "two-word-keys"])
+    def test_words_are_those_of_the_child(self, seed, start, stop):
+        words = ENGINE._child_words(seed, start, stop)
+        assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
+        want = [np.random.SeedSequence(seed, spawn_key=(i,)).generate_state(
+            4, np.uint64) for i in range(start, stop)]
+        assert np.array_equal(words, np.stack(want))
+
+    def test_words_are_those_of_spawn(self):
+        children = np.random.SeedSequence(2 ** 64 + 5).spawn(12)
+        words = ENGINE._child_words(2 ** 64 + 5, 0, 12)
+        for child, row in zip(children, words):
+            assert np.array_equal(row, child.generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_are_those_of_default_rng(self, seed):
+        for i, words in zip(range(2 ** 32 - 2, 2 ** 32 + 2),
+                            ENGINE._child_words(seed, 2 ** 32 - 2,
+                                                2 ** 32 + 2)):
+            mine = np.random.Generator(
+                np.random.PCG64(ENGINE._ChildSeed(words)))
+            theirs = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(i,)))
+            assert mine.bit_generator.state == theirs.bit_generator.state
+            for name, args in [("random", ()), ("exponential", ()),
+                               ("standard_normal", (3,)), ("gamma", (2.0,)),
+                               ("rayleigh", ()), ("uniform", (0.0, 2.0)),
+                               ("random", (5,))]:
+                got = getattr(mine, name)(*args)
+                want = getattr(theirs, name)(*args)
+                assert np.array_equal(np.float64(got).view(np.int64),
+                                      np.float64(want).view(np.int64))
+
+    def test_a_child_seed_gives_only_its_words(self):
+        seed = ENGINE._ChildSeed(ENGINE._child_words(1, 0, 1)[0])
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seed.generate_state(8, np.uint32)
 
 
 # ---------------------------------------------------------------------------
