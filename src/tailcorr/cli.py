@@ -43,7 +43,6 @@ from typing import get_type_hints
 
 import click
 import numpy as np
-import yaml
 
 from . import __version__
 from .distributions import Distribution1D, exponential_dist, point_mass
@@ -297,6 +296,8 @@ def model_from_doc(data: object) -> TcfModel:
 
 def load_model(path: str) -> tuple[TcfModel, str]:
     """Read a YAML model config; returns (model, fingerprint)."""
+    import yaml  # here, so that a command without a config never loads it
+
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -505,7 +506,20 @@ def _common(tol_help: str = "numerical tolerance passed to the backend",
 
 #: ``--tol`` of the commands that pass it only to an ``@CONFIG.yaml`` TCF.
 _SPEC_TOL_HELP = ("numerical tolerance of the TCF of an @CONFIG.yaml "
-                  "FUNCTION; a named FUNCTION does not read it")
+                  "FUNCTION; refused with a named FUNCTION")
+
+
+def _resolve_spec_tol(function_spec: str, tol: float
+                      ) -> tuple[RadialFunction, str]:
+    """``_resolve`` for the commands whose ``--tol`` only an
+    ``@CONFIG.yaml`` FUNCTION reads: an explicit ``--tol`` with a named
+    FUNCTION is a usage error."""
+    source = click.get_current_context().get_parameter_source("tol")
+    if (not function_spec.startswith("@")
+            and source is not click.core.ParameterSource.DEFAULT):
+        raise click.UsageError(
+            "--tol applies to an @CONFIG.yaml FUNCTION only")
+    return _resolve(function_spec, tol)
 
 
 #: The option of the commands that draw random numbers.
@@ -591,7 +605,7 @@ def cmd_recover(function_spec, target, dim, out, tol, grid_spec, quiet):
 @_common(_SPEC_TOL_HELP)
 def cmd_transform(function_spec, map_name, lam, out, tol, grid_spec, quiet):
     """Apply a correlation transform to function values -> CSV."""
-    f, key = _resolve(function_spec, tol)
+    f, key = _resolve_spec_tol(function_spec, tol)
     grid = _parse_grid(grid_spec)
     spec = TransformSpec(map_name, lam)
     values = f(grid)
@@ -633,7 +647,7 @@ def cmd_tb(function_spec, k, d, out, tol, grid_spec, quiet):
 def cmd_check(function_spec, dim, max_order, seed, out, tol, grid_spec,
               quiet):
     """Run the membership batteries on a function -> report (+ CSV)."""
-    chi, key = _resolve(function_spec, tol)
+    chi, key = _resolve_spec_tol(function_spec, tol)
     grid = (None if grid_spec is None
             else [float(g) for g in _parse_grid(grid_spec)])
     report = classify(chi, dim, seed=seed, grid=grid, max_order=max_order)

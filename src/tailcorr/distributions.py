@@ -261,7 +261,8 @@ class Distribution1D:
     @cached_property
     def _route(self) -> tuple[Callable, Callable]:
         """The draw route of :meth:`sample`, decided once per law: a pair
-        ``(many, one)`` of ``many(rng, n)`` and ``one(rng)``."""
+        ``(many, one)`` of ``many(rng, n)`` and ``one(rng)``.
+        :func:`point_mass` sets a constant one instead."""
         if self.sampler is not None:
             return self._sampler_route()
         if self.quantile is None and self.is_purely_atomic:
@@ -441,9 +442,14 @@ def _interp(u: float, levels: list, nodes: list, slopes: list) -> float:
 
 
 def point_mass(x: float, name: str | None = None) -> Distribution1D:
-    """The law concentrated at a single point."""
+    """The law concentrated at a single point.
+
+    Its draws take a constant route: ``sample_one`` returns the point and
+    ``sample`` an array full of it, with no random number consumed (the
+    values of the ``sampler`` route, without its checks).
+    """
     xf = float(x)
-    return Distribution1D(
+    law = Distribution1D(
         name=name or f"point_mass({xf:g})",
         cdf=lambda s: 1.0 if s >= xf else 0.0,
         atoms=((xf, 1.0),),
@@ -451,6 +457,10 @@ def point_mass(x: float, name: str | None = None) -> Distribution1D:
         quantile=lambda q: xf,
         sampler=lambda rng, n: np.full(n, xf),
     )
+    # Fills the cached ``_route`` before any draw decides it.
+    object.__setattr__(law, "_route", (lambda rng, n: np.full(n, xf),
+                                       lambda rng: xf))
+    return law
 
 
 def exponential_dist(rate: float = 1.0, name: str | None = None) -> Distribution1D:

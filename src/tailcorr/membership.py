@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import series
+from . import _special, series
 from .errors import DomainError
 from .models import parametric_bounds
 from .numerics import (
@@ -644,10 +644,8 @@ def spectral_density(chi: RadialFunction, d: int, omega, *,
             return _once_per_node(chi, r) * np.cos(omegas[k] * r)
         scale = np.full(omegas.shape, 2.0)
     elif d == 2:
-        from scipy.special import j0
-
         def integrand(r, k):
-            return _once_per_node(chi, r) * j0(omegas[k] * r) * r
+            return _once_per_node(chi, r) * _special.j0(omegas[k] * r) * r
         scale = np.full(omegas.shape, 2.0 * math.pi)
     else:
         def integrand(r, k):

@@ -54,9 +54,8 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, ClassVar
 
 import numpy as np
-from scipy import special as _special
 
-from . import series
+from . import _special, series
 from .distributions import Distribution1D, from_pdf
 from .errors import DomainError, ModelError, SimulationError
 from .numerics import (
@@ -172,6 +171,27 @@ def _cap_constant(d: int) -> float:
             * float(_special.beta((d - 1) / 2.0, 0.5)))
 
 
+def _radial_exponent(f: RadialFunction, d: int) -> float:
+    """The exponent, capped at 0, of the radial integrand u^(d-1) f(u) at
+    0; raises ModelError when f is not integrable over R^d there."""
+    sing = min(0.0, f.zero_exponent + (d - 1))
+    if sing <= -1.0:
+        raise ModelError(
+            f"shape {f.name!r} is not integrable over R^{d} "
+            f"(radial integrand exponent {sing:.3g} at 0)")
+    return sing
+
+
+def _mass(f: RadialFunction, d: int, tol: float) -> float:
+    """int_{R^d} f(|z|) dz as d kappa_d int_0^inf u^(d-1) f(u) du, one
+    radial integral (the value of ``overlap_integral(f, d, 0)``)."""
+    upper = f.support_bound if f.support_bound is not None else math.inf
+    value, _ = _integrate(lambda u, k: u ** (d - 1) * f.func(u), 0.0, upper,
+                          tol, singular_exponent_a=_radial_exponent(f, d),
+                          points=f.kinks)
+    return d * kappa_d(d) * float(value[0])
+
+
 @_float_rule(at=2, result=True)
 def overlap_integral(f: RadialFunction, d: int, t, *, tol: float = 1e-10):
     """int_{R^d} min(f(|z|), f(|z - t e_1|)) dz for radial non-increasing f.
@@ -186,12 +206,10 @@ def overlap_integral(f: RadialFunction, d: int, t, *, tol: float = 1e-10):
     t = t.ravel()
     half = 0.5 * t
     upper = f.support_bound if f.support_bound is not None else math.inf
-    # The radial integrand at t = 0 behaves like u^(zero_exponent + d - 1).
-    sing = np.where(t == 0.0, min(0.0, f.zero_exponent + (d - 1)), 0.0)
-    if np.any(sing <= -1.0):
-        raise ModelError(
-            f"shape {f.name!r} is not integrable over R^{d} "
-            f"(radial integrand exponent {float(sing.min()):.3g} at 0)")
+    sing = np.zeros(t.shape)
+    if np.any(t == 0.0):
+        # The radial integrand at t = 0 behaves like u^(zero_exponent + d - 1).
+        sing[t == 0.0] = _radial_exponent(f, d)
     live = half < upper
     lows = half[live]
     if d == 1:
@@ -543,10 +561,10 @@ class M2rModel(TcfModel):
         scale = np.max(np.abs(vals)) + 1e-300
         if np.any(vals[1:] > vals[:-1] + 1e-9 * scale):
             raise ModelError(f"shape {self.shape.name!r} is not non-increasing")
-        total = overlap_integral(self.shape, self.dim, 0.0, tol=1e-9)
-        if abs(total.value - 1.0) > self.normalization_tol:
+        total = _mass(self.shape, self.dim, 1e-9)
+        if abs(total - 1.0) > self.normalization_tol:
             raise ModelError(
-                f"shape {self.shape.name!r} integrates to {total.value!r} over "
+                f"shape {self.shape.name!r} integrates to {total!r} over "
                 f"R^{self.dim}, expected 1 within {self.normalization_tol:g}")
         # The center of a storm that contributes at a site lies at radial
         # offset rho with density proportional to rho^(d-1) f(rho); the

@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
+from . import _special
 from .errors import DomainError, KinkError, QuadratureError
 
 __all__ = [

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
+from . import _special
 from .errors import DomainError, KinkError, TailcorrError
 from .models import TcfModel, h_d, tcf_result
 from .numerics import (
@@ -52,7 +52,6 @@ from .numerics import (
     _reject,
     _worst_midpoint_gap,
     beta_d,
-    erf_inv,
     erfc,
     erfc_inv,
     num_derivative,
@@ -91,11 +90,12 @@ __all__ = [
 ]
 
 #: Largest lambda (at alpha = 0) for which S_lambda maps correlation
-#: functions to correlation functions: 8 erf_inv(1/sqrt 2)^2.
-S_ADMISSIBLE_LIMIT = 8.0 * float(erf_inv(1.0 / math.sqrt(2.0))) ** 2
+#: functions to correlation functions: 8 erf_inv(1/sqrt 2)^2, written out
+#: so that importing the module calls no special function.
+S_ADMISSIBLE_LIMIT = 4.425098125842823
 
 #: Largest lambda (at alpha = 0) for which T_lambda does: 8 erf_inv(1/2)^2.
-T_ADMISSIBLE_LIMIT = 8.0 * float(erf_inv(0.5)) ** 2
+T_ADMISSIBLE_LIMIT = 1.819745692478291
 
 
 def _check_x(x: np.ndarray) -> None:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _special
 
+from . import _special
 from .distributions import Distribution1D
 from .errors import DomainError
 from .models import (

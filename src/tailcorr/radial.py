@@ -36,9 +36,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _special
 
-from . import series
+from . import _special, series
 from .errors import DomainError, KinkError, TailcorrError
 from .numerics import (_float_rule, _integer, _lift, _radial_derivatives,
                        _real, _reject, kappa_d)

@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
+
+from . import _special
 
 _UNIT = 0.5 * float(np.finfo(float).eps)
 

@@ -908,9 +908,10 @@ class TestToleranceHeader:
     @pytest.mark.parametrize("command", [
         ["eval", "{config}"],
         ["recover", "erfc_sqrt", "--target", "shape", "--d", "2"],
-        ["transform", "exp", "--map", "S", "--lam", "1.62"],
+        ["transform", "@{config}", "--map", "S", "--lam", "1.62"],
         ["tb", "tent", "--k", "1", "--d", "3"],
-        ["check", "tent", "--d", "1", "--max-order", "2", "--out", "{out}"],
+        ["check", "@{config}", "--d", "1", "--max-order", "2", "--out",
+         "{out}"],
     ], ids=["eval", "recover", "transform", "tb", "check"])
     def test_tol_line_under_the_header(self, runner, br_config, tmp_path,
                                        command):
@@ -927,6 +928,63 @@ class TestToleranceHeader:
         assert default[1] == "# tol=1e-09"
         assert loose[1] == "# tol=0.001"
         assert default[0] == loose[0]
+
+
+class TestSpecTol:
+    """``transform`` and ``check`` pass ``--tol`` only to the TCF of an
+    ``@CONFIG.yaml`` FUNCTION, and refuse it with a named one."""
+
+    COMMANDS = {
+        "transform": ["transform", "{spec}", "--map", "S", "--grid",
+                      "0.5:2:3"],
+        "check": ["check", "{spec}", "--d", "1", "--max-order", "2",
+                  "--grid", "0.5:2:3", "--out", "{out}"],
+    }
+
+    def args(self, command, spec, out):
+        return [a.format(spec=spec, out=out) for a in self.COMMANDS[command]]
+
+    @pytest.mark.parametrize("command", ["transform", "check"])
+    @pytest.mark.parametrize("tol", ["1e-3", "1e-9"])
+    def test_named_function_refuses_an_explicit_tol(self, runner, tmp_path,
+                                                    command, tol):
+        # Even the default value, given explicitly, is refused.
+        out = tmp_path / "out.csv"
+        res = runner.invoke(main, [*self.args(command, "tent", out),
+                                   "--tol", tol, "--quiet"])
+        assert res.exit_code == 2
+        assert "--tol applies to an @CONFIG.yaml FUNCTION only" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transform", "check"])
+    def test_named_function_without_tol_runs(self, runner, tmp_path,
+                                             command):
+        out = tmp_path / "out.csv"
+        res = runner.invoke(main, [*self.args(command, "tent", out),
+                                   "--quiet"])
+        assert res.exit_code == 0, res.output
+        text = out.read_text() if command == "check" else res.stdout
+        assert text.splitlines()[1] == "# tol=1e-09"
+
+    @pytest.mark.parametrize("command", ["transform", "check"])
+    def test_config_function_passes_tol_to_its_tcf(self, runner, br_config,
+                                                   tmp_path, monkeypatch,
+                                                   command):
+        import tailcorr.cli as cli
+
+        seen = []
+
+        def recording(model, *, tol, name):
+            seen.append(tol)
+            return tcf_radial(model, tol=tol, name=name)
+
+        tcf_radial = cli.tcf_radial
+        monkeypatch.setattr(cli, "tcf_radial", recording)
+        res = runner.invoke(main, [
+            *self.args(command, "@" + br_config, tmp_path / "out.csv"),
+            "--tol", "1e-7", "--quiet"])
+        assert res.exit_code == 0, res.output
+        assert seen == [1e-7]
 
 
 class TestReproduce:
@@ -1047,6 +1105,61 @@ class TestColdImport:
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    @staticmethod
+    def loaded(code: str) -> list[str]:
+        """``scipy.special`` and ``yaml``, whichever are in ``sys.modules``
+        when ``code`` has run (or exited) in a fresh interpreter on this
+        checkout's sources, in this order."""
+        src = str(Path(tailcorr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        report = ("import atexit, sys\n"
+                  "atexit.register(lambda: print([m for m in ('scipy.special',"
+                  " 'yaml') if m in sys.modules]))\n")
+        out = subprocess.run([sys.executable, "-c", report + code], env=env,
+                             capture_output=True, text=True, check=True)
+        return eval(out.stdout.splitlines()[-1])
+
+    def test_import_leaves_special_functions_and_yaml_unloaded(self):
+        assert self.loaded("import tailcorr") == []
+
+    def test_version_leaves_special_functions_and_yaml_unloaded(self):
+        # As ``python -m tailcorr.cli --version``.
+        assert self.loaded(
+            "import runpy\n"
+            "sys.argv = ['tailcorr', '--version']\n"
+            "runpy.run_module('tailcorr.cli', run_name='__main__')\n") == []
+
+    def test_grid_simulation_leaves_special_functions_unloaded(self):
+        # The models of the benchmark's 32 x 32 grid: their set-up and
+        # draws call no special function.
+        code = (
+            "from tailcorr import (BRModel, GridSpec, SimConfig, presets,\n"
+            "                      fbm_variogram, simulate)\n"
+            "models = {**presets.erfc_sqrt_models(),\n"
+            "          'fbm': BRModel(dim=2, variogram=fbm_variogram(8, 1))}\n"
+            "grid = GridSpec(dim=2, shape=(32, 32), spacing=0.25)\n"
+            "for name, model in models.items():\n"
+            "    if name != 'MPS':  # simulated in d = 1 only\n"
+            "        next(iter(simulate(SimConfig(model=model, grid=grid,\n"
+            "                                     n_realizations=1,\n"
+            "                                     seed=1))))\n")
+        assert self.loaded(code) == []
+
+    def test_first_tcf_loads_scipy_special_with_its_bits(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from tailcorr import BRModel, fbm_variogram, tcf\n"
+            "lags = np.linspace(0.0, 5.0, 101)\n"
+            "model = BRModel(dim=2, variogram=fbm_variogram(8, 1))\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "chi = tcf(model, lags)\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "from scipy.special import erfc\n"
+            "direct = erfc(np.sqrt(model.variogram(lags) / 8.0))\n"
+            "assert np.array_equal(chi.view(np.int64), direct.view(np.int64))\n")
+        assert self.loaded(code) == ["scipy.special"]
 
 
 class TestGridSpecs:

@@ -19,6 +19,7 @@ from tailcorr.distributions import (
     exponential_dist,
     from_cdf,
     from_pdf,
+    point_mass,
     scale_distribution,
 )
 from tailcorr.errors import DomainError, SimulationError
@@ -219,6 +220,7 @@ LAW_KINDS = {
     "quantile": lambda: from_cdf("exp", exp_cdf,
                                  quantile=lambda q: -math.log1p(-q)),
     "bisection": lambda: from_cdf("exp", exp_cdf),
+    "point_mass": lambda: point_mass(1.3),
 }
 
 
@@ -273,6 +275,15 @@ def test_sample_keeps_its_bits(kind, n):
         assert np.array_equal(bits(got), bits(reference_sample(law, theirs,
                                                                n)))
         assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def test_a_point_mass_draw_consumes_no_random_numbers():
+    law, g = point_mass(0.75), rng()
+    state = g.bit_generator.state
+    drawn = law.sample_one(g)
+    assert type(drawn) is float and drawn == 0.75
+    assert np.array_equal(bits(law.sample(g, 5)), bits(np.full(5, 0.75)))
+    assert g.bit_generator.state == state
 
 
 def tabulated_preset_laws():

@@ -714,6 +714,26 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             M2rModel(dim=1, shape=bad)
 
+    @pytest.mark.parametrize("shape, d", [
+        (erfc_sqrt_shape(1), 1), (erfc_sqrt_shape(3), 3),
+        (ball_indicator(1), 1), (ball_indicator(2), 2), (ball_indicator(3), 3),
+    ], ids=["erfc_sqrt_1d", "erfc_sqrt_3d", "ball_1d", "ball_2d", "ball_3d"])
+    def test_m2r_mass_is_the_overlap_at_zero(self, shape, d):
+        # The construction check is one radial integral d kappa_d int u^(d-1)
+        # f(u) du, with no Beta function; it reads the overlap at lag 0.
+        assert models._mass(shape, d, 1e-9) == pytest.approx(
+            overlap_integral(shape, d, 0.0, tol=1e-9).value, abs=1e-12)
+
+    def test_m2r_rejects_a_shape_not_integrable_at_zero(self):
+        spiky = radial_from_callable("spiky", lambda u: u ** -3.5,
+                                     zero_exponent=-3.5)
+        message = r"'spiky' is not integrable over R\^3 \(radial integrand " \
+                  r"exponent -1\.5 at 0\)"
+        with pytest.raises(ModelError, match=message):
+            overlap_integral(spiky, 3, 0.0)
+        with pytest.raises(ModelError, match=message):
+            M2rModel(dim=3, shape=spiky)
+
     def test_m2r_rejects_increasing_shape(self):
         bad = radial_from_callable("rising", lambda u: min(u, 1.0))
         with pytest.raises(ModelError):

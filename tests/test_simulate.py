@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import kstest, norm
 
 from tailcorr import DomainError, SimulationError, erf, erfc
-from tailcorr.distributions import from_pdf, point_mass
+from tailcorr.distributions import Distribution1D, from_pdf, point_mass
 from tailcorr.models import (
     _BELOW_EXP_ROUNDING,
     BRModel,
@@ -714,6 +714,23 @@ class TestEngineBits:
         config = SimConfig(model=models_2d()["M3b"], grid=GRID_1024,
                            n_realizations=2, seed=3)
         assert bit_equal(collect(config), reference_fields(config))
+
+    @pytest.mark.parametrize("cls, field, x", [(M3bModel, "radius", 0.6),
+                                               (MPSModel, "mixing", 2.0)],
+                             ids=["M3b", "MPS"])
+    def test_fixed_radius_and_intensity(self, cls, field, x):
+        # A point mass draws on a constant route; the same law on the
+        # sampler route gives the same fields.
+        on_sampler = Distribution1D(
+            name="on_sampler", atoms=((x, 1.0),), support=(x, x),
+            sampler=lambda rng, n: np.full(n, x))
+        config = SimConfig(model=cls(dim=1, **{field: point_mass(x)}),
+                           grid=LOOP_GRID, n_realizations=150, seed=31)
+        fields = collect(config)
+        assert bit_equal(fields, reference_fields(config))
+        assert bit_equal(fields, collect(SimConfig(
+            model=cls(dim=1, **{field: on_sampler}), grid=LOOP_GRID,
+            n_realizations=150, seed=31)))
 
     def test_a_swapped_draw_is_caught(self):
         config = SimConfig(model=loop_models()["M3b"], grid=LOOP_GRID,
