@@ -391,6 +391,20 @@ def _variogram_covariance(model: BRModel | VBRModel, sites: np.ndarray):
     return cov, _GaussianRows(_gaussian_factor(cov)), 0.5 * sig2
 
 
+def _drift_rows(cov: np.ndarray, half: np.ndarray | None = None
+                ) -> np.ndarray:
+    """``cov`` of :func:`_variogram_covariance` with row k turned into the
+    drift ``cov[k] - cov[k, k]`` of the tilt at site k, or with ``half``
+    into ``(cov[k] - cov[k, k]) - (half - half[k])``, the bits of those
+    formulas at every site.  The rows are formed in place, one at a time,
+    so no n x n temporary is allocated; row k's diagonal becomes 0."""
+    for k, row in enumerate(cov):
+        row -= row[k]
+        if half is not None:
+            row -= half - half[k]
+    return cov
+
+
 def _correlation_factor(model: EGModel | EBGModel, sites: np.ndarray):
     """Correlation matrix of an extremal Gaussian class and its factor as
     :class:`_GaussianRows`.  The matrix is symmetric in every bit, as the
@@ -406,14 +420,19 @@ def _tilted_profile(gauss: _GaussianRows, z: np.ndarray, k: int,
     """The profile ``exp(log_ratio(w, w[k], at, k, s))`` of a Brown-Resnick
     class on w = A z at the sites ``at``, for the scale ``s`` of the storm;
     ``log_ratio`` is non-decreasing in ``w - w[k]``, so the bracket of
-    :meth:`_GaussianRows.some` bounds it from below."""
+    :meth:`_GaussianRows.some` bounds it from below.  ``log_ratio`` works
+    in place on the fresh ``w`` it is given, and so does the ``exp``."""
 
     def profile(idx=None):
         if idx is None:
             w = gauss.factor @ z
-            return 0, np.exp(log_ratio(w, w[k], slice(None), k, s))
+            w = log_ratio(w, w.item(k), slice(None), k, s)
+            return 0, np.exp(w, out=w)
         w, _, w_k = gauss.some(z, idx, k)
-        return np.exp(log_ratio(w, w_k, idx, k, s)) * _BELOW_EXP_ROUNDING
+        w = log_ratio(w, w_k, idx, k, s)
+        np.exp(w, out=w)
+        w *= _BELOW_EXP_ROUNDING
+        return w
 
     return profile
 
@@ -425,18 +444,22 @@ def _conditioned_profile(gauss: _GaussianRows, normals: np.ndarray, k: int,
     ``k``, where z = y + (z* - y_k) rho_k conditions y = A normals on
     z_k = z*.  ``ratio`` is non-decreasing in z, so raising y_k where rho_k
     is nonnegative and lowering it elsewhere bounds a partial profile from
-    below."""
+    below.  z is formed in one fresh array, which ``ratio`` may reuse."""
 
     def profile(idx=None):
         if idx is None:
             y = gauss.factor @ normals
-            out = ratio(y + (z_star - y[k]) * corr[k], z_star)
+            z = corr[k] * (z_star - y.item(k))
+            z += y
+            out = ratio(z, z_star)
             out[k] = 1.0
             return 0, out
         y, y_k_low, y_k_high = gauss.some(normals, idx, k)
         rho = corr[k, idx]
-        return ratio(y + (z_star - np.where(rho >= 0.0, y_k_high, y_k_low))
-                     * rho, z_star)
+        z = z_star - np.where(rho >= 0.0, y_k_high, y_k_low)
+        z *= rho
+        z += y
+        return ratio(z, z_star)
 
     return profile
 
@@ -702,7 +725,9 @@ class MPSModel(TcfModel):
                 # non-decreasing x.
                 start = int(x.searchsorted(left))
                 stop = int(x.searchsorted(left + length, "right"))
-                return start, np.ones(stop - start)
+                ratios = np.empty(stop - start)
+                ratios.fill(1.0)
+                return start, ratios
 
             return profile
 
@@ -723,12 +748,16 @@ class BRModel(TcfModel):
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # V = exp(W - sigma^2/2); size-biasing is the exponential tilt, a
         # mean shift by the covariance column of the conditioning site (read
-        # as its row).
+        # as its row), kept as its drift row.
         cov, gauss, half = _variogram_covariance(self, sites)
-        m = sites.shape[0]
+        drift, m = _drift_rows(cov), sites.shape[0]
 
         def log_ratio(w, w_k, at, k, _):
-            return (w - w_k) + (cov[k, at] - cov[k, k]) - (half[at] - half[k])
+            # ((w - w_k) + drift[k, at]) - (half[at] - half[k]), in place.
+            w -= w_k
+            w += drift[k, at]
+            w -= half[at] - half[k]
+            return w
 
         def draw_br(k: int, rng: np.random.Generator) -> _Profile:
             return _tilted_profile(gauss, rng.standard_normal(m), k,
@@ -753,13 +782,17 @@ class VBRModel(TcfModel):
 
     def _profile_sampler(self, sites: np.ndarray) -> _ProfileDraw:
         # Scale S from the mixing law unchanged, mean shift S^2 times the
-        # covariance column of the conditioning site.
+        # covariance column of the conditioning site, kept as its tilt row.
         cov, gauss, half = _variogram_covariance(self, sites)
+        tilt = _drift_rows(cov, half)
         m, scale = sites.shape[0], self.scale_mixing.sample_one
 
         def log_ratio(w, w_k, at, k, s):  # s >= 0: non-decreasing in w - w_k
-            return s * (w - w_k) + s * s * (
-                (cov[k, at] - cov[k, k]) - (half[at] - half[k]))
+            # s (w - w_k) + s^2 tilt[k, at], in place.
+            w -= w_k
+            w *= s
+            w += s * s * tilt[k, at]
+            return w
 
         def draw_vbr(k: int, rng: np.random.Generator) -> _Profile:
             s = scale(rng)
@@ -788,7 +821,9 @@ class EGModel(TcfModel):
         m = sites.shape[0]
 
         def ratio(z, z_star):
-            return np.maximum(z, 0.0) / z_star
+            np.maximum(z, 0.0, out=z)
+            z /= z_star
+            return z
 
         def draw_eg(k: int, rng: np.random.Generator) -> _Profile:
             z_star = rng.rayleigh()

@@ -49,8 +49,11 @@ the minimum eigenvalue.  The dense set-up of BR, VBR, EG and EBG on n
 sites builds each n x n matrix once and in place: at its peak, while
 ``np.linalg.eigh`` runs, about 5 n^2 floats are alive (the covariance or
 correlation matrix, eigh's copy of it, its 2 n^2 workspace and the
-eigenvectors), and 2 n^2 are kept for the run (the covariance rows and
-the factor).  At the cap of 2,000 sites the peak is about 160 MB.
+eigenvectors), and 2 n^2 are kept for the run (the factor and the
+covariance or correlation rows).  BR and VBR keep per-site drift or tilt
+rows in the covariance's buffer: row k less its diagonal entry, and for
+VBR less the half-variance differences, formed in place one row at a
+time.  At the cap of 2,000 sites the peak is about 160 MB.
 """
 
 from __future__ import annotations
@@ -424,10 +427,7 @@ def _simulate_one(draw: _ProfileDraw, n_sites: int,
     values = np.zeros(n_sites)
     budget = _STORMS_PER_SITE * n_sites
     spent = 0
-    exponential = rng.exponential
-    # Reductions called as ufuncs, without the Python wrappers of
-    # ``ndarray.any`` and ``ndarray.all``.
-    any_, all_ = np.logical_or.reduce, np.logical_and.reduce
+    exponential, count = rng.exponential, np.count_nonzero
     for k in range(n_sites):
         screen = near[k] if near is not None and k > _SCREEN_SITES else None
         top = values.item(k)
@@ -440,15 +440,17 @@ def _simulate_one(draw: _ProfileDraw, n_sites: int,
                     f"per site for {n_sites} sites")
             spent += 1
             profile = draw(k, rng)
-            if screen is None or not any_(
+            if screen is None or not count(
                     profile(screen) / arrival > values[screen]):
                 start, candidate = profile()
                 candidate /= arrival
                 # The profile's run of sites, whose first k - start are
-                # finished.
+                # finished.  Counting the sites where the candidate stays
+                # at or below the field rejects a NaN ratio there, as an
+                # ``all`` of the comparisons would.
                 run = values[start:start + len(candidate)]
                 seen = k - start
-                if seen <= 0 or all_(candidate[:seen] <= run[:seen]):
+                if seen <= 0 or count(candidate[:seen] <= run[:seen]) == seen:
                     np.maximum(run, candidate, out=run)
                     top = values.item(k)
             arrival += exponential()

@@ -26,6 +26,7 @@ from tailcorr.models import (
     VBRModel,
     _correlation_factor,
     _distances,
+    _drift_rows,
     _pairwise_distances,
     _variogram_covariance,
     tcf,
@@ -626,17 +627,24 @@ def reference_fields(config, swap=False):
     """The fields of ``config`` from the plain per-site enumeration, one
     child generator per realization, with the engine's screen."""
     sites = config.grid.sites()
-    draw = reference_draw(config.model, sites, swap)
     near = None
     if (config.model._PARTIAL_PROFILE
             and len(sites) >= ENGINE._SCREEN_FROM_SITES):
         near = ENGINE._nearest_earlier(config.grid, ENGINE._SCREEN_SITES)
+    return plain_enumeration(reference_draw(config.model, sites, swap),
+                             len(sites), near, config.seed,
+                             config.n_realizations)
+
+
+def plain_enumeration(draw, n_sites, near, seed, n):
+    """``n`` fields of ``draw``, whose whole profiles are arrays, from the
+    per-site enumeration written with ``all`` for the check and ``any``
+    for the screen at the sites ``near`` (None: no screen)."""
     fields = []
-    for child in np.random.SeedSequence(config.seed).spawn(
-            config.n_realizations):
+    for child in np.random.SeedSequence(seed).spawn(n):
         rng = np.random.default_rng(child)
-        values = np.zeros(len(sites))
-        for k in range(len(sites)):
+        values = np.zeros(n_sites)
+        for k in range(n_sites):
             screen = (near[k] if near is not None and k > ENGINE._SCREEN_SITES
                       else None)
             arrival = rng.exponential()
@@ -738,6 +746,78 @@ class TestEngineBits:
         assert bit_equal(collect(config), reference_fields(config))
         assert not bit_equal(collect(config),
                              reference_fields(config, swap=True))
+
+
+def nan_draw(n_sites, nan_in, counts):
+    """A stub ``draw(k, rng)`` whose whole profile is an array: ratios 1
+    at site k and uniform on [0.5, 1.5) elsewhere.  Three in ten candidates
+    past the first site carry a NaN ratio at a finished site, in the whole
+    profile (``nan_in="whole"``) or in the partial one only, at one of the
+    sites it is asked for (``nan_in="screen"``).  ``counts`` tallies the
+    whole profiles evaluated and the profiles of either kind that carried
+    a NaN."""
+
+    def draw(k, rng):
+        ratios = 0.5 + rng.random(n_sites)
+        ratios[k] = 1.0
+        nan_at = int(rng.integers(k)) if k and rng.random() < 0.3 else None
+        if nan_in == "whole" and nan_at is not None:
+            ratios[nan_at] = math.nan
+
+        def profile(idx=None):
+            if idx is None:
+                counts["whole"] += 1
+                counts["nan whole"] += bool(np.isnan(ratios).any())
+                return ratios.copy()
+            part = ratios[idx]
+            if nan_in == "screen" and nan_at is not None:
+                part[nan_at % len(part)] = math.nan
+            counts["nan screen"] += bool(np.isnan(part).any())
+            return part
+
+        return profile
+
+    return draw
+
+
+NAN_CASES = [("9-sites", GridSpec(dim=1, shape=(9,)), "whole", 40),
+             ("screened", SCREENED_GRID, "whole", 2),
+             ("screened-partial", SCREENED_GRID, "screen", 2)]
+
+
+class TestCountedChecks:
+    """The engine counts the comparisons of its check and its screen.  A
+    NaN ratio at a finished site rejects a candidate, as ``all(<=)`` did,
+    and a NaN at a screened site does not make the screen reject, as
+    ``any(>)`` did not: the full check then decides."""
+
+    @pytest.mark.parametrize("name, grid, nan_in, n", NAN_CASES,
+                             ids=[c[0] for c in NAN_CASES])
+    def test_nan_ratios_as_the_plain_loop(self, name, grid, nan_in, n):
+        m = grid.n_sites
+        near = (ENGINE._nearest_earlier(grid, ENGINE._SCREEN_SITES)
+                if m >= ENGINE._SCREEN_FROM_SITES else None)
+        engine = {"whole": 0, "nan whole": 0, "nan screen": 0}
+        plain = dict(engine)
+        draw = nan_draw(m, nan_in, engine)
+
+        def run_draw(k, rng):
+            # The ``_ProfileDraw`` contract: a whole profile on the run of
+            # every site.
+            profile = draw(k, rng)
+            return lambda *idx: profile(*idx) if idx else (0, profile())
+
+        got = np.stack([ENGINE._simulate_one(run_draw, m,
+                                             np.random.default_rng(child),
+                                             near)
+                        for child in np.random.SeedSequence(17).spawn(n)])
+        want = plain_enumeration(nan_draw(m, nan_in, plain), m, near, 17, n)
+        assert bit_equal(got, want)
+        assert engine == plain
+        # Candidates with a NaN reached each check, and a NaN taken into
+        # the field would stay there.
+        assert engine[f"nan {nan_in}"] > 0
+        assert not np.isnan(got).any()
 
 
 class ScriptedRng:
@@ -862,6 +942,31 @@ class TestProfileRun:
         assert max(widths) < len(sites)
 
 
+PROFILE_AT_SITE_CASES = (
+    [(f"loop-{c}", lambda c=c: loop_models()[c], LOOP_GRID)
+     for c in ("BR", "VBR", "M3b", "MPS", "EG", "EBG")]
+    + [(f"screened-{c}", lambda c=c: models_2d()[c], SCREENED_GRID)
+       for c in ("BR", "VBR", "M3b", "EG", "EBG")])
+
+
+class TestProfileAtItsSite:
+    """A storm profile is its ratio to the storm's value at its conditioning
+    site k, so the whole profile is exactly 1 there; a drift or tilt row
+    whose diagonal is not 0 fails here.  M2r is left out: its ratio
+    f(|c - x_k|) / f(rho) carries the rounding of the storm centre c, which
+    is large beside a small offset rho."""
+
+    @pytest.mark.parametrize("name, model, grid", PROFILE_AT_SITE_CASES,
+                             ids=[c[0] for c in PROFILE_AT_SITE_CASES])
+    def test_whole_profile_is_one_at_its_site(self, name, model, grid):
+        n = grid.n_sites
+        draw = model()._profile_sampler(grid.sites())
+        rng = np.random.default_rng(n)
+        for k in range(0, n, max(1, n // 40)):
+            for _ in range(5):
+                assert padded(draw(k, rng), n)[k] == 1.0
+
+
 def reference_distances(sites):
     diff = sites[:, None, :] - sites[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
@@ -896,6 +1001,15 @@ SETUP_CASES = (
         dim=1, correlation=constant_correlation()), LOOP_GRID)])
 
 
+#: BR and VBR on the grids whose set-up keeps drift or tilt rows.
+DRIFT_CASES = [(f"{where}-{c}", lambda c=c, models=models: models()[c], grid)
+               for where, models, grid in (("loop", loop_models, LOOP_GRID),
+                                           ("screened", models_2d,
+                                            SCREENED_GRID),
+                                           ("long", models_1d, LONG_GRID))
+               for c in ("BR", "VBR")]
+
+
 class TestSetupBits:
     """The Gaussian set-up, built in place, keeps every bit of the plain
     formulas in :func:`reference_setup`, which share no code with it."""
@@ -916,6 +1030,23 @@ class TestSetupBits:
         if name.endswith("constant"):
             # Rank one: eigenvalues below zero are clipped.
             assert np.linalg.eigvalsh(matrix)[0] < 0.0
+
+    @pytest.mark.parametrize("name, model, grid", DRIFT_CASES,
+                             ids=[c[0] for c in DRIFT_CASES])
+    def test_drift_and_tilt_rows(self, name, model, grid):
+        # Whole rows, and the screened sites of every site that has them.
+        model, sites = model(), grid.sites()
+        cov, _, _, half = reference_setup(model, sites)
+        got, _, got_half = _variogram_covariance(model, sites)
+        rows = _drift_rows(got, got_half if name.endswith("VBR") else None)
+        near = ENGINE._nearest_earlier(grid, ENGINE._SCREEN_SITES)
+        for k in range(len(sites)):
+            for at in ((slice(None), near[k]) if k > ENGINE._SCREEN_SITES
+                       else (slice(None),)):
+                want = cov[k, at] - cov[k, k]
+                if name.endswith("VBR"):
+                    want = want - (half[at] - half[k])
+                assert bit_equal(rows[k, at], want)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_pairwise_distances(self, g):
@@ -939,6 +1070,21 @@ class TestSetupBits:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * len(sites) ** 2 * 8
+
+    def test_vbr_tilt_rows_memory(self):
+        # The tilt rows are formed one at a time while the covariance and
+        # the factor are alive, 2 n^2 floats: an n x n temporary there
+        # would take the traced peak to 3 n^2.
+        sites = GRID_1024.sites()
+        model = VBRModel(dim=2, variogram=fbm_variogram(8.0, 1.0),
+                         scale_mixing=point_mass(0.45))
+        tracemalloc.start()
+        try:
+            model._profile_sampler(sites)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(sites) ** 2 * 8
 
     def test_br_setup_memory_with_variogram_in_one_buffer(self):
         # The variogram takes |t|, its power and its scale in one buffer
